@@ -80,14 +80,6 @@ class BevGrid:
     def contains(self, x, y):
         return self.cell_of(x, y) is not None
 
-    @property
-    def half_extent_x(self):
-        return 0.5 * (self.x_max - self.x_min)
-
-    @property
-    def half_extent_y(self):
-        return 0.5 * (self.y_max - self.y_min)
-
     def __repr__(self):
         return (f"BevGrid(x=[{self.x_min},{self.x_max}], y=[{self.y_min},{self.y_max}], "
                 f"{self.rows}x{self.cols})")
@@ -263,23 +255,67 @@ def resample_polyline(pts, step=0.1):
     return pts[idx] + frac[:, None] * seg[idx]
 
 
-def _segments(pts):
+def _segment_table(pts):
+    """Per-coordinate segment arrays of a polyline: start x, start y,
+    direction x, direction y, the squared length with 0 replaced by 1, and
+    the indices of the zero-length segments. A single point is one
+    zero-length segment."""
     pts = np.asarray(pts, dtype=np.float64)
-    if len(pts) == 1:
-        return np.stack([pts, pts], axis=1)
-    return np.stack([pts[:-1], pts[1:]], axis=1)
+    start, end = (pts, pts) if len(pts) == 1 else (pts[:-1], pts[1:])
+    ax, ay = start[:, 0], start[:, 1]
+    abx, aby = end[:, 0] - ax, end[:, 1] - ay
+    denom = abx * abx + aby * aby
+    proper = denom > 0
+    return ax, ay, abx, aby, np.where(proper, denom, 1.0), np.flatnonzero(~proper)
 
 
-def point_segment_distances(points, segs):
-    """points (N,2), segs (S,2,2) -> (N,S) euclidean point-segment distances."""
-    a = segs[:, 0][None, :, :]
-    ab = (segs[:, 1] - segs[:, 0])[None, :, :]
-    denom = (ab * ab).sum(-1)
-    ap = points[:, None, :] - a
-    t = (ap * ab).sum(-1) / np.where(denom > 0, denom, 1.0)
-    t = np.clip(np.where(denom > 0, t, 0.0), 0.0, 1.0)
-    d = ap - t[..., None] * ab
-    return np.sqrt((d * d).sum(-1))
+def _nearest_sq(points, table):
+    """Squared euclidean distance from each of the (N,2) points to its
+    nearest segment of the table. The square root is left to the caller:
+    it is monotone, so taking it after the min gives the same bits as
+    taking it per segment."""
+    ax, ay, abx, aby, safe, zero_length = table
+    dx = points[:, :1] - ax
+    dy = points[:, 1:] - ay
+    t = dx * abx
+    t += dy * aby
+    t /= safe
+    if zero_length.size:  # a zero-length segment is nearest at its start
+        t[:, zero_length] = 0.0
+    np.clip(t, 0.0, 1.0, out=t)
+    dx -= t * abx
+    dy -= t * aby
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx.min(axis=1)
+
+
+def polyline_distance(points, pts):
+    """points (N,2) -> (N,) euclidean distance to the nearest segment of
+    the polyline pts."""
+    points = np.asarray(points, dtype=np.float64)
+    return np.sqrt(_nearest_sq(points, _segment_table(pts)))
+
+
+def chamfer_matrix(a_list, b_list, step=0.1):
+    """(len(a_list), len(b_list)) matrix of chamfer_distance(a, b).
+
+    Each polyline is resampled and tabled once; each pair then runs the
+    nearest-segment kernel in both directions, one pair at a time so the
+    working memory stays that of a single pair.
+    """
+    if not len(a_list) or not len(b_list):  # nothing to pair: skip resampling
+        return np.zeros((len(a_list), len(b_list)))
+    a_sides = [(resample_polyline(p, step), _segment_table(p)) for p in a_list]
+    b_sides = [(resample_polyline(p, step), _segment_table(p)) for p in b_list]
+    out = np.empty((len(a_sides), len(b_sides)))
+    for i, (a_samples, a_segs) in enumerate(a_sides):
+        for j, (b_samples, b_segs) in enumerate(b_sides):
+            d_ab = np.sqrt(_nearest_sq(a_samples, b_segs))
+            d_ba = np.sqrt(_nearest_sq(b_samples, a_segs))
+            out[i, j] = (d_ab.sum() + d_ba.sum()) / (d_ab.size + d_ba.size)
+    return out
 
 
 def chamfer_distance(a, b, step=0.1):
@@ -287,11 +323,7 @@ def chamfer_distance(a, b, step=0.1):
     spacing, each sample measures distance to the other polyline's segments,
     and all samples pool into one mean. Exactly symmetric in its arguments.
     """
-    sa = resample_polyline(a, step)
-    sb = resample_polyline(b, step)
-    d_ab = point_segment_distances(sa, _segments(b)).min(axis=1)
-    d_ba = point_segment_distances(sb, _segments(a)).min(axis=1)
-    return float((d_ab.sum() + d_ba.sum()) / (d_ab.size + d_ba.size))
+    return float(chamfer_matrix([a], [b], step)[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ its eval files byte for byte.
 Layout under the output directory:
 
     dataset/                    rendered corpus (cached by dataset hash)
-    teacher/<hash>/             frozen teacher checkpoint (cached)
+    teacher/<hash>/             frozen teacher checkpoint (cached) and log.txt
     runs/<name>/                one training run: config.txt, log.txt,
                                 checkpoint/, eval_*.txt, record.txt
     ablation.txt  sweep_lambda.txt  similarity.txt  report.md
@@ -113,11 +113,16 @@ def ensure_teacher(cfg: RunConfig, out, train=None, val=None):
         return teacher, float(meta["val_map"])
     if train is None:
         train, val = load_splits(cfg, out)
+    log = []
     teacher, _, val_map = pretrain_teacher(
         train, val, grid, seed=cfg.teacher_seed, steps=cfg.teacher_steps,
         batch=cfg.batch, base_lr=cfg.base_lr, weight_decay=cfg.weight_decay,
-        min_lr=cfg.min_lr, eval_cfg=EvalConfig(cfg.roi, grid=grid),
+        min_lr=cfg.min_lr, eval_cfg=EvalConfig(cfg.roi, grid=grid), log=log,
         make_models=_teacher_models(cfg))
+    # the loss curve goes down before the manifest that marks the cache done
+    os.makedirs(tdir, exist_ok=True)
+    with open(os.path.join(tdir, "log.txt"), "w") as f:
+        f.writelines(line + "\n" for line in log)
     save_checkpoint(tdir, {"teacher." + k: v for k, v in teacher.params.items()},
                     meta={"val_map": repr(val_map),
                           "teacher_hash": cfg.teacher_hash()})

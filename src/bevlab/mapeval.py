@@ -1,19 +1,23 @@
 """Instance-level map evaluation: chamfer-thresholded AP over two RoIs.
 
-Map elements are (class_id, score, points) triples. Matching is greedy in
-score order: each prediction claims the nearest still-unmatched ground
-truth of its class within the chamfer threshold (one-to-one). Precision /
-recall integrate exactly (all-point), with predictions pooled across the
-whole evaluation split. Degenerate conventions, applied per (class,
-threshold) cell: no gts and no preds gives AP 1; gts but no true positive
-gives 0; preds against an empty gt set give 0.
+Map elements are (class_id, score, points) triples. Both sides are first
+clipped to the RoI. Evaluation is one pass: for each (scene, class) the
+chamfer distance of every (prediction, ground truth) pair is computed
+once, into one matrix, and that matrix is reused at every threshold.
+Matching is greedy in score order: each prediction claims the nearest
+still-unmatched ground truth of its class within the chamfer threshold
+(one-to-one). Precision / recall integrate exactly (all-point), with
+predictions pooled across the whole evaluation split. Degenerate
+conventions, applied per (class, threshold) cell: no gts and no preds
+gives AP 1; gts but no true positive gives 0; preds against an empty gt
+set give 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import CLASS_NAMES, N_CLASSES, BevGrid, chamfer_distance, standard_grid, extended_grid
+from .geometry import CLASS_NAMES, N_CLASSES, BevGrid, chamfer_matrix, standard_grid, extended_grid
 
 
 class EvalError(ValueError):
@@ -61,23 +65,32 @@ class EvalResult:
 # clipping
 # ---------------------------------------------------------------------------
 
-def _clip_segment(p, q, grid: BevGrid):
-    """Liang-Barsky: returns (t0, t1) of the inside portion, or None."""
+def _clip_segments(pts, grid: BevGrid):
+    """Liang-Barsky on every segment of a polyline at once.
+
+    Returns (kept, starts, ends, exits): which segments touch the RoI, the
+    clipped start and end point of each segment (meaningful where kept),
+    and which kept segments leave the RoI before their end point.
+    """
+    p, q = pts[:-1], pts[1:]
     d = q - p
-    t0, t1 = 0.0, 1.0
-    for delta, low, high in ((d[0], grid.x_min - p[0], grid.x_max - p[0]),
-                             (d[1], grid.y_min - p[1], grid.y_max - p[1])):
-        if delta == 0.0:
-            if low > 0.0 or high < 0.0:
-                return None
-            continue
-        ta, tb = low / delta, high / delta
-        if ta > tb:
-            ta, tb = tb, ta
-        t0, t1 = max(t0, ta), min(t1, tb)
-        if t0 > t1:
-            return None
-    return t0, t1
+    t0 = np.zeros(len(d))
+    t1 = np.ones(len(d))
+    outside = np.zeros(len(d), dtype=bool)
+    for k, lo, hi in ((0, grid.x_min, grid.x_max), (1, grid.y_min, grid.y_max)):
+        delta, low, high = d[:, k], lo - p[:, k], hi - p[:, k]
+        flat = delta == 0.0
+        outside |= flat & ((low > 0.0) | (high < 0.0))
+        safe = np.where(flat, 1.0, delta)
+        ta, tb = low / safe, high / safe
+        swap = ta > tb
+        ta, tb = np.where(swap, tb, ta), np.where(swap, ta, tb)
+        t0 = np.where(flat, t0, np.maximum(t0, ta))
+        t1 = np.where(flat, t1, np.minimum(t1, tb))
+    kept = ~outside & ~(t0 > t1)
+    starts = np.where((t0 == 0.0)[:, None], p, p + t0[:, None] * d)
+    ends = np.where((t1 == 1.0)[:, None], q, p + t1[:, None] * d)
+    return kept, starts, ends, kept & (t1 < 1.0)
 
 
 def clip_to_roi(elements, grid: BevGrid):
@@ -89,31 +102,20 @@ def clip_to_roi(elements, grid: BevGrid):
     out = []
     for class_id, score, pts in elements:
         pts = np.asarray(pts, dtype=np.float64)
-        fragments = []
-        current = []
-        for i in range(len(pts) - 1):
-            p, q = pts[i], pts[i + 1]
-            hit = _clip_segment(p, q, grid)
-            if hit is None:
-                if len(current) >= 2:
-                    fragments.append(np.array(current))
-                current = []
-                continue
-            t0, t1 = hit
-            a = p if t0 == 0.0 else p + t0 * (q - p)
-            b = q if t1 == 1.0 else p + t1 * (q - p)
-            if current and np.allclose(current[-1], a, atol=1e-12):
-                current.append(b)
-            else:
-                if len(current) >= 2:
-                    fragments.append(np.array(current))
-                current = [a, b]
-            if t1 < 1.0:  # exits the RoI: close the fragment here
-                fragments.append(np.array(current))
-                current = []
-        if len(current) >= 2:
-            fragments.append(np.array(current))
-        for frag in fragments:
+        if len(pts) < 2:
+            continue
+        kept, starts, ends, exits = _clip_segments(pts, grid)
+        # a kept segment continues the previous fragment when the previous
+        # segment was kept without exiting and ends where this one starts,
+        # by np.allclose's rule with atol 1e-12
+        prev, cur = ends[:-1], starts[1:]
+        close = ((np.abs(prev - cur) <= 1e-12 + 1e-5 * np.abs(cur)) & np.isfinite(cur)
+                 | (prev == cur)).all(axis=1)
+        joins = np.zeros(len(kept), dtype=bool)
+        joins[1:] = kept[1:] & kept[:-1] & ~exits[:-1] & close
+        last = np.append(~joins[1:], True)
+        for first, final in zip(np.flatnonzero(kept & ~joins), np.flatnonzero(kept & last)):
+            frag = np.vstack([starts[first:first + 1], ends[first:final + 1]])
             length = float(np.sqrt((np.diff(frag, axis=0) ** 2).sum(axis=1)).sum())
             if length >= MIN_FRAGMENT_LEN:
                 out.append((class_id, score, frag))
@@ -124,28 +126,33 @@ def clip_to_roi(elements, grid: BevGrid):
 # matching and AP
 # ---------------------------------------------------------------------------
 
-def match_instances(preds, gts, threshold: float):
-    """Greedy one-to-one matching; returns TP flags in original pred order.
+def _greedy_match(scores, dist, threshold: float):
+    """Greedy one-to-one matching against a (P, G) chamfer matrix; returns
+    TP flags in original pred order.
 
     Predictions are visited by descending score (ties keep input order);
     each takes the nearest unmatched gt with chamfer <= threshold (distance
     ties resolve to the lowest gt index).
     """
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i][1], i))
-    taken = [False] * len(gts)
-    flags = [False] * len(preds)
-    for i in order:
-        best_j, best_d = -1, np.inf
-        for j, (_, _, gpts) in enumerate(gts):
-            if taken[j]:
-                continue
-            d = chamfer_distance(preds[i][2], gpts)
-            if d <= threshold and d < best_d:
-                best_j, best_d = j, d
-        if best_j >= 0:
-            taken[best_j] = True
+    flags = [False] * len(scores)
+    if dist.shape[1] == 0:
+        return flags
+    free = np.ones(dist.shape[1], dtype=bool)
+    within = dist <= threshold
+    for i in sorted(range(len(scores)), key=lambda i: (-scores[i], i)):
+        row = np.where(free & within[i], dist[i], np.inf)
+        j = int(row.argmin())
+        if row[j] < np.inf:
+            free[j] = False
             flags[i] = True
     return flags
+
+
+def match_instances(preds, gts, threshold: float):
+    """Greedy one-to-one matching of elements by chamfer distance; returns
+    TP flags in original pred order (see _greedy_match)."""
+    dist = chamfer_matrix([e[2] for e in preds], [e[2] for e in gts])
+    return _greedy_match([e[1] for e in preds], dist, threshold)
 
 
 def _integrate_ap(scores, flags, n_pos):
@@ -177,7 +184,8 @@ def average_precision(preds, gts, class_id: int, threshold: float):
 
 
 def evaluate(preds_by_scene: dict, gts_by_scene: dict, cfg: EvalConfig) -> EvalResult:
-    """Full protocol: clip both sides, match per scene, pool AP per cell."""
+    """Full protocol: clip both sides, build one chamfer matrix per (scene,
+    class), match it at every threshold, pool AP per cell."""
     if sorted(preds_by_scene) != sorted(gts_by_scene):
         raise EvalError("prediction and ground-truth scene ids differ")
     scene_ids = sorted(gts_by_scene)
@@ -185,16 +193,20 @@ def evaluate(preds_by_scene: dict, gts_by_scene: dict, cfg: EvalConfig) -> EvalR
     clipped_g = {s: clip_to_roi(gts_by_scene[s], cfg.grid) for s in scene_ids}
     cells = {}
     for c in range(N_CLASSES):
-        per_scene_p = {s: [e for e in clipped_p[s] if e[0] == c] for s in scene_ids}
-        per_scene_g = {s: [e for e in clipped_g[s] if e[0] == c] for s in scene_ids}
-        n_pos = sum(len(per_scene_g[s]) for s in scene_ids)
+        per_scene = []
+        n_pos = 0
+        for s in scene_ids:
+            p = [e for e in clipped_p[s] if e[0] == c]
+            g = [e for e in clipped_g[s] if e[0] == c]
+            n_pos += len(g)
+            per_scene.append(([e[1] for e in p],
+                              chamfer_matrix([e[2] for e in p], [e[2] for e in g])))
         for t in cfg.thresholds:
             scores = []
             flags = []
-            for s in scene_ids:
-                f = match_instances(per_scene_p[s], per_scene_g[s], t)
-                scores.extend(e[1] for e in per_scene_p[s])
-                flags.extend(f)
+            for sc, dist in per_scene:
+                scores.extend(sc)
+                flags.extend(_greedy_match(sc, dist, t))
             cells[(c, t)] = _integrate_ap(scores, flags, n_pos)
     return EvalResult(cells, cfg.thresholds)
 

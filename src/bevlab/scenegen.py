@@ -19,8 +19,8 @@ import math
 
 import numpy as np
 
-from .geometry import (BevGrid, default_rig, extended_grid, point_segment_distances,
-                       rasterize_polyline, read_polylines, write_polylines, _segments)
+from .geometry import (BevGrid, default_rig, extended_grid, polyline_distance,
+                       rasterize_polyline, read_polylines, write_polylines)
 from .tensors import read_ten, write_ten
 
 LANE_WIDTH = 3.2
@@ -279,7 +279,7 @@ def render_overhead(scene: Scene, grid: BevGrid, channels: int = 3) -> np.ndarra
     centers = grid.cell_centers().reshape(-1, 2)
     road_mask = np.zeros(centers.shape[0], dtype=bool)
     for road in scene.roads:
-        d = point_segment_distances(centers, _segments(road.centerline)).min(axis=1)
+        d = polyline_distance(centers, road.centerline)
         road_mask |= d <= road.half_width
     img.reshape(3, -1)[:, road_mask] = np.array(ROAD_COLOR)[:, None]
     # markings paint over the road; boundary > divider > crossing priority

@@ -230,6 +230,64 @@ def point_polyline_dist(p, poly):
     return min(point_segment_dist(p, poly[i], poly[i + 1]) for i in range(len(poly) - 1))
 
 
+def _clip_segment_oracle(p, q, x_min, x_max, y_min, y_max):
+    """Scalar Liang-Barsky: (t0, t1) of the inside portion, or None."""
+    d = q - p
+    t0, t1 = 0.0, 1.0
+    for delta, low, high in ((d[0], x_min - p[0], x_max - p[0]),
+                             (d[1], y_min - p[1], y_max - p[1])):
+        if delta == 0.0:
+            if low > 0.0 or high < 0.0:
+                return None
+            continue
+        ta, tb = low / delta, high / delta
+        if ta > tb:
+            ta, tb = tb, ta
+        t0, t1 = max(t0, ta), min(t1, tb)
+        if t0 > t1:
+            return None
+    return t0, t1
+
+
+def clip_oracle(elements, grid, min_len=0.5):
+    """Segment-at-a-time RoI clipping: a fragment continues while each
+    clipped segment starts where the last one ended (np.allclose) and
+    closes where a segment leaves the RoI; fragments under min_len drop."""
+    bounds = (grid.x_min, grid.x_max, grid.y_min, grid.y_max)
+    out = []
+    for class_id, score, pts in elements:
+        pts = np.asarray(pts, dtype=np.float64)
+        fragments = []
+        current = []
+        for i in range(len(pts) - 1):
+            p, q = pts[i], pts[i + 1]
+            hit = _clip_segment_oracle(p, q, *bounds)
+            if hit is None:
+                if len(current) >= 2:
+                    fragments.append(np.array(current))
+                current = []
+                continue
+            t0, t1 = hit
+            a = p if t0 == 0.0 else p + t0 * (q - p)
+            b = q if t1 == 1.0 else p + t1 * (q - p)
+            if current and np.allclose(current[-1], a, atol=1e-12):
+                current.append(b)
+            else:
+                if len(current) >= 2:
+                    fragments.append(np.array(current))
+                current = [a, b]
+            if t1 < 1.0:
+                fragments.append(np.array(current))
+                current = []
+        if len(current) >= 2:
+            fragments.append(np.array(current))
+        for frag in fragments:
+            length = float(np.sqrt((np.diff(frag, axis=0) ** 2).sum(axis=1)).sum())
+            if length >= min_len:
+                out.append((class_id, score, frag))
+    return out
+
+
 def cka_oracle(x, y):
     """Linear CKA from the explicit formula on raw (uncentered) features."""
     xty = x.T @ y
@@ -293,6 +351,27 @@ def exhaustive_match_oracle(preds, gts, threshold, chamfer):
                 if all(ok[i][j] for i, j in zip(pi, gj)):
                     return r
     return 0
+
+
+def greedy_match_oracle(preds, gts, threshold, chamfer):
+    """Per-threshold greedy matching, one chamfer call per (pred, gt) pair:
+    preds by descending score (ties in input order) each take the nearest
+    free gt within the threshold, the lowest gt index on distance ties."""
+    order = sorted(range(len(preds)), key=lambda i: (-preds[i][1], i))
+    taken = [False] * len(gts)
+    flags = [False] * len(preds)
+    for i in order:
+        best_j, best_d = -1, math.inf
+        for j in range(len(gts)):
+            if taken[j]:
+                continue
+            d = chamfer(preds[i][2], gts[j][2])
+            if d <= threshold and d < best_d:
+                best_j, best_d = j, d
+        if best_j >= 0:
+            taken[best_j] = True
+            flags[i] = True
+    return flags
 
 
 def average_precision_oracle(scores, labels, n_pos):

@@ -172,6 +172,60 @@ def test_chamfer_symmetric_bitwise(seed):
     assert G.chamfer_distance(a, b) == G.chamfer_distance(b, a)
 
 
+def random_polylines(rng, n):
+    """Random polylines, with single points and zero-length segments mixed in."""
+    out = []
+    for _ in range(n):
+        pts = rng.uniform(-5, 5, size=(int(rng.integers(2, 6)), 2))
+        kind = rng.random()
+        if kind < 0.2:
+            pts = pts[:1]
+        elif kind < 0.3:
+            pts = np.repeat(pts[:1], 3, axis=0)
+        elif kind < 0.5:
+            pts = np.insert(pts, 1, pts[1], axis=0)
+        out.append(pts)
+    return out
+
+
+def test_chamfer_matrix_entries_equal_chamfer_distance():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        a = random_polylines(rng, int(rng.integers(1, 5)))
+        b = random_polylines(rng, int(rng.integers(1, 5)))
+        m = G.chamfer_matrix(a, b)
+        assert m.shape == (len(a), len(b))
+        for i, pa in enumerate(a):
+            for j, pb in enumerate(b):
+                assert m[i, j] == G.chamfer_distance(pa, pb)
+
+
+def test_polyline_distance_zero_length_segment_projects_to_its_start():
+    # with a zero-length segment the projection parameter is pinned to 0,
+    # so a point at infinity is infinitely far rather than NaN
+    pts = np.array([[0.0, 0.0], [0.0, 0.0]])
+    with np.errstate(invalid="ignore"):  # inf * 0 along the way
+        got = G.polyline_distance(np.array([[np.inf, 0.0], [3.0, 4.0]]), pts)
+    assert got[0] == np.inf and got[1] == 5.0
+
+
+def test_chamfer_matrix_empty_sides():
+    polys = random_polylines(np.random.default_rng(6), 3)
+    assert G.chamfer_matrix([], polys).shape == (0, 3)
+    assert G.chamfer_matrix(polys, []).shape == (3, 0)
+
+
+def test_chamfer_matrix_matches_brute_force_oracle():
+    rng = np.random.default_rng(7)
+    a = random_polylines(rng, 4)
+    b = random_polylines(rng, 4)
+    m = G.chamfer_matrix(a, b)
+    for i, pa in enumerate(a):
+        for j, pb in enumerate(b):
+            want = oracles.chamfer_oracle(pa, pb)
+            assert abs(m[i, j] - want) <= 1e-9 * max(abs(want), 1e-300)
+
+
 def test_polyline_text_round_trip(tmp_path):
     items = [(0, 1.0, np.array([[1.234567, -2.0], [3.5, 4.25]])),
              (2, 0.375, np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]]))]

@@ -1,0 +1,38 @@
+"""Harness caches: the frozen teacher and what its directory records."""
+
+import os
+
+from bevlab import harness as H
+from bevlab.config import RunConfig
+
+
+def tiny_config():
+    return RunConfig({"n_train": 2, "n_val": 1, "teacher_steps": 2, "batch": 2})
+
+
+def test_ensure_teacher_writes_loss_log_before_manifest(tmp_path, monkeypatch):
+    cfg = tiny_config()
+    out = str(tmp_path)
+    tdir = os.path.join(out, "teacher", cfg.teacher_hash())
+    plain_save = H.save_checkpoint
+    seen = []
+
+    def save_after_log(path, params, meta=None):
+        seen.append(os.path.exists(os.path.join(tdir, "log.txt")))
+        plain_save(path, params, meta)
+
+    monkeypatch.setattr(H, "save_checkpoint", save_after_log)
+    _, val_map = H.ensure_teacher(cfg, out)
+    assert seen == [True]
+    with open(os.path.join(tdir, "log.txt")) as f:
+        rows = [line.split() for line in f]
+    # run-log format: step lr l_cls l_reg l_bev l_total
+    assert [r[0] for r in rows] == ["0", "1"]
+    for r in rows:
+        assert len(r) == 6 and r[4] == "0.0"
+        assert float(r[5]) == float(r[2]) + float(r[3])
+    # a cache hit trains nothing and leaves the log as it was
+    before = os.path.getmtime(os.path.join(tdir, "log.txt"))
+    _, again = H.ensure_teacher(cfg, out)
+    assert again == val_map and seen == [True]
+    assert os.path.getmtime(os.path.join(tdir, "log.txt")) == before

@@ -59,6 +59,58 @@ def test_clip_drops_short_fragments():
     assert out == []
 
 
+def random_clip_polyline(rng, grid):
+    """Random polyline built to hit the clipper's edge cases: vertices on
+    the RoI edges and corners, segments along an edge, zero-length
+    segments, and runs that leave the RoI and come back."""
+    lo = np.array([grid.x_min, grid.y_min])
+    hi = np.array([grid.x_max, grid.y_max])
+    span = hi - lo
+    pts = [rng.uniform(lo - 0.3 * span, hi + 0.3 * span)]
+    for _ in range(int(rng.integers(1, 9))):
+        prev = pts[-1]
+        nxt = rng.uniform(lo - 0.3 * span, hi + 0.3 * span)
+        kind = rng.integers(0, 6)
+        if kind == 0:
+            nxt = prev.copy()  # zero-length segment
+        elif kind == 1:
+            k = int(rng.integers(0, 2))
+            nxt[k] = (lo[k], hi[k])[int(rng.integers(0, 2))]  # vertex on an edge
+        elif kind == 2:
+            k = int(rng.integers(0, 2))
+            nxt[k] = prev[k]  # axis-parallel; along an edge when prev is on it
+        elif kind == 3:
+            # lattice point: edges, corners and outside at tenths of the RoI
+            nxt = lo + rng.integers(-3, 14, size=2) * span / 10.0
+        pts.append(nxt)
+    return np.array(pts)
+
+
+def test_clip_matches_scalar_oracle_random():
+    rng = np.random.default_rng(8)
+    split = on_edge = along_edge = zero_length = 0
+    for grid in (G.standard_grid(), G.extended_grid()):
+        for n in range(400):
+            pts = random_clip_polyline(rng, grid)
+            elements = [(n % 3, 0.5, pts)]
+            got = ME.clip_to_roi(elements, grid)
+            want = oracles.clip_oracle(elements, grid, ME.MIN_FRAGMENT_LEN)
+            assert len(got) == len(want)
+            for (c0, s0, f0), (c1, s1, f1) in zip(got, want):
+                assert (c0, s0) == (c1, s1)
+                assert np.array_equal(f0, f1)
+            split += len(want) >= 2
+            edge = ((pts[:, 0] == grid.x_min) | (pts[:, 0] == grid.x_max)
+                    | (pts[:, 1] == grid.y_min) | (pts[:, 1] == grid.y_max))
+            on_edge += bool(edge.any())
+            along_edge += bool((edge[1:] & edge[:-1]
+                                & ((pts[1:, 0] == pts[:-1, 0])
+                                   | (pts[1:, 1] == pts[:-1, 1]))).any())
+            zero_length += bool((pts[1:] == pts[:-1]).all(axis=1).any())
+    # the generator really exercised the cases it is built for
+    assert split > 100 and on_edge > 200 and along_edge > 50 and zero_length > 50
+
+
 # ---------------------------------------------------------------------------
 # match_instances
 # ---------------------------------------------------------------------------
@@ -203,6 +255,35 @@ def test_evaluate_matches_reordered_loop_oracle():
             else:
                 want = oracles.average_precision_oracle(scores, flags, n_pos)
             assert abs(res.ap[(c, t)] - want) < 1e-12
+
+
+def test_evaluate_matches_per_pair_greedy_oracle():
+    rng = np.random.default_rng(9)
+    for roi in ("standard", "extended"):
+        for _ in range(5):
+            preds, gts = oracles.random_eval_corpus(rng, n_scenes=3)
+            cfg = ME.EvalConfig(roi)
+            res = ME.evaluate(preds, gts, cfg)
+            scene_ids = sorted(gts)
+            cp = {s: oracles.clip_oracle(preds[s], cfg.grid, ME.MIN_FRAGMENT_LEN)
+                  for s in scene_ids}
+            cg = {s: oracles.clip_oracle(gts[s], cfg.grid, ME.MIN_FRAGMENT_LEN)
+                  for s in scene_ids}
+            for c in range(3):
+                for t in cfg.thresholds:
+                    scores, flags, n_pos = [], [], 0
+                    for s in scene_ids:
+                        p = [e for e in cp[s] if e[0] == c]
+                        g = [e for e in cg[s] if e[0] == c]
+                        n_pos += len(g)
+                        scores.extend(e[1] for e in p)
+                        flags.extend(oracles.greedy_match_oracle(
+                            p, g, t, G.chamfer_distance))
+                    if n_pos == 0:
+                        want = 1.0 if not scores else 0.0
+                    else:
+                        want = oracles.average_precision_oracle(scores, flags, n_pos)
+                    assert res.ap[(c, t)] == want
 
 
 # ---------------------------------------------------------------------------
