@@ -9,7 +9,21 @@ import argparse
 import sys
 
 from . import harness
+from .analysis import AnalysisError
 from .config import ConfigError, RunConfig
+from .encoders import EncoderError
+from .geometry import GeometryError
+from .mapeval import EvalError
+from .plots import PlotError
+from .scenegen import SceneGenError
+from .supervision import SupervisionError
+from .tensors import TensorError
+
+# every error the package raises on bad input or a failed run; anything else
+# is a bug and keeps its traceback
+PACKAGE_ERRORS = (ConfigError, harness.HarnessError, OSError, TensorError, EncoderError,
+                  SupervisionError, SceneGenError, EvalError, GeometryError,
+                  AnalysisError, PlotError)
 
 
 def build_parser():
@@ -102,7 +116,7 @@ def main(argv=None):
             return 0
 
         raise harness.HarnessError(f"unhandled verb {args.verb!r}")
-    except (ConfigError, harness.HarnessError, OSError) as e:
+    except PACKAGE_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

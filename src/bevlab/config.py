@@ -104,12 +104,13 @@ def _parse_one(name, default, text):
             raise ConfigError(f"{name}: expected {len(default)} values, "
                               f"got {len(parts)}")
         kind = type(default[0])
-        return tuple(kind(p) for p in parts)
-    if isinstance(default, bool):
-        if text not in ("0", "1"):
-            raise ConfigError(f"{name}: expected 0 or 1, got {text!r}")
-        return text == "1"
-    return type(default)(text)
+    else:
+        parts, kind = [text], type(default)
+    try:
+        values = tuple(kind(p) for p in parts)
+    except ValueError:
+        raise ConfigError(f"{name}: expected {kind.__name__}, got {text!r}") from None
+    return values if isinstance(default, tuple) else values[0]
 
 
 def _format_one(value):
@@ -154,8 +155,20 @@ class RunConfig:
                                   f"{_format_one(tuple(repeated))}")
         if min(self.lambda_factors) < 0:
             raise ConfigError("lambda_factors must be nonnegative")
+        if self.downsample not in (2, 4):
+            raise ConfigError(f"downsample must be 2 or 4, got {self.downsample}")
         if self.image_width % self.downsample or self.image_height % self.downsample:
             raise ConfigError("image size must divide by the downsample")
+        if self.teacher_feature_layer not in ("final", "bottleneck"):
+            raise ConfigError(f"unknown teacher_feature_layer {self.teacher_feature_layer!r}")
+        if self.grid_rows % 8 or self.grid_cols % 8 or self.grid_rows < 8 or self.grid_cols < 8:
+            # the teacher U-Net pools three times
+            raise ConfigError(f"grid {self.grid_rows}x{self.grid_cols}: rows and cols "
+                              "must be positive multiples of 8")
+        for name, low in (("road_count", 1), ("lane_count", 1), ("occluder_count", 0)):
+            lo, hi = getattr(self, name)
+            if lo < low or lo > hi:
+                raise ConfigError(f"{name}: range {lo} {hi} must be ordered and start at >= {low}")
 
     # -- file round trip ----------------------------------------------------
 

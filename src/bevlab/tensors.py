@@ -21,7 +21,7 @@ import math
 import struct
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 
 class TensorError(ValueError):
@@ -315,17 +315,26 @@ def linear(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
 # convolution
 # ---------------------------------------------------------------------------
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int):
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    cin, ho, wo = win.shape[0], win.shape[1], win.shape[2]
-    cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(cin * kh * kw, ho * wo)
-    return cols, ho, wo
+def _im2col(buf: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """(C*kh*kw, ho*wo) window columns of a padded (C, H, W) buffer, copied from one view."""
+    sc, sh, sw = buf.strides
+    win = as_strided(buf, (buf.shape[0], kh, kw, ho, wo), (sc, sh, sw, sh * stride, sw * stride))
+    return win.reshape(buf.shape[0] * kh * kw, ho * wo)
 
 
 def conv2d(x: Tensor, k: Tensor, bias: Tensor = None, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation of a (Cin, H, W) map with (Cout, Cin, kh, kw) filters."""
+    """2-D cross-correlation of a (Cin, H, W) map with (Cout, Cin, kh, kw) filters.
+
+    Forward is im2col of the zero-padded input times the kernel. Backward is
+    two matmuls: dk from the saved columns, and dx as a transposed conv (im2col
+    of the zero-dilated, padded gradient times the flipped kernel), which is
+    skipped for an input off the tape.
+    """
     if x.data.ndim != 3 or k.data.ndim != 4:
         raise TensorError("conv2d expects x (Cin,H,W) and k (Cout,Cin,kh,kw)")
+    for name, value, low in (("stride", stride, 1), ("pad", pad, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise TensorError(f"conv2d {name} must be an int >= {low}, got {value!r}")
     cin, h, w = x.data.shape
     cout, kcin, kh, kw = k.data.shape
     if kcin != cin:
@@ -335,8 +344,10 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor = None, stride: int = 1, pad: int 
     hp, wp = h + 2 * pad, w + 2 * pad
     if kh > hp or kw > wp:
         raise TensorError(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    cols, ho, wo = _im2col(xp, kh, kw, stride)
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    xp = np.zeros((cin, hp, wp))
+    xp[:, pad:pad + h, pad:pad + w] = x.data
+    cols = _im2col(xp, kh, kw, stride, ho, wo)
     w2 = k.data.reshape(cout, cin * kh * kw)
     out_data = (w2 @ cols).reshape(cout, ho, wo)
     if bias is not None:
@@ -346,16 +357,15 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor = None, stride: int = 1, pad: int 
     def bwd(g):
         gm = g.reshape(cout, ho * wo)
         dk = (gm @ cols.T).reshape(cout, cin, kh, kw)
-        gcol = (w2.T @ gm).reshape(cin, kh, kw, ho, wo)
-        dxp = np.zeros((cin, hp, wp))
-        for r in range(kh):
-            for c in range(kw):
-                dxp[:, r:r + stride * ho:stride, c:c + stride * wo:stride] += gcol[:, r, c]
-        dx = dxp[:, pad:pad + h, pad:pad + w] if pad else dxp
-        db = gm.sum(axis=1) if bias is not None else None
-        if bias is None:
-            return dx, dk
-        return dx, dk, db
+        dx = None
+        if x.requires_grad:
+            # g dilated by the stride at offset (kh-1, kw-1); windows from (pad, pad) cover x
+            gp = np.zeros((cout, hp + kh - 1, wp + kw - 1))
+            gp[:, kh - 1:kh - 1 + stride * ho:stride, kw - 1:kw - 1 + stride * wo:stride] = g
+            kt = w2.reshape(cout, cin, kh, kw)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            gcols = _im2col(gp[:, pad:, pad:], kh, kw, 1, h, w)
+            dx = (kt.reshape(cin, -1) @ gcols).reshape(cin, h, w)
+        return (dx, dk) if bias is None else (dx, dk, gm.sum(axis=1))
 
     return custom_op(out_data, parents, bwd, "conv2d")
 

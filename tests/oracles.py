@@ -82,6 +82,21 @@ def conv2d_oracle(x, k, bias=None, stride=1, pad=0):
     return out
 
 
+def conv2d_input_grad_oracle(g, k, x_shape, stride=1, pad=0):
+    """conv2d input gradient by col2im: the (Cin*kh*kw, Ho*Wo) column
+    gradient strided-added back onto the padded input one kernel tap at a
+    time, then cropped to the input."""
+    cin, h, w = x_shape
+    cout, _, kh, kw = k.shape
+    _, ho, wo = g.shape
+    gcol = (k.reshape(cout, cin * kh * kw).T @ g.reshape(cout, ho * wo)).reshape(cin, kh, kw, ho, wo)
+    dxp = np.zeros((cin, h + 2 * pad, w + 2 * pad))
+    for r in range(kh):
+        for c in range(kw):
+            dxp[:, r:r + stride * ho:stride, c:c + stride * wo:stride] += gcol[:, r, c]
+    return dxp[:, pad:pad + h, pad:pad + w]
+
+
 def mse_oracle(a, b):
     """Scalar-loop mean squared difference."""
     af = np.asarray(a, dtype=np.float64).reshape(-1)

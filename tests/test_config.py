@@ -42,6 +42,13 @@ def test_parse_rejects_unknown_duplicate_and_malformed_keys():
         RunConfig({"lambda_factors": (0.0, 1.0, 1.0)})
     with pytest.raises(ConfigError, match="lambda_factors: expected at least one value"):
         RunConfig({"lambda_factors": ()})
+    # a value of the wrong type names its key instead of escaping as ValueError
+    with pytest.raises(ConfigError, match="steps: expected int, got '1.5'"):
+        RunConfig.parse("steps 1.5\n")
+    with pytest.raises(ConfigError, match="seeds: expected int"):
+        RunConfig.parse("seeds 1 x\n")
+    with pytest.raises(ConfigError, match="lambda_bev: expected float"):
+        RunConfig.parse("lambda_bev high\n")
 
 
 def test_validation_rejects_bad_fields():
@@ -50,6 +57,27 @@ def test_validation_rejects_bad_fields():
                       {"image_width": 97}):
         with pytest.raises(ConfigError):
             RunConfig(overrides)
+
+
+def test_validation_rejects_settings_that_crash_later():
+    cases = [({"downsample": 3}, "downsample must be 2 or 4"),
+             ({"teacher_feature_layer": "middle"}, "teacher_feature_layer"),
+             ({"grid_rows": 20}, "multiples of 8"),
+             ({"grid_cols": 44}, "multiples of 8"),
+             ({"grid_rows": 0}, "multiples of 8"),
+             ({"road_count": (2, 1)}, "road_count: range 2 1"),
+             ({"lane_count": (4, 2)}, "lane_count: range 4 2"),
+             ({"occluder_count": (5, 2)}, "occluder_count: range 5 2"),
+             ({"road_count": (0, 2)}, "road_count"),
+             ({"occluder_count": (-1, 2)}, "occluder_count")]
+    for overrides, message in cases:
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(overrides)
+    # the accepted values at the edges of each rule still validate
+    for overrides in ({"downsample": 4}, {"teacher_feature_layer": "bottleneck"},
+                      {"grid_rows": 8, "grid_cols": 16}, {"road_count": (2, 2)},
+                      {"occluder_count": (0, 0)}):
+        RunConfig(overrides)
 
 
 def test_with_overrides_keeps_original_untouched():

@@ -1,4 +1,4 @@
-"""Harness caches: the frozen teacher and what its directory records."""
+"""Harness caches, the frozen teacher and what its directory records, and the CLI."""
 
 import os
 
@@ -43,3 +43,24 @@ def test_selftest_verb_passes_every_check(tmp_path, capsys):
     assert cli.main(["--out", str(tmp_path), "selftest"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["pass"] * 5, lines
+
+
+def test_cli_maps_every_package_error_to_exit_1(tmp_path, monkeypatch, capsys):
+    from bevlab import cli
+    from bevlab.analysis import AnalysisError
+    from bevlab.encoders import EncoderError
+    from bevlab.geometry import GeometryError
+    from bevlab.mapeval import EvalError
+    from bevlab.plots import PlotError
+    from bevlab.scenegen import SceneGenError
+    from bevlab.supervision import SupervisionError
+    from bevlab.tensors import TensorError
+    for err in (TensorError, EncoderError, SupervisionError, SceneGenError,
+                EvalError, GeometryError, AnalysisError, PlotError):
+        def fail(cfg, out, err=err):
+            raise err(f"{err.__name__} raised")
+        monkeypatch.setattr(H, "cmd_gen", fail)
+        assert cli.main(["--out", str(tmp_path), "gen"]) == 1, err.__name__
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {err.__name__} raised\n"
+        assert captured.out == ""

@@ -45,6 +45,11 @@ def test_conv2d_shape_errors():
         T.conv2d(x, T.tensor(np.zeros((3, 5, 3, 3))))
     with pytest.raises(T.TensorError):
         T.conv2d(x, T.tensor(np.zeros((3, 2, 9, 9))))
+    k = T.tensor(np.zeros((3, 2, 3, 3)))
+    for bad in ({"stride": -1}, {"stride": 0}, {"stride": 1.5}, {"stride": True},
+                {"pad": -1}, {"pad": 0.5}):
+        with pytest.raises(T.TensorError, match=next(iter(bad))):
+            T.conv2d(x, k, **bad)
 
 
 def test_mse_matches_scalar_loop():
@@ -213,6 +218,11 @@ def fd_check(build, arrays, n_inputs, tol=1e-4, h=1e-5):
         assert err < tol, f"input {i}: rel error {err}"
 
 
+CONV_GRAD_CASES = [(stride, pad, kshape, hw)
+                   for stride in (1, 2) for pad in (0, 1, 2)
+                   for kshape in ((1, 1), (3, 2)) for hw in ((5, 6), (6, 7))]
+
+
 def test_grad_conv2d():
     rng = RNG(20)
     x = rng.normal(size=(2, 5, 6))
@@ -220,6 +230,46 @@ def test_grad_conv2d():
     b = rng.normal(size=3)
     fd_check(lambda xt, kt, bt: T.tsum(T.scale(T.conv2d(xt, kt, bt, stride=2, pad=1), 0.5)),
              [x, k, b], 3)
+    # every stride, pad (pad >= kernel included), kernel and odd/even size
+    for stride, pad, (kh, kw), (h, w) in CONV_GRAD_CASES:
+        x = rng.normal(size=(2, h, w))
+        k = rng.normal(size=(2, 2, kh, kw))
+        b = rng.normal(size=2)
+        wts = rng.normal(size=T.conv2d(T.tensor(x), T.tensor(k), stride=stride, pad=pad).shape)
+        fd_check(lambda xt, kt, bt, wt: T.tsum(T.mul(T.conv2d(xt, kt, bt, stride=stride, pad=pad),
+                                                     T.tensor(wt))),
+                 [x, k, b, wts], 3)
+
+
+def test_conv2d_input_grad_matches_col2im_oracle():
+    rng = RNG(23)
+    for stride, pad, (kh, kw), (h, w) in CONV_GRAD_CASES:
+        x = T.parameter(rng.normal(size=(3, h, w)))
+        k = rng.normal(size=(4, 3, kh, kw))
+        out = T.conv2d(x, T.tensor(k), stride=stride, pad=pad)
+        g = rng.normal(size=out.shape)
+        dx = out._bwd(g)[0]
+        want = oracles.conv2d_input_grad_oracle(g, k, x.shape, stride=stride, pad=pad)
+        assert dx.shape == x.shape
+        assert oracles.rel_error(dx, want) <= 1e-12, (stride, pad, kh, kw, h, w)
+
+
+def test_conv2d_input_off_the_tape_gets_no_gradient():
+    rng = RNG(25)
+    x = rng.normal(size=(3, 6, 7))
+    k = rng.normal(size=(4, 3, 3, 3))
+    b = rng.normal(size=4)
+    grads = {}
+    for on_tape in (True, False):
+        xt, kt, bt = T.Tensor(x, requires_grad=on_tape), T.parameter(k), T.parameter(b)
+        out = T.conv2d(xt, kt, bt, stride=2, pad=1)
+        # bwd itself skips dx; backward() would drop it for an off-tape input anyway
+        assert (out._bwd(np.ones(out.shape))[0] is None) == (not on_tape)
+        T.backward(T.tsum(T.scale(out, 0.5)))
+        grads[on_tape] = (xt.grad, kt.grad, bt.grad)
+    assert grads[True][0] is not None and grads[False][0] is None
+    assert np.array_equal(grads[True][1], grads[False][1])
+    assert np.array_equal(grads[True][2], grads[False][2])
 
 
 def test_grad_mse_and_affine_chain():
