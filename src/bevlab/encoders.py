@@ -47,10 +47,6 @@ class FeatureMap:
     def shape(self):
         return self.tensor.data.shape
 
-    def grid_key(self):
-        g = self.grid
-        return (g.x_min, g.x_max, g.y_min, g.y_max, g.rows, g.cols)
-
 
 def _conv_p(rng, cout, cin, k=3):
     std = np.sqrt(2.0 / (cin * k * k))
@@ -139,7 +135,13 @@ def teacher_forward(teacher: TeacherEncoder, raster, grid: BevGrid) -> FeatureMa
 class LiftTable:
     """Per-cell candidate list (camera, feature row, feature col), nearest
     image center first. Rank order sorts on |u - (w-1)/2| with the camera
-    yaw as tie break, so it is invariant under permuting the rig."""
+    yaw as tie break, so it is invariant under permuting the rig.
+
+    ``reads[k]``: the sorted flat feature pixels (``row * fw + col``) of
+    camera k that a candidate of any rank can select, whatever the
+    visibility. The student computes camera features there only; the rest
+    are zero, and the lift never reads them.
+    """
 
     def __init__(self, cam, fv, fu, feat_shapes, rows, cols):
         self.cam = cam  # (R, rows*cols) camera index, -1 past the last candidate
@@ -148,6 +150,8 @@ class LiftTable:
         self.feat_shapes = feat_shapes
         self.rows = rows
         self.cols = cols
+        self.reads = [np.unique((fv * fw + fu)[cam == k])
+                      for k, (_, fw) in enumerate(feat_shapes)]
 
 
 def build_lift_table(rig, grid: BevGrid, downsample=2) -> LiftTable:
@@ -259,7 +263,9 @@ class StudentEncoder:
 
     The lifting table is built once per (rig, grid) pair and cached; the
     cache key is the full pose/intrinsics tuple so a permuted rig simply
-    builds the permuted table.
+    builds the permuted table. In ``lift`` the second camera conv computes
+    only the feature pixels in the table's ``reads``; camera features
+    outside them are zero, and the lift never reads them.
     """
 
     def __init__(self, rng, c_in=3, c_feat=16, width=12, downsample=2):
@@ -280,19 +286,19 @@ class StudentEncoder:
         self.params["default"] = default
         self._tables = {}
 
-    def extract(self, image) -> Tensor:
+    def extract(self, image, reads=None) -> Tensor:
+        """Camera feature map; ``reads`` (flat pixels) limits the second conv."""
         p = self.params
         x = tensor(image)
         h = relu(conv2d(x, p["cam1.w"], p["cam1.b"], stride=2, pad=1))
         if self.downsample == 4:
             h = maxpool2(h)
-        return relu(conv2d(h, p["cam2.w"], p["cam2.b"], pad=1))
+        return relu(conv2d(h, p["cam2.w"], p["cam2.b"], pad=1, at=reads))
 
     def table_for(self, rig, grid) -> LiftTable:
         key = (tuple((tuple(c.position), c.yaw, c.pitch, c.focal,
                       c.width, c.height, c.cx, c.cy) for c in rig),
-               (grid.x_min, grid.x_max, grid.y_min, grid.y_max,
-                grid.rows, grid.cols))
+               grid.key)
         if key not in self._tables:
             self._tables[key] = build_lift_table(rig, grid, self.downsample)
         return self._tables[key]
@@ -301,7 +307,7 @@ class StudentEncoder:
         if len(images) != len(rig):
             raise EncoderError(f"{len(images)} images for a {len(rig)}-camera rig")
         table = self.table_for(rig, grid)
-        feats = [self.extract(img) for img in images]
+        feats = [self.extract(img, reads) for img, reads in zip(images, table.reads)]
         return lift_features(feats, table, visibility, self.params["default"])
 
     def forward(self, images, rig, grid, visibility=None) -> Tensor:
@@ -349,8 +355,7 @@ class MapDecoder:
 
     def __init__(self, rng, grid: BevGrid, c_in=16, n_queries=12, n_points=8,
                  hidden=8):
-        self.grid_key = (grid.x_min, grid.x_max, grid.y_min, grid.y_max,
-                         grid.rows, grid.cols)
+        self.grid_key = grid.key
         self.c_in = c_in
         self.n_queries = n_queries
         self.n_points = n_points
@@ -390,10 +395,10 @@ class MapDecoder:
 
     def forward(self, fmap: FeatureMap):
         """Returns (logits (Q, n_classes+1), points (Q, K, 2)) tensors."""
-        if fmap.shape[0] != self.c_in or fmap.grid_key() != self.grid_key:
+        if fmap.shape[0] != self.c_in or fmap.grid.key != self.grid_key:
             raise EncoderError(f"decoder built for {self.c_in} channels on "
                                f"{self.grid_key}, got {fmap.shape} on "
-                               f"{fmap.grid_key()}")
+                               f"{fmap.grid.key}")
         p = self.params
         x = concat([maxpool2(fmap.tensor), self._coords])
         h = relu(conv2d(x, p["mix.w"], p["mix.b"], pad=1))
@@ -534,11 +539,12 @@ def mean_of(terms):
     return scale(total, 1.0 / len(terms))
 
 
-def evaluate_model(features_fn, decoder, samples, cfg: EvalConfig):
-    """Decode every sample and score the predictions against its gt."""
+def evaluate_model(features_fn, decoder, samples, cfgs):
+    """Decode every sample once and score the predictions against its gt
+    under each eval config; returns one result per config."""
     preds = {s.scene_id: decode_map(decoder, features_fn(s)) for s in samples}
     gts = {s.scene_id: s.gt for s in samples}
-    return evaluate(preds, gts, cfg)
+    return [evaluate(preds, gts, cfg) for cfg in cfgs]
 
 
 def pretrain_teacher(train_samples, val_samples, grid: BevGrid, seed=0,
@@ -554,7 +560,7 @@ def pretrain_teacher(train_samples, val_samples, grid: BevGrid, seed=0,
     if not train_samples:
         raise EncoderError("teacher pretraining needs a non-empty train split")
     # late import; supervision builds on this module
-    from .supervision import clipped_targets, detection_loss
+    from .supervision import clipped_targets, detection_loss, target_points
     rng = np.random.default_rng(seed)
     if make_models is None:
         teacher = TeacherEncoder(rng)
@@ -562,6 +568,7 @@ def pretrain_teacher(train_samples, val_samples, grid: BevGrid, seed=0,
     else:
         teacher, decoder = make_models(rng, grid)
     targets = clipped_targets(train_samples, grid, decoder.n_queries)
+    target_pts = target_points(targets, decoder.n_points)
     params = {"teacher." + k: v for k, v in teacher.params.items()}
     params.update(("decoder." + k, v) for k, v in decoder.params.items())
     opt = AdamW(params, base_lr, weight_decay, horizon=steps, min_lr=min_lr)
@@ -574,8 +581,8 @@ def pretrain_teacher(train_samples, val_samples, grid: BevGrid, seed=0,
                 s = train_samples[i]
                 fmap = teacher_forward(teacher, s.overhead, grid)
                 logits, points = decoder.forward(fmap)
-                l_cls, l_reg = detection_loss(logits, points,
-                                              targets[s.scene_id])
+                l_cls, l_reg = detection_loss(logits, points, targets[s.scene_id],
+                                              gt_pts=target_pts.get(s.scene_id))
                 cls_terms.append(l_cls)
                 reg_terms.append(l_reg)
             l_cls = mean_of(cls_terms)
@@ -595,7 +602,7 @@ def pretrain_teacher(train_samples, val_samples, grid: BevGrid, seed=0,
     if eval_cfg is None:
         roi = "standard" if (grid.x_max - grid.x_min) < 80.0 else "extended"
         eval_cfg = EvalConfig(roi, grid=grid)
-    result = evaluate_model(
+    result, = evaluate_model(
         lambda s: teacher_forward(teacher, s.overhead, grid),
-        decoder, val_samples, eval_cfg)
+        decoder, val_samples, [eval_cfg])
     return teacher, decoder, float(result.map)

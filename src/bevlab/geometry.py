@@ -45,6 +45,7 @@ class BevGrid:
         self.y_max = float(y_max)
         self.rows = int(rows)
         self.cols = int(cols)
+        self.key = (self.x_min, self.x_max, self.y_min, self.y_max, self.rows, self.cols)
         self.cell_x = (self.x_max - self.x_min) / self.cols
         self.cell_y = (self.y_max - self.y_min) / self.rows
 

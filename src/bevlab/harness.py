@@ -183,39 +183,30 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None, force=False):
         f.write(run_cfg.dump())
     grid = cfg.grid()
     rig = cfg.rig()
-    calls = [0]
-    plain_forward = teacher.forward
-
-    def counting_forward(raster, layer=None):
-        calls[0] += 1
-        return plain_forward(raster, layer)
-
-    teacher.forward = counting_forward
+    counts = {}
     t0 = time.time()
-    try:
-        student, decoder, adapter, breakdowns = train_student(
-            train, teacher, run_cfg.supervision(variant, lam), seed, grid,
-            rig=rig, steps=cfg.steps, batch=cfg.batch, base_lr=cfg.base_lr,
-            weight_decay=cfg.weight_decay, min_lr=cfg.min_lr,
-            reg_weight=cfg.reg_weight,
-            log_path=os.path.join(rdir, "log.txt"),
-            make_models=_student_models(cfg))
-    finally:
-        del teacher.forward
+    student, decoder, adapter, breakdowns = train_student(
+        train, teacher, run_cfg.supervision(variant, lam), seed, grid,
+        rig=rig, steps=cfg.steps, batch=cfg.batch, base_lr=cfg.base_lr,
+        weight_decay=cfg.weight_decay, min_lr=cfg.min_lr,
+        reg_weight=cfg.reg_weight,
+        log_path=os.path.join(rdir, "log.txt"),
+        make_models=_student_models(cfg), counts=counts)
     wall = time.time() - t0
+    calls = counts["teacher_calls"]
+    results = evaluate_model(
+        lambda s: student_forward(student, s.cams, rig, grid),
+        decoder, val, [EvalConfig(roi) for roi in ROIS])
     maps = {}
-    for roi in ROIS:
-        result = evaluate_model(
-            lambda s: student_forward(student, s.cams, rig, grid),
-            decoder, val, EvalConfig(roi))
+    for roi, result in zip(ROIS, results):
         write_eval_file(os.path.join(rdir, f"eval_{roi}.txt"), result)
         maps[roi] = result.map
     params = {"student." + k: v for k, v in student.params.items()}
     params.update(("decoder." + k, v) for k, v in decoder.params.items())
     params.update(("adapter." + k, v) for k, v in adapter.params.items())
     save_checkpoint(os.path.join(rdir, "checkpoint"), params)
-    if variant == "baseline" and calls[0]:
-        raise HarnessError(f"baseline run touched the teacher {calls[0]} times")
+    if variant == "baseline" and calls:
+        raise HarnessError(f"baseline run touched the teacher {calls} times")
     items = [
         ("variant", variant),
         ("seed", seed),
@@ -229,7 +220,7 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None, force=False):
     # the baseline never consults the teacher, so its record carries no
     # invocation count at all
     if variant != "baseline":
-        items.append(("teacher_calls", calls[0]))
+        items.append(("teacher_calls", calls))
     items += [
         ("checksum", params_checksum(params)),
         ("map_standard", f"{maps['standard']:.6f}"),

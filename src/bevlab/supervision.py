@@ -92,7 +92,7 @@ def bev_alignment_loss(f_cam, f_aerial, adapter: AffineAdapter,
     if f_cam.shape != f_aerial.shape:
         raise SupervisionError(f"feature shapes differ: {f_cam.shape} vs "
                                f"{f_aerial.shape}")
-    if f_cam.grid_key() != f_aerial.grid_key():
+    if f_cam.grid.key != f_aerial.grid.key:
         raise SupervisionError("feature maps live on different grids")
     if f_aerial.tensor.requires_grad:
         raise SupervisionError("alignment target must come from a frozen teacher")
@@ -120,7 +120,7 @@ def polyline_points(pts, k):
                     axis=1)
 
 
-def match_queries(logits, points, gts, class_penalty=5.0):
+def match_queries(logits, points, gts, class_penalty=5.0, gt_pts=None):
     """Minimum-cost one-to-one assignment of query slots to gt elements.
 
     Cost per (query, element) is the orientation-free mean L1 distance
@@ -128,6 +128,7 @@ def match_queries(logits, points, gts, class_penalty=5.0):
     class_penalty * (1 - posterior of the element's class). Returns
     (targets, pairs): per-query class targets with unmatched slots set to
     the background index, and (query, target points) pairs for regression.
+    ``gt_pts`` (E, K, 2) may supply the elements already resampled.
     """
     z = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
     pts = points.data if isinstance(points, Tensor) else np.asarray(points)
@@ -140,7 +141,11 @@ def match_queries(logits, points, gts, class_penalty=5.0):
     zs = z - z.max(axis=1, keepdims=True)
     p = np.exp(zs)
     p /= p.sum(axis=1, keepdims=True)
-    gt_pts = np.stack([polyline_points(e[2], n_k) for e in gts])
+    if gt_pts is None:
+        gt_pts = np.stack([polyline_points(e[2], n_k) for e in gts])
+    elif gt_pts.shape != (len(gts), n_k, 2):
+        raise SupervisionError(f"resampled targets {gt_pts.shape} for {len(gts)} "
+                               f"elements of {n_k} points")
     cost = np.zeros((n_q, len(gts)))
     for j, (cid, _, _) in enumerate(gts):
         d_fwd = np.mean(np.abs(pts - gt_pts[j]), axis=(1, 2))
@@ -173,10 +178,16 @@ def clipped_targets(samples, grid, n_queries):
     return out
 
 
+def target_points(targets, k):
+    """Clipped targets resampled once to k points, (E, k, 2) per non-empty scene."""
+    return {sid: np.stack([polyline_points(e[2], k) for e in elems])
+            for sid, elems in targets.items() if elems}
+
+
 def detection_loss(logits, points, gts, reg_weight=0.05, focal_alpha=0.25,
-                   focal_gamma=2.0):
+                   focal_gamma=2.0, gt_pts=None):
     """Classification + point regression for one sample's decoder output."""
-    targets, pairs = match_queries(logits, points, gts)
+    targets, pairs = match_queries(logits, points, gts, gt_pts=gt_pts)
     l_cls = focal_loss(logits, targets, focal_alpha, focal_gamma)
     if not pairs:
         return l_cls, tensor(0.0)
@@ -216,7 +227,7 @@ def train_student(train_samples, teacher: TeacherEncoder,
                   cfg: SupervisionConfig, seed, grid, rig=None, steps=2000,
                   batch=4, base_lr=4e-3, weight_decay=1e-4, min_lr=1e-5,
                   reg_weight=0.05, log_path=None, check_contracts=False,
-                  make_models=None):
+                  make_models=None, counts=None):
     """Train one student variant against a frozen teacher.
 
     Per batch: student features, decode, match, focal + line losses, plus
@@ -225,7 +236,8 @@ def train_student(train_samples, teacher: TeacherEncoder,
     front since the frozen teacher never changes. Returns (student,
     decoder, adapter, breakdowns); deterministic in seed.
     make_models(rng, grid, teacher) may supply a differently sized
-    (student, decoder, adapter) triple.
+    (student, decoder, adapter) triple. A ``counts`` dict gets
+    "teacher_calls", the number of teacher maps built.
     """
     if not train_samples:
         raise SupervisionError("student training needs a non-empty train split")
@@ -251,9 +263,12 @@ def train_student(train_samples, teacher: TeacherEncoder,
     if cfg.variant != "baseline":
         teacher_maps = {s.scene_id: teacher_forward(teacher, s.overhead, grid)
                         for s in train_samples}
+    if counts is not None:
+        counts["teacher_calls"] = len(teacher_maps or ())
     vis = {s.scene_id: cell_visibility(s.scene, rig, grid)
            for s in train_samples}
     targets = clipped_targets(train_samples, grid, decoder.n_queries)
+    target_pts = target_points(targets, decoder.n_points)
     opt = AdamW(params, base_lr, weight_decay, horizon=steps, min_lr=min_lr)
     batches = batch_stream(rng, len(train_samples), batch)
     breakdowns = []
@@ -269,9 +284,9 @@ def train_student(train_samples, teacher: TeacherEncoder,
                     fmap = student_forward(student, s.cams, rig, grid,
                                            vis[s.scene_id])
                     logits, points = decoder.forward(fmap)
-                    l_cls_i, l_reg_i = detection_loss(logits, points,
-                                                      targets[s.scene_id],
-                                                      reg_weight=reg_weight)
+                    l_cls_i, l_reg_i = detection_loss(
+                        logits, points, targets[s.scene_id], reg_weight=reg_weight,
+                        gt_pts=target_pts.get(s.scene_id))
                     cls_terms.append(l_cls_i)
                     reg_terms.append(l_reg_i)
                     if teacher_maps is not None:

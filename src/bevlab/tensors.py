@@ -63,9 +63,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, grad={self.requires_grad})"
 
@@ -95,40 +92,29 @@ def custom_op(out_data, parents, bwd, name: str) -> Tensor:
     return out
 
 
-class Tape:
-    """Topologically ordered record of the ops reachable from a root."""
-
-    def __init__(self, nodes):
-        self.nodes = nodes  # inputs always precede the tensors they feed
-
-    @staticmethod
-    def from_root(root: Tensor) -> "Tape":
-        order = []
-        seen = set()
-        stack = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen or not node.requires_grad:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                stack.append((p, False))
-        return Tape(order)
-
-
 def backward(loss: Tensor) -> None:
     """Reverse-mode pass from a scalar loss; gradients sum over fan-out."""
     if loss.data.shape != ():
         raise TensorError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise TensorError("backward on a tensor outside the tape")
-    tape = Tape.from_root(loss)
+    # ops reachable from the loss in topological order: inputs precede what they feed
+    order = []
+    seen = set()
+    stack = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            stack.append((p, False))
     loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(tape.nodes):
+    for node in reversed(order):
         if node._bwd is None or node.grad is None:
             continue
         parent_grads = node._bwd(node.grad)
@@ -198,16 +184,6 @@ def relu(x: Tensor) -> Tensor:
         return (g * mask,)
 
     return custom_op(out_data, (x,), bwd, "relu")
-
-
-def leaky_relu(x: Tensor, slope: float = 0.1) -> Tensor:
-    mask = x.data > 0.0
-    out_data = np.where(mask, x.data, slope * x.data)
-
-    def bwd(g):
-        return (g * np.where(mask, 1.0, slope),)
-
-    return custom_op(out_data, (x,), bwd, "leaky_relu")
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -322,13 +298,20 @@ def _im2col(buf: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) ->
     return win.reshape(buf.shape[0] * kh * kw, ho * wo)
 
 
-def conv2d(x: Tensor, k: Tensor, bias: Tensor = None, stride: int = 1, pad: int = 0) -> Tensor:
+def conv2d(x: Tensor, k: Tensor, bias: Tensor = None, stride: int = 1, pad: int = 0,
+           at=None) -> Tensor:
     """2-D cross-correlation of a (Cin, H, W) map with (Cout, Cin, kh, kw) filters.
 
     Forward is im2col of the zero-padded input times the kernel. Backward is
     two matmuls: dk from the saved columns, and dx as a transposed conv (im2col
     of the zero-dilated, padded gradient times the flipped kernel), which is
     skipped for an input off the tape.
+
+    ``at``, a sorted, unique 1-D int array of flat output positions
+    (``row * Wo + col``), computes only those output columns, from im2col
+    columns gathered there alone; every other output entry is exactly 0,
+    bias included. Backward then takes dk, db and dx from those columns only,
+    dx by scattering the column gradient back one kernel tap at a time.
     """
     if x.data.ndim != 3 or k.data.ndim != 4:
         raise TensorError("conv2d expects x (Cin,H,W) and k (Cout,Cin,kh,kw)")
@@ -347,24 +330,50 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor = None, stride: int = 1, pad: int 
     ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
     xp = np.zeros((cin, hp, wp))
     xp[:, pad:pad + h, pad:pad + w] = x.data
-    cols = _im2col(xp, kh, kw, stride, ho, wo)
     w2 = k.data.reshape(cout, cin * kh * kw)
-    out_data = (w2 @ cols).reshape(cout, ho, wo)
+    if at is None:
+        cols = _im2col(xp, kh, kw, stride, ho, wo)
+    else:
+        at = np.asarray(at)
+        if at.ndim != 1 or (at.size and at.dtype.kind not in "iu"):
+            raise TensorError(f"conv2d at must be a 1-D integer array, got {at.dtype} {at.shape}")
+        at = at.astype(np.int64)
+        if at.size and (at[0] < 0 or at[-1] >= ho * wo or np.any(np.diff(at) <= 0)):
+            raise TensorError(f"conv2d at must be strictly increasing within [0, {ho * wo})")
+        # flat offset of each (channel, tap) in the padded buffer, plus each window's origin
+        taps = ((np.arange(cin)[:, None, None] * hp + np.arange(kh)[:, None]) * wp
+                + np.arange(kw)).reshape(-1, 1)
+        origin = (at // wo) * (stride * wp) + (at % wo) * stride
+        cols = np.take(xp, taps + origin)
+    vals = w2 @ cols
     if bias is not None:
-        out_data += bias.data[:, None, None]
+        vals += bias.data[:, None]
+    out_data = vals.reshape(cout, ho, wo) if at is None else np.zeros((cout, ho, wo))
+    if at is not None:
+        out_data.reshape(cout, ho * wo)[:, at] = vals
     parents = (x, k) if bias is None else (x, k, bias)
 
     def bwd(g):
         gm = g.reshape(cout, ho * wo)
+        if at is not None:
+            gm = gm[:, at]
         dk = (gm @ cols.T).reshape(cout, cin, kh, kw)
         dx = None
-        if x.requires_grad:
+        if x.requires_grad and at is None:
             # g dilated by the stride at offset (kh-1, kw-1); windows from (pad, pad) cover x
             gp = np.zeros((cout, hp + kh - 1, wp + kw - 1))
             gp[:, kh - 1:kh - 1 + stride * ho:stride, kw - 1:kw - 1 + stride * wo:stride] = g
             kt = w2.reshape(cout, cin, kh, kw)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             gcols = _im2col(gp[:, pad:, pad:], kh, kw, 1, h, w)
             dx = (kt.reshape(cin, -1) @ gcols).reshape(cin, h, w)
+        elif x.requires_grad:
+            # within one tap the windows hit distinct pixels, so plain += scatters exactly
+            dcols = (w2.T @ gm).reshape(cin, kh * kw, -1)
+            targets = taps.reshape(cin, kh * kw, 1) + origin
+            dxp = np.zeros(cin * hp * wp)
+            for t in range(kh * kw):
+                dxp[targets[:, t]] += dcols[:, t]
+            dx = dxp.reshape(cin, hp, wp)[:, pad:pad + h, pad:pad + w]
         return (dx, dk) if bias is None else (dx, dk, gm.sum(axis=1))
 
     return custom_op(out_data, parents, bwd, "conv2d")

@@ -130,6 +130,28 @@ def test_lift_all_invisible_fills_with_default():
     assert np.array_equal(out.data, np.tile(default[:, None, None], (1, 2, 4)))
 
 
+def reads_oracle(table):
+    reads = [set() for _ in table.feat_shapes]
+    for r in range(table.cam.shape[0]):
+        for cell in range(table.cam.shape[1]):
+            k = table.cam[r, cell]
+            if k >= 0:
+                reads[k].add(table.fv[r, cell] * table.feat_shapes[k][1] + table.fu[r, cell])
+    return [sorted(s) for s in reads]
+
+
+def test_lift_table_reads_match_loop_oracle():
+    rig = G.default_rig()
+    tables = [tiny_table()] + [E.build_lift_table(rig, grid, downsample)
+                               for grid in (G.standard_grid(), G.extended_grid())
+                               for downsample in (2, 4)]
+    for table in tables:
+        want = reads_oracle(table)
+        assert len(table.reads) == len(want)
+        for got, w in zip(table.reads, want):
+            assert got.dtype == np.int64 and got.tolist() == w
+
+
 def test_lift_features_shape_errors():
     rng = RNG(8)
     table = tiny_table()
@@ -310,6 +332,38 @@ def test_student_fully_occluded_lift_is_all_default():
     lifted = student.lift(zero_images(rig), rig, grid, vis)
     want = np.tile(np.arange(16.0)[:, None, None], (1, grid.rows, grid.cols))
     assert np.array_equal(lifted.data, want)
+
+
+def dense_student_forward(student, images, rig, grid, vis):
+    """student.forward with every camera feature pixel computed."""
+    p = student.params
+    feats = [student.extract(img) for img in images]
+    lifted = E.lift_features(feats, student.table_for(rig, grid), vis, p["default"])
+    h = T.relu(T.conv2d(lifted, p["ref1.w"], p["ref1.b"], pad=1))
+    return T.add(T.conv2d(h, p["ref2.w"], p["ref2.b"], pad=1), lifted)
+
+
+def test_student_forward_with_reads_matches_dense_extract():
+    rng = RNG(12)
+    rig = G.default_rig()
+    images = [rng.random((3, c.height, c.width)) for c in rig]
+    for downsample in (2, 4):
+        student = E.StudentEncoder(RNG(13), downsample=downsample)
+        student.params["default"].data[:] = rng.normal(size=student.c_feat)
+        for grid in (G.standard_grid(), G.extended_grid()):
+            w = T.tensor(rng.normal(size=(student.c_feat, grid.rows, grid.cols)))
+            for vis in (None, rng.random((len(rig), grid.rows * grid.cols)) < 0.7):
+                outs, grads = [], []
+                for run in (lambda: E.student_forward(student, images, rig, grid, vis).tensor,
+                            lambda: dense_student_forward(student, images, rig, grid, vis)):
+                    out = run()
+                    T.backward(T.tsum(T.mul(out, w)))
+                    outs.append(out.data)
+                    grads.append({n: q.grad for n, q in student.params.items()})
+                    T.zero_grad(student.params)
+                assert oracles.rel_error(outs[0], outs[1]) <= 1e-12
+                for name in grads[1]:
+                    assert oracles.rel_error(grads[0][name], grads[1][name]) <= 1e-12, name
 
 
 def test_student_rejects_missing_image():

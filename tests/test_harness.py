@@ -4,6 +4,8 @@ import os
 
 from bevlab import harness as H
 from bevlab.config import RunConfig
+from bevlab.encoders import evaluate_model, student_forward
+from bevlab.mapeval import EvalConfig, write_eval_file
 
 
 def tiny_config():
@@ -36,6 +38,27 @@ def test_ensure_teacher_writes_loss_log_before_manifest(tmp_path, monkeypatch):
     _, again = H.ensure_teacher(cfg, out)
     assert again == val_map and seen == [True]
     assert os.path.getmtime(os.path.join(tdir, "log.txt")) == before
+
+
+def test_train_run_counts_teacher_maps_and_scores_each_roi(tmp_path):
+    cfg = tiny_config().with_overrides(steps=2)
+    out = str(tmp_path)
+    recs = {v: H.train_run(cfg, out, v, 0) for v in ("baseline", "raw")}
+    assert "teacher_calls" not in recs["baseline"]
+    assert recs["raw"]["teacher_calls"] == str(cfg.n_train)
+    # each eval file is its own RoI's score of the one decode pass
+    teacher, _ = H.ensure_teacher(cfg, out)
+    _, val = H.load_splits(cfg, out)
+    rdir = recs["raw"]["run_dir"]
+    student, decoder, _ = H.load_student(cfg, rdir, teacher)
+    for roi in H.ROIS:
+        result, = evaluate_model(
+            lambda s: student_forward(student, s.cams, cfg.rig(), cfg.grid()),
+            decoder, val, [EvalConfig(roi)])
+        write_eval_file(os.path.join(out, "want.txt"), result)
+        with open(os.path.join(out, "want.txt")) as f, \
+                open(os.path.join(rdir, f"eval_{roi}.txt")) as g:
+            assert f.read() == g.read(), roi
 
 
 def test_selftest_verb_passes_every_check(tmp_path, capsys):

@@ -255,6 +255,22 @@ def test_match_queries_cost_matches_exhaustive_oracle():
         assert abs(got - match_cost_oracle(logits, pts, gts)) < 1e-9, trial
 
 
+def test_match_queries_with_target_points_is_bitwise_identical():
+    rng = RNG(13)
+    pts = rng.normal(size=(5, 4, 2)) * 4.0
+    logits = rng.normal(size=(5, G.N_CLASSES + 1))
+    gts = [(c, 1.0, rng.normal(size=(6, 2)) * 4.0) for c in (0, 2, 1)]
+    resampled = SV.target_points({"s": gts, "empty": []}, 4)
+    assert list(resampled) == ["s"] and resampled["s"].shape == (3, 4, 2)
+    ta, pa = SV.match_queries(logits, pts, gts)
+    tb, pb = SV.match_queries(logits, pts, gts, gt_pts=resampled["s"])
+    assert np.array_equal(ta, tb)
+    assert [q for q, _ in pa] == [q for q, _ in pb]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(pa, pb))
+    with pytest.raises(SV.SupervisionError, match="resampled"):
+        SV.match_queries(logits, pts, gts, gt_pts=SV.target_points({"s": gts}, 3)["s"])
+
+
 def test_match_queries_empty_and_overfull():
     rng = RNG(12)
     pts = rng.normal(size=(3, 4, 2))

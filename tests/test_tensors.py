@@ -175,10 +175,9 @@ def test_maxpool_and_upsample_match_oracles():
         T.maxpool2(T.tensor(np.zeros((1, 5, 4))))
 
 
-def test_relu_and_leaky_relu_values():
+def test_relu_values():
     x = T.tensor(np.array([-2.0, -0.5, 0.0, 0.5, 2.0]))
     assert np.array_equal(T.relu(x).data, [0.0, 0.0, 0.0, 0.5, 2.0])
-    assert np.allclose(T.leaky_relu(x, 0.1).data, [-0.2, -0.05, 0.0, 0.5, 2.0])
 
 
 def test_linear_and_spatial_mean():
@@ -270,6 +269,59 @@ def test_conv2d_input_off_the_tape_gets_no_gradient():
     assert grads[True][0] is not None and grads[False][0] is None
     assert np.array_equal(grads[True][1], grads[False][1])
     assert np.array_equal(grads[True][2], grads[False][2])
+
+
+def sparse_positions(rng, n):
+    return np.sort(rng.choice(n, size=n // 3, replace=False))
+
+
+def test_conv2d_at_matches_dense_at_given_positions():
+    rng = RNG(26)
+    for stride, pad in ((1, 0), (1, 1), (2, 0), (2, 1)):
+        x, k, b = (T.tensor(rng.normal(size=s)) for s in ((3, 7, 8), (4, 3, 3, 3), (4,)))
+        dense = T.conv2d(x, k, b, stride=stride, pad=pad).data
+        cout, ho, wo = dense.shape
+        at = sparse_positions(rng, ho * wo)
+        got = T.conv2d(x, k, b, stride=stride, pad=pad, at=at).data.reshape(cout, -1)
+        off = np.ones(ho * wo, dtype=bool)
+        off[at] = False
+        assert oracles.rel_error(got[:, at], dense.reshape(cout, -1)[:, at]) <= 1e-12
+        assert np.all(got[:, off] == 0.0)
+        full = T.conv2d(x, k, b, stride=stride, pad=pad, at=np.arange(ho * wo)).data
+        assert oracles.rel_error(full, dense) <= 1e-12
+
+
+def test_grad_conv2d_at():
+    rng = RNG(27)
+    for stride in (1, 2):
+        for pad in (0, 1):
+            x, k, b = rng.normal(size=(2, 6, 7)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)
+            _, ho, wo = T.conv2d(T.tensor(x), T.tensor(k), stride=stride, pad=pad).shape
+            wts = rng.normal(size=(3, ho, wo))
+            sparse = sparse_positions(rng, ho * wo)
+            for at in (sparse, np.array([], dtype=np.int64)):
+                fd_check(lambda xt, kt, bt, wt: T.tsum(T.mul(
+                    T.conv2d(xt, kt, bt, stride=stride, pad=pad, at=at), T.tensor(wt))),
+                    [x, k, b, wts], 3)
+            out = T.conv2d(T.tensor(x), T.parameter(k), stride=stride, pad=pad, at=sparse)
+            assert out._bwd(np.ones(out.shape))[0] is None
+
+
+def test_conv2d_at_fails_fast_and_allows_empty():
+    x = T.tensor(np.ones((2, 4, 4)))
+    k = T.tensor(np.ones((3, 2, 3, 3)))
+    # pad 1 keeps the 4x4 size: positions 0..15
+    for bad in (np.array([[0, 1]]), np.array([0.0, 1.0]), np.array([True, False]),
+                np.array([2, 1]), np.array([1, 1]), np.array([-1, 3]), np.array([0, 16])):
+        with pytest.raises(T.TensorError, match="conv2d at"):
+            T.conv2d(x, k, pad=1, at=bad)
+    kt, bt = T.parameter(np.ones((3, 2, 3, 3))), T.parameter(np.ones(3))
+    for empty in ([], np.array([], dtype=np.int64)):
+        out = T.conv2d(x, kt, bt, pad=1, at=empty)
+        assert out.shape == (3, 4, 4) and np.all(out.data == 0.0)
+        T.backward(T.tsum(out))
+        assert np.all(kt.grad == 0.0) and np.all(bt.grad == 0.0)
+        T.zero_grad([kt, bt])
 
 
 def test_grad_mse_and_affine_chain():
