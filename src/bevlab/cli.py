@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Verbs: gen, train, ablation, sweep-lambda, similarity, report, selftest.
+Verbs: gen, train, ablation, sweep-lambda, similarity, report.
 Global flags: --config <path>, --seed <n>, --out <dir>, --jobs <n>.
 Exit codes: 0 success, 1 hard failure, 2 partial sweep/ablation failure.
 """
@@ -47,7 +47,6 @@ def build_parser():
     sub.add_parser("sweep-lambda", help="alignment-weight sweep with plots")
     sub.add_parser("similarity", help="teacher-student feature similarity study")
     sub.add_parser("report", help="consolidated markdown report")
-    sub.add_parser("selftest", help="quick oracle and property checks")
     return p
 
 
@@ -63,12 +62,6 @@ def main(argv=None):
         if args.seed is not None:
             cfg = cfg.with_overrides(seed=args.seed)
         out = args.out
-
-        if args.verb == "selftest":
-            checks = harness.cmd_selftest(out)
-            for name, ok, detail in checks:
-                print(f"{'pass' if ok else 'FAIL'} {name}: {detail}")
-            return 0 if all(ok for _, ok, _ in checks) else 1
 
         if args.verb == "gen":
             path, n_train, n_val = harness.cmd_gen(cfg, out)

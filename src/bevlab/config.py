@@ -7,9 +7,8 @@ constructors hand the typed fields to scenegen/geometry/supervision.
 """
 
 import hashlib
-import math
 
-from .geometry import BevGrid, Camera
+from .geometry import BevGrid, default_rig, extended_grid, standard_grid
 from .scenegen import SceneParams
 from .supervision import VARIANTS, SupervisionConfig
 
@@ -18,74 +17,64 @@ class ConfigError(RuntimeError):
     pass
 
 
-# (name, default) pairs; the default's python type pins the parser.
+# (name, default, caches) rows; the default's python type pins the parser.
 # Tuples parse as space-separated lists: the ranges and teacher_widths
 # take exactly as many values as their default (see _FIXED_ARITY), while
 # seeds and lambda_factors take any number of values, with no repeats.
+# `caches` names the caches a field feeds: changing it re-renders the
+# corpus (_DATA), retrains the frozen teacher (_TEACH), both, or neither.
+# The cache hashes digest their fields in this order, so moving a field or
+# changing its scope orphans every cached corpus and teacher.
+_DATA, _TEACH, _BOTH = ("dataset",), ("teacher",), ("dataset", "teacher")
 DEFAULTS = (
     # corpus
-    ("n_train", 256),
-    ("n_val", 64),
-    ("road_count", (1, 2)),
-    ("lane_count", (2, 4)),
-    ("curvature", 0.025),
-    ("crossing_probability", 0.9),
-    ("occluder_count", (2, 5)),
-    ("occluder_size", (1.0, 3.0)),
+    ("n_train", 256, _BOTH),
+    ("n_val", 64, _BOTH),
+    ("road_count", (1, 2), _BOTH),
+    ("lane_count", (2, 4), _BOTH),
+    ("curvature", 0.025, _BOTH),
+    ("crossing_probability", 0.9, _BOTH),
+    ("occluder_count", (2, 5), _BOTH),
+    ("occluder_size", (1.0, 3.0), _BOTH),
     # rig
-    ("cameras", 4),
-    ("cam_height", 1.6),
-    ("cam_pitch", 0.12),
-    ("cam_focal", 48.0),
-    ("image_width", 96),
-    ("image_height", 64),
+    ("cameras", 4, _DATA),
+    ("cam_height", 1.6, _DATA),
+    ("cam_pitch", 0.12, _DATA),
+    ("cam_focal", 48.0, _DATA),
+    ("image_width", 96, _DATA),
+    ("image_height", 64, _DATA),
     # BEV grid the models run on (evaluation always scores both RoIs)
-    ("roi", "extended"),
-    ("grid_rows", 24),
-    ("grid_cols", 48),
+    ("roi", "extended", _BOTH),
+    ("grid_rows", 24, _BOTH),
+    ("grid_cols", 48, _BOTH),
     # encoder sizes
-    ("c_feat", 16),
-    ("teacher_widths", (12, 16, 24)),
-    ("teacher_feature_layer", "final"),
-    ("student_width", 12),
-    ("downsample", 2),
-    ("n_queries", 12),
-    ("n_points", 8),
-    ("decoder_hidden", 8),
+    ("c_feat", 16, _TEACH),
+    ("teacher_widths", (12, 16, 24), _TEACH),
+    ("teacher_feature_layer", "final", _TEACH),
+    ("student_width", 12, ()),
+    ("downsample", 2, ()),
+    ("n_queries", 12, _TEACH),
+    ("n_points", 8, _TEACH),
+    ("decoder_hidden", 8, _TEACH),
     # supervision
-    ("variant", "norm_adapter"),
-    ("lambda_bev", 1.0),
+    ("variant", "norm_adapter", ()),
+    ("lambda_bev", 1.0, ()),
     # optimization
-    ("steps", 2000),
-    ("batch", 4),
-    ("base_lr", 4e-3),
-    ("min_lr", 1e-5),
-    ("weight_decay", 1e-4),
-    ("reg_weight", 0.05),
-    ("teacher_steps", 2500),
-    ("teacher_seed", 0),
+    ("steps", 2000, ()),
+    ("batch", 4, _TEACH),
+    ("base_lr", 4e-3, _TEACH),
+    ("min_lr", 1e-5, _TEACH),
+    ("weight_decay", 1e-4, _TEACH),
+    ("reg_weight", 0.05, _TEACH),
+    ("teacher_steps", 2500, _TEACH),
+    ("teacher_seed", 0, _TEACH),
     # study layout
-    ("seed", 1),
-    ("seeds", (1, 2, 3)),
-    ("lambda_factors", (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)),
+    ("seed", 1, ()),
+    ("seeds", (1, 2, 3), ()),
+    ("lambda_factors", (0.0, 0.25, 0.5, 1.0, 2.0, 4.0), ()),
 )
 
-_DEFAULTS = dict(DEFAULTS)
-
-# fields that feed the frozen teacher; anything else may change without
-# invalidating a cached teacher checkpoint
-TEACHER_FIELDS = ("n_train", "n_val", "road_count", "lane_count", "curvature",
-                  "crossing_probability", "occluder_count", "occluder_size",
-                  "roi", "grid_rows", "grid_cols", "c_feat", "teacher_widths",
-                  "teacher_feature_layer", "n_queries", "n_points",
-                  "decoder_hidden", "batch", "base_lr", "min_lr",
-                  "weight_decay", "reg_weight", "teacher_steps", "teacher_seed")
-
-DATASET_FIELDS = ("n_train", "n_val", "road_count", "lane_count", "curvature",
-                  "crossing_probability", "occluder_count", "occluder_size",
-                  "cameras", "cam_height", "cam_pitch", "cam_focal",
-                  "image_width", "image_height", "roi", "grid_rows",
-                  "grid_cols")
+_DEFAULTS = {name: default for name, default, _ in DEFAULTS}
 
 
 # tuple keys where the element count is part of the meaning (ranges and
@@ -126,7 +115,7 @@ class RunConfig:
     """Typed view over the key-value table; unknown keys are errors."""
 
     def __init__(self, overrides=None):
-        for name, default in DEFAULTS:
+        for name, default in _DEFAULTS.items():
             setattr(self, name, default)
         for name, value in (overrides or {}).items():
             if name not in _DEFAULTS:
@@ -174,7 +163,7 @@ class RunConfig:
 
     def dump(self) -> str:
         lines = [f"{name} {_format_one(getattr(self, name))}"
-                 for name, _ in DEFAULTS]
+                 for name in _DEFAULTS]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -199,7 +188,7 @@ class RunConfig:
 
     def with_overrides(self, **kw):
         """New config with the given fields replaced."""
-        values = {name: getattr(self, name) for name, _ in DEFAULTS}
+        values = {name: getattr(self, name) for name in _DEFAULTS}
         values.update(kw)
         return RunConfig(values)
 
@@ -214,15 +203,12 @@ class RunConfig:
                            occluder_size=self.occluder_size)
 
     def rig(self):
-        return [Camera((0.0, 0.0, self.cam_height), k * 2.0 * math.pi / self.cameras,
-                       self.cam_pitch, self.cam_focal, self.image_width,
-                       self.image_height)
-                for k in range(self.cameras)]
+        return default_rig(self.cam_height, self.cam_pitch, self.cam_focal,
+                           self.image_width, self.image_height, self.cameras)
 
     def grid(self) -> BevGrid:
-        if self.roi == "standard":
-            return BevGrid(-30.0, 30.0, -15.0, 15.0, self.grid_rows, self.grid_cols)
-        return BevGrid(-50.0, 50.0, -25.0, 25.0, self.grid_rows, self.grid_cols)
+        make = standard_grid if self.roi == "standard" else extended_grid
+        return make(self.grid_rows, self.grid_cols)
 
     def supervision(self, variant=None, lambda_bev=None) -> SupervisionConfig:
         return SupervisionConfig(variant or self.variant,
@@ -230,17 +216,19 @@ class RunConfig:
 
     # -- cache keys ----------------------------------------------------------
 
-    def _digest(self, fields) -> str:
+    def _digest(self, cache=None) -> str:
+        """Hash of the fields that feed ``cache``, or of every field."""
         h = hashlib.sha256()
-        for name in fields:
-            h.update(f"{name} {_format_one(getattr(self, name))}\n".encode())
+        for name, _, caches in DEFAULTS:
+            if cache is None or cache in caches:
+                h.update(f"{name} {_format_one(getattr(self, name))}\n".encode())
         return h.hexdigest()[:16]
 
     def config_hash(self) -> str:
-        return self._digest([name for name, _ in DEFAULTS])
+        return self._digest()
 
     def teacher_hash(self) -> str:
-        return self._digest(TEACHER_FIELDS)
+        return self._digest("teacher")
 
     def dataset_hash(self) -> str:
-        return self._digest(DATASET_FIELDS)
+        return self._digest("dataset")

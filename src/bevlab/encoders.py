@@ -16,10 +16,10 @@ import numpy as np
 
 from .geometry import N_CLASSES, BevGrid, default_rig
 from .mapeval import EvalConfig, evaluate
-from .tensors import (AdamW, Tensor, TensorError, add, backward, concat,
-                      conv2d, custom_op, linear, maxpool2, mul, read_ten,
-                      relu, reshape, scale, soft_points, spatial_mean,
-                      tensor, upsample2x, write_ten)
+from .tensors import (AdamW, Tensor, TensorError, adamw_step, add, backward,
+                      concat, conv2d, custom_op, linear, maxpool2, mul,
+                      read_ten, relu, reshape, scale, soft_points,
+                      spatial_mean, tensor, upsample2x, write_ten)
 
 
 class EncoderError(RuntimeError):
@@ -462,8 +462,11 @@ def save_checkpoint(path, params, meta=None):
         lines.append(f"param {name} {shape} {digest} {frozen}")
     for key, val in (meta or {}).items():
         lines.append(f"{key} {val}")
-    with open(os.path.join(path, "manifest.txt"), "w") as f:
+    # the manifest marks the checkpoint complete, so it appears whole or not at all
+    manifest = os.path.join(path, "manifest.txt")
+    with open(manifest + ".tmp", "w") as f:
         f.write("\n".join(lines) + "\n")
+    os.replace(manifest + ".tmp", manifest)
 
 
 def load_checkpoint(path):
@@ -591,7 +594,7 @@ def pretrain_teacher(train_samples, val_samples, grid: BevGrid, seed=0,
             if not np.isfinite(loss.data):
                 raise TensorError("non-finite loss")
             backward(loss)
-            lr_now = opt.step()
+            lr_now = adamw_step(opt)
             opt.zero_grad()
         except TensorError as e:
             raise EncoderError(f"teacher pretraining diverged at step {step}: {e}") from e

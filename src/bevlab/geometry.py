@@ -154,14 +154,17 @@ class Camera:
         return float(p[0]), float(p[1])
 
 
-def default_rig(height=1.6, pitch=0.12, focal=48.0, width=96, img_height=64):
-    """Four cameras at the rig origin, 90 degree yaw spacing.
+def default_rig(height=1.6, pitch=0.12, focal=48.0, width=96, img_height=64,
+                cameras=4):
+    """Cameras at the rig origin, evenly spaced in yaw (90 degrees for four).
 
-    With focal = width/2 each camera spans exactly 90 degrees of azimuth,
-    so the four half-open image planes tile the full horizon once.
+    With four cameras and focal = width/2 each camera spans exactly 90
+    degrees of azimuth, so the half-open image planes tile the full horizon
+    once.
     """
-    return [Camera((0.0, 0.0, height), k * math.pi / 2.0, pitch, focal, width, img_height)
-            for k in range(4)]
+    return [Camera((0.0, 0.0, height), k * 2.0 * math.pi / cameras, pitch, focal,
+                   width, img_height)
+            for k in range(cameras)]
 
 
 # ---------------------------------------------------------------------------

@@ -142,9 +142,11 @@ def run_name(variant, seed, lam, tuned):
 
 
 def _write_record(path, items):
-    with open(path, "w") as f:
+    # record.txt marks the run done, so it appears whole or not at all
+    with open(path + ".tmp", "w") as f:
         for key, val in items:
             f.write(f"{key} {val}\n")
+    os.replace(path + ".tmp", path)
 
 
 def read_record(rdir):
@@ -465,6 +467,21 @@ def _mean_eval(run_dirs, roi):
             float(np.mean(acc_map)))
 
 
+def _table_section(lines, missing, path, what, verb, header):
+    """Append a whitespace table file as a markdown table, or a note that it
+    is missing; returns whether the file was there."""
+    if not os.path.exists(path):
+        missing.append(os.path.basename(path))
+        lines += [f"({what} table missing; run the {verb} command)", ""]
+        return False
+    with open(path) as f:
+        rows = [l.split() for l in f if l.strip() and not l.startswith("#")]
+    lines += ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    lines += ["| " + " | ".join(row) + " |" for row in rows[1:]]
+    lines.append("")
+    return True
+
+
 def cmd_report(cfg: RunConfig, out):
     """Consolidated markdown report from whatever artifacts exist.
 
@@ -506,30 +523,13 @@ def cmd_report(cfg: RunConfig, out):
 
     # Table 2 shape: the normalization ablation
     lines += ["## Normalization ablation (extended RoI)", ""]
-    ab_path = os.path.join(out, "ablation.txt")
-    if os.path.exists(ab_path):
-        with open(ab_path) as f:
-            rows = [l.split() for l in f if l.strip() and not l.startswith("#")]
-        lines += ["| variant | n | mAP mean | spread | delta |",
-                  "|---|---|---|---|---|"]
-        for row in rows[1:]:
-            lines.append("| " + " | ".join(row) + " |")
-        lines.append("")
-    else:
-        missing.append("ablation.txt")
-        lines += ["(ablation table missing; run the ablation command)", ""]
+    _table_section(lines, missing, os.path.join(out, "ablation.txt"), "ablation",
+                   "ablation", ("variant", "n", "mAP mean", "spread", "delta"))
 
     # lambda sweep
     lines += ["## Alignment weight sensitivity", ""]
-    sw_path = os.path.join(out, "sweep_lambda.txt")
-    if os.path.exists(sw_path):
-        with open(sw_path) as f:
-            rows = [l.split() for l in f if l.strip() and not l.startswith("#")]
-        lines += ["| lambda | n | mAP standard | mAP extended |",
-                  "|---|---|---|---|"]
-        for row in rows[1:]:
-            lines.append("| " + " | ".join(row) + " |")
-        lines.append("")
+    if _table_section(lines, missing, os.path.join(out, "sweep_lambda.txt"), "sweep",
+                      "sweep-lambda", ("lambda", "n", "mAP standard", "mAP extended")):
         for roi in ROIS:
             svg = f"sweep_{roi}.svg"
             if os.path.exists(os.path.join(out, svg)):
@@ -537,24 +537,12 @@ def cmd_report(cfg: RunConfig, out):
             else:
                 missing.append(svg)
         lines.append("")
-    else:
-        missing.append("sweep_lambda.txt")
-        lines += ["(sweep table missing; run the sweep-lambda command)", ""]
 
     # similarity study
     lines += ["## Feature similarity (validation split)", ""]
-    sim_path = os.path.join(out, "similarity.txt")
-    if os.path.exists(sim_path):
-        with open(sim_path) as f:
-            rows = [l.split() for l in f if l.strip() and not l.startswith("#")]
-        lines += ["| variant | n | CKA median | IQR | centered CKA median "
-                  "| IQR | R2 median | IQR |", "|---|---|---|---|---|---|---|---|"]
-        for row in rows[1:]:
-            lines.append("| " + " | ".join(row) + " |")
-        lines.append("")
-    else:
-        missing.append("similarity.txt")
-        lines += ["(similarity table missing; run the similarity command)", ""]
+    _table_section(lines, missing, os.path.join(out, "similarity.txt"), "similarity",
+                   "similarity", ("variant", "n", "CKA median", "IQR", "centered CKA median",
+                                  "IQR", "R2 median", "IQR"))
 
     # feature visualizations, shared gray scale
     lines += ["## Channel-mean features, first validation scene", ""]
@@ -573,188 +561,6 @@ def cmd_report(cfg: RunConfig, out):
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
     return path, missing
-
-
-# ---------------------------------------------------------------------------
-# selftest
-# ---------------------------------------------------------------------------
-
-def _fd_gradient(f, arrays, i, h=1e-6):
-    """Central finite differences of f(*arrays) in its i-th argument."""
-    grad = np.zeros_like(arrays[i])
-    flat = grad.ravel()
-    for j in range(flat.size):
-        plus = [a.copy() for a in arrays]
-        minus = [a.copy() for a in arrays]
-        plus[i].ravel()[j] += h
-        minus[i].ravel()[j] -= h
-        flat[j] = (f(*plus) - f(*minus)) / (2 * h)
-    return grad
-
-
-def _rel_err(a, b):
-    scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-12)
-    return float(np.max(np.abs(a - b)) / scale)
-
-
-def _check_gradients():
-    from . import tensors as T
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(2, 4, 5))
-    k = rng.normal(size=(3, 2, 3, 3))
-    b = rng.normal(size=3)
-    tgt = rng.normal(size=(3, 4, 5))  # conv2d output shape
-    x_tgt = rng.normal(size=x.shape)  # channel_normalize keeps its input shape
-    cases = [
-        ("conv2d+mse", lambda xt, kt, bt: T.mse(
-            T.conv2d(xt, kt, bt, pad=1), T.tensor(tgt)), [x, k, b]),
-        ("channel_normalize", lambda xt: T.mse(
-            T.channel_normalize(xt), T.tensor(x_tgt)), [x]),
-        ("focal_loss", lambda lt: T.focal_loss(
-            lt, np.array([1, 0, 3, 2]), 0.25, 2.0),
-         [rng.normal(size=(4, 4))]),
-        ("soft_points", lambda st: T.tsum(T.soft_points(
-            st, np.stack(np.meshgrid(np.linspace(-1, 1, 5),
-                                     np.linspace(1, -1, 4),
-                                     indexing="xy")))),
-         [rng.normal(size=(3, 4, 5))]),
-    ]
-    worst = 0.0
-    for name, build, arrays in cases:
-        ts = [T.parameter(a.copy()) for a in arrays]
-        loss = build(*ts)
-        T.backward(loss)
-
-        def f(*arrs):
-            return build(*[T.tensor(a) for a in arrs]).item()
-
-        for i, t in enumerate(ts):
-            err = _rel_err(t.grad, _fd_gradient(f, [a.copy() for a in arrays], i))
-            worst = max(worst, err)
-            if err > 1e-4:
-                return False, f"{name} input {i}: rel error {err:.2e}"
-    return True, f"worst rel error {worst:.2e}"
-
-
-def _random_corpus(rng, scenes=4):
-    from .geometry import N_CLASSES
-    preds, gts = {}, {}
-    for i in range(scenes):
-        sid = f"s{i}"
-        preds[sid], gts[sid] = [], []
-        for c in range(N_CLASSES):
-            for _ in range(rng.integers(0, 4)):
-                pts = rng.uniform(-40, 40, size=(rng.integers(2, 5), 2))
-                gts[sid].append((c, 1.0, pts))
-                if rng.random() < 0.8:
-                    noisy = pts + rng.normal(0, 1.0, size=pts.shape)
-                    preds[sid].append((c, float(rng.random()), noisy))
-            if rng.random() < 0.3:
-                stray = rng.uniform(-40, 40, size=(3, 2))
-                preds[sid].append((c, float(rng.random()), stray))
-    return preds, gts
-
-
-def _check_mapeval():
-    from .mapeval import EvalConfig, evaluate
-    rng = np.random.default_rng(11)
-    cfg1 = EvalConfig("extended", thresholds=(1.0,))
-    cfg2 = EvalConfig("extended", thresholds=(2.5,))
-    cfg = EvalConfig("extended")
-    for trial in range(20):
-        preds, gts = _random_corpus(rng)
-        r1 = evaluate(preds, gts, cfg1)
-        r2 = evaluate(preds, gts, cfg2)
-        for cell in r1.ap:
-            c = cell[0]
-            if r2.ap[(c, 2.5)] + 1e-12 < r1.ap[(c, 1.0)]:
-                return False, f"trial {trial}: AP fell as threshold grew"
-        scaled = {sid: [(c, s * 7.5, p) for c, s, p in rows]
-                  for sid, rows in preds.items()}
-        if evaluate(scaled, gts, cfg).ap != evaluate(preds, gts, cfg).ap:
-            return False, f"trial {trial}: score scaling changed AP"
-        doubled = {sid: rows + rows for sid, rows in preds.items()}
-        base = evaluate(preds, gts, cfg)
-        dup = evaluate(doubled, gts, cfg)
-        for cell in base.ap:
-            if dup.ap[cell] > base.ap[cell] + 1e-12:
-                return False, f"trial {trial}: duplicates raised AP"
-        perfect = evaluate({k: [(c, 1.0, p) for c, _, p in v]
-                            for k, v in gts.items()}, gts, cfg)
-        if abs(perfect.map - 1.0) > 1e-12:
-            return False, f"trial {trial}: perfect predictions score {perfect.map}"
-    return True, "20 corpora"
-
-
-def _check_similarity_metrics():
-    rng = np.random.default_rng(13)
-    worst = 0.0
-    for _ in range(10):
-        x = rng.normal(size=(40, 6))
-        q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-        y = 3.7 * x @ q
-        worst = max(worst, abs(linear_cka(x, y) - 1.0))
-        worst = max(worst, abs(linear_cka(x, x) - 1.0))
-        z = rng.normal(size=(40, 6))
-        worst = max(worst, abs(linear_cka(x, z) - linear_cka(z, x)))
-        if abs(r_squared(y, x) - 1.0) > 1e-9:
-            return False, "R2 of an exact linear map is not 1"
-    if worst > 1e-9:
-        return False, f"invariance error {worst:.2e}"
-    return True, f"worst deviation {worst:.2e}"
-
-
-def _check_supervision_contracts():
-    from . import tensors as T
-    rng = np.random.default_rng(17)
-    adapter = AffineAdapter(6)
-    x = rng.normal(size=(6, 5, 7))
-    if not np.array_equal(adapter.apply(T.tensor(x)).data, x):
-        return False, "adapter is not the identity at init"
-    normed = T.channel_normalize(T.tensor(x)).data
-    if np.max(np.abs(normed.mean(axis=(1, 2)))) > 1e-10:
-        return False, "normalized channel means exceed 1e-10"
-    l_cls, l_reg, l_bev = (T.tensor(v) for v in rng.normal(size=3) ** 2)
-    lam = 0.75
-    total = T.add(T.add(l_cls, l_reg), T.scale(l_bev, lam))
-    want = l_cls.item() + l_reg.item() + lam * l_bev.item()
-    if abs(total.item() - want) > 1e-12:
-        return False, "loss total is not the sum of its parts"
-    return True, "adapter, normalization, additivity"
-
-
-def _check_roundtrips(tmpdir):
-    cfg = RunConfig({"seed": 9, "lambda_bev": 0.5})
-    again = RunConfig.parse(cfg.dump())
-    if again.config_hash() != cfg.config_hash():
-        return False, "config dump/parse changed the hash"
-    svg = os.path.join(tmpdir, "probe.svg")
-    line_plot(svg, [("a", [0.0, 1.0, 2.0], [0.1, 0.4, 0.2])])
-    from .plots import read_plot_points
-    if read_plot_points(svg) != [3]:
-        return False, "plot did not keep one point per sample"
-    return True, "config and plot files round-trip"
-
-
-def cmd_selftest(out=None):
-    """Quick self-contained oracle and property checks.
-
-    Returns [(name, ok, detail)]; artifacts go to a scratch directory.
-    """
-    import tempfile
-    checks = []
-    with tempfile.TemporaryDirectory() as tmpdir:
-        for name, fn in (("gradients", _check_gradients),
-                         ("mapeval_properties", _check_mapeval),
-                         ("similarity_metrics", _check_similarity_metrics),
-                         ("supervision_contracts", _check_supervision_contracts),
-                         ("file_roundtrips", lambda: _check_roundtrips(tmpdir))):
-            try:
-                ok, detail = fn()
-            except Exception as e:  # a crash is a failed check, not a crash of the verb
-                ok, detail = False, f"{type(e).__name__}: {e}"
-            checks.append((name, ok, detail))
-    return checks
 
 
 def _write_viz(cfg, out, seed):

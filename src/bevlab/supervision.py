@@ -9,8 +9,6 @@ per-channel affine before normalization. The adapter lives strictly inside
 the loss path; the decoder always consumes the raw student features.
 """
 
-import hashlib
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -20,7 +18,7 @@ from .encoders import (MapDecoder, StudentEncoder, TeacherEncoder,
 from .geometry import N_CLASSES, default_rig
 from .mapeval import clip_to_roi
 from .scenegen import cell_visibility
-from .tensors import (AdamW, Tensor, TensorError, add, backward,
+from .tensors import (AdamW, Tensor, TensorError, adamw_step, add, backward,
                       channel_affine, channel_normalize, focal_loss,
                       l1_line_loss, mse, reshape, scale, tensor)
 
@@ -206,28 +204,11 @@ def detection_loss(logits, points, gts, reg_weight=0.05, focal_alpha=0.25,
 # student training
 # ---------------------------------------------------------------------------
 
-def _data_checksum(arr):
-    return hashlib.sha256(arr.tobytes()).hexdigest()
-
-
-def _check_step_contracts(raw_digest, f_cam, teacher_map, adapter, cfg, step):
-    """Per-sample invariants of the alignment path on contract-checked runs."""
-    if _data_checksum(f_cam.tensor.data) != raw_digest:
-        raise SupervisionError(f"step {step}: decoder input was modified by "
-                               "the loss path")
-    if cfg.normalize:
-        for m in (adapter.apply(f_cam.tensor) if cfg.use_adapter else f_cam.tensor,
-                  teacher_map.tensor):
-            mean = np.abs(channel_normalize(m).data.mean(axis=(1, 2))).max()
-            if mean > 1e-10:
-                raise SupervisionError(f"step {step}: normalized channel mean {mean}")
-
-
 def train_student(train_samples, teacher: TeacherEncoder,
                   cfg: SupervisionConfig, seed, grid, rig=None, steps=2000,
                   batch=4, base_lr=4e-3, weight_decay=1e-4, min_lr=1e-5,
-                  reg_weight=0.05, log_path=None, check_contracts=False,
-                  make_models=None, counts=None):
+                  reg_weight=0.05, log_path=None, make_models=None,
+                  counts=None):
     """Train one student variant against a frozen teacher.
 
     Per batch: student features, decode, match, focal + line losses, plus
@@ -252,10 +233,6 @@ def train_student(train_samples, teacher: TeacherEncoder,
         adapter = AffineAdapter(teacher.c_feat)
     else:
         student, decoder, adapter = make_models(rng, grid, teacher)
-    if check_contracts:
-        ident = adapter.apply(tensor(np.ones((teacher.c_feat, 2, 2))))
-        if not np.array_equal(ident.data, np.ones((teacher.c_feat, 2, 2))):
-            raise SupervisionError("adapter is not the identity at init")
     params = {"student." + k: v for k, v in student.params.items()}
     params.update(("decoder." + k, v) for k, v in decoder.params.items())
     params.update(("adapter." + k, v) for k, v in adapter.params.items())
@@ -278,7 +255,6 @@ def train_student(train_samples, teacher: TeacherEncoder,
             idx = next(batches)
             try:
                 cls_terms, reg_terms, bev_terms = [], [], []
-                digests = []
                 for i in idx:
                     s = train_samples[i]
                     fmap = student_forward(student, s.cams, rig, grid,
@@ -290,9 +266,6 @@ def train_student(train_samples, teacher: TeacherEncoder,
                     cls_terms.append(l_cls_i)
                     reg_terms.append(l_reg_i)
                     if teacher_maps is not None:
-                        if check_contracts:
-                            digests.append((fmap, teacher_maps[s.scene_id],
-                                            _data_checksum(fmap.tensor.data)))
                         bev_terms.append(bev_alignment_loss(
                             fmap, teacher_maps[s.scene_id], adapter, cfg))
                 l_cls = mean_of(cls_terms)
@@ -304,13 +277,7 @@ def train_student(train_samples, teacher: TeacherEncoder,
                     if not np.isfinite(t.data):
                         raise TensorError(f"non-finite {name}")
                 backward(l_total)
-                if check_contracts:
-                    _check_totals_only(cfg, l_cls, l_reg, l_bev, l_total,
-                                       teacher, step)
-                    for fmap, tmap, digest in digests:
-                        _check_step_contracts(digest, fmap, tmap, adapter,
-                                              cfg, step)
-                lr_now = opt.step()
+                lr_now = adamw_step(opt)
                 opt.zero_grad()
             except TensorError as e:
                 raise SupervisionError(f"step {step}: {e}") from e
@@ -325,12 +292,3 @@ def train_student(train_samples, teacher: TeacherEncoder,
             logf.close()
     return student, decoder, adapter, breakdowns
 
-
-def _check_totals_only(cfg, l_cls, l_reg, l_bev, l_total, teacher, step):
-    parts = float(l_cls.data) + float(l_reg.data) + cfg.lambda_bev * float(l_bev.data)
-    if abs(parts - float(l_total.data)) > 1e-12:
-        raise SupervisionError(f"step {step}: loss total drifts from its parts")
-    for name, p in teacher.params.items():
-        if p.requires_grad or p.grad is not None:
-            raise SupervisionError(f"step {step}: teacher parameter {name} "
-                                   "entered the gradient path")

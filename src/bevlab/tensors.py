@@ -560,12 +560,6 @@ class AdamW:
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
 
-    def lr(self) -> float:
-        return cosine_lr(self)
-
-    def step(self) -> float:
-        return adamw_step(self)
-
     def zero_grad(self) -> None:
         zero_grad(self.params)
 

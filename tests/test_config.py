@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from bevlab.config import DEFAULTS, ConfigError, RunConfig
-from bevlab.geometry import BevGrid
+from bevlab.geometry import BevGrid, default_rig
 from bevlab.scenegen import SceneParams
 
 
 def test_defaults_round_trip_through_dump_and_parse():
     cfg = RunConfig()
     again = RunConfig.parse(cfg.dump())
-    for name, _ in DEFAULTS:
+    for name, _, _ in DEFAULTS:
         assert getattr(again, name) == getattr(cfg, name), name
     assert again.config_hash() == cfg.config_hash()
 
@@ -102,7 +102,23 @@ def test_hashes_scope_their_fields():
     assert wider.dataset_hash() != cfg.dataset_hash()
 
 
+def test_default_cache_hashes_are_pinned():
+    # cached corpora and teachers are found by these hashes: a field moved,
+    # added to or dropped from a cache scope would orphan all of them
+    cfg = RunConfig()
+    assert cfg.teacher_hash() == "296401803c6c5534"
+    assert cfg.dataset_hash() == "58f8531bac3b6457"
+    assert cfg.config_hash() == "f3929d162ce647e1"
+
+
 def test_derived_objects_match_fields():
+    # the default config builds the default rig, bit for bit
+    for mine, ref in zip(RunConfig().rig(), default_rig(), strict=True):
+        assert mine.yaw == ref.yaw
+        for key in ("position", "rot"):
+            assert getattr(mine, key).tobytes() == getattr(ref, key).tobytes()
+        assert (mine.pitch, mine.focal, mine.width, mine.height, mine.cx, mine.cy) == \
+            (ref.pitch, ref.focal, ref.width, ref.height, ref.cx, ref.cy)
     cfg = RunConfig({"roi": "standard", "cameras": 3, "cam_focal": 40.0})
     grid = cfg.grid()
     assert isinstance(grid, BevGrid)

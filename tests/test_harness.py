@@ -1,7 +1,11 @@
 """Harness caches, the frozen teacher and what its directory records, and the CLI."""
 
 import os
+import shutil
 
+import pytest
+
+from bevlab import cli
 from bevlab import harness as H
 from bevlab.config import RunConfig
 from bevlab.encoders import evaluate_model, student_forward
@@ -61,11 +65,62 @@ def test_train_run_counts_teacher_maps_and_scores_each_roi(tmp_path):
             assert f.read() == g.read(), roi
 
 
-def test_selftest_verb_passes_every_check(tmp_path, capsys):
-    from bevlab import cli
-    assert cli.main(["--out", str(tmp_path), "selftest"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == ["pass"] * 5, lines
+def failing_writes(marker):
+    """An open() that dies a few bytes into writing any file named after marker."""
+    def fake_open(path, mode="r", *args, **kwargs):
+        f = open(path, mode, *args, **kwargs)
+        if "w" not in mode or not os.path.basename(path).startswith(marker):
+            return f
+
+        class Dying:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                f.close()
+
+            def write(self, text):
+                f.write(text[:5])
+                f.flush()
+                raise OSError(f"killed while writing {path}")
+
+            def writelines(self, lines):
+                self.write("".join(lines))
+
+        return Dying()
+    return fake_open
+
+
+def test_markers_killed_mid_write_leave_the_cache_cold(tmp_path, monkeypatch):
+    from bevlab import encoders as E
+    cfg = tiny_config().with_overrides(steps=2)
+    out = str(tmp_path)
+    with monkeypatch.context() as m:
+        m.setattr(E, "open", failing_writes("manifest.txt"), raising=False)
+        with pytest.raises(OSError, match="killed"):
+            H.ensure_teacher(cfg, out)
+    # the half-written teacher is not taken for a finished one
+    trained = []
+    plain_pretrain = H.pretrain_teacher
+    monkeypatch.setattr(H, "pretrain_teacher",
+                        lambda *a, **k: trained.append(1) or plain_pretrain(*a, **k))
+    _, val_map = H.ensure_teacher(cfg, out)
+    assert trained == [1]
+    assert H.ensure_teacher(cfg, out)[1] == val_map and trained == [1]
+
+    with monkeypatch.context() as m:
+        m.setattr(H, "open", failing_writes("record.txt"), raising=False)
+        with pytest.raises(OSError, match="killed"):
+            H.train_run(cfg, out, "raw", 0)
+    runs = []
+    plain_train = H.train_student
+    monkeypatch.setattr(H, "train_student",
+                        lambda *a, **k: runs.append(1) or plain_train(*a, **k))
+    rec = H.train_run(cfg, out, "raw", 0)
+    assert runs == [1]
+    assert rec["checksum"] and rec["map_extended"] and rec["wall_clock"]
+    assert H.train_run(cfg, out, "raw", 0)["checksum"] == rec["checksum"]
+    assert runs == [1]
 
 
 def test_cli_maps_every_package_error_to_exit_1(tmp_path, monkeypatch, capsys):
@@ -87,3 +142,113 @@ def test_cli_maps_every_package_error_to_exit_1(tmp_path, monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.err == f"error: {err.__name__} raised\n"
         assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# study verbs through the CLI
+# ---------------------------------------------------------------------------
+
+TINY_STUDY = ("n_train 4\nn_val 2\nsteps 2\nteacher_steps 2\nbatch 2\nseeds 1\n"
+              "lambda_factors 0.0 1.0\n")
+STUDY_VERBS = ("ablation", "sweep-lambda", "similarity", "report")
+STUDY_TABLES = ("ablation.txt", "sweep_lambda.txt", "similarity.txt")
+
+
+def run_verb(out, verb, jobs=1):
+    cfg_path = os.path.join(os.path.dirname(out), "study.cfg")
+    with open(cfg_path, "w") as f:
+        f.write(TINY_STUDY)
+    return cli.main(["--config", cfg_path, "--out", out, "--jobs", str(jobs), verb])
+
+
+def read_bytes(path):
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def run_records(out):
+    """record.txt of every run, without the wall clock line."""
+    recs = {}
+    for name in sorted(os.listdir(os.path.join(out, "runs"))):
+        with open(os.path.join(out, "runs", name, "record.txt")) as f:
+            recs[name] = [l for l in f if not l.startswith("wall_clock ")]
+    return recs
+
+
+@pytest.fixture(scope="module")
+def study(tmp_path_factory):
+    """A tiny study through every verb, run once with --jobs 1."""
+    out = str(tmp_path_factory.mktemp("study") / "out")
+    codes = [run_verb(out, verb) for verb in STUDY_VERBS]
+    return out, codes
+
+
+def copy_study(study, tmp_path):
+    out = str(tmp_path / "out")
+    shutil.copytree(study[0], out)
+    return out
+
+
+def test_study_verbs_exit_0_and_write_their_tables(study):
+    out, codes = study
+    assert codes == [0] * len(STUDY_VERBS)
+    for name in STUDY_TABLES:
+        with open(os.path.join(out, name)) as f:
+            text = f.read()
+        assert "# failed" not in text and len(text.splitlines()) > 1, name
+    report = read_bytes(os.path.join(out, "report.md")).decode()
+    assert "missing" not in report and "skipped" not in report
+
+
+def test_second_ablation_trains_nothing(study, tmp_path, monkeypatch):
+    out = copy_study(study, tmp_path)
+    before = read_bytes(os.path.join(out, "ablation.txt"))
+    trained = []
+
+    def must_not_run(*args, **kwargs):
+        trained.append(args)
+        raise AssertionError("a cached study trained again")
+
+    for name in ("export_dataset", "pretrain_teacher", "train_student"):
+        monkeypatch.setattr(H, name, must_not_run)
+    assert run_verb(out, "ablation") == 0
+    assert trained == []
+    assert read_bytes(os.path.join(out, "ablation.txt")) == before
+
+
+def test_report_rerun_is_byte_identical(study, tmp_path):
+    out = copy_study(study, tmp_path)
+    first = read_bytes(os.path.join(out, "report.md"))
+    assert run_verb(out, "report") == 0
+    assert read_bytes(os.path.join(out, "report.md")) == first
+
+
+@pytest.mark.parametrize("verb, table, failing", [
+    ("ablation", "ablation.txt", "raw_seed1"),
+    ("sweep-lambda", "sweep_lambda.txt", "norm_adapter_seed1"),
+    ("similarity", "similarity.txt", "raw_seed1")])
+def test_failed_run_makes_the_verb_exit_2(study, tmp_path, monkeypatch, capsys,
+                                          verb, table, failing):
+    out = copy_study(study, tmp_path)
+    plain_run = H.train_run
+
+    def fail_one(cfg, out, variant, seed, lam=None, force=False):
+        if f"{variant}_seed{seed}" == failing:
+            raise H.HarnessError("forced failure")
+        return plain_run(cfg, out, variant, seed, lam, force)
+
+    monkeypatch.setattr(H, "train_run", fail_one)
+    capsys.readouterr()
+    assert run_verb(out, verb) == 2
+    with open(os.path.join(out, table)) as f:
+        failed = [l for l in f if l.startswith("# failed")]
+    assert failed == [f"# failed {failing}: HarnessError: forced failure\n"]
+    assert f"FAILED {failing}: HarnessError: forced failure" in capsys.readouterr().err
+
+
+def test_jobs_2_writes_the_same_records_as_jobs_1(study, tmp_path):
+    out = str(tmp_path / "out")
+    assert run_verb(out, "ablation", jobs=2) == 0
+    assert run_records(out) == run_records(study[0])
+    assert read_bytes(os.path.join(out, "ablation.txt")) == \
+        read_bytes(os.path.join(study[0], "ablation.txt"))

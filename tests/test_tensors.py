@@ -457,10 +457,10 @@ def test_node_visited_once():
 def test_cosine_schedule_endpoints_and_monotone():
     p = {"w": T.parameter(np.zeros(1))}
     opt = T.AdamW(p, lr=0.1, horizon=100)
-    assert opt.lr() == 0.1
+    assert T.cosine_lr(opt) == 0.1
     rates = []
     for _ in range(130):
-        rates.append(opt.step())
+        rates.append(T.adamw_step(opt))
     assert abs(rates[0] - 0.1) < 1e-15
     # non-increasing, clamps at zero after the horizon
     assert all(b <= a + 1e-15 for a, b in zip(rates, rates[1:]))
@@ -471,8 +471,8 @@ def test_cosine_schedule_endpoints_and_monotone():
 def test_cosine_min_lr_floor():
     opt = T.AdamW({"w": T.parameter(np.zeros(1))}, lr=0.1, horizon=10, min_lr=0.02)
     for _ in range(15):
-        opt.step()
-    assert opt.lr() == 0.02
+        T.adamw_step(opt)
+    assert T.cosine_lr(opt) == 0.02
 
 
 def test_adamw_matches_hand_rolled_update():
@@ -482,7 +482,7 @@ def test_adamw_matches_hand_rolled_update():
     p = T.parameter(w0.copy())
     opt = T.AdamW({"w": p}, lr=0.01, weight_decay=0.1, horizon=10 ** 9)
     p.grad = g.copy()
-    opt.step()
+    T.adamw_step(opt)
     # closed form for the first Adam step: m_hat = g, v_hat = g^2
     want = w0 - 0.01 * (g / (np.abs(g) + 1e-8) + 0.1 * w0)
     assert np.allclose(p.data, want, atol=1e-12)
@@ -493,7 +493,7 @@ def test_adamw_skips_frozen_and_handles_missing_grad():
     live = T.parameter(np.ones(3))
     opt = T.AdamW({"f": frozen, "l": live}, lr=0.1, weight_decay=0.0)
     before = frozen.data.copy()
-    opt.step()  # neither has a grad; frozen must stay bitwise identical
+    T.adamw_step(opt)  # neither has a grad; frozen must stay bitwise identical
     assert np.array_equal(frozen.data, before)
     assert np.array_equal(live.data, np.ones(3))  # zero grad, zero wd: no motion
 
@@ -508,7 +508,7 @@ def test_adamw_trajectory_deterministic():
             loss = T.mse(p, x)
             opt.zero_grad()
             T.backward(loss)
-            opt.step()
+            T.adamw_step(opt)
         return p.data.copy()
 
     assert np.array_equal(run(), run())
