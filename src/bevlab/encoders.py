@@ -19,7 +19,8 @@ from .mapeval import EvalConfig, evaluate
 from .tensors import (AdamW, Tensor, TensorError, adamw_step, add, backward,
                       concat, conv2d, custom_op, linear, maxpool2, mul,
                       read_ten, relu, reshape, scale, soft_points,
-                      spatial_mean, tensor, upsample2x, write_ten)
+                      softmax_rows, spatial_mean, tensor, upsample2x,
+                      write_ten)
 
 
 class EncoderError(RuntimeError):
@@ -417,9 +418,7 @@ def decode_map(decoder: MapDecoder, fmap: FeatureMap):
     posterior of the winning class.
     """
     logits, points = decoder.forward(fmap)
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=1, keepdims=True)
+    p = softmax_rows(logits.data)
     out = []
     for q in range(decoder.n_queries):
         cid = int(np.argmax(p[q]))

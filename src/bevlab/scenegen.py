@@ -73,22 +73,19 @@ class Scene:
     (x0, x1, y0, y1, height) boxes standing on the ground plane.
     """
 
-    def __init__(self, seed, texture_seed, roads, ground_truth, occluders,
-                 ego_pose=(0.0, 0.0, 0.0)):
+    def __init__(self, seed, texture_seed, roads, ground_truth, occluders):
         self.seed = int(seed)
         self.texture_seed = int(texture_seed)
         self.roads = list(roads)
         self.ground_truth = list(ground_truth)
         self.occluders = [tuple(float(v) for v in o) for o in occluders]
-        self.ego_pose = tuple(float(v) for v in ego_pose)
 
     def serialize(self) -> str:
         # repr(float(v)) gives the shortest exact round-trip decimal
         def fmt(vals):
             return " ".join(repr(float(v)) for v in vals)
 
-        lines = [f"seed {self.seed}", f"texture_seed {self.texture_seed}",
-                 "ego_pose " + fmt(self.ego_pose)]
+        lines = [f"seed {self.seed}", f"texture_seed {self.texture_seed}"]
         for road in self.roads:
             lines.append(f"road {float(road.half_width)!r} {fmt(road.centerline.reshape(-1))}")
         for box in self.occluders:
@@ -100,7 +97,6 @@ class Scene:
     @staticmethod
     def deserialize(text: str) -> "Scene":
         seed = texture_seed = None
-        ego = (0.0, 0.0, 0.0)
         roads, gt, occluders = [], [], []
         for line in text.splitlines():
             parts = line.split()
@@ -111,8 +107,8 @@ class Scene:
                 seed = int(parts[1])
             elif key == "texture_seed":
                 texture_seed = int(parts[1])
-            elif key == "ego_pose":
-                ego = tuple(float(v) for v in parts[1:4])
+            elif key == "ego_pose":  # written by older corpora, never read
+                continue
             elif key == "road":
                 hw = float(parts[1])
                 pts = np.array([float(v) for v in parts[2:]]).reshape(-1, 2)
@@ -126,7 +122,7 @@ class Scene:
                 raise SceneGenError(f"unknown scene line {key!r}")
         if seed is None or texture_seed is None:
             raise SceneGenError("scene text missing seed fields")
-        return Scene(seed, texture_seed, roads, gt, occluders, ego)
+        return Scene(seed, texture_seed, roads, gt, occluders)
 
 
 # ---------------------------------------------------------------------------

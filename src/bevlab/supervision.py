@@ -20,7 +20,8 @@ from .mapeval import clip_to_roi
 from .scenegen import cell_visibility
 from .tensors import (AdamW, Tensor, TensorError, adamw_step, add, backward,
                       channel_affine, channel_normalize, focal_loss,
-                      l1_line_loss, mse, reshape, scale, tensor)
+                      l1_line_loss, mse, reshape, scale, softmax_rows,
+                      tensor)
 
 VARIANTS = ("baseline", "raw", "norm_only", "norm_adapter")
 
@@ -136,9 +137,7 @@ def match_queries(logits, points, gts, class_penalty=5.0, gt_pts=None):
     targets = np.full(n_q, N_CLASSES, dtype=np.int64)
     if not gts:
         return targets, []
-    zs = z - z.max(axis=1, keepdims=True)
-    p = np.exp(zs)
-    p /= p.sum(axis=1, keepdims=True)
+    p = softmax_rows(z)
     if gt_pts is None:
         gt_pts = np.stack([polyline_points(e[2], n_k) for e in gts])
     elif gt_pts.shape != (len(gts), n_k, 2):

@@ -422,6 +422,13 @@ def channel_affine(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return custom_op(out_data, (x, gamma, beta), bwd, "channel_affine")
 
 
+def softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Softmax of each row of a 2-D array, shifted by the row max."""
+    p = np.exp(z - z.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
 def soft_points(x: Tensor, coords) -> Tensor:
     """Soft-argmax readout: per-channel softmax over spatial positions,
     then the expectation of the constant ``coords`` (2, H, W) under it.
@@ -435,10 +442,7 @@ def soft_points(x: Tensor, coords) -> Tensor:
     coords = _as_f64(coords)
     if coords.shape != (2, h, w):
         raise TensorError(f"coords must be (2, {h}, {w}), got {coords.shape}")
-    z = x.data.reshape(c, h * w)
-    z = z - z.max(axis=1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=1, keepdims=True)
+    p = softmax_rows(x.data.reshape(c, h * w))
     cc = coords.reshape(2, h * w)
     out_data = p @ cc.T  # (C, 2)
 

@@ -22,6 +22,17 @@ def test_serialization_round_trip():
     assert back.serialize() == scene.serialize()
 
 
+def test_deserialize_accepts_and_drops_legacy_ego_pose_line():
+    # corpora cached before the pose was dropped carry it as the third line
+    text = S.generate_scene(S.SceneParams(3)).serialize()
+    seed_line, texture_line, rest = text.split("\n", 2)
+    legacy = f"{seed_line}\n{texture_line}\nego_pose 0.0 0.0 0.0\n{rest}"
+    assert "ego_pose" not in text
+    back = S.Scene.deserialize(legacy)
+    assert back.serialize() == text
+    assert not hasattr(back, "ego_pose")
+
+
 def test_zero_crossing_probability():
     for seed in range(10):
         scene = S.generate_scene(S.SceneParams(seed, crossing_probability=0.0))
