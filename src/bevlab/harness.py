@@ -557,6 +557,7 @@ def cmd_report(cfg: RunConfig, out):
         missing.append("viz (needs baseline and adapter runs)")
         lines += ["(feature maps missing; train baseline and adapter runs)", ""]
 
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "report.md")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")

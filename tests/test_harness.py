@@ -223,6 +223,18 @@ def test_report_rerun_is_byte_identical(study, tmp_path):
     assert read_bytes(os.path.join(out, "report.md")) == first
 
 
+def test_report_on_a_fresh_directory_notes_every_missing_artifact(tmp_path, capsys):
+    out = str(tmp_path / "fresh")
+    assert cli.main(["--out", out, "report"]) == 0
+    report = read_bytes(os.path.join(out, "report.md")).decode()
+    for note in ("(standard RoI table skipped", "(extended RoI table skipped",
+                 "(ablation table missing", "(sweep table missing",
+                 "(similarity table missing", "(feature maps missing"):
+        assert note in report, note
+    err = capsys.readouterr().err
+    assert err.count("missing: ") == 6
+
+
 @pytest.mark.parametrize("verb, table, failing", [
     ("ablation", "ablation.txt", "raw_seed1"),
     ("sweep-lambda", "sweep_lambda.txt", "norm_adapter_seed1"),
