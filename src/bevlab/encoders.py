@@ -134,18 +134,21 @@ def teacher_forward(teacher: TeacherEncoder, raster, grid: BevGrid) -> FeatureMa
 # ---------------------------------------------------------------------------
 
 class LiftTable:
-    """Per-cell candidate list (camera, feature row, feature col), nearest
-    image center first. Rank order sorts on |u - (w-1)/2| with the camera
-    yaw as tie break, so it is invariant under permuting the rig.
+    """One source per BEV cell: the camera whose image center lies nearest
+    the cell center's projection (|u - (w-1)/2|, camera yaw as tie break,
+    so the choice is invariant under permuting the rig) and the feature
+    pixel (row ``fv``, col ``fu``) it lands on. ``cam`` is -1 for a cell no
+    camera sees; such a cell takes the student's learned default.
 
     ``reads[k]``: the sorted flat feature pixels (``row * fw + col``) of
-    camera k that a candidate of any rank can select, whatever the
-    visibility. The student computes camera features there only; the rest
-    are zero, and the lift never reads them.
+    camera k that some cell reads. The student computes camera features
+    there only; the rest are zero, and the lift never reads them.
+    ``src``: each cell's column in the camera features flattened and
+    concatenated in rig order, with the default as the last column.
     """
 
     def __init__(self, cam, fv, fu, feat_shapes, rows, cols):
-        self.cam = cam  # (R, rows*cols) camera index, -1 past the last candidate
+        self.cam = cam  # (rows*cols,) camera index, -1 for an unseen cell
         self.fv = fv
         self.fu = fu
         self.feat_shapes = feat_shapes
@@ -153,10 +156,13 @@ class LiftTable:
         self.cols = cols
         self.reads = [np.unique((fv * fw + fu)[cam == k])
                       for k, (_, fw) in enumerate(feat_shapes)]
+        offsets = np.cumsum([0] + [fh * fw for fh, fw in feat_shapes])
+        fws = np.array([fw for _, fw in feat_shapes])
+        self.src = np.where(cam >= 0, offsets[cam] + fv * fws[cam] + fu, offsets[-1])
 
 
 def build_lift_table(rig, grid: BevGrid, downsample=2) -> LiftTable:
-    """Project every cell center into every camera and rank the hits."""
+    """Project every cell center into every camera and keep the best hit."""
     centers = grid.cell_centers().reshape(-1, 2)
     pts3 = np.concatenate([centers, np.zeros((len(centers), 1))], axis=1)
     n_cams, n_cells = len(rig), len(pts3)
@@ -176,24 +182,17 @@ def build_lift_table(rig, grid: BevGrid, downsample=2) -> LiftTable:
         yaw[k] = cam.yaw
         fu[k] = np.clip(np.floor(uv[:, 0]).astype(np.int64) // downsample, 0, fw - 1)
         fv[k] = np.clip(np.floor(uv[:, 1]).astype(np.int64) // downsample, 0, fh - 1)
-    order = np.lexsort((yaw, cent), axis=0)
-    ranked_cent = np.take_along_axis(cent, order, axis=0)
-    cam_rank = np.where(np.isfinite(ranked_cent), order, -1)
-    n_ranks = max(1, int((cam_rank >= 0).any(axis=1).sum()))
-    return LiftTable(cam_rank[:n_ranks],
-                     np.take_along_axis(fv, order, axis=0)[:n_ranks],
-                     np.take_along_axis(fu, order, axis=0)[:n_ranks],
-                     shapes, grid.rows, grid.cols)
+    best = np.lexsort((yaw, cent), axis=0)[0]
+    cells = np.arange(n_cells)
+    cam_best = np.where(np.isfinite(cent[best, cells]), best, -1)
+    return LiftTable(cam_best, fv[best, cells], fu[best, cells], shapes,
+                     grid.rows, grid.cols)
 
 
-def lift_features(cam_feats, table: LiftTable, visibility, default: Tensor) -> Tensor:
-    """Gather one per-camera feature vector into each BEV cell.
-
-    For each cell the best-ranked candidate whose camera actually sees the
-    cell (per ``visibility``; None means every geometric candidate counts)
-    supplies the vector. Cells left without a candidate take the learned
-    default. Gradients scatter back into the camera features and the
-    default vector.
+def lift_features(cam_feats, table: LiftTable, default: Tensor) -> Tensor:
+    """Gather each BEV cell's vector from its table source: one camera
+    feature pixel, or the learned default for a cell no camera sees.
+    Gradients scatter back into the camera features and the default vector.
     """
     if len(cam_feats) != len(table.feat_shapes):
         raise EncoderError(f"{len(cam_feats)} feature maps for a "
@@ -203,42 +202,19 @@ def lift_features(cam_feats, table: LiftTable, visibility, default: Tensor) -> T
         if f.data.shape != (c, fh, fw):
             raise EncoderError(f"camera features {f.data.shape}, table expects "
                                f"({c}, {fh}, {fw})")
-    n_cells = table.cam.shape[1]
-    cells = np.arange(n_cells)
-    vis = None if visibility is None else \
-        np.asarray(visibility, dtype=bool).reshape(len(cam_feats), n_cells)
-    sel = np.full(n_cells, -1, dtype=np.int64)
-    sfv = np.zeros(n_cells, dtype=np.int64)
-    sfu = np.zeros(n_cells, dtype=np.int64)
-    for r in range(table.cam.shape[0]):
-        cam_r = table.cam[r]
-        ok = (sel < 0) & (cam_r >= 0)
-        if vis is not None:
-            ok &= vis[np.where(cam_r >= 0, cam_r, 0), cells]
-        sel[ok] = cam_r[ok]
-        sfv[ok] = table.fv[r][ok]
-        sfu[ok] = table.fu[r][ok]
-    out = np.tile(default.data[:, None], (1, n_cells))
-    masks = []
-    for k, f in enumerate(cam_feats):
-        m = sel == k
-        masks.append(m)
-        out[:, m] = f.data[:, sfv[m], sfu[m]]
+    flat = np.concatenate([f.data.reshape(c, -1) for f in cam_feats]
+                          + [default.data[:, None]], axis=1)
 
     def bwd(g):
-        gf = g.reshape(c, n_cells)
-        grads = []
-        for k, f in enumerate(cam_feats):
-            m = masks[k]
-            _, fh, fw = f.data.shape
-            d = np.zeros((fh * fw, c))
-            # duplicate cells hitting one pixel must accumulate
-            np.add.at(d, sfv[m] * fw + sfu[m], gf[:, m].T)
-            grads.append(d.T.reshape(c, fh, fw))
-        grads.append(gf[:, sel < 0].sum(axis=1))
-        return tuple(grads)
+        d = np.zeros((flat.shape[1], c))
+        # cells sharing one source pixel (or the default) must accumulate
+        np.add.at(d, table.src, g.reshape(c, -1).T)
+        ends = np.cumsum([f.data[0].size for f in cam_feats])
+        parts = np.split(d.T, ends, axis=1)
+        return tuple(p.reshape(f.data.shape) for p, f in zip(parts, cam_feats)) \
+            + (parts[-1][:, 0],)
 
-    return custom_op(out.reshape(c, table.rows, table.cols),
+    return custom_op(flat[:, table.src].reshape(c, table.rows, table.cols),
                      tuple(cam_feats) + (default,), bwd, "lift")
 
 
@@ -266,7 +242,8 @@ class StudentEncoder:
     cache key is the full pose/intrinsics tuple so a permuted rig simply
     builds the permuted table. In ``lift`` the second camera conv computes
     only the feature pixels in the table's ``reads``; camera features
-    outside them are zero, and the lift never reads them.
+    outside them are zero, and the lift never reads them. The lift sees
+    only the images and the rig, so training and evaluation lift alike.
     """
 
     def __init__(self, rng, c_in=3, c_feat=16, width=12, downsample=2):
@@ -304,25 +281,23 @@ class StudentEncoder:
             self._tables[key] = build_lift_table(rig, grid, self.downsample)
         return self._tables[key]
 
-    def lift(self, images, rig, grid, visibility=None) -> Tensor:
+    def lift(self, images, rig, grid) -> Tensor:
         if len(images) != len(rig):
             raise EncoderError(f"{len(images)} images for a {len(rig)}-camera rig")
         table = self.table_for(rig, grid)
         feats = [self.extract(img, reads) for img, reads in zip(images, table.reads)]
-        return lift_features(feats, table, visibility, self.params["default"])
+        return lift_features(feats, table, self.params["default"])
 
-    def forward(self, images, rig, grid, visibility=None) -> Tensor:
+    def forward(self, images, rig, grid) -> Tensor:
         p = self.params
-        lifted = self.lift(images, rig, grid, visibility)
+        lifted = self.lift(images, rig, grid)
         h = relu(conv2d(lifted, p["ref1.w"], p["ref1.b"], pad=1))
         return add(conv2d(h, p["ref2.w"], p["ref2.b"], pad=1), lifted)
 
 
-def student_forward(student: StudentEncoder, images, rig, grid: BevGrid,
-                    visibility=None) -> FeatureMap:
+def student_forward(student: StudentEncoder, images, rig, grid: BevGrid) -> FeatureMap:
     """Encode the camera images into the shared BEV feature shape."""
-    return FeatureMap(student.forward(images, rig, grid, visibility),
-                      grid, "student")
+    return FeatureMap(student.forward(images, rig, grid), grid, "student")
 
 
 # ---------------------------------------------------------------------------

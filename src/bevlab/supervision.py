@@ -17,7 +17,6 @@ from .encoders import (MapDecoder, StudentEncoder, TeacherEncoder,
                        teacher_forward)
 from .geometry import N_CLASSES, default_rig
 from .mapeval import clip_to_roi
-from .scenegen import cell_visibility
 from .tensors import (AdamW, Tensor, TensorError, adamw_step, add, backward,
                       channel_affine, channel_normalize, focal_loss,
                       l1_line_loss, mse, reshape, scale, softmax_rows,
@@ -241,8 +240,6 @@ def train_student(train_samples, teacher: TeacherEncoder,
                         for s in train_samples}
     if counts is not None:
         counts["teacher_calls"] = len(teacher_maps or ())
-    vis = {s.scene_id: cell_visibility(s.scene, rig, grid)
-           for s in train_samples}
     targets = clipped_targets(train_samples, grid, decoder.n_queries)
     target_pts = target_points(targets, decoder.n_points)
     opt = AdamW(params, base_lr, weight_decay, horizon=steps, min_lr=min_lr)
@@ -256,8 +253,7 @@ def train_student(train_samples, teacher: TeacherEncoder,
                 cls_terms, reg_terms, bev_terms = [], [], []
                 for i in idx:
                     s = train_samples[i]
-                    fmap = student_forward(student, s.cams, rig, grid,
-                                           vis[s.scene_id])
+                    fmap = student_forward(student, s.cams, rig, grid)
                     logits, points = decoder.forward(fmap)
                     l_cls_i, l_reg_i = detection_loss(
                         logits, points, targets[s.scene_id], reg_weight=reg_weight,

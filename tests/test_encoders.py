@@ -56,30 +56,22 @@ def test_take_rows_gradient_matches_fd():
 # ---------------------------------------------------------------------------
 
 def tiny_table():
-    # 2 cameras with 2x3 feature maps over a 2x4 cell grid; rank 0 then
-    # rank 1 fallback, two cells sharing one source pixel on purpose
-    cam = np.array([[0, 1, -1, 0, 1, 0, 1, 0],
-                    [1, -1, -1, 1, 0, -1, -1, 1]])
-    fv = np.array([[0, 1, 0, 1, 0, 1, 1, 1],
-                   [1, 0, 0, 0, 1, 0, 0, 0]])
-    fu = np.array([[2, 0, 0, 2, 1, 2, 0, 2],
-                   [1, 0, 0, 2, 2, 0, 0, 1]])
+    # 2 cameras with 2x3 feature maps over a 2x4 cell grid; two unseen cells,
+    # and cells 3 and 7 share one source pixel on purpose
+    cam = np.array([0, 1, -1, 0, 1, -1, 1, 0])
+    fv = np.array([0, 1, 0, 1, 0, 0, 1, 1])
+    fu = np.array([2, 0, 0, 2, 1, 0, 0, 2])
     return E.LiftTable(cam, fv, fu, [(2, 3), (2, 3)], rows=2, cols=4)
 
 
-def lift_oracle(feats, table, vis, default):
+def lift_oracle(feats, table, default):
     c = default.shape[0]
-    n = table.cam.shape[1]
+    n = table.cam.shape[0]
     out = np.tile(default[:, None], (1, n))
     for cell in range(n):
-        for r in range(table.cam.shape[0]):
-            k = table.cam[r, cell]
-            if k < 0:
-                continue
-            if vis is not None and not vis[k, cell]:
-                continue
-            out[:, cell] = feats[k][:, table.fv[r, cell], table.fu[r, cell]]
-            break
+        k = table.cam[cell]
+        if k >= 0:
+            out[:, cell] = feats[k][:, table.fv[cell], table.fu[cell]]
     return out.reshape(c, table.rows, table.cols)
 
 
@@ -88,11 +80,9 @@ def test_lift_features_matches_loop_oracle():
     table = tiny_table()
     feats = [rng.normal(size=(4, 2, 3)), rng.normal(size=(4, 2, 3))]
     default = rng.normal(size=4)
-    for vis in (None, rng.random((2, 8)) < 0.6):
-        got = E.lift_features([T.tensor(f) for f in feats], table, vis,
-                              T.tensor(default))
-        want = lift_oracle(feats, table, vis, default)
-        assert np.array_equal(got.data, want)
+    got = E.lift_features([T.tensor(f) for f in feats], table, T.tensor(default))
+    want = lift_oracle(feats, table, default)
+    assert np.array_equal(got.data, want)
 
 
 def test_lift_features_gradient_matches_fd():
@@ -101,11 +91,10 @@ def test_lift_features_gradient_matches_fd():
     f0 = rng.normal(size=(4, 2, 3))
     f1 = rng.normal(size=(4, 2, 3))
     default = rng.normal(size=4)
-    vis = rng.random((2, 8)) < 0.7
     w = rng.normal(size=(4, 2, 4))
 
     def loss(a0, a1, d):
-        out = E.lift_features([a0, a1], table, vis, d)
+        out = E.lift_features([a0, a1], table, d)
         return T.mse(out, T.tensor(w))
 
     ts = [T.parameter(f0.copy()), T.parameter(f1.copy()),
@@ -122,21 +111,21 @@ def test_lift_features_gradient_matches_fd():
 
 def test_lift_all_invisible_fills_with_default():
     rng = RNG(7)
-    table = tiny_table()
+    base = tiny_table()
+    table = E.LiftTable(np.full(8, -1), base.fv, base.fu, base.feat_shapes,
+                        rows=2, cols=4)
     feats = [T.tensor(rng.normal(size=(4, 2, 3))) for _ in range(2)]
     default = rng.normal(size=4)
-    out = E.lift_features(feats, table, np.zeros((2, 8), dtype=bool),
-                          T.tensor(default))
+    out = E.lift_features(feats, table, T.tensor(default))
     assert np.array_equal(out.data, np.tile(default[:, None, None], (1, 2, 4)))
 
 
 def reads_oracle(table):
     reads = [set() for _ in table.feat_shapes]
-    for r in range(table.cam.shape[0]):
-        for cell in range(table.cam.shape[1]):
-            k = table.cam[r, cell]
-            if k >= 0:
-                reads[k].add(table.fv[r, cell] * table.feat_shapes[k][1] + table.fu[r, cell])
+    for cell in range(table.cam.shape[0]):
+        k = table.cam[cell]
+        if k >= 0:
+            reads[k].add(table.fv[cell] * table.feat_shapes[k][1] + table.fu[cell])
     return [sorted(s) for s in reads]
 
 
@@ -157,10 +146,10 @@ def test_lift_features_shape_errors():
     table = tiny_table()
     good = [T.tensor(rng.normal(size=(4, 2, 3))) for _ in range(2)]
     with pytest.raises(E.EncoderError):
-        E.lift_features(good[:1], table, None, T.tensor(np.zeros(4)))
+        E.lift_features(good[:1], table, T.tensor(np.zeros(4)))
     bad = [good[0], T.tensor(rng.normal(size=(4, 3, 3)))]
     with pytest.raises(E.EncoderError):
-        E.lift_features(bad, table, None, T.tensor(np.zeros(4)))
+        E.lift_features(bad, table, T.tensor(np.zeros(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -192,23 +181,24 @@ def test_build_lift_table_matches_candidate_oracle():
     rig = G.default_rig()
     table = E.build_lift_table(rig, grid)
     cands = candidate_oracle(rig, grid)
-    assert table.cam.shape[0] == max(len(c) for c in cands)
+    assert table.cam.shape == (len(cands),)
+    assert 0 < sum(not c for c in cands) < len(cands)
     for cell in range(len(cands)):
-        got = [k for k in table.cam[:, cell] if k >= 0]
-        assert got == [k for _, _, k in cands[cell]]
+        want = cands[cell][0][2] if cands[cell] else -1
+        assert table.cam[cell] == want
 
 
 def test_build_lift_table_indices_in_feature_range():
     grid = G.extended_grid()
     rig = G.default_rig()
     table = E.build_lift_table(rig, grid, downsample=4)
-    for r in range(table.cam.shape[0]):
-        for k, (fh, fw) in enumerate(table.feat_shapes):
-            m = table.cam[r] == k
-            assert table.fv[r][m].min(initial=0) >= 0
-            assert table.fv[r][m].max(initial=0) < fh
-            assert table.fu[r][m].min(initial=0) >= 0
-            assert table.fu[r][m].max(initial=0) < fw
+    assert table.cam.shape == table.fv.shape == table.fu.shape == (grid.rows * grid.cols,)
+    assert table.cam.min() >= -1 and table.cam.max() < len(rig)
+    for k, (fh, fw) in enumerate(table.feat_shapes):
+        m = table.cam == k
+        assert m.any(), k
+        assert 0 <= table.fv[m].min() and table.fv[m].max() < fh
+        assert 0 <= table.fu[m].min() and table.fu[m].max() < fw
 
 
 def test_build_lift_table_rejects_indivisible_images():
@@ -222,18 +212,17 @@ def test_lift_invariant_under_rig_permutation():
     grid = G.standard_grid()
     rig = G.default_rig()
     perm = [2, 0, 3, 1]
-    vis = rng.random((4, grid.rows * grid.cols)) < 0.8
     default = rng.normal(size=5)
     # 64x96 images: features are 32x48 at the default downsample, 16x24 at 4
     for downsample, shape in ((2, (32, 48)), (4, (16, 24))):
         feats = [rng.normal(size=(5,) + shape) for _ in rig]
         base = E.lift_features([T.tensor(f) for f in feats],
                                E.build_lift_table(rig, grid, downsample=downsample),
-                               vis, T.tensor(default))
+                               T.tensor(default))
         swapped = E.lift_features(
             [T.tensor(feats[p]) for p in perm],
             E.build_lift_table([rig[p] for p in perm], grid, downsample=downsample),
-            vis[perm], T.tensor(default))
+            T.tensor(default))
         assert np.array_equal(base.data, swapped.data), downsample
 
 
@@ -323,22 +312,11 @@ def test_student_invariant_under_camera_permutation():
     assert np.array_equal(base.data, swapped.data)
 
 
-def test_student_fully_occluded_lift_is_all_default():
-    grid = G.standard_grid()
-    rig = G.default_rig()
-    student = E.StudentEncoder(RNG(9))
-    student.params["default"].data[:] = np.arange(student.c_feat, dtype=float)
-    vis = np.zeros((len(rig), grid.rows, grid.cols), dtype=bool)
-    lifted = student.lift(zero_images(rig), rig, grid, vis)
-    want = np.tile(np.arange(16.0)[:, None, None], (1, grid.rows, grid.cols))
-    assert np.array_equal(lifted.data, want)
-
-
-def dense_student_forward(student, images, rig, grid, vis):
+def dense_student_forward(student, images, rig, grid):
     """student.forward with every camera feature pixel computed."""
     p = student.params
     feats = [student.extract(img) for img in images]
-    lifted = E.lift_features(feats, student.table_for(rig, grid), vis, p["default"])
+    lifted = E.lift_features(feats, student.table_for(rig, grid), p["default"])
     h = T.relu(T.conv2d(lifted, p["ref1.w"], p["ref1.b"], pad=1))
     return T.add(T.conv2d(h, p["ref2.w"], p["ref2.b"], pad=1), lifted)
 
@@ -352,18 +330,17 @@ def test_student_forward_with_reads_matches_dense_extract():
         student.params["default"].data[:] = rng.normal(size=student.c_feat)
         for grid in (G.standard_grid(), G.extended_grid()):
             w = T.tensor(rng.normal(size=(student.c_feat, grid.rows, grid.cols)))
-            for vis in (None, rng.random((len(rig), grid.rows * grid.cols)) < 0.7):
-                outs, grads = [], []
-                for run in (lambda: E.student_forward(student, images, rig, grid, vis).tensor,
-                            lambda: dense_student_forward(student, images, rig, grid, vis)):
-                    out = run()
-                    T.backward(T.tsum(T.mul(out, w)))
-                    outs.append(out.data)
-                    grads.append({n: q.grad for n, q in student.params.items()})
-                    T.zero_grad(student.params)
-                assert oracles.rel_error(outs[0], outs[1]) <= 1e-12
-                for name in grads[1]:
-                    assert oracles.rel_error(grads[0][name], grads[1][name]) <= 1e-12, name
+            outs, grads = [], []
+            for run in (lambda: E.student_forward(student, images, rig, grid).tensor,
+                        lambda: dense_student_forward(student, images, rig, grid)):
+                out = run()
+                T.backward(T.tsum(T.mul(out, w)))
+                outs.append(out.data)
+                grads.append({n: q.grad for n, q in student.params.items()})
+                T.zero_grad(student.params)
+            assert oracles.rel_error(outs[0], outs[1]) <= 1e-12
+            for name in grads[1]:
+                assert oracles.rel_error(grads[0][name], grads[1][name]) <= 1e-12, name
 
 
 def test_student_rejects_missing_image():

@@ -460,6 +460,34 @@ def test_train_student_teacher_stays_isolated(corpus, contracts):
     assert all(p.grad is None for p in teacher.params.values())
 
 
+def test_training_and_evaluation_lift_the_same_student_features(monkeypatch):
+    # scene seed 4 has occluders that hide cells from cameras that would
+    # see them; the student must not be told so in training, since the
+    # evaluation path cannot know it
+    grid, rig = G.extended_grid(), G.default_rig()
+    scene = S.generate_scene(S.SceneParams(4))
+    assert not S.cell_visibility(scene, rig, grid).all()
+    overhead = S.render_overhead(scene, grid)
+    sample = S.Sample("s4", "train", 4, overhead,
+                      S.render_cameras(scene, rig, grid, overhead),
+                      scene.ground_truth, scene)
+    plain = SV.student_forward
+    pairs = []
+
+    def both_paths(student, images, *args, **kwargs):
+        fmap = plain(student, images, *args, **kwargs)
+        # the call train_run's evaluate_model makes, at the same weights
+        evaluated = plain(student, images, rig, grid)
+        pairs.append((fmap.tensor.data.copy(), evaluated.tensor.data))
+        return fmap
+
+    monkeypatch.setattr(SV, "student_forward", both_paths)
+    SV.train_student([sample], frozen_teacher(), SV.SupervisionConfig("raw"),
+                     seed=3, grid=grid, rig=rig, steps=1, batch=1)
+    assert len(pairs) == 1
+    assert np.array_equal(*pairs[0])
+
+
 def test_train_student_requires_frozen_teacher(corpus):
     grid, rig, samples = corpus
     teacher = E.TeacherEncoder(RNG(0))
