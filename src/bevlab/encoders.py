@@ -204,9 +204,10 @@ def lift_features(cam_feats, table: LiftTable, default: Tensor) -> Tensor:
                                f"({c}, {fh}, {fw})")
     flat = np.concatenate([f.data.reshape(c, -1) for f in cam_feats]
                           + [default.data[:, None]], axis=1)
+    n_src = flat.shape[1]  # bwd holds no reference to flat, so it is freed
 
     def bwd(g):
-        d = np.zeros((flat.shape[1], c))
+        d = np.zeros((n_src, c))
         # cells sharing one source pixel (or the default) must accumulate
         np.add.at(d, table.src, g.reshape(c, -1).T)
         ends = np.cumsum([f.data[0].size for f in cam_feats])
