@@ -16,11 +16,9 @@ import numpy as np
 
 from .geometry import N_CLASSES, BevGrid, default_rig
 from .mapeval import EvalConfig, evaluate
-from .tensors import (AdamW, Tensor, TensorError, adamw_step, add, backward,
-                      concat, conv2d, custom_op, linear, maxpool2, mul,
-                      read_ten, relu, reshape, scale, soft_points,
-                      softmax_rows, spatial_mean, tensor, upsample2x,
-                      write_ten)
+from .tensors import (Tensor, add, concat, conv2d, custom_op, linear, maxpool2,
+                      mul, read_ten, relu, reshape, soft_points, softmax_rows,
+                      spatial_mean, tensor, upsample2x, write_ten)
 
 
 class EncoderError(RuntimeError):
@@ -408,6 +406,12 @@ def decode_map(decoder: MapDecoder, fmap: FeatureMap):
 # checkpoints
 # ---------------------------------------------------------------------------
 
+def named_params(models) -> dict:
+    """One ``<model>.<param>`` dict over a {model name: model} dict."""
+    return {f"{name}.{k}": v for name, m in models.items()
+            for k, v in m.params.items()}
+
+
 def params_checksum(params) -> str:
     """Order-independent digest of a named parameter dict."""
     h = hashlib.sha256()
@@ -510,13 +514,6 @@ def batch_stream(rng, n, batch):
             yield order[i:i + batch]
 
 
-def mean_of(terms):
-    total = terms[0]
-    for t in terms[1:]:
-        total = add(total, t)
-    return scale(total, 1.0 / len(terms))
-
-
 def evaluate_model(features_fn, decoder, samples, cfgs):
     """Decode every sample once and score the predictions against its gt
     under each eval config; returns one result per config."""
@@ -525,62 +522,36 @@ def evaluate_model(features_fn, decoder, samples, cfgs):
     return [evaluate(preds, gts, cfg) for cfg in cfgs]
 
 
-def pretrain_teacher(train_samples, val_samples, grid: BevGrid, seed=0,
-                     steps=2500, batch=4, base_lr=4e-3, weight_decay=1e-4,
-                     min_lr=1e-5, eval_cfg=None, log=None, make_models=None):
+def pretrain_teacher(train_samples, val_samples, grid: BevGrid,
+                     eval_cfg: EvalConfig, seed=0, steps=2500, batch=4,
+                     base_lr=4e-3, weight_decay=1e-4, min_lr=1e-5,
+                     reg_weight=0.05, log_path=None, make_models=None):
     """Train the overhead encoder plus a throwaway decoder head, then freeze.
 
-    Returns (teacher, decoder, val_map); the teacher comes back frozen and
-    the reported val mAP goes into its checkpoint manifest. A non-finite
-    loss aborts with the failing step. make_models(rng, grid) may supply a
+    The step loop is ``supervision.fit`` on the detection loss alone; its
+    ``log_path`` gets one line per step as it trains, with 0.0 for l_bev.
+    Returns (teacher, decoder, val_map), the teacher frozen and val_map
+    its score on val_samples under eval_cfg. A non-finite loss aborts with
+    an EncoderError naming the step. make_models(rng, grid) may supply a
     differently sized (teacher, decoder) pair.
     """
     if not train_samples:
         raise EncoderError("teacher pretraining needs a non-empty train split")
     # late import; supervision builds on this module
-    from .supervision import clipped_targets, detection_loss, target_points
+    from .supervision import fit
     rng = np.random.default_rng(seed)
     if make_models is None:
         teacher = TeacherEncoder(rng)
         decoder = MapDecoder(rng, grid, c_in=teacher.c_feat)
     else:
         teacher, decoder = make_models(rng, grid)
-    targets = clipped_targets(train_samples, grid, decoder.n_queries)
-    target_pts = target_points(targets, decoder.n_points)
-    params = {"teacher." + k: v for k, v in teacher.params.items()}
-    params.update(("decoder." + k, v) for k, v in decoder.params.items())
-    opt = AdamW(params, base_lr, weight_decay, horizon=steps, min_lr=min_lr)
-    batches = batch_stream(rng, len(train_samples), batch)
-    for step in range(steps):
-        idx = next(batches)
-        try:
-            cls_terms, reg_terms = [], []
-            for i in idx:
-                s = train_samples[i]
-                fmap = teacher_forward(teacher, s.overhead, grid)
-                logits, points = decoder.forward(fmap)
-                l_cls, l_reg = detection_loss(logits, points, targets[s.scene_id],
-                                              gt_pts=target_pts.get(s.scene_id))
-                cls_terms.append(l_cls)
-                reg_terms.append(l_reg)
-            l_cls = mean_of(cls_terms)
-            l_reg = mean_of(reg_terms)
-            loss = add(l_cls, l_reg)
-            if not np.isfinite(loss.data):
-                raise TensorError("non-finite loss")
-            backward(loss)
-            lr_now = adamw_step(opt)
-            opt.zero_grad()
-        except TensorError as e:
-            raise EncoderError(f"teacher pretraining diverged at step {step}: {e}") from e
-        if log is not None:
-            log.append(f"{step} {lr_now!r} {float(l_cls.data)!r} "
-                       f"{float(l_reg.data)!r} 0.0 {float(loss.data)!r}")
+
+    def features(s):
+        return teacher_forward(teacher, s.overhead, grid)
+
+    fit({"teacher": teacher, "decoder": decoder}, features, train_samples,
+        grid, batch_stream(rng, len(train_samples), batch), steps, base_lr,
+        weight_decay, min_lr, reg_weight, log_path, error=EncoderError)
     teacher.freeze()
-    if eval_cfg is None:
-        roi = "standard" if (grid.x_max - grid.x_min) < 80.0 else "extended"
-        eval_cfg = EvalConfig(roi, grid=grid)
-    result, = evaluate_model(
-        lambda s: teacher_forward(teacher, s.overhead, grid),
-        decoder, val_samples, [eval_cfg])
+    result, = evaluate_model(features, decoder, val_samples, [eval_cfg])
     return teacher, decoder, float(result.map)

@@ -10,7 +10,8 @@ its eval files byte for byte.
 Layout under the output directory:
 
     dataset/                    rendered corpus (cached by dataset hash)
-    teacher/<hash>/             frozen teacher checkpoint (cached) and log.txt
+    teacher/<hash>/             frozen teacher checkpoint (cached) and log.txt,
+                                written step by step as the teacher trains
     runs/<name>/                one training run: config.txt, log.txt,
                                 checkpoint/, eval_*.txt, record.txt
     ablation.txt  sweep_lambda.txt  similarity.txt  report.md
@@ -29,8 +30,8 @@ from .analysis import (channel_mean_viz, feature_matrix, linear_cka,
 from .config import RunConfig
 from .encoders import (MapDecoder, StudentEncoder, TeacherEncoder,
                        adopt_params, evaluate_model, load_checkpoint,
-                       params_checksum, pretrain_teacher, save_checkpoint,
-                       student_forward, teacher_forward)
+                       named_params, params_checksum, pretrain_teacher,
+                       save_checkpoint, student_forward, teacher_forward)
 from .mapeval import CLASS_NAMES, N_CLASSES, EvalConfig, read_eval_file, write_eval_file
 from .plots import line_plot
 from .scenegen import export_dataset, load_dataset
@@ -113,17 +114,15 @@ def ensure_teacher(cfg: RunConfig, out, train=None, val=None):
         return teacher, float(meta["val_map"])
     if train is None:
         train, val = load_splits(cfg, out)
-    log = []
-    teacher, _, val_map = pretrain_teacher(
-        train, val, grid, seed=cfg.teacher_seed, steps=cfg.teacher_steps,
-        batch=cfg.batch, base_lr=cfg.base_lr, weight_decay=cfg.weight_decay,
-        min_lr=cfg.min_lr, eval_cfg=EvalConfig(cfg.roi, grid=grid), log=log,
-        make_models=_teacher_models(cfg))
-    # the loss curve goes down before the manifest that marks the cache done
+    # log.txt fills in as the teacher trains; the manifest marks the cache done
     os.makedirs(tdir, exist_ok=True)
-    with open(os.path.join(tdir, "log.txt"), "w") as f:
-        f.writelines(line + "\n" for line in log)
-    save_checkpoint(tdir, {"teacher." + k: v for k, v in teacher.params.items()},
+    teacher, _, val_map = pretrain_teacher(
+        train, val, grid, EvalConfig(cfg.roi, grid=grid),
+        seed=cfg.teacher_seed, steps=cfg.teacher_steps, batch=cfg.batch,
+        base_lr=cfg.base_lr, weight_decay=cfg.weight_decay, min_lr=cfg.min_lr,
+        reg_weight=cfg.reg_weight, log_path=os.path.join(tdir, "log.txt"),
+        make_models=_teacher_models(cfg))
+    save_checkpoint(tdir, named_params({"teacher": teacher}),
                     meta={"val_map": repr(val_map),
                           "teacher_hash": cfg.teacher_hash()})
     return teacher, val_map
@@ -203,9 +202,8 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None, force=False):
     for roi, result in zip(ROIS, results):
         write_eval_file(os.path.join(rdir, f"eval_{roi}.txt"), result)
         maps[roi] = result.map
-    params = {"student." + k: v for k, v in student.params.items()}
-    params.update(("decoder." + k, v) for k, v in decoder.params.items())
-    params.update(("adapter." + k, v) for k, v in adapter.params.items())
+    params = named_params({"student": student, "decoder": decoder,
+                           "adapter": adapter})
     save_checkpoint(os.path.join(rdir, "checkpoint"), params)
     if variant == "baseline" and calls:
         raise HarnessError(f"baseline run touched the teacher {calls} times")

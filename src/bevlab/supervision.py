@@ -1,5 +1,7 @@
 """Dense BEV feature alignment between student and frozen teacher, query
-matching against ground truth, and the student training loop.
+matching against ground truth, and the training loop ``fit``: teacher
+pretraining (``encoders.pretrain_teacher``) runs it on the detection loss
+alone, ``train_student`` adds the alignment term.
 
 Four named variants differ only in how the alignment term is computed:
 ``baseline`` drops it, ``raw`` compares the two feature maps directly,
@@ -9,12 +11,16 @@ per-channel affine before normalization. The adapter lives strictly inside
 the loss path; the decoder always consumes the raw student features.
 """
 
+import os
+from functools import reduce
+from typing import NamedTuple
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .encoders import (MapDecoder, StudentEncoder, TeacherEncoder,
-                       batch_stream, mean_of, student_forward, take_rows,
-                       teacher_forward)
+                       batch_stream, named_params, student_forward,
+                       take_rows, teacher_forward)
 from .geometry import N_CLASSES, default_rig
 from .mapeval import clip_to_roi
 from .tensors import (AdamW, Tensor, TensorError, adamw_step, add, backward,
@@ -61,22 +67,19 @@ class SupervisionConfig:
         self.lambda_bev = 0.0 if variant == "baseline" else float(lambda_bev)
 
 
-class LossBreakdown:
+class LossBreakdown(NamedTuple):
     """One logged training step; the total reconstructs from the parts."""
 
-    __slots__ = ("step", "lr", "l_cls", "l_reg", "l_bev", "l_total")
-
-    def __init__(self, step, lr, l_cls, l_reg, l_bev, l_total):
-        self.step = step
-        self.lr = lr
-        self.l_cls = l_cls
-        self.l_reg = l_reg
-        self.l_bev = l_bev
-        self.l_total = l_total
+    step: int
+    lr: float
+    l_cls: float
+    l_reg: float
+    l_bev: float
+    l_total: float
 
     def line(self):
-        return (f"{self.step} {self.lr!r} {self.l_cls!r} {self.l_reg!r} "
-                f"{self.l_bev!r} {self.l_total!r}")
+        """`step lr l_cls l_reg l_bev l_total`, floats as exact reprs."""
+        return " ".join(repr(v) for v in self)
 
 
 # ---------------------------------------------------------------------------
@@ -188,32 +191,85 @@ def detection_loss(logits, points, gts, reg_weight=0.05, focal_alpha=0.25,
     if not pairs:
         return l_cls, tensor(0.0)
     n_k = points.data.shape[1]
-    terms = []
-    for q, gt in pairs:
-        pred = reshape(take_rows(points, [q]), (n_k, 2))
-        terms.append(l1_line_loss(pred, tensor(gt)))
-    total = terms[0]
-    for t in terms[1:]:
-        total = add(total, t)
-    return l_cls, scale(total, reg_weight / len(pairs))
+    terms = [l1_line_loss(reshape(take_rows(points, [q]), (n_k, 2)), tensor(gt))
+             for q, gt in pairs]
+    return l_cls, scale(reduce(add, terms), reg_weight / len(pairs))
 
 
 # ---------------------------------------------------------------------------
-# student training
+# the training loop and the student trainer
 # ---------------------------------------------------------------------------
+
+def mean_of(terms):
+    return scale(reduce(add, terms), 1.0 / len(terms))
+
+
+def fit(models, features, samples, grid, batches, steps, base_lr,
+        weight_decay, min_lr, reg_weight, log_path, align=None, lambda_bev=0.0,
+        error=SupervisionError):
+    """The step loop of both teacher pretraining and student training.
+
+    The parameters of ``models`` ({name: model}, one named "decoder") train
+    under ``<name>.<param>`` with AdamW for ``steps`` steps, each on one
+    index batch from ``batches``. A sample's loss is the detection loss of
+    its decoded ``features(sample)`` against its clipped targets, plus
+    ``lambda_bev`` times ``align(fmap, sample)`` when ``align`` is given;
+    the step backpropagates the batch means. Each step's LossBreakdown is a
+    line of ``log_path`` (None: no log) once it is taken, and a non-finite
+    value raises ``error`` naming the step. Returns the breakdowns.
+    """
+    decoder = models["decoder"]
+    targets = clipped_targets(samples, grid, decoder.n_queries)
+    target_pts = target_points(targets, decoder.n_points)
+    opt = AdamW(named_params(models), base_lr, weight_decay, horizon=steps,
+                min_lr=min_lr)
+    breakdowns = []
+    with open(log_path or os.devnull, "w", buffering=1) as logf:
+        for step in range(steps):
+            idx = next(batches)
+            try:
+                cls_terms, reg_terms, bev_terms = [], [], []
+                for i in idx:
+                    s = samples[i]
+                    fmap = features(s)
+                    logits, points = decoder.forward(fmap)
+                    l_cls, l_reg = detection_loss(
+                        logits, points, targets[s.scene_id], reg_weight=reg_weight,
+                        gt_pts=target_pts.get(s.scene_id))
+                    cls_terms.append(l_cls)
+                    reg_terms.append(l_reg)
+                    if align is not None:
+                        bev_terms.append(align(fmap, s))
+                l_cls = mean_of(cls_terms)
+                l_reg = mean_of(reg_terms)
+                l_total = add(l_cls, l_reg)
+                l_bev = tensor(0.0)
+                if bev_terms:
+                    l_bev = mean_of(bev_terms)
+                    l_total = add(l_total, scale(l_bev, lambda_bev))
+                backward(l_total)
+                lr_now = adamw_step(opt)
+                opt.zero_grad()
+            except TensorError as e:
+                raise error(f"diverged at step {step}: {e}") from e
+            bd = LossBreakdown(step, lr_now, float(l_cls.data), float(l_reg.data),
+                               float(l_bev.data), float(l_total.data))
+            breakdowns.append(bd)
+            logf.write(bd.line() + "\n")
+    return breakdowns
+
 
 def train_student(train_samples, teacher: TeacherEncoder,
                   cfg: SupervisionConfig, seed, grid, rig=None, steps=2000,
                   batch=4, base_lr=4e-3, weight_decay=1e-4, min_lr=1e-5,
                   reg_weight=0.05, log_path=None, make_models=None,
                   counts=None):
-    """Train one student variant against a frozen teacher.
+    """Train one student variant against a frozen teacher with ``fit``.
 
-    Per batch: student features, decode, match, focal + line losses, plus
-    the weighted alignment term unless the variant is baseline (whose
-    teacher is never even invoked). Teacher features are computed once up
-    front since the frozen teacher never changes. Returns (student,
-    decoder, adapter, breakdowns); deterministic in seed.
+    The alignment term joins the detection loss unless the variant is
+    baseline, whose teacher is never even invoked. Teacher features are
+    computed once up front since the frozen teacher never changes. Returns
+    (student, decoder, adapter, breakdowns); deterministic in seed.
     make_models(rng, grid, teacher) may supply a differently sized
     (student, decoder, adapter) triple. A ``counts`` dict gets
     "teacher_calls", the number of teacher maps built.
@@ -231,59 +287,18 @@ def train_student(train_samples, teacher: TeacherEncoder,
         adapter = AffineAdapter(teacher.c_feat)
     else:
         student, decoder, adapter = make_models(rng, grid, teacher)
-    params = {"student." + k: v for k, v in student.params.items()}
-    params.update(("decoder." + k, v) for k, v in decoder.params.items())
-    params.update(("adapter." + k, v) for k, v in adapter.params.items())
-    teacher_maps = None
-    if cfg.variant != "baseline":
-        teacher_maps = {s.scene_id: teacher_forward(teacher, s.overhead, grid)
-                        for s in train_samples}
+    teacher_maps = {} if cfg.variant == "baseline" else {
+        s.scene_id: teacher_forward(teacher, s.overhead, grid) for s in train_samples}
     if counts is not None:
-        counts["teacher_calls"] = len(teacher_maps or ())
-    targets = clipped_targets(train_samples, grid, decoder.n_queries)
-    target_pts = target_points(targets, decoder.n_points)
-    opt = AdamW(params, base_lr, weight_decay, horizon=steps, min_lr=min_lr)
-    batches = batch_stream(rng, len(train_samples), batch)
-    breakdowns = []
-    logf = open(log_path, "w") if log_path else None
-    try:
-        for step in range(steps):
-            idx = next(batches)
-            try:
-                cls_terms, reg_terms, bev_terms = [], [], []
-                for i in idx:
-                    s = train_samples[i]
-                    fmap = student_forward(student, s.cams, rig, grid)
-                    logits, points = decoder.forward(fmap)
-                    l_cls_i, l_reg_i = detection_loss(
-                        logits, points, targets[s.scene_id], reg_weight=reg_weight,
-                        gt_pts=target_pts.get(s.scene_id))
-                    cls_terms.append(l_cls_i)
-                    reg_terms.append(l_reg_i)
-                    if teacher_maps is not None:
-                        bev_terms.append(bev_alignment_loss(
-                            fmap, teacher_maps[s.scene_id], adapter, cfg))
-                l_cls = mean_of(cls_terms)
-                l_reg = mean_of(reg_terms)
-                l_bev = mean_of(bev_terms) if bev_terms else tensor(0.0)
-                l_total = add(add(l_cls, l_reg), scale(l_bev, cfg.lambda_bev))
-                for name, t in (("l_cls", l_cls), ("l_reg", l_reg),
-                                ("l_bev", l_bev), ("l_total", l_total)):
-                    if not np.isfinite(t.data):
-                        raise TensorError(f"non-finite {name}")
-                backward(l_total)
-                lr_now = adamw_step(opt)
-                opt.zero_grad()
-            except TensorError as e:
-                raise SupervisionError(f"step {step}: {e}") from e
-            bd = LossBreakdown(step, lr_now, float(l_cls.data),
-                               float(l_reg.data), float(l_bev.data),
-                               float(l_total.data))
-            breakdowns.append(bd)
-            if logf:
-                logf.write(bd.line() + "\n")
-    finally:
-        if logf:
-            logf.close()
-    return student, decoder, adapter, breakdowns
+        counts["teacher_calls"] = len(teacher_maps)
 
+    def align(fmap, s):
+        return bev_alignment_loss(fmap, teacher_maps[s.scene_id], adapter, cfg)
+
+    breakdowns = fit(
+        {"student": student, "decoder": decoder, "adapter": adapter},
+        lambda s: student_forward(student, s.cams, rig, grid), train_samples,
+        grid, batch_stream(rng, len(train_samples), batch), steps, base_lr,
+        weight_decay, min_lr, reg_weight, log_path,
+        align=align if teacher_maps else None, lambda_bev=cfg.lambda_bev)
+    return student, decoder, adapter, breakdowns

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from bevlab import encoders as E
 from bevlab import geometry as G
+from bevlab import mapeval as ME
 from bevlab import scenegen as S
 from bevlab import tensors as T
 
@@ -483,14 +484,16 @@ def test_params_checksum_order_independent_value_sensitive():
 # teacher pretraining
 # ---------------------------------------------------------------------------
 
-def test_pretrain_teacher_smoke_freezes_and_scores():
+def test_pretrain_teacher_smoke_freezes_and_scores(tmp_path):
     grid = G.standard_grid()
     samples = [make_sample(seed, grid) for seed in (31, 32)]
-    log = []
-    teacher, dec, val_map = E.pretrain_teacher(samples, samples[:1], grid,
-                                               seed=0, steps=12, log=log)
+    log_path = tmp_path / "log.txt"
+    teacher, dec, val_map = E.pretrain_teacher(
+        samples, samples[:1], grid, ME.EvalConfig("standard", grid=grid),
+        seed=0, steps=12, log_path=str(log_path))
     assert teacher.frozen
     assert 0.0 <= val_map <= 1.0
+    log = log_path.read_text().splitlines()
     assert len(log) == 12
     parts = log[0].split()
     assert parts[0] == "0" and len(parts) == 6
@@ -504,9 +507,11 @@ def test_pretrain_teacher_aborts_on_poisoned_input():
     samples[0].overhead = samples[0].overhead.copy()
     samples[0].overhead[0, 0, 0] = np.nan
     with pytest.raises(E.EncoderError, match="step 0"):
-        E.pretrain_teacher(samples, samples, grid, seed=0, steps=5)
+        E.pretrain_teacher(samples, samples, grid,
+                           ME.EvalConfig("standard", grid=grid), seed=0, steps=5)
 
 
 def test_pretrain_teacher_rejects_empty_split():
+    grid = G.standard_grid()
     with pytest.raises(E.EncoderError):
-        E.pretrain_teacher([], [], G.standard_grid())
+        E.pretrain_teacher([], [], grid, ME.EvalConfig("standard", grid=grid))

@@ -1,12 +1,16 @@
 """Harness caches, the frozen teacher and what its directory records, and the CLI."""
 
 import os
+import re
 import shutil
 
 import pytest
 
 from bevlab import cli
+from bevlab import encoders as E
 from bevlab import harness as H
+from bevlab import supervision as SV
+from bevlab import tensors as T
 from bevlab.config import RunConfig
 from bevlab.encoders import evaluate_model, student_forward
 from bevlab.mapeval import EvalConfig, write_eval_file
@@ -42,6 +46,72 @@ def test_ensure_teacher_writes_loss_log_before_manifest(tmp_path, monkeypatch):
     _, again = H.ensure_teacher(cfg, out)
     assert again == val_map and seen == [True]
     assert os.path.getmtime(os.path.join(tdir, "log.txt")) == before
+
+
+def teacher_log(cfg, out):
+    with open(os.path.join(out, "teacher", cfg.teacher_hash(), "log.txt")) as f:
+        return [line.split() for line in f]
+
+
+def test_teacher_trains_with_the_configured_reg_weight(tmp_path):
+    out = str(tmp_path)
+    cfgs = [tiny_config().with_overrides(teacher_steps=3, reg_weight=w)
+            for w in (0.05, 0.5)]
+    sums = [E.params_checksum(H.ensure_teacher(cfg, out)[0].params) for cfg in cfgs]
+    assert sums[0] != sums[1]
+    # same weights and batch at step 0: the regression term alone scales
+    (_, _, cls_a, reg_a, *_), (_, _, cls_b, reg_b, *_) = (
+        teacher_log(cfg, out)[0] for cfg in cfgs)
+    assert cls_a == cls_b
+    assert float(reg_b) == pytest.approx(10.0 * float(reg_a), rel=1e-12)
+
+
+def test_each_step_draws_one_batch_and_takes_one_adamw_step(tmp_path, monkeypatch):
+    # perfbench's step marks time a step from one batch_stream draw to the
+    # next, the teacher's in encoders and the student's in supervision
+    cfg = tiny_config().with_overrides(teacher_steps=3, steps=2)
+    out = str(tmp_path)
+    counts = {"teacher": 0, "student": 0, "adamw": 0}
+
+    def counting(key, plain):
+        def stream(*args, **kwargs):
+            for idx in plain(*args, **kwargs):
+                counts[key] += 1
+                yield idx
+        return stream
+
+    monkeypatch.setattr(E, "batch_stream", counting("teacher", E.batch_stream))
+    monkeypatch.setattr(SV, "batch_stream", counting("student", SV.batch_stream))
+    plain_step = T.adamw_step
+
+    def counted_step(opt):
+        counts["adamw"] += 1
+        return plain_step(opt)
+
+    for module in (T, E, SV, H):
+        if getattr(module, "adamw_step", None) is plain_step:
+            monkeypatch.setattr(module, "adamw_step", counted_step)
+    H.ensure_teacher(cfg, out)
+    assert counts == {"teacher": cfg.teacher_steps, "student": 0,
+                      "adamw": cfg.teacher_steps}
+    H.train_run(cfg, out, "raw", 0)
+    assert counts == {"teacher": cfg.teacher_steps, "student": cfg.steps,
+                      "adamw": cfg.teacher_steps + cfg.steps}
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero", "ignore:invalid value",
+                            "ignore:overflow")
+def test_diverging_teacher_leaves_its_loss_log(tmp_path):
+    cfg = tiny_config().with_overrides(teacher_steps=6, base_lr=1e8)
+    out = str(tmp_path)
+    with pytest.raises(E.EncoderError, match=r"step \d+") as info:
+        H.ensure_teacher(cfg, out)
+    failed = int(re.search(r"step (\d+)", str(info.value)).group(1))
+    assert failed >= 1
+    # one line per step taken before the failure, and no finished cache
+    assert [r[0] for r in teacher_log(cfg, out)] == [str(i) for i in range(failed)]
+    tdir = os.path.join(out, "teacher", cfg.teacher_hash())
+    assert not os.path.exists(os.path.join(tdir, "manifest.txt"))
 
 
 def test_train_run_counts_teacher_maps_and_scores_each_roi(tmp_path):
