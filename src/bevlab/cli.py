@@ -3,21 +3,31 @@
 Verbs: gen, train, ablation, sweep-lambda, similarity, report.
 Global flags: --config <path>, --seed <n>, --out <dir>, --jobs <n>.
 Exit codes: 0 success, 1 hard failure, 2 partial sweep/ablation failure.
+
+BLAS runs on one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
+says otherwise: the summation order, and with it every checksum, depends
+on the thread count. The default is set before numpy is first imported,
+so the forked --jobs workers inherit it.
 """
 
-import argparse
-import sys
+import os
 
-from . import harness
-from .analysis import AnalysisError
-from .config import ConfigError, RunConfig
-from .encoders import EncoderError
-from .geometry import GeometryError
-from .mapeval import EvalError
-from .plots import PlotError
-from .scenegen import SceneGenError
-from .supervision import SupervisionError
-from .tensors import TensorError
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import sys  # noqa: E402
+
+from . import harness  # noqa: E402
+from .analysis import AnalysisError  # noqa: E402
+from .config import ConfigError, RunConfig  # noqa: E402
+from .encoders import EncoderError  # noqa: E402
+from .geometry import GeometryError  # noqa: E402
+from .mapeval import EvalError  # noqa: E402
+from .plots import PlotError  # noqa: E402
+from .scenegen import SceneGenError  # noqa: E402
+from .supervision import SupervisionError  # noqa: E402
+from .tensors import TensorError  # noqa: E402
 
 # every error the package raises on bad input or a failed run; anything else
 # is a bug and keeps its traceback

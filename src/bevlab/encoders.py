@@ -79,6 +79,13 @@ class TeacherEncoder:
     The bottleneck width equals the output width so either layer can serve
     as the exported feature map (``feature_layer`` = "final" keeps the
     default, "bottleneck" nearest-upsamples the coarsest stage instead).
+
+    Once frozen, the teacher stores each feature map ``teacher_forward``
+    computes, keyed by the raster's shape and a digest of its bytes, and
+    hands the stored map out again instead of rerunning the U-Net. Stored
+    arrays are read-only. A teacher that is not frozen stores nothing;
+    ``freeze`` and ``adopt_params`` empty the store, since only they can
+    change the parameters of a frozen teacher.
     """
 
     def __init__(self, rng, c_in=3, c_feat=16, widths=(12, 16, 24),
@@ -90,6 +97,7 @@ class TeacherEncoder:
         self.c_feat = c_feat
         self.feature_layer = feature_layer
         self.frozen = False
+        self.maps = {}  # (raster shape, raster digest) -> stored feature map
         self.params = {}
         for name, cout, cin in (("stem", w0, c_in), ("down1", w1, w0),
                                 ("down2", w2, w1), ("down3", c_feat, w2),
@@ -113,18 +121,34 @@ class TeacherEncoder:
         return conv2d(concat([upsample2x(u), s0]), p["up3.w"], p["up3.b"], pad=1)
 
     def freeze(self):
+        """Take every parameter off the tape and start an empty map store."""
         for p in self.params.values():
             p.requires_grad = False
         self.frozen = True
+        self.maps = {}
 
 
 def teacher_forward(teacher: TeacherEncoder, raster, grid: BevGrid) -> FeatureMap:
-    """Encode an overhead raster into the shared BEV feature shape."""
+    """Encode an overhead raster into the shared BEV feature shape.
+
+    A frozen teacher runs the U-Net once per distinct raster: the map goes
+    into its store, read-only, and a later call with the same raster wraps
+    the stored array in a new FeatureMap on ``grid``. A teacher that is not
+    frozen computes every map afresh.
+    """
     raster = np.asarray(raster, dtype=np.float64)
     want = (teacher.c_in, grid.rows, grid.cols)
     if raster.shape != want:
         raise EncoderError(f"overhead raster is {raster.shape}, expected {want}")
-    return FeatureMap(teacher.forward(raster), grid, "teacher")
+    if not teacher.frozen:
+        return FeatureMap(teacher.forward(raster), grid, "teacher")
+    key = (raster.shape, hashlib.sha256(raster.tobytes()).digest())
+    data = teacher.maps.get(key)
+    if data is None:
+        data = teacher.forward(raster).data
+        data.flags.writeable = False  # one caller's in-place write must not reach the next
+        teacher.maps[key] = data
+    return FeatureMap(Tensor(data), grid, "teacher")
 
 
 # ---------------------------------------------------------------------------
@@ -215,19 +239,6 @@ def lift_features(cam_feats, table: LiftTable, default: Tensor) -> Tensor:
 
     return custom_op(flat[:, table.src].reshape(c, table.rows, table.cols),
                      tuple(cam_feats) + (default,), bwd, "lift")
-
-
-def take_rows(x: Tensor, idx) -> Tensor:
-    """Gather rows of a tensor along its first axis; scatter-adds on backward."""
-    idx = np.asarray(idx, dtype=np.int64)
-    out = x.data[idx]
-
-    def bwd(g):
-        dx = np.zeros_like(x.data)
-        np.add.at(dx, idx, g)
-        return (dx,)
-
-    return custom_op(out, (x,), bwd, "take_rows")
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +496,12 @@ def load_checkpoint(path):
 
 
 def adopt_params(model, params, prefix=""):
-    """Replace a model's parameters with checkpointed tensors in place."""
+    """Replace a model's parameters with checkpointed tensors in place.
+
+    A teacher counts as frozen when none of the adopted tensors requires
+    gradients, and its map store is emptied either way, since the maps in
+    it came from the old parameters.
+    """
     for name in model.params:
         key = prefix + name
         if key not in params:
@@ -497,6 +513,7 @@ def adopt_params(model, params, prefix=""):
         model.params[name] = params[key]
     if isinstance(model, TeacherEncoder):
         model.frozen = not any(p.requires_grad for p in model.params.values())
+        model.maps = {}
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ Layout under the output directory:
     teacher/<hash>/             frozen teacher checkpoint (cached) and log.txt,
                                 written step by step as the teacher trains
     runs/<name>/                one training run: config.txt, log.txt,
-                                checkpoint/, eval_*.txt, record.txt
+                                checkpoint/, eval_*.txt, record.txt, and
+                                error.txt with the traceback if it failed
     ablation.txt  sweep_lambda.txt  similarity.txt  report.md
 """
 
@@ -21,6 +22,7 @@ import multiprocessing
 import os
 import shutil
 import time
+import traceback
 
 import numpy as np
 
@@ -159,6 +161,13 @@ def read_record(rdir):
     return rec
 
 
+def run_dir(cfg: RunConfig, out, variant, seed, lam=None):
+    """(directory, alignment weight) of one (variant, seed, lambda) run;
+    lam None means the tuned weight, and the baseline's weight is 0."""
+    lam = 0.0 if variant == "baseline" else (cfg.lambda_bev if lam is None else float(lam))
+    return os.path.join(out, "runs", run_name(variant, seed, lam, cfg.lambda_bev)), lam
+
+
 def train_run(cfg: RunConfig, out, variant, seed, lam=None, force=False):
     """Train one (variant, seed, lambda) student and evaluate both RoIs.
 
@@ -167,9 +176,7 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None, force=False):
     """
     if variant not in VARIANTS:
         raise HarnessError(f"unknown variant {variant!r}")
-    lam = 0.0 if variant == "baseline" else (cfg.lambda_bev if lam is None else float(lam))
-    name = run_name(variant, seed, lam, cfg.lambda_bev)
-    rdir = os.path.join(out, "runs", name)
+    rdir, lam = run_dir(cfg, out, variant, seed, lam)
     run_cfg = cfg.with_overrides(variant=variant, seed=seed, lambda_bev=lam)
     cfg_path = os.path.join(rdir, "config.txt")
     done = all(os.path.exists(os.path.join(rdir, fn))
@@ -232,12 +239,22 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None, force=False):
 
 
 def _job(payload):
+    """One run of a batch: (spec, True, record), or (spec, False, error
+    line) with the full traceback left in the run's error.txt, which a
+    later success of the same spec removes."""
     cfg_text, out, spec = payload
     cfg = RunConfig.parse(cfg_text)
+    error_path = os.path.join(run_dir(cfg, out, *spec)[0], "error.txt")
     try:
-        return spec, True, train_run(cfg, out, *spec)
+        rec = train_run(cfg, out, *spec)
     except Exception as e:  # partial failures are reported, not fatal
+        os.makedirs(os.path.dirname(error_path), exist_ok=True)
+        with open(error_path, "w") as f:
+            f.write(traceback.format_exc())
         return spec, False, f"{type(e).__name__}: {e}"
+    if os.path.exists(error_path):
+        os.remove(error_path)
+    return spec, True, rec
 
 
 def run_many(cfg: RunConfig, out, specs, jobs=1):
@@ -440,9 +457,7 @@ def cmd_similarity(cfg: RunConfig, out, seeds=None, jobs=1):
 # ---------------------------------------------------------------------------
 
 def _runs_for(cfg, out, variant, seeds):
-    return [os.path.join(out, "runs",
-                         run_name(variant, seed, cfg.lambda_bev, cfg.lambda_bev))
-            for seed in seeds]
+    return [run_dir(cfg, out, variant, seed)[0] for seed in seeds]
 
 
 def _mean_eval(run_dirs, roi):
@@ -565,10 +580,7 @@ def cmd_report(cfg: RunConfig, out):
 def _write_viz(cfg, out, seed):
     """Teacher/baseline/adapter channel-mean maps for one val scene under
     one shared scale; returns [(label, relative path)] or None."""
-    runs = {"baseline": os.path.join(out, "runs", f"baseline_seed{seed}"),
-            cfg.variant: os.path.join(out, "runs",
-                                      run_name(cfg.variant, seed,
-                                               cfg.lambda_bev, cfg.lambda_bev))}
+    runs = {v: run_dir(cfg, out, v, seed)[0] for v in ("baseline", cfg.variant)}
     for rdir in runs.values():
         if not os.path.exists(os.path.join(rdir, "checkpoint", "manifest.txt")):
             return None

@@ -20,13 +20,12 @@ from scipy.optimize import linear_sum_assignment
 
 from .encoders import (MapDecoder, StudentEncoder, TeacherEncoder,
                        batch_stream, named_params, student_forward,
-                       take_rows, teacher_forward)
+                       teacher_forward)
 from .geometry import N_CLASSES, default_rig
 from .mapeval import clip_to_roi
 from .tensors import (AdamW, Tensor, TensorError, adamw_step, add, backward,
                       channel_affine, channel_normalize, focal_loss,
-                      l1_line_loss, mse, reshape, scale, softmax_rows,
-                      tensor)
+                      l1_rows_loss, mse, scale, softmax_rows, tensor)
 
 VARIANTS = ("baseline", "raw", "norm_only", "norm_adapter")
 
@@ -190,10 +189,8 @@ def detection_loss(logits, points, gts, reg_weight=0.05, focal_alpha=0.25,
     l_cls = focal_loss(logits, targets, focal_alpha, focal_gamma)
     if not pairs:
         return l_cls, tensor(0.0)
-    n_k = points.data.shape[1]
-    terms = [l1_line_loss(reshape(take_rows(points, [q]), (n_k, 2)), tensor(gt))
-             for q, gt in pairs]
-    return l_cls, scale(reduce(add, terms), reg_weight / len(pairs))
+    rows, lines = zip(*pairs)
+    return l_cls, scale(l1_rows_loss(points, rows, lines), reg_weight / len(pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -302,10 +302,14 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor = None, stride: int = 1, pad: int 
            at=None) -> Tensor:
     """2-D cross-correlation of a (Cin, H, W) map with (Cout, Cin, kh, kw) filters.
 
-    Forward is im2col of the zero-padded input times the kernel. Backward is
-    two matmuls: dk from the saved columns, and dx as a transposed conv (im2col
-    of the zero-dilated, padded gradient times the flipped kernel), which is
-    skipped for an input off the tape.
+    Forward is im2col of the zero-padded input times the kernel. Backward
+    takes dk from the saved columns with one matmul. dx is skipped for an
+    input off the tape; otherwise its layout follows the channel counts.
+    With Cout < 4*Cin it is a transposed conv: im2col of the zero-dilated,
+    padded gradient, Cout*kh*kw rows, times the flipped kernel. With
+    Cout >= 4*Cin those rows cost more than the col2im form: the kernel
+    times the gradient as Cin*kh*kw columns, strided-added back one kernel
+    tap at a time.
 
     ``at``, a sorted, unique 1-D int array of flat output positions
     (``row * Wo + col``), computes only those output columns, from im2col
@@ -359,7 +363,7 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor = None, stride: int = 1, pad: int 
             gm = gm[:, at]
         dk = (gm @ cols.T).reshape(cout, cin, kh, kw)
         dx = None
-        if x.requires_grad and at is None:
+        if x.requires_grad and at is None and cout < 4 * cin:
             # g dilated by the stride at offset (kh-1, kw-1); windows from (pad, pad) cover x
             gp = np.zeros((cout, hp + kh - 1, wp + kw - 1))
             gp[:, kh - 1:kh - 1 + stride * ho:stride, kw - 1:kw - 1 + stride * wo:stride] = g
@@ -369,11 +373,17 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor = None, stride: int = 1, pad: int 
         elif x.requires_grad:
             # within one tap the windows hit distinct pixels, so plain += scatters exactly
             dcols = (w2.T @ gm).reshape(cin, kh * kw, -1)
-            targets = taps.reshape(cin, kh * kw, 1) + origin
-            dxp = np.zeros(cin * hp * wp)
+            dxp = np.zeros((cin, hp, wp))
+            if at is not None:
+                targets = taps.reshape(cin, kh * kw, 1) + origin
             for t in range(kh * kw):
-                dxp[targets[:, t]] += dcols[:, t]
-            dx = dxp.reshape(cin, hp, wp)[:, pad:pad + h, pad:pad + w]
+                if at is None:
+                    i, j = divmod(t, kw)
+                    dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
+                        dcols[:, t].reshape(cin, ho, wo)
+                else:
+                    dxp.reshape(-1)[targets[:, t]] += dcols[:, t]
+            dx = dxp[:, pad:pad + h, pad:pad + w]
         return (dx, dk) if bias is None else (dx, dk, gm.sum(axis=1))
 
     return custom_op(out_data, parents, bwd, "conv2d")
@@ -518,17 +528,22 @@ def focal_loss(logits: Tensor, targets, alpha=0.25, gamma: float = 2.0) -> Tenso
     return custom_op(out_data, (logits,), bwd, "focal_loss")
 
 
+def _nearer_order(pred: np.ndarray, gt: np.ndarray):
+    """(mean |pred - gt|, gt) with gt in whichever order, forward or
+    reversed, gives the smaller mean; reversed only when strictly smaller."""
+    d_fwd = np.mean(np.abs(pred - gt))
+    d_rev = np.mean(np.abs(pred - gt[::-1]))
+    return (d_rev, gt[::-1]) if d_rev < d_fwd else (d_fwd, gt)
+
+
 def l1_line_loss(pred: Tensor, gt: Tensor) -> Tensor:
     """Mean absolute coordinate error between (K, 2) point sequences,
     minimized over forward/reverse ordering of the target sequence."""
     if pred.data.shape != gt.data.shape or pred.data.ndim != 2 or pred.data.shape[1] != 2:
         raise TensorError(f"l1_line_loss expects matching (K, 2) inputs, got "
                           f"{pred.data.shape} vs {gt.data.shape}")
-    d_fwd = np.mean(np.abs(pred.data - gt.data))
-    d_rev = np.mean(np.abs(pred.data - gt.data[::-1]))
-    reverse = d_rev < d_fwd
-    sel = gt.data[::-1] if reverse else gt.data
-    out_data = np.float64(d_rev if reverse else d_fwd)
+    d, sel = _nearer_order(pred.data, gt.data)
+    reverse = sel is not gt.data
     n = pred.data.size
 
     def bwd(g):
@@ -536,7 +551,34 @@ def l1_line_loss(pred: Tensor, gt: Tensor) -> Tensor:
         sg = -s[::-1] if reverse else -s
         return s, sg
 
-    return custom_op(out_data, (pred, gt), bwd, "l1_line_loss")
+    return custom_op(np.float64(d), (pred, gt), bwd, "l1_line_loss")
+
+
+def l1_rows_loss(x: Tensor, rows, targets) -> Tensor:
+    """Sum, in the given order, of the l1_line_loss of each row ``rows[i]``
+    of a (Q, K, 2) tensor against the constant (K, 2) line ``targets[i]``.
+
+    One tape node where a gather, a reshape and an l1_line_loss per row
+    would be three; the values and gradients are those of that chain.
+    Backward scatters each row's gradient back into its row of x.
+    """
+    if (x.data.ndim != 3 or x.data.shape[2] != 2 or not rows or len(rows) != len(targets)
+            or any(np.shape(t) != x.data.shape[1:] for t in targets)):
+        raise TensorError(f"l1_rows_loss expects (Q, K, 2) rows and one (K, 2) target "
+                          f"per row, got {x.data.shape} with {len(rows)} rows and "
+                          f"targets {[np.shape(t) for t in targets]}")
+    parts = [_nearer_order(x.data[q], np.asarray(t, dtype=np.float64))
+             for q, t in zip(rows, targets)]
+    total = sum(d for d, _ in parts)  # in pair order, as the chain of adds did
+    n = x.data[0].size
+
+    def bwd(g):
+        dx = np.zeros_like(x.data)
+        for q, (_, sel) in zip(rows, parts):
+            dx[q] += np.sign(x.data[q] - sel) * (float(g) / n)
+        return (dx,)
+
+    return custom_op(np.float64(total), (x,), bwd, "l1_rows_loss")
 
 
 # ---------------------------------------------------------------------------

@@ -24,35 +24,6 @@ def make_sample(seed, grid, rig=None, **kw):
 
 
 # ---------------------------------------------------------------------------
-# take_rows
-# ---------------------------------------------------------------------------
-
-def test_take_rows_forward_and_duplicate_accumulation():
-    x = T.parameter(np.arange(12.0).reshape(4, 3))
-    out = E.take_rows(x, [2, 0, 2])
-    assert np.array_equal(out.data, x.data[[2, 0, 2]])
-    T.backward(T.tsum(out))
-    # row 2 was gathered twice, so its gradient doubles
-    assert np.array_equal(x.grad, np.array([[1.0] * 3, [0.0] * 3, [2.0] * 3,
-                                            [0.0] * 3]))
-
-
-def test_take_rows_gradient_matches_fd():
-    rng = RNG(3)
-    x = rng.normal(size=(5, 4))
-    w = rng.normal(size=(3, 4))
-
-    def f(arr):
-        t = T.tensor(arr)
-        return T.mse(E.take_rows(t, [4, 1, 1]), T.tensor(w)).item()
-
-    xt = T.parameter(x.copy())
-    T.backward(T.mse(E.take_rows(xt, [4, 1, 1]), T.tensor(w)))
-    fd = oracles.fd_gradient(lambda a: f(a), [x.copy()], 0)
-    assert oracles.rel_error(xt.grad, fd) < 1e-6
-
-
-# ---------------------------------------------------------------------------
 # lifting: hand-built table oracle
 # ---------------------------------------------------------------------------
 
@@ -271,6 +242,88 @@ def test_teacher_freeze_marks_all_params():
     teacher.freeze()
     assert teacher.frozen
     assert not any(p.requires_grad for p in teacher.params.values())
+
+
+@pytest.fixture
+def unet_passes(monkeypatch):
+    """Counts TeacherEncoder.forward calls, the U-Net passes."""
+    calls = []
+    plain = E.TeacherEncoder.forward
+
+    def forward(self, raster, layer=None):
+        calls.append(raster.shape)
+        return plain(self, raster, layer)
+
+    monkeypatch.setattr(E.TeacherEncoder, "forward", forward)
+    return calls
+
+
+def test_frozen_teacher_runs_the_unet_once_per_raster(unet_passes):
+    grid = G.standard_grid()
+    raster = RNG(30).random((3, grid.rows, grid.cols))
+    # the same bytes under another shape are another raster
+    tall = G.BevGrid(-15.0, 15.0, -30.0, 30.0, grid.cols, grid.rows)
+    turned = raster.reshape(3, grid.cols, grid.rows)
+    want = [E.TeacherEncoder(RNG(31)).forward(r).data for r in (raster, turned)]
+    unet_passes.clear()
+    teacher = E.TeacherEncoder(RNG(31))
+    teacher.freeze()
+    first = E.teacher_forward(teacher, raster, grid)
+    second = E.teacher_forward(teacher, raster.copy(), grid)
+    assert len(unet_passes) == 1
+    assert second is not first and second.tensor is not first.tensor
+    assert second.grid is grid and second.producer == "teacher"
+    assert not second.tensor.requires_grad
+    assert np.array_equal(second.tensor.data, want[0])
+    other = E.teacher_forward(teacher, turned, tall)
+    assert len(unet_passes) == 2
+    assert np.array_equal(other.tensor.data, want[1])
+
+
+def test_teacher_that_is_not_frozen_stores_nothing(unet_passes):
+    grid = G.standard_grid()
+    raster = RNG(32).random((3, grid.rows, grid.cols))
+    teacher = E.TeacherEncoder(RNG(33))
+    a = E.teacher_forward(teacher, raster, grid)
+    b = E.teacher_forward(teacher, raster, grid)
+    assert len(unet_passes) == 2 and teacher.maps == {}
+    assert a.tensor.requires_grad and b.tensor.data.flags.writeable
+
+
+def test_adopting_new_weights_empties_the_teacher_store(unet_passes):
+    grid = G.standard_grid()
+    raster = RNG(34).random((3, grid.rows, grid.cols))
+    want = E.TeacherEncoder(RNG(36)).forward(raster).data
+    unet_passes.clear()
+    teacher = E.TeacherEncoder(RNG(35))
+    teacher.freeze()
+    old = E.teacher_forward(teacher, raster, grid).tensor.data
+    other = E.TeacherEncoder(RNG(36))
+    other.freeze()
+    # adopting sets frozen without calling freeze()
+    E.adopt_params(teacher, {"teacher." + k: v for k, v in other.params.items()},
+                   prefix="teacher.")
+    assert teacher.frozen
+    new = E.teacher_forward(teacher, raster, grid).tensor.data
+    assert len(unet_passes) == 2
+    assert np.array_equal(new, want) and not np.array_equal(new, old)
+    # freezing again empties the store as well
+    teacher.freeze()
+    E.teacher_forward(teacher, raster, grid)
+    assert len(unet_passes) == 3
+
+
+def test_stored_teacher_map_refuses_in_place_writes():
+    grid = G.standard_grid()
+    raster = RNG(37).random((3, grid.rows, grid.cols))
+    teacher = E.TeacherEncoder(RNG(38))
+    teacher.freeze()
+    fmap = E.teacher_forward(teacher, raster, grid)
+    before = fmap.tensor.data.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        fmap.tensor.data[0, 0, 0] += 1.0
+    again = E.teacher_forward(teacher, raster, grid)
+    assert np.array_equal(again.tensor.data, before)
 
 
 def test_feature_map_rejects_wrong_cover():

@@ -3,6 +3,8 @@
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +13,7 @@ from bevlab import encoders as E
 from bevlab import harness as H
 from bevlab import supervision as SV
 from bevlab import tensors as T
+from bevlab.analysis import write_similarity_file
 from bevlab.config import RunConfig
 from bevlab.encoders import evaluate_model, student_forward
 from bevlab.mapeval import EvalConfig, write_eval_file
@@ -326,6 +329,14 @@ def test_failed_run_makes_the_verb_exit_2(study, tmp_path, monkeypatch, capsys,
         failed = [l for l in f if l.startswith("# failed")]
     assert failed == [f"# failed {failing}: HarnessError: forced failure\n"]
     assert f"FAILED {failing}: HarnessError: forced failure" in capsys.readouterr().err
+    error_path = os.path.join(out, "runs", failing, "error.txt")
+    with open(error_path) as f:
+        trace = f.read()
+    assert trace.startswith("Traceback") and "HarnessError: forced failure" in trace
+    # a later success of the same spec clears it
+    monkeypatch.setattr(H, "train_run", plain_run)
+    assert run_verb(out, verb) == 0
+    assert not os.path.exists(error_path)
 
 
 def test_jobs_2_writes_the_same_records_as_jobs_1(study, tmp_path):
@@ -334,3 +345,48 @@ def test_jobs_2_writes_the_same_records_as_jobs_1(study, tmp_path):
     assert run_records(out) == run_records(study[0])
     assert read_bytes(os.path.join(out, "ablation.txt")) == \
         read_bytes(os.path.join(study[0], "ablation.txt"))
+
+
+def test_similarity_runs_the_teacher_once_per_val_scene(study, tmp_path, monkeypatch):
+    out = copy_study(study, tmp_path)
+    cfg = RunConfig.parse(TINY_STUDY)
+    _, val = H.load_splits(cfg, out)
+    files = sorted(os.path.join(rdir, fn)
+                   for rdir, _, fns in os.walk(os.path.join(out, "runs"))
+                   for fn in fns if fn.startswith("similarity_"))
+    assert len(files) == len(SV.VARIANTS)
+    # each student against a teacher of its own, so every map is computed afresh
+    want = {}
+    for path in files:
+        rdir = os.path.dirname(path)
+        teacher, _ = H.ensure_teacher(cfg, out)
+        student, _, _ = H.load_student(cfg, rdir, teacher)
+        rows = H.similarity_rows(cfg, teacher, student, val, cfg.grid(), cfg.rig())
+        write_similarity_file(os.path.join(tmp_path, "want.txt"), rows)
+        want[path] = read_bytes(os.path.join(tmp_path, "want.txt"))
+        os.remove(path)
+    passes = []
+    plain = E.TeacherEncoder.forward
+    monkeypatch.setattr(E.TeacherEncoder, "forward",
+                        lambda self, *a, **k: passes.append(1) or plain(self, *a, **k))
+    assert run_verb(out, "similarity") == 0
+    assert len(passes) == len(val)
+    assert {path: read_bytes(path) for path in files} == want
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+def test_cli_pins_blas_threads_unless_set(preset, want):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update({var: preset for var in BLAS_VARS if preset})
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    # the package itself must not load numpy before the CLI pins the threads
+    code = ("import os, sys, bevlab; assert 'numpy' not in sys.modules; import bevlab.cli; "
+            "print(*(os.environ[v] for v in %r))" % (BLAS_VARS,))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [want, want]

@@ -126,6 +126,41 @@ def test_l1_line_reversal_invariant(seed):
     assert a == b
 
 
+def test_l1_rows_loss_equals_the_per_row_chain_bit_for_bit():
+    rng = RNG(3)  # a draw whose sum changes under reassociation
+    x = rng.normal(size=(9, 4, 2))
+    rows = [3, 0, 8, 5, 1, 6, 2]
+    targets = [rng.normal(size=(4, 2)) for _ in rows]
+    targets[1] = x[0][::-1] + 0.01  # nearer reversed
+    c = 0.05 / len(rows)
+    xt = T.parameter(x.copy())
+    loss = T.scale(T.l1_rows_loss(xt, rows, targets), c)
+    T.backward(loss)
+    # the chain it replaces: one l1_line_loss per row, summed in order, then scaled
+    terms, grad = [], np.zeros_like(x)
+    for q, t in zip(rows, targets):
+        row = T.parameter(x[q].copy())
+        terms.append(T.l1_line_loss(row, T.tensor(t)))
+        T.backward(T.scale(terms[-1], c))
+        grad[q] += row.grad
+    want = terms[0].data
+    for t in terms[1:]:
+        want = want + t.data
+    assert T.l1_rows_loss(T.tensor(x), rows, targets).item() == float(want)
+    assert loss.item() == float(want * c)
+    assert np.array_equal(xt.grad, grad)
+    assert np.all(xt.grad[[4, 7]] == 0.0)
+    fd_check(lambda t: T.l1_rows_loss(t, rows, targets), [x * 3.0], 1)
+
+
+def test_l1_rows_loss_rejects_bad_input():
+    x = T.parameter(np.zeros((3, 4, 2)))
+    for bad in ((x, [], []), (x, [0, 1], [np.zeros((4, 2))]), (x, [0], [np.zeros((1, 2))]),
+                (T.parameter(np.zeros((3, 8))), [0], [np.zeros((4, 2))])):
+        with pytest.raises(T.TensorError):
+            T.l1_rows_loss(*bad)
+
+
 def test_channel_normalize_matches_oracle_and_moments():
     rng = RNG(7)
     x = rng.normal(2.0, 3.0, size=(4, 6, 8))
@@ -251,6 +286,24 @@ def test_conv2d_input_grad_matches_col2im_oracle():
         want = oracles.conv2d_input_grad_oracle(g, k, x.shape, stride=stride, pad=pad)
         assert dx.shape == x.shape
         assert oracles.rel_error(dx, want) <= 1e-12, (stride, pad, kh, kw, h, w)
+
+
+def test_conv2d_input_grad_takes_col2im_when_cout_is_4x_cin():
+    # Cout >= 4*Cin takes dx as col2im, the oracle's own arithmetic
+    rng = RNG(24)
+    for cin, cout in ((2, 8), (3, 13)):
+        for stride, pad, (kh, kw), (h, w) in CONV_GRAD_CASES:
+            x = T.parameter(rng.normal(size=(cin, h, w)))
+            k = rng.normal(size=(cout, cin, kh, kw))
+            out = T.conv2d(x, T.tensor(k), stride=stride, pad=pad)
+            g = rng.normal(size=out.shape)
+            want = oracles.conv2d_input_grad_oracle(g, k, x.shape, stride=stride, pad=pad)
+            assert np.array_equal(out._bwd(g)[0], want), (cin, cout, stride, pad, kh, kw, h, w)
+    x = rng.normal(size=(2, 6, 7))
+    k = rng.normal(size=(9, 2, 3, 2))
+    b = rng.normal(size=9)
+    fd_check(lambda xt, kt, bt: T.tsum(T.scale(T.conv2d(xt, kt, bt, stride=2, pad=1), 0.5)),
+             [x, k, b], 3)
 
 
 def test_conv2d_input_off_the_tape_gets_no_gradient():
