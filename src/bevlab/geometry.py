@@ -302,23 +302,50 @@ def polyline_distance(points, pts):
     return np.sqrt(_nearest_sq(points, _segment_table(pts)))
 
 
-def chamfer_matrix(a_list, b_list, step=0.1):
+def _box_gap_sums(samples, polylines):
+    """(len(samples), len(polylines)) sums, over each (N,2) sample array,
+    of the euclidean distance from every sample to the box of each
+    polyline's vertices (0 inside the box)."""
+    lo = np.array([np.min(p, axis=0) for p in polylines], dtype=np.float64).T
+    hi = np.array([np.max(p, axis=0) for p in polylines], dtype=np.float64).T
+    pts = np.concatenate(samples)[:, :, None]
+    gap = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
+    starts = np.cumsum([0] + [len(s) for s in samples[:-1]])
+    return np.add.reduceat(np.sqrt((gap * gap).sum(axis=1)), starts, axis=0)
+
+
+def chamfer_matrix(a_list, b_list, step=0.1, limit=None):
     """(len(a_list), len(b_list)) matrix of chamfer_distance(a, b).
 
     Each polyline is resampled and tabled once; each pair then runs the
     nearest-segment kernel in both directions, one pair at a time so the
     working memory stays that of a single pair.
+
+    Without `limit` every entry is exact. With it, an entry whose chamfer
+    provably exceeds `limit` is inf and its pair never runs the kernel;
+    every other entry is exact, the same bits as without `limit`. The proof
+    is a lower bound: a polyline's segments lie in the box of its vertices,
+    so each sample is at least its distance to that box away from them,
+    and the pooled mean of those box distances bounds the chamfer from
+    below. A pair is skipped only when its bound exceeds `limit` by more
+    than rounding (1e-9 relative plus 1e-9); a NaN bound skips nothing.
     """
     if not len(a_list) or not len(b_list):  # nothing to pair: skip resampling
         return np.zeros((len(a_list), len(b_list)))
-    a_sides = [(resample_polyline(p, step), _segment_table(p)) for p in a_list]
-    b_sides = [(resample_polyline(p, step), _segment_table(p)) for p in b_list]
-    out = np.empty((len(a_sides), len(b_sides)))
-    for i, (a_samples, a_segs) in enumerate(a_sides):
-        for j, (b_samples, b_segs) in enumerate(b_sides):
-            d_ab = np.sqrt(_nearest_sq(a_samples, b_segs))
-            d_ba = np.sqrt(_nearest_sq(b_samples, a_segs))
-            out[i, j] = (d_ab.sum() + d_ba.sum()) / (d_ab.size + d_ba.size)
+    a_samples = [resample_polyline(p, step) for p in a_list]
+    b_samples = [resample_polyline(p, step) for p in b_list]
+    a_segs = [_segment_table(p) for p in a_list]
+    b_segs = [_segment_table(p) for p in b_list]
+    out = np.full((len(a_list), len(b_list)), np.inf)
+    todo = np.ones(out.shape, dtype=bool)
+    if limit is not None:
+        bound = _box_gap_sums(a_samples, b_list) + _box_gap_sums(b_samples, a_list).T
+        bound /= np.add.outer([len(s) for s in a_samples], [len(s) for s in b_samples])
+        todo = ~(bound > limit * (1.0 + 1e-9) + 1e-9)
+    for i, j in zip(*np.nonzero(todo)):
+        d_ab = np.sqrt(_nearest_sq(a_samples[i], b_segs[j]))
+        d_ba = np.sqrt(_nearest_sq(b_samples[j], a_segs[i]))
+        out[i, j] = (d_ab.sum() + d_ba.sum()) / (d_ab.size + d_ba.size)
     return out
 
 

@@ -56,9 +56,10 @@ def ensure_dataset(cfg: RunConfig, out):
     path = os.path.join(out, "dataset")
     tag = os.path.join(path, "dataset_hash.txt")
     want = cfg.dataset_hash()
-    if (os.path.exists(tag) and os.path.exists(os.path.join(path, "manifest.txt"))
-            and open(tag).read().strip() == want):
-        return path
+    if os.path.exists(tag) and os.path.exists(os.path.join(path, "manifest.txt")):
+        with open(tag) as f:
+            if f.read().strip() == want:
+                return path
     if os.path.exists(path):
         shutil.rmtree(path)
     export_dataset(path, n_train=cfg.n_train, n_val=cfg.n_val,
@@ -182,8 +183,10 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None, force=False):
     done = all(os.path.exists(os.path.join(rdir, fn))
                for fn in ("config.txt", "record.txt",
                           "eval_standard.txt", "eval_extended.txt"))
-    if done and not force and open(cfg_path).read() == run_cfg.dump():
-        return read_record(rdir)
+    if done and not force:
+        with open(cfg_path) as f:
+            if f.read() == run_cfg.dump():
+                return read_record(rdir)
     train, val = load_splits(cfg, out)
     teacher, teacher_map = ensure_teacher(cfg, out, train, val)
     os.makedirs(rdir, exist_ok=True)

@@ -1,9 +1,12 @@
 """Instance-level map evaluation: chamfer-thresholded AP over two RoIs.
 
 Map elements are (class_id, score, points) triples. Both sides are first
-clipped to the RoI. Evaluation is one pass: for each (scene, class) the
-chamfer distance of every (prediction, ground truth) pair is computed
-once, into one matrix, and that matrix is reused at every threshold.
+clipped to the RoI. Evaluation is one pass: for each (scene, class) one
+chamfer matrix of every (prediction, ground truth) pair is built, bounded
+by the largest threshold, and reused at every threshold. A pair whose
+chamfer a cheap lower bound proves to exceed that threshold is never
+measured; its entry is inf, which matching treats as any distance over
+the threshold, so every other entry is exact and results do not change.
 Matching is greedy in score order: each prediction claims the nearest
 still-unmatched ground truth of its class within the chamfer threshold
 (one-to-one). Precision / recall integrate exactly (all-point), with
@@ -151,7 +154,7 @@ def _greedy_match(scores, dist, threshold: float):
 def match_instances(preds, gts, threshold: float):
     """Greedy one-to-one matching of elements by chamfer distance; returns
     TP flags in original pred order (see _greedy_match)."""
-    dist = chamfer_matrix([e[2] for e in preds], [e[2] for e in gts])
+    dist = chamfer_matrix([e[2] for e in preds], [e[2] for e in gts], limit=threshold)
     return _greedy_match([e[1] for e in preds], dist, threshold)
 
 
@@ -185,7 +188,8 @@ def average_precision(preds, gts, class_id: int, threshold: float):
 
 def evaluate(preds_by_scene: dict, gts_by_scene: dict, cfg: EvalConfig) -> EvalResult:
     """Full protocol: clip both sides, build one chamfer matrix per (scene,
-    class), match it at every threshold, pool AP per cell."""
+    class) bounded by the largest threshold, match it at every threshold,
+    pool AP per cell."""
     if sorted(preds_by_scene) != sorted(gts_by_scene):
         raise EvalError("prediction and ground-truth scene ids differ")
     scene_ids = sorted(gts_by_scene)
@@ -200,7 +204,8 @@ def evaluate(preds_by_scene: dict, gts_by_scene: dict, cfg: EvalConfig) -> EvalR
             g = [e for e in clipped_g[s] if e[0] == c]
             n_pos += len(g)
             per_scene.append(([e[1] for e in p],
-                              chamfer_matrix([e[2] for e in p], [e[2] for e in g])))
+                              chamfer_matrix([e[2] for e in p], [e[2] for e in g],
+                                             limit=cfg.thresholds[-1])))
         for t in cfg.thresholds:
             scores = []
             flags = []
@@ -221,7 +226,7 @@ def write_eval_file(path, result: EvalResult) -> None:
     with open(path, "w") as f:
         for c in range(N_CLASSES):
             for t in result.thresholds:
-                f.write(f"{CLASS_NAMES[c]} {t:.1f} {result.ap[(c, t)]:.6f}\n")
+                f.write(f"{CLASS_NAMES[c]} {t!r} {result.ap[(c, t)]:.6f}\n")
         for c in range(N_CLASSES):
             f.write(f"{CLASS_NAMES[c]} {result.class_ap[c]:.6f}\n")
         f.write(f"mAP {result.map:.6f}\n")

@@ -226,6 +226,37 @@ def test_chamfer_matrix_matches_brute_force_oracle():
             assert abs(m[i, j] - want) <= 1e-9 * max(abs(want), 1e-300)
 
 
+def test_chamfer_matrix_limit_keeps_exact_entries_and_prunes_only_above():
+    rng = np.random.default_rng(8)
+    lane = np.array([[-25.0, 0.0], [0.0, 0.2], [25.0, 0.0]])
+    lanes = [lane + [0.0, dy] for dy in (0.0, 0.5, 1.5, 3.0)]
+    cases = [(random_polylines(rng, 4), random_polylines(rng, 4)) for _ in range(4)]
+    cases.append((lanes, lanes))  # coincident and long parallel lanes
+    cases.append((lanes[:2] + [lane[1:2], lane[:1].repeat(2, axis=0)], lanes[1:]))
+    for a, b in cases:
+        exact = G.chamfer_matrix(a, b)
+        limits = [0.0, 0.5, 1.0, 2.0]
+        for d in exact.ravel():  # chamfers within 1e-12 of the limit
+            limits += [d, d - 1e-12, d + 1e-12, np.nextafter(d, -np.inf)]
+        for limit in limits:
+            got = G.chamfer_matrix(a, b, limit=limit)
+            near = exact <= limit
+            assert np.array_equal(got[near], exact[near])
+            assert np.all((got[~near] == exact[~near]) | (got[~near] == np.inf))
+
+
+def test_chamfer_matrix_limit_skips_the_kernel_for_far_pairs(monkeypatch):
+    calls = []
+    kernel = G._nearest_sq
+    monkeypatch.setattr(G, "_nearest_sq", lambda pts, table: calls.append(1) or kernel(pts, table))
+    lane = np.array([[-25.0, 0.0], [25.0, 0.0]])
+    a = [lane, lane[:1]]
+    b = [lane + [0.0, 3.0], lane + [100.0, 0.0]]
+    got = G.chamfer_matrix(a, b, limit=2.0)
+    assert np.all(got == np.inf) and calls == []
+    assert np.all(G.chamfer_matrix(a, b) > 2.0) and len(calls) == 8
+
+
 def test_polyline_text_round_trip(tmp_path):
     items = [(0, 1.0, np.array([[1.234567, -2.0], [3.5, 4.25]])),
              (2, 0.375, np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]]))]

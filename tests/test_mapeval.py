@@ -340,3 +340,16 @@ def test_eval_file_round_trip(tmp_path):
     assert means["boundary"] == 1.0
     text = path.read_text()
     assert text.splitlines()[-1].startswith("mAP ")
+
+
+def test_eval_file_keeps_close_thresholds_apart(tmp_path):
+    # every pred lies 0.255 m off its gt: a miss at 0.25, a match at 0.26
+    preds, gts = perfect_corpus()
+    preds = {s: [(c, sc, p + [0.0, 0.255]) for c, sc, p in els] for s, els in preds.items()}
+    res = ME.evaluate(preds, gts, ME.EvalConfig("standard", thresholds=(0.25, 0.26, 0.35)))
+    path = tmp_path / "eval_standard.txt"
+    ME.write_eval_file(path, res)
+    cells, means, _ = ME.read_eval_file(path)
+    assert cells == {(name, t): float(t > 0.25)
+                     for name in G.CLASS_NAMES for t in (0.25, 0.26, 0.35)}
+    assert means == {name: 0.666667 for name in G.CLASS_NAMES}
