@@ -153,16 +153,3 @@ def write_pgm(path, img) -> None:
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(data.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    """Reads back the P5 files written by write_pgm."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    parts = raw.split(b"\n", 3)
-    if parts[0] != b"P5" or len(parts) != 4:
-        raise AnalysisError(f"{path}: not a binary PGM written by this package")
-    w, h = (int(v) for v in parts[1].split())
-    maxval = int(parts[2])
-    img = np.frombuffer(parts[3][:w * h], dtype=np.uint8).reshape(h, w)
-    return img.astype(np.float64) / maxval

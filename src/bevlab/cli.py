@@ -68,6 +68,8 @@ def _print_failures(failures):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise harness.HarnessError(f"--jobs must be at least 1, got {args.jobs}")
         cfg = RunConfig.load(args.config) if args.config else RunConfig()
         if args.seed is not None:
             cfg = cfg.with_overrides(seed=args.seed)

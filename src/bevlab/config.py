@@ -134,6 +134,11 @@ class RunConfig:
             raise ConfigError("step and batch counts must be positive")
         if self.lambda_bev < 0:
             raise ConfigError("lambda_bev must be nonnegative")
+        # numpy seeds its generators from non-negative integers only
+        for name in ("seed", "teacher_seed", "seeds"):
+            value = getattr(self, name)
+            if min(value if isinstance(value, tuple) else (value,), default=0) < 0:
+                raise ConfigError(f"{name} must be nonnegative, got {_format_one(value)}")
         for name in ("seeds", "lambda_factors"):
             values = getattr(self, name)
             if not values:

@@ -164,9 +164,9 @@ class LiftTable:
 
     ``reads[k]``: the sorted flat feature pixels (``row * fw + col``) of
     camera k that some cell reads. The student computes camera features
-    there only; the rest are zero, and the lift never reads them.
-    ``src``: each cell's column in the camera features flattened and
-    concatenated in rig order, with the default as the last column.
+    there only, as one (C, len(reads[k])) array per camera.
+    ``src``: each cell's column in those arrays concatenated in rig order,
+    with the default as the last column.
     """
 
     def __init__(self, cam, fv, fu, feat_shapes, rows, cols):
@@ -176,11 +176,14 @@ class LiftTable:
         self.feat_shapes = feat_shapes
         self.rows = rows
         self.cols = cols
-        self.reads = [np.unique((fv * fw + fu)[cam == k])
-                      for k, (_, fw) in enumerate(feat_shapes)]
-        offsets = np.cumsum([0] + [fh * fw for fh, fw in feat_shapes])
         fws = np.array([fw for _, fw in feat_shapes])
-        self.src = np.where(cam >= 0, offsets[cam] + fv * fws[cam] + fu, offsets[-1])
+        pixel = fv * fws[cam] + fu
+        self.reads = [np.unique(pixel[cam == k]) for k in range(len(feat_shapes))]
+        offsets = np.cumsum([0] + [len(r) for r in self.reads])
+        self.src = np.full(cam.shape, offsets[-1])
+        for k, r in enumerate(self.reads):
+            seen = cam == k
+            self.src[seen] = offsets[k] + np.searchsorted(r, pixel[seen])
 
 
 def build_lift_table(rig, grid: BevGrid, downsample=2) -> LiftTable:
@@ -212,30 +215,29 @@ def build_lift_table(rig, grid: BevGrid, downsample=2) -> LiftTable:
 
 
 def lift_features(cam_feats, table: LiftTable, default: Tensor) -> Tensor:
-    """Gather each BEV cell's vector from its table source: one camera
-    feature pixel, or the learned default for a cell no camera sees.
-    Gradients scatter back into the camera features and the default vector.
+    """Gather each BEV cell's vector from its table source: one read
+    camera pixel, or the learned default for a cell no camera sees.
+    ``cam_feats[k]`` is (C, len(table.reads[k])), camera k's features at
+    its read pixels. Gradients scatter back into the camera features and
+    the default vector.
     """
     if len(cam_feats) != len(table.feat_shapes):
         raise EncoderError(f"{len(cam_feats)} feature maps for a "
                            f"{len(table.feat_shapes)}-camera table")
     c = default.data.shape[0]
-    for f, (fh, fw) in zip(cam_feats, table.feat_shapes):
-        if f.data.shape != (c, fh, fw):
+    for f, reads in zip(cam_feats, table.reads):
+        if f.data.shape != (c, len(reads)):
             raise EncoderError(f"camera features {f.data.shape}, table expects "
-                               f"({c}, {fh}, {fw})")
-    flat = np.concatenate([f.data.reshape(c, -1) for f in cam_feats]
-                          + [default.data[:, None]], axis=1)
+                               f"({c}, {len(reads)})")
+    flat = np.concatenate([f.data for f in cam_feats] + [default.data[:, None]], axis=1)
     n_src = flat.shape[1]  # bwd holds no reference to flat, so it is freed
 
     def bwd(g):
-        d = np.zeros((n_src, c))
-        # cells sharing one source pixel (or the default) must accumulate
-        np.add.at(d, table.src, g.reshape(c, -1).T)
-        ends = np.cumsum([f.data[0].size for f in cam_feats])
-        parts = np.split(d.T, ends, axis=1)
-        return tuple(p.reshape(f.data.shape) for p, f in zip(parts, cam_feats)) \
-            + (parts[-1][:, 0],)
+        # one bin per (channel, source); cells sharing a source add in cell order
+        bins = (np.arange(c)[:, None] * n_src + table.src).ravel()
+        d = np.bincount(bins, g.ravel(), minlength=c * n_src).reshape(c, n_src)
+        parts = np.split(d, np.cumsum([len(r) for r in table.reads]), axis=1)
+        return tuple(parts[:-1]) + (parts[-1][:, 0],)
 
     return custom_op(flat[:, table.src].reshape(c, table.rows, table.cols),
                      tuple(cam_feats) + (default,), bwd, "lift")
@@ -251,9 +253,10 @@ class StudentEncoder:
     The lifting table is built once per (rig, grid) pair and cached; the
     cache key is the full pose/intrinsics tuple so a permuted rig simply
     builds the permuted table. In ``lift`` the second camera conv computes
-    only the feature pixels in the table's ``reads``; camera features
-    outside them are zero, and the lift never reads them. The lift sees
-    only the images and the rig, so training and evaluation lift alike.
+    only the feature pixels in the table's ``reads``, as (C, len(reads))
+    columns that the lift gathers from; no other camera feature pixel
+    exists. The lift sees only the images and the rig, so training and
+    evaluation lift alike.
     """
 
     def __init__(self, rng, c_in=3, c_feat=16, width=12, downsample=2):
@@ -275,7 +278,8 @@ class StudentEncoder:
         self._tables = {}
 
     def extract(self, image, reads=None) -> Tensor:
-        """Camera feature map; ``reads`` (flat pixels) limits the second conv."""
+        """(C, fh, fw) camera feature map, or with ``reads`` (sorted flat
+        pixels) only those pixels, as (C, len(reads)) columns."""
         p = self.params
         x = tensor(image)
         h = relu(conv2d(x, p["cam1.w"], p["cam1.b"], stride=2, pad=1))

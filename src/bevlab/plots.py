@@ -121,15 +121,3 @@ def line_plot(path, series, title="", x_label="", y_label=""):
     out.append("</svg>")
     with open(path, "w") as f:
         f.write("\n".join(out) + "\n")
-
-
-def read_plot_points(path):
-    """Returns the number of data points per series in a line_plot file."""
-    counts = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line.startswith("<polyline"):
-                pts = line.split('points="', 1)[1].split('"', 1)[0]
-                counts.append(len(pts.split()))
-    return counts

@@ -152,7 +152,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def bwd(g):
-        return g * b.data, g * a.data
+        # a constant factor, such as a mask, gets no gradient
+        return (g * b.data if a.requires_grad else None,
+                g * a.data if b.requires_grad else None)
 
     return custom_op(out_data, (a, b), bwd, "mul")
 
@@ -230,22 +232,35 @@ def upsample2x(x: Tensor) -> Tensor:
     return custom_op(out_data, (x,), bwd, "upsample2x")
 
 
+_NEG_ZERO_BITS = np.float64(-0.0).view(np.int64)
+
+
 def maxpool2(x: Tensor) -> Tensor:
-    """2x2 max pooling, stride 2; gradient routes to the argmax cell."""
+    """2x2 max pooling, stride 2; gradient routes to the first maximum of
+    each window in row-major order, the cell argmax would pick."""
     if x.data.ndim != 3:
         raise TensorError("maxpool2 expects (C, H, W)")
     c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise TensorError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-    h2, w2 = h // 2, w // 2
-    quads = x.data.reshape(c, h2, 2, w2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h2, w2, 4)
-    idx = np.argmax(quads, axis=-1)
-    out_data = np.take_along_axis(quads, idx[..., None], axis=-1)[..., 0]
+    corners = [(i, j) for i in (0, 1) for j in (0, 1)]
+    cells = [x.data[:, i::2, j::2] for i, j in corners]
+    out_data = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
+    if np.any(x.data.view(np.int64) == _NEG_ZERO_BITS):
+        # np.maximum may return either zero of a -0.0/0.0 tie; keep the first one
+        first = cells[3]
+        for cell in cells[2::-1]:
+            first = np.where(cell == out_data, cell, first)
+        out_data = first
 
     def bwd(g):
-        dq = np.zeros((c, h2, w2, 4))
-        np.put_along_axis(dq, idx[..., None], g[..., None], axis=-1)
-        return (dq.reshape(c, h2, w2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w),)
+        dx = np.empty((c, h, w))
+        taken = np.zeros(out_data.shape, dtype=bool)
+        for (i, j), cell in zip(corners, cells):
+            hit = (cell == out_data) & ~taken
+            taken |= hit
+            np.multiply(g, hit, out=dx[:, i::2, j::2])
+        return (dx,)
 
     return custom_op(out_data, (x,), bwd, "maxpool2")
 
@@ -313,9 +328,11 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor = None, stride: int = 1, pad: int 
 
     ``at``, a sorted, unique 1-D int array of flat output positions
     (``row * Wo + col``), computes only those output columns, from im2col
-    columns gathered there alone; every other output entry is exactly 0,
-    bias included. Backward then takes dk, db and dx from those columns only,
-    dx by scattering the column gradient back one kernel tap at a time.
+    columns gathered there alone, and returns them as a (Cout, len(at))
+    array, bias included. Backward then takes dk, db and dx from those
+    columns only, dx by one ``np.bincount`` of every tap's column gradient
+    into the padded input. Per pixel it adds the taps in tap order, as the
+    strided loop does.
     """
     if x.data.ndim != 3 or k.data.ndim != 4:
         raise TensorError("conv2d expects x (Cin,H,W) and k (Cout,Cin,kh,kw)")
@@ -347,20 +364,19 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor = None, stride: int = 1, pad: int 
         # flat offset of each (channel, tap) in the padded buffer, plus each window's origin
         taps = ((np.arange(cin)[:, None, None] * hp + np.arange(kh)[:, None]) * wp
                 + np.arange(kw)).reshape(-1, 1)
-        origin = (at // wo) * (stride * wp) + (at % wo) * stride
-        cols = np.take(xp, taps + origin)
-    vals = w2 @ cols
+        targets = taps + (at // wo) * (stride * wp) + (at % wo) * stride
+        cols = np.take(xp, targets)
+    out_data = w2 @ cols
     if bias is not None:
-        vals += bias.data[:, None]
-    out_data = vals.reshape(cout, ho, wo) if at is None else np.zeros((cout, ho, wo))
-    if at is not None:
-        out_data.reshape(cout, ho * wo)[:, at] = vals
+        out_data += bias.data[:, None]
+    if at is None:
+        out_data = out_data.reshape(cout, ho, wo)
     parents = (x, k) if bias is None else (x, k, bias)
 
     def bwd(g):
-        gm = g.reshape(cout, ho * wo)
-        if at is not None:
-            gm = gm[:, at]
+        # column-major: db then adds each row's columns one by one, and db and
+        # dk keep the bits of the full-map layout (tests/oracles.py::conv2d_at_dense)
+        gm = g.reshape(cout, ho * wo) if at is None else np.asfortranarray(g)
         dk = (gm @ cols.T).reshape(cout, cin, kh, kw)
         dx = None
         if x.requires_grad and at is None and cout < 4 * cin:
@@ -370,20 +386,18 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor = None, stride: int = 1, pad: int 
             kt = w2.reshape(cout, cin, kh, kw)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             gcols = _im2col(gp[:, pad:, pad:], kh, kw, 1, h, w)
             dx = (kt.reshape(cin, -1) @ gcols).reshape(cin, h, w)
-        elif x.requires_grad:
+        elif x.requires_grad and at is None:
             # within one tap the windows hit distinct pixels, so plain += scatters exactly
-            dcols = (w2.T @ gm).reshape(cin, kh * kw, -1)
+            dcols = (w2.T @ gm).reshape(cin, kh * kw, ho, wo)
             dxp = np.zeros((cin, hp, wp))
-            if at is not None:
-                targets = taps.reshape(cin, kh * kw, 1) + origin
             for t in range(kh * kw):
-                if at is None:
-                    i, j = divmod(t, kw)
-                    dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
-                        dcols[:, t].reshape(cin, ho, wo)
-                else:
-                    dxp.reshape(-1)[targets[:, t]] += dcols[:, t]
+                i, j = divmod(t, kw)
+                dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, t]
             dx = dxp[:, pad:pad + h, pad:pad + w]
+        elif x.requires_grad:
+            # rows run (channel, tap), so each pixel sums its taps in tap order
+            dxp = np.bincount(targets.ravel(), (w2.T @ gm).ravel(), minlength=cin * hp * wp)
+            dx = dxp.reshape(cin, hp, wp)[:, pad:pad + h, pad:pad + w]
         return (dx, dk) if bias is None else (dx, dk, gm.sum(axis=1))
 
     return custom_op(out_data, parents, bwd, "conv2d")
@@ -477,8 +491,9 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     out_data = np.float64(np.sum(diff * diff) / n)
 
     def bwd(g):
+        # a constant target, such as a frozen teacher map, gets no gradient
         d = (2.0 / n) * diff * g
-        return d, -d
+        return (d if a.requires_grad else None, -d if b.requires_grad else None)
 
     return custom_op(out_data, (a, b), bwd, "mse")
 

@@ -178,6 +178,23 @@ def maxpool2_oracle(x):
     return out
 
 
+def maxpool2_grad_oracle(x, g):
+    """maxpool2 input gradient: each window's gradient goes to its first
+    maximum in row-major order, and the window's other cells get 0."""
+    c, h, w = x.shape
+    dx = np.zeros((c, h, w))
+    for ci in range(c):
+        for i in range(h // 2):
+            for j in range(w // 2):
+                cells = [(2 * i + r, 2 * j + s) for r in (0, 1) for s in (0, 1)]
+                best = cells[0]
+                for cell in cells[1:]:
+                    if x[ci][cell] > x[ci][best]:
+                        best = cell
+                dx[ci][best] = g[ci, i, j]
+    return dx
+
+
 def upsample2x_oracle(x):
     c, h, w = x.shape
     out = np.zeros((c, 2 * h, 2 * w))
@@ -186,6 +203,65 @@ def upsample2x_oracle(x):
             for j in range(2 * w):
                 out[ci, i, j] = x[ci, i // 2, j // 2]
     return out
+
+
+# ---------------------------------------------------------------------------
+# dense-layout references: the camera branch with full-size feature maps
+# ---------------------------------------------------------------------------
+# Not naive: these repeat, op for op, the arithmetic of the layout the
+# compact camera branch replaced, so that it can be compared bit for bit.
+
+def conv2d_at_dense(x, k, bias, stride, pad, at):
+    """(out, bwd) of conv2d computed at the flat output positions ``at``
+    only, laid out in a zero (Cout, Ho, Wo) map. ``bwd(g)`` returns
+    (dx, dk, db): the gradient gathered at ``at``, dk by one matmul, db by
+    a row sum and dx scattered back one kernel tap at a time."""
+    cin, h, w = x.shape
+    cout, _, kh, kw = k.shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    xp = np.zeros((cin, hp, wp))
+    xp[:, pad:pad + h, pad:pad + w] = x
+    w2 = k.reshape(cout, -1)
+    taps = ((np.arange(cin)[:, None, None] * hp + np.arange(kh)[:, None]) * wp
+            + np.arange(kw)).reshape(-1, 1)
+    targets = taps + (at // wo) * (stride * wp) + (at % wo) * stride
+    cols = np.take(xp, targets)
+    vals = w2 @ cols + bias[:, None]
+    out = np.zeros((cout, ho, wo))
+    out.reshape(cout, -1)[:, at] = vals
+
+    def bwd(g):
+        gm = g.reshape(cout, -1)[:, at]
+        dcols = (w2.T @ gm).reshape(cin, kh * kw, -1)
+        dxp = np.zeros((cin, hp, wp))
+        for t in range(kh * kw):
+            dxp.reshape(-1)[targets.reshape(cin, kh * kw, -1)[:, t]] += dcols[:, t]
+        dk = (gm @ cols.T).reshape(k.shape)
+        return dxp[:, pad:pad + h, pad:pad + w], dk, gm.sum(axis=1)
+
+    return out, bwd
+
+
+def dense_lift_src(table):
+    """Each cell's column in the full camera feature maps flattened and
+    concatenated in rig order, with the default as the last column."""
+    sizes = [fh * fw for fh, fw in table.feat_shapes]
+    offsets = np.cumsum([0] + sizes)
+    src = np.full(table.cam.shape, offsets[-1])
+    for cell, k in enumerate(table.cam):
+        if k >= 0:
+            src[cell] = offsets[k] + table.fv[cell] * table.feat_shapes[k][1] + table.fu[cell]
+    return src
+
+
+def lift_grad_oracle(g, src, n_src):
+    """(C, n_src) lift gradient by np.add.at: every cell's gradient added
+    into its source column, cells in order."""
+    c = g.shape[0]
+    d = np.zeros((n_src, c))
+    np.add.at(d, src, g.reshape(c, -1).T)
+    return d.T
 
 
 # ---------------------------------------------------------------------------

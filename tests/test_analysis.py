@@ -176,12 +176,24 @@ def test_shared_scale_makes_maps_comparable():
     assert not np.array_equal(ia[3:], ib[3:])
 
 
+def read_pgm(path) -> np.ndarray:
+    """Reads back the P5 files written by write_pgm."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    parts = raw.split(b"\n", 3)
+    assert parts[0] == b"P5" and len(parts) == 4, f"{path}: not a binary PGM"
+    w, h = (int(v) for v in parts[1].split())
+    maxval = int(parts[2])
+    img = np.frombuffer(parts[3][:w * h], dtype=np.uint8).reshape(h, w)
+    return img.astype(np.float64) / maxval
+
+
 def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(10)
     img = rng.random((8, 12))
     path = tmp_path / "viz.pgm"
     A.write_pgm(path, img)
-    back = A.read_pgm(path)
+    back = read_pgm(path)
     assert back.shape == img.shape
     assert np.max(np.abs(back - img)) <= 0.5 / 255.0 + 1e-12
     assert path.read_bytes().startswith(b"P5\n12 8\n255\n")

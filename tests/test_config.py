@@ -80,6 +80,24 @@ def test_validation_rejects_settings_that_crash_later():
         RunConfig(overrides)
 
 
+def test_validation_rejects_negative_seeds():
+    # numpy would refuse them only once the run reaches default_rng, after
+    # the corpus is rendered or the teacher trained
+    cases = [({"seed": -1}, "seed must be nonnegative, got -1"),
+             ({"teacher_seed": -2}, "teacher_seed must be nonnegative, got -2"),
+             ({"seeds": (-3,)}, "seeds must be nonnegative, got -3"),
+             ({"seeds": (1, -1)}, "seeds must be nonnegative, got 1 -1")]
+    for overrides, message in cases:
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(overrides)
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        RunConfig.parse("teacher_seed -1\n")
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        RunConfig().with_overrides(seed=-5)
+    cfg = RunConfig({"seed": 0, "teacher_seed": 0, "seeds": (0, 2 ** 40)})
+    assert (cfg.seed, cfg.teacher_seed, cfg.seeds) == (0, 0, (0, 2 ** 40))
+
+
 def test_with_overrides_keeps_original_untouched():
     cfg = RunConfig()
     other = cfg.with_overrides(variant="raw", seed=7)

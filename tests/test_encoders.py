@@ -8,6 +8,7 @@ from bevlab import encoders as E
 from bevlab import geometry as G
 from bevlab import mapeval as ME
 from bevlab import scenegen as S
+from bevlab import supervision as SV
 from bevlab import tensors as T
 
 RNG = np.random.default_rng
@@ -47,21 +48,46 @@ def lift_oracle(feats, table, default):
     return out.reshape(c, table.rows, table.cols)
 
 
+def read_columns(feats, table):
+    """Each full (C, fh, fw) camera map at its table reads, (C, len(reads))."""
+    return [f.reshape(f.shape[0], -1)[:, r] for f, r in zip(feats, table.reads)]
+
+
 def test_lift_features_matches_loop_oracle():
     rng = RNG(5)
     table = tiny_table()
     feats = [rng.normal(size=(4, 2, 3)), rng.normal(size=(4, 2, 3))]
     default = rng.normal(size=4)
-    got = E.lift_features([T.tensor(f) for f in feats], table, T.tensor(default))
+    got = E.lift_features([T.tensor(f) for f in read_columns(feats, table)], table,
+                          T.tensor(default))
     want = lift_oracle(feats, table, default)
     assert np.array_equal(got.data, want)
+
+
+def test_lift_backward_matches_add_at_oracle():
+    # tiny_table's cells 1 and 6, and 3 and 7, share a source; so do both
+    # unseen cells (the default)
+    rng = RNG(9)
+    for table in (tiny_table(), E.build_lift_table(G.default_rig(), G.extended_grid())):
+        c = 5
+        feats = [T.parameter(rng.normal(size=(c, len(r)))) for r in table.reads]
+        default = T.parameter(rng.normal(size=c))
+        out = E.lift_features(feats, table, default)
+        g = rng.normal(size=out.shape)
+        n_src = sum(len(r) for r in table.reads) + 1
+        want = oracles.lift_grad_oracle(g, table.src, n_src)
+        ends = np.cumsum([len(r) for r in table.reads])
+        got = out._bwd(g)
+        for k, part in enumerate(np.split(want, ends, axis=1)[:-1]):
+            assert np.array_equal(got[k], part), k
+        assert np.array_equal(got[-1], want[:, -1])
 
 
 def test_lift_features_gradient_matches_fd():
     rng = RNG(6)
     table = tiny_table()
-    f0 = rng.normal(size=(4, 2, 3))
-    f1 = rng.normal(size=(4, 2, 3))
+    f0 = rng.normal(size=(4, 2))
+    f1 = rng.normal(size=(4, 2))
     default = rng.normal(size=4)
     w = rng.normal(size=(4, 2, 4))
 
@@ -86,7 +112,8 @@ def test_lift_all_invisible_fills_with_default():
     base = tiny_table()
     table = E.LiftTable(np.full(8, -1), base.fv, base.fu, base.feat_shapes,
                         rows=2, cols=4)
-    feats = [T.tensor(rng.normal(size=(4, 2, 3))) for _ in range(2)]
+    assert [len(r) for r in table.reads] == [0, 0]
+    feats = [T.tensor(np.zeros((4, 0))) for _ in range(2)]
     default = rng.normal(size=4)
     out = E.lift_features(feats, table, T.tensor(default))
     assert np.array_equal(out.data, np.tile(default[:, None, None], (1, 2, 4)))
@@ -116,12 +143,15 @@ def test_lift_table_reads_match_loop_oracle():
 def test_lift_features_shape_errors():
     rng = RNG(8)
     table = tiny_table()
-    good = [T.tensor(rng.normal(size=(4, 2, 3))) for _ in range(2)]
+    good = [T.tensor(rng.normal(size=(4, 2))) for _ in range(2)]
+    E.lift_features(good, table, T.tensor(np.zeros(4)))
     with pytest.raises(E.EncoderError):
         E.lift_features(good[:1], table, T.tensor(np.zeros(4)))
-    bad = [good[0], T.tensor(rng.normal(size=(4, 3, 3)))]
-    with pytest.raises(E.EncoderError):
-        E.lift_features(bad, table, T.tensor(np.zeros(4)))
+    # a full camera map, or columns for the wrong reads, is refused
+    for wrong in ((4, 2, 3), (4, 3), (5, 2)):
+        bad = [good[0], T.tensor(rng.normal(size=wrong))]
+        with pytest.raises(E.EncoderError):
+            E.lift_features(bad, table, T.tensor(np.zeros(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +218,13 @@ def test_lift_invariant_under_rig_permutation():
     # 64x96 images: features are 32x48 at the default downsample, 16x24 at 4
     for downsample, shape in ((2, (32, 48)), (4, (16, 24))):
         feats = [rng.normal(size=(5,) + shape) for _ in rig]
-        base = E.lift_features([T.tensor(f) for f in feats],
-                               E.build_lift_table(rig, grid, downsample=downsample),
-                               T.tensor(default))
+        table = E.build_lift_table(rig, grid, downsample=downsample)
+        base = E.lift_features([T.tensor(f) for f in read_columns(feats, table)],
+                               table, T.tensor(default))
+        table = E.build_lift_table([rig[p] for p in perm], grid, downsample=downsample)
         swapped = E.lift_features(
-            [T.tensor(feats[p]) for p in perm],
-            E.build_lift_table([rig[p] for p in perm], grid, downsample=downsample),
-            T.tensor(default))
+            [T.tensor(f) for f in read_columns([feats[p] for p in perm], table)],
+            table, T.tensor(default))
         assert np.array_equal(base.data, swapped.data), downsample
 
 
@@ -366,11 +396,42 @@ def test_student_invariant_under_camera_permutation():
     assert np.array_equal(base.data, swapped.data)
 
 
-def dense_student_forward(student, images, rig, grid):
-    """student.forward with every camera feature pixel computed."""
+def dense_lift(feats, table, default):
+    """The lift over full (C, fh, fw) camera maps, its gradient by np.add.at."""
+    c = default.data.shape[0]
+    src = oracles.dense_lift_src(table)
+    flat = np.concatenate([f.data.reshape(c, -1) for f in feats] + [default.data[:, None]],
+                          axis=1)
+
+    def bwd(g):
+        d = oracles.lift_grad_oracle(g, src, flat.shape[1])
+        parts = np.split(d, np.cumsum([f.data[0].size for f in feats]), axis=1)
+        return tuple(q.reshape(f.data.shape) for q, f in zip(parts, feats)) + (parts[-1][:, 0],)
+
+    return T.custom_op(flat[:, src].reshape(c, table.rows, table.cols),
+                       tuple(feats) + (default,), bwd, "lift")
+
+
+def dense_layout_extract(student, image, reads):
+    """student.extract with the second conv's read pixels in a zero full map."""
     p = student.params
-    feats = [student.extract(img) for img in images]
-    lifted = E.lift_features(feats, student.table_for(rig, grid), p["default"])
+    h = T.relu(T.conv2d(T.tensor(image), p["cam1.w"], p["cam1.b"], stride=2, pad=1))
+    if student.downsample == 4:
+        h = T.maxpool2(h)
+    out, bwd = oracles.conv2d_at_dense(h.data, p["cam2.w"].data, p["cam2.b"].data, 1, 1, reads)
+    return T.relu(T.custom_op(out, (h, p["cam2.w"], p["cam2.b"]), bwd, "conv2d"))
+
+
+def dense_student_forward(student, images, rig, grid, extract=None):
+    """student.forward over full camera maps: every camera feature pixel
+    computed, or with ``extract`` the maps that function builds."""
+    p = student.params
+    table = student.table_for(rig, grid)
+    if extract is None:
+        feats = [student.extract(img) for img in images]
+    else:
+        feats = [extract(student, img, reads) for img, reads in zip(images, table.reads)]
+    lifted = dense_lift(feats, table, p["default"])
     h = T.relu(T.conv2d(lifted, p["ref1.w"], p["ref1.b"], pad=1))
     return T.add(T.conv2d(h, p["ref2.w"], p["ref2.b"], pad=1), lifted)
 
@@ -395,6 +456,39 @@ def test_student_forward_with_reads_matches_dense_extract():
             assert oracles.rel_error(outs[0], outs[1]) <= 1e-12
             for name in grads[1]:
                 assert oracles.rel_error(grads[0][name], grads[1][name]) <= 1e-12, name
+
+
+def test_student_step_gradients_equal_the_dense_layout_bitwise():
+    # one norm_adapter sample step: the compact camera branch and the full
+    # map layout (dense cam2 at the reads, dense lift) give the same bits
+    rig = G.default_rig()
+    cfg = SV.SupervisionConfig("norm_adapter")
+    for downsample, grid in ((2, G.extended_grid()), (4, G.standard_grid())):
+        student = E.StudentEncoder(RNG(14), downsample=downsample)
+        decoder = E.MapDecoder(RNG(15), grid)
+        sample = make_sample(3, grid, rig)
+        gts = SV.clipped_targets([sample], grid, decoder.n_queries)[sample.scene_id]
+        teacher_map = random_fmap(RNG(4), grid)
+        adapter = SV.AffineAdapter(student.c_feat)
+        params = E.named_params({"student": student, "decoder": decoder, "adapter": adapter})
+        runs = []
+        for forward in (lambda: E.student_forward(student, sample.cams, rig, grid),
+                        lambda: E.FeatureMap(dense_student_forward(
+                            student, sample.cams, rig, grid, dense_layout_extract),
+                            grid, "student")):
+            fmap = forward()
+            l_cls, l_reg = SV.detection_loss(*decoder.forward(fmap), gts)
+            loss = T.add(T.add(l_cls, l_reg),
+                         SV.bev_alignment_loss(fmap, teacher_map, adapter, cfg))
+            T.backward(loss)
+            runs.append((fmap.tensor.data, loss.item(),
+                         {n: q.grad for n, q in params.items()}))
+            T.zero_grad(params)
+        (out, loss, grads), (want_out, want_loss, want_grads) = runs
+        assert np.array_equal(out, want_out) and loss == want_loss
+        assert all(g is not None for g in grads.values())
+        for name in want_grads:
+            assert np.array_equal(grads[name], want_grads[name]), (downsample, name)
 
 
 def test_student_rejects_missing_image():

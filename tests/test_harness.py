@@ -217,6 +217,23 @@ def test_cli_maps_every_package_error_to_exit_1(tmp_path, monkeypatch, capsys):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--jobs", "0", "ablation"], "error: --jobs must be at least 1, got 0\n"),
+    (["--jobs", "-2", "sweep-lambda"], "error: --jobs must be at least 1, got -2\n"),
+    (["--seed", "-1", "train"], "error: seed must be nonnegative, got -1\n")])
+def test_cli_rejects_bad_jobs_and_seeds_before_any_work(tmp_path, monkeypatch, capsys,
+                                                        argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the verb ran")
+    for verb in ("cmd_train", "cmd_ablation", "cmd_sweep_lambda"):
+        monkeypatch.setattr(H, verb, no_work)
+    out = str(tmp_path / "out")
+    assert cli.main(["--out", out] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == ""
+    assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------------------
 # study verbs through the CLI
 # ---------------------------------------------------------------------------

@@ -1,6 +1,18 @@
 import pytest
 
-from bevlab.plots import PlotError, line_plot, read_plot_points
+from bevlab.plots import PlotError, line_plot
+
+
+def read_plot_points(path):
+    """The number of data points per series in a line_plot file."""
+    counts = []
+    with open(path) as f:
+        for line in f:
+            line = line.strip()
+            if line.startswith("<polyline"):
+                pts = line.split('points="', 1)[1].split('"', 1)[0]
+                counts.append(len(pts.split()))
+    return counts
 
 
 def test_line_plot_writes_valid_svg_with_all_points(tmp_path):

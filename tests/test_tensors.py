@@ -215,6 +215,45 @@ def test_relu_values():
     assert np.array_equal(T.relu(x).data, [0.0, 0.0, 0.0, 0.5, 2.0])
 
 
+def test_relu_backward_passes_gradient_only_where_input_is_positive():
+    rng = RNG(29)
+    x = rng.normal(size=(3, 5, 6))
+    x.reshape(-1)[:12] = [0.0, -0.0] * 6
+    g = rng.normal(size=x.shape)
+    dx, = T.relu(T.parameter(x))._bwd(g)
+    want = np.array([gi if xi > 0.0 else 0.0 for xi, gi in zip(x.ravel(), g.ravel())])
+    assert np.array_equal(dx, want.reshape(x.shape))
+
+
+def test_maxpool2_first_maximum_of_a_tied_window_wins():
+    rng = RNG(30)
+    # three levels make ties common; zeros come with one sign, then both
+    for signed_zeros in (False, True):
+        x = rng.integers(-1, 2, size=(3, 6, 8)).astype(np.float64)
+        if signed_zeros:
+            x[x == 0.0] = rng.choice([0.0, -0.0], size=int(np.sum(x == 0.0)))
+        out = T.maxpool2(T.parameter(x))
+        want = oracles.maxpool2_oracle(x)  # builtin max keeps the first of equals
+        assert np.array_equal(out.data, want)
+        assert np.array_equal(np.signbit(out.data), np.signbit(want))
+        g = rng.normal(size=out.shape)
+        assert np.array_equal(out._bwd(g)[0], oracles.maxpool2_grad_oracle(x, g))
+
+
+def test_constant_operands_get_no_gradient():
+    rng = RNG(31)
+    a, c = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+    g = rng.normal(size=(2, 3))
+    for op in (T.mul, T.mse):
+        out = op(T.parameter(a), T.tensor(c))
+        da, dc = out._bwd(g if op is T.mul else 1.0)
+        assert dc is None and da is not None
+        out = op(T.tensor(c), T.parameter(a))
+        dc, da = out._bwd(g if op is T.mul else 1.0)
+        assert dc is None and da is not None
+    assert np.array_equal(T.mul(T.parameter(a), T.tensor(c))._bwd(g)[0], g * c)
+
+
 def test_linear_and_spatial_mean():
     rng = RNG(10)
     x = rng.normal(size=(3, 4))
@@ -335,13 +374,34 @@ def test_conv2d_at_matches_dense_at_given_positions():
         dense = T.conv2d(x, k, b, stride=stride, pad=pad).data
         cout, ho, wo = dense.shape
         at = sparse_positions(rng, ho * wo)
-        got = T.conv2d(x, k, b, stride=stride, pad=pad, at=at).data.reshape(cout, -1)
-        off = np.ones(ho * wo, dtype=bool)
-        off[at] = False
-        assert oracles.rel_error(got[:, at], dense.reshape(cout, -1)[:, at]) <= 1e-12
-        assert np.all(got[:, off] == 0.0)
+        got = T.conv2d(x, k, b, stride=stride, pad=pad, at=at).data
+        assert got.shape == (cout, len(at))
+        assert oracles.rel_error(got, dense.reshape(cout, -1)[:, at]) <= 1e-12
         full = T.conv2d(x, k, b, stride=stride, pad=pad, at=np.arange(ho * wo)).data
-        assert oracles.rel_error(full, dense) <= 1e-12
+        assert full.shape == (cout, ho * wo)
+        assert oracles.rel_error(full, dense.reshape(cout, -1)) <= 1e-12
+
+
+def test_conv2d_at_is_bitwise_the_dense_layout_path():
+    # output, dx, dk and db equal the full-map layout's bit for bit; the
+    # student's own shape (12 -> 16 channels on 32x48) is among the cases
+    rng = RNG(28)
+    cases = [((3, 7, 8), (4, 3, 3, 3), stride, pad)
+             for stride in (1, 2) for pad in (0, 1)]
+    cases += [((2, 6, 7), (9, 2, 3, 2), 2, 1), ((12, 32, 48), (16, 12, 3, 3), 1, 1)]
+    for xs, ks, stride, pad in cases:
+        x, k, b = T.parameter(rng.normal(size=xs)), T.parameter(rng.normal(size=ks)), \
+            T.parameter(rng.normal(size=ks[0]))
+        _, ho, wo = T.conv2d(x, k, stride=stride, pad=pad).shape
+        for at in (sparse_positions(rng, ho * wo), np.arange(ho * wo),
+                   np.array([], dtype=np.int64)):
+            out = T.conv2d(x, k, b, stride=stride, pad=pad, at=at)
+            want, want_bwd = oracles.conv2d_at_dense(x.data, k.data, b.data, stride, pad, at)
+            assert np.array_equal(out.data, want.reshape(ks[0], -1)[:, at])
+            g = rng.normal(size=(ks[0], ho, wo))  # off-`at` entries must not matter
+            got = out._bwd(np.ascontiguousarray(g.reshape(ks[0], -1)[:, at]))
+            for name, a, w in zip(("dx", "dk", "db"), got, want_bwd(g)):
+                assert np.array_equal(a, w), (xs, ks, stride, pad, len(at), name)
 
 
 def test_grad_conv2d_at():
@@ -350,9 +410,9 @@ def test_grad_conv2d_at():
         for pad in (0, 1):
             x, k, b = rng.normal(size=(2, 6, 7)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)
             _, ho, wo = T.conv2d(T.tensor(x), T.tensor(k), stride=stride, pad=pad).shape
-            wts = rng.normal(size=(3, ho, wo))
             sparse = sparse_positions(rng, ho * wo)
             for at in (sparse, np.array([], dtype=np.int64)):
+                wts = rng.normal(size=(3, len(at)))
                 fd_check(lambda xt, kt, bt, wt: T.tsum(T.mul(
                     T.conv2d(xt, kt, bt, stride=stride, pad=pad, at=at), T.tensor(wt))),
                     [x, k, b, wts], 3)
@@ -371,7 +431,7 @@ def test_conv2d_at_fails_fast_and_allows_empty():
     kt, bt = T.parameter(np.ones((3, 2, 3, 3))), T.parameter(np.ones(3))
     for empty in ([], np.array([], dtype=np.int64)):
         out = T.conv2d(x, kt, bt, pad=1, at=empty)
-        assert out.shape == (3, 4, 4) and np.all(out.data == 0.0)
+        assert out.shape == (3, 0)
         T.backward(T.tsum(out))
         assert np.all(kt.grad == 0.0) and np.all(bt.grad == 0.0)
         T.zero_grad([kt, bt])
