@@ -6,8 +6,11 @@ Exit codes: 0 success, 1 hard failure, 2 partial sweep/ablation failure.
 
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
 says otherwise: the summation order, and with it every checksum, depends
-on the thread count. The default is set before numpy is first imported,
-so the forked --jobs workers inherit it.
+on the BLAS thread count. The default is set before numpy is first
+imported, so the forked --jobs workers inherit it. Training runs the
+samples of each step on threads of its own instead, one per CPU the
+process may use; the --jobs processes split the CPUs between them.
+Results do not depend on that thread count or on --jobs.
 """
 
 import os
@@ -47,7 +50,8 @@ def build_parser():
     p.add_argument("--out", default="out", metavar="DIR",
                    help="output directory (default: ./out)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="parallel training processes (default: 1)")
+                   help="parallel training processes, sharing the CPUs; results "
+                        "do not depend on it (default: 1)")
     sub = p.add_subparsers(dest="verb", required=True)
     sub.add_parser("gen", help="render the scene corpus")
     tr = sub.add_parser("train", help="train and evaluate one student run")

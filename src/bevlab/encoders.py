@@ -16,9 +16,9 @@ import numpy as np
 
 from .geometry import N_CLASSES, BevGrid, default_rig
 from .mapeval import EvalConfig, evaluate
-from .tensors import (Tensor, add, concat, conv2d, custom_op, linear, maxpool2,
-                      mul, read_ten, relu, reshape, soft_points, softmax_rows,
-                      spatial_mean, tensor, upsample2x, write_ten)
+from .tensors import (Tensor, add, concat, conv2d, conv_sites, custom_op, linear,
+                      maxpool2, mul, read_ten, relu, reshape, soft_points,
+                      softmax_rows, spatial_mean, tensor, upsample2x, write_ten)
 
 
 class EncoderError(RuntimeError):
@@ -255,8 +255,9 @@ class StudentEncoder:
     builds the permuted table. In ``lift`` the second camera conv computes
     only the feature pixels in the table's ``reads``, as (C, len(reads))
     columns that the lift gathers from; no other camera feature pixel
-    exists. The lift sees only the images and the rig, so training and
-    evaluation lift alike.
+    exists. The conv's index arrays for those pixels are built with the
+    table, once per camera. The lift sees only the images and the rig, so
+    training and evaluation lift alike.
     """
 
     def __init__(self, rng, c_in=3, c_feat=16, width=12, downsample=2):
@@ -275,11 +276,12 @@ class StudentEncoder:
         default = Tensor(np.zeros(c_feat))  # "unseen cell" vector, learned
         default.requires_grad = True
         self.params["default"] = default
-        self._tables = {}
+        self._tables = {}  # key -> (LiftTable, the cam2 conv's sites per camera)
 
     def extract(self, image, reads=None) -> Tensor:
         """(C, fh, fw) camera feature map, or with ``reads`` (sorted flat
-        pixels) only those pixels, as (C, len(reads)) columns."""
+        pixels, or their ``conv_sites``) only those pixels, as (C,
+        len(reads)) columns."""
         p = self.params
         x = tensor(image)
         h = relu(conv2d(x, p["cam1.w"], p["cam1.b"], stride=2, pad=1))
@@ -287,19 +289,27 @@ class StudentEncoder:
             h = maxpool2(h)
         return relu(conv2d(h, p["cam2.w"], p["cam2.b"], pad=1, at=reads))
 
-    def table_for(self, rig, grid) -> LiftTable:
+    def _lift_plan(self, rig, grid):
+        """(LiftTable, cam2 conv sites per camera) of one (rig, grid)."""
         key = (tuple((tuple(c.position), c.yaw, c.pitch, c.focal,
                       c.width, c.height, c.cx, c.cy) for c in rig),
                grid.key)
         if key not in self._tables:
-            self._tables[key] = build_lift_table(rig, grid, self.downsample)
+            table = build_lift_table(rig, grid, self.downsample)
+            k = self.params["cam2.w"].data.shape
+            sites = [conv_sites((k[1],) + shape, k[2:], reads, pad=1)
+                     for shape, reads in zip(table.feat_shapes, table.reads)]
+            self._tables[key] = table, sites
         return self._tables[key]
+
+    def table_for(self, rig, grid) -> LiftTable:
+        return self._lift_plan(rig, grid)[0]
 
     def lift(self, images, rig, grid) -> Tensor:
         if len(images) != len(rig):
             raise EncoderError(f"{len(images)} images for a {len(rig)}-camera rig")
-        table = self.table_for(rig, grid)
-        feats = [self.extract(img, reads) for img, reads in zip(images, table.reads)]
+        table, sites = self._lift_plan(rig, grid)
+        feats = [self.extract(img, s) for img, s in zip(images, sites)]
         return lift_features(feats, table, self.params["default"])
 
     def forward(self, images, rig, grid) -> Tensor:

@@ -37,7 +37,8 @@ from .encoders import (MapDecoder, StudentEncoder, TeacherEncoder,
 from .mapeval import CLASS_NAMES, N_CLASSES, EvalConfig, read_eval_file, write_eval_file
 from .plots import line_plot
 from .scenegen import export_dataset, load_dataset
-from .supervision import VARIANTS, AffineAdapter, train_student
+from .supervision import (VARIANTS, AffineAdapter, fit_threads, share_cpus,
+                          train_student)
 
 
 class HarnessError(RuntimeError):
@@ -264,14 +265,19 @@ def run_many(cfg: RunConfig, out, specs, jobs=1):
     """Run (variant, seed, lam) specs, possibly in parallel processes.
 
     Returns [(spec, ok, record-or-error)] in spec order. The dataset and
-    teacher caches are warmed first so workers never race on them.
+    teacher caches are warmed first so workers never race on them; a cold
+    teacher thus trains here, on every CPU. With ``jobs`` > 1 each worker
+    process trains on ``max(1, cpus // jobs)`` threads, so the processes
+    do not oversubscribe the CPUs; the records do not depend on it.
     """
     ensure_dataset(cfg, out)
     ensure_teacher(cfg, out)
     if jobs <= 1:
         return [_job((cfg.dump(), out, spec)) for spec in specs]
+    # fit's threads end with each fit, so none is running when the workers fork
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(min(jobs, len(specs))) as pool:
+    threads = max(1, fit_threads() // jobs)
+    with ctx.Pool(min(jobs, len(specs)), initializer=share_cpus, initargs=(threads,)) as pool:
         return pool.map(_job, [(cfg.dump(), out, spec) for spec in specs])
 
 

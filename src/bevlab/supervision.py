@@ -12,6 +12,8 @@ the loss path; the decoder always consumes the raw student features.
 """
 
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 from typing import NamedTuple
 
@@ -201,6 +203,70 @@ def mean_of(terms):
     return scale(reduce(add, terms), 1.0 / len(terms))
 
 
+_cpu_share = None  # fit's threads in a process that shares the CPUs; see share_cpus
+
+
+def share_cpus(threads):
+    """Let ``fit`` in this process run on ``threads`` threads, its share of
+    CPUs that other processes use as well (run_many's workers)."""
+    global _cpu_share
+    _cpu_share = threads
+
+
+def fit_threads():
+    """Threads ``fit`` runs a step on, the calling one included: the CPUs
+    this process may use, or its share of them."""
+    return _cpu_share or len(os.sched_getaffinity(0))
+
+
+class Crew:
+    """The calling thread plus up to ``workers`` pool threads, mapping a
+    function over items; the pool shuts down when the ``with`` block ends."""
+
+    def __init__(self, workers):
+        self.workers = workers
+        self.pool = ThreadPoolExecutor(workers) if workers > 0 else None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pool is not None:
+            self.pool.shutdown()
+
+    def map(self, fn, *iterables):
+        """``list(map(fn, *iterables))``, each thread taking the next call as
+        it comes free. Once a call raises, no further call starts; the
+        error of the lowest-indexed failed call is raised after the calls
+        under way return, which is the error a serial loop would raise."""
+        items = list(zip(*iterables))
+        results = [None] * len(items)
+        errors = {}
+        upcoming = iter(range(len(items)))
+        lock = threading.Lock()
+
+        def drain():
+            while True:
+                with lock:
+                    i = None if errors else next(upcoming, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = fn(*items[i])
+                except BaseException as e:  # re-raised below, on the calling thread
+                    with lock:
+                        errors[i] = e
+
+        helpers = [self.pool.submit(drain)
+                   for _ in range(min(self.workers, len(items) - 1))]
+        drain()
+        for h in helpers:
+            h.result()
+        if errors:
+            raise errors[min(errors)]
+        return results
+
+
 def fit(models, features, samples, grid, batches, steps, base_lr,
         weight_decay, min_lr, reg_weight, log_path, align=None, lambda_bev=0.0,
         error=SupervisionError):
@@ -214,43 +280,55 @@ def fit(models, features, samples, grid, batches, steps, base_lr,
     the step backpropagates the batch means. Each step's LossBreakdown is a
     line of ``log_path`` (None: no log) once it is taken, and a non-finite
     value raises ``error`` naming the step. Returns the breakdowns.
+
+    The samples of a step run their forward passes and losses, then their
+    backward walks, on ``fit_threads()`` threads at most (the calling
+    thread among them), and ``backward`` folds the gradients in the serial
+    order: the results do not depend on the thread count. ``features`` and
+    ``align`` are called from several threads, so a cache they fill on
+    first use must be filled before ``fit`` starts. A step's tape is
+    released once its breakdown is built.
     """
     decoder = models["decoder"]
     targets = clipped_targets(samples, grid, decoder.n_queries)
     target_pts = target_points(targets, decoder.n_points)
     opt = AdamW(named_params(models), base_lr, weight_decay, horizon=steps,
                 min_lr=min_lr)
+
+    def sample_terms(i):
+        """The roots of sample i's loss: cls, reg and, with ``align``, bev."""
+        s = samples[i]
+        fmap = features(s)
+        logits, points = decoder.forward(fmap)
+        terms = detection_loss(logits, points, targets[s.scene_id], reg_weight=reg_weight,
+                               gt_pts=target_pts.get(s.scene_id))
+        return terms if align is None else terms + (align(fmap, s),)
+
+    def take_step(step, idx, crew):
+        terms = crew.map(sample_terms, idx)
+        cls_terms, reg_terms, *bev_terms = zip(*terms)
+        l_cls = mean_of(cls_terms)
+        l_reg = mean_of(reg_terms)
+        l_total = add(l_cls, l_reg)
+        l_bev = tensor(0.0)
+        if bev_terms:
+            l_bev = mean_of(bev_terms[0])
+            l_total = add(l_total, scale(l_bev, lambda_bev))
+        backward(l_total, terms, crew.map)
+        lr_now = adamw_step(opt)
+        opt.zero_grad()
+        return LossBreakdown(step, lr_now, float(l_cls.data), float(l_reg.data),
+                             float(l_bev.data), float(l_total.data))
+
     breakdowns = []
-    with open(log_path or os.devnull, "w", buffering=1) as logf:
+    with open(log_path or os.devnull, "w", buffering=1) as logf, \
+            Crew(fit_threads() - 1) as crew:
         for step in range(steps):
             idx = next(batches)
             try:
-                cls_terms, reg_terms, bev_terms = [], [], []
-                for i in idx:
-                    s = samples[i]
-                    fmap = features(s)
-                    logits, points = decoder.forward(fmap)
-                    l_cls, l_reg = detection_loss(
-                        logits, points, targets[s.scene_id], reg_weight=reg_weight,
-                        gt_pts=target_pts.get(s.scene_id))
-                    cls_terms.append(l_cls)
-                    reg_terms.append(l_reg)
-                    if align is not None:
-                        bev_terms.append(align(fmap, s))
-                l_cls = mean_of(cls_terms)
-                l_reg = mean_of(reg_terms)
-                l_total = add(l_cls, l_reg)
-                l_bev = tensor(0.0)
-                if bev_terms:
-                    l_bev = mean_of(bev_terms)
-                    l_total = add(l_total, scale(l_bev, lambda_bev))
-                backward(l_total)
-                lr_now = adamw_step(opt)
-                opt.zero_grad()
+                bd = take_step(step, idx, crew)
             except TensorError as e:
                 raise error(f"diverged at step {step}: {e}") from e
-            bd = LossBreakdown(step, lr_now, float(l_cls.data), float(l_reg.data),
-                               float(l_bev.data), float(l_total.data))
             breakdowns.append(bd)
             logf.write(bd.line() + "\n")
     return breakdowns
@@ -284,6 +362,7 @@ def train_student(train_samples, teacher: TeacherEncoder,
         adapter = AffineAdapter(teacher.c_feat)
     else:
         student, decoder, adapter = make_models(rng, grid, teacher)
+    student.table_for(rig, grid)  # built here, before fit's threads share it
     teacher_maps = {} if cfg.variant == "baseline" else {
         s.scene_id: teacher_forward(teacher, s.overhead, grid) for s in train_samples}
     if counts is not None:

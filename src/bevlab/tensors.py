@@ -4,7 +4,11 @@ Everything is CPU numpy under the hood, double precision throughout. The
 op set is deliberately small: exactly what the encoders, decoder heads and
 training losses need. Each op records its inputs and a backward closure on
 the output tensor; ``backward(loss)`` walks the recorded graph in reverse
-topological order and accumulates gradients (summing over fan-out).
+topological order and accumulates gradients (summing over fan-out). Given
+root groups that share only leaves, such as the loss terms of each sample
+in a batch, it walks each group's part of the graph apart, on whatever
+threads the caller maps it over, and folds every leaf gradient in the order
+the undivided walk adds it, so the bits do not depend on the threads.
 
 Conventions:
   * feature maps are shaped (C, H, W); vectors (N,); scalars ().
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -92,8 +97,21 @@ def custom_op(out_data, parents, bwd, name: str) -> Tensor:
     return out
 
 
-def backward(loss: Tensor) -> None:
-    """Reverse-mode pass from a scalar loss; gradients sum over fan-out."""
+def backward(loss: Tensor, groups=(), run=map) -> None:
+    """Reverse-mode pass from a scalar loss; gradients sum over fan-out.
+
+    Each node's backward closure runs once, after all of its consumers,
+    in one reverse topological order, and each tensor adds its incoming
+    gradients in that order. ``groups`` (tuples of root tensors, such as
+    each sample's loss terms) split the walk: first the head, the nodes no
+    group reaches, on the calling thread; then each group's own nodes, one
+    walk per group, through ``run`` (``map``, or a map onto threads). A
+    leaf may be reached from several groups and the head. Every gradient
+    part is tagged with the emitting node's position, and each tensor folds
+    its parts by position, so every gradient keeps the bits of the
+    undivided walk. A non-leaf node reachable from two groups raises
+    TensorError.
+    """
     if loss.data.shape != ():
         raise TensorError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
@@ -113,16 +131,64 @@ def backward(loss: Tensor) -> None:
         stack.append((node, True))
         for p in node._parents:
             stack.append((p, False))
-    loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(order):
-        if node._bwd is None or node.grad is None:
+    owner = {}  # id of a non-leaf node -> the one group that reaches it
+
+    def claim(node, k):
+        if node._bwd is not None and owner.setdefault(id(node), k) != k:
+            raise TensorError(f"a '{node._op}' node is reached from groups "
+                              f"{owner[id(node)]} and {k}")
+
+    for k, roots in enumerate(groups):
+        for r in roots:
+            claim(r, k)
+    # consumers come first in reverse order, so a node's owner is settled on reaching it
+    head, walks = [], [[] for _ in groups]
+    for i in range(len(order) - 1, -1, -1):
+        node = order[i]
+        if node._bwd is None:
             continue
-        parent_grads = node._bwd(node.grad)
-        for parent, g in zip(node._parents, parent_grads):
-            if g is None or not parent.requires_grad:
-                continue
-            # grads are never mutated in place, so aliasing views is safe
-            parent.grad = g if parent.grad is None else parent.grad + g
+        k = owner.get(id(node))
+        if k is None:
+            head.append((i, node))
+            continue
+        walks[k].append((i, node))
+        for p in node._parents:
+            claim(p, k)
+    loss.grad = np.ones((), dtype=np.float64)
+    pending = _walk(head, {})
+    seeds = [{} for _ in groups]  # the head's parts for each group's nodes
+    for key in [key for key in pending if key in owner]:
+        seeds[owner[key]][key] = pending.pop(key)
+    for rest in run(_walk, walks, seeds):
+        for key, parts in rest.items():
+            pending.setdefault(key, []).extend(parts)
+    for node in order:  # only leaves are left pending
+        if id(node) in pending:
+            node.grad = _fold(node.grad, pending[id(node)])
+
+
+def _fold(grad, parts):
+    """``grad`` plus each (position, gradient) part in walk order: from the
+    highest position down, a node's own parts in the order it emitted them."""
+    for _, g in sorted(parts, key=lambda part: -part[0]):
+        # grads are never mutated in place, so aliasing views is safe
+        grad = g if grad is None else grad + g
+    return grad
+
+
+def _walk(nodes, pending):
+    """Run the backward closures of ``nodes``, (position, node) pairs in
+    walk order. ``pending`` holds each tensor's (position, gradient) parts
+    so far; a node's parts fold into its grad before its closure runs, and
+    the parts it emits join ``pending``, which is returned."""
+    for i, node in nodes:
+        node.grad = grad = _fold(node.grad, pending.pop(id(node), ()))
+        if grad is None:
+            continue
+        for parent, g in zip(node._parents, node._bwd(grad)):
+            if g is not None and parent.requires_grad:
+                pending.setdefault(id(parent), []).append((i, g))
+    return pending
 
 
 def zero_grad(params) -> None:
@@ -169,32 +235,16 @@ def scale(x: Tensor, c: float) -> Tensor:
     return custom_op(out_data, (x,), bwd, "scale")
 
 
-def tsum(x: Tensor) -> Tensor:
-    out_data = np.sum(x.data)
-
-    def bwd(g):
-        return (np.full(x.data.shape, float(g)),)
-
-    return custom_op(out_data, (x,), bwd, "sum")
-
-
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0.0
-    out_data = np.where(mask, x.data, 0.0)
+    """max(x, 0) with +0.0 for every x <= 0, -0.0 included; NaN stays NaN,
+    so the finite guard raises on it."""
+    out_data = np.maximum(x.data, 0.0)
+    out_data += 0.0  # -0.0 + 0.0 is +0.0; every other value keeps its bits
 
     def bwd(g):
-        return (g * mask,)
+        return (g * (x.data > 0.0),)
 
     return custom_op(out_data, (x,), bwd, "relu")
-
-
-def tanh(x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-
-    def bwd(g):
-        return (g * (1.0 - y * y),)
-
-    return custom_op(y, (x,), bwd, "tanh")
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -313,6 +363,38 @@ def _im2col(buf: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) ->
     return win.reshape(buf.shape[0] * kh * kw, ho * wo)
 
 
+class ConvSites(NamedTuple):
+    """Output positions of one conv2d geometry, checked, with their index
+    arrays; ``conv_sites`` builds them and ``conv2d(at=...)`` takes them."""
+
+    geometry: tuple  # (input shape, (kh, kw), stride, pad)
+    at: np.ndarray  # sorted, unique flat output positions
+    targets: np.ndarray  # (Cin*kh*kw, len(at)) flat offsets into the padded input
+
+
+def conv_sites(x_shape, window, at, stride: int = 1, pad: int = 0) -> ConvSites:
+    """Check the flat output positions ``at`` of a conv2d over a (Cin, H,
+    W) input with a (kh, kw) ``window``, and build the padded-input offset
+    of each of their im2col entries. A caller that convolves the same
+    geometry at the same positions again builds this once and passes it
+    as ``at``."""
+    cin, h, w = x_shape
+    kh, kw = window
+    hp, wp = h + 2 * pad, w + 2 * pad
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    at = np.asarray(at)
+    if at.ndim != 1 or (at.size and at.dtype.kind not in "iu"):
+        raise TensorError(f"conv2d at must be a 1-D integer array, got {at.dtype} {at.shape}")
+    at = at.astype(np.int64)
+    if at.size and (at[0] < 0 or at[-1] >= ho * wo or np.any(np.diff(at) <= 0)):
+        raise TensorError(f"conv2d at must be strictly increasing within [0, {ho * wo})")
+    # flat offset of each (channel, tap) in the padded buffer, plus each window's origin
+    taps = ((np.arange(cin)[:, None, None] * hp + np.arange(kh)[:, None]) * wp
+            + np.arange(kw)).reshape(-1, 1)
+    targets = taps + (at // wo) * (stride * wp) + (at % wo) * stride
+    return ConvSites((tuple(x_shape), (kh, kw), stride, pad), at, targets)
+
+
 def conv2d(x: Tensor, k: Tensor, bias: Tensor = None, stride: int = 1, pad: int = 0,
            at=None) -> Tensor:
     """2-D cross-correlation of a (Cin, H, W) map with (Cout, Cin, kh, kw) filters.
@@ -327,12 +409,13 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor = None, stride: int = 1, pad: int 
     tap at a time.
 
     ``at``, a sorted, unique 1-D int array of flat output positions
-    (``row * Wo + col``), computes only those output columns, from im2col
-    columns gathered there alone, and returns them as a (Cout, len(at))
-    array, bias included. Backward then takes dk, db and dx from those
-    columns only, dx by one ``np.bincount`` of every tap's column gradient
-    into the padded input. Per pixel it adds the taps in tap order, as the
-    strided loop does.
+    (``row * Wo + col``), or the ``conv_sites`` built from one for this
+    geometry, computes only those output columns, from im2col columns
+    gathered there alone, and returns them as a (Cout, len(at)) array,
+    bias included. Backward then takes dk, db and dx from those columns
+    only, dx by one ``np.bincount`` of every tap's column gradient into the
+    padded input. Per pixel it adds the taps in tap order, as the strided
+    loop does.
     """
     if x.data.ndim != 3 or k.data.ndim != 4:
         raise TensorError("conv2d expects x (Cin,H,W) and k (Cout,Cin,kh,kw)")
@@ -355,16 +438,12 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor = None, stride: int = 1, pad: int 
     if at is None:
         cols = _im2col(xp, kh, kw, stride, ho, wo)
     else:
-        at = np.asarray(at)
-        if at.ndim != 1 or (at.size and at.dtype.kind not in "iu"):
-            raise TensorError(f"conv2d at must be a 1-D integer array, got {at.dtype} {at.shape}")
-        at = at.astype(np.int64)
-        if at.size and (at[0] < 0 or at[-1] >= ho * wo or np.any(np.diff(at) <= 0)):
-            raise TensorError(f"conv2d at must be strictly increasing within [0, {ho * wo})")
-        # flat offset of each (channel, tap) in the padded buffer, plus each window's origin
-        taps = ((np.arange(cin)[:, None, None] * hp + np.arange(kh)[:, None]) * wp
-                + np.arange(kw)).reshape(-1, 1)
-        targets = taps + (at // wo) * (stride * wp) + (at % wo) * stride
+        geometry = (x.data.shape, (kh, kw), stride, pad)
+        if not isinstance(at, ConvSites):
+            at = conv_sites(*geometry[:2], at, stride, pad)
+        elif at.geometry != geometry:
+            raise TensorError(f"conv2d at built for {at.geometry}, used on {geometry}")
+        targets = at.targets
         cols = np.take(xp, targets)
     out_data = w2 @ cols
     if bias is not None:
@@ -549,24 +628,6 @@ def _nearer_order(pred: np.ndarray, gt: np.ndarray):
     d_fwd = np.mean(np.abs(pred - gt))
     d_rev = np.mean(np.abs(pred - gt[::-1]))
     return (d_rev, gt[::-1]) if d_rev < d_fwd else (d_fwd, gt)
-
-
-def l1_line_loss(pred: Tensor, gt: Tensor) -> Tensor:
-    """Mean absolute coordinate error between (K, 2) point sequences,
-    minimized over forward/reverse ordering of the target sequence."""
-    if pred.data.shape != gt.data.shape or pred.data.ndim != 2 or pred.data.shape[1] != 2:
-        raise TensorError(f"l1_line_loss expects matching (K, 2) inputs, got "
-                          f"{pred.data.shape} vs {gt.data.shape}")
-    d, sel = _nearer_order(pred.data, gt.data)
-    reverse = sel is not gt.data
-    n = pred.data.size
-
-    def bwd(g):
-        s = np.sign(pred.data - sel) * (float(g) / n)
-        sg = -s[::-1] if reverse else -s
-        return s, sg
-
-    return custom_op(np.float64(d), (pred, gt), bwd, "l1_line_loss")
 
 
 def l1_rows_loss(x: Tensor, rows, targets) -> Tensor:

@@ -2,11 +2,15 @@
 
 Everything here is deliberately naive: explicit Python loops and
 textbook formulas, no shared code with the implementations under test.
+The tape ops at the end are the one exception: they wire their own
+forward and backward into the package's tape, for the tests alone.
 """
 
 import math
 
 import numpy as np
+
+from bevlab.tensors import TensorError, custom_op
 
 
 # ---------------------------------------------------------------------------
@@ -482,3 +486,66 @@ def average_precision_oracle(scores, labels, n_pos):
         ap += precision * (recall - prev_recall)
         prev_recall = recall
     return ap
+
+
+# ---------------------------------------------------------------------------
+# tape ops only the tests use, and the undivided backward walk
+# ---------------------------------------------------------------------------
+
+def serial_backward(loss):
+    """One reverse pass over the whole tape on one thread, each gradient
+    added as its consumer's closure returns: the walk ``tensors.backward``
+    must reproduce bit for bit, whatever groups and threads it is given."""
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen and node.requires_grad:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents)
+    loss.grad = np.ones(())
+    for node in reversed(order):
+        if node._bwd is None or node.grad is None:
+            continue
+        for parent, g in zip(node._parents, node._bwd(node.grad)):
+            if g is not None and parent.requires_grad:
+                parent.grad = g if parent.grad is None else parent.grad + g
+
+
+def tsum(x):
+    """Sum of every entry, as a scalar tape node."""
+    def bwd(g):
+        return (np.full(x.data.shape, float(g)),)
+
+    return custom_op(np.sum(x.data), (x,), bwd, "sum")
+
+
+def tanh(x):
+    y = np.tanh(x.data)
+
+    def bwd(g):
+        return (g * (1.0 - y * y),)
+
+    return custom_op(y, (x,), bwd, "tanh")
+
+
+def l1_line_loss(pred, gt):
+    """Mean absolute coordinate error between (K, 2) point sequences,
+    minimized over forward/reverse ordering of the target sequence: one
+    tape node per line, the chain ``tensors.l1_rows_loss`` replaces."""
+    if pred.data.shape != gt.data.shape or pred.data.ndim != 2 or pred.data.shape[1] != 2:
+        raise TensorError(f"l1_line_loss expects matching (K, 2) inputs, got "
+                          f"{pred.data.shape} vs {gt.data.shape}")
+    d_fwd = np.mean(np.abs(pred.data - gt.data))
+    d_rev = np.mean(np.abs(pred.data - gt.data[::-1]))
+    reverse = d_rev < d_fwd
+    sel = gt.data[::-1] if reverse else gt.data
+    n = pred.data.size
+
+    def bwd(g):
+        s = np.sign(pred.data - sel) * (float(g) / n)
+        return s, (-s[::-1] if reverse else -s)
+
+    return custom_op(np.float64(d_rev if reverse else d_fwd), (pred, gt), bwd, "l1_line_loss")

@@ -449,7 +449,7 @@ def test_student_forward_with_reads_matches_dense_extract():
             for run in (lambda: E.student_forward(student, images, rig, grid).tensor,
                         lambda: dense_student_forward(student, images, rig, grid)):
                 out = run()
-                T.backward(T.tsum(T.mul(out, w)))
+                T.backward(oracles.tsum(T.mul(out, w)))
                 outs.append(out.data)
                 grads.append({n: q.grad for n, q in student.params.items()})
                 T.zero_grad(student.params)

@@ -407,3 +407,21 @@ def test_cli_pins_blas_threads_unless_set(preset, want):
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [want, want]
+
+
+@pytest.mark.parametrize("cpus, jobs, want", [(2, 2, [1, 1]), (2, 1, [2, 2]), (4, 2, [2, 2]),
+                                              (2, 3, [1, 1])])
+def test_run_many_splits_the_cpus_between_its_processes(tmp_path, monkeypatch, cpus, jobs,
+                                                        want):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for name in ("ensure_dataset", "ensure_teacher"):
+        monkeypatch.setattr(H, name, lambda *args: None)
+    # forked workers inherit the fake; each reports the threads fit would take
+    monkeypatch.setattr(H, "train_run", lambda cfg, out, *spec: {
+        "threads": SV.fit_threads(), "pid": os.getpid()})
+    results = H.run_many(tiny_config(), str(tmp_path), [("raw", 1, None), ("baseline", 1, None)],
+                         jobs)
+    assert [rec["threads"] for _, ok, rec in results] == want
+    assert all(ok for _, ok, _ in results)
+    assert (os.getpid() in {rec["pid"] for _, _, rec in results}) == (jobs == 1)
+    assert SV.fit_threads() == cpus  # the parent keeps every CPU

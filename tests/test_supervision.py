@@ -2,12 +2,15 @@
 
 import hashlib
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from bevlab import encoders as E
 from bevlab import geometry as G
+from bevlab import mapeval as ME
 from bevlab import scenegen as S
 from bevlab import supervision as SV
 from bevlab import tensors as T
@@ -507,3 +510,141 @@ def test_train_student_divergence_names_the_step(corpus):
         SV.train_student(samples, frozen_teacher(),
                          SV.SupervisionConfig("norm_only"), seed=3, grid=grid,
                          rig=rig, steps=30, base_lr=1e8)
+
+
+# ---------------------------------------------------------------------------
+# threads
+# ---------------------------------------------------------------------------
+
+def on_threads(monkeypatch, threads, run):
+    """run() with fit on ``threads`` threads; returns (its result, the
+    names of the threads that computed a detection loss)."""
+    monkeypatch.setattr(SV, "_cpu_share", threads)
+    plain = SV.detection_loss
+    names = set()
+    helped = threading.Event()
+
+    def watched(*args, **kwargs):
+        names.add(threading.current_thread().name)
+        if threading.current_thread() is not threading.main_thread():
+            helped.set()
+        elif threads > 1:
+            helped.wait(timeout=30)  # hold the first sample until a pool thread takes one
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(SV, "detection_loss", watched)
+    try:
+        return run(), names
+    finally:
+        monkeypatch.setattr(SV, "detection_loss", plain)
+
+
+def test_fit_gives_the_same_bits_on_one_thread_and_on_two(corpus, tmp_path, monkeypatch):
+    grid, rig, samples = corpus
+    runs = {}
+    for threads in (1, 2):
+        def pretrain():
+            log = tmp_path / f"teacher{threads}.log"
+            teacher, decoder, val_map = E.pretrain_teacher(
+                samples, samples[:1], grid, ME.EvalConfig("standard", grid=grid), seed=2,
+                steps=3, log_path=str(log))
+            params = E.named_params({"teacher": teacher, "decoder": decoder})
+            return E.params_checksum(params), log.read_bytes(), val_map
+
+        runs[("teacher", threads)], names = on_threads(monkeypatch, threads, pretrain)
+        assert len(names) == threads
+        teacher = frozen_teacher()
+        for variant in SV.VARIANTS:
+            def student():
+                log = tmp_path / f"{variant}{threads}.log"
+                st, dec, ad, _ = SV.train_student(samples, teacher, SV.SupervisionConfig(variant),
+                                                  seed=4, grid=grid, rig=rig, steps=3,
+                                                  log_path=str(log))
+                params = E.named_params({"student": st, "decoder": dec, "adapter": ad})
+                return E.params_checksum(params), log.read_bytes()
+
+            runs[(variant, threads)], names = on_threads(monkeypatch, threads, student)
+            assert len(names) == threads, variant
+    for name in ("teacher",) + SV.VARIANTS:
+        assert runs[(name, 1)] == runs[(name, 2)], name
+
+
+def test_a_worker_error_leaves_as_divergence_at_its_step(corpus, tmp_path, monkeypatch):
+    grid, rig, samples = corpus
+    monkeypatch.setattr(SV, "_cpu_share", 2)
+    plain = SV.detection_loss
+    calls = []
+    failed = threading.Event()
+
+    def poisoned(logits, *args, **kwargs):
+        calls.append(1)
+        if len(calls) > 4:  # step 1 on: the main thread waits while a pool thread fails
+            if threading.current_thread() is threading.main_thread():
+                failed.wait(timeout=30)
+            else:
+                failed.set()
+                T.relu(T.tensor(np.full(3, np.nan)))  # raises: relu passes NaN on
+        return plain(logits, *args, **kwargs)
+
+    monkeypatch.setattr(SV, "detection_loss", poisoned)
+    before = threading.active_count()
+    log = tmp_path / "log.txt"
+    with pytest.raises(SV.SupervisionError, match=r"^diverged at step 1: non-finite values "
+                                                  r"produced by op 'relu'$"):
+        SV.train_student(samples, frozen_teacher(), SV.SupervisionConfig("raw"), seed=3,
+                         grid=grid, rig=rig, steps=4, log_path=str(log))
+    assert failed.is_set() and len(log.read_text().splitlines()) == 1
+    assert threading.active_count() == before  # the pool is shut down
+
+
+def test_the_lift_index_arrays_are_built_with_the_table(corpus, monkeypatch):
+    grid, rig, samples = corpus
+    student = E.StudentEncoder(RNG(3))
+    built = []
+    plain = T.conv_sites
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(T, "conv_sites", counted)
+    monkeypatch.setattr(E, "conv_sites", counted)
+    outs = [E.student_forward(student, s.cams, rig, grid).tensor.data for s in samples[:2]]
+    assert len(built) == len(rig)
+    table = student.table_for(rig, grid)
+    by_reads = [student.extract(img, r).data for img, r in zip(samples[1].cams, table.reads)]
+    by_sites = [student.extract(img, s).data
+                for img, s in zip(samples[1].cams, student._lift_plan(rig, grid)[1])]
+    assert all(np.array_equal(a, b) for a, b in zip(by_reads, by_sites))
+    assert outs[0].shape == (student.c_feat, grid.rows, grid.cols)
+
+
+def test_crew_map_makes_each_call_once_under_contention():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can be
+    try:
+        with SV.Crew(4) as crew:  # more threads than this machine's cores
+            for _ in range(20):
+                calls = []
+
+                def work(i, j):
+                    calls.append(i)
+                    return float(np.sum(np.full(50, float(i)))) + j
+
+                got = crew.map(work, range(64), range(64, 128))
+                assert got == [51.0 * i + 64 for i in range(64)]
+                assert sorted(calls) == list(range(64))
+
+                def fail(i):
+                    calls.append(i)
+                    if i % 7 == 3:
+                        raise T.TensorError(f"item {i}")
+                    return i
+
+                calls.clear()
+                with pytest.raises(T.TensorError, match="^item 3$"):
+                    crew.map(fail, range(64))
+                # calls are claimed in order, so every call before the first failure ran
+                assert set(range(4)) <= set(calls) and len(set(calls)) == len(calls)
+    finally:
+        sys.setswitchinterval(interval)

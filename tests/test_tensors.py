@@ -111,7 +111,7 @@ def test_l1_line_matches_two_ordering_oracle():
     rng = RNG(6)
     p = rng.normal(size=(5, 2))
     g = rng.normal(size=(5, 2))
-    got = T.l1_line_loss(T.tensor(p), T.tensor(g)).item()
+    got = oracles.l1_line_loss(T.tensor(p), T.tensor(g)).item()
     assert abs(got - oracles.l1_line_oracle(p, g)) < 1e-14
 
 
@@ -121,8 +121,8 @@ def test_l1_line_reversal_invariant(seed):
     rng = RNG(seed)
     p = rng.normal(size=(4, 2))
     g = rng.normal(size=(4, 2))
-    a = T.l1_line_loss(T.tensor(p), T.tensor(g)).item()
-    b = T.l1_line_loss(T.tensor(p), T.tensor(g[::-1].copy())).item()
+    a = oracles.l1_line_loss(T.tensor(p), T.tensor(g)).item()
+    b = oracles.l1_line_loss(T.tensor(p), T.tensor(g[::-1].copy())).item()
     assert a == b
 
 
@@ -140,7 +140,7 @@ def test_l1_rows_loss_equals_the_per_row_chain_bit_for_bit():
     terms, grad = [], np.zeros_like(x)
     for q, t in zip(rows, targets):
         row = T.parameter(x[q].copy())
-        terms.append(T.l1_line_loss(row, T.tensor(t)))
+        terms.append(oracles.l1_line_loss(row, T.tensor(t)))
         T.backward(T.scale(terms[-1], c))
         grad[q] += row.grad
     want = terms[0].data
@@ -213,6 +213,17 @@ def test_maxpool_and_upsample_match_oracles():
 def test_relu_values():
     x = T.tensor(np.array([-2.0, -0.5, 0.0, 0.5, 2.0]))
     assert np.array_equal(T.relu(x).data, [0.0, 0.0, 0.0, 0.5, 2.0])
+
+
+def test_relu_keeps_the_bits_of_the_select_form():
+    tiny = np.nextafter(0.0, 1.0)
+    x = np.array([-0.0, 0.0, -tiny, tiny, -1.5, 2.5, -1e300, 1e300, 1e-300] * 3)
+    got = T.relu(T.tensor(x)).data
+    assert np.array_equal(got.view(np.int64), np.where(x > 0.0, x, 0.0).view(np.int64))
+    assert not np.any(np.signbit(got))
+    # the select form zeroed NaN; max propagates it, and the finite guard refuses it
+    with pytest.raises(T.TensorError, match="relu"):
+        T.relu(T.tensor(np.array([1.0, np.nan, -1.0])))
 
 
 def test_relu_backward_passes_gradient_only_where_input_is_positive():
@@ -301,7 +312,7 @@ def test_grad_conv2d():
     x = rng.normal(size=(2, 5, 6))
     k = rng.normal(size=(3, 2, 3, 3))
     b = rng.normal(size=3)
-    fd_check(lambda xt, kt, bt: T.tsum(T.scale(T.conv2d(xt, kt, bt, stride=2, pad=1), 0.5)),
+    fd_check(lambda xt, kt, bt: oracles.tsum(T.scale(T.conv2d(xt, kt, bt, stride=2, pad=1), 0.5)),
              [x, k, b], 3)
     # every stride, pad (pad >= kernel included), kernel and odd/even size
     for stride, pad, (kh, kw), (h, w) in CONV_GRAD_CASES:
@@ -309,7 +320,7 @@ def test_grad_conv2d():
         k = rng.normal(size=(2, 2, kh, kw))
         b = rng.normal(size=2)
         wts = rng.normal(size=T.conv2d(T.tensor(x), T.tensor(k), stride=stride, pad=pad).shape)
-        fd_check(lambda xt, kt, bt, wt: T.tsum(T.mul(T.conv2d(xt, kt, bt, stride=stride, pad=pad),
+        fd_check(lambda xt, kt, bt, wt: oracles.tsum(T.mul(T.conv2d(xt, kt, bt, stride=stride, pad=pad),
                                                      T.tensor(wt))),
                  [x, k, b, wts], 3)
 
@@ -341,7 +352,7 @@ def test_conv2d_input_grad_takes_col2im_when_cout_is_4x_cin():
     x = rng.normal(size=(2, 6, 7))
     k = rng.normal(size=(9, 2, 3, 2))
     b = rng.normal(size=9)
-    fd_check(lambda xt, kt, bt: T.tsum(T.scale(T.conv2d(xt, kt, bt, stride=2, pad=1), 0.5)),
+    fd_check(lambda xt, kt, bt: oracles.tsum(T.scale(T.conv2d(xt, kt, bt, stride=2, pad=1), 0.5)),
              [x, k, b], 3)
 
 
@@ -356,7 +367,7 @@ def test_conv2d_input_off_the_tape_gets_no_gradient():
         out = T.conv2d(xt, kt, bt, stride=2, pad=1)
         # bwd itself skips dx; backward() would drop it for an off-tape input anyway
         assert (out._bwd(np.ones(out.shape))[0] is None) == (not on_tape)
-        T.backward(T.tsum(T.scale(out, 0.5)))
+        T.backward(oracles.tsum(T.scale(out, 0.5)))
         grads[on_tape] = (xt.grad, kt.grad, bt.grad)
     assert grads[True][0] is not None and grads[False][0] is None
     assert np.array_equal(grads[True][1], grads[False][1])
@@ -413,11 +424,30 @@ def test_grad_conv2d_at():
             sparse = sparse_positions(rng, ho * wo)
             for at in (sparse, np.array([], dtype=np.int64)):
                 wts = rng.normal(size=(3, len(at)))
-                fd_check(lambda xt, kt, bt, wt: T.tsum(T.mul(
+                fd_check(lambda xt, kt, bt, wt: oracles.tsum(T.mul(
                     T.conv2d(xt, kt, bt, stride=stride, pad=pad, at=at), T.tensor(wt))),
                     [x, k, b, wts], 3)
             out = T.conv2d(T.tensor(x), T.parameter(k), stride=stride, pad=pad, at=sparse)
             assert out._bwd(np.ones(out.shape))[0] is None
+
+
+def test_conv2d_takes_prebuilt_sites_for_its_geometry_only():
+    rng = RNG(31)
+    x, k, b = T.parameter(rng.normal(size=(3, 7, 8))), T.parameter(rng.normal(size=(4, 3, 3, 3))), \
+        T.parameter(rng.normal(size=4))
+    at = sparse_positions(rng, 7 * 8)
+    sites = T.conv_sites((3, 7, 8), (3, 3), at, stride=1, pad=1)
+    outs = [T.conv2d(x, k, b, pad=1, at=a) for a in (at, sites)]
+    assert np.array_equal(outs[0].data, outs[1].data)
+    g = rng.normal(size=outs[0].shape)
+    for got, want in zip(outs[1]._bwd(g), outs[0]._bwd(g)):
+        assert np.array_equal(got, want)
+    wider = T.parameter(rng.normal(size=(3, 7, 10)))
+    for xt, stride, pad in ((x, 2, 1), (x, 1, 0), (wider, 1, 1)):
+        with pytest.raises(T.TensorError, match="conv2d at built for"):
+            T.conv2d(xt, k, b, stride=stride, pad=pad, at=sites)
+    with pytest.raises(T.TensorError, match="conv2d at"):
+        T.conv_sites((3, 7, 8), (3, 3), np.array([3, 2]), pad=1)
 
 
 def test_conv2d_at_fails_fast_and_allows_empty():
@@ -432,7 +462,7 @@ def test_conv2d_at_fails_fast_and_allows_empty():
     for empty in ([], np.array([], dtype=np.int64)):
         out = T.conv2d(x, kt, bt, pad=1, at=empty)
         assert out.shape == (3, 0)
-        T.backward(T.tsum(out))
+        T.backward(oracles.tsum(out))
         assert np.all(kt.grad == 0.0) and np.all(bt.grad == 0.0)
         T.zero_grad([kt, bt])
 
@@ -466,22 +496,22 @@ def test_grad_l1_line():
     rng = RNG(24)
     p = rng.normal(size=(4, 2)) * 3.0
     g = rng.normal(size=(4, 2)) * 0.1  # well separated orderings
-    fd_check(lambda pt, gt: T.l1_line_loss(pt, gt), [p, g], 2)
+    fd_check(lambda pt, gt: oracles.l1_line_loss(pt, gt), [p, g], 2)
 
 
 def test_grad_pool_up_concat_linear():
     rng = RNG(25)
     x = oracles.distinct_quads(rng, 2, 4, 4)
-    fd_check(lambda xt: T.tsum(T.maxpool2(xt)), [x], 1, h=1e-6)
+    fd_check(lambda xt: oracles.tsum(T.maxpool2(xt)), [x], 1, h=1e-6)
     y = rng.normal(size=(2, 3, 3))
-    fd_check(lambda yt: T.tsum(T.upsample2x(yt)), [y], 1)
+    fd_check(lambda yt: oracles.tsum(T.upsample2x(yt)), [y], 1)
     a = rng.normal(size=(2, 3, 3))
     b = rng.normal(size=(4, 3, 3))
-    fd_check(lambda at, bt: T.tsum(T.tanh(T.concat([at, bt], axis=0))), [a, b], 2)
+    fd_check(lambda at, bt: oracles.tsum(oracles.tanh(T.concat([at, bt], axis=0))), [a, b], 2)
     xv = oracles.away_from_zero(rng, (5,))
     w = rng.normal(size=(5, 3))
     bb = rng.normal(size=3)
-    fd_check(lambda xt, wt, bt: T.tsum(T.relu(T.linear(xt, wt, bt))), [xv, w, bb], 3)
+    fd_check(lambda xt, wt, bt: oracles.tsum(T.relu(T.linear(xt, wt, bt))), [xv, w, bb], 3)
 
 
 def test_mul_values_and_gradient():
@@ -491,7 +521,7 @@ def test_mul_values_and_gradient():
     assert np.array_equal(T.mul(T.tensor(a), T.tensor(b)).data, a * b)
     with pytest.raises(T.TensorError):
         T.mul(T.tensor(a), T.tensor(b[:2]))
-    fd_check(lambda at, bt: T.tsum(T.mul(at, bt)), [a, b], 2)
+    fd_check(lambda at, bt: oracles.tsum(T.mul(at, bt)), [a, b], 2)
 
 
 def test_grad_soft_points():
@@ -509,8 +539,8 @@ def test_grad_spatial_mean_and_reshape():
     rng = RNG(26)
     x = rng.normal(size=(3, 4, 5))
     w = rng.normal(size=(3,))
-    fd_check(lambda xt, wc: T.tsum(T.scale(T.spatial_mean(xt), 2.0)), [x, w], 1)
-    fd_check(lambda xt: T.tsum(T.tanh(T.reshape(xt, (12, 5)))), [x], 1)
+    fd_check(lambda xt, wc: oracles.tsum(T.scale(T.spatial_mean(xt), 2.0)), [x, w], 1)
+    fd_check(lambda xt: oracles.tsum(oracles.tanh(T.reshape(xt, (12, 5)))), [x], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +591,66 @@ def test_node_visited_once():
     # d/da of mean((b)^2) through both routes cancels exactly
     assert np.allclose(a.grad, 0.0)
     assert np.allclose(b.grad, 2.0 * 0.5 / 3.0)
+
+
+def group_graph(rng):
+    """A loss whose parameter ``w`` gets contributions from three groups and
+    from the head, with magnitudes spread so that their order shows in the
+    bits; ``v`` is reached from one group only. Returns (loss, groups, w, v)."""
+    w = T.parameter(rng.normal(size=5))
+    v = T.parameter(rng.normal(size=5))
+    groups = []
+    for k, mag in enumerate((1e16, 1.0, -1e16)):
+        c = T.tensor(mag * rng.normal(size=5) + rng.normal(size=5))
+        h = T.mul(T.add(T.mul(w, c), w), T.tensor(rng.normal(size=5)))
+        if k == 1:
+            h = T.mul(h, v)
+        groups.append((oracles.tsum(h), oracles.tsum(T.scale(h, 0.5))))
+    terms = [T.add(a, b) for a, b in groups]
+    loss = T.add(T.add(T.add(terms[0], terms[1]), terms[2]), oracles.tsum(T.scale(w, 3.0)))
+    return loss, groups, w, v
+
+
+def reversed_map(fn, *iterables):
+    """map, but making the calls last to first."""
+    return [fn(*args) for args in reversed(list(zip(*iterables)))][::-1]
+
+
+def test_split_backward_keeps_the_serial_walk_bits():
+    from bevlab.supervision import Crew
+    want = None
+    with Crew(2) as crew:
+        for groups_of, run in ((lambda g: (), map), (lambda g: g, map),
+                               (lambda g: g, reversed_map), (lambda g: g, crew.map),
+                               (lambda g: g[::-1], crew.map)):
+            loss, groups, w, v = group_graph(RNG(40))
+            if want is None:
+                oracles.serial_backward(loss)
+                want = (w.grad, v.grad)
+                # folding group by group would move the bits: the test can tell
+                loss, groups, w, v = group_graph(RNG(40))
+            T.backward(loss, groups_of(groups), run)
+            assert np.array_equal(w.grad, want[0]) and np.array_equal(v.grad, want[1])
+    contributions = []
+    for k in range(3):
+        loss, groups, w, v = group_graph(RNG(40))
+        T.backward(T.add(*groups[k]))
+        contributions.append(w.grad)
+    by_group = contributions[0] + contributions[1] + contributions[2]
+    assert not np.array_equal(by_group + 3.0, want[0])
+
+
+def test_split_backward_refuses_a_node_two_groups_share():
+    w = T.parameter(np.ones(3))
+    shared = T.scale(w, 2.0)
+    a, b = oracles.tsum(shared), oracles.tsum(T.mul(shared, shared))
+    with pytest.raises(T.TensorError, match="'scale' node is reached from groups 0 and 1"):
+        T.backward(T.add(a, b), [(a,), (b,)])
+    # a shared leaf is fine
+    a, b = oracles.tsum(w), oracles.tsum(T.scale(w, 3.0))
+    w.grad = None
+    T.backward(T.add(a, b), [(a,), (b,)])
+    assert np.array_equal(w.grad, np.full(3, 4.0))
 
 
 # ---------------------------------------------------------------------------
