@@ -7,9 +7,10 @@ Exit codes: 0 success, 1 hard failure, 2 partial sweep/ablation failure.
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
 says otherwise: the summation order, and with it every checksum, depends
 on the BLAS thread count. The default is set before numpy is first
-imported, so the forked --jobs workers inherit it. Training runs the
-samples of each step on threads of its own instead, one per CPU the
-process may use; the --jobs processes split the CPUs between them.
+imported, so the forked --jobs workers inherit it. Training walks the
+backward passes of each step's samples on threads of its own instead,
+one per CPU the process may use; the --jobs processes split the CPUs
+between them.
 Results do not depend on that thread count or on --jobs.
 """
 

@@ -13,6 +13,7 @@ the loss path; the decoder always consumes the raw student features.
 
 import os
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 from typing import NamedTuple
@@ -219,13 +220,54 @@ def fit_threads():
     return _cpu_share or len(os.sched_getaffinity(0))
 
 
+class Pace:
+    """Whether a pool thread has paid off lately in this process.
+
+    A map with helpers misses when it takes at least ``miss_share`` of its
+    calls' CPU time, what one thread would have taken. Such a map saves
+    little, while every hand-over of the interpreter lock wakes the other
+    CPU, which on a loaded machine costs steal time outside the map too.
+    After two misses with no hit between them the next ``solo_maps`` maps
+    run on the calling thread alone; the one after tries the helpers
+    again, and one more miss there starts another run alone. A spell of
+    load lasts seconds, about ``solo_maps`` training steps, and outlasts
+    a short ``fit``, so every ``Crew`` of the process shares one ``Pace``."""
+
+    miss_share = 0.8
+    solo_maps = 30
+
+    def __init__(self):
+        self.misses = 0  # maps with helpers since the last one that paid
+        self.solo = 0  # maps left to run on the calling thread alone
+
+    def alone(self):
+        """Whether the next map runs on the calling thread alone."""
+        if self.solo:
+            self.solo -= 1
+            return True
+        return False
+
+    def judge(self, wall, cpu):
+        """Record a map with helpers that took ``wall`` seconds and ``cpu``
+        seconds of its calls' CPU time."""
+        self.misses = self.misses + 1 if wall >= self.miss_share * cpu else 0
+        if self.misses >= 2:
+            self.solo = self.solo_maps
+
+
+PACE = Pace()
+
+
 class Crew:
     """The calling thread plus up to ``workers`` pool threads, mapping a
-    function over items; the pool shuts down when the ``with`` block ends."""
+    function over items; the pool shuts down when the ``with`` block ends.
+    ``pace`` (default: the process's ``PACE``) says when to leave the pool
+    threads idle. The results never depend on who made the calls."""
 
-    def __init__(self, workers):
+    def __init__(self, workers, pace=None):
         self.workers = workers
         self.pool = ThreadPoolExecutor(workers) if workers > 0 else None
+        self.pace = pace or PACE
 
     def __enter__(self):
         return self
@@ -246,22 +288,27 @@ class Crew:
         lock = threading.Lock()
 
         def drain():
+            """Calls until none is left; returns this thread's CPU time."""
+            start = time.thread_time()
             while True:
                 with lock:
                     i = None if errors else next(upcoming, None)
                 if i is None:
-                    return
+                    return time.thread_time() - start
                 try:
                     results[i] = fn(*items[i])
                 except BaseException as e:  # re-raised below, on the calling thread
                     with lock:
                         errors[i] = e
 
-        helpers = [self.pool.submit(drain)
-                   for _ in range(min(self.workers, len(items) - 1))]
-        drain()
-        for h in helpers:
-            h.result()
+        if self.workers == 0 or len(items) < 2 or self.pace.alone():
+            drain()
+        else:
+            start = time.perf_counter()
+            helpers = [self.pool.submit(drain)
+                       for _ in range(min(self.workers, len(items) - 1))]
+            cpu = drain() + sum(h.result() for h in helpers)
+            self.pace.judge(time.perf_counter() - start, cpu)
         if errors:
             raise errors[min(errors)]
         return results
@@ -281,13 +328,15 @@ def fit(models, features, samples, grid, batches, steps, base_lr,
     line of ``log_path`` (None: no log) once it is taken, and a non-finite
     value raises ``error`` naming the step. Returns the breakdowns.
 
-    The samples of a step run their forward passes and losses, then their
-    backward walks, on ``fit_threads()`` threads at most (the calling
-    thread among them), and ``backward`` folds the gradients in the serial
-    order: the results do not depend on the thread count. ``features`` and
-    ``align`` are called from several threads, so a cache they fill on
-    first use must be filled before ``fit`` starts. A step's tape is
-    released once its breakdown is built.
+    The samples of a step run their forward passes and losses on the
+    calling thread, then their backward walks on ``fit_threads()`` threads
+    at most (the calling thread among them), and ``backward`` folds the
+    gradients in the serial order: the results do not depend on the thread
+    count. Forward passes stay on the calling thread: threaded, they
+    handed the interpreter lock back and forth several times as often per
+    millisecond saved as the backward walks, and each hand-over waits for
+    the other CPU, so on a loaded machine their step times swung widely.
+    A step's tape is released once its breakdown is built.
     """
     decoder = models["decoder"]
     targets = clipped_targets(samples, grid, decoder.n_queries)
@@ -305,7 +354,7 @@ def fit(models, features, samples, grid, batches, steps, base_lr,
         return terms if align is None else terms + (align(fmap, s),)
 
     def take_step(step, idx, crew):
-        terms = crew.map(sample_terms, idx)
+        terms = [sample_terms(i) for i in idx]
         cls_terms, reg_terms, *bev_terms = zip(*terms)
         l_cls = mean_of(cls_terms)
         l_reg = mean_of(reg_terms)
@@ -362,7 +411,6 @@ def train_student(train_samples, teacher: TeacherEncoder,
         adapter = AffineAdapter(teacher.c_feat)
     else:
         student, decoder, adapter = make_models(rng, grid, teacher)
-    student.table_for(rig, grid)  # built here, before fit's threads share it
     teacher_maps = {} if cfg.variant == "baseline" else {
         s.scene_id: teacher_forward(teacher, s.overhead, grid) for s in train_samples}
     if counts is not None:

@@ -518,25 +518,29 @@ def test_train_student_divergence_names_the_step(corpus):
 
 def on_threads(monkeypatch, threads, run):
     """run() with fit on ``threads`` threads; returns (its result, the
-    names of the threads that computed a detection loss)."""
+    names of the threads that walked a sample's backward pass)."""
     monkeypatch.setattr(SV, "_cpu_share", threads)
-    plain = SV.detection_loss
+    monkeypatch.setattr(SV, "PACE", SV.Pace())
+    monkeypatch.setattr(SV.Pace, "solo_maps", 0)  # waiting below must not leave the pool idle
+    plain = SV.Crew.map
     names = set()
     helped = threading.Event()
 
-    def watched(*args, **kwargs):
-        names.add(threading.current_thread().name)
-        if threading.current_thread() is not threading.main_thread():
-            helped.set()
-        elif threads > 1:
-            helped.wait(timeout=30)  # hold the first sample until a pool thread takes one
-        return plain(*args, **kwargs)
+    def watched_map(crew, fn, *iterables):
+        def watched(*args):
+            names.add(threading.current_thread().name)
+            if threading.current_thread() is not threading.main_thread():
+                helped.set()
+            elif threads > 1:
+                helped.wait(timeout=30)  # hold the first walk until a pool thread takes one
+            return fn(*args)
+        return plain(crew, watched, *iterables)
 
-    monkeypatch.setattr(SV, "detection_loss", watched)
+    monkeypatch.setattr(SV.Crew, "map", watched_map)
     try:
         return run(), names
     finally:
-        monkeypatch.setattr(SV, "detection_loss", plain)
+        monkeypatch.setattr(SV.Crew, "map", plain)
 
 
 def test_fit_gives_the_same_bits_on_one_thread_and_on_two(corpus, tmp_path, monkeypatch):
@@ -572,21 +576,25 @@ def test_fit_gives_the_same_bits_on_one_thread_and_on_two(corpus, tmp_path, monk
 def test_a_worker_error_leaves_as_divergence_at_its_step(corpus, tmp_path, monkeypatch):
     grid, rig, samples = corpus
     monkeypatch.setattr(SV, "_cpu_share", 2)
-    plain = SV.detection_loss
-    calls = []
+    monkeypatch.setattr(SV, "PACE", SV.Pace())  # no earlier test's misses: step 1 uses the pool
+    plain = SV.Crew.map
+    steps = []
     failed = threading.Event()
 
-    def poisoned(logits, *args, **kwargs):
-        calls.append(1)
-        if len(calls) > 4:  # step 1 on: the main thread waits while a pool thread fails
-            if threading.current_thread() is threading.main_thread():
-                failed.wait(timeout=30)
-            else:
-                failed.set()
-                T.relu(T.tensor(np.full(3, np.nan)))  # raises: relu passes NaN on
-        return plain(logits, *args, **kwargs)
+    def poisoned_map(crew, fn, *iterables):
+        steps.append(1)
 
-    monkeypatch.setattr(SV, "detection_loss", poisoned)
+        def walk(*args):
+            if len(steps) > 1:  # step 1 on: the main thread waits while a pool thread fails
+                if threading.current_thread() is threading.main_thread():
+                    failed.wait(timeout=30)
+                else:
+                    failed.set()
+                    T.relu(T.tensor(np.full(3, np.nan)))  # raises: relu passes NaN on
+            return fn(*args)
+        return plain(crew, walk, *iterables)
+
+    monkeypatch.setattr(SV.Crew, "map", poisoned_map)
     before = threading.active_count()
     log = tmp_path / "log.txt"
     with pytest.raises(SV.SupervisionError, match=r"^diverged at step 1: non-finite values "
@@ -623,7 +631,9 @@ def test_crew_map_makes_each_call_once_under_contention():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can be
     try:
-        with SV.Crew(4) as crew:  # more threads than this machine's cores
+        pace = SV.Pace()
+        pace.solo_maps = 0  # the pool threads take part in every map
+        with SV.Crew(4, pace) as crew:  # more threads than this machine's cores
             for _ in range(20):
                 calls = []
 
@@ -648,3 +658,53 @@ def test_crew_map_makes_each_call_once_under_contention():
                 assert set(range(4)) <= set(calls) and len(set(calls)) == len(calls)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_crew_runs_alone_after_two_helper_maps_in_a_row_that_did_not_pay(monkeypatch):
+    ticks = itertools.count()
+    wall = {"step": 0.0, "now": 0.0}
+
+    def perf_counter():
+        wall["now"] += wall["step"]
+        return wall["now"]
+
+    # every thread_time reading is one CPU second after the last, so each
+    # map's calls take at least 2 s of CPU; a wall step of 0 is a hit, 1e9 a miss
+    monkeypatch.setattr(SV, "time", type(sys)("fake_time"))
+    SV.time.perf_counter = perf_counter
+    SV.time.thread_time = lambda: float(next(ticks))
+    pace = SV.Pace()
+    submits = []
+
+    def helped(crew, maps, step):
+        """How many of ``maps`` maps with a wall step of ``step`` used the helper."""
+        wall["step"] = step
+        before = len(submits)
+        for _ in range(maps):
+            assert crew.map(lambda i: i * i, range(4)) == [0, 1, 4, 9]
+        return len(submits) - before
+
+    with SV.Crew(1, pace) as crew:
+        submit = crew.pool.submit
+        crew.pool.submit = lambda *args: submits.append(1) or submit(*args)
+        assert helped(crew, 3, 0.0) == 3
+        assert helped(crew, 1, 1e9) == 1 and helped(crew, 1, 0.0) == 1  # a hit forgives a miss
+        assert helped(crew, 2, 1e9) == 2
+        assert helped(crew, 5, 0.0) == 0  # two misses in a row: alone ...
+    with SV.Crew(1, pace) as crew:  # ... in the next fit too, for solo_maps maps in all
+        submit = crew.pool.submit
+        crew.pool.submit = lambda *args: submits.append(1) or submit(*args)
+        assert helped(crew, SV.Pace.solo_maps - 5, 0.0) == 0
+        assert helped(crew, 1, 1e9) == 1  # tried again, and one miss there ...
+        assert helped(crew, SV.Pace.solo_maps, 1e9) == 0  # ... means alone once more
+        assert helped(crew, 2, 0.0) == 2 and helped(crew, 1, 1e9) == 1
+        assert helped(crew, 1, 0.0) == 1
+    with SV.Crew(0) as a, SV.Crew(0) as b:
+        assert a.pace is b.pace is SV.PACE  # every fit of the process shares one
+    pace = SV.Pace()
+    for _ in range(2):
+        pace.judge(0.79, 1.0)  # saved over a fifth of the CPU time: a hit
+    assert not pace.alone()
+    for _ in range(2):
+        pace.judge(0.8, 1.0)
+    assert pace.alone()
