@@ -238,39 +238,91 @@ def _traverse(x0, y0, x1, y1, visit):
 # resampling and chamfer distance
 # ---------------------------------------------------------------------------
 
+def _check_step(step):
+    if not (step > 0 and math.isfinite(step)):
+        raise GeometryError(f"resample step must be positive and finite, got {step!r}")
+
+
+def _flatten(polylines):
+    """All vertices of the polylines in one table: (pts (V,2), first (n,),
+    counts (n,), seg (V,2), sq (V,)). Polyline i holds rows first[i] to
+    first[i] + counts[i] - 1 of pts. Row v of seg is the segment from
+    vertex v to vertex v + 1, sq[v] its squared length; the row of each
+    polyline's last vertex is zero, so a single point is one zero-length
+    segment. Every polyline must be a non-empty (K, 2) array of finite
+    values."""
+    arrays = [np.asarray(p, dtype=np.float64) for p in polylines]
+    for a in arrays:
+        if a.ndim != 2 or a.shape[1] != 2 or len(a) == 0:
+            raise GeometryError("polyline must be non-empty (K, 2)")
+    pts = np.concatenate(arrays)
+    if not np.isfinite(pts).all():
+        raise GeometryError("polyline has a non-finite vertex")
+    counts = np.array([len(a) for a in arrays])
+    first = np.cumsum(counts) - counts
+    seg = np.zeros_like(pts)
+    np.subtract(pts[1:], pts[:-1], out=seg[:-1])
+    seg[first[1:] - 1] = 0.0
+    return pts, first, counts, seg, (seg * seg).sum(axis=1)
+
+
+def _resample(pts, first, counts, seg, sq, step):
+    """Every polyline of a _flatten table resampled as resample_polyline
+    describes: (samples (M,2) of all polylines in order, sample count of
+    each). A polyline's length, cumulative lengths and target search are
+    its own reductions, since their order fixes the bits; the
+    interpolation runs once for all polylines."""
+    lens = np.sqrt(sq)
+    cum = np.zeros(len(pts))  # arc length at each vertex along its polyline
+    rows, targets, sizes, singles = [], [], [], []
+    for o, k in zip(first.tolist(), counts.tolist()):
+        part = lens[o:o + k - 1]
+        total = float(part.sum())
+        if total == 0.0:  # a point, or only zero-length segments
+            singles.append((len(targets), o))
+            rows.append([o])
+            targets.append([0.0])
+            sizes.append(1)
+            continue
+        n = max(1, int(math.ceil(total / step)))
+        t = np.arange(n + 1) * (total / n)
+        part.cumsum(out=cum[o + 1:o + k])
+        # the segment each target lies on; leaving the last vertex out of
+        # the search keeps it below k - 1, and cum starts at 0 <= t
+        rows.append(cum[o:o + k - 1].searchsorted(t, side="right") + (o - 1))
+        targets.append(t)
+        sizes.append(n + 1)
+    idx = np.concatenate(rows)
+    safe = np.where(lens[idx] > 0, lens[idx], 1.0)
+    frac = np.clip((np.concatenate(targets) - cum[idx]) / safe, 0.0, 1.0)
+    samples = pts[idx] + frac[:, None] * seg[idx]
+    sizes = np.array(sizes)
+    if singles:  # the one sample is the first vertex itself, signed zeros too
+        which, o = zip(*singles)
+        samples[(np.cumsum(sizes) - sizes)[list(which)]] = pts[list(o)]
+    return samples, sizes
+
+
 def resample_polyline(pts, step=0.1):
     """Uniform arc-length resample with spacing <= step, endpoints included."""
-    pts = np.asarray(pts, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
-        raise GeometryError("polyline must be non-empty (K, 2)")
-    if len(pts) == 1:
-        return pts.copy()
-    seg = np.diff(pts, axis=0)
-    lens = np.sqrt((seg * seg).sum(axis=1))
-    total = float(lens.sum())
-    if total == 0.0:
-        return pts[:1].copy()
-    n = max(1, int(math.ceil(total / step)))
-    targets = np.arange(n + 1) * (total / n)
-    cum = np.concatenate([[0.0], np.cumsum(lens)])
-    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(lens) - 1)
-    safe = np.where(lens[idx] > 0, lens[idx], 1.0)
-    frac = np.clip((targets - cum[idx]) / safe, 0.0, 1.0)
-    return pts[idx] + frac[:, None] * seg[idx]
+    _check_step(step)
+    return _resample(*_flatten([pts]), step)[0]
 
 
-def _segment_table(pts):
-    """Per-coordinate segment arrays of a polyline: start x, start y,
-    direction x, direction y, the squared length with 0 replaced by 1, and
-    the indices of the zero-length segments. A single point is one
-    zero-length segment."""
-    pts = np.asarray(pts, dtype=np.float64)
-    start, end = (pts, pts) if len(pts) == 1 else (pts[:-1], pts[1:])
-    ax, ay = start[:, 0], start[:, 1]
-    abx, aby = end[:, 0] - ax, end[:, 1] - ay
-    denom = abx * abx + aby * aby
-    proper = denom > 0
-    return ax, ay, abx, aby, np.where(proper, denom, 1.0), np.flatnonzero(~proper)
+def _tables(pts, first, counts, seg, sq):
+    """Per-polyline segment tables of a _flatten table, as views of one
+    pass over all polylines: start x, start y, direction x, direction y,
+    the squared length with 0 replaced by 1, and the indices of the
+    zero-length segments."""
+    ax, ay = pts.T.copy()
+    abx, aby = seg.T.copy()
+    proper = sq > 0
+    safe = np.where(proper, sq, 1.0)
+    zero = np.flatnonzero(~proper)
+    ends = first + np.maximum(counts - 1, 1)
+    lo, hi = np.searchsorted(zero, first), np.searchsorted(zero, ends)
+    return [(ax[o:e], ay[o:e], abx[o:e], aby[o:e], safe[o:e], zero[z0:z1] - o)
+            for o, e, z0, z1 in zip(first.tolist(), ends.tolist(), lo.tolist(), hi.tolist())]
 
 
 def _nearest_sq(points, table):
@@ -299,53 +351,85 @@ def polyline_distance(points, pts):
     """points (N,2) -> (N,) euclidean distance to the nearest segment of
     the polyline pts."""
     points = np.asarray(points, dtype=np.float64)
-    return np.sqrt(_nearest_sq(points, _segment_table(pts)))
+    return np.sqrt(_nearest_sq(points, _tables(*_flatten([pts]))[0]))
 
 
-def _box_gap_sums(samples, polylines):
-    """(len(samples), len(polylines)) sums, over each (N,2) sample array,
-    of the euclidean distance from every sample to the box of each
-    polyline's vertices (0 inside the box)."""
-    lo = np.array([np.min(p, axis=0) for p in polylines], dtype=np.float64).T
-    hi = np.array([np.max(p, axis=0) for p in polylines], dtype=np.float64).T
-    pts = np.concatenate(samples)[:, :, None]
-    gap = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
-    starts = np.cumsum([0] + [len(s) for s in samples[:-1]])
-    return np.add.reduceat(np.sqrt((gap * gap).sum(axis=1)), starts, axis=0)
+class _Side:
+    """The polylines of one side of a chamfer matrix, resampled, tabled
+    and boxed in array passes over all of their vertices."""
+
+    def __init__(self, polylines, step):
+        flat = _flatten(polylines)
+        pts, first, counts = flat[:3]
+        self.samples, self.sizes = _resample(*flat, step)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.views = [self.samples[s:s + n]
+                      for s, n in zip(self.starts.tolist(), self.sizes.tolist())]
+        self.tables = _tables(*flat)
+        self.n_segs = np.maximum(counts - 1, 1)
+        self.lo = np.minimum.reduceat(pts, first, axis=0)
+        self.hi = np.maximum.reduceat(pts, first, axis=0)
+
+
+def _box_gap_sums(side, other):
+    """(len(side), len(other)) sums, over each polyline's samples on
+    `side`, of the euclidean distance from every sample to the box of
+    each `other` polyline's vertices (0 inside the box)."""
+    x, y = side.samples[:, :1], side.samples[:, 1:]
+    gx = np.maximum(other.lo[:, 0] - x, x - other.hi[:, 0])
+    gy = np.maximum(other.lo[:, 1] - y, y - other.hi[:, 1])
+    np.maximum(gx, 0.0, out=gx)
+    np.maximum(gy, 0.0, out=gy)
+    gx *= gx
+    gy *= gy
+    gx += gy
+    return np.add.reduceat(np.sqrt(gx, out=gx), side.starts, axis=0)
 
 
 def chamfer_matrix(a_list, b_list, step=0.1, limit=None):
     """(len(a_list), len(b_list)) matrix of chamfer_distance(a, b).
 
-    Each polyline is resampled and tabled once; each pair then runs the
-    nearest-segment kernel in both directions, one pair at a time so the
-    working memory stays that of a single pair.
+    Each side's polylines are resampled and tabled in array passes over
+    all of their vertices; each pair then runs the nearest-segment kernel,
+    one pair at a time so the working memory stays that of a single pair.
 
     Without `limit` every entry is exact. With it, an entry whose chamfer
-    provably exceeds `limit` is inf and its pair never runs the kernel;
-    every other entry is exact, the same bits as without `limit`. The proof
-    is a lower bound: a polyline's segments lie in the box of its vertices,
-    so each sample is at least its distance to that box away from them,
-    and the pooled mean of those box distances bounds the chamfer from
-    below. A pair is skipped only when its bound exceeds `limit` by more
-    than rounding (1e-9 relative plus 1e-9); a NaN bound skips nothing.
+    provably exceeds `limit` is inf; every other entry is exact, the same
+    bits as without `limit`. The cut is `limit` plus rounding (1e-9
+    relative plus 1e-9), and two proofs apply it:
+
+    - Before any kernel runs, a lower bound: a polyline's segments lie in
+      the box of its vertices, so each sample is at least its distance to
+      that box away from them, and the pooled mean of those box distances
+      bounds the chamfer from below. A pair whose bound exceeds the cut
+      never runs the kernel; a NaN bound skips nothing.
+    - A pair that passes runs its cheaper direction first (fewer samples
+      times segments). The other direction's sum is >= 0, so when the
+      first sum alone over the pooled sample count exceeds the cut, the
+      entry is inf and the other direction never runs.
     """
+    _check_step(step)
     if not len(a_list) or not len(b_list):  # nothing to pair: skip resampling
         return np.zeros((len(a_list), len(b_list)))
-    a_samples = [resample_polyline(p, step) for p in a_list]
-    b_samples = [resample_polyline(p, step) for p in b_list]
-    a_segs = [_segment_table(p) for p in a_list]
-    b_segs = [_segment_table(p) for p in b_list]
-    out = np.full((len(a_list), len(b_list)), np.inf)
-    todo = np.ones(out.shape, dtype=bool)
+    a, b = _Side(a_list, step), _Side(b_list, step)
+    pooled = np.add.outer(a.sizes, b.sizes)
+    cut = np.inf if limit is None else limit * (1.0 + 1e-9) + 1e-9
+    todo = np.ones(pooled.shape, dtype=bool)
     if limit is not None:
-        bound = _box_gap_sums(a_samples, b_list) + _box_gap_sums(b_samples, a_list).T
-        bound /= np.add.outer([len(s) for s in a_samples], [len(s) for s in b_samples])
-        todo = ~(bound > limit * (1.0 + 1e-9) + 1e-9)
-    for i, j in zip(*np.nonzero(todo)):
-        d_ab = np.sqrt(_nearest_sq(a_samples[i], b_segs[j]))
-        d_ba = np.sqrt(_nearest_sq(b_samples[j], a_segs[i]))
-        out[i, j] = (d_ab.sum() + d_ba.sum()) / (d_ab.size + d_ba.size)
+        bound = _box_gap_sums(a, b) + _box_gap_sums(b, a).T
+        bound /= pooled
+        todo = ~(bound > cut)
+    ab_first = np.multiply.outer(a.sizes, b.n_segs) <= np.multiply.outer(a.n_segs, b.sizes)
+    out = np.full(pooled.shape, np.inf)
+    for i, j in zip(*(k.tolist() for k in np.nonzero(todo))):
+        ab, ba = (a.views[i], b.tables[j]), (b.views[j], a.tables[i])
+        first, second = (ab, ba) if ab_first[i, j] else (ba, ab)
+        s = np.sqrt(_nearest_sq(*first)).sum()
+        if s / pooled[i, j] > cut:
+            continue
+        # float addition commutes, so this is d_ab.sum() + d_ba.sum() in
+        # either order
+        out[i, j] = (s + np.sqrt(_nearest_sq(*second)).sum()) / pooled[i, j]
     return out
 
 
@@ -379,6 +463,8 @@ def parse_polyline(line, where="<string>"):
         raise GeometryError(f"{where}: {e}") from None
     if not (0 <= class_id < N_CLASSES):
         raise GeometryError(f"{where}: class id {class_id} out of range")
+    if not np.isfinite(vals).all():
+        raise GeometryError(f"{where}: non-finite coordinate in {line!r}")
     return class_id, score, vals.reshape(-1, 2)
 
 

@@ -1,19 +1,22 @@
 """Instance-level map evaluation: chamfer-thresholded AP over two RoIs.
 
 Map elements are (class_id, score, points) triples. Both sides are first
-clipped to the RoI. Evaluation is one pass: for each (scene, class) one
-chamfer matrix of every (prediction, ground truth) pair is built, bounded
-by the largest threshold, and reused at every threshold. A pair whose
-chamfer a cheap lower bound proves to exceed that threshold is never
-measured; its entry is inf, which matching treats as any distance over
-the threshold, so every other entry is exact and results do not change.
-Matching is greedy in score order: each prediction claims the nearest
-still-unmatched ground truth of its class within the chamfer threshold
-(one-to-one). Precision / recall integrate exactly (all-point), with
-predictions pooled across the whole evaluation split. Degenerate
-conventions, applied per (class, threshold) cell: no gts and no preds
-gives AP 1; gts but no true positive gives 0; preds against an empty gt
-set give 0.
+clipped to the RoI, one array pass over the segments of all of a side's
+elements per scene; an element with a non-finite vertex is an error.
+Evaluation is one pass: for each (scene, class) one chamfer matrix of
+every (prediction, ground truth) pair is built, bounded by the largest
+threshold, and reused at every threshold. A pair whose chamfer a cheap
+lower bound proves to exceed that threshold is never measured, and a
+pair whose first kernel direction alone proves it is not measured the
+other way; either entry is inf, which matching treats as any distance
+over the threshold, so every other entry is exact and results do not
+change. Matching is greedy in score order: each prediction claims the
+nearest still-unmatched ground truth of its class within the chamfer
+threshold (one-to-one). Precision / recall integrate exactly
+(all-point), with predictions pooled across the whole evaluation split.
+Degenerate conventions, applied per (class, threshold) cell: no gts and
+no preds gives AP 1; gts but no true positive gives 0; preds against an
+empty gt set give 0.
 """
 
 from __future__ import annotations
@@ -68,14 +71,13 @@ class EvalResult:
 # clipping
 # ---------------------------------------------------------------------------
 
-def _clip_segments(pts, grid: BevGrid):
-    """Liang-Barsky on every segment of a polyline at once.
+def _clip_segments(p, q, grid: BevGrid):
+    """Liang-Barsky on every segment p -> q at once.
 
     Returns (kept, starts, ends, exits): which segments touch the RoI, the
     clipped start and end point of each segment (meaningful where kept),
     and which kept segments leave the RoI before their end point.
     """
-    p, q = pts[:-1], pts[1:]
     d = q - p
     t0 = np.zeros(len(d))
     t1 = np.ones(len(d))
@@ -100,29 +102,60 @@ def clip_to_roi(elements, grid: BevGrid):
     """Clip each element's polyline to the RoI rectangle.
 
     Boundary crossings split a polyline into separate fragments; fragments
-    shorter than MIN_FRAGMENT_LEN are dropped. Returns new elements.
+    shorter than MIN_FRAGMENT_LEN are dropped, and so are elements of
+    fewer than two points. Returns new elements. One pass clips the
+    segments of all elements, and fragments never join across elements.
+    Raises EvalError for an element with a NaN or infinite vertex.
     """
-    out = []
-    for class_id, score, pts in elements:
-        pts = np.asarray(pts, dtype=np.float64)
-        if len(pts) < 2:
-            continue
-        kept, starts, ends, exits = _clip_segments(pts, grid)
-        # a kept segment continues the previous fragment when the previous
-        # segment was kept without exiting and ends where this one starts,
-        # by np.allclose's rule with atol 1e-12
-        prev, cur = ends[:-1], starts[1:]
-        close = ((np.abs(prev - cur) <= 1e-12 + 1e-5 * np.abs(cur)) & np.isfinite(cur)
-                 | (prev == cur)).all(axis=1)
-        joins = np.zeros(len(kept), dtype=bool)
-        joins[1:] = kept[1:] & kept[:-1] & ~exits[:-1] & close
-        last = np.append(~joins[1:], True)
-        for first, final in zip(np.flatnonzero(kept & ~joins), np.flatnonzero(kept & last)):
-            frag = np.vstack([starts[first:first + 1], ends[first:final + 1]])
-            length = float(np.sqrt((np.diff(frag, axis=0) ** 2).sum(axis=1)).sum())
-            if length >= MIN_FRAGMENT_LEN:
-                out.append((class_id, score, frag))
-    return out
+    arrays = [np.asarray(pts, dtype=np.float64) for _, _, pts in elements]
+    # one past each element's last vertex in the stacked vertices
+    stops = np.cumsum([len(a) for a in arrays], dtype=np.int64)
+    if not len(stops) or not stops[-1]:
+        return []
+    pts = np.concatenate([a for a in arrays if len(a)])
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        bad = int(np.searchsorted(stops, np.argmin(finite), side="right"))
+        raise EvalError(f"element {bad} has a non-finite vertex")
+    # every vertex but an element's last starts a segment
+    starts_segment = np.ones(len(pts), dtype=bool)
+    starts_segment[stops[stops > 0] - 1] = False
+    sv = np.flatnonzero(starts_segment)
+    if not len(sv):
+        return []
+    kept, starts, ends, exits = _clip_segments(pts[sv], pts[sv + 1], grid)
+    # a kept segment continues the previous fragment when the previous
+    # segment is the one before it in the same element, was kept without
+    # exiting and ends where this one starts, by np.allclose's rule with
+    # atol 1e-12
+    prev, cur = ends[:-1], starts[1:]
+    close = ((np.abs(prev - cur) <= 1e-12 + 1e-5 * np.abs(cur)) & np.isfinite(cur)
+             | (prev == cur)).all(axis=1)
+    joins = np.zeros(len(sv), dtype=bool)
+    joins[1:] = (sv[1:] == sv[:-1] + 1) & kept[1:] & kept[:-1] & ~exits[:-1] & close
+    first = np.flatnonzero(kept & ~joins)
+    final = np.flatnonzero(kept & np.append(~joins[1:], True))
+    if not len(first):
+        return []
+    # fragment f is starts[first[f]] then ends[first[f]] .. ends[final[f]],
+    # gathered into one array where it takes rows at[f] to at[f] + size[f] - 1
+    size = final - first + 2
+    at = np.cumsum(size) - size
+    take = np.repeat(first - at - 1 + len(sv), size) + np.arange(size.sum())
+    take[at] = first
+    frags = np.concatenate([starts, ends])[take]
+    seg_len = np.sqrt((np.diff(frags, axis=0) ** 2).sum(axis=1))
+    # each fragment's length sums its own row of segment lengths; rows of
+    # one width sum as one (k, width) array, which gives each row's .sum()
+    length = np.empty(len(first))
+    widths = size - 1
+    for width in np.unique(widths).tolist():
+        some = np.flatnonzero(widths == width)
+        length[some] = seg_len[at[some, None] + np.arange(width)].sum(axis=1)
+    owner = np.searchsorted(stops, sv[first], side="right")
+    return [(elements[e][0], elements[e][1], frags[s:s + n])
+            for e, s, n, keep in zip(owner.tolist(), at.tolist(), size.tolist(),
+                                     (length >= MIN_FRAGMENT_LEN).tolist()) if keep]
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +209,6 @@ def _integrate_ap(scores, flags, n_pos):
         ap += (recall - prev_recall) * (tp / (tp + fp))
         prev_recall = recall
     return ap
-
-
-def average_precision(preds, gts, class_id: int, threshold: float):
-    """AP of one class at one threshold over a single pooled collection."""
-    p = [e for e in preds if e[0] == class_id]
-    g = [e for e in gts if e[0] == class_id]
-    flags = match_instances(p, g, threshold)
-    return _integrate_ap([e[1] for e in p], flags, len(g))
 
 
 def evaluate(preds_by_scene: dict, gts_by_scene: dict, cfg: EvalConfig) -> EvalResult:

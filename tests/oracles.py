@@ -304,6 +304,27 @@ def resample_oracle(poly, step=0.1):
     return pts
 
 
+def resample_polyline_oracle(pts, step=0.1):
+    """One polyline at a time, the arc-length resample that
+    geometry.resample_polyline and chamfer_matrix batch over polylines:
+    same operations, same bits."""
+    pts = np.asarray(pts, dtype=np.float64)
+    if len(pts) == 1:
+        return pts.copy()
+    seg = np.diff(pts, axis=0)
+    lens = np.sqrt((seg * seg).sum(axis=1))
+    total = float(lens.sum())
+    if total == 0.0:
+        return pts[:1].copy()
+    n = max(1, int(math.ceil(total / step)))
+    targets = np.arange(n + 1) * (total / n)
+    cum = np.concatenate([[0.0], np.cumsum(lens)])
+    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(lens) - 1)
+    safe = np.where(lens[idx] > 0, lens[idx], 1.0)
+    frac = np.clip((targets - cum[idx]) / safe, 0.0, 1.0)
+    return pts[idx] + frac[:, None] * seg[idx]
+
+
 def point_segment_dist(p, a, b):
     p = np.asarray(p, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)

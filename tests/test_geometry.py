@@ -140,6 +140,39 @@ def test_resample_spacing_and_endpoints():
     assert abs(total - 3.0) < 1e-9
 
 
+def test_resample_batches_match_the_one_polyline_reference():
+    rng = np.random.default_rng(10)
+    polys = random_polylines(rng, 40) + [np.zeros((4, 2)), np.array([[-0.0, 1.0]]),
+                                         np.array([[2.0, -0.0], [2.0, -0.0]])]
+    for step in (0.1, 0.37, 2.5, 50.0):
+        for cut in (1, 7, len(polys)):
+            some = polys[:cut]
+            samples, sizes = G._resample(*G._flatten(some), step)
+            want = [oracles.resample_polyline_oracle(p, step) for p in some]
+            assert sizes.tolist() == [len(w) for w in want]
+            assert samples.tobytes() == np.concatenate(want).tobytes()
+        for p in polys:
+            got = G.resample_polyline(p, step)
+            assert got.tobytes() == oracles.resample_polyline_oracle(p, step).tobytes()
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+def test_resample_and_chamfer_reject_bad_steps(step):
+    a = np.array([[0.0, 0.0], [3.0, 0.0]])
+    with pytest.raises(G.GeometryError):
+        G.resample_polyline(a, step)
+    for b_list in ([a], []):
+        with pytest.raises(G.GeometryError):
+            G.chamfer_matrix([a], b_list, step=step)
+
+
+def test_chamfer_rejects_non_finite_polylines():
+    a = np.array([[0.0, 0.0], [3.0, 0.0]])
+    for bad in (np.inf, np.nan):
+        with pytest.raises(G.GeometryError):
+            G.chamfer_matrix([a], [np.array([[0.0, 1.0], [bad, 1.0]])])
+
+
 def test_chamfer_zero_on_identical():
     # interpolation rounding leaves a sub-1e-12 residual, not exact zero
     pts = np.array([[0.0, 0.0], [3.0, 1.0], [6.0, 0.0]])
@@ -257,6 +290,39 @@ def test_chamfer_matrix_limit_skips_the_kernel_for_far_pairs(monkeypatch):
     assert np.all(G.chamfer_matrix(a, b) > 2.0) and len(calls) == 8
 
 
+def test_chamfer_matrix_limit_entries_are_exact_or_provably_above():
+    rng = np.random.default_rng(12)
+    cut = 0
+    for _ in range(40):
+        a = random_polylines(rng, int(rng.integers(1, 6)))
+        b = random_polylines(rng, int(rng.integers(1, 6)))
+        exact = G.chamfer_matrix(a, b)
+        for limit in [0.25, 0.5, 1.0, 2.0, 3.0, float(np.median(exact))]:
+            got = G.chamfer_matrix(a, b, limit=limit)
+            finite = np.isfinite(got)
+            assert np.array_equal(got[finite], exact[finite])
+            assert np.all(exact[~finite] > limit)
+            cut += int((~finite).sum())
+    assert cut > 100
+
+
+def test_chamfer_matrix_limit_cuts_a_pair_after_one_direction(monkeypatch):
+    # each polyline lies inside the other's vertex box, give or take 1 m,
+    # so the box bound passes the pair; either direction alone exceeds 2 m.
+    # Both have two segments, and b's 181 samples make its direction the
+    # cheaper one against a's 201.
+    a = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]])
+    b = np.array([[0.0, 1.0], [0.0, 10.0], [9.0, 10.0]])
+    calls = []
+    kernel = G._nearest_sq
+    monkeypatch.setattr(G, "_nearest_sq",
+                        lambda pts, table: calls.append(len(pts)) or kernel(pts, table))
+    for x, y in ((a, b), (b, a)):
+        calls.clear()
+        assert G.chamfer_matrix([x], [y], limit=2.0)[0, 0] == np.inf and calls == [181]
+    assert G.chamfer_distance(a, b) > 2.0
+
+
 def test_polyline_text_round_trip(tmp_path):
     items = [(0, 1.0, np.array([[1.234567, -2.0], [3.5, 4.25]])),
              (2, 0.375, np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]]))]
@@ -279,6 +345,10 @@ def test_polyline_parse_errors_name_location(tmp_path):
     path.write_text("7 1.0 1.0 2.0\n")  # class out of range
     with pytest.raises(G.GeometryError):
         G.read_polylines(path)
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"0 1.0 1.0 2.0\n1 0.5 3.0 {bad} 4.0 5.0\n")
+        with pytest.raises(G.GeometryError, match="bad.txt:2"):
+            G.read_polylines(path)
 
 
 def test_format_uses_six_decimals():

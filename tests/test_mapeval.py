@@ -1,5 +1,7 @@
 """Clipping, greedy matching, AP integration, and the full eval protocol."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,48 @@ def test_clip_matches_scalar_oracle_random():
     assert split > 100 and on_edge > 200 and along_edge > 50 and zero_length > 50
 
 
+def test_clip_many_elements_matches_oracle_element_by_element():
+    rng = np.random.default_rng(11)
+    empty = multiple = 0
+    for grid in (G.standard_grid(), G.extended_grid()):
+        outside = np.array([[grid.x_max + 5.0, 0.0], [grid.x_max + 9.0, 2.0],
+                            [grid.x_max + 1.0, grid.y_max + 4.0]])
+        for _ in range(120):
+            elements = [(int(rng.integers(0, 3)), float(rng.random()),
+                         random_clip_polyline(rng, grid))
+                        for _ in range(int(rng.integers(1, 8)))]
+            odd = [(0, 0.5, np.array([[0.0, 0.0]])),  # single point
+                   (1, 0.25, np.array([[1.0, 2.0], [1.0, 2.0]])),  # zero length
+                   (2, 0.75, outside)]  # fully outside
+            for e in odd:
+                elements.insert(int(rng.integers(0, len(elements) + 1)), e)
+            # one line split into two elements: they stay two fragments
+            at = int(rng.integers(0, len(elements) + 1))
+            elements[at:at] = [(1, 0.3, line(-5, -2, 0, -2)), (1, 0.3, line(0, -2, 5, -2))]
+            got = ME.clip_to_roi(elements, grid)
+            want = [f for e in elements
+                    for f in oracles.clip_oracle([e], grid, ME.MIN_FRAGMENT_LEN)]
+            assert len(got) == len(want)
+            for (c0, s0, f0), (c1, s1, f1) in zip(got, want):
+                assert (c0, s0) == (c1, s1)
+                assert f0.shape == f1.shape and f0.tobytes() == f1.tobytes()
+            per_element = [len(oracles.clip_oracle([e], grid, ME.MIN_FRAGMENT_LEN))
+                           for e in elements]
+            empty += per_element.count(0) > len(odd)
+            multiple += sum(n >= 2 for n in per_element) >= 2
+    assert empty > 20 and multiple > 20
+    assert ME.clip_to_roi([], G.standard_grid()) == []
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_clip_rejects_non_finite_vertices(bad):
+    grid = G.extended_grid()
+    fine = (0, 0.5, line(0, 0, 5, 0))
+    for pts in ([[0, 0], [5, 0], [10, bad]], [[bad, 0]]):
+        with pytest.raises(ME.EvalError, match="element 1"):
+            ME.clip_to_roi([fine, (1, 0.9, np.array(pts, dtype=np.float64))], grid)
+
+
 # ---------------------------------------------------------------------------
 # match_instances
 # ---------------------------------------------------------------------------
@@ -159,16 +203,19 @@ def test_match_prefers_nearest_gt():
 def test_ap_perfect_predictions():
     gts = [(1, 1.0, line(0, 0, 5, 0)), (1, 1.0, line(0, 5, 5, 5))]
     preds = [(1, 0.9, g[2].copy()) for g in gts]
-    assert ME.average_precision(preds, gts, 1, 0.5) == 1.0
+    res = ME.evaluate({"a": preds}, {"a": gts}, ME.EvalConfig("standard", thresholds=(0.5,)))
+    assert res.ap[(1, 0.5)] == 1.0
 
 
 def test_ap_no_predictions():
     gts = [(0, 1.0, line(0, 0, 5, 0))]
-    assert ME.average_precision([], gts, 0, 1.0) == 0.0
+    res = ME.evaluate({"a": []}, {"a": gts}, ME.EvalConfig("standard", thresholds=(1.0,)))
+    assert res.ap[(0, 1.0)] == 0.0
 
 
 def test_ap_empty_vs_empty_is_one():
-    assert ME.average_precision([], [], 2, 1.0) == 1.0
+    res = ME.evaluate({"a": []}, {"a": []}, ME.EvalConfig("standard", thresholds=(1.0,)))
+    assert res.ap[(2, 1.0)] == 1.0
 
 
 def test_ap_five_prediction_hand_table():
@@ -284,6 +331,20 @@ def test_evaluate_matches_per_pair_greedy_oracle():
                     else:
                         want = oracles.average_precision_oracle(scores, flags, n_pos)
                     assert res.ap[(c, t)] == want
+
+
+def test_evaluate_ap_reprs_keep_their_golden_digest():
+    # AP reprs of the per-element clip and per-polyline resample: bits
+    # that either of them moves show here
+    rng = np.random.default_rng(20)
+    lines = []
+    for k in range(6):
+        preds, gts = oracles.random_eval_corpus(rng, n_scenes=8)
+        for roi in ("standard", "extended"):
+            res = ME.evaluate(preds, gts, ME.EvalConfig(roi))
+            lines += [f"{k} {roi} {c} {t!r} {ap!r}" for (c, t), ap in sorted(res.ap.items())]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "ff5f3d8ce7af745f8d9a49fd82eafbb8bb32cb2d2d969941d209bf65be8d1456"
 
 
 # ---------------------------------------------------------------------------
