@@ -13,6 +13,8 @@ intercept, small ridge for stability), averaged over teacher channels.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 
@@ -101,10 +103,13 @@ def summarize(values):
 # ---------------------------------------------------------------------------
 
 def write_similarity_file(path, rows) -> None:
-    """rows: iterable of (scene_id, cka, cka_centered, r2)."""
-    with open(path, "w") as f:
+    """rows: iterable of (scene_id, cka, cka_centered, r2); the file, which
+    marks a run's rows done, appears whole or not at all."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as f:
         for scene_id, cka, cka_c, r2 in rows:
             f.write(f"{scene_id} {cka:.6f} {cka_c:.6f} {r2:.6f}\n")
+    os.replace(tmp, path)
 
 
 def read_similarity_file(path):

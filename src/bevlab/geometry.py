@@ -143,16 +143,6 @@ class Camera:
         cam_dirs = np.stack([du, dv, np.ones_like(du)], axis=-1)
         return cam_dirs @ self.rot  # (R^T d) for each pixel
 
-    def pixel_to_ground(self, u, v):
-        """Intersect the ray through pixel (u, v) with z = 0; None if skyward."""
-        d_cam = np.array([(u - self.cx) / self.focal, (v - self.cy) / self.focal, 1.0])
-        d = self.rot.T @ d_cam
-        if d[2] >= -1e-12:
-            return None
-        t = -self.position[2] / d[2]
-        p = self.position + t * d
-        return float(p[0]), float(p[1])
-
 
 def default_rig(height=1.6, pitch=0.12, focal=48.0, width=96, img_height=64,
                 cameras=4):

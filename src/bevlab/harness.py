@@ -36,7 +36,7 @@ from .encoders import (MapDecoder, StudentEncoder, TeacherEncoder,
                        save_checkpoint, student_forward, teacher_forward)
 from .mapeval import CLASS_NAMES, N_CLASSES, EvalConfig, read_eval_file, write_eval_file
 from .plots import line_plot
-from .scenegen import export_dataset, load_dataset
+from .scenegen import export_dataset, load_dataset, read_manifest
 from .supervision import (VARIANTS, AffineAdapter, fit_threads, share_cpus,
                           train_student)
 
@@ -288,11 +288,8 @@ def run_many(cfg: RunConfig, out, specs, jobs=1):
 def cmd_gen(cfg: RunConfig, out):
     """Render the corpus; returns (path, n_train, n_val)."""
     path = ensure_dataset(cfg, out)
-    with open(os.path.join(path, "manifest.txt")) as f:
-        rows = [line.split() for line in f if line.strip()]
-    n_train = sum(1 for r in rows if r[1] == "train")
-    n_val = sum(1 for r in rows if r[1] == "val")
-    return path, n_train, n_val
+    splits = [split for _, split, _ in read_manifest(path)]
+    return path, splits.count("train"), splits.count("val")
 
 
 def cmd_train(cfg: RunConfig, out, variant=None, seed=None):
@@ -300,8 +297,20 @@ def cmd_train(cfg: RunConfig, out, variant=None, seed=None):
                      cfg.seed if seed is None else seed)
 
 
-def _mean_spread(values):
-    return float(np.mean(values)), float(max(values) - min(values))
+def _finished_runs(cfg: RunConfig, out, specs, jobs):
+    """run_many, split into [(spec, record)] of the finished runs and
+    [(run directory name, error)] of the failed ones, in spec order."""
+    results = run_many(cfg, out, specs, jobs)
+    return ([(spec, rec) for spec, ok, rec in results if ok],
+            [(os.path.basename(run_dir(cfg, out, *spec)[0]), err)
+             for spec, ok, err in results if not ok])
+
+
+def _write_table(path, header, rows, failures):
+    """A study table: the header, one line per row, one per failed run."""
+    lines = [header] + rows + [f"# failed {name}: {err}" for name, err in failures]
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def cmd_ablation(cfg: RunConfig, out, seeds=None, jobs=1):
@@ -312,30 +321,20 @@ def cmd_ablation(cfg: RunConfig, out, seeds=None, jobs=1):
     the stats and listed in failures.
     """
     seeds = list(cfg.seeds if seeds is None else seeds)
-    specs = [(v, s, None) for v in VARIANTS for s in seeds]
-    results = run_many(cfg, out, specs, jobs)
-    by_variant = {v: [] for v in VARIANTS}
-    failures = []
-    for (variant, seed, _), ok, payload in results:
-        if ok:
-            by_variant[variant].append(float(payload["map_extended"]))
-        else:
-            failures.append((f"{variant}_seed{seed}", payload))
-    rows = []
+    done, failures = _finished_runs(cfg, out, [(v, s, None) for v in VARIANTS for s in seeds],
+                                    jobs)
+    by_variant = {v: [float(rec["map_extended"]) for (var, _, _), rec in done if var == v]
+                  for v in VARIANTS}
     base_mean = np.mean(by_variant["baseline"]) if by_variant["baseline"] else float("nan")
-    for variant in VARIANTS:
-        vals = by_variant[variant]
-        if vals:
-            mean, spread = _mean_spread(vals)
-            rows.append((variant, len(vals), mean, spread, mean - base_mean))
-        else:
-            rows.append((variant, 0, float("nan"), float("nan"), float("nan")))
-    with open(os.path.join(out, "ablation.txt"), "w") as f:
-        f.write("variant n map_extended_mean spread delta_vs_baseline\n")
-        for variant, n, mean, spread, delta in rows:
-            f.write(f"{variant} {n} {mean:.6f} {spread:.6f} {delta:+.6f}\n")
-        for name, err in failures:
-            f.write(f"# failed {name}: {err}\n")
+    rows = []
+    for variant, vals in by_variant.items():
+        mean, spread = ((float(np.mean(vals)), float(max(vals) - min(vals))) if vals
+                        else (float("nan"), float("nan")))
+        rows.append((variant, len(vals), mean, spread, mean - base_mean))
+    _write_table(os.path.join(out, "ablation.txt"),
+                 "variant n map_extended_mean spread delta_vs_baseline",
+                 [f"{v} {n} {mean:.6f} {spread:.6f} {delta:+.6f}"
+                  for v, n, mean, spread, delta in rows], failures)
     return rows, failures
 
 
@@ -356,27 +355,16 @@ def cmd_sweep_lambda(cfg: RunConfig, out, factors=None, seeds=None, jobs=1):
     for lam in values:
         variant = "baseline" if lam == 0.0 else cfg.variant
         specs.extend((variant, s, lam) for s in seeds)
-    results = run_many(cfg, out, specs, jobs)
-    by_lam = {lam: {"standard": [], "extended": []} for lam in values}
-    failures = []
-    for (variant, seed, lam), ok, payload in results:
-        if ok:
-            by_lam[lam]["standard"].append(float(payload["map_standard"]))
-            by_lam[lam]["extended"].append(float(payload["map_extended"]))
-        else:
-            failures.append((run_name(variant, seed, lam, cfg.lambda_bev), payload))
+    done, failures = _finished_runs(cfg, out, specs, jobs)
     rows = []
     for lam in values:
-        n = len(by_lam[lam]["standard"])
-        ms = float(np.mean(by_lam[lam]["standard"])) if n else float("nan")
-        me = float(np.mean(by_lam[lam]["extended"])) if n else float("nan")
-        rows.append((lam, n, ms, me))
-    with open(os.path.join(out, "sweep_lambda.txt"), "w") as f:
-        f.write("lambda n map_standard_mean map_extended_mean\n")
-        for lam, n, ms, me in rows:
-            f.write(f"{lam!r} {n} {ms:.6f} {me:.6f}\n")
-        for name, err in failures:
-            f.write(f"# failed {name}: {err}\n")
+        recs = [rec for (_, _, at), rec in done if at == lam]
+        rows.append((lam, len(recs)) + tuple(
+            float(np.mean([float(r[f"map_{roi}"]) for r in recs])) if recs else float("nan")
+            for roi in ROIS))
+    _write_table(os.path.join(out, "sweep_lambda.txt"),
+                 "lambda n map_standard_mean map_extended_mean",
+                 [f"{lam!r} {n} {ms:.6f} {me:.6f}" for lam, n, ms, me in rows], failures)
     good = [r for r in rows if r[1]]
     for i, roi in enumerate(ROIS):
         line_plot(os.path.join(out, f"sweep_{roi}.svg"),
@@ -418,19 +406,15 @@ def cmd_similarity(cfg: RunConfig, out, seeds=None, jobs=1):
     are (variant, n, cka_med, cka_iqr, ckac_med, ckac_iqr, r2_med, r2_iqr).
     """
     seeds = list(cfg.seeds if seeds is None else seeds)
-    specs = [(v, s, None) for v in VARIANTS for s in seeds]
-    results = run_many(cfg, out, specs, jobs)
+    done, failures = _finished_runs(cfg, out, [(v, s, None) for v in VARIANTS for s in seeds],
+                                    jobs)
     train, val = load_splits(cfg, out)
     teacher, _ = ensure_teacher(cfg, out, train, val)
     grid = cfg.grid()
     rig = cfg.rig()
     pooled = {v: [] for v in VARIANTS}
-    failures = []
-    for (variant, seed, _), ok, payload in results:
-        if not ok:
-            failures.append((f"{variant}_seed{seed}", payload))
-            continue
-        rdir = payload["run_dir"]
+    for (variant, _, _), rec in done:
+        rdir = rec["run_dir"]
         fpath = os.path.join(rdir, f"similarity_{variant}.txt")
         if os.path.exists(fpath):
             rows = read_similarity_file(fpath)
@@ -442,22 +426,14 @@ def cmd_similarity(cfg: RunConfig, out, seeds=None, jobs=1):
     summary = []
     for variant in VARIANTS:
         rows = pooled[variant]
-        if not rows:
-            summary.append((variant, 0) + (float("nan"),) * 6)
-            continue
-        stats = []
-        for col in (1, 2, 3):
-            med, iqr = summarize([r[col] for r in rows])
-            stats.extend((med, iqr))
+        stats = ([v for col in (1, 2, 3) for v in summarize([r[col] for r in rows])]
+                 if rows else [float("nan")] * 6)
         summary.append((variant, len(rows)) + tuple(stats))
-    with open(os.path.join(out, "similarity.txt"), "w") as f:
-        f.write("variant n cka_median cka_iqr cka_centered_median "
-                "cka_centered_iqr r2_median r2_iqr\n")
-        for row in summary:
-            f.write(row[0] + " " + str(row[1]) + " "
-                    + " ".join(f"{v:.6f}" for v in row[2:]) + "\n")
-        for name, err in failures:
-            f.write(f"# failed {name}: {err}\n")
+    _write_table(os.path.join(out, "similarity.txt"),
+                 "variant n cka_median cka_iqr cka_centered_median cka_centered_iqr "
+                 "r2_median r2_iqr",
+                 [f"{row[0]} {row[1]} " + " ".join(f"{v:.6f}" for v in row[2:])
+                  for row in summary], failures)
     return summary, failures
 
 

@@ -80,50 +80,6 @@ class Scene:
         self.ground_truth = list(ground_truth)
         self.occluders = [tuple(float(v) for v in o) for o in occluders]
 
-    def serialize(self) -> str:
-        # repr(float(v)) gives the shortest exact round-trip decimal
-        def fmt(vals):
-            return " ".join(repr(float(v)) for v in vals)
-
-        lines = [f"seed {self.seed}", f"texture_seed {self.texture_seed}"]
-        for road in self.roads:
-            lines.append(f"road {float(road.half_width)!r} {fmt(road.centerline.reshape(-1))}")
-        for box in self.occluders:
-            lines.append("occluder " + fmt(box))
-        for class_id, score, pts in self.ground_truth:
-            lines.append(f"gt {int(class_id)} {float(score)!r} {fmt(np.asarray(pts).reshape(-1))}")
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def deserialize(text: str) -> "Scene":
-        seed = texture_seed = None
-        roads, gt, occluders = [], [], []
-        for line in text.splitlines():
-            parts = line.split()
-            if not parts:
-                continue
-            key = parts[0]
-            if key == "seed":
-                seed = int(parts[1])
-            elif key == "texture_seed":
-                texture_seed = int(parts[1])
-            elif key == "ego_pose":  # written by older corpora, never read
-                continue
-            elif key == "road":
-                hw = float(parts[1])
-                pts = np.array([float(v) for v in parts[2:]]).reshape(-1, 2)
-                roads.append(Road(pts, hw))
-            elif key == "occluder":
-                occluders.append(tuple(float(v) for v in parts[1:6]))
-            elif key == "gt":
-                pts = np.array([float(v) for v in parts[3:]]).reshape(-1, 2)
-                gt.append((int(parts[1]), float(parts[2]), pts))
-            else:
-                raise SceneGenError(f"unknown scene line {key!r}")
-        if seed is None or texture_seed is None:
-            raise SceneGenError("scene text missing seed fields")
-        return Scene(seed, texture_seed, roads, gt, occluders)
-
 
 # ---------------------------------------------------------------------------
 # generation
@@ -263,13 +219,12 @@ def background_color(texture_seed, rows, cols):
     return out
 
 
-def render_overhead(scene: Scene, grid: BevGrid, channels: int = 3) -> np.ndarray:
-    """Cell-quantized top view: background hash, road fill, class markings.
+def render_overhead(scene: Scene, grid: BevGrid) -> np.ndarray:
+    """Cell-quantized (3, rows, cols) top view: background hash, road fill,
+    class markings.
 
     Occluders never appear here. Values lie in [0, 1].
     """
-    if channels != 3:
-        raise SceneGenError("overhead renderer is 3-channel")
     rr, cc = np.meshgrid(np.arange(grid.rows), np.arange(grid.cols), indexing="ij")
     img = background_color(scene.texture_seed, rr, cc)
     centers = grid.cell_centers().reshape(-1, 2)
@@ -329,7 +284,7 @@ def render_cameras(scene: Scene, rig, grid: BevGrid, overhead=None):
     is bitwise equal to that cell's overhead color.
     """
     if overhead is None:
-        overhead = render_overhead(scene, grid, 3)
+        overhead = render_overhead(scene, grid)
     images = []
     for cam in rig:
         dirs = cam.pixel_dirs()
@@ -392,9 +347,12 @@ def cell_visibility(scene: Scene, rig, grid: BevGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def export_dataset(path, n_train=256, n_val=64, base_params=None, rig=None,
-                   grid=None, channels=3):
+                   grid=None):
     """Generate, render and write a dataset directory; returns manifest rows.
 
+    ``manifest.txt`` lists one ``scene_id split seed`` line per scene, and
+    each ``scene_<idx>/`` holds ``overhead.ten``, one ``cam_<k>.ten`` per
+    camera and ``gt.txt``, the one copy of the vector ground truth.
     Train and validation draw disjoint seed ranges AND disjoint curvature
     bands (validation roads curve more), so validation layouts form a
     family never seen in training.
@@ -416,13 +374,11 @@ def export_dataset(path, n_train=256, n_val=64, base_params=None, rig=None,
         sid = f"scene_{idx:04d}"
         sdir = os.path.join(path, sid)
         os.makedirs(sdir, exist_ok=True)
-        overhead = render_overhead(scene, grid, channels)
+        overhead = render_overhead(scene, grid)
         write_ten(os.path.join(sdir, "overhead.ten"), overhead)
         for k, img in enumerate(render_cameras(scene, rig, grid, overhead)):
             write_ten(os.path.join(sdir, f"cam_{k}.ten"), img)
         write_polylines(os.path.join(sdir, "gt.txt"), scene.ground_truth)
-        with open(os.path.join(sdir, "meta.txt"), "w") as f:
-            f.write(scene.serialize())
         rows.append((sid, split, seed))
     with open(os.path.join(path, "manifest.txt"), "w") as f:
         for sid, split, seed in rows:
@@ -441,16 +397,16 @@ def _params_with(base: SceneParams, seed, band):
 
 
 class Sample:
-    """One loaded scene: tensors, gt elements, and the scene description."""
+    """One loaded scene: its directory's ``overhead.ten``, ``cam_<k>.ten``
+    files in camera order and ``gt.txt`` elements; other files are ignored."""
 
-    def __init__(self, scene_id, split, seed, overhead, cams, gt, scene):
+    def __init__(self, scene_id, split, seed, overhead, cams, gt):
         self.scene_id = scene_id
         self.split = split
         self.seed = seed
         self.overhead = overhead
         self.cams = cams
         self.gt = gt
-        self.scene = scene
 
 
 def read_manifest(path):
@@ -485,8 +441,6 @@ def load_dataset(path, split=None):
             if not cams:
                 raise SceneGenError("no camera tensors found")
             gt = read_polylines(os.path.join(sdir, "gt.txt"))
-            with open(os.path.join(sdir, "meta.txt")) as f:
-                scene = Scene.deserialize(f.read())
         except Exception as e:
             raise SceneGenError(f"{sid}: {e}") from e
-        yield Sample(sid, sp, seed, overhead, cams, gt, scene)
+        yield Sample(sid, sp, seed, overhead, cams, gt)

@@ -391,12 +391,12 @@ def train_student(train_samples, teacher: TeacherEncoder,
     """Train one student variant against a frozen teacher with ``fit``.
 
     The alignment term joins the detection loss unless the variant is
-    baseline, whose teacher is never even invoked. Teacher features are
-    computed once up front since the frozen teacher never changes. Returns
-    (student, decoder, adapter, breakdowns); deterministic in seed.
+    baseline, whose teacher is never even invoked. The frozen teacher's
+    store gets every train map up front; alignment reads them back from it.
+    Returns (student, decoder, adapter, breakdowns); deterministic in seed.
     make_models(rng, grid, teacher) may supply a differently sized
     (student, decoder, adapter) triple. A ``counts`` dict gets
-    "teacher_calls", the number of teacher maps built.
+    "teacher_calls", the number of maps the store gained (U-Net passes).
     """
     if not train_samples:
         raise SupervisionError("student training needs a non-empty train split")
@@ -411,18 +411,22 @@ def train_student(train_samples, teacher: TeacherEncoder,
         adapter = AffineAdapter(teacher.c_feat)
     else:
         student, decoder, adapter = make_models(rng, grid, teacher)
-    teacher_maps = {} if cfg.variant == "baseline" else {
-        s.scene_id: teacher_forward(teacher, s.overhead, grid) for s in train_samples}
-    if counts is not None:
-        counts["teacher_calls"] = len(teacher_maps)
+    aligned = cfg.variant != "baseline"
+    stored = len(teacher.maps)
+    if aligned:  # fill the store before fit, so no step waits on a U-Net pass
+        for s in train_samples:
+            teacher_forward(teacher, s.overhead, grid)
 
     def align(fmap, s):
-        return bev_alignment_loss(fmap, teacher_maps[s.scene_id], adapter, cfg)
+        return bev_alignment_loss(fmap, teacher_forward(teacher, s.overhead, grid),
+                                  adapter, cfg)
 
     breakdowns = fit(
         {"student": student, "decoder": decoder, "adapter": adapter},
         lambda s: student_forward(student, s.cams, rig, grid), train_samples,
         grid, batch_stream(rng, len(train_samples), batch), steps, base_lr,
         weight_decay, min_lr, reg_weight, log_path,
-        align=align if teacher_maps else None, lambda_bev=cfg.lambda_bev)
+        align=align if aligned else None, lambda_bev=cfg.lambda_bev)
+    if counts is not None:
+        counts["teacher_calls"] = len(teacher.maps) - stored
     return student, decoder, adapter, breakdowns

@@ -272,6 +272,17 @@ def lift_grad_oracle(g, src, n_src):
 # geometry / metric oracles
 # ---------------------------------------------------------------------------
 
+def pixel_to_ground(cam, u, v):
+    """Intersect the ray through pixel (u, v) of cam with z = 0; None if skyward."""
+    d_cam = np.array([(u - cam.cx) / cam.focal, (v - cam.cy) / cam.focal, 1.0])
+    d = cam.rot.T @ d_cam
+    if d[2] >= -1e-12:
+        return None
+    t = -cam.position[2] / d[2]
+    p = cam.position + t * d
+    return float(p[0]), float(p[1])
+
+
 def chamfer_oracle(poly_a, poly_b, step=0.1):
     """Brute-force symmetric chamfer: dense resample, point-to-segment loops."""
     sa = resample_oracle(poly_a, step)

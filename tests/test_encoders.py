@@ -21,7 +21,7 @@ def make_sample(seed, grid, rig=None, **kw):
     if rig is not None:
         cams = S.render_cameras(scene, rig, grid, overhead)
     return S.Sample(f"s{seed}", "test", seed, overhead, cams,
-                    scene.ground_truth, scene)
+                    scene.ground_truth)
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def test_project_ground_round_trip():
         if not valid[0]:
             continue
         hits += 1
-        back = cam.pixel_to_ground(uv[0, 0], uv[0, 1])
+        back = oracles.pixel_to_ground(cam, uv[0, 0], uv[0, 1])
         assert back is not None
         assert math.hypot(back[0] - p[0], back[1] - p[1]) < 1e-6
     assert hits > 20

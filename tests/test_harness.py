@@ -6,11 +6,14 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from bevlab import analysis as A
 from bevlab import cli
 from bevlab import encoders as E
 from bevlab import harness as H
+from bevlab import scenegen as S
 from bevlab import supervision as SV
 from bevlab import tensors as T
 from bevlab.analysis import write_similarity_file
@@ -21,6 +24,33 @@ from bevlab.mapeval import EvalConfig, write_eval_file
 
 def tiny_config():
     return RunConfig({"n_train": 2, "n_val": 1, "teacher_steps": 2, "batch": 2})
+
+
+def test_corpus_cached_with_meta_txt_loads_and_is_reused(tmp_path, monkeypatch):
+    # older code wrote each scene's description to meta.txt beside gt.txt
+    cfg = tiny_config()
+    out = str(tmp_path)
+    path = H.ensure_dataset(cfg, out)
+    fresh = H.load_splits(cfg, out)
+    for sid, _, seed in S.read_manifest(path):
+        with open(os.path.join(path, sid, "meta.txt"), "w") as f:
+            f.write(f"seed {seed}\ntexture_seed 1\nego_pose 0.0 0.0 0.0\n")
+
+    def must_not_render(*args, **kwargs):
+        raise AssertionError("the cached corpus was rendered again")
+
+    monkeypatch.setattr(H, "export_dataset", must_not_render)
+    assert H.ensure_dataset(cfg, out) == path
+    for old, new in zip(fresh, H.load_splits(cfg, out)):
+        assert len(old) == len(new)
+        for a, b in zip(old, new):
+            assert (a.scene_id, a.split, a.seed) == (b.scene_id, b.split, b.seed)
+            assert np.array_equal(a.overhead, b.overhead)
+            assert all(np.array_equal(x, y) for x, y in zip(a.cams, b.cams))
+            assert len(a.gt) == len(b.gt)
+            assert all((ca, sa) == (cb, sb) and np.array_equal(pa, pb)
+                       for (ca, sa, pa), (cb, sb, pb) in zip(a.gt, b.gt))
+    assert H.cmd_gen(cfg, out) == (path, cfg.n_train, cfg.n_val)
 
 
 def test_ensure_teacher_writes_loss_log_before_manifest(tmp_path, monkeypatch):
@@ -389,6 +419,24 @@ def test_similarity_runs_the_teacher_once_per_val_scene(study, tmp_path, monkeyp
     assert run_verb(out, "similarity") == 0
     assert len(passes) == len(val)
     assert {path: read_bytes(path) for path in files} == want
+
+
+def test_similarity_killed_mid_write_is_recomputed(study, tmp_path, monkeypatch):
+    out = copy_study(study, tmp_path)
+    files = sorted(os.path.join(rdir, fn)
+                   for rdir, _, fns in os.walk(os.path.join(out, "runs"))
+                   for fn in fns if fn.startswith("similarity_"))
+    fresh = {path: read_bytes(path) for path in files}
+    for path in files:
+        os.remove(path)
+    with monkeypatch.context() as m:
+        m.setattr(A, "open", failing_writes("similarity_"), raising=False)
+        assert run_verb(out, "similarity") == 1
+    # the cut file is not taken for a finished one
+    assert run_verb(out, "similarity") == 0
+    assert {path: read_bytes(path) for path in files} == fresh
+    assert read_bytes(os.path.join(out, "similarity.txt")) == \
+        read_bytes(os.path.join(study[0], "similarity.txt"))
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")

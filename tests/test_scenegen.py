@@ -3,34 +3,29 @@
 import numpy as np
 import pytest
 
+import oracles
 from bevlab import geometry as G
 from bevlab import scenegen as S
-from bevlab import tensors as T
+
+
+def same_scene(a, b):
+    """Every field of two scenes, arrays compared bit for bit."""
+    return ((a.seed, a.texture_seed, a.occluders) == (b.seed, b.texture_seed, b.occluders)
+            and len(a.roads) == len(b.roads)
+            and all(ra.half_width == rb.half_width
+                    and np.array_equal(ra.centerline, rb.centerline)
+                    for ra, rb in zip(a.roads, b.roads))
+            and len(a.ground_truth) == len(b.ground_truth)
+            and all((ca, sa) == (cb, sb) and np.array_equal(pa, pb)
+                    for (ca, sa, pa), (cb, sb, pb) in zip(a.ground_truth, b.ground_truth)))
 
 
 def test_same_seed_byte_identical_serialization():
     a = S.generate_scene(S.SceneParams(7))
     b = S.generate_scene(S.SceneParams(7))
-    assert a.serialize() == b.serialize()
+    assert same_scene(a, b)
     c = S.generate_scene(S.SceneParams(8))
-    assert c.serialize() != a.serialize()
-
-
-def test_serialization_round_trip():
-    scene = S.generate_scene(S.SceneParams(3))
-    back = S.Scene.deserialize(scene.serialize())
-    assert back.serialize() == scene.serialize()
-
-
-def test_deserialize_accepts_and_drops_legacy_ego_pose_line():
-    # corpora cached before the pose was dropped carry it as the third line
-    text = S.generate_scene(S.SceneParams(3)).serialize()
-    seed_line, texture_line, rest = text.split("\n", 2)
-    legacy = f"{seed_line}\n{texture_line}\nego_pose 0.0 0.0 0.0\n{rest}"
-    assert "ego_pose" not in text
-    back = S.Scene.deserialize(legacy)
-    assert back.serialize() == text
-    assert not hasattr(back, "ego_pose")
+    assert not same_scene(c, a)
 
 
 def test_zero_crossing_probability():
@@ -125,7 +120,7 @@ def test_camera_pixels_match_overhead_cells_without_occluders():
     for cam, img in zip(rig, images):
         for i in range(0, cam.height, 3):
             for j in range(0, cam.width, 3):
-                hit = cam.pixel_to_ground(j + 0.5, i + 0.5)
+                hit = oracles.pixel_to_ground(cam, j + 0.5, i + 0.5)
                 if hit is None:
                     assert np.array_equal(img[:, i, j], np.array(S.SKY_COLOR))
                     continue
@@ -230,13 +225,27 @@ def test_export_load_round_trip(tmp_path):
     samples = list(S.load_dataset(path))
     assert len(samples) == 10
     assert len(list(S.load_dataset(path, split="val"))) == 2
+    grid, rig = G.extended_grid(), G.default_rig()
     for sample in samples:
-        sdir = path / sample.scene_id
-        assert np.array_equal(sample.overhead, T.read_ten(sdir / "overhead.ten"))
-        assert len(sample.cams) == 4
-        regenerated = S.generate_scene(
-            _params_for(sample.split, sample.seed))
-        assert sample.scene.serialize() == regenerated.serialize()
+        regenerated = S.generate_scene(_params_for(sample.split, sample.seed))
+        overhead = S.render_overhead(regenerated, grid)
+        assert np.array_equal(sample.overhead, overhead)
+        cams = S.render_cameras(regenerated, rig, grid, overhead)
+        assert len(sample.cams) == len(cams) == 4
+        assert all(np.array_equal(a, b) for a, b in zip(sample.cams, cams))
+        # gt.txt keeps 6 decimals, which is what training and evaluation read
+        assert ([G.format_polyline(*e) for e in sample.gt]
+                == [G.format_polyline(*e) for e in regenerated.ground_truth])
+
+
+def test_exported_scene_holds_only_what_a_run_reads(tmp_path):
+    path = tmp_path / "ds"
+    S.export_dataset(path, n_train=2, n_val=1)
+    assert sorted(p.name for p in path.iterdir()) == [
+        "manifest.txt", "scene_0000", "scene_0001", "scene_0002"]
+    for sid in ("scene_0000", "scene_0001", "scene_0002"):
+        assert sorted(p.name for p in (path / sid).iterdir()) == [
+            "cam_0.ten", "cam_1.ten", "cam_2.ten", "cam_3.ten", "gt.txt", "overhead.ten"]
 
 
 def _params_for(split, seed):
@@ -251,7 +260,7 @@ def test_export_deterministic(tmp_path):
     S.export_dataset(b, n_train=3, n_val=1)
     assert (a / "manifest.txt").read_bytes() == (b / "manifest.txt").read_bytes()
     for sid in ("scene_0000", "scene_0003"):
-        for fn in ("overhead.ten", "cam_2.ten", "gt.txt", "meta.txt"):
+        for fn in ("overhead.ten", "cam_2.ten", "gt.txt"):
             assert (a / sid / fn).read_bytes() == (b / sid / fn).read_bytes()
 
 

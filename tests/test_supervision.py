@@ -38,7 +38,7 @@ def corpus():
         overhead = S.render_overhead(scene, grid)
         cams = S.render_cameras(scene, rig, grid, overhead)
         samples.append(S.Sample(f"s{seed}", "train", seed, overhead, cams,
-                                scene.ground_truth, scene))
+                                scene.ground_truth))
     return grid, rig, samples
 
 
@@ -473,7 +473,7 @@ def test_training_and_evaluation_lift_the_same_student_features(monkeypatch):
     overhead = S.render_overhead(scene, grid)
     sample = S.Sample("s4", "train", 4, overhead,
                       S.render_cameras(scene, rig, grid, overhead),
-                      scene.ground_truth, scene)
+                      scene.ground_truth)
     plain = SV.student_forward
     pairs = []
 
