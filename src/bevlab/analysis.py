@@ -9,6 +9,10 @@ on the raw matrices; column-mean centering is available behind a flag and
 both values are reported side by side. R^2 measures how well the teacher
 matrix can be linearly reconstructed from the student matrix (no
 intercept, small ridge for stability), averaged over teacher channels.
+
+Each training run writes its per-scene values to a similarity file with
+exact ``repr`` floats, so a table pooled from the files equals one pooled
+from freshly computed values, bit for bit.
 """
 
 from __future__ import annotations
@@ -103,12 +107,13 @@ def summarize(values):
 # ---------------------------------------------------------------------------
 
 def write_similarity_file(path, rows) -> None:
-    """rows: iterable of (scene_id, cka, cka_centered, r2); the file, which
-    marks a run's rows done, appears whole or not at all."""
+    """rows: iterable of (scene_id, cka, cka_centered, r2), written as exact
+    repr floats; the file, which marks a run's rows done, appears whole or
+    not at all."""
     tmp = f"{path}.tmp"
     with open(tmp, "w") as f:
         for scene_id, cka, cka_c, r2 in rows:
-            f.write(f"{scene_id} {cka:.6f} {cka_c:.6f} {r2:.6f}\n")
+            f.write(f"{scene_id} {cka!r} {cka_c!r} {r2!r}\n")
     os.replace(tmp, path)
 
 

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Verbs: gen, train, ablation, sweep-lambda, similarity, report.
+Verbs: gen, train, ablation (with the similarity study), sweep-lambda, report.
 Global flags: --config <path>, --seed <n>, --out <dir>, --jobs <n>.
 Exit codes: 0 success, 1 hard failure, 2 partial sweep/ablation failure.
 
@@ -58,9 +58,9 @@ def build_parser():
     tr = sub.add_parser("train", help="train and evaluate one student run")
     tr.add_argument("--variant", choices=sorted(harness.VARIANTS),
                     help="override the config variant")
-    sub.add_parser("ablation", help="all variants x seeds comparison table")
+    sub.add_parser("ablation", help="all variants x seeds comparison and "
+                                    "teacher-student similarity tables")
     sub.add_parser("sweep-lambda", help="alignment-weight sweep with plots")
-    sub.add_parser("similarity", help="teacher-student feature similarity study")
     sub.add_parser("report", help="consolidated markdown report")
     return p
 
@@ -107,14 +107,6 @@ def main(argv=None):
             for lam, n, ms, me in rows:
                 print(f"lambda {lam:<8g} n={n} mAP standard {ms:.4f} "
                       f"extended {me:.4f}")
-            _print_failures(failures)
-            return 2 if failures else 0
-
-        if args.verb == "similarity":
-            rows, failures = harness.cmd_similarity(cfg, out, jobs=args.jobs)
-            for row in rows:
-                print(f"{row[0]:13s} n={row[1]} cka median {row[2]:.4f} "
-                      f"r2 median {row[6]:.4f}")
             _print_failures(failures)
             return 2 if failures else 0
 

@@ -302,9 +302,6 @@ class StudentEncoder:
             self._tables[key] = table, sites
         return self._tables[key]
 
-    def table_for(self, rig, grid) -> LiftTable:
-        return self._lift_plan(rig, grid)[0]
-
     def lift(self, images, rig, grid) -> Tensor:
         if len(images) != len(rig):
             raise EncoderError(f"{len(images)} images for a {len(rig)}-camera rig")

@@ -1,8 +1,8 @@
 """Experiment orchestration over the rest of the package.
 
 Datasets, cached frozen teachers, training runs, the normalization
-ablation, the alignment-weight sweep, the feature-similarity study, and
-a consolidated report. Every command takes a RunConfig plus an output
+ablation with its feature-similarity study, the alignment-weight sweep,
+and a consolidated report. Every command takes a RunConfig plus an output
 directory and leaves plain-text artifacts behind; a run directory stores
 the exact config it ran with, so repeating a (config, seed) pair rewrites
 its eval files byte for byte.
@@ -13,9 +13,11 @@ Layout under the output directory:
     teacher/<hash>/             frozen teacher checkpoint (cached) and log.txt,
                                 written step by step as the teacher trains
     runs/<name>/                one training run: config.txt, log.txt,
-                                checkpoint/, eval_*.txt, record.txt, and
-                                error.txt with the traceback if it failed
-    ablation.txt  sweep_lambda.txt  similarity.txt  report.md
+                                checkpoint/, eval_*.txt, similarity.txt (the
+                                per-scene teacher-student rows, exact floats),
+                                record.txt, and error.txt with the traceback
+                                if it failed
+    ablation.txt  similarity.txt  sweep_lambda.txt  report.md
 """
 
 import multiprocessing
@@ -138,7 +140,7 @@ def ensure_teacher(cfg: RunConfig, out, train=None, val=None):
 
 def run_name(variant, seed, lam, tuned):
     """Directory name for one run; the tuned weight keeps the short name
-    so ablation, sweep and similarity share cached runs."""
+    so ablation and sweep share cached runs."""
     if variant == "baseline" or lam == tuned:
         return f"{variant}_seed{seed}"
     return f"{variant}_lam{lam!r}_seed{seed}"
@@ -170,11 +172,31 @@ def run_dir(cfg: RunConfig, out, variant, seed, lam=None):
     return os.path.join(out, "runs", run_name(variant, seed, lam, cfg.lambda_bev)), lam
 
 
+def _similarity_row(teacher, sample, fmap, grid):
+    """(id, cka, centered cka, r2) between the teacher's map of one scene
+    and a student map of it."""
+    tm = feature_matrix(teacher_forward(teacher, sample.overhead, grid).tensor.data)
+    sm = feature_matrix(fmap.tensor.data)
+    return (sample.scene_id, linear_cka(tm, sm), linear_cka(tm, sm, center=True),
+            r_squared(tm, sm))
+
+
+def similarity_rows(cfg: RunConfig, teacher, student, val, grid, rig):
+    """Per-scene (id, cka, centered cka, r2) between teacher and student
+    features on the validation split."""
+    return [_similarity_row(teacher, s, student_forward(student, s.cams, rig, grid), grid)
+            for s in val]
+
+
 def train_run(cfg: RunConfig, out, variant, seed, lam=None, force=False):
     """Train one (variant, seed, lambda) student and evaluate both RoIs.
 
-    Cached: if the run directory already holds this exact config plus its
-    record and eval files, it is returned as is. Returns the record dict.
+    The val pass runs the student once per scene: its map is decoded for
+    the eval files and compared with the frozen teacher's map of the scene
+    for similarity.txt, whose (id, cka, centered cka, r2) rows hold exact
+    floats. Cached: if the run directory already holds this exact config
+    plus its record, eval and similarity files, it is returned as is.
+    Returns the record dict.
     """
     if variant not in VARIANTS:
         raise HarnessError(f"unknown variant {variant!r}")
@@ -182,8 +204,8 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None, force=False):
     run_cfg = cfg.with_overrides(variant=variant, seed=seed, lambda_bev=lam)
     cfg_path = os.path.join(rdir, "config.txt")
     done = all(os.path.exists(os.path.join(rdir, fn))
-               for fn in ("config.txt", "record.txt",
-                          "eval_standard.txt", "eval_extended.txt"))
+               for fn in ("config.txt", "record.txt", "eval_standard.txt",
+                          "eval_extended.txt", "similarity.txt"))
     if done and not force:
         with open(cfg_path) as f:
             if f.read() == run_cfg.dump():
@@ -191,6 +213,10 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None, force=False):
     train, val = load_splits(cfg, out)
     teacher, teacher_map = ensure_teacher(cfg, out, train, val)
     os.makedirs(rdir, exist_ok=True)
+    # a retrain killed midway must not leave the old record marking it done
+    record = os.path.join(rdir, "record.txt")
+    if os.path.exists(record):
+        os.remove(record)
     with open(cfg_path, "w") as f:
         f.write(run_cfg.dump())
     grid = cfg.grid()
@@ -206,13 +232,20 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None, force=False):
         make_models=_student_models(cfg), counts=counts)
     wall = time.time() - t0
     calls = counts["teacher_calls"]
-    results = evaluate_model(
-        lambda s: student_forward(student, s.cams, rig, grid),
-        decoder, val, [EvalConfig(roi) for roi in ROIS])
+    rows = []
+
+    def features(s):
+        # the caller drops the map, and with it its tape, after decoding it
+        fmap = student_forward(student, s.cams, rig, grid)
+        rows.append(_similarity_row(teacher, s, fmap, grid))
+        return fmap
+
+    results = evaluate_model(features, decoder, val, [EvalConfig(roi) for roi in ROIS])
     maps = {}
     for roi, result in zip(ROIS, results):
         write_eval_file(os.path.join(rdir, f"eval_{roi}.txt"), result)
         maps[roi] = result.map
+    write_similarity_file(os.path.join(rdir, "similarity.txt"), rows)
     params = named_params({"student": student, "decoder": decoder,
                            "adapter": adapter})
     save_checkpoint(os.path.join(rdir, "checkpoint"), params)
@@ -228,8 +261,8 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None, force=False):
         ("dataset_hash", cfg.dataset_hash()),
         ("teacher_val_map", repr(teacher_map)),
     ]
-    # the baseline never consults the teacher, so its record carries no
-    # invocation count at all
+    # the baseline never trains against the teacher, so its record carries
+    # no invocation count at all
     if variant != "baseline":
         items.append(("teacher_calls", calls))
     items += [
@@ -238,7 +271,7 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None, force=False):
         ("map_extended", f"{maps['extended']:.6f}"),
         ("wall_clock", f"{wall:.1f}"),
     ]
-    _write_record(os.path.join(rdir, "record.txt"), items)
+    _write_record(record, items)
     return read_record(rdir)
 
 
@@ -314,11 +347,14 @@ def _write_table(path, header, rows, failures):
 
 
 def cmd_ablation(cfg: RunConfig, out, seeds=None, jobs=1):
-    """All four variants x seeds; writes the extended-RoI comparison table.
+    """All four variants x seeds; writes the extended-RoI comparison table
+    ablation.txt and the teacher-student similarity table similarity.txt.
 
-    Returns (rows, failures): rows are (variant, n, mean, spread, delta)
-    with delta relative to the baseline mean; failed runs are dropped from
-    the stats and listed in failures.
+    The similarity table pools, per variant, the rows each run's
+    similarity.txt holds as exact floats, and gives the median and IQR of
+    cka, centered cka and r2. Returns (rows, failures): rows are (variant,
+    n, mean, spread, delta) with delta relative to the baseline mean;
+    failed runs are dropped from both tables and listed in failures.
     """
     seeds = list(cfg.seeds if seeds is None else seeds)
     done, failures = _finished_runs(cfg, out, [(v, s, None) for v in VARIANTS for s in seeds],
@@ -335,6 +371,17 @@ def cmd_ablation(cfg: RunConfig, out, seeds=None, jobs=1):
                  "variant n map_extended_mean spread delta_vs_baseline",
                  [f"{v} {n} {mean:.6f} {spread:.6f} {delta:+.6f}"
                   for v, n, mean, spread, delta in rows], failures)
+    pooled = {v: [] for v in VARIANTS}
+    for (variant, _, _), rec in done:
+        pooled[variant] += read_similarity_file(os.path.join(rec["run_dir"], "similarity.txt"))
+    lines = []
+    for variant, sims in pooled.items():
+        stats = ([x for col in (1, 2, 3) for x in summarize([r[col] for r in sims])]
+                 if sims else [float("nan")] * 6)
+        lines.append(f"{variant} {len(sims)} " + " ".join(f"{x:.6f}" for x in stats))
+    _write_table(os.path.join(out, "similarity.txt"),
+                 "variant n cka_median cka_iqr cka_centered_median cka_centered_iqr "
+                 "r2_median r2_iqr", lines, failures)
     return rows, failures
 
 
@@ -346,6 +393,9 @@ def cmd_sweep_lambda(cfg: RunConfig, out, factors=None, seeds=None, jobs=1):
     Writes sweep_lambda.txt plus one line plot per RoI. Returns (rows,
     failures); rows are (lam, n, mean_standard, mean_extended).
     """
+    if cfg.variant == "baseline":
+        raise HarnessError("the sweep varies the alignment weight, which the baseline "
+                           "variant does not use; set variant to an aligned one")
     factors = list(cfg.lambda_factors if factors is None else factors)
     if 0.0 not in factors:
         raise HarnessError("the sweep needs the lambda = 0 reference point")
@@ -375,18 +425,6 @@ def cmd_sweep_lambda(cfg: RunConfig, out, factors=None, seeds=None, jobs=1):
     return rows, failures
 
 
-def similarity_rows(cfg: RunConfig, teacher, student, val, grid, rig):
-    """Per-scene (id, cka, centered cka, r2) between teacher and student
-    features on the validation split."""
-    rows = []
-    for s in val:
-        tm = feature_matrix(teacher_forward(teacher, s.overhead, grid).tensor.data)
-        sm = feature_matrix(student_forward(student, s.cams, rig, grid).tensor.data)
-        rows.append((s.scene_id, linear_cka(tm, sm),
-                     linear_cka(tm, sm, center=True), r_squared(tm, sm)))
-    return rows
-
-
 def load_student(cfg: RunConfig, rdir, teacher):
     """Rebuild a trained (student, decoder, adapter) from a run checkpoint."""
     params, _ = load_checkpoint(os.path.join(rdir, "checkpoint"))
@@ -396,45 +434,6 @@ def load_student(cfg: RunConfig, rdir, teacher):
     adopt_params(decoder, params, prefix="decoder.")
     adopt_params(adapter, params, prefix="adapter.")
     return student, decoder, adapter
-
-
-def cmd_similarity(cfg: RunConfig, out, seeds=None, jobs=1):
-    """Teacher-student feature similarity for every variant and seed.
-
-    Ensures the runs exist, writes similarity_<variant>.txt per run plus
-    a pooled summary table. Returns (summary rows, failures); summary rows
-    are (variant, n, cka_med, cka_iqr, ckac_med, ckac_iqr, r2_med, r2_iqr).
-    """
-    seeds = list(cfg.seeds if seeds is None else seeds)
-    done, failures = _finished_runs(cfg, out, [(v, s, None) for v in VARIANTS for s in seeds],
-                                    jobs)
-    train, val = load_splits(cfg, out)
-    teacher, _ = ensure_teacher(cfg, out, train, val)
-    grid = cfg.grid()
-    rig = cfg.rig()
-    pooled = {v: [] for v in VARIANTS}
-    for (variant, _, _), rec in done:
-        rdir = rec["run_dir"]
-        fpath = os.path.join(rdir, f"similarity_{variant}.txt")
-        if os.path.exists(fpath):
-            rows = read_similarity_file(fpath)
-        else:
-            student, _, _ = load_student(cfg, rdir, teacher)
-            rows = similarity_rows(cfg, teacher, student, val, grid, rig)
-            write_similarity_file(fpath, rows)
-        pooled[variant].extend(rows)
-    summary = []
-    for variant in VARIANTS:
-        rows = pooled[variant]
-        stats = ([v for col in (1, 2, 3) for v in summarize([r[col] for r in rows])]
-                 if rows else [float("nan")] * 6)
-        summary.append((variant, len(rows)) + tuple(stats))
-    _write_table(os.path.join(out, "similarity.txt"),
-                 "variant n cka_median cka_iqr cka_centered_median cka_centered_iqr "
-                 "r2_median r2_iqr",
-                 [f"{row[0]} {row[1]} " + " ".join(f"{v:.6f}" for v in row[2:])
-                  for row in summary], failures)
-    return summary, failures
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +538,8 @@ def cmd_report(cfg: RunConfig, out):
     # similarity study
     lines += ["## Feature similarity (validation split)", ""]
     _table_section(lines, missing, os.path.join(out, "similarity.txt"), "similarity",
-                   "similarity", ("variant", "n", "CKA median", "IQR", "centered CKA median",
-                                  "IQR", "R2 median", "IQR"))
+                   "ablation", ("variant", "n", "CKA median", "IQR", "centered CKA median",
+                                "IQR", "R2 median", "IQR"))
 
     # feature visualizations, shared gray scale
     lines += ["## Channel-mean features, first validation scene", ""]
@@ -569,10 +568,9 @@ def _write_viz(cfg, out, seed):
     for rdir in runs.values():
         if not os.path.exists(os.path.join(rdir, "checkpoint", "manifest.txt")):
             return None
-    train, val = load_splits(cfg, out)
-    teacher, _ = ensure_teacher(cfg, out, train, val)
+    teacher, _ = ensure_teacher(cfg, out)
     grid, rig = cfg.grid(), cfg.rig()
-    scene = val[0]
+    scene = next(load_dataset(ensure_dataset(cfg, out), split="val"))
     maps = {"teacher": teacher_forward(teacher, scene.overhead, grid).tensor.data}
     for variant, rdir in runs.items():
         student, _, _ = load_student(cfg, rdir, teacher)

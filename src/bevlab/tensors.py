@@ -65,19 +65,12 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, grad={self.requires_grad})"
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad)
-
-
-def parameter(data) -> Tensor:
-    return Tensor(data, requires_grad=True)
 
 
 def custom_op(out_data, parents, bwd, name: str) -> Tensor:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from bevlab.tensors import TensorError, custom_op
+from bevlab.tensors import Tensor, TensorError, custom_op
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +521,13 @@ def average_precision_oracle(scores, labels, n_pos):
 
 
 # ---------------------------------------------------------------------------
-# tape ops only the tests use, and the undivided backward walk
+# tape leaves and ops only the tests use, and the undivided backward walk
 # ---------------------------------------------------------------------------
+
+def parameter(data):
+    """A leaf tensor on the tape, as model parameters are."""
+    return Tensor(data, requires_grad=True)
+
 
 def serial_backward(loss):
     """One reverse pass over the whole tape on one thread, each gradient

@@ -135,13 +135,11 @@ def test_summarize_median_iqr():
 
 
 def test_similarity_file_round_trip(tmp_path):
-    rows = [("scene_0001", 0.91, 0.87, 0.55), ("scene_0002", 0.5, 0.4, 0.3)]
-    path = tmp_path / "similarity_baseline.txt"
+    # exact floats: the rows come back bit for bit
+    rows = [("scene_0001", 0.91, 0.87, 0.55), ("scene_0002", 1.0 / 3.0, 0.1 + 0.2, 1e-17)]
+    path = tmp_path / "similarity.txt"
     A.write_similarity_file(path, rows)
-    back = A.read_similarity_file(path)
-    assert len(back) == 2
-    assert back[0][0] == "scene_0001"
-    assert abs(back[0][1] - 0.91) < 5e-7
+    assert A.read_similarity_file(path) == rows
     path.write_text("scene_x 0.5 0.5\n")
     with pytest.raises(A.AnalysisError):
         A.read_similarity_file(path)

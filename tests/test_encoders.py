@@ -70,8 +70,8 @@ def test_lift_backward_matches_add_at_oracle():
     rng = RNG(9)
     for table in (tiny_table(), E.build_lift_table(G.default_rig(), G.extended_grid())):
         c = 5
-        feats = [T.parameter(rng.normal(size=(c, len(r)))) for r in table.reads]
-        default = T.parameter(rng.normal(size=c))
+        feats = [oracles.parameter(rng.normal(size=(c, len(r)))) for r in table.reads]
+        default = oracles.parameter(rng.normal(size=c))
         out = E.lift_features(feats, table, default)
         g = rng.normal(size=out.shape)
         n_src = sum(len(r) for r in table.reads) + 1
@@ -95,13 +95,13 @@ def test_lift_features_gradient_matches_fd():
         out = E.lift_features([a0, a1], table, d)
         return T.mse(out, T.tensor(w))
 
-    ts = [T.parameter(f0.copy()), T.parameter(f1.copy()),
-          T.parameter(default.copy())]
+    ts = [oracles.parameter(f0.copy()), oracles.parameter(f1.copy()),
+          oracles.parameter(default.copy())]
     T.backward(loss(*ts))
     arrays = [f0.copy(), f1.copy(), default.copy()]
     for i, t in enumerate(ts):
         fd = oracles.fd_gradient(
-            lambda a0, a1, d: loss(T.tensor(a0), T.tensor(a1), T.tensor(d)).item(),
+            lambda a0, a1, d: float(loss(T.tensor(a0), T.tensor(a1), T.tensor(d)).data),
             [a.copy() for a in arrays], i)
         assert t.grad is not None
         assert oracles.rel_error(t.grad, fd) < 1e-6, f"input {i}"
@@ -426,7 +426,7 @@ def dense_student_forward(student, images, rig, grid, extract=None):
     """student.forward over full camera maps: every camera feature pixel
     computed, or with ``extract`` the maps that function builds."""
     p = student.params
-    table = student.table_for(rig, grid)
+    table = student._lift_plan(rig, grid)[0]
     if extract is None:
         feats = [student.extract(img) for img in images]
     else:
@@ -481,7 +481,7 @@ def test_student_step_gradients_equal_the_dense_layout_bitwise():
             loss = T.add(T.add(l_cls, l_reg),
                          SV.bev_alignment_loss(fmap, teacher_map, adapter, cfg))
             T.backward(loss)
-            runs.append((fmap.tensor.data, loss.item(),
+            runs.append((fmap.tensor.data, float(loss.data),
                          {n: q.grad for n, q in params.items()}))
             T.zero_grad(params)
         (out, loss, grads), (want_out, want_loss, want_grads) = runs
@@ -502,10 +502,10 @@ def test_student_lift_table_cache_reused():
     grid = G.standard_grid()
     rig = G.default_rig()
     student = E.StudentEncoder(RNG(11))
-    t1 = student.table_for(rig, grid)
-    t2 = student.table_for(list(rig), grid)
+    t1 = student._lift_plan(rig, grid)[0]
+    t2 = student._lift_plan(list(rig), grid)[0]
     assert t1 is t2
-    t3 = student.table_for(rig, G.extended_grid())
+    t3 = student._lift_plan(rig, G.extended_grid())[0]
     assert t3 is not t1
 
 

@@ -1,5 +1,8 @@
 """Harness caches, the frozen teacher and what its directory records, and the CLI."""
 
+import contextlib
+import hashlib
+import io
 import os
 import re
 import shutil
@@ -226,6 +229,23 @@ def test_markers_killed_mid_write_leave_the_cache_cold(tmp_path, monkeypatch):
     assert runs == [1]
 
 
+def test_retrain_killed_midway_leaves_the_run_unfinished(tmp_path, monkeypatch):
+    cfg = tiny_config().with_overrides(steps=2)
+    out = str(tmp_path)
+    H.train_run(cfg, out, "raw", 0)
+    longer = cfg.with_overrides(steps=3)
+
+    def killed(*args, **kwargs):
+        raise KeyboardInterrupt("killed")
+
+    with monkeypatch.context() as m:
+        m.setattr(H, "train_student", killed)
+        with pytest.raises(KeyboardInterrupt):
+            H.train_run(longer, out, "raw", 0)
+    # the steps-2 record is not taken for the steps-3 run
+    assert H.train_run(longer, out, "raw", 0)["steps"] == "3"
+
+
 def test_cli_maps_every_package_error_to_exit_1(tmp_path, monkeypatch, capsys):
     from bevlab import cli
     from bevlab.analysis import AnalysisError
@@ -270,14 +290,15 @@ def test_cli_rejects_bad_jobs_and_seeds_before_any_work(tmp_path, monkeypatch, c
 
 TINY_STUDY = ("n_train 4\nn_val 2\nsteps 2\nteacher_steps 2\nbatch 2\nseeds 1\n"
               "lambda_factors 0.0 1.0\n")
-STUDY_VERBS = ("ablation", "sweep-lambda", "similarity", "report")
-STUDY_TABLES = ("ablation.txt", "sweep_lambda.txt", "similarity.txt")
+STUDY_VERBS = ("ablation", "sweep-lambda", "report")
+ABLATION_TABLES = ("ablation.txt", "similarity.txt")
+STUDY_TABLES = ABLATION_TABLES + ("sweep_lambda.txt",)
 
 
-def run_verb(out, verb, jobs=1):
+def run_verb(out, verb, jobs=1, config=TINY_STUDY):
     cfg_path = os.path.join(os.path.dirname(out), "study.cfg")
     with open(cfg_path, "w") as f:
-        f.write(TINY_STUDY)
+        f.write(config)
     return cli.main(["--config", cfg_path, "--out", out, "--jobs", str(jobs), verb])
 
 
@@ -321,19 +342,24 @@ def test_study_verbs_exit_0_and_write_their_tables(study):
 
 
 def test_second_ablation_trains_nothing(study, tmp_path, monkeypatch):
+    # nor does it read a scene or run a student: both tables come from the
+    # run files, byte for byte
     out = copy_study(study, tmp_path)
-    before = read_bytes(os.path.join(out, "ablation.txt"))
+    for name in ABLATION_TABLES:
+        os.remove(os.path.join(out, name))
     trained = []
 
     def must_not_run(*args, **kwargs):
         trained.append(args)
         raise AssertionError("a cached study trained again")
 
-    for name in ("export_dataset", "pretrain_teacher", "train_student"):
+    for name in ("export_dataset", "pretrain_teacher", "train_student", "load_splits",
+                 "load_student", "student_forward"):
         monkeypatch.setattr(H, name, must_not_run)
     assert run_verb(out, "ablation") == 0
     assert trained == []
-    assert read_bytes(os.path.join(out, "ablation.txt")) == before
+    for name in ABLATION_TABLES:
+        assert read_bytes(os.path.join(out, name)) == read_bytes(os.path.join(study[0], name))
 
 
 def test_report_rerun_is_byte_identical(study, tmp_path):
@@ -358,7 +384,7 @@ def test_report_on_a_fresh_directory_notes_every_missing_artifact(tmp_path, caps
 @pytest.mark.parametrize("verb, table, failing", [
     ("ablation", "ablation.txt", "raw_seed1"),
     ("sweep-lambda", "sweep_lambda.txt", "norm_adapter_seed1"),
-    ("similarity", "similarity.txt", "raw_seed1")])
+    ("ablation", "similarity.txt", "raw_seed1")])
 def test_failed_run_makes_the_verb_exit_2(study, tmp_path, monkeypatch, capsys,
                                           verb, table, failing):
     out = copy_study(study, tmp_path)
@@ -390,64 +416,100 @@ def test_jobs_2_writes_the_same_records_as_jobs_1(study, tmp_path):
     out = str(tmp_path / "out")
     assert run_verb(out, "ablation", jobs=2) == 0
     assert run_records(out) == run_records(study[0])
-    assert read_bytes(os.path.join(out, "ablation.txt")) == \
-        read_bytes(os.path.join(study[0], "ablation.txt"))
+    for name in ABLATION_TABLES:
+        assert read_bytes(os.path.join(out, name)) == read_bytes(os.path.join(study[0], name))
+
+
+def checkpoint_rows(cfg, out, rdir):
+    """similarity_rows of a run's reloaded checkpoint, against a teacher of
+    its own, so every teacher map is computed afresh."""
+    teacher, _ = H.ensure_teacher(cfg, out)
+    student, _, _ = H.load_student(cfg, rdir, teacher)
+    _, val = H.load_splits(cfg, out)
+    return H.similarity_rows(cfg, teacher, student, val, cfg.grid(), cfg.rig())
 
 
 def test_similarity_runs_the_teacher_once_per_val_scene(study, tmp_path, monkeypatch):
     out = copy_study(study, tmp_path)
     cfg = RunConfig.parse(TINY_STUDY)
-    _, val = H.load_splits(cfg, out)
-    files = sorted(os.path.join(rdir, fn)
-                   for rdir, _, fns in os.walk(os.path.join(out, "runs"))
-                   for fn in fns if fn.startswith("similarity_"))
-    assert len(files) == len(SV.VARIANTS)
-    # each student against a teacher of its own, so every map is computed afresh
-    want = {}
-    for path in files:
-        rdir = os.path.dirname(path)
-        teacher, _ = H.ensure_teacher(cfg, out)
-        student, _, _ = H.load_student(cfg, rdir, teacher)
-        rows = H.similarity_rows(cfg, teacher, student, val, cfg.grid(), cfg.rig())
-        write_similarity_file(os.path.join(tmp_path, "want.txt"), rows)
-        want[path] = read_bytes(os.path.join(tmp_path, "want.txt"))
-        os.remove(path)
+    runs = sorted(os.path.join(out, "runs", name) for name in os.listdir(os.path.join(out, "runs")))
+    assert len(runs) == len(SV.VARIANTS)
+    # each run's rows, from its val pass, are those of its checkpoint
+    for rdir in runs:
+        write_similarity_file(os.path.join(tmp_path, "want.txt"), checkpoint_rows(cfg, out, rdir))
+        assert read_bytes(os.path.join(rdir, "similarity.txt")) == \
+            read_bytes(os.path.join(tmp_path, "want.txt")), rdir
+    # the baseline trains without the teacher, so its val pass is all it runs
+    rdir = os.path.join(out, "runs", "baseline_seed1")
+    fresh = read_bytes(os.path.join(rdir, "similarity.txt"))
+    os.remove(os.path.join(rdir, "record.txt"))
     passes = []
     plain = E.TeacherEncoder.forward
     monkeypatch.setattr(E.TeacherEncoder, "forward",
                         lambda self, *a, **k: passes.append(1) or plain(self, *a, **k))
-    assert run_verb(out, "similarity") == 0
-    assert len(passes) == len(val)
-    assert {path: read_bytes(path) for path in files} == want
+    H.train_run(cfg, out, "baseline", 1)
+    assert len(passes) == cfg.n_val
+    assert read_bytes(os.path.join(rdir, "similarity.txt")) == fresh
 
 
 def test_similarity_killed_mid_write_is_recomputed(study, tmp_path, monkeypatch):
     out = copy_study(study, tmp_path)
-    files = sorted(os.path.join(rdir, fn)
-                   for rdir, _, fns in os.walk(os.path.join(out, "runs"))
-                   for fn in fns if fn.startswith("similarity_"))
-    fresh = {path: read_bytes(path) for path in files}
-    for path in files:
-        os.remove(path)
+    rdir = os.path.join(out, "runs", "raw_seed1")
+    fresh = read_bytes(os.path.join(rdir, "similarity.txt"))
+    shutil.rmtree(rdir)
     with monkeypatch.context() as m:
-        m.setattr(A, "open", failing_writes("similarity_"), raising=False)
-        assert run_verb(out, "similarity") == 1
-    # the cut file is not taken for a finished one
-    assert run_verb(out, "similarity") == 0
-    assert {path: read_bytes(path) for path in files} == fresh
-    assert read_bytes(os.path.join(out, "similarity.txt")) == \
-        read_bytes(os.path.join(study[0], "similarity.txt"))
+        m.setattr(A, "open", failing_writes("similarity"), raising=False)
+        assert run_verb(out, "ablation") == 2
+    # the cut rows leave the run unfinished, and it trains again
+    assert not os.path.exists(os.path.join(rdir, "record.txt"))
+    assert not os.path.exists(os.path.join(rdir, "similarity.txt"))
+    trained = []
+    plain_train = H.train_student
+    monkeypatch.setattr(H, "train_student",
+                        lambda *a, **k: trained.append(1) or plain_train(*a, **k))
+    assert run_verb(out, "ablation") == 0
+    assert trained == [1]
+    assert read_bytes(os.path.join(rdir, "similarity.txt")) == fresh
+    for name in ABLATION_TABLES:
+        assert read_bytes(os.path.join(out, name)) == read_bytes(os.path.join(study[0], name))
+
+
+def test_ablation_pools_the_rows_of_retrained_runs(study, tmp_path):
+    out = copy_study(study, tmp_path)
+    before = read_bytes(os.path.join(out, "similarity.txt"))
+    longer = TINY_STUDY.replace("\nsteps 2\n", "\nsteps 3\n")
+    assert longer != TINY_STUDY
+    assert run_verb(out, "ablation", config=longer) == 0
+    cfg = RunConfig.parse(longer)
+    want = ["variant n cka_median cka_iqr cka_centered_median cka_centered_iqr r2_median r2_iqr"]
+    for variant in SV.VARIANTS:
+        rows = checkpoint_rows(cfg, out, H.run_dir(cfg, out, variant, 1)[0])
+        stats = [x for col in (1, 2, 3) for x in A.summarize([r[col] for r in rows])]
+        want.append(f"{variant} {len(rows)} " + " ".join(f"{x:.6f}" for x in stats))
+    got = read_bytes(os.path.join(out, "similarity.txt"))
+    assert got.decode().splitlines() == want
+    assert got != before
+
+
+def test_sweep_of_the_baseline_variant_fails_before_any_run(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert run_verb(out, "sweep-lambda", config=TINY_STUDY + "variant baseline\n") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: the sweep varies the alignment weight")
+    assert captured.out == "" and not os.path.exists(out)
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
 def test_cli_pins_blas_threads_unless_set(preset, want):
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env.update({var: preset for var in BLAS_VARS if preset})
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env["PYTHONPATH"] = os.path.join(root, "src")
+    env["PYTHONPATH"] = SRC
     # the package itself must not load numpy before the CLI pins the threads
     code = ("import os, sys, bevlab; assert 'numpy' not in sys.modules; import bevlab.cli; "
             "print(*(os.environ[v] for v in %r))" % (BLAS_VARS,))
@@ -473,3 +535,43 @@ def test_run_many_splits_the_cpus_between_its_processes(tmp_path, monkeypatch, c
     assert all(ok for _, ok, _ in results)
     assert (os.getpid() in {rec["pid"] for _, _, rec in results}) == (jobs == 1)
     assert SV.fit_threads() == cpus  # the parent keeps every CPU
+
+
+# the fixed short run: its eval files, log and checksum, pinned. A change
+# that moves results on purpose updates these values and says so.
+FIXED_SHORT_RUN = "n_train 8\nn_val 4\nsteps 20\nteacher_steps 20\n"
+PINNED = {
+    "eval_extended.txt": "eaf7a38030a7db2bd848fc22b72658576d31b09dd8a94bf942d98b4415baed70",
+    "eval_standard.txt": "470b6e2ba89e474f434f4a1e884a9dd025ee29e73cf0117c74ad0789b0362858",
+    "log.txt": "63d85df5414b875590c8b52cb5966bc0fb835e879fc39d4386eab8858b21d60a",
+    "checksum": "781f8d6ccdcfb28df84b092e6e9870baa3fc6f9bb46afa0e1a218e8b42a3c384",
+}
+
+
+def blas_lines():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        np.show_config()
+    return [line for line in buf.getvalue().splitlines() if "blas" in line.lower()]
+
+
+def test_fixed_short_run_keeps_its_pinned_digests(tmp_path):
+    # through the CLI, which pins BLAS to one thread before numpy loads;
+    # in this process numpy has loaded already with whatever it found, and
+    # the summation order, so every digest, depends on the thread count
+    cfg_path = tmp_path / "short.cfg"
+    cfg_path.write_text(FIXED_SHORT_RUN)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = SRC
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "bevlab.cli", "--config", str(cfg_path),
+                           "--out", str(out), "train", "--variant", "norm_adapter"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    rdir = out / "runs" / "norm_adapter_seed1"
+    got = {name: hashlib.sha256((rdir / name).read_bytes()).hexdigest()
+           for name in PINNED if name != "checksum"}
+    got["checksum"] = H.read_record(str(rdir))["checksum"]
+    moved = [f"{name}: {got[name]} != pinned {want}" for name, want in PINNED.items()
+             if got[name] != want]
+    assert not moved, "\n".join(["moved:"] + moved + ["BLAS:"] + blas_lines())

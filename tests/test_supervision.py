@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+import oracles
 from bevlab import encoders as E
 from bevlab import geometry as G
 from bevlab import mapeval as ME
@@ -21,9 +22,9 @@ RNG = np.random.default_rng
 def fmap_pair(seed, grid=None, requires_grad=False):
     grid = grid or G.standard_grid()
     rng = RNG(seed)
-    s = T.parameter(rng.normal(size=(6, grid.rows, grid.cols)))
+    s = oracles.parameter(rng.normal(size=(6, grid.rows, grid.cols)))
     t = rng.normal(size=(6, grid.rows, grid.cols))
-    t = T.parameter(t) if requires_grad else T.tensor(t)
+    t = oracles.parameter(t) if requires_grad else T.tensor(t)
     return (E.FeatureMap(s, grid, "student"),
             E.FeatureMap(t, grid, "teacher"))
 
@@ -101,10 +102,10 @@ def test_alignment_zero_for_identical_maps():
     adapter = SV.AffineAdapter(6)
     for variant in ("raw", "norm_only", "norm_adapter"):
         cfg = SV.SupervisionConfig(variant)
-        a = E.FeatureMap(T.parameter(x.copy()), grid, "student")
+        a = E.FeatureMap(oracles.parameter(x.copy()), grid, "student")
         b = E.FeatureMap(T.tensor(x.copy()), grid, "teacher")
         loss = SV.bev_alignment_loss(a, b, adapter, cfg)
-        assert loss.item() == 0.0, variant
+        assert float(loss.data) == 0.0, variant
 
 
 def test_alignment_raw_matches_hand_loop():
@@ -113,7 +114,7 @@ def test_alignment_raw_matches_hand_loop():
                                  SV.SupervisionConfig("raw"))
     diff = f_cam.tensor.data - f_aer.tensor.data
     want = float(np.sum(diff * diff) / diff.size)
-    assert abs(loss.item() - want) < 1e-12
+    assert abs(float(loss.data) - want) < 1e-12
 
 
 def test_alignment_adapter_at_init_equals_norm_only():
@@ -122,7 +123,7 @@ def test_alignment_adapter_at_init_equals_norm_only():
                               SV.SupervisionConfig("norm_adapter"))
     b = SV.bev_alignment_loss(f_cam, f_aer, SV.AffineAdapter(6),
                               SV.SupervisionConfig("norm_only"))
-    assert a.item() == b.item()
+    assert float(a.data) == float(b.data)
 
 
 def test_alignment_gradient_reaches_student_only():
@@ -320,23 +321,23 @@ def test_clipped_targets_keep_longest_fragments(corpus):
 
 def test_detection_loss_no_elements_is_pure_classification():
     rng = RNG(13)
-    logits = T.parameter(rng.normal(size=(4, G.N_CLASSES + 1)))
-    points = T.parameter(rng.normal(size=(4, 3, 2)))
+    logits = oracles.parameter(rng.normal(size=(4, G.N_CLASSES + 1)))
+    points = oracles.parameter(rng.normal(size=(4, 3, 2)))
     l_cls, l_reg = SV.detection_loss(logits, points, [])
-    assert l_reg.item() == 0.0
+    assert float(l_reg.data) == 0.0
     bg = np.full(4, G.N_CLASSES)
-    want = T.focal_loss(T.tensor(logits.data), bg, 0.25, 2.0).item()
-    assert abs(l_cls.item() - want) < 1e-12
+    want = float(T.focal_loss(T.tensor(logits.data), bg, 0.25, 2.0).data)
+    assert abs(float(l_cls.data) - want) < 1e-12
 
 
 def test_detection_loss_reg_scales_with_weight():
     rng = RNG(14)
-    logits = T.parameter(rng.normal(size=(3, G.N_CLASSES + 1)))
-    points = T.parameter(rng.normal(size=(3, 4, 2)))
+    logits = oracles.parameter(rng.normal(size=(3, G.N_CLASSES + 1)))
+    points = oracles.parameter(rng.normal(size=(3, 4, 2)))
     gts = [(0, 1.0, rng.normal(size=(5, 2))), (1, 1.0, rng.normal(size=(4, 2)))]
     _, r1 = SV.detection_loss(logits, points, gts, reg_weight=0.1)
     _, r2 = SV.detection_loss(logits, points, gts, reg_weight=0.4)
-    assert abs(r2.item() - 4.0 * r1.item()) < 1e-12
+    assert abs(float(r2.data) - 4.0 * float(r1.data)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +620,7 @@ def test_the_lift_index_arrays_are_built_with_the_table(corpus, monkeypatch):
     monkeypatch.setattr(E, "conv_sites", counted)
     outs = [E.student_forward(student, s.cams, rig, grid).tensor.data for s in samples[:2]]
     assert len(built) == len(rig)
-    table = student.table_for(rig, grid)
+    table = student._lift_plan(rig, grid)[0]
     by_reads = [student.extract(img, r).data for img, r in zip(samples[1].cams, table.reads)]
     by_sites = [student.extract(img, s).data
                 for img, s in zip(samples[1].cams, student._lift_plan(rig, grid)[1])]

@@ -56,7 +56,7 @@ def test_mse_matches_scalar_loop():
     rng = RNG(2)
     a = rng.normal(size=(4, 5))
     b = rng.normal(size=(4, 5))
-    got = T.mse(T.tensor(a), T.tensor(b)).item()
+    got = float(T.mse(T.tensor(a), T.tensor(b)).data)
     assert abs(got - oracles.mse_oracle(a, b)) < 1e-12
 
 
@@ -66,21 +66,21 @@ def test_mse_symmetric_bitwise(seed):
     rng = RNG(seed)
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(3, 4))
-    ab = T.mse(T.tensor(a), T.tensor(b)).item()
-    ba = T.mse(T.tensor(b), T.tensor(a)).item()
+    ab = float(T.mse(T.tensor(a), T.tensor(b)).data)
+    ba = float(T.mse(T.tensor(b), T.tensor(a)).data)
     assert ab == ba
 
 
 def test_mse_self_is_zero():
     a = RNG(3).normal(size=(6,))
-    assert T.mse(T.tensor(a), T.tensor(a)).item() == 0.0
+    assert float(T.mse(T.tensor(a), T.tensor(a)).data) == 0.0
 
 
 def test_focal_matches_per_row_formula():
     rng = RNG(4)
     z = rng.normal(size=(10, 4)) * 2.0
     t = rng.integers(0, 4, size=10)
-    got = T.focal_loss(T.tensor(z), t).item()
+    got = float(T.focal_loss(T.tensor(z), t).data)
     assert abs(got - oracles.focal_oracle(z, t)) < 1e-12
 
 
@@ -88,7 +88,7 @@ def test_focal_reduces_to_cross_entropy():
     rng = RNG(5)
     z = rng.normal(size=(8, 3))
     t = rng.integers(0, 3, size=8)
-    got = T.focal_loss(T.tensor(z), t, alpha=None, gamma=0.0).item()
+    got = float(T.focal_loss(T.tensor(z), t, alpha=None, gamma=0.0).data)
     # plain cross-entropy
     zs = z - z.max(axis=1, keepdims=True)
     logp = zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
@@ -98,7 +98,7 @@ def test_focal_reduces_to_cross_entropy():
 
 def test_focal_two_class_zero_logits_gives_ln2():
     z = np.zeros((1, 2))
-    got = T.focal_loss(T.tensor(z), [0], alpha=None, gamma=0.0).item()
+    got = float(T.focal_loss(T.tensor(z), [0], alpha=None, gamma=0.0).data)
     assert abs(got - math.log(2.0)) < 1e-15
 
 
@@ -111,7 +111,7 @@ def test_l1_line_matches_two_ordering_oracle():
     rng = RNG(6)
     p = rng.normal(size=(5, 2))
     g = rng.normal(size=(5, 2))
-    got = oracles.l1_line_loss(T.tensor(p), T.tensor(g)).item()
+    got = float(oracles.l1_line_loss(T.tensor(p), T.tensor(g)).data)
     assert abs(got - oracles.l1_line_oracle(p, g)) < 1e-14
 
 
@@ -121,8 +121,8 @@ def test_l1_line_reversal_invariant(seed):
     rng = RNG(seed)
     p = rng.normal(size=(4, 2))
     g = rng.normal(size=(4, 2))
-    a = oracles.l1_line_loss(T.tensor(p), T.tensor(g)).item()
-    b = oracles.l1_line_loss(T.tensor(p), T.tensor(g[::-1].copy())).item()
+    a = float(oracles.l1_line_loss(T.tensor(p), T.tensor(g)).data)
+    b = float(oracles.l1_line_loss(T.tensor(p), T.tensor(g[::-1].copy())).data)
     assert a == b
 
 
@@ -133,30 +133,30 @@ def test_l1_rows_loss_equals_the_per_row_chain_bit_for_bit():
     targets = [rng.normal(size=(4, 2)) for _ in rows]
     targets[1] = x[0][::-1] + 0.01  # nearer reversed
     c = 0.05 / len(rows)
-    xt = T.parameter(x.copy())
+    xt = oracles.parameter(x.copy())
     loss = T.scale(T.l1_rows_loss(xt, rows, targets), c)
     T.backward(loss)
     # the chain it replaces: one l1_line_loss per row, summed in order, then scaled
     terms, grad = [], np.zeros_like(x)
     for q, t in zip(rows, targets):
-        row = T.parameter(x[q].copy())
+        row = oracles.parameter(x[q].copy())
         terms.append(oracles.l1_line_loss(row, T.tensor(t)))
         T.backward(T.scale(terms[-1], c))
         grad[q] += row.grad
     want = terms[0].data
     for t in terms[1:]:
         want = want + t.data
-    assert T.l1_rows_loss(T.tensor(x), rows, targets).item() == float(want)
-    assert loss.item() == float(want * c)
+    assert float(T.l1_rows_loss(T.tensor(x), rows, targets).data) == float(want)
+    assert float(loss.data) == float(want * c)
     assert np.array_equal(xt.grad, grad)
     assert np.all(xt.grad[[4, 7]] == 0.0)
     fd_check(lambda t: T.l1_rows_loss(t, rows, targets), [x * 3.0], 1)
 
 
 def test_l1_rows_loss_rejects_bad_input():
-    x = T.parameter(np.zeros((3, 4, 2)))
+    x = oracles.parameter(np.zeros((3, 4, 2)))
     for bad in ((x, [], []), (x, [0, 1], [np.zeros((4, 2))]), (x, [0], [np.zeros((1, 2))]),
-                (T.parameter(np.zeros((3, 8))), [0], [np.zeros((4, 2))])):
+                (oracles.parameter(np.zeros((3, 8))), [0], [np.zeros((4, 2))])):
         with pytest.raises(T.TensorError):
             T.l1_rows_loss(*bad)
 
@@ -231,7 +231,7 @@ def test_relu_backward_passes_gradient_only_where_input_is_positive():
     x = rng.normal(size=(3, 5, 6))
     x.reshape(-1)[:12] = [0.0, -0.0] * 6
     g = rng.normal(size=x.shape)
-    dx, = T.relu(T.parameter(x))._bwd(g)
+    dx, = T.relu(oracles.parameter(x))._bwd(g)
     want = np.array([gi if xi > 0.0 else 0.0 for xi, gi in zip(x.ravel(), g.ravel())])
     assert np.array_equal(dx, want.reshape(x.shape))
 
@@ -243,7 +243,7 @@ def test_maxpool2_first_maximum_of_a_tied_window_wins():
         x = rng.integers(-1, 2, size=(3, 6, 8)).astype(np.float64)
         if signed_zeros:
             x[x == 0.0] = rng.choice([0.0, -0.0], size=int(np.sum(x == 0.0)))
-        out = T.maxpool2(T.parameter(x))
+        out = T.maxpool2(oracles.parameter(x))
         want = oracles.maxpool2_oracle(x)  # builtin max keeps the first of equals
         assert np.array_equal(out.data, want)
         assert np.array_equal(np.signbit(out.data), np.signbit(want))
@@ -256,13 +256,13 @@ def test_constant_operands_get_no_gradient():
     a, c = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
     g = rng.normal(size=(2, 3))
     for op in (T.mul, T.mse):
-        out = op(T.parameter(a), T.tensor(c))
+        out = op(oracles.parameter(a), T.tensor(c))
         da, dc = out._bwd(g if op is T.mul else 1.0)
         assert dc is None and da is not None
-        out = op(T.tensor(c), T.parameter(a))
+        out = op(T.tensor(c), oracles.parameter(a))
         dc, da = out._bwd(g if op is T.mul else 1.0)
         assert dc is None and da is not None
-    assert np.array_equal(T.mul(T.parameter(a), T.tensor(c))._bwd(g)[0], g * c)
+    assert np.array_equal(T.mul(oracles.parameter(a), T.tensor(c))._bwd(g)[0], g * c)
 
 
 def test_linear_and_spatial_mean():
@@ -287,13 +287,13 @@ def test_nonfinite_forward_raises():
 
 def fd_check(build, arrays, n_inputs, tol=1e-4, h=1e-5):
     """build(*tensors) -> scalar Tensor; compares backward grads with FD."""
-    ts = [T.parameter(a.copy()) for a in arrays[:n_inputs]]
+    ts = [oracles.parameter(a.copy()) for a in arrays[:n_inputs]]
     loss = build(*ts, *arrays[n_inputs:])
     T.backward(loss)
 
     def f(*arrs):
         consts = arrs[n_inputs:]
-        return build(*[T.tensor(a) for a in arrs[:n_inputs]], *consts).item()
+        return float(build(*[T.tensor(a) for a in arrs[:n_inputs]], *consts).data)
 
     for i, t in enumerate(ts):
         fd = oracles.fd_gradient(f, [a.copy() for a in arrays[:n_inputs]] + list(arrays[n_inputs:]), i, h=h)
@@ -328,7 +328,7 @@ def test_grad_conv2d():
 def test_conv2d_input_grad_matches_col2im_oracle():
     rng = RNG(23)
     for stride, pad, (kh, kw), (h, w) in CONV_GRAD_CASES:
-        x = T.parameter(rng.normal(size=(3, h, w)))
+        x = oracles.parameter(rng.normal(size=(3, h, w)))
         k = rng.normal(size=(4, 3, kh, kw))
         out = T.conv2d(x, T.tensor(k), stride=stride, pad=pad)
         g = rng.normal(size=out.shape)
@@ -343,7 +343,7 @@ def test_conv2d_input_grad_takes_col2im_when_cout_is_4x_cin():
     rng = RNG(24)
     for cin, cout in ((2, 8), (3, 13)):
         for stride, pad, (kh, kw), (h, w) in CONV_GRAD_CASES:
-            x = T.parameter(rng.normal(size=(cin, h, w)))
+            x = oracles.parameter(rng.normal(size=(cin, h, w)))
             k = rng.normal(size=(cout, cin, kh, kw))
             out = T.conv2d(x, T.tensor(k), stride=stride, pad=pad)
             g = rng.normal(size=out.shape)
@@ -363,7 +363,7 @@ def test_conv2d_input_off_the_tape_gets_no_gradient():
     b = rng.normal(size=4)
     grads = {}
     for on_tape in (True, False):
-        xt, kt, bt = T.Tensor(x, requires_grad=on_tape), T.parameter(k), T.parameter(b)
+        xt, kt, bt = T.Tensor(x, requires_grad=on_tape), oracles.parameter(k), oracles.parameter(b)
         out = T.conv2d(xt, kt, bt, stride=2, pad=1)
         # bwd itself skips dx; backward() would drop it for an off-tape input anyway
         assert (out._bwd(np.ones(out.shape))[0] is None) == (not on_tape)
@@ -401,8 +401,8 @@ def test_conv2d_at_is_bitwise_the_dense_layout_path():
              for stride in (1, 2) for pad in (0, 1)]
     cases += [((2, 6, 7), (9, 2, 3, 2), 2, 1), ((12, 32, 48), (16, 12, 3, 3), 1, 1)]
     for xs, ks, stride, pad in cases:
-        x, k, b = T.parameter(rng.normal(size=xs)), T.parameter(rng.normal(size=ks)), \
-            T.parameter(rng.normal(size=ks[0]))
+        x, k, b = oracles.parameter(rng.normal(size=xs)), oracles.parameter(rng.normal(size=ks)), \
+            oracles.parameter(rng.normal(size=ks[0]))
         _, ho, wo = T.conv2d(x, k, stride=stride, pad=pad).shape
         for at in (sparse_positions(rng, ho * wo), np.arange(ho * wo),
                    np.array([], dtype=np.int64)):
@@ -427,14 +427,14 @@ def test_grad_conv2d_at():
                 fd_check(lambda xt, kt, bt, wt: oracles.tsum(T.mul(
                     T.conv2d(xt, kt, bt, stride=stride, pad=pad, at=at), T.tensor(wt))),
                     [x, k, b, wts], 3)
-            out = T.conv2d(T.tensor(x), T.parameter(k), stride=stride, pad=pad, at=sparse)
+            out = T.conv2d(T.tensor(x), oracles.parameter(k), stride=stride, pad=pad, at=sparse)
             assert out._bwd(np.ones(out.shape))[0] is None
 
 
 def test_conv2d_takes_prebuilt_sites_for_its_geometry_only():
     rng = RNG(31)
-    x, k, b = T.parameter(rng.normal(size=(3, 7, 8))), T.parameter(rng.normal(size=(4, 3, 3, 3))), \
-        T.parameter(rng.normal(size=4))
+    x, k, b = oracles.parameter(rng.normal(size=(3, 7, 8))), oracles.parameter(rng.normal(size=(4, 3, 3, 3))), \
+        oracles.parameter(rng.normal(size=4))
     at = sparse_positions(rng, 7 * 8)
     sites = T.conv_sites((3, 7, 8), (3, 3), at, stride=1, pad=1)
     outs = [T.conv2d(x, k, b, pad=1, at=a) for a in (at, sites)]
@@ -442,7 +442,7 @@ def test_conv2d_takes_prebuilt_sites_for_its_geometry_only():
     g = rng.normal(size=outs[0].shape)
     for got, want in zip(outs[1]._bwd(g), outs[0]._bwd(g)):
         assert np.array_equal(got, want)
-    wider = T.parameter(rng.normal(size=(3, 7, 10)))
+    wider = oracles.parameter(rng.normal(size=(3, 7, 10)))
     for xt, stride, pad in ((x, 2, 1), (x, 1, 0), (wider, 1, 1)):
         with pytest.raises(T.TensorError, match="conv2d at built for"):
             T.conv2d(xt, k, b, stride=stride, pad=pad, at=sites)
@@ -458,7 +458,7 @@ def test_conv2d_at_fails_fast_and_allows_empty():
                 np.array([2, 1]), np.array([1, 1]), np.array([-1, 3]), np.array([0, 16])):
         with pytest.raises(T.TensorError, match="conv2d at"):
             T.conv2d(x, k, pad=1, at=bad)
-    kt, bt = T.parameter(np.ones((3, 2, 3, 3))), T.parameter(np.ones(3))
+    kt, bt = oracles.parameter(np.ones((3, 2, 3, 3))), oracles.parameter(np.ones(3))
     for empty in ([], np.array([], dtype=np.int64)):
         out = T.conv2d(x, kt, bt, pad=1, at=empty)
         assert out.shape == (3, 0)
@@ -548,21 +548,21 @@ def test_grad_spatial_mean_and_reshape():
 # ---------------------------------------------------------------------------
 
 def test_fanout_accumulates():
-    x = T.parameter(np.array(3.0))
+    x = oracles.parameter(np.array(3.0))
     y = T.add(x, x)
     T.backward(y)
     assert float(x.grad) == 2.0
 
 
 def test_backward_requires_scalar():
-    x = T.parameter(np.ones(4))
+    x = oracles.parameter(np.ones(4))
     with pytest.raises(T.TensorError):
         T.backward(T.relu(x))
 
 
 def test_frozen_inputs_stay_out_of_tape():
     x = T.tensor(np.ones((2, 2)))  # no grad
-    w = T.parameter(np.full((2, 2), 2.0))
+    w = oracles.parameter(np.full((2, 2), 2.0))
     out = T.mse(T.add(x, w), T.tensor(np.zeros((2, 2))))
     T.backward(out)
     assert x.grad is None
@@ -573,7 +573,7 @@ def test_frozen_inputs_stay_out_of_tape():
 
 
 def test_deep_chain_no_recursion_error():
-    x = T.parameter(np.array(0.5))
+    x = oracles.parameter(np.array(0.5))
     y = x
     for _ in range(1500):
         y = T.scale(y, 1.0001)
@@ -583,8 +583,8 @@ def test_deep_chain_no_recursion_error():
 
 def test_node_visited_once():
     # diamond: loss = mse(a+b, a) touches `a` along two paths
-    a = T.parameter(np.ones(3))
-    b = T.parameter(np.full(3, 0.5))
+    a = oracles.parameter(np.ones(3))
+    b = oracles.parameter(np.full(3, 0.5))
     s = T.add(a, b)
     loss = T.mse(s, a)
     T.backward(loss)
@@ -597,8 +597,8 @@ def group_graph(rng):
     """A loss whose parameter ``w`` gets contributions from three groups and
     from the head, with magnitudes spread so that their order shows in the
     bits; ``v`` is reached from one group only. Returns (loss, groups, w, v)."""
-    w = T.parameter(rng.normal(size=5))
-    v = T.parameter(rng.normal(size=5))
+    w = oracles.parameter(rng.normal(size=5))
+    v = oracles.parameter(rng.normal(size=5))
     groups = []
     for k, mag in enumerate((1e16, 1.0, -1e16)):
         c = T.tensor(mag * rng.normal(size=5) + rng.normal(size=5))
@@ -643,7 +643,7 @@ def test_split_backward_keeps_the_serial_walk_bits():
 
 
 def test_split_backward_refuses_a_node_two_groups_share():
-    w = T.parameter(np.ones(3))
+    w = oracles.parameter(np.ones(3))
     shared = T.scale(w, 2.0)
     a, b = oracles.tsum(shared), oracles.tsum(T.mul(shared, shared))
     with pytest.raises(T.TensorError, match="'scale' node is reached from groups 0 and 1"):
@@ -660,7 +660,7 @@ def test_split_backward_refuses_a_node_two_groups_share():
 # ---------------------------------------------------------------------------
 
 def test_cosine_schedule_endpoints_and_monotone():
-    p = {"w": T.parameter(np.zeros(1))}
+    p = {"w": oracles.parameter(np.zeros(1))}
     opt = T.AdamW(p, lr=0.1, horizon=100)
     assert T.cosine_lr(opt) == 0.1
     rates = []
@@ -674,7 +674,7 @@ def test_cosine_schedule_endpoints_and_monotone():
 
 
 def test_cosine_min_lr_floor():
-    opt = T.AdamW({"w": T.parameter(np.zeros(1))}, lr=0.1, horizon=10, min_lr=0.02)
+    opt = T.AdamW({"w": oracles.parameter(np.zeros(1))}, lr=0.1, horizon=10, min_lr=0.02)
     for _ in range(15):
         T.adamw_step(opt)
     assert T.cosine_lr(opt) == 0.02
@@ -684,7 +684,7 @@ def test_adamw_matches_hand_rolled_update():
     rng = RNG(30)
     w0 = rng.normal(size=4)
     g = rng.normal(size=4)
-    p = T.parameter(w0.copy())
+    p = oracles.parameter(w0.copy())
     opt = T.AdamW({"w": p}, lr=0.01, weight_decay=0.1, horizon=10 ** 9)
     p.grad = g.copy()
     T.adamw_step(opt)
@@ -695,7 +695,7 @@ def test_adamw_matches_hand_rolled_update():
 
 def test_adamw_skips_frozen_and_handles_missing_grad():
     frozen = T.tensor(np.ones(3))
-    live = T.parameter(np.ones(3))
+    live = oracles.parameter(np.ones(3))
     opt = T.AdamW({"f": frozen, "l": live}, lr=0.1, weight_decay=0.0)
     before = frozen.data.copy()
     T.adamw_step(opt)  # neither has a grad; frozen must stay bitwise identical
@@ -706,7 +706,7 @@ def test_adamw_skips_frozen_and_handles_missing_grad():
 def test_adamw_trajectory_deterministic():
     def run():
         rng = RNG(31)
-        p = T.parameter(rng.normal(size=5))
+        p = oracles.parameter(rng.normal(size=5))
         opt = T.AdamW({"p": p}, lr=0.05, horizon=50)
         for i in range(50):
             x = T.tensor(rng.normal(size=5))
