@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Verbs: gen, train, ablation (with the similarity study), sweep-lambda, report.
-Global flags: --config <path>, --seed <n>, --out <dir>, --jobs <n>.
+Global flags: --config <path>, --seed <n> (train only), --out <dir>, --jobs <n>.
 Exit codes: 0 success, 1 hard failure, 2 partial sweep/ablation failure.
 
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
@@ -47,7 +47,7 @@ def build_parser():
     p.add_argument("--config", metavar="PATH",
                    help="key-value config file (defaults apply when omitted)")
     p.add_argument("--seed", type=int, metavar="N",
-                   help="override the run seed")
+                   help="override the run seed (train only)")
     p.add_argument("--out", default="out", metavar="DIR",
                    help="output directory (default: ./out)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -75,6 +75,8 @@ def main(argv=None):
     try:
         if args.jobs < 1:
             raise harness.HarnessError(f"--jobs must be at least 1, got {args.jobs}")
+        if args.seed is not None and args.verb != "train":
+            raise harness.HarnessError(f"--seed applies to train only, not {args.verb}")
         cfg = RunConfig.load(args.config) if args.config else RunConfig()
         if args.seed is not None:
             cfg = cfg.with_overrides(seed=args.seed)

@@ -7,6 +7,7 @@ constructors hand the typed fields to scenegen/geometry/supervision.
 """
 
 import hashlib
+import math
 
 from .geometry import BevGrid, default_rig, extended_grid, standard_grid
 from .scenegen import SceneParams
@@ -50,7 +51,6 @@ DEFAULTS = (
     # encoder sizes
     ("c_feat", 16, _TEACH),
     ("teacher_widths", (12, 16, 24), _TEACH),
-    ("teacher_feature_layer", "final", _TEACH),
     ("student_width", 12, ()),
     ("downsample", 2, ()),
     ("n_queries", 12, _TEACH),
@@ -82,6 +82,25 @@ _DEFAULTS = {name: default for name, default, _ in DEFAULTS}
 # of distinct values
 _FIXED_ARITY = ("road_count", "lane_count", "occluder_count", "occluder_size",
                 "teacher_widths")
+
+
+# the bound each numeric field must meet before any work starts; numpy
+# seeds its generators from non-negative integers only
+_BOUNDS = (
+    ("positive", lambda v: v > 0,
+     "n_train n_val cameras cam_height cam_focal image_width image_height c_feat "
+     "teacher_widths student_width n_queries decoder_hidden steps batch base_lr "
+     "teacher_steps"),
+    ("at least 2", lambda v: v >= 2, "n_points"),
+    ("nonnegative", lambda v: v >= 0,
+     "curvature lambda_bev min_lr weight_decay reg_weight seed teacher_seed seeds "
+     "lambda_factors"),
+    ("within [0, 1]", lambda v: 0 <= v <= 1, "crossing_probability"),
+)
+
+
+def _values(value):
+    return value if isinstance(value, tuple) else (value,)
 
 
 def _parse_one(name, default, text):
@@ -128,17 +147,15 @@ class RunConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.roi not in ("standard", "extended"):
             raise ConfigError(f"unknown roi {self.roi!r}")
-        if self.n_train < 1 or self.n_val < 1:
-            raise ConfigError("corpus splits must be non-empty")
-        if self.steps < 1 or self.teacher_steps < 1 or self.batch < 1:
-            raise ConfigError("step and batch counts must be positive")
-        if self.lambda_bev < 0:
-            raise ConfigError("lambda_bev must be nonnegative")
-        # numpy seeds its generators from non-negative integers only
-        for name in ("seed", "teacher_seed", "seeds"):
+        for name in _DEFAULTS:
             value = getattr(self, name)
-            if min(value if isinstance(value, tuple) else (value,), default=0) < 0:
-                raise ConfigError(f"{name} must be nonnegative, got {_format_one(value)}")
+            if any(isinstance(v, float) and not math.isfinite(v) for v in _values(value)):
+                raise ConfigError(f"{name} must be finite, got {_format_one(value)}")
+        for rule, holds, names in _BOUNDS:
+            for name in names.split():
+                value = getattr(self, name)
+                if not all(map(holds, _values(value))):
+                    raise ConfigError(f"{name} must be {rule}, got {_format_one(value)}")
         for name in ("seeds", "lambda_factors"):
             values = getattr(self, name)
             if not values:
@@ -147,19 +164,16 @@ class RunConfig:
             if repeated:
                 raise ConfigError(f"{name}: repeated values "
                                   f"{_format_one(tuple(repeated))}")
-        if min(self.lambda_factors) < 0:
-            raise ConfigError("lambda_factors must be nonnegative")
         if self.downsample not in (2, 4):
             raise ConfigError(f"downsample must be 2 or 4, got {self.downsample}")
         if self.image_width % self.downsample or self.image_height % self.downsample:
             raise ConfigError("image size must divide by the downsample")
-        if self.teacher_feature_layer not in ("final", "bottleneck"):
-            raise ConfigError(f"unknown teacher_feature_layer {self.teacher_feature_layer!r}")
         if self.grid_rows % 8 or self.grid_cols % 8 or self.grid_rows < 8 or self.grid_cols < 8:
             # the teacher U-Net pools three times
             raise ConfigError(f"grid {self.grid_rows}x{self.grid_cols}: rows and cols "
                               "must be positive multiples of 8")
-        for name, low in (("road_count", 1), ("lane_count", 1), ("occluder_count", 0)):
+        for name, low in (("road_count", 1), ("lane_count", 1), ("occluder_count", 0),
+                          ("occluder_size", 0.0)):
             lo, hi = getattr(self, name)
             if lo < low or lo > hi:
                 raise ConfigError(f"{name}: range {lo} {hi} must be ordered and start at >= {low}")

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .geometry import N_CLASSES, BevGrid, default_rig
+from .geometry import N_CLASSES, BevGrid
 from .mapeval import EvalConfig, evaluate
 from .tensors import (Tensor, add, concat, conv2d, conv_sites, custom_op, linear,
                       maxpool2, mul, read_ten, relu, reshape, soft_points,
@@ -64,21 +64,14 @@ def _lin_p(rng, n, m):
     return w, b
 
 
-def _constant(data):
-    return Tensor(np.asarray(data, dtype=np.float64))
-
-
 # ---------------------------------------------------------------------------
 # overhead teacher
 # ---------------------------------------------------------------------------
 
 class TeacherEncoder:
     """U-Net over the overhead raster: three pooled stages down, three
-    skip-connected upsampling stages back to full resolution.
-
-    The bottleneck width equals the output width so either layer can serve
-    as the exported feature map (``feature_layer`` = "final" keeps the
-    default, "bottleneck" nearest-upsamples the coarsest stage instead).
+    skip-connected upsampling stages back to full resolution, where the
+    last conv emits the ``c_feat``-channel feature map on the BEV grid.
 
     Once frozen, the teacher stores each feature map ``teacher_forward``
     computes, keyed by the raster's shape and a digest of its bytes, and
@@ -88,14 +81,10 @@ class TeacherEncoder:
     change the parameters of a frozen teacher.
     """
 
-    def __init__(self, rng, c_in=3, c_feat=16, widths=(12, 16, 24),
-                 feature_layer="final"):
-        if feature_layer not in ("final", "bottleneck"):
-            raise EncoderError(f"unknown feature layer {feature_layer!r}")
+    def __init__(self, rng, c_in=3, c_feat=16, widths=(12, 16, 24)):
         w0, w1, w2 = widths
         self.c_in = c_in
         self.c_feat = c_feat
-        self.feature_layer = feature_layer
         self.frozen = False
         self.maps = {}  # (raster shape, raster digest) -> stored feature map
         self.params = {}
@@ -107,15 +96,13 @@ class TeacherEncoder:
             self.params[name + ".w"] = w
             self.params[name + ".b"] = b
 
-    def forward(self, raster, layer=None):
+    def forward(self, raster):
         p = self.params
         x = tensor(raster)
         s0 = relu(conv2d(x, p["stem.w"], p["stem.b"], pad=1))
         s1 = relu(conv2d(maxpool2(s0), p["down1.w"], p["down1.b"], pad=1))
         s2 = relu(conv2d(maxpool2(s1), p["down2.w"], p["down2.b"], pad=1))
         bott = relu(conv2d(maxpool2(s2), p["down3.w"], p["down3.b"], pad=1))
-        if (layer or self.feature_layer) == "bottleneck":
-            return upsample2x(upsample2x(upsample2x(bott)))
         u = relu(conv2d(concat([upsample2x(bott), s2]), p["up1.w"], p["up1.b"], pad=1))
         u = relu(conv2d(concat([upsample2x(u), s1]), p["up2.w"], p["up2.b"], pad=1))
         return conv2d(concat([upsample2x(u), s0]), p["up3.w"], p["up3.b"], pad=1)
@@ -278,16 +265,16 @@ class StudentEncoder:
         self.params["default"] = default
         self._tables = {}  # key -> (LiftTable, the cam2 conv's sites per camera)
 
-    def extract(self, image, reads=None) -> Tensor:
-        """(C, fh, fw) camera feature map, or with ``reads`` (sorted flat
-        pixels, or their ``conv_sites``) only those pixels, as (C,
-        len(reads)) columns."""
+    def extract(self, image, sites=None) -> Tensor:
+        """(C, fh, fw) camera feature map, or with ``sites`` (the second
+        conv's ``conv_sites``, as ``_lift_plan`` builds them) only the
+        feature pixels they hold, as (C, len(sites.at)) columns."""
         p = self.params
         x = tensor(image)
         h = relu(conv2d(x, p["cam1.w"], p["cam1.b"], stride=2, pad=1))
         if self.downsample == 4:
             h = maxpool2(h)
-        return relu(conv2d(h, p["cam2.w"], p["cam2.b"], pad=1, at=reads))
+        return relu(conv2d(h, p["cam2.w"], p["cam2.b"], pad=1, at=sites))
 
     def _lift_plan(self, rig, grid):
         """(LiftTable, cam2 conv sites per camera) of one (rig, grid)."""
@@ -360,7 +347,7 @@ class MapDecoder:
         h2, w2 = grid.rows // 2, grid.cols // 2
         yy, xx = np.meshgrid(np.linspace(-1.0, 1.0, h2),
                              np.linspace(-1.0, 1.0, w2), indexing="ij")
-        self._coords = _constant(np.stack([xx, yy]))
+        self._coords = tensor(np.stack([xx, yy]))
         my, mx = np.meshgrid(np.linspace(grid.y_max, grid.y_min, h2),
                              np.linspace(grid.x_min, grid.x_max, w2),
                              indexing="ij")
@@ -377,8 +364,8 @@ class MapDecoder:
             logp[q] = -0.5 * (((mx - cx) / sx) ** 2 + ((my - cy) / sy) ** 2)
         mask = np.exp(logp)
         mask *= (h2 * w2) / mask.sum(axis=(1, 2), keepdims=True)
-        self._slot_mask = _constant(np.repeat(mask, hidden, axis=0))
-        self._att_bias = _constant(np.repeat(logp, n_points, axis=0))
+        self._slot_mask = tensor(np.repeat(mask, hidden, axis=0))
+        self._att_bias = tensor(np.repeat(logp, n_points, axis=0))
         self.params = {}
         w, b = _conv_p(rng, n_queries * hidden, c_in + 2)
         self.params["mix.w"] = w

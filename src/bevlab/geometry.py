@@ -34,7 +34,10 @@ class GeometryError(ValueError):
 # ---------------------------------------------------------------------------
 
 class BevGrid:
-    """Axis-aligned ground-plane grid of rows x cols rectangular cells."""
+    """Axis-aligned ground-plane grid of rows x cols rectangular cells.
+
+    ``cells_of`` is its one point-to-cell lookup, by the formula in the
+    module docstring."""
 
     def __init__(self, x_min, x_max, y_min, y_max, rows, cols):
         if not (x_max > x_min and y_max > y_min and rows > 0 and cols > 0):
@@ -49,19 +52,12 @@ class BevGrid:
         self.cell_x = (self.x_max - self.x_min) / self.cols
         self.cell_y = (self.y_max - self.y_min) / self.rows
 
-    def cell_of(self, x, y):
-        """(row, col) containing the point, or None when outside the grid."""
-        col = math.floor((x - self.x_min) / self.cell_x)
-        row = math.floor((self.y_max - y) / self.cell_y)
-        if 0 <= row < self.rows and 0 <= col < self.cols:
-            return row, col
-        return None
-
     def cells_of(self, pts):
-        """Vectorized cell_of: (N,2) xy -> (rows (N,), cols (N,), inside (N,))."""
+        """(..., 2) xy -> (rows, cols, inside), each of shape (...): the
+        cell holding each point, and whether that cell is in the grid."""
         pts = np.asarray(pts, dtype=np.float64)
-        cols = np.floor((pts[:, 0] - self.x_min) / self.cell_x).astype(np.int64)
-        rows = np.floor((self.y_max - pts[:, 1]) / self.cell_y).astype(np.int64)
+        cols = np.floor((pts[..., 0] - self.x_min) / self.cell_x).astype(np.int64)
+        rows = np.floor((self.y_max - pts[..., 1]) / self.cell_y).astype(np.int64)
         inside = (rows >= 0) & (rows < self.rows) & (cols >= 0) & (cols < self.cols)
         return rows, cols, inside
 
@@ -77,9 +73,6 @@ class BevGrid:
         x, y = self.cell_center(r[:, None], c[None, :])
         return np.stack([np.broadcast_to(x, (self.rows, self.cols)),
                          np.broadcast_to(y, (self.rows, self.cols))], axis=-1)
-
-    def contains(self, x, y):
-        return self.cell_of(x, y) is not None
 
     def __repr__(self):
         return (f"BevGrid(x=[{self.x_min},{self.x_max}], y=[{self.y_min},{self.y_max}], "

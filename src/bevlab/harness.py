@@ -84,9 +84,7 @@ def load_splits(cfg: RunConfig, out):
 
 def _teacher_models(cfg: RunConfig):
     def make(rng, grid):
-        teacher = TeacherEncoder(rng, c_feat=cfg.c_feat,
-                                 widths=cfg.teacher_widths,
-                                 feature_layer=cfg.teacher_feature_layer)
+        teacher = TeacherEncoder(rng, c_feat=cfg.c_feat, widths=cfg.teacher_widths)
         decoder = MapDecoder(rng, grid, c_in=cfg.c_feat,
                              n_queries=cfg.n_queries, n_points=cfg.n_points,
                              hidden=cfg.decoder_hidden)
@@ -188,7 +186,7 @@ def similarity_rows(cfg: RunConfig, teacher, student, val, grid, rig):
             for s in val]
 
 
-def train_run(cfg: RunConfig, out, variant, seed, lam=None, force=False):
+def train_run(cfg: RunConfig, out, variant, seed, lam=None):
     """Train one (variant, seed, lambda) student and evaluate both RoIs.
 
     The val pass runs the student once per scene: its map is decoded for
@@ -206,7 +204,7 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None, force=False):
     done = all(os.path.exists(os.path.join(rdir, fn))
                for fn in ("config.txt", "record.txt", "eval_standard.txt",
                           "eval_extended.txt", "similarity.txt"))
-    if done and not force:
+    if done:
         with open(cfg_path) as f:
             if f.read() == run_cfg.dump():
                 return read_record(rdir)

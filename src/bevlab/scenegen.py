@@ -165,9 +165,8 @@ def generate_scene(params: SceneParams) -> Scene:
             gt.append((1, 1.0, divider))
         if rng.random() < params.crossing_probability:
             # perpendicular stripe across the road at an in-RoI interior vertex
-            interior = [i for i in range(1, len(centerline) - 1)
-                        if ext.contains(centerline[i][0], centerline[i][1])]
-            if interior:
+            interior = np.flatnonzero(ext.cells_of(centerline[1:-1])[2]) + 1
+            if interior.size:
                 i = interior[int(rng.integers(0, len(interior)))]
                 n = normals[i]
                 c = centerline[i]
@@ -303,11 +302,8 @@ def render_cameras(scene: Scene, rig, grid: BevGrid, overhead=None):
         img[:] = np.array(SKY_COLOR)[:, None, None]
         ground_vis = ground & (t_ground <= t_occ)
         t_safe = np.where(ground_vis, t_ground, 0.0)
-        px = cam.position[0] + t_safe * dirs[..., 0]
-        py = cam.position[1] + t_safe * dirs[..., 1]
-        cols = np.floor((px - grid.x_min) / grid.cell_x).astype(np.int64)
-        rows = np.floor((grid.y_max - py) / grid.cell_y).astype(np.int64)
-        in_grid = ground_vis & (rows >= 0) & (rows < grid.rows) & (cols >= 0) & (cols < grid.cols)
+        rows, cols, inside = grid.cells_of(cam.position[:2] + t_safe[..., None] * dirs[..., :2])
+        in_grid = ground_vis & inside
         out_grid = ground_vis & ~in_grid
         rr = np.clip(rows, 0, grid.rows - 1)
         cc = np.clip(cols, 0, grid.cols - 1)

@@ -24,7 +24,7 @@ from scipy.optimize import linear_sum_assignment
 from .encoders import (MapDecoder, StudentEncoder, TeacherEncoder,
                        batch_stream, named_params, student_forward,
                        teacher_forward)
-from .geometry import N_CLASSES, default_rig
+from .geometry import N_CLASSES
 from .mapeval import clip_to_roi
 from .tensors import (AdamW, Tensor, TensorError, adamw_step, add, backward,
                       channel_affine, channel_normalize, focal_loss,
@@ -384,7 +384,7 @@ def fit(models, features, samples, grid, batches, steps, base_lr,
 
 
 def train_student(train_samples, teacher: TeacherEncoder,
-                  cfg: SupervisionConfig, seed, grid, rig=None, steps=2000,
+                  cfg: SupervisionConfig, seed, grid, rig, steps=2000,
                   batch=4, base_lr=4e-3, weight_decay=1e-4, min_lr=1e-5,
                   reg_weight=0.05, log_path=None, make_models=None,
                   counts=None):
@@ -402,8 +402,6 @@ def train_student(train_samples, teacher: TeacherEncoder,
         raise SupervisionError("student training needs a non-empty train split")
     if not teacher.frozen:
         raise SupervisionError("student training requires a frozen teacher")
-    if rig is None:
-        rig = default_rig()
     rng = np.random.default_rng(seed)
     if make_models is None:
         student = StudentEncoder(rng, c_feat=teacher.c_feat)

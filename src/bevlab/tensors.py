@@ -368,9 +368,9 @@ class ConvSites(NamedTuple):
 def conv_sites(x_shape, window, at, stride: int = 1, pad: int = 0) -> ConvSites:
     """Check the flat output positions ``at`` of a conv2d over a (Cin, H,
     W) input with a (kh, kw) ``window``, and build the padded-input offset
-    of each of their im2col entries. A caller that convolves the same
-    geometry at the same positions again builds this once and passes it
-    as ``at``."""
+    of each of their im2col entries: the ``at`` that ``conv2d`` takes. A
+    caller that convolves the same geometry at the same positions again
+    builds this once."""
     cin, h, w = x_shape
     kh, kw = window
     hp, wp = h + 2 * pad, w + 2 * pad
@@ -401,14 +401,13 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor = None, stride: int = 1, pad: int 
     times the gradient as Cin*kh*kw columns, strided-added back one kernel
     tap at a time.
 
-    ``at``, a sorted, unique 1-D int array of flat output positions
-    (``row * Wo + col``), or the ``conv_sites`` built from one for this
-    geometry, computes only those output columns, from im2col columns
-    gathered there alone, and returns them as a (Cout, len(at)) array,
-    bias included. Backward then takes dk, db and dx from those columns
-    only, dx by one ``np.bincount`` of every tap's column gradient into the
-    padded input. Per pixel it adds the taps in tap order, as the strided
-    loop does.
+    ``at``, the ``conv_sites`` of this geometry at some flat output
+    positions (``row * Wo + col``), computes only those output columns,
+    from im2col columns gathered there alone, and returns them as a
+    (Cout, len(at.at)) array, bias included. Backward then takes dk, db
+    and dx from those columns only, dx by one ``np.bincount`` of every
+    tap's column gradient into the padded input. Per pixel it adds the
+    taps in tap order, as the strided loop does.
     """
     if x.data.ndim != 3 or k.data.ndim != 4:
         raise TensorError("conv2d expects x (Cin,H,W) and k (Cout,Cin,kh,kw)")
@@ -432,10 +431,8 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor = None, stride: int = 1, pad: int 
         cols = _im2col(xp, kh, kw, stride, ho, wo)
     else:
         geometry = (x.data.shape, (kh, kw), stride, pad)
-        if not isinstance(at, ConvSites):
-            at = conv_sites(*geometry[:2], at, stride, pad)
-        elif at.geometry != geometry:
-            raise TensorError(f"conv2d at built for {at.geometry}, used on {geometry}")
+        if not isinstance(at, ConvSites) or at.geometry != geometry:
+            raise TensorError(f"conv2d at must be the conv_sites of {geometry}")
         targets = at.targets
         cols = np.take(xp, targets)
     out_data = w2 @ cols

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -61,7 +63,6 @@ def test_validation_rejects_bad_fields():
 
 def test_validation_rejects_settings_that_crash_later():
     cases = [({"downsample": 3}, "downsample must be 2 or 4"),
-             ({"teacher_feature_layer": "middle"}, "teacher_feature_layer"),
              ({"grid_rows": 20}, "multiples of 8"),
              ({"grid_cols": 44}, "multiples of 8"),
              ({"grid_rows": 0}, "multiples of 8"),
@@ -69,14 +70,36 @@ def test_validation_rejects_settings_that_crash_later():
              ({"lane_count": (4, 2)}, "lane_count: range 4 2"),
              ({"occluder_count": (5, 2)}, "occluder_count: range 5 2"),
              ({"road_count": (0, 2)}, "road_count"),
-             ({"occluder_count": (-1, 2)}, "occluder_count")]
+             ({"occluder_count": (-1, 2)}, "occluder_count"),
+             ({"occluder_size": (3.0, 1.0)}, "occluder_size: range 3.0 1.0"),
+             # each of these trained a teacher or rendered a corpus first
+             ({"lambda_bev": math.nan}, "lambda_bev must be finite, got nan"),
+             ({"base_lr": math.nan}, "base_lr must be finite, got nan"),
+             ({"cam_pitch": math.inf}, "cam_pitch must be finite, got inf"),
+             ({"lambda_factors": (0.0, math.nan)}, "lambda_factors must be finite"),
+             ({"cameras": 0}, "cameras must be positive, got 0"),
+             ({"crossing_probability": 2.0}, r"crossing_probability must be within \[0, 1\]"),
+             ({"crossing_probability": -0.5}, "crossing_probability must be within"),
+             ({"min_lr": -1e-5}, "min_lr must be nonnegative, got -1e-05"),
+             ({"weight_decay": -1.0}, "weight_decay must be nonnegative"),
+             ({"reg_weight": -0.05}, "reg_weight must be nonnegative"),
+             ({"curvature": -0.1}, "curvature must be nonnegative"),
+             ({"n_queries": 0}, "n_queries must be positive, got 0"),
+             ({"n_points": 1}, "n_points must be at least 2, got 1"),
+             ({"base_lr": 0.0}, "base_lr must be positive"),
+             ({"teacher_widths": (12, 0, 24)}, "teacher_widths must be positive, got 12 0 24"),
+             ({"image_height": 0}, "image_height must be positive")]
     for overrides, message in cases:
         with pytest.raises(ConfigError, match=message):
             RunConfig(overrides)
+    with pytest.raises(ConfigError, match="lambda_bev must be finite, got nan"):
+        RunConfig.parse("lambda_bev nan\n")
     # the accepted values at the edges of each rule still validate
-    for overrides in ({"downsample": 4}, {"teacher_feature_layer": "bottleneck"},
-                      {"grid_rows": 8, "grid_cols": 16}, {"road_count": (2, 2)},
-                      {"occluder_count": (0, 0)}):
+    for overrides in ({"downsample": 4}, {"grid_rows": 8, "grid_cols": 16},
+                      {"road_count": (2, 2)}, {"occluder_count": (0, 0)},
+                      {"crossing_probability": 0.0}, {"crossing_probability": 1.0},
+                      {"min_lr": 0.0, "weight_decay": 0.0, "reg_weight": 0.0},
+                      {"n_points": 2, "n_queries": 1, "cameras": 1}):
         RunConfig(overrides)
 
 
@@ -124,9 +147,9 @@ def test_default_cache_hashes_are_pinned():
     # cached corpora and teachers are found by these hashes: a field moved,
     # added to or dropped from a cache scope would orphan all of them
     cfg = RunConfig()
-    assert cfg.teacher_hash() == "296401803c6c5534"
+    assert cfg.teacher_hash() == "a81dcdab843acf43"
     assert cfg.dataset_hash() == "58f8531bac3b6457"
-    assert cfg.config_hash() == "f3929d162ce647e1"
+    assert cfg.config_hash() == "1b82820f9ca5c40c"
 
 
 def test_derived_objects_match_fields():

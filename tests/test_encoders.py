@@ -232,13 +232,11 @@ def test_lift_invariant_under_rig_permutation():
 # teacher
 # ---------------------------------------------------------------------------
 
-def test_teacher_output_covers_grid_both_layers():
+def test_teacher_output_covers_grid():
     grid = G.extended_grid()
     raster = RNG(0).random((3, grid.rows, grid.cols))
     teacher = E.TeacherEncoder(RNG(1))
-    for layer in ("final", "bottleneck"):
-        out = teacher.forward(raster, layer=layer)
-        assert out.data.shape == (teacher.c_feat, grid.rows, grid.cols)
+    assert teacher.forward(raster).data.shape == (teacher.c_feat, grid.rows, grid.cols)
     fmap = E.teacher_forward(teacher, raster, grid)
     assert fmap.shape == (16, 24, 48)
     assert fmap.producer == "teacher"
@@ -280,9 +278,9 @@ def unet_passes(monkeypatch):
     calls = []
     plain = E.TeacherEncoder.forward
 
-    def forward(self, raster, layer=None):
+    def forward(self, raster):
         calls.append(raster.shape)
-        return plain(self, raster, layer)
+        return plain(self, raster)
 
     monkeypatch.setattr(E.TeacherEncoder, "forward", forward)
     return calls

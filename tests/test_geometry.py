@@ -13,14 +13,14 @@ from bevlab import geometry as G
 
 def test_origin_lands_in_expected_cell():
     grid = G.standard_grid()
-    assert grid.cell_of(0.0, 0.0) == (12, 24)
+    assert grid.cells_of((0.0, 0.0)) == (12, 24, True)
 
 
 def test_grid_edges_are_half_open():
     grid = G.standard_grid()
-    assert grid.cell_of(grid.x_min, grid.y_max) == (0, 0)
-    assert grid.cell_of(grid.x_max, 0.0) is None
-    assert grid.cell_of(0.0, grid.y_min) is None
+    assert grid.cells_of((grid.x_min, grid.y_max)) == (0, 0, True)
+    assert not grid.cells_of((grid.x_max, 0.0))[2]
+    assert not grid.cells_of((0.0, grid.y_min))[2]
 
 
 @given(st.integers(0, 23), st.integers(0, 47))
@@ -28,22 +28,18 @@ def test_grid_edges_are_half_open():
 def test_cell_center_round_trip(row, col):
     grid = G.standard_grid()
     x, y = grid.cell_center(row, col)
-    assert grid.cell_of(float(x), float(y)) == (row, col)
+    assert grid.cells_of((float(x), float(y))) == (row, col, True)
     # center sits within half a cell of anything else mapping there
     assert abs(x - grid.x_min - (col + 0.5) * grid.cell_x) < 1e-12
 
 
-def test_cells_of_vectorized_matches_scalar():
+def test_cells_of_keeps_the_leading_shape():
+    # every cell center of the (rows, cols, 2) table maps to its own cell
     grid = G.extended_grid()
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(-60, 60, size=(200, 2))
-    rows, cols, inside = grid.cells_of(pts)
-    for i, (x, y) in enumerate(pts):
-        cell = grid.cell_of(x, y)
-        if cell is None:
-            assert not inside[i]
-        else:
-            assert inside[i] and (rows[i], cols[i]) == cell
+    rows, cols, inside = grid.cells_of(grid.cell_centers())
+    want_rows, want_cols = np.indices((grid.rows, grid.cols))
+    assert inside.all()
+    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
 
 
 def test_optical_axis_hits_principal_point():
@@ -119,9 +115,9 @@ def test_rasterize_contains_dense_sampling():
         for i in range(len(pts) - 1):
             for t in np.linspace(0, 1, 400):
                 p = pts[i] * (1 - t) + pts[i + 1] * t
-                cell = grid.cell_of(p[0], p[1])
-                if cell is not None:
-                    assert cell in marked
+                row, col, inside = grid.cells_of(p)
+                if inside:
+                    assert (row, col) in marked
 
 
 def test_rasterize_single_point():

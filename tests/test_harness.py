@@ -270,12 +270,17 @@ def test_cli_maps_every_package_error_to_exit_1(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--jobs", "0", "ablation"], "error: --jobs must be at least 1, got 0\n"),
     (["--jobs", "-2", "sweep-lambda"], "error: --jobs must be at least 1, got -2\n"),
-    (["--seed", "-1", "train"], "error: seed must be nonnegative, got -1\n")])
+    (["--seed", "-1", "train"], "error: seed must be nonnegative, got -1\n"),
+    # every verb but train would ignore the seed, running the config's seeds or none
+    (["--seed", "7", "ablation"], "error: --seed applies to train only, not ablation\n"),
+    (["--seed", "7", "sweep-lambda"], "error: --seed applies to train only, not sweep-lambda\n"),
+    (["--seed", "7", "gen"], "error: --seed applies to train only, not gen\n"),
+    (["--seed", "7", "report"], "error: --seed applies to train only, not report\n")])
 def test_cli_rejects_bad_jobs_and_seeds_before_any_work(tmp_path, monkeypatch, capsys,
                                                         argv, message):
     def no_work(*args, **kwargs):
         raise AssertionError("the verb ran")
-    for verb in ("cmd_train", "cmd_ablation", "cmd_sweep_lambda"):
+    for verb in ("cmd_gen", "cmd_train", "cmd_ablation", "cmd_sweep_lambda", "cmd_report"):
         monkeypatch.setattr(H, verb, no_work)
     out = str(tmp_path / "out")
     assert cli.main(["--out", out] + argv) == 1
@@ -390,10 +395,10 @@ def test_failed_run_makes_the_verb_exit_2(study, tmp_path, monkeypatch, capsys,
     out = copy_study(study, tmp_path)
     plain_run = H.train_run
 
-    def fail_one(cfg, out, variant, seed, lam=None, force=False):
+    def fail_one(cfg, out, variant, seed, lam=None):
         if f"{variant}_seed{seed}" == failing:
             raise H.HarnessError("forced failure")
-        return plain_run(cfg, out, variant, seed, lam, force)
+        return plain_run(cfg, out, variant, seed, lam)
 
     monkeypatch.setattr(H, "train_run", fail_one)
     capsys.readouterr()
@@ -573,5 +578,32 @@ def test_fixed_short_run_keeps_its_pinned_digests(tmp_path):
            for name in PINNED if name != "checksum"}
     got["checksum"] = H.read_record(str(rdir))["checksum"]
     moved = [f"{name}: {got[name]} != pinned {want}" for name, want in PINNED.items()
+             if got[name] != want]
+    assert not moved, "\n".join(["moved:"] + moved + ["BLAS:"] + blas_lines())
+
+
+# the fixed short corpus at 10 steps and one seed, through the CLI: the
+# ablation with two worker processes, then the report
+SHORT_STUDY = "n_train 8\nn_val 4\nsteps 10\nteacher_steps 20\nseeds 1\n"
+STUDY_PINNED = {
+    "ablation.txt": "80475dfe2b98301a1881665c1fcb1b3f4816e9b7b08bd1b70a2f26a8a84d4526",
+    "similarity.txt": "be25662714478147857a4be10c592f61e3d1562ce514447392ce3313d58bb792",
+    "report.md": "d28ddb4ed010ce22b6af65ae873d3b5af36ae1adbe782fbff89ba170acf71997",
+}
+
+
+def test_ablation_and_report_keep_their_pinned_digests(tmp_path):
+    cfg_path = tmp_path / "study.cfg"
+    cfg_path.write_text(SHORT_STUDY)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = SRC
+    out = tmp_path / "out"
+    for verb in (["--jobs", "2", "ablation"], ["report"]):
+        done = subprocess.run([sys.executable, "-m", "bevlab.cli", "--config", str(cfg_path),
+                               "--out", str(out)] + verb,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in STUDY_PINNED}
+    moved = [f"{name}: {got[name]} != pinned {want}" for name, want in STUDY_PINNED.items()
              if got[name] != want]
     assert not moved, "\n".join(["moved:"] + moved + ["BLAS:"] + blas_lines())

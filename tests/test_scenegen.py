@@ -124,10 +124,9 @@ def test_camera_pixels_match_overhead_cells_without_occluders():
                 if hit is None:
                     assert np.array_equal(img[:, i, j], np.array(S.SKY_COLOR))
                     continue
-                cell = grid.cell_of(*hit)
-                if cell is None:
+                r, c, inside = grid.cells_of(hit)
+                if not inside:
                     continue
-                r, c = cell
                 assert np.array_equal(img[:, i, j], overhead[:, r, c])
                 checked += 1
     assert checked > 500
@@ -196,7 +195,8 @@ def test_cell_visibility_blocks_shadowed_cells():
     assert np.all(xs > 5.0)
     assert np.all(np.abs(ys) / xs <= 4.0 / 5.0 + 1e-9)
     # cells straight ahead just behind the box are definitely shadowed
-    assert lost[grid.cell_of(10.0, 0.0)]
+    row, col, _ = grid.cells_of((10.0, 0.0))
+    assert lost[row, col]
 
 
 def test_occlusion_asymmetry_over_random_scenes():

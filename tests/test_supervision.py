@@ -492,6 +492,28 @@ def test_training_and_evaluation_lift_the_same_student_features(monkeypatch):
     assert np.array_equal(*pairs[0])
 
 
+def test_the_lift_index_arrays_are_built_with_the_table(corpus, monkeypatch):
+    grid, rig, samples = corpus
+    student = E.StudentEncoder(RNG(3))
+    built = []
+    plain = T.conv_sites
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(T, "conv_sites", counted)
+    monkeypatch.setattr(E, "conv_sites", counted)
+    outs = [E.student_forward(student, s.cams, rig, grid).tensor.data for s in samples[:2]]
+    assert len(built) == len(rig)
+    assert outs[0].shape == (student.c_feat, grid.rows, grid.cols)
+    # each camera's sites pick its table's read pixels out of the full feature map
+    table, sites = student._lift_plan(rig, grid)
+    for img, reads, at in zip(samples[1].cams, table.reads, sites):
+        full = student.extract(img).data.reshape(student.c_feat, -1)
+        assert oracles.rel_error(student.extract(img, at).data, full[:, reads]) <= 1e-12
+
+
 def test_train_student_requires_frozen_teacher(corpus):
     grid, rig, samples = corpus
     teacher = E.TeacherEncoder(RNG(0))
@@ -604,28 +626,6 @@ def test_a_worker_error_leaves_as_divergence_at_its_step(corpus, tmp_path, monke
                          grid=grid, rig=rig, steps=4, log_path=str(log))
     assert failed.is_set() and len(log.read_text().splitlines()) == 1
     assert threading.active_count() == before  # the pool is shut down
-
-
-def test_the_lift_index_arrays_are_built_with_the_table(corpus, monkeypatch):
-    grid, rig, samples = corpus
-    student = E.StudentEncoder(RNG(3))
-    built = []
-    plain = T.conv_sites
-
-    def counted(*args, **kwargs):
-        built.append(1)
-        return plain(*args, **kwargs)
-
-    monkeypatch.setattr(T, "conv_sites", counted)
-    monkeypatch.setattr(E, "conv_sites", counted)
-    outs = [E.student_forward(student, s.cams, rig, grid).tensor.data for s in samples[:2]]
-    assert len(built) == len(rig)
-    table = student._lift_plan(rig, grid)[0]
-    by_reads = [student.extract(img, r).data for img, r in zip(samples[1].cams, table.reads)]
-    by_sites = [student.extract(img, s).data
-                for img, s in zip(samples[1].cams, student._lift_plan(rig, grid)[1])]
-    assert all(np.array_equal(a, b) for a, b in zip(by_reads, by_sites))
-    assert outs[0].shape == (student.c_feat, grid.rows, grid.cols)
 
 
 def test_crew_map_makes_each_call_once_under_contention():

@@ -378,6 +378,11 @@ def sparse_positions(rng, n):
     return np.sort(rng.choice(n, size=n // 3, replace=False))
 
 
+def sites(x, k, at, stride, pad):
+    """The conv_sites of conv2d(x, k, stride=stride, pad=pad) at ``at``."""
+    return T.conv_sites(x.shape, k.shape[2:], at, stride, pad)
+
+
 def test_conv2d_at_matches_dense_at_given_positions():
     rng = RNG(26)
     for stride, pad in ((1, 0), (1, 1), (2, 0), (2, 1)):
@@ -385,10 +390,11 @@ def test_conv2d_at_matches_dense_at_given_positions():
         dense = T.conv2d(x, k, b, stride=stride, pad=pad).data
         cout, ho, wo = dense.shape
         at = sparse_positions(rng, ho * wo)
-        got = T.conv2d(x, k, b, stride=stride, pad=pad, at=at).data
+        got = T.conv2d(x, k, b, stride=stride, pad=pad, at=sites(x, k, at, stride, pad)).data
         assert got.shape == (cout, len(at))
         assert oracles.rel_error(got, dense.reshape(cout, -1)[:, at]) <= 1e-12
-        full = T.conv2d(x, k, b, stride=stride, pad=pad, at=np.arange(ho * wo)).data
+        every = sites(x, k, np.arange(ho * wo), stride, pad)
+        full = T.conv2d(x, k, b, stride=stride, pad=pad, at=every).data
         assert full.shape == (cout, ho * wo)
         assert oracles.rel_error(full, dense.reshape(cout, -1)) <= 1e-12
 
@@ -406,7 +412,7 @@ def test_conv2d_at_is_bitwise_the_dense_layout_path():
         _, ho, wo = T.conv2d(x, k, stride=stride, pad=pad).shape
         for at in (sparse_positions(rng, ho * wo), np.arange(ho * wo),
                    np.array([], dtype=np.int64)):
-            out = T.conv2d(x, k, b, stride=stride, pad=pad, at=at)
+            out = T.conv2d(x, k, b, stride=stride, pad=pad, at=sites(x, k, at, stride, pad))
             want, want_bwd = oracles.conv2d_at_dense(x.data, k.data, b.data, stride, pad, at)
             assert np.array_equal(out.data, want.reshape(ks[0], -1)[:, at])
             g = rng.normal(size=(ks[0], ho, wo))  # off-`at` entries must not matter
@@ -425,9 +431,11 @@ def test_grad_conv2d_at():
             for at in (sparse, np.array([], dtype=np.int64)):
                 wts = rng.normal(size=(3, len(at)))
                 fd_check(lambda xt, kt, bt, wt: oracles.tsum(T.mul(
-                    T.conv2d(xt, kt, bt, stride=stride, pad=pad, at=at), T.tensor(wt))),
+                    T.conv2d(xt, kt, bt, stride=stride, pad=pad,
+                             at=sites(xt, kt, at, stride, pad)), T.tensor(wt))),
                     [x, k, b, wts], 3)
-            out = T.conv2d(T.tensor(x), oracles.parameter(k), stride=stride, pad=pad, at=sparse)
+            out = T.conv2d(T.tensor(x), oracles.parameter(k), stride=stride, pad=pad,
+                           at=sites(x, k, sparse, stride, pad))
             assert out._bwd(np.ones(out.shape))[0] is None
 
 
@@ -436,16 +444,14 @@ def test_conv2d_takes_prebuilt_sites_for_its_geometry_only():
     x, k, b = oracles.parameter(rng.normal(size=(3, 7, 8))), oracles.parameter(rng.normal(size=(4, 3, 3, 3))), \
         oracles.parameter(rng.normal(size=4))
     at = sparse_positions(rng, 7 * 8)
-    sites = T.conv_sites((3, 7, 8), (3, 3), at, stride=1, pad=1)
-    outs = [T.conv2d(x, k, b, pad=1, at=a) for a in (at, sites)]
-    assert np.array_equal(outs[0].data, outs[1].data)
-    g = rng.normal(size=outs[0].shape)
-    for got, want in zip(outs[1]._bwd(g), outs[0]._bwd(g)):
-        assert np.array_equal(got, want)
+    built = T.conv_sites((3, 7, 8), (3, 3), at, stride=1, pad=1)
+    assert T.conv2d(x, k, b, pad=1, at=built).shape == (4, len(at))
     wider = oracles.parameter(rng.normal(size=(3, 7, 10)))
-    for xt, stride, pad in ((x, 2, 1), (x, 1, 0), (wider, 1, 1)):
-        with pytest.raises(T.TensorError, match="conv2d at built for"):
-            T.conv2d(xt, k, b, stride=stride, pad=pad, at=sites)
+    # sites of another geometry, and raw positions, are refused
+    for xt, stride, pad, given in ((x, 2, 1, built), (x, 1, 0, built), (wider, 1, 1, built),
+                                   (x, 1, 1, at)):
+        with pytest.raises(T.TensorError, match="conv2d at must be the conv_sites of"):
+            T.conv2d(xt, k, b, stride=stride, pad=pad, at=given)
     with pytest.raises(T.TensorError, match="conv2d at"):
         T.conv_sites((3, 7, 8), (3, 3), np.array([3, 2]), pad=1)
 
@@ -457,10 +463,10 @@ def test_conv2d_at_fails_fast_and_allows_empty():
     for bad in (np.array([[0, 1]]), np.array([0.0, 1.0]), np.array([True, False]),
                 np.array([2, 1]), np.array([1, 1]), np.array([-1, 3]), np.array([0, 16])):
         with pytest.raises(T.TensorError, match="conv2d at"):
-            T.conv2d(x, k, pad=1, at=bad)
+            sites(x, k, bad, 1, 1)
     kt, bt = oracles.parameter(np.ones((3, 2, 3, 3))), oracles.parameter(np.ones(3))
     for empty in ([], np.array([], dtype=np.int64)):
-        out = T.conv2d(x, kt, bt, pad=1, at=empty)
+        out = T.conv2d(x, kt, bt, pad=1, at=sites(x, kt, empty, 1, 1))
         assert out.shape == (3, 0)
         T.backward(oracles.tsum(out))
         assert np.all(kt.grad == 0.0) and np.all(bt.grad == 0.0)
