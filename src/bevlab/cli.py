@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Verbs: gen, train, ablation (with the similarity study), sweep-lambda, report.
-Global flags: --config <path>, --seed <n> (train only), --out <dir>, --jobs <n>.
+Global flags: --config <path>, --seed <n> (train only), --out <dir>,
+--jobs <n> (ablation and sweep-lambda only). A flag given with a verb that
+would ignore it is an error.
 Exit codes: 0 success, 1 hard failure, 2 partial sweep/ablation failure.
 
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
@@ -50,9 +52,10 @@ def build_parser():
                    help="override the run seed (train only)")
     p.add_argument("--out", default="out", metavar="DIR",
                    help="output directory (default: ./out)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="parallel training processes, sharing the CPUs; results "
-                        "do not depend on it (default: 1)")
+    p.add_argument("--jobs", type=int, metavar="N",
+                   help="parallel training processes, sharing the CPUs (ablation "
+                        "and sweep-lambda only); results do not depend on it "
+                        "(default: 1)")
     sub = p.add_subparsers(dest="verb", required=True)
     sub.add_parser("gen", help="render the scene corpus")
     tr = sub.add_parser("train", help="train and evaluate one student run")
@@ -73,10 +76,14 @@ def _print_failures(failures):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.jobs < 1:
+        if args.jobs is not None and args.jobs < 1:
             raise harness.HarnessError(f"--jobs must be at least 1, got {args.jobs}")
+        if args.jobs is not None and args.verb not in ("ablation", "sweep-lambda"):
+            raise harness.HarnessError(
+                f"--jobs applies to ablation and sweep-lambda only, not {args.verb}")
         if args.seed is not None and args.verb != "train":
             raise harness.HarnessError(f"--seed applies to train only, not {args.verb}")
+        jobs = args.jobs or 1
         cfg = RunConfig.load(args.config) if args.config else RunConfig()
         if args.seed is not None:
             cfg = cfg.with_overrides(seed=args.seed)
@@ -97,7 +104,7 @@ def main(argv=None):
             return 0
 
         if args.verb == "ablation":
-            rows, failures = harness.cmd_ablation(cfg, out, jobs=args.jobs)
+            rows, failures = harness.cmd_ablation(cfg, out, jobs=jobs)
             for variant, n, mean, spread, delta in rows:
                 print(f"{variant:13s} n={n} mAP {mean:.4f} "
                       f"spread {spread:.4f} delta {delta:+.4f}")
@@ -105,7 +112,7 @@ def main(argv=None):
             return 2 if failures else 0
 
         if args.verb == "sweep-lambda":
-            rows, failures = harness.cmd_sweep_lambda(cfg, out, jobs=args.jobs)
+            rows, failures = harness.cmd_sweep_lambda(cfg, out, jobs=jobs)
             for lam, n, ms, me in rows:
                 print(f"lambda {lam:<8g} n={n} mAP standard {ms:.4f} "
                       f"extended {me:.4f}")

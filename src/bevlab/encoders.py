@@ -17,7 +17,7 @@ import numpy as np
 from .geometry import N_CLASSES, BevGrid
 from .mapeval import EvalConfig, evaluate
 from .tensors import (Tensor, add, concat, conv2d, conv_sites, custom_op, linear,
-                      maxpool2, mul, read_ten, relu, reshape, soft_points,
+                      maxpool2, mul, parse_ten, relu, reshape, soft_points,
                       softmax_rows, spatial_mean, tensor, upsample2x, write_ten)
 
 
@@ -442,9 +442,7 @@ def save_checkpoint(path, params, meta=None):
     for name in sorted(params):
         p = params[name]
         fn = os.path.join(path, name + ".ten")
-        write_ten(fn, p.data)
-        with open(fn, "rb") as f:
-            digest = hashlib.sha256(f.read()).hexdigest()
+        digest = hashlib.sha256(write_ten(fn, p.data)).hexdigest()
         shape = "x".join(str(d) for d in p.data.shape) or "scalar"
         frozen = 0 if p.requires_grad else 1
         lines.append(f"param {name} {shape} {digest} {frozen}")
@@ -483,7 +481,7 @@ def load_checkpoint(path):
                 raw = g.read()
             if hashlib.sha256(raw).hexdigest() != digest:
                 raise EncoderError(f"checksum mismatch for {fn}")
-            arr = read_ten(fn)
+            arr = parse_ten(raw, fn)
             want = "x".join(str(d) for d in arr.shape) or "scalar"
             if want != shape:
                 raise EncoderError(f"{fn}: shape {want}, manifest says {shape}")

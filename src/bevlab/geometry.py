@@ -294,13 +294,13 @@ def resample_polyline(pts, step=0.1):
 
 def _tables(pts, first, counts, seg, sq):
     """Per-polyline segment tables of a _flatten table, as views of one
-    pass over all polylines: start x, start y, direction x, direction y,
-    the squared length with 0 replaced by 1, and the indices of the
-    zero-length segments."""
-    ax, ay = pts.T.copy()
-    abx, aby = seg.T.copy()
+    pass over all polylines: start x, start y, direction x, direction y
+    and the squared length with 0 replaced by 1, each a (segments, 1)
+    column, and the indices of the zero-length segments."""
+    ax, ay = pts.T.copy()[:, :, None]
+    abx, aby = seg.T.copy()[:, :, None]
     proper = sq > 0
-    safe = np.where(proper, sq, 1.0)
+    safe = np.where(proper, sq, 1.0)[:, None]
     zero = np.flatnonzero(~proper)
     ends = first + np.maximum(counts - 1, 1)
     lo, hi = np.searchsorted(zero, first), np.searchsorted(zero, ends)
@@ -312,22 +312,28 @@ def _nearest_sq(points, table):
     """Squared euclidean distance from each of the (N,2) points to its
     nearest segment of the table. The square root is left to the caller:
     it is monotone, so taking it after the min gives the same bits as
-    taking it per segment."""
+    taking it per segment.
+
+    The arrays are segment-major, (S segments, N points): a table has few
+    segments and a side many samples, so each pass runs along the long
+    axis. Every entry is the same arithmetic on the same operands as in
+    the point-major layout, and the min over segments is exact in any
+    order, so the layout does not move a bit."""
     ax, ay, abx, aby, safe, zero_length = table
-    dx = points[:, :1] - ax
-    dy = points[:, 1:] - ay
+    dx = points[:, 0] - ax
+    dy = points[:, 1] - ay
     t = dx * abx
     t += dy * aby
     t /= safe
     if zero_length.size:  # a zero-length segment is nearest at its start
-        t[:, zero_length] = 0.0
+        t[zero_length] = 0.0
     np.clip(t, 0.0, 1.0, out=t)
     dx -= t * abx
     dy -= t * aby
     dx *= dx
     dy *= dy
     dx += dy
-    return dx.min(axis=1)
+    return dx.min(axis=0)
 
 
 def polyline_distance(points, pts):
@@ -357,16 +363,22 @@ class _Side:
 def _box_gap_sums(side, other):
     """(len(side), len(other)) sums, over each polyline's samples on
     `side`, of the euclidean distance from every sample to the box of
-    each `other` polyline's vertices (0 inside the box)."""
-    x, y = side.samples[:, :1], side.samples[:, 1:]
-    gx = np.maximum(other.lo[:, 0] - x, x - other.hi[:, 0])
-    gy = np.maximum(other.lo[:, 1] - y, y - other.hi[:, 1])
+    each `other` polyline's vertices (0 inside the box).
+
+    The arrays are box-major, (len(other) boxes, samples), so each pass
+    and each sum runs along the long sample axis; the result is their
+    transpose. Every entry is the same arithmetic as sample-major, and
+    reduceat sums each polyline's run of samples in the same order
+    along either axis, so the layout does not move a bit."""
+    x, y = side.samples[:, 0], side.samples[:, 1]
+    gx = np.maximum(other.lo[:, :1] - x, x - other.hi[:, :1])
+    gy = np.maximum(other.lo[:, 1:] - y, y - other.hi[:, 1:])
     np.maximum(gx, 0.0, out=gx)
     np.maximum(gy, 0.0, out=gy)
     gx *= gx
     gy *= gy
     gx += gy
-    return np.add.reduceat(np.sqrt(gx, out=gx), side.starts, axis=0)
+    return np.add.reduceat(np.sqrt(gx, out=gx), side.starts, axis=1).T
 
 
 def chamfer_matrix(a_list, b_list, step=0.1, limit=None):
@@ -375,6 +387,10 @@ def chamfer_matrix(a_list, b_list, step=0.1, limit=None):
     Each side's polylines are resampled and tabled in array passes over
     all of their vertices; each pair then runs the nearest-segment kernel,
     one pair at a time so the working memory stays that of a single pair.
+    Both kernels lay their arrays out with the long sample axis innermost
+    (segments x samples, boxes x samples). Each entry is the same
+    arithmetic as in the sample-major layout, and mins and sums reduce in
+    the same order, so the layout leaves every entry's bits as they were.
 
     Without `limit` every entry is exact. With it, an entry whose chamfer
     provably exceeds `limit` is inf; every other entry is exact, the same

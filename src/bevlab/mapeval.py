@@ -10,10 +10,13 @@ lower bound proves to exceed that threshold is never measured, and a
 pair whose first kernel direction alone proves it is not measured the
 other way; either entry is inf, which matching treats as any distance
 over the threshold, so every other entry is exact and results do not
-change. Matching is greedy in score order: each prediction claims the
-nearest still-unmatched ground truth of its class within the chamfer
-threshold (one-to-one). Precision / recall integrate exactly
-(all-point), with predictions pooled across the whole evaluation split.
+change. The chamfer kernels run segment-major, with each sample axis
+innermost; that changes only the array layout, never the arithmetic or
+its order, so every entry keeps its bits. Matching is greedy in score
+order: each prediction claims the nearest still-unmatched ground truth
+of its class within the chamfer threshold (one-to-one). Precision /
+recall integrate exactly (all-point), with predictions pooled across the
+whole evaluation split.
 Degenerate conventions, applied per (class, threshold) cell: no gts and
 no preds gives AP 1; gts but no true positive gives 0; preds against an
 empty gt set give 0.

@@ -713,21 +713,25 @@ def adamw_step(state: AdamW) -> float:
 _TEN_MAGIC = b"TEN1"
 
 
-def write_ten(path, arr) -> None:
-    """Write an array as a .ten file (magic, dtype code, dims, f64 payload)."""
+def write_ten(path, arr) -> bytes:
+    """Write an array as a .ten file (magic, dtype code, dims, f64 payload)
+    and return the bytes written."""
     arr = _as_f64(arr)
+    raw = b"".join([_TEN_MAGIC, struct.pack(f"<BB{arr.ndim}I", 0, arr.ndim, *arr.shape),
+                    arr.tobytes(order="C")])
     with open(path, "wb") as f:
-        f.write(_TEN_MAGIC)
-        f.write(struct.pack("<BB", 0, arr.ndim))
-        for d in arr.shape:
-            f.write(struct.pack("<I", d))
-        f.write(arr.tobytes(order="C"))
+        f.write(raw)
+    return raw
 
 
 def read_ten(path) -> np.ndarray:
     """Read a .ten file; raises TensorError naming the file on corruption."""
     with open(path, "rb") as f:
-        raw = f.read()
+        return parse_ten(f.read(), path)
+
+
+def parse_ten(raw, path) -> np.ndarray:
+    """The array held by the bytes of a .ten file; errors name `path`."""
     if raw[:4] != _TEN_MAGIC:
         raise TensorError(f"{path}: bad magic, not a .ten file")
     if len(raw) < 6:

@@ -2,8 +2,10 @@
 
 Everything here is deliberately naive: explicit Python loops and
 textbook formulas, no shared code with the implementations under test.
-The tape ops at the end are the one exception: they wire their own
-forward and backward into the package's tape, for the tests alone.
+Two kinds of exception: the point-major chamfer kernels keep the
+package's former array layout as a bit-for-bit reference for the
+current one, and the tape ops at the end wire their own forward and
+backward into the package's tape, for the tests alone.
 """
 
 import math
@@ -290,6 +292,41 @@ def chamfer_oracle(poly_a, poly_b, step=0.1):
     d_ab = [point_polyline_dist(p, poly_b) for p in sa]
     d_ba = [point_polyline_dist(p, poly_a) for p in sb]
     return (sum(d_ab) + sum(d_ba)) / (len(d_ab) + len(d_ba))
+
+
+def nearest_sq_point_major(points, table):
+    """geometry._nearest_sq in its former (points x segments) layout: the
+    same operations on the same operands, so the same bits."""
+    ax, ay, abx, aby, safe = (column[:, 0] for column in table[:5])
+    zero_length = table[5]
+    dx = points[:, :1] - ax
+    dy = points[:, 1:] - ay
+    t = dx * abx
+    t += dy * aby
+    t /= safe
+    if zero_length.size:
+        t[:, zero_length] = 0.0
+    np.clip(t, 0.0, 1.0, out=t)
+    dx -= t * abx
+    dy -= t * aby
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx.min(axis=1)
+
+
+def box_gap_sums_point_major(side, other):
+    """geometry._box_gap_sums in its former (samples x boxes) layout: the
+    same operations on the same operands, so the same bits."""
+    x, y = side.samples[:, :1], side.samples[:, 1:]
+    gx = np.maximum(other.lo[:, 0] - x, x - other.hi[:, 0])
+    gy = np.maximum(other.lo[:, 1] - y, y - other.hi[:, 1])
+    np.maximum(gx, 0.0, out=gx)
+    np.maximum(gy, 0.0, out=gy)
+    gx *= gx
+    gy *= gy
+    gx += gy
+    return np.add.reduceat(np.sqrt(gx, out=gx), side.starts, axis=0)
 
 
 def resample_oracle(poly, step=0.1):

@@ -217,6 +217,35 @@ def random_polylines(rng, n):
     return out
 
 
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def test_chamfer_kernels_keep_the_point_major_bits():
+    # the kernels run segment-major and box-major; the references are the
+    # former point-major layout, and every entry must keep its bits. The
+    # fixed sides hold single points, one-segment tables and a one-sample
+    # side; the random ones add zero-length segments
+    rng = np.random.default_rng(14)
+    lane = np.array([[0.0, 0.0], [7.5, 0.3]])
+    fixed = [[lane[:1]], [lane], [lane[:1], lane, lane[:1].repeat(3, axis=0)]]
+    sides = fixed + [random_polylines(rng, int(rng.integers(1, 7))) for _ in range(30)]
+    checked = 0
+    for a_list in sides:
+        for b_list in (sides[int(rng.integers(len(sides)))], [lane], [lane[:1]]):
+            a, b = G._Side(a_list, 0.1), G._Side(b_list, 0.1)
+            for side, other in ((a, b), (b, a)):
+                assert np.array_equal(bits(G._box_gap_sums(side, other)),
+                                      bits(oracles.box_gap_sums_point_major(side, other)))
+                for view in side.views + [side.samples, side.views[0][:1]]:
+                    for table in other.tables:
+                        got = G._nearest_sq(view, table)
+                        assert np.array_equal(
+                            bits(got), bits(oracles.nearest_sq_point_major(view, table)))
+                        checked += 1
+    assert checked > 1000
+
+
 def test_chamfer_matrix_entries_equal_chamfer_distance():
     rng = np.random.default_rng(5)
     for _ in range(20):

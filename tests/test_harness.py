@@ -275,7 +275,13 @@ def test_cli_maps_every_package_error_to_exit_1(tmp_path, monkeypatch, capsys):
     (["--seed", "7", "ablation"], "error: --seed applies to train only, not ablation\n"),
     (["--seed", "7", "sweep-lambda"], "error: --seed applies to train only, not sweep-lambda\n"),
     (["--seed", "7", "gen"], "error: --seed applies to train only, not gen\n"),
-    (["--seed", "7", "report"], "error: --seed applies to train only, not report\n")])
+    (["--seed", "7", "report"], "error: --seed applies to train only, not report\n"),
+    # only ablation and sweep-lambda run training processes in parallel
+    (["--jobs", "3", "gen"], "error: --jobs applies to ablation and sweep-lambda only, not gen\n"),
+    (["--jobs", "3", "train"],
+     "error: --jobs applies to ablation and sweep-lambda only, not train\n"),
+    (["--jobs", "1", "report"],
+     "error: --jobs applies to ablation and sweep-lambda only, not report\n")])
 def test_cli_rejects_bad_jobs_and_seeds_before_any_work(tmp_path, monkeypatch, capsys,
                                                         argv, message):
     def no_work(*args, **kwargs):
@@ -300,11 +306,12 @@ ABLATION_TABLES = ("ablation.txt", "similarity.txt")
 STUDY_TABLES = ABLATION_TABLES + ("sweep_lambda.txt",)
 
 
-def run_verb(out, verb, jobs=1, config=TINY_STUDY):
+def run_verb(out, verb, jobs=None, config=TINY_STUDY):
     cfg_path = os.path.join(os.path.dirname(out), "study.cfg")
     with open(cfg_path, "w") as f:
         f.write(config)
-    return cli.main(["--config", cfg_path, "--out", out, "--jobs", str(jobs), verb])
+    flags = [] if jobs is None else ["--jobs", str(jobs)]
+    return cli.main(["--config", cfg_path, "--out", out] + flags + [verb])
 
 
 def read_bytes(path):
@@ -323,7 +330,7 @@ def run_records(out):
 
 @pytest.fixture(scope="module")
 def study(tmp_path_factory):
-    """A tiny study through every verb, run once with --jobs 1."""
+    """A tiny study through every verb, run once without --jobs (one process)."""
     out = str(tmp_path_factory.mktemp("study") / "out")
     codes = [run_verb(out, verb) for verb in STUDY_VERBS]
     return out, codes

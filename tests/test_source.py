@@ -1,7 +1,9 @@
-"""The source tree itself: every definition in src is used."""
+"""The source tree itself: every definition in src is used, and every
+name the benchmark's tracer wraps exists."""
 
 import ast
 import glob
+import importlib
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -39,3 +41,65 @@ def test_every_definition_in_src_is_referenced_by_name():
     dead = [f"{path}: {name}" for path, name in defined
             if name.rsplit(".", 1)[-1] not in used | STRING_ONLY]
     assert not dead, "defined but referenced nowhere in src or perfbench:\n" + "\n".join(dead)
+
+
+def tracer_targets():
+    """(module, attr) of every name perfbench/tracer.py wraps: the
+    arguments of each ``replace`` call, with the names a for loop unpacks
+    bound to each row of the literal table it walks (SPANS is one)."""
+    tree = parsed("perfbench")["perfbench/tracer.py"]
+    tables = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            try:
+                tables[node.targets[0].id] = ast.literal_eval(node.value)
+            except ValueError:  # not a literal
+                pass
+    targets = set()
+
+    def literal_rows(loop):
+        if isinstance(loop.iter, ast.Name):
+            return tables.get(loop.iter.id)
+        try:
+            return ast.literal_eval(loop.iter)
+        except ValueError:
+            return None
+
+    def visit(node, env):
+        rows = literal_rows(node) if isinstance(node, ast.For) else None
+        if rows is not None:
+            unpack = isinstance(node.target, ast.Tuple)
+            names = [t.id for t in node.target.elts] if unpack else [node.target.id]
+            for row in rows:
+                for child in node.body:
+                    visit(child, {**env, **dict(zip(names, row if unpack else (row,)))})
+            return
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "replace"):
+            targets.add(tuple(env[a.id] if isinstance(a, ast.Name) else ast.literal_eval(a)
+                              for a in node.args[:2]))
+        for child in ast.iter_child_nodes(node):
+            visit(child, env)
+
+    visit(tree, {})
+    return tables, targets
+
+
+def test_every_name_perfbench_traces_resolves_in_bevlab():
+    # the tracer records a name it cannot find as missing instead of
+    # failing, so a rename would silently drop a per-layer metric
+    tables, targets = tracer_targets()
+    assert {(m, a) for m, a, _ in tables["SPANS"]} <= targets
+    assert {("scenegen", "load_dataset"), ("encoders", "batch_stream"),
+            ("supervision", "batch_stream"), ("tensors", "adamw_step"),
+            ("tensors", "custom_op"), ("encoders", "custom_op")} <= targets
+    for module in tables["MODULES"]:  # the tracer rebinds names in each
+        importlib.import_module("bevlab." + module)
+    missing = []
+    for module, attr in sorted(targets):
+        owner = importlib.import_module("bevlab." + module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"bevlab.{module}.{attr}")
+    assert not missing, "perfbench/tracer.py wraps names bevlab lacks: " + ", ".join(missing)

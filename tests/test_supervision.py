@@ -389,6 +389,14 @@ def contracts(monkeypatch):
     return after_run
 
 
+def test_mean_of_keeps_its_pinned_bits_at_a_batch_of_three():
+    # the pinned runs train at batch 4, where scaling a sum by 1/4 and
+    # dividing it by 4 give the same bits, so they cannot tell the two
+    # apart; at 3 they differ, and every loss and checksum follows mean_of
+    got = SV.mean_of([T.tensor(v) for v in (1.0, 2.0, 2.0)])
+    assert float(got.data).hex() == "0x1.aaaaaaaaaaaaap+0"  # 5 * (1/3); 5 / 3 ends in b
+
+
 def student_decoder_checksum(student, decoder):
     params = {"student." + k: v for k, v in student.params.items()}
     params.update(("decoder." + k, v) for k, v in decoder.params.items())
