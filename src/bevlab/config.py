@@ -10,7 +10,7 @@ import hashlib
 import math
 
 from .geometry import BevGrid, default_rig, extended_grid, standard_grid
-from .scenegen import SceneParams
+from .scenegen import LANE_WIDTH, SceneParams
 from .supervision import VARIANTS, SupervisionConfig
 
 
@@ -177,6 +177,11 @@ class RunConfig:
             lo, hi = getattr(self, name)
             if lo < low or lo > hi:
                 raise ConfigError(f"{name}: range {lo} {hi} must be ordered and start at >= {low}")
+        ext = extended_grid()  # both edges of every road run partly inside it
+        diagonal = math.hypot(ext.x_max - ext.x_min, ext.y_max - ext.y_min)
+        if self.lane_count[1] * LANE_WIDTH >= diagonal:
+            raise ConfigError(f"lane_count: {self.lane_count[1]} lanes of {LANE_WIDTH} m reach the "
+                              f"extended RoI's {diagonal:.1f} m diagonal, so no road fits")
 
     # -- file round trip ----------------------------------------------------
 

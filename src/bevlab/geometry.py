@@ -112,6 +112,7 @@ class Camera:
         down = np.cross(forward, right)
         # rows transform world deltas into (right, down, forward) coordinates
         self.rot = np.stack([right, down, forward])
+        self._dirs = None
 
     def project(self, pts):
         """World points (N,3) -> (uv (N,2), depth (N,), valid (N,) bool).
@@ -129,12 +130,16 @@ class Camera:
         return np.stack([u, v], axis=1), z, valid
 
     def pixel_dirs(self):
-        """(height, width, 3) world-frame ray directions through pixel centers."""
-        u = (np.arange(self.width) + 0.5 - self.cx) / self.focal
-        v = (np.arange(self.height) + 0.5 - self.cy) / self.focal
-        du, dv = np.meshgrid(u, v)
-        cam_dirs = np.stack([du, dv, np.ones_like(du)], axis=-1)
-        return cam_dirs @ self.rot  # (R^T d) for each pixel
+        """(height, width, 3) world-frame ray directions through pixel
+        centers, made on the first call and kept read-only on the camera."""
+        if self._dirs is None:
+            u = (np.arange(self.width) + 0.5 - self.cx) / self.focal
+            v = (np.arange(self.height) + 0.5 - self.cy) / self.focal
+            du, dv = np.meshgrid(u, v)
+            cam_dirs = np.stack([du, dv, np.ones_like(du)], axis=-1)
+            self._dirs = cam_dirs @ self.rot  # (R^T d) for each pixel
+            self._dirs.flags.writeable = False
+        return self._dirs
 
 
 def default_rig(height=1.6, pitch=0.12, focal=48.0, width=96, img_height=64,
@@ -157,64 +162,48 @@ def default_rig(height=1.6, pitch=0.12, focal=48.0, width=96, img_height=64,
 def rasterize_polyline(grid: BevGrid, pts, canvas=None, value=1):
     """Mark every grid cell a polyline passes through.
 
-    Uses exact cell-boundary traversal, so a segment never skips a crossed
-    cell and never marks diagonal neighbours it does not touch. Returns the
-    canvas (created as zeros((rows, cols), int64) when not supplied).
-    """
+    Uses exact cell-boundary traversal (Amanatides & Woo), so a segment
+    never skips a crossed cell and never marks diagonal neighbours it does
+    not touch. Returns the canvas (created as zeros((rows, cols), int64)
+    when not supplied). The segments walk in lockstep, one array lane
+    each, and each lane repeats the scalar walk's float operations in its
+    order (``t_max += t_d``, the ``1 + 1e-12`` stop, the step guard), so
+    it marks the same cells; a single point is a zero-length segment."""
     if canvas is None:
         canvas = np.zeros((grid.rows, grid.cols), dtype=np.int64)
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise GeometryError("polyline must be (K, 2)")
-    # continuous cell coordinates: gx along columns, gy along rows
-    gx = (pts[:, 0] - grid.x_min) / grid.cell_x
-    gy = (grid.y_max - pts[:, 1]) / grid.cell_y
-
-    def mark(cx, cy):
-        if 0 <= cy < grid.rows and 0 <= cx < grid.cols:
-            canvas[cy, cx] = value
-
-    for i in range(len(pts) - 1):
-        _traverse(gx[i], gy[i], gx[i + 1], gy[i + 1], mark)
     if len(pts) == 1:
-        mark(math.floor(gx[0]), math.floor(gy[0]))
-    return canvas
-
-
-def _traverse(x0, y0, x1, y1, visit):
-    """Amanatides-Woo traversal of the unit grid from (x0,y0) to (x1,y1)."""
-    cx, cy = math.floor(x0), math.floor(y0)
-    ex, ey = math.floor(x1), math.floor(y1)
-    dx, dy = x1 - x0, y1 - y0
-    step_x = 1 if dx > 0 else -1
-    step_y = 1 if dy > 0 else -1
-    if dx != 0:
-        t_max_x = ((cx + (step_x > 0)) - x0) / dx
-        t_dx = abs(1.0 / dx)
-    else:
-        t_max_x, t_dx = math.inf, math.inf
-    if dy != 0:
-        t_max_y = ((cy + (step_y > 0)) - y0) / dy
-        t_dy = abs(1.0 / dy)
-    else:
-        t_max_y, t_dy = math.inf, math.inf
-    visit(cx, cy)
-    guard = 0
-    while (cx, cy) != (ex, ey):
-        if t_max_x <= t_max_y:
-            if t_max_x > 1.0 + 1e-12:
-                break
-            cx += step_x
-            t_max_x += t_dx
-        else:
-            if t_max_y > 1.0 + 1e-12:
-                break
-            cy += step_y
-            t_max_y += t_dy
-        visit(cx, cy)
+        pts = pts.repeat(2, axis=0)
+    # continuous cell coordinates: row 0 along columns, row 1 along rows
+    g = np.stack([(pts[:, 0] - grid.x_min) / grid.cell_x, (grid.y_max - pts[:, 1]) / grid.cell_y])
+    d = g[:, 1:] - g[:, :-1]
+    cell, end = np.floor(g[:, :-1]).astype(np.int64), np.floor(g[:, 1:]).astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_max = np.where(d != 0, ((cell + (d > 0)) - g[:, :-1]) / d, np.inf)
+        t_d = np.where(d != 0, np.abs(1.0 / d), np.inf)
+    # one column per lane, rows: cell x, y; end x, y; step x, y; the
+    # guard's step limit; t_max x, y; t_d x, y (cells are exact as floats)
+    lane = np.concatenate([cell, end, np.where(d > 0, 1, -1),
+                           4 * (np.abs(end - cell).sum(axis=0, keepdims=True) + 4), t_max, t_d])
+    visits, guard = [cell], 0
+    while True:  # each pass steps every live lane by one cell
+        axis = (~(lane[7] <= lane[8])).astype(np.intp)  # 0 steps x, 1 steps y
+        live = ((lane[0] != lane[2]) | (lane[1] != lane[3])) & (lane[6] >= guard)
+        live &= ~(lane[7 + axis, np.arange(axis.size)] > 1.0 + 1e-12)
+        lane, axis = lane[:, live], axis[live]
+        if not axis.size:
+            break
+        k = np.arange(axis.size)
+        lane[axis, k] += lane[4 + axis, k]
+        lane[7 + axis, k] += lane[9 + axis, k]
+        visits.append(lane[:2])  # each pass's lanes are a fresh copy
         guard += 1
-        if guard > 4 * (abs(ex - math.floor(x0)) + abs(ey - math.floor(y0)) + 4):
-            break  # numerical corner case; never triggered by sane inputs
+    cx, cy = np.concatenate(visits, axis=1).astype(np.int64)
+    inside = (cy >= 0) & (cy < grid.rows) & (cx >= 0) & (cx < grid.cols)
+    canvas[cy[inside], cx[inside]] = value
+    return canvas
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +325,34 @@ def _nearest_sq(points, table):
     return dx.min(axis=0)
 
 
-def polyline_distance(points, pts):
-    """points (N,2) -> (N,) euclidean distance to the nearest segment of
-    the polyline pts."""
-    points = np.asarray(points, dtype=np.float64)
-    return np.sqrt(_nearest_sq(points, _tables(*_flatten([pts]))[0]))
+def cells_near_polyline(grid: BevGrid, pts, radius):
+    """(rows, cols) bools: the cells whose center lies within `radius` of
+    the polyline pts. Each segment is measured only against the cells in
+    its box grown by `radius` plus one cell: _nearest_sq runs on a table
+    with one (cell, segment) pair per column, so each pair gets its bits
+    in the dense layout. The square root is monotone and the min exact,
+    so the marks are those of the distance to the nearest segment."""
+    table = _tables(*_flatten([pts]))[0]
+    ax, ay, abx, aby = (column[:, 0] for column in table[:4])
+    reach = radius + max(grid.cell_x, grid.cell_y)
+    x0, x1 = np.minimum(ax, ax + abx) - reach, np.maximum(ax, ax + abx) + reach
+    y0, y1 = np.minimum(ay, ay + aby) - reach, np.maximum(ay, ay + aby) + reach
+    r0, c0, _ = grid.cells_of(np.stack([x0, y1], axis=1))
+    r1, c1, _ = grid.cells_of(np.stack([x1, y0], axis=1))
+    r0, r1 = np.maximum(r0, 0), np.minimum(r1, grid.rows - 1)
+    c0, c1 = np.maximum(c0, 0), np.minimum(c1, grid.cols - 1)
+    # (segment, row, col) of every cell of every segment's rectangle
+    seg, rows, cols = np.indices((len(r0), max(np.max(r1 - r0), -1) + 1,
+                                  max(np.max(c1 - c0), -1) + 1)).reshape(3, -1)
+    rows, cols = rows + r0[seg], cols + c0[seg]
+    keep = (rows <= r1[seg]) & (cols <= c1[seg])
+    seg, rows, cols = seg[keep], rows[keep], cols[keep]
+    # cell centers are finite, so a zero-length segment's t is 0 unforced
+    pairs = [column[seg].T for column in table[:5]] + [np.zeros(0, dtype=np.int64)]
+    near = np.sqrt(_nearest_sq(np.stack(grid.cell_center(rows, cols), axis=1), pairs)) <= radius
+    mask = np.zeros((grid.rows, grid.cols), dtype=bool)
+    mask[rows[near], cols[near]] = True
+    return mask
 
 
 class _Side:
@@ -446,7 +458,7 @@ def chamfer_distance(a, b, step=0.1):
 
 def format_polyline(class_id, score, pts):
     pts = np.asarray(pts, dtype=np.float64)
-    coords = " ".join(f"{v:.6f}" for v in pts.reshape(-1))
+    coords = " ".join(f"{v:.6f}" for v in pts.reshape(-1).tolist())
     return f"{int(class_id)} {score:.6f} {coords}"
 
 

@@ -11,6 +11,11 @@ exactly that color. This makes the two views pixel-consistent wherever the
 ground is unoccluded, which the tests exploit as an exact oracle. The
 overhead render ignores occluders entirely (its privilege); cameras see
 occluder faces in front of the ground they hide.
+
+Rendering computes, in array passes, only what can change a pixel: road
+cells against the centerline segments in reach, boxes on the pixels their
+corners' projections bound, background for ground seen off the grid. Each
+value keeps the arithmetic of the dense render, so the bytes are its own.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import math
 
 import numpy as np
 
-from .geometry import (BevGrid, default_rig, extended_grid, polyline_distance,
+from .geometry import (BevGrid, cells_near_polyline, default_rig, extended_grid,
                        rasterize_polyline, read_polylines, write_polylines)
 from .tensors import read_ten, write_ten
 
@@ -226,21 +231,17 @@ def render_overhead(scene: Scene, grid: BevGrid) -> np.ndarray:
     """
     rr, cc = np.meshgrid(np.arange(grid.rows), np.arange(grid.cols), indexing="ij")
     img = background_color(scene.texture_seed, rr, cc)
-    centers = grid.cell_centers().reshape(-1, 2)
-    road_mask = np.zeros(centers.shape[0], dtype=bool)
+    road_mask = np.zeros((grid.rows, grid.cols), dtype=bool)
     for road in scene.roads:
-        d = polyline_distance(centers, road.centerline)
-        road_mask |= d <= road.half_width
-    img.reshape(3, -1)[:, road_mask] = np.array(ROAD_COLOR)[:, None]
-    # markings paint over the road; boundary > divider > crossing priority
-    for class_id in (0, 1, 2):
-        color = np.array(CLASS_COLORS[class_id])
-        canvas = np.zeros((grid.rows, grid.cols), dtype=np.int64)
-        for cid, _, pts in scene.ground_truth:
-            if cid == class_id:
-                rasterize_polyline(grid, pts, canvas)
-        mask = canvas.astype(bool)
-        img[:, mask] = color[:, None]
+        road_mask |= cells_near_polyline(grid, road.centerline, road.half_width)
+    img[:, road_mask] = np.array(ROAD_COLOR)[:, None]
+    # markings paint over the road; boundary > divider > crossing priority,
+    # so each cell keeps 1 + the highest class id that passes through it
+    canvas = np.zeros((grid.rows, grid.cols), dtype=np.int64)
+    for cid, _, pts in sorted(scene.ground_truth, key=lambda element: element[0]):
+        rasterize_polyline(grid, pts, canvas, value=cid + 1)
+    for cid, color in CLASS_COLORS.items():
+        img[:, canvas == cid + 1] = np.array(color)[:, None]
     return img
 
 
@@ -276,14 +277,35 @@ def occluder_color(texture_seed, index):
     return np.array([0.50 + 0.15 * u, 0.33 + 0.10 * u, 0.24 + 0.08 * u])
 
 
+def _box_windows(cam, occluders):
+    """Per (x0, x1, y0, y1, height) box, the (rows, cols) slices of cam's
+    image whose rays can hit it: None with every corner behind the camera
+    plane (z < -1e-6), all of it with a corner behind or within 1e-6 of
+    it, else the pixels whose centers lie within the projected corners'
+    span plus one pixel on each side, far more than rounding can move."""
+    boxes = np.array(occluders, dtype=np.float64).reshape(-1, 5)
+    lims = np.concatenate([boxes[:, :4], np.zeros((len(boxes), 1)), boxes[:, 4:]], axis=1)
+    corners = lims[:, [(i, 2 + j, 4 + k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]]
+    uv, z, _ = cam.project(corners.reshape(-1, 3))
+    uv = np.clip(uv, -1.0, [cam.width + 1.0, cam.height + 1.0]).reshape(-1, 8, 2)
+    lo = np.maximum(np.ceil(uv.min(axis=1) - 0.5).astype(np.int64) - 1, 0).tolist()
+    hi = (np.floor(uv.max(axis=1) - 0.5).astype(np.int64) + 2).tolist()
+    return [None if np.all(zb < -1e-6) else np.s_[:, :] if np.any(zb <= 1e-6)
+            else np.s_[l[1]:h[1], l[0]:h[0]] for zb, l, h in zip(z.reshape(-1, 8), lo, hi)]
+
+
 def render_cameras(scene: Scene, rig, grid: BevGrid, overhead=None):
     """Perspective views of the quantized ground, with occluder shadowing.
 
     Where a camera ray reaches unoccluded ground inside the grid, the pixel
-    is bitwise equal to that cell's overhead color.
+    is bitwise equal to that cell's overhead color. A box is slab-tested
+    only on the pixels _box_windows gives it, boxes in scene order and the
+    first of the nearest winning, so every pixel keeps the bits of testing
+    every box on the whole image. Camera.pixel_dirs gives each camera's rays.
     """
     if overhead is None:
         overhead = render_overhead(scene, grid)
+    paint = np.array([occluder_color(scene.texture_seed, i) for i in range(len(scene.occluders))])
     images = []
     for cam in rig:
         dirs = cam.pixel_dirs()
@@ -293,31 +315,22 @@ def render_cameras(scene: Scene, rig, grid: BevGrid, overhead=None):
         # nearest occluder along each ray
         t_occ = np.full(t_ground.shape, np.inf)
         occ_id = np.full(t_ground.shape, -1, dtype=np.int64)
-        for bi, box in enumerate(scene.occluders):
-            entry, hit = _ray_box_hits(cam.position, dirs, box)
-            closer = hit & (entry < t_occ)
-            t_occ = np.where(closer, entry, t_occ)
-            occ_id = np.where(closer, bi, occ_id)
-        img = np.empty((3,) + t_ground.shape, dtype=np.float64)
-        img[:] = np.array(SKY_COLOR)[:, None, None]
-        ground_vis = ground & (t_ground <= t_occ)
-        t_safe = np.where(ground_vis, t_ground, 0.0)
-        rows, cols, inside = grid.cells_of(cam.position[:2] + t_safe[..., None] * dirs[..., :2])
-        in_grid = ground_vis & inside
-        out_grid = ground_vis & ~in_grid
-        rr = np.clip(rows, 0, grid.rows - 1)
-        cc = np.clip(cols, 0, grid.cols - 1)
-        grid_colors = overhead[:, rr, cc]
-        img = np.where(in_grid[None], grid_colors, img)
-        if np.any(out_grid):
-            bg = background_color(scene.texture_seed, rows, cols)
-            img = np.where(out_grid[None], bg, img)
-        occluded = t_occ < np.where(ground, t_ground, np.inf)
-        for bi in range(len(scene.occluders)):
-            mask = occluded & (occ_id == bi)
-            if np.any(mask):
-                img = np.where(mask[None], occluder_color(scene.texture_seed, bi)[:, None, None], img)
-        images.append(img)
+        for bi, (box, win) in enumerate(zip(scene.occluders, _box_windows(cam, scene.occluders))):
+            if win is not None:
+                entry, hit = _ray_box_hits(cam.position, dirs[win], box)
+                closer = hit & (entry < t_occ[win])
+                np.copyto(t_occ[win], entry, where=closer)
+                np.copyto(occ_id[win], bi, where=closer)
+        img = np.repeat(np.array(SKY_COLOR)[:, None], t_ground.size, axis=1)
+        # flat indices of the pixels that see ground, and the cells they see
+        seen = np.flatnonzero(ground & (t_ground <= t_occ))
+        hits = cam.position[:2] + t_ground.reshape(-1)[seen, None] * dirs.reshape(-1, 3)[seen, :2]
+        rows, cols, inside = grid.cells_of(hits)
+        img[:, seen] = overhead.reshape(3, -1)[:, np.where(inside, rows * grid.cols + cols, 0)]
+        img[:, seen[~inside]] = background_color(scene.texture_seed, rows[~inside], cols[~inside])
+        occluded = np.flatnonzero(t_occ < np.where(ground, t_ground, np.inf))
+        img[:, occluded] = paint[occ_id.reshape(-1)[occluded]].T
+        images.append(img.reshape((3,) + t_ground.shape))
     return images
 
 

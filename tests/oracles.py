@@ -2,16 +2,19 @@
 
 Everything here is deliberately naive: explicit Python loops and
 textbook formulas, no shared code with the implementations under test.
-Two kinds of exception: the point-major chamfer kernels keep the
+Three kinds of exception: the point-major chamfer kernels keep the
 package's former array layout as a bit-for-bit reference for the
-current one, and the tape ops at the end wire their own forward and
-backward into the package's tape, for the tests alone.
+current one, the renderer references keep the former scalar traversal,
+dense road mask and full-image occluder loop as bit-for-bit references
+for the pruned array passes, and the tape ops at the end wire their own
+forward and backward into the package's tape, for the tests alone.
 """
 
 import math
 
 import numpy as np
 
+from bevlab import geometry, scenegen
 from bevlab.tensors import Tensor, TensorError, custom_op
 
 
@@ -327,6 +330,147 @@ def box_gap_sums_point_major(side, other):
     gy *= gy
     gx += gy
     return np.add.reduceat(np.sqrt(gx, out=gx), side.starts, axis=0)
+
+
+# ---------------------------------------------------------------------------
+# renderer references: the scene renderers before their pruned array passes
+# ---------------------------------------------------------------------------
+# Not naive either: each repeats, op for op, the arithmetic of the code the
+# array passes replaced, so that every pixel can be compared bit for bit.
+
+def traverse(x0, y0, x1, y1, visit):
+    """Amanatides-Woo traversal of the unit grid from (x0,y0) to (x1,y1),
+    one segment at a time in scalar floats."""
+    cx, cy = math.floor(x0), math.floor(y0)
+    ex, ey = math.floor(x1), math.floor(y1)
+    dx, dy = x1 - x0, y1 - y0
+    step_x = 1 if dx > 0 else -1
+    step_y = 1 if dy > 0 else -1
+    if dx != 0:
+        t_max_x = ((cx + (step_x > 0)) - x0) / dx
+        t_dx = abs(1.0 / dx)
+    else:
+        t_max_x, t_dx = math.inf, math.inf
+    if dy != 0:
+        t_max_y = ((cy + (step_y > 0)) - y0) / dy
+        t_dy = abs(1.0 / dy)
+    else:
+        t_max_y, t_dy = math.inf, math.inf
+    visit(cx, cy)
+    guard = 0
+    while (cx, cy) != (ex, ey):
+        if t_max_x <= t_max_y:
+            if t_max_x > 1.0 + 1e-12:
+                break
+            cx += step_x
+            t_max_x += t_dx
+        else:
+            if t_max_y > 1.0 + 1e-12:
+                break
+            cy += step_y
+            t_max_y += t_dy
+        visit(cx, cy)
+        guard += 1
+        if guard > 4 * (abs(ex - math.floor(x0)) + abs(ey - math.floor(y0)) + 4):
+            break  # numerical corner case; never triggered by sane inputs
+
+
+def rasterize_polyline_oracle(grid, pts, canvas=None, value=1):
+    """geometry.rasterize_polyline one segment at a time by ``traverse``."""
+    if canvas is None:
+        canvas = np.zeros((grid.rows, grid.cols), dtype=np.int64)
+    pts = np.asarray(pts, dtype=np.float64)
+    gx = (pts[:, 0] - grid.x_min) / grid.cell_x
+    gy = (grid.y_max - pts[:, 1]) / grid.cell_y
+
+    def mark(cx, cy):
+        if 0 <= cy < grid.rows and 0 <= cx < grid.cols:
+            canvas[cy, cx] = value
+
+    for i in range(len(pts) - 1):
+        traverse(gx[i], gy[i], gx[i + 1], gy[i + 1], mark)
+    if len(pts) == 1:
+        mark(math.floor(gx[0]), math.floor(gy[0]))
+    return canvas
+
+
+def polyline_distance(points, pts):
+    """(N,) distance from each of the (N,2) points to the polyline pts,
+    every point against every segment in the point-major layout."""
+    table = geometry._tables(*geometry._flatten([pts]))[0]
+    return np.sqrt(nearest_sq_point_major(np.asarray(points, dtype=np.float64), table))
+
+
+def cells_near_polyline_oracle(grid, pts, radius):
+    """geometry.cells_near_polyline as the dense road mask: every cell
+    center measured against the whole polyline."""
+    centers = grid.cell_centers().reshape(-1, 2)
+    return (polyline_distance(centers, pts) <= radius).reshape(grid.rows, grid.cols)
+
+
+def render_overhead_oracle(scene, grid):
+    """scenegen.render_overhead by the dense road mask and the scalar
+    rasterizer."""
+    rr, cc = np.meshgrid(np.arange(grid.rows), np.arange(grid.cols), indexing="ij")
+    img = scenegen.background_color(scene.texture_seed, rr, cc)
+    road_mask = np.zeros((grid.rows, grid.cols), dtype=bool)
+    for road in scene.roads:
+        road_mask |= cells_near_polyline_oracle(grid, road.centerline, road.half_width)
+    img[:, road_mask] = np.array(scenegen.ROAD_COLOR)[:, None]
+    for class_id in (0, 1, 2):
+        canvas = np.zeros((grid.rows, grid.cols), dtype=np.int64)
+        for cid, _, pts in scene.ground_truth:
+            if cid == class_id:
+                rasterize_polyline_oracle(grid, pts, canvas)
+        img[:, canvas.astype(bool)] = np.array(scenegen.CLASS_COLORS[class_id])[:, None]
+    return img
+
+
+def pixel_dirs_oracle(cam):
+    """Camera.pixel_dirs computed afresh."""
+    u = (np.arange(cam.width) + 0.5 - cam.cx) / cam.focal
+    v = (np.arange(cam.height) + 0.5 - cam.cy) / cam.focal
+    du, dv = np.meshgrid(u, v)
+    return np.stack([du, dv, np.ones_like(du)], axis=-1) @ cam.rot
+
+
+def render_cameras_oracle(scene, rig, grid, overhead):
+    """scenegen.render_cameras with every occluder slab-tested against
+    every pixel of every camera, and every color selected over the whole
+    image."""
+    S = scenegen
+    images = []
+    for cam in rig:
+        dirs = pixel_dirs_oracle(cam)
+        dz = dirs[..., 2]
+        ground = dz < -1e-12
+        t_ground = np.where(ground, -cam.position[2] / np.where(ground, dz, -1.0), np.inf)
+        t_occ = np.full(t_ground.shape, np.inf)
+        occ_id = np.full(t_ground.shape, -1, dtype=np.int64)
+        for bi, box in enumerate(scene.occluders):
+            entry, hit = S._ray_box_hits(cam.position, dirs, box)
+            closer = hit & (entry < t_occ)
+            t_occ = np.where(closer, entry, t_occ)
+            occ_id = np.where(closer, bi, occ_id)
+        img = np.empty((3,) + t_ground.shape, dtype=np.float64)
+        img[:] = np.array(S.SKY_COLOR)[:, None, None]
+        ground_vis = ground & (t_ground <= t_occ)
+        t_safe = np.where(ground_vis, t_ground, 0.0)
+        rows, cols, inside = grid.cells_of(cam.position[:2] + t_safe[..., None] * dirs[..., :2])
+        in_grid = ground_vis & inside
+        out_grid = ground_vis & ~in_grid
+        grid_colors = overhead[:, np.clip(rows, 0, grid.rows - 1), np.clip(cols, 0, grid.cols - 1)]
+        img = np.where(in_grid[None], grid_colors, img)
+        if np.any(out_grid):
+            img = np.where(out_grid[None], S.background_color(scene.texture_seed, rows, cols), img)
+        occluded = t_occ < np.where(ground, t_ground, np.inf)
+        for bi in range(len(scene.occluders)):
+            mask = occluded & (occ_id == bi)
+            if np.any(mask):
+                color = S.occluder_color(scene.texture_seed, bi)
+                img = np.where(mask[None], color[:, None, None], img)
+        images.append(img)
+    return images
 
 
 def resample_oracle(poly, step=0.1):

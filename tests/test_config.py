@@ -72,6 +72,10 @@ def test_validation_rejects_settings_that_crash_later():
              ({"road_count": (0, 2)}, "road_count"),
              ({"occluder_count": (-1, 2)}, "occluder_count"),
              ({"occluder_size": (3.0, 1.0)}, "occluder_size: range 3.0 1.0"),
+             # both edges of a road this wide never fit in the extended RoI
+             ({"lane_count": (30, 40)}, "lane_count: 40 lanes of 3.2 m reach the extended "
+                                        "RoI's 111.8 m diagonal"),
+             ({"lane_count": (2, 35)}, "lane_count: 35 lanes"),
              # each of these trained a teacher or rendered a corpus first
              ({"lambda_bev": math.nan}, "lambda_bev must be finite, got nan"),
              ({"base_lr": math.nan}, "base_lr must be finite, got nan"),
@@ -97,6 +101,7 @@ def test_validation_rejects_settings_that_crash_later():
     # the accepted values at the edges of each rule still validate
     for overrides in ({"downsample": 4}, {"grid_rows": 8, "grid_cols": 16},
                       {"road_count": (2, 2)}, {"occluder_count": (0, 0)},
+                      {"lane_count": (1, 34)},
                       {"crossing_probability": 0.0}, {"crossing_probability": 1.0},
                       {"min_lr": 0.0, "weight_decay": 0.0, "reg_weight": 0.0},
                       {"n_points": 2, "n_queries": 1, "cameras": 1}):

@@ -126,6 +126,82 @@ def test_rasterize_single_point():
     assert canvas[12, 24] == 1 and canvas.sum() == 1
 
 
+def scene_polylines():
+    """(centerline, half width) of every road and the ground-truth
+    polylines of seeded scenes from both curvature bands."""
+    from bevlab import scenegen as S
+    roads, lines = [], []
+    for seed in range(24):
+        band = (0.0, 0.75) if seed % 2 else (0.78, 1.0)
+        scene = S.generate_scene(S.SceneParams(seed, curvature_band=band))
+        roads += [(road.centerline, road.half_width) for road in scene.roads]
+        lines += [pts for _, _, pts in scene.ground_truth]
+    return roads, lines
+
+
+def edge_polylines():
+    """Polylines on the 1 m cells of a 10 x 5 m grid at the edges of the
+    traversal: horizontal and vertical runs, runs along cell boundaries,
+    ends on cell corners and on the half-open outer edge, zero-length
+    segments and single points inside, on and outside the grid."""
+    fixed = [[(-4.9, 0.0), (4.9, 0.0)], [(-4.9, 1.5), (4.9, 1.5)], [(4.9, -0.3), (-4.9, -0.3)],
+             [(0.0, -2.4), (0.0, 2.4)], [(0.5, 2.4), (0.5, -2.4)], [(-3.0, 2.5), (-3.0, -2.5)],
+             [(-4.0, -1.5), (1.0, 3.5)], [(-3.0, -0.5), (2.0, 1.5)], [(2.0, 1.5), (-3.0, -0.5)],
+             [(0.0, 0.0), (5.0, -2.5)], [(5.0, 0.0), (5.0, 2.0)], [(-5.0, 2.5), (5.0, 2.5)],
+             [(-5.0, -2.5), (5.0, -2.5)], [(5.0, -2.5), (-5.0, 2.5)], [(-9.0, -7.0), (9.0, 7.0)],
+             [(1.2, 0.3), (1.2, 0.3), (2.7, -1.1)], [(1.0, 0.5), (1.0, 0.5)],
+             [(0.0, 0.0)], [(4.99, -2.49)], [(5.0, 0.0)], [(-5.0, 2.5)], [(3.0, -2.5)],
+             [(-2.0, 0.5), (-2.0, 0.5), (-2.0, 0.5)]]
+    rng = np.random.default_rng(21)
+    snapped = [rng.integers(-12, 13, size=(int(rng.integers(1, 6)), 2)) * 0.5 for _ in range(60)]
+    loose = [rng.uniform(-7, 7, size=(int(rng.integers(1, 6)), 2)) for _ in range(60)]
+    return [np.array(p, dtype=np.float64) for p in fixed] + snapped + loose
+
+
+def test_rasterize_polyline_keeps_the_scalar_walk():
+    # the lockstep lanes must mark exactly the cells of the former
+    # one-segment-at-a-time walk
+    small = G.BevGrid(-5, 5, -2.5, 2.5, 5, 10)
+    _, lines = scene_polylines()
+    cases = [(small, pts) for pts in edge_polylines()]
+    cases += [(grid, pts) for grid in (G.standard_grid(), G.extended_grid()) for pts in lines]
+    # vertices on the corners of cells 25/12 m wide, where a lane's t_max
+    # can round to just above 1 as it reaches its end cell
+    ext, rng = G.extended_grid(), np.random.default_rng(5)
+    for _ in range(100):
+        k = rng.integers(-2, 50, size=int(rng.integers(2, 5)))
+        m = rng.integers(-2, 26, size=len(k))
+        cases.append((ext, np.stack([ext.x_min + k * ext.cell_x, ext.y_max - m * ext.cell_y], 1)))
+    for grid, pts in cases:
+        assert np.array_equal(G.rasterize_polyline(grid, pts),
+                              oracles.rasterize_polyline_oracle(grid, pts)), pts.tolist()
+    # onto a given canvas, with a given value
+    canvas = np.full((small.rows, small.cols), 7, dtype=np.int64)
+    want = oracles.rasterize_polyline_oracle(small, edge_polylines()[6], canvas.copy(), value=3)
+    assert G.rasterize_polyline(small, edge_polylines()[6], canvas, value=3) is canvas
+    assert np.array_equal(canvas, want)
+
+
+def test_cells_near_polyline_matches_the_dense_distance():
+    # the pruned (cell, segment) pairs must mark exactly the cells the
+    # dense distance to every segment marks
+    roads, _ = scene_polylines()
+    cases = [(grid, pts, r) for grid in (G.standard_grid(), G.extended_grid())
+             for pts, r in roads]
+    small = G.BevGrid(-5, 5, -2.5, 2.5, 5, 10)
+    for pts in edge_polylines():
+        # 0.5 and 1.5 put cell centers exactly at the radius of axis runs
+        cases += [(small, pts, r) for r in (0.0, 0.5, 1.5, 2.3)]
+    marked = 0
+    for grid, pts, r in cases:
+        got = G.cells_near_polyline(grid, pts, r)
+        assert np.array_equal(got, oracles.cells_near_polyline_oracle(grid, pts, r)), pts.tolist()
+        marked += int(got.sum())
+    assert marked > 10000
+    far = np.array([[1000.0, 0.0], [1002.0, 1.0]])
+    assert not G.cells_near_polyline(G.extended_grid(), far, 6.4).any()
+
+
 def test_resample_spacing_and_endpoints():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0]])
     out = G.resample_polyline(pts, step=0.1)
@@ -262,8 +338,9 @@ def test_polyline_distance_zero_length_segment_projects_to_its_start():
     # with a zero-length segment the projection parameter is pinned to 0,
     # so a point at infinity is infinitely far rather than NaN
     pts = np.array([[0.0, 0.0], [0.0, 0.0]])
+    table = G._tables(*G._flatten([pts]))[0]
     with np.errstate(invalid="ignore"):  # inf * 0 along the way
-        got = G.polyline_distance(np.array([[np.inf, 0.0], [3.0, 4.0]]), pts)
+        got = np.sqrt(G._nearest_sq(np.array([[np.inf, 0.0], [3.0, 4.0]]), table))
     assert got[0] == np.inf and got[1] == 5.0
 
 

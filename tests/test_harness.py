@@ -295,6 +295,17 @@ def test_cli_rejects_bad_jobs_and_seeds_before_any_work(tmp_path, monkeypatch, c
     assert not os.path.exists(out)
 
 
+def test_cli_rejects_a_lane_count_no_road_can_hold_before_any_work(tmp_path, capsys):
+    # at parse time, before any scene renders: no road that wide fits the RoI
+    cfg_path = tmp_path / "wide.cfg"
+    cfg_path.write_text("n_train 1\nn_val 1\nlane_count 30 40\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg_path), "--out", str(out), "gen"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: lane_count: 40 lanes") and captured.out == ""
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # study verbs through the CLI
 # ---------------------------------------------------------------------------
@@ -597,6 +608,15 @@ STUDY_PINNED = {
     "similarity.txt": "be25662714478147857a4be10c592f61e3d1562ce514447392ce3313d58bb792",
     "report.md": "d28ddb4ed010ce22b6af65ae873d3b5af36ae1adbe782fbff89ba170acf71997",
 }
+# each run's checkpoint checksum from its record.txt: at 10 steps every
+# mAP prints as 0.000000, so the files above cannot see a change to the
+# trained bits, and these do
+STUDY_RUN_CHECKSUMS = {
+    "baseline_seed1": "fae77fc0957c701f80bf7c0ce749cf47903e493c598dc23e9ab1093730264b04",
+    "norm_adapter_seed1": "cc27ba79e8ef109be43326c874d9ee882c5f4c4e9d63e460d14a119c370aaea5",
+    "norm_only_seed1": "19ff3a0c78314b1f451b555b8aef5c8563775d319ef177cfd3f414dfef044d6a",
+    "raw_seed1": "ed61f9cda993e981875f1140d666dabada23dd73340adbf3f0b5f42c653a398d",
+}
 
 
 def test_ablation_and_report_keep_their_pinned_digests(tmp_path):
@@ -611,6 +631,9 @@ def test_ablation_and_report_keep_their_pinned_digests(tmp_path):
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in STUDY_PINNED}
-    moved = [f"{name}: {got[name]} != pinned {want}" for name, want in STUDY_PINNED.items()
+    got.update({run: H.read_record(str(out / "runs" / run))["checksum"]
+                for run in STUDY_RUN_CHECKSUMS})
+    pinned = {**STUDY_PINNED, **STUDY_RUN_CHECKSUMS}
+    moved = [f"{name}: {got[name]} != pinned {want}" for name, want in pinned.items()
              if got[name] != want]
     assert not moved, "\n".join(["moved:"] + moved + ["BLAS:"] + blas_lines())

@@ -1,5 +1,7 @@
 """Scene generation determinism, rendering consistency, dataset round trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,87 @@ def test_occluder_hides_crossing_from_camera_only():
     assert open_hits.any()
 
 
+def banded_scenes(n):
+    """Seeded scenes from the train and the val curvature band."""
+    return [S.generate_scene(_params_for("train" if seed % 2 else "val", seed))
+            for seed in range(n)]
+
+
+def test_render_overhead_matches_the_former_renderer():
+    for grid in (G.extended_grid(), G.standard_grid()):
+        for scene in banded_scenes(16):
+            assert np.array_equal(S.render_overhead(scene, grid),
+                                  oracles.render_overhead_oracle(scene, grid)), scene.seed
+
+
+def with_boxes(scene, boxes):
+    return S.Scene(scene.seed, scene.texture_seed, scene.roads, scene.ground_truth, boxes)
+
+
+def assert_cameras_match(scene, rig, grid):
+    overhead = S.render_overhead(scene, grid)
+    got = S.render_cameras(scene, rig, grid, overhead)
+    want = oracles.render_cameras_oracle(scene, rig, grid, overhead)
+    for k, (a, b) in enumerate(zip(got, want, strict=True)):
+        assert np.array_equal(a, b), (scene.occluders, k)
+
+
+def test_render_cameras_match_the_full_image_occluder_loop():
+    grid, rig = G.extended_grid(), G.default_rig()
+    for scene in banded_scenes(12):
+        assert_cameras_match(scene, rig, grid)
+    # a box wholly behind camera 0, one straddling its plane, one with an
+    # edge in it (z_cam exactly 0), one over the rig, a box hidden behind
+    # another and two identical ones (the first of equals wins), and
+    # boxes that leave the image on each side
+    base = banded_scenes(1)[0]
+    cases = [[(-12.0, -10.0, -1.0, 1.0, 2.0)], [(-1.0, 3.0, 2.0, 4.0, 2.0)],
+             [(0.0, 4.0, -2.0, 2.0, 1.6)], [(-1.0, 1.0, -1.0, 1.0, 2.5)],
+             [(8.0, 9.0, -1.0, 1.0, 2.0), (12.0, 14.0, -3.0, 3.0, 2.4)],
+             [(6.0, 7.0, 1.0, 2.0, 1.8), (6.0, 7.0, 1.0, 2.0, 1.8)],
+             [(3.0, 30.0, -20.0, 20.0, 0.5)], [(2.0, 3.0, 2.0, 9.0, 6.0)],
+             [(-1.0, 1.0, -1.0, 1.0, 1.0)]]
+    for boxes in cases:
+        assert_cameras_match(with_boxes(base, boxes), rig, grid)
+
+
+def test_box_windows_hold_every_pixel_a_corner_on_its_ray_can_hit():
+    # a box corner on the ray through a pixel center: whether the slab
+    # test counts the touch is up to rounding, and so is which side of
+    # that center the corner projects to; the pixel must be in the box's
+    # window either way. The corner is the box's top, on the ray, or its
+    # foot, where the ray meets the ground, so it falls on every side of
+    # the box's outline in the image
+    rng = np.random.default_rng(3)
+    for cam in G.default_rig():
+        dirs = oracles.pixel_dirs_oracle(cam)
+        for i in (29, 31, 34, 38, 45, 55):
+            for j in range(5, 96, 9):
+                for top in (True, False):
+                    t = rng.uniform(4.0, 5.5) if top else -cam.position[2] / dirs[i, j, 2]
+                    p = cam.position + t * dirs[i, j]
+                    if top and p[2] <= 0.2:
+                        continue
+                    for sx in (-1.0, 1.0):
+                        for sy in (-1.0, 1.0):
+                            xs = sorted((p[0], p[0] + sx * 1.5))
+                            ys = sorted((p[1], p[1] + sy * 1.5))
+                            box = (xs[0], xs[1], ys[0], ys[1], p[2] if top else 1.0)
+                            hit = S._ray_box_hits(cam.position, dirs, box)[1]
+                            window = np.zeros(hit.shape, dtype=bool)
+                            window[S._box_windows(cam, [box])[0]] = True
+                            assert np.array_equal(hit & window, hit), (box, i, j)
+
+
+def test_pixel_rays_are_kept_read_only_on_each_camera():
+    # two rigs with the same yaws but other pitches must not share rays
+    for rig in (G.default_rig(), G.default_rig(pitch=0.3), G.default_rig(cameras=6)):
+        for cam in rig:
+            dirs = cam.pixel_dirs()
+            assert dirs is cam.pixel_dirs() and not dirs.flags.writeable
+            assert np.array_equal(dirs, oracles.pixel_dirs_oracle(cam))
+
+
 def test_cell_visibility_blocks_shadowed_cells():
     grid = G.standard_grid()
     rig = G.default_rig()
@@ -262,6 +345,55 @@ def test_export_deterministic(tmp_path):
     for sid in ("scene_0000", "scene_0003"):
         for fn in ("overhead.ten", "cam_2.ten", "gt.txt"):
             assert (a / sid / fn).read_bytes() == (b / sid / fn).read_bytes()
+
+
+# sha256 of every file export_dataset writes for 3 train and 2 val scenes
+# with the default scene parameters, rig and grid. Faster rendering must
+# write the same bytes; only a change that means to draw other scenes
+# moves these, and says so.
+CORPUS_PINNED = {
+    "manifest.txt": "d167b0313c90bfc20203dff482e920693ef5904579ce17bdade06a897ae1819b",
+    "scene_0000/cam_0.ten": "1048c9710564f0ec278a9a3b2ee1c70334f5c3e14b84e91766e8197afaff670a",
+    "scene_0000/cam_1.ten": "53d412ffbb0717cf678a1bae51c4749340874dd531e04b55091366b8667125c6",
+    "scene_0000/cam_2.ten": "c45d78995868736b5fe503327c08fa7ef0d098baf3bf8a9a18603126b9184d52",
+    "scene_0000/cam_3.ten": "4c6105c1a3194dc017604a4b142f553a4b581866953605f430b00a3d5bfd3db0",
+    "scene_0000/gt.txt": "5c73aa68182f03ddd2da97b08519d7fac513df44a3c5ff66acd982e4d5bcb6e0",
+    "scene_0000/overhead.ten": "e27a437bf64ed549d6e99b88bc23abd53c6c69f6ff569e68436e5def7798bac3",
+    "scene_0001/cam_0.ten": "47aede535dbda2505474b2e38ea0f947d4788a0aa07f5e4499819fc3a7229331",
+    "scene_0001/cam_1.ten": "d6451733fccbaa495cde07b3309c59fd7a0129044953605bb4a4179f47918cb7",
+    "scene_0001/cam_2.ten": "6a17c3afea4cb6d32cd47a6bab22c96b3b14449bb44e5948ec40097c45cf29bd",
+    "scene_0001/cam_3.ten": "6130b721cfde1fff97409e31217ec710830a51cd1f0ef9fbf1c98dbb9ad225c5",
+    "scene_0001/gt.txt": "ca9428066bc181a2138098b0f138cc85e1d54cbad477137b851d450f36b5ac84",
+    "scene_0001/overhead.ten": "0db319f62e470ecc9bcdfb6aee31786eb3da530b8b0f8016baf4ab32a553e3de",
+    "scene_0002/cam_0.ten": "8892dea30aedc693aad4c7524f88949a618075139f0d0f7c1ba7d553ce062c05",
+    "scene_0002/cam_1.ten": "5334b2ebb44751bba749d3fa27e656afefa0d8f6ab10d62e6d9e7580935efc3e",
+    "scene_0002/cam_2.ten": "08fb46f3186f3d0d6adf98c0f4d01baa2d50010f665d1ac0e4b0a27ba9f819c3",
+    "scene_0002/cam_3.ten": "135d35b00bd94070d2eb658430ce82ff0f00ae4a9b1615323436fc88cb73a35f",
+    "scene_0002/gt.txt": "3a942b803e6c0a4c85ad93d250ab0a354b781fbd32a180e4f8c344390990b2db",
+    "scene_0002/overhead.ten": "4e2d88c9db53190f1fdf313b33ab14aa3fd8e76d8bb33dd809a750c340475ebf",
+    "scene_0003/cam_0.ten": "2b7d64315a334603c3cbb08abf135322f08c3f81f70380ee922025dcf18ed781",
+    "scene_0003/cam_1.ten": "77efb517d1d70139638851ae661e07d65b8b0a6e65e84be6375c080b49abae56",
+    "scene_0003/cam_2.ten": "885b4c5139c301f29e66a1ba90590d521c86f2785871adec854e4eac3bc1c989",
+    "scene_0003/cam_3.ten": "c29dba2708b1e060c062e4a0f5bc89ddf81902db7ef062dc8c5ac93dbf7f3899",
+    "scene_0003/gt.txt": "3c1e097d59daeed1d587aa5db7d2b35a17423a5ae56c4b8ab4847d8fef60083d",
+    "scene_0003/overhead.ten": "b02634f8a7df08b0b992d45874e34de7cf39850438a507c24e253c10c3d308e1",
+    "scene_0004/cam_0.ten": "a9056ba2766bce891c4e89ff9ac5a382c6d408daaa8cdd4d0b9f7f2d7fb068fa",
+    "scene_0004/cam_1.ten": "a2e4cda078a42c53c8785023da890d430873b9bfdace0f546c141c06532c267e",
+    "scene_0004/cam_2.ten": "7ebd48d3ab15d62e66d2e05b9b3953e3305e191eb10191d7e39d103be1142bc6",
+    "scene_0004/cam_3.ten": "fd0fa080d1c7cd9db47fc21956e30b5527af34f5ce146cd9581da71c39546bc4",
+    "scene_0004/gt.txt": "2d25f70e5daab95369d942c796b1af35f80aaa0240a78c0191c5f64c033059f1",
+    "scene_0004/overhead.ten": "ebf4f2ec05ec4d7def0aa6547259a2713e1971951c2d38368e74771592eda7cf",
+}
+
+
+def test_exported_corpus_keeps_its_pinned_bytes(tmp_path):
+    S.export_dataset(tmp_path, n_train=3, n_val=2)
+    got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.rglob("*") if p.is_file()}
+    moved = [f"{name}: {got.get(name)} != pinned {want}"
+             for name, want in CORPUS_PINNED.items() if got.get(name) != want]
+    assert not moved, "\n".join(["moved:"] + moved)
+    assert sorted(got) == sorted(CORPUS_PINNED)
 
 
 def test_load_reports_scene_id_on_corruption(tmp_path):
