@@ -438,6 +438,12 @@ def save_checkpoint(path, params, meta=None):
     `<key> <value>` line per meta entry.
     """
     os.makedirs(path, exist_ok=True)
+    # the manifest marks the checkpoint complete: the old one goes before any
+    # parameter file is rewritten and the new one comes last, so a write cut
+    # short leaves no manifest rather than one over the wrong files
+    manifest = os.path.join(path, "manifest.txt")
+    if os.path.exists(manifest):
+        os.remove(manifest)
     lines = []
     for name in sorted(params):
         p = params[name]
@@ -448,8 +454,6 @@ def save_checkpoint(path, params, meta=None):
         lines.append(f"param {name} {shape} {digest} {frozen}")
     for key, val in (meta or {}).items():
         lines.append(f"{key} {val}")
-    # the manifest marks the checkpoint complete, so it appears whole or not at all
-    manifest = os.path.join(path, "manifest.txt")
     with open(manifest + ".tmp", "w") as f:
         f.write("\n".join(lines) + "\n")
     os.replace(manifest + ".tmp", manifest)

@@ -113,6 +113,7 @@ class Camera:
         # rows transform world deltas into (right, down, forward) coordinates
         self.rot = np.stack([right, down, forward])
         self._dirs = None
+        self._ground = None
 
     def project(self, pts):
         """World points (N,3) -> (uv (N,2), depth (N,), valid (N,) bool).
@@ -140,6 +141,24 @@ class Camera:
             self._dirs = cam_dirs @ self.rot  # (R^T d) for each pixel
             self._dirs.flags.writeable = False
         return self._dirs
+
+    def ground_rays(self):
+        """(t, pixels, hits) for the rays that meet the ground plane, made
+        on the first call and kept read-only on the camera: t (height,
+        width) is each ray's parameter at z = 0 (inf unless the ray points
+        down by more than 1e-12), pixels the flat indices of the finite
+        ones, ascending, and hits (n, 2) their ground points."""
+        if self._ground is None:
+            dirs = self.pixel_dirs()
+            dz = dirs[..., 2]
+            down = dz < -1e-12
+            t = np.where(down, -self.position[2] / np.where(down, dz, -1.0), np.inf)
+            pixels = np.flatnonzero(down)
+            hits = self.position[:2] + t.reshape(-1)[pixels, None] * dirs.reshape(-1, 3)[pixels, :2]
+            for a in (t, pixels, hits):
+                a.flags.writeable = False
+            self._ground = (t, pixels, hits)
+        return self._ground
 
 
 def default_rig(height=1.6, pitch=0.12, focal=48.0, width=96, img_height=64,

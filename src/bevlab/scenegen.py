@@ -301,7 +301,8 @@ def render_cameras(scene: Scene, rig, grid: BevGrid, overhead=None):
     is bitwise equal to that cell's overhead color. A box is slab-tested
     only on the pixels _box_windows gives it, boxes in scene order and the
     first of the nearest winning, so every pixel keeps the bits of testing
-    every box on the whole image. Camera.pixel_dirs gives each camera's rays.
+    every box on the whole image. Camera.pixel_dirs gives each camera's rays
+    and Camera.ground_rays where they meet the ground, both made once.
     """
     if overhead is None:
         overhead = render_overhead(scene, grid)
@@ -309,9 +310,7 @@ def render_cameras(scene: Scene, rig, grid: BevGrid, overhead=None):
     images = []
     for cam in rig:
         dirs = cam.pixel_dirs()
-        dz = dirs[..., 2]
-        ground = dz < -1e-12
-        t_ground = np.where(ground, -cam.position[2] / np.where(ground, dz, -1.0), np.inf)
+        t_ground, ground, ground_hits = cam.ground_rays()
         # nearest occluder along each ray
         t_occ = np.full(t_ground.shape, np.inf)
         occ_id = np.full(t_ground.shape, -1, dtype=np.int64)
@@ -322,13 +321,13 @@ def render_cameras(scene: Scene, rig, grid: BevGrid, overhead=None):
                 np.copyto(t_occ[win], entry, where=closer)
                 np.copyto(occ_id[win], bi, where=closer)
         img = np.repeat(np.array(SKY_COLOR)[:, None], t_ground.size, axis=1)
-        # flat indices of the pixels that see ground, and the cells they see
-        seen = np.flatnonzero(ground & (t_ground <= t_occ))
-        hits = cam.position[:2] + t_ground.reshape(-1)[seen, None] * dirs.reshape(-1, 3)[seen, :2]
-        rows, cols, inside = grid.cells_of(hits)
+        # the ground pixels no occluder hides, and the cells they see
+        keep = t_ground.reshape(-1)[ground] <= t_occ.reshape(-1)[ground]
+        seen = ground[keep]
+        rows, cols, inside = grid.cells_of(ground_hits[keep])
         img[:, seen] = overhead.reshape(3, -1)[:, np.where(inside, rows * grid.cols + cols, 0)]
         img[:, seen[~inside]] = background_color(scene.texture_seed, rows[~inside], cols[~inside])
-        occluded = np.flatnonzero(t_occ < np.where(ground, t_ground, np.inf))
+        occluded = np.flatnonzero(t_occ < t_ground)
         img[:, occluded] = paint[occ_id.reshape(-1)[occluded]].T
         images.append(img.reshape((3,) + t_ground.shape))
     return images

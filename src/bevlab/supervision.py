@@ -3,6 +3,12 @@ matching against ground truth, and the training loop ``fit``: teacher
 pretraining (``encoders.pretrain_teacher``) runs it on the detection loss
 alone, ``train_student`` adds the alignment term.
 
+Queries match ground truth by ``_assign``, Crouse's shortest augmenting
+path (IEEE TAES 2016) ported from scipy 1.17.1's ``rectangular_lsap``. It
+does the same float operations in the same order and breaks ties the
+same way, so it returns ``scipy.optimize.linear_sum_assignment``'s
+assignment on every matrix while the package runs on numpy alone.
+
 Four named variants differ only in how the alignment term is computed:
 ``baseline`` drops it, ``raw`` compares the two feature maps directly,
 ``norm_only`` standardizes each channel of both maps first, and
@@ -11,6 +17,7 @@ per-channel affine before normalization. The adapter lives strictly inside
 the loss path; the decoder always consumes the raw student features.
 """
 
+import math
 import os
 import threading
 import time
@@ -19,7 +26,6 @@ from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .encoders import (MapDecoder, StudentEncoder, TeacherEncoder,
                        batch_stream, named_params, student_forward,
@@ -123,14 +129,84 @@ def polyline_points(pts, k):
                     axis=1)
 
 
+def _assign(cost):
+    """Minimum-cost assignment of rows to columns: (rows, cols) int64
+    arrays, rows ascending, as ``scipy.optimize.linear_sum_assignment``.
+
+    A port of scipy 1.17.1's ``rectangular_lsap``: a tall matrix is solved
+    transposed, each row grows one shortest augmenting path over the
+    columns left (listed in reverse, so a constant matrix gives the
+    identity), a tie prefers a column no row holds yet, and the reduced
+    costs and duals take scipy's operations in scipy's order. The same
+    IEEE double operations give the same assignment, ties included. NaN
+    or -inf entries, and no finite assignment, raise SupervisionError.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    transpose = cost.shape[1] < cost.shape[0]
+    if transpose:
+        cost = cost.T
+    nr, nc = cost.shape
+    if nr == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    if np.isnan(cost).any() or (cost == -np.inf).any():
+        raise SupervisionError("cost matrix holds NaN or -inf entries")
+    c = cost.tolist()
+    u, v = [0.0] * nr, [0.0] * nc
+    path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
+    for cur in range(nr):
+        remaining = list(range(nc - 1, -1, -1))
+        rows_seen, cols_seen = [], []
+        short = [math.inf] * nc  # shortest path cost to each column
+        min_val, i = 0.0, cur
+        while True:
+            rows_seen.append(i)
+            index, lowest = -1, math.inf
+            ci, ui = c[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                if r < short[j]:
+                    path[j], short[j] = i, r
+                if short[j] < lowest or (short[j] == lowest and row4col[j] == -1):
+                    index, lowest = it, short[j]
+            min_val = lowest
+            if min_val == math.inf:
+                raise SupervisionError("cost matrix has no finite assignment")
+            j = remaining[index]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[j] == -1:
+                break
+            i = row4col[j]
+        u[cur] += min_val
+        for k in rows_seen[1:]:
+            u[k] += min_val - short[col4row[k]]
+        for k in cols_seen:
+            v[k] -= min_val - short[k]
+        while True:  # flip the augmenting path, from the sink j back to row cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    col4row = np.array(col4row, dtype=np.int64)
+    if transpose:
+        order = np.argsort(col4row)
+        return col4row[order], order
+    return np.arange(nr, dtype=np.int64), col4row
+
+
 def match_queries(logits, points, gts, class_penalty=5.0, gt_pts=None):
     """Minimum-cost one-to-one assignment of query slots to gt elements.
 
     Cost per (query, element) is the orientation-free mean L1 distance
     between the query's points and the element resampled to K points, plus
-    class_penalty * (1 - posterior of the element's class). Returns
-    (targets, pairs): per-query class targets with unmatched slots set to
-    the background index, and (query, target points) pairs for regression.
+    class_penalty * (1 - posterior of the element's class), built for all
+    pairs in one broadcast pass. ``_assign`` solves it by Crouse's shortest
+    augmenting path as scipy 1.17.1 runs it; doing scipy's float operations
+    in scipy's order, it breaks ties as scipy does. Returns (targets,
+    pairs): per-query class targets with unmatched slots set to the
+    background index, and (query, target points) pairs for regression.
     ``gt_pts`` (E, K, 2) may supply the elements already resampled.
     """
     z = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
@@ -147,12 +223,11 @@ def match_queries(logits, points, gts, class_penalty=5.0, gt_pts=None):
     elif gt_pts.shape != (len(gts), n_k, 2):
         raise SupervisionError(f"resampled targets {gt_pts.shape} for {len(gts)} "
                                f"elements of {n_k} points")
-    cost = np.zeros((n_q, len(gts)))
-    for j, (cid, _, _) in enumerate(gts):
-        d_fwd = np.mean(np.abs(pts - gt_pts[j]), axis=(1, 2))
-        d_rev = np.mean(np.abs(pts - gt_pts[j][::-1]), axis=(1, 2))
-        cost[:, j] = np.minimum(d_fwd, d_rev) + class_penalty * (1.0 - p[:, cid])
-    rows, cols = linear_sum_assignment(cost)
+    d_fwd = np.mean(np.abs(pts[:, None] - gt_pts[None]), axis=(2, 3))
+    d_rev = np.mean(np.abs(pts[:, None] - gt_pts[None, :, ::-1]), axis=(2, 3))
+    cids = [e[0] for e in gts]
+    cost = np.minimum(d_fwd, d_rev) + class_penalty * (1.0 - p[:, cids])
+    rows, cols = _assign(cost)
     pairs = []
     for q, j in zip(rows, cols):
         targets[q] = gts[j][0]

@@ -682,6 +682,17 @@ def greedy_match_oracle(preds, gts, threshold, chamfer):
     return flags
 
 
+def query_cost_oracle(p, pts, gt_pts, cids, class_penalty=5.0):
+    """(Q, E) matching cost, one element column at a time: the loop
+    ``supervision.match_queries`` ran before its one broadcast pass."""
+    cost = np.zeros((pts.shape[0], len(cids)))
+    for j, cid in enumerate(cids):
+        d_fwd = np.mean(np.abs(pts - gt_pts[j]), axis=(1, 2))
+        d_rev = np.mean(np.abs(pts - gt_pts[j][::-1]), axis=(1, 2))
+        cost[:, j] = np.minimum(d_fwd, d_rev) + class_penalty * (1.0 - p[:, cid])
+    return cost
+
+
 def average_precision_oracle(scores, labels, n_pos):
     """Step-function AP: sort by score desc, integrate precision over recall."""
     order = sorted(range(len(scores)), key=lambda i: -scores[i])

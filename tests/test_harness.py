@@ -404,6 +404,34 @@ def test_report_on_a_fresh_directory_notes_every_missing_artifact(tmp_path, caps
     assert err.count("missing: ") == 6
 
 
+def test_a_checkpoint_write_cut_short_leaves_no_manifest_and_no_viz(study, tmp_path,
+                                                                    monkeypatch):
+    # a retrain killed while it rewrites the parameter files must not leave
+    # the old manifest over new files: report marks the viz missing instead
+    out = copy_study(study, tmp_path)
+    ckpt = os.path.join(out, "runs", "baseline_seed1", "checkpoint")
+    params, meta = E.load_checkpoint(ckpt)
+    plain_write = E.write_ten
+    written = []
+
+    def write_then_die(path, arr):
+        if len(written) == 2:
+            raise OSError("killed mid-checkpoint")
+        written.append(path)
+        return plain_write(path, arr)
+
+    with monkeypatch.context() as m:
+        m.setattr(E, "write_ten", write_then_die)
+        with pytest.raises(OSError, match="killed"):
+            E.save_checkpoint(ckpt, {k: T.Tensor(p.data * 2.0) for k, p in params.items()},
+                              meta)
+    assert len(written) == 2
+    with pytest.raises(E.EncoderError, match="no manifest.txt"):
+        E.load_checkpoint(ckpt)
+    assert run_verb(out, "report") == 0
+    assert "(feature maps missing" in read_bytes(os.path.join(out, "report.md")).decode()
+
+
 @pytest.mark.parametrize("verb, table, failing", [
     ("ablation", "ablation.txt", "raw_seed1"),
     ("sweep-lambda", "sweep_lambda.txt", "norm_adapter_seed1"),

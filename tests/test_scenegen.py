@@ -257,6 +257,19 @@ def test_pixel_rays_are_kept_read_only_on_each_camera():
             dirs = cam.pixel_dirs()
             assert dirs is cam.pixel_dirs() and not dirs.flags.writeable
             assert np.array_equal(dirs, oracles.pixel_dirs_oracle(cam))
+            rays = cam.ground_rays()
+            assert rays is cam.ground_rays()
+            assert not any(a.flags.writeable for a in rays)
+            t, pixels, hits = rays
+            dz = dirs[..., 2]
+            assert np.array_equal(np.isfinite(t), dz < -1e-12)
+            assert np.array_equal(pixels, np.flatnonzero(dz < -1e-12))
+            for p, xy in zip(pixels, hits):  # one pixel at a time, as the scalar formula
+                i, j = divmod(int(p), cam.width)
+                t_p = -cam.position[2] / dz[i, j]
+                assert t[i, j] == t_p
+                assert xy.tolist() == [cam.position[0] + t_p * dirs[i, j, 0],
+                                       cam.position[1] + t_p * dirs[i, j, 1]]
 
 
 def test_cell_visibility_blocks_shadowed_cells():

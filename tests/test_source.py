@@ -1,10 +1,12 @@
-"""The source tree itself: every definition in src is used, and every
-name the benchmark's tracer wraps exists."""
+"""The source tree itself: every definition in src is used, src runs on
+numpy alone, and every name the benchmark's tracer wraps exists."""
 
 import ast
 import glob
 import importlib
 import os
+import subprocess
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # perfbench names these three only as strings, in its tracer's span table;
@@ -41,6 +43,31 @@ def test_every_definition_in_src_is_referenced_by_name():
     dead = [f"{path}: {name}" for path, name in defined
             if name.rsplit(".", 1)[-1] not in used | STRING_ONLY]
     assert not dead, "defined but referenced nowhere in src or perfbench:\n" + "\n".join(dead)
+
+
+def test_src_never_imports_scipy():
+    # scipy is the tests' oracle only; its import cost the lab ~40 MB per process
+    found = []
+    for path, tree in parsed("src/bevlab").items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path}:{node.lineno} {n}" for n in names
+                      if n == "scipy" or n.startswith("scipy.")]
+    assert not found, "src imports scipy:\n" + "\n".join(found)
+
+
+def test_importing_the_cli_loads_no_scipy_module():
+    code = ("import bevlab.cli, sys; "
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == [], f"import bevlab.cli loaded {out.strip()}"
 
 
 def tracer_targets():

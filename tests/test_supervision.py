@@ -287,6 +287,84 @@ def test_match_queries_empty_and_overfull():
         SV.match_queries(logits, pts, gts)
 
 
+def seeded_cost_matrices(seed, n):
+    """n cost matrices of every shape up to 12 x 12: normal draws, small
+    integers full of ties, 0.1-rounded values, constants, and small
+    integers with +inf entries (some of those infeasible)."""
+    rng = RNG(seed)
+    for trial in range(n):
+        shape = tuple(int(d) for d in rng.integers(0, 13, size=2))
+        kind = trial % 5
+        if kind == 0:
+            m = rng.normal(size=shape) * 3.0
+        elif kind == 1:
+            m = rng.integers(0, 4, size=shape).astype(np.float64)
+        elif kind == 2:
+            m = np.round(rng.random(shape), 1)
+        elif kind == 3:
+            m = np.full(shape, float(rng.integers(-2, 3)))
+        else:
+            m = rng.integers(0, 3, size=shape).astype(np.float64)
+            m[rng.random(shape) < 0.3] = np.inf
+        yield m
+
+
+def test_assign_matches_scipy_on_seeded_matrices():
+    from scipy.optimize import linear_sum_assignment  # the oracle; tests only
+    shapes, infeasible = set(), 0
+    for m in seeded_cost_matrices(21, 4000):
+        shapes.add(m.shape)
+        try:
+            want = linear_sum_assignment(m)
+        except ValueError:
+            infeasible += 1
+            with pytest.raises(SV.SupervisionError, match="no finite assignment"):
+                SV._assign(m)
+            continue
+        rows, cols = SV._assign(m)
+        assert rows.dtype == cols.dtype == np.int64, m.shape
+        assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1]), m
+    # every shape, wide, tall, square and empty, and the infeasible branch
+    assert len(shapes) == 169 and infeasible > 0
+
+
+def test_assign_rejects_nan_and_minus_inf_and_infeasible_matrices():
+    for bad in (np.nan, -np.inf):
+        m = np.ones((3, 4))
+        m[1, 2] = bad
+        with pytest.raises(SV.SupervisionError, match="NaN or -inf"):
+            SV._assign(m)
+        with pytest.raises(SV.SupervisionError, match="NaN or -inf"):
+            SV._assign(m.T)
+    with pytest.raises(SV.SupervisionError, match="no finite assignment"):
+        SV._assign(np.full((2, 3), np.inf))
+    m = np.array([[1.0, np.inf], [2.0, np.inf]])  # both rows need column 0
+    with pytest.raises(SV.SupervisionError, match="no finite assignment"):
+        SV._assign(m)
+    for shape in ((0, 4), (4, 0), (0, 0)):
+        rows, cols = SV._assign(np.full(shape, np.nan))
+        assert rows.shape == cols.shape == (0,)
+
+
+def test_match_queries_cost_is_the_per_element_loop_bit_for_bit(monkeypatch):
+    costs = []
+    solve = SV._assign
+    monkeypatch.setattr(SV, "_assign", lambda cost: costs.append(cost) or solve(cost))
+    rng = RNG(14)
+    for trial in range(200):
+        n_q = int(rng.integers(1, 13))
+        n_k = int(rng.integers(2, 9))
+        pts = rng.normal(size=(n_q, n_k, 2)) * 10.0
+        logits = rng.normal(size=(n_q, G.N_CLASSES + 1))
+        gts = [(int(rng.integers(0, G.N_CLASSES)), 1.0, rng.normal(size=(5, 2)) * 10.0)
+               for _ in range(int(rng.integers(1, n_q + 1)))]
+        gt_pts = SV.target_points({"s": gts}, n_k)["s"]
+        SV.match_queries(logits, pts, gts, gt_pts=gt_pts)
+        want = oracles.query_cost_oracle(T.softmax_rows(logits), pts, gt_pts,
+                                         [e[0] for e in gts])
+        assert costs[-1].tobytes() == want.tobytes(), trial
+
+
 # ---------------------------------------------------------------------------
 # clipped targets and detection loss
 # ---------------------------------------------------------------------------
