@@ -87,6 +87,8 @@ def main(argv=None):
         cfg = RunConfig.load(args.config) if args.config else RunConfig()
         if args.seed is not None:
             cfg = cfg.with_overrides(seed=args.seed)
+        if getattr(args, "variant", None):
+            cfg = cfg.with_overrides(variant=args.variant)
         out = args.out
 
         if args.verb == "gen":
@@ -96,7 +98,7 @@ def main(argv=None):
             return 0
 
         if args.verb == "train":
-            rec = harness.cmd_train(cfg, out, variant=args.variant)
+            rec = harness.cmd_train(cfg, out)
             calls = rec.get("teacher_calls", "none (baseline)")
             print(f"{rec['run_dir']}: mAP standard {rec['map_standard']} "
                   f"extended {rec['map_extended']} "

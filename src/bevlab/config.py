@@ -2,16 +2,18 @@
 
 One flat `key value` file drives every experiment. Parsing is typed off
 the defaults table, dumps always write the full table (so a run directory
-records exactly what it ran with, defaults included), and sub-object
-constructors hand the typed fields to scenegen/geometry/supervision.
+records exactly what it ran with, defaults included), and RunConfig is
+the one place its fields become objects: scene parameters, rig, grid,
+supervision settings, and every model, which nothing else constructs.
 """
 
 import hashlib
 import math
 
+from .encoders import MapDecoder, StudentEncoder, TeacherEncoder
 from .geometry import BevGrid, default_rig, extended_grid, standard_grid
 from .scenegen import LANE_WIDTH, SceneParams
-from .supervision import VARIANTS, SupervisionConfig
+from .supervision import VARIANTS, AffineAdapter, SupervisionConfig
 
 
 class ConfigError(RuntimeError):
@@ -234,9 +236,24 @@ class RunConfig:
         make = standard_grid if self.roi == "standard" else extended_grid
         return make(self.grid_rows, self.grid_cols)
 
-    def supervision(self, variant=None, lambda_bev=None) -> SupervisionConfig:
-        return SupervisionConfig(variant or self.variant,
-                                 self.lambda_bev if lambda_bev is None else lambda_bev)
+    def supervision(self) -> SupervisionConfig:
+        return SupervisionConfig(self.variant, self.lambda_bev)
+
+    # -- models: each draws its initial weights from rng --------------------
+
+    def teacher(self, rng) -> TeacherEncoder:
+        return TeacherEncoder(rng, c_feat=self.c_feat, widths=self.teacher_widths)
+
+    def student(self, rng) -> StudentEncoder:
+        return StudentEncoder(rng, c_feat=self.c_feat, width=self.student_width,
+                              downsample=self.downsample)
+
+    def decoder(self, rng) -> MapDecoder:
+        return MapDecoder(rng, self.grid(), c_in=self.c_feat, n_queries=self.n_queries,
+                          n_points=self.n_points, hidden=self.decoder_hidden)
+
+    def adapter(self) -> AffineAdapter:
+        return AffineAdapter(self.c_feat)
 
     # -- cache keys ----------------------------------------------------------
 

@@ -81,14 +81,15 @@ class TeacherEncoder:
     change the parameters of a frozen teacher.
     """
 
-    def __init__(self, rng, c_in=3, c_feat=16, widths=(12, 16, 24)):
+    c_in = 3  # the overhead raster is RGB
+
+    def __init__(self, rng, c_feat, widths):
         w0, w1, w2 = widths
-        self.c_in = c_in
         self.c_feat = c_feat
         self.frozen = False
         self.maps = {}  # (raster shape, raster digest) -> stored feature map
         self.params = {}
-        for name, cout, cin in (("stem", w0, c_in), ("down1", w1, w0),
+        for name, cout, cin in (("stem", w0, self.c_in), ("down1", w1, w0),
                                 ("down2", w2, w1), ("down3", c_feat, w2),
                                 ("up1", w2, c_feat + w2), ("up2", w1, w2 + w1),
                                 ("up3", c_feat, w1 + w0)):
@@ -247,14 +248,13 @@ class StudentEncoder:
     training and evaluation lift alike.
     """
 
-    def __init__(self, rng, c_in=3, c_feat=16, width=12, downsample=2):
-        if downsample not in (2, 4):
-            raise EncoderError(f"downsample must be 2 or 4, got {downsample}")
-        self.c_in = c_in
+    c_in = 3  # the camera images are RGB
+
+    def __init__(self, rng, c_feat, width, downsample):
         self.c_feat = c_feat
         self.downsample = downsample
         self.params = {}
-        for name, cout, cin in (("cam1", width, c_in), ("cam2", c_feat, width),
+        for name, cout, cin in (("cam1", width, self.c_in), ("cam2", c_feat, width),
                                 ("ref1", c_feat, c_feat),
                                 ("ref2", c_feat, c_feat)):
             w, b = _conv_p(rng, cout, cin)
@@ -337,8 +337,7 @@ class MapDecoder:
     distinct regions instead of competing for the whole scene.
     """
 
-    def __init__(self, rng, grid: BevGrid, c_in=16, n_queries=12, n_points=8,
-                 hidden=8):
+    def __init__(self, rng, grid: BevGrid, c_in, n_queries, n_points, hidden):
         self.grid_key = grid.key
         self.c_in = c_in
         self.n_queries = n_queries
@@ -539,36 +538,30 @@ def evaluate_model(features_fn, decoder, samples, cfgs):
     return [evaluate(preds, gts, cfg) for cfg in cfgs]
 
 
-def pretrain_teacher(train_samples, val_samples, grid: BevGrid,
-                     eval_cfg: EvalConfig, seed=0, steps=2500, batch=4,
-                     base_lr=4e-3, weight_decay=1e-4, min_lr=1e-5,
-                     reg_weight=0.05, log_path=None, make_models=None):
+def pretrain_teacher(cfg, train_samples, val_samples, log_path=None):
     """Train the overhead encoder plus a throwaway decoder head, then freeze.
 
-    The step loop is ``supervision.fit`` on the detection loss alone; its
+    Every setting comes from ``cfg`` (a RunConfig), whose builders draw
+    the teacher, then the decoder, from the ``teacher_seed`` rng. The step
+    loop is ``supervision.fit`` on the detection loss alone; its
     ``log_path`` gets one line per step as it trains, with 0.0 for l_bev.
-    Returns (teacher, decoder, val_map), the teacher frozen and val_map
-    its score on val_samples under eval_cfg. A non-finite loss aborts with
-    an EncoderError naming the step. make_models(rng, grid) may supply a
-    differently sized (teacher, decoder) pair.
+    Returns (teacher, decoder, val_map), the teacher frozen and val_map its
+    score on val_samples in the config's RoI. A non-finite loss aborts with
+    an EncoderError naming the step.
     """
     if not train_samples:
         raise EncoderError("teacher pretraining needs a non-empty train split")
     # late import; supervision builds on this module
     from .supervision import fit
-    rng = np.random.default_rng(seed)
-    if make_models is None:
-        teacher = TeacherEncoder(rng)
-        decoder = MapDecoder(rng, grid, c_in=teacher.c_feat)
-    else:
-        teacher, decoder = make_models(rng, grid)
+    rng = np.random.default_rng(cfg.teacher_seed)
+    teacher, decoder, grid = cfg.teacher(rng), cfg.decoder(rng), cfg.grid()
 
     def features(s):
         return teacher_forward(teacher, s.overhead, grid)
 
-    fit({"teacher": teacher, "decoder": decoder}, features, train_samples,
-        grid, batch_stream(rng, len(train_samples), batch), steps, base_lr,
-        weight_decay, min_lr, reg_weight, log_path, error=EncoderError)
+    fit(cfg, {"teacher": teacher, "decoder": decoder}, features, train_samples,
+        batch_stream(rng, len(train_samples), cfg.batch), cfg.teacher_steps, log_path,
+        error=EncoderError)
     teacher.freeze()
-    result, = evaluate_model(features, decoder, val_samples, [eval_cfg])
+    result, = evaluate_model(features, decoder, val_samples, [EvalConfig(cfg.roi, grid=grid)])
     return teacher, decoder, float(result.map)

@@ -3,9 +3,10 @@
 Datasets, cached frozen teachers, training runs, the normalization
 ablation with its feature-similarity study, the alignment-weight sweep,
 and a consolidated report. Every command takes a RunConfig plus an output
-directory and leaves plain-text artifacts behind; a run directory stores
-the exact config it ran with, so repeating a (config, seed) pair rewrites
-its eval files byte for byte.
+directory and leaves plain-text artifacts behind. The trainers take the
+config whole, and models are built and reloaded through its builders
+only; a run directory stores the exact config it ran with, so repeating a
+(config, seed) pair rewrites its eval files byte for byte.
 
 Layout under the output directory:
 
@@ -32,15 +33,13 @@ from .analysis import (channel_mean_viz, feature_matrix, linear_cka,
                        r_squared, read_similarity_file, summarize, write_pgm,
                        write_similarity_file)
 from .config import RunConfig
-from .encoders import (MapDecoder, StudentEncoder, TeacherEncoder,
-                       adopt_params, evaluate_model, load_checkpoint,
-                       named_params, params_checksum, pretrain_teacher,
-                       save_checkpoint, student_forward, teacher_forward)
+from .encoders import (adopt_params, evaluate_model, load_checkpoint, named_params,
+                       params_checksum, pretrain_teacher, save_checkpoint,
+                       student_forward, teacher_forward)
 from .mapeval import CLASS_NAMES, N_CLASSES, EvalConfig, read_eval_file, write_eval_file
 from .plots import line_plot
 from .scenegen import export_dataset, load_dataset, read_manifest
-from .supervision import (VARIANTS, AffineAdapter, fit_threads, share_cpus,
-                          train_student)
+from .supervision import VARIANTS, fit_threads, share_cpus, train_student
 
 
 class HarnessError(RuntimeError):
@@ -82,37 +81,13 @@ def load_splits(cfg: RunConfig, out):
     return train, val
 
 
-def _teacher_models(cfg: RunConfig):
-    def make(rng, grid):
-        teacher = TeacherEncoder(rng, c_feat=cfg.c_feat, widths=cfg.teacher_widths)
-        decoder = MapDecoder(rng, grid, c_in=cfg.c_feat,
-                             n_queries=cfg.n_queries, n_points=cfg.n_points,
-                             hidden=cfg.decoder_hidden)
-        return teacher, decoder
-    return make
-
-
-def _student_models(cfg: RunConfig):
-    def make(rng, grid, teacher):
-        student = StudentEncoder(rng, c_feat=teacher.c_feat,
-                                 width=cfg.student_width,
-                                 downsample=cfg.downsample)
-        decoder = MapDecoder(rng, grid, c_in=teacher.c_feat,
-                             n_queries=cfg.n_queries, n_points=cfg.n_points,
-                             hidden=cfg.decoder_hidden)
-        adapter = AffineAdapter(teacher.c_feat)
-        return student, decoder, adapter
-    return make
-
-
 def ensure_teacher(cfg: RunConfig, out, train=None, val=None):
     """Load the cached frozen teacher for this config, training it once
     if the cache is cold. Returns (teacher, val_map)."""
     tdir = os.path.join(out, "teacher", cfg.teacher_hash())
-    grid = cfg.grid()
     if os.path.exists(os.path.join(tdir, "manifest.txt")):
         params, meta = load_checkpoint(tdir)
-        teacher, _ = _teacher_models(cfg)(np.random.default_rng(0), grid)
+        teacher = cfg.teacher(np.random.default_rng(0))
         adopt_params(teacher, params, prefix="teacher.")
         teacher.freeze()
         return teacher, float(meta["val_map"])
@@ -120,12 +95,7 @@ def ensure_teacher(cfg: RunConfig, out, train=None, val=None):
         train, val = load_splits(cfg, out)
     # log.txt fills in as the teacher trains; the manifest marks the cache done
     os.makedirs(tdir, exist_ok=True)
-    teacher, _, val_map = pretrain_teacher(
-        train, val, grid, EvalConfig(cfg.roi, grid=grid),
-        seed=cfg.teacher_seed, steps=cfg.teacher_steps, batch=cfg.batch,
-        base_lr=cfg.base_lr, weight_decay=cfg.weight_decay, min_lr=cfg.min_lr,
-        reg_weight=cfg.reg_weight, log_path=os.path.join(tdir, "log.txt"),
-        make_models=_teacher_models(cfg))
+    teacher, _, val_map = pretrain_teacher(cfg, train, val, os.path.join(tdir, "log.txt"))
     save_checkpoint(tdir, named_params({"teacher": teacher}),
                     meta={"val_map": repr(val_map),
                           "teacher_hash": cfg.teacher_hash()})
@@ -196,10 +166,8 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None):
     plus its record, eval and similarity files, it is returned as is.
     Returns the record dict.
     """
-    if variant not in VARIANTS:
-        raise HarnessError(f"unknown variant {variant!r}")
     rdir, lam = run_dir(cfg, out, variant, seed, lam)
-    run_cfg = cfg.with_overrides(variant=variant, seed=seed, lambda_bev=lam)
+    run_cfg = cfg.with_overrides(variant=variant, seed=seed, lambda_bev=lam)  # validates them
     cfg_path = os.path.join(rdir, "config.txt")
     done = all(os.path.exists(os.path.join(rdir, fn))
                for fn in ("config.txt", "record.txt", "eval_standard.txt",
@@ -217,17 +185,11 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None):
         os.remove(record)
     with open(cfg_path, "w") as f:
         f.write(run_cfg.dump())
-    grid = cfg.grid()
-    rig = cfg.rig()
+    grid, rig = cfg.grid(), cfg.rig()
     counts = {}
     t0 = time.time()
     student, decoder, adapter, breakdowns = train_student(
-        train, teacher, run_cfg.supervision(variant, lam), seed, grid,
-        rig=rig, steps=cfg.steps, batch=cfg.batch, base_lr=cfg.base_lr,
-        weight_decay=cfg.weight_decay, min_lr=cfg.min_lr,
-        reg_weight=cfg.reg_weight,
-        log_path=os.path.join(rdir, "log.txt"),
-        make_models=_student_models(cfg), counts=counts)
+        run_cfg, train, teacher, os.path.join(rdir, "log.txt"), counts)
     wall = time.time() - t0
     calls = counts["teacher_calls"]
     rows = []
@@ -323,9 +285,8 @@ def cmd_gen(cfg: RunConfig, out):
     return path, splits.count("train"), splits.count("val")
 
 
-def cmd_train(cfg: RunConfig, out, variant=None, seed=None):
-    return train_run(cfg, out, variant or cfg.variant,
-                     cfg.seed if seed is None else seed)
+def cmd_train(cfg: RunConfig, out):
+    return train_run(cfg, out, cfg.variant, cfg.seed)
 
 
 def _finished_runs(cfg: RunConfig, out, specs, jobs):
@@ -424,10 +385,13 @@ def cmd_sweep_lambda(cfg: RunConfig, out, factors=None, seeds=None, jobs=1):
 
 
 def load_student(cfg: RunConfig, rdir, teacher):
-    """Rebuild a trained (student, decoder, adapter) from a run checkpoint."""
+    """Rebuild a trained (student, decoder, adapter) from a run checkpoint of
+    ``cfg``, refusing a ``teacher`` the student's features cannot match."""
+    if teacher.c_feat != cfg.c_feat:
+        raise HarnessError(f"{cfg.c_feat}-channel student, {teacher.c_feat}-channel teacher")
     params, _ = load_checkpoint(os.path.join(rdir, "checkpoint"))
-    student, decoder, adapter = _student_models(cfg)(
-        np.random.default_rng(0), cfg.grid(), teacher)
+    rng = np.random.default_rng(0)
+    student, decoder, adapter = cfg.student(rng), cfg.decoder(rng), cfg.adapter()
     adopt_params(student, params, prefix="student.")
     adopt_params(decoder, params, prefix="decoder.")
     adopt_params(adapter, params, prefix="adapter.")

@@ -27,8 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoders import (MapDecoder, StudentEncoder, TeacherEncoder,
-                       batch_stream, named_params, student_forward,
+from .encoders import (TeacherEncoder, batch_stream, named_params, student_forward,
                        teacher_forward)
 from .geometry import N_CLASSES
 from .mapeval import clip_to_roi
@@ -389,19 +388,20 @@ class Crew:
         return results
 
 
-def fit(models, features, samples, grid, batches, steps, base_lr,
-        weight_decay, min_lr, reg_weight, log_path, align=None, lambda_bev=0.0,
-        error=SupervisionError):
+def fit(cfg, models, features, samples, batches, steps, log_path, align=None,
+        lambda_bev=0.0, error=SupervisionError):
     """The step loop of both teacher pretraining and student training.
 
     The parameters of ``models`` ({name: model}, one named "decoder") train
     under ``<name>.<param>`` with AdamW for ``steps`` steps, each on one
-    index batch from ``batches``. A sample's loss is the detection loss of
-    its decoded ``features(sample)`` against its clipped targets, plus
-    ``lambda_bev`` times ``align(fmap, sample)`` when ``align`` is given;
-    the step backpropagates the batch means. Each step's LossBreakdown is a
-    line of ``log_path`` (None: no log) once it is taken, and a non-finite
-    value raises ``error`` naming the step. Returns the breakdowns.
+    index batch from ``batches``, at the rates and weights of ``cfg`` (a
+    RunConfig). A sample's loss is the detection loss of its decoded
+    ``features(sample)`` against its targets clipped to the config's grid,
+    plus ``lambda_bev`` times ``align(fmap, sample)`` when ``align`` is
+    given; the step backpropagates the batch means. Each step's
+    LossBreakdown is a line of ``log_path`` (None: no log) once it is
+    taken, and a non-finite value raises ``error`` naming the step. Returns
+    the breakdowns.
 
     The samples of a step run their forward passes and losses on the
     calling thread, then their backward walks on ``fit_threads()`` threads
@@ -414,17 +414,17 @@ def fit(models, features, samples, grid, batches, steps, base_lr,
     A step's tape is released once its breakdown is built.
     """
     decoder = models["decoder"]
-    targets = clipped_targets(samples, grid, decoder.n_queries)
+    targets = clipped_targets(samples, cfg.grid(), decoder.n_queries)
     target_pts = target_points(targets, decoder.n_points)
-    opt = AdamW(named_params(models), base_lr, weight_decay, horizon=steps,
-                min_lr=min_lr)
+    opt = AdamW(named_params(models), cfg.base_lr, cfg.weight_decay, horizon=steps,
+                min_lr=cfg.min_lr)
 
     def sample_terms(i):
         """The roots of sample i's loss: cls, reg and, with ``align``, bev."""
         s = samples[i]
         fmap = features(s)
         logits, points = decoder.forward(fmap)
-        terms = detection_loss(logits, points, targets[s.scene_id], reg_weight=reg_weight,
+        terms = detection_loss(logits, points, targets[s.scene_id], reg_weight=cfg.reg_weight,
                                gt_pts=target_pts.get(s.scene_id))
         return terms if align is None else terms + (align(fmap, s),)
 
@@ -458,33 +458,27 @@ def fit(models, features, samples, grid, batches, steps, base_lr,
     return breakdowns
 
 
-def train_student(train_samples, teacher: TeacherEncoder,
-                  cfg: SupervisionConfig, seed, grid, rig, steps=2000,
-                  batch=4, base_lr=4e-3, weight_decay=1e-4, min_lr=1e-5,
-                  reg_weight=0.05, log_path=None, make_models=None,
+def train_student(cfg, train_samples, teacher: TeacherEncoder, log_path=None,
                   counts=None):
-    """Train one student variant against a frozen teacher with ``fit``.
+    """Train one student run against a frozen teacher with ``fit``.
 
-    The alignment term joins the detection loss unless the variant is
-    baseline, whose teacher is never even invoked. The frozen teacher's
-    store gets every train map up front; alignment reads them back from it.
-    Returns (student, decoder, adapter, breakdowns); deterministic in seed.
-    make_models(rng, grid, teacher) may supply a differently sized
-    (student, decoder, adapter) triple. A ``counts`` dict gets
+    Every setting comes from ``cfg`` (a RunConfig): ``variant`` and
+    ``lambda_bev`` pick the alignment term, and its builders draw the
+    student, then the decoder, from the ``seed`` rng. The alignment term
+    joins the detection loss unless the variant is baseline, whose teacher
+    is never even invoked. The frozen teacher's store gets every train map
+    up front; alignment reads them back from it. Returns (student, decoder,
+    adapter, breakdowns); deterministic in cfg. A ``counts`` dict gets
     "teacher_calls", the number of maps the store gained (U-Net passes).
     """
     if not train_samples:
         raise SupervisionError("student training needs a non-empty train split")
     if not teacher.frozen:
         raise SupervisionError("student training requires a frozen teacher")
-    rng = np.random.default_rng(seed)
-    if make_models is None:
-        student = StudentEncoder(rng, c_feat=teacher.c_feat)
-        decoder = MapDecoder(rng, grid, c_in=teacher.c_feat)
-        adapter = AffineAdapter(teacher.c_feat)
-    else:
-        student, decoder, adapter = make_models(rng, grid, teacher)
-    aligned = cfg.variant != "baseline"
+    rng = np.random.default_rng(cfg.seed)
+    student, decoder, adapter = cfg.student(rng), cfg.decoder(rng), cfg.adapter()
+    sup, grid, rig = cfg.supervision(), cfg.grid(), cfg.rig()
+    aligned = sup.variant != "baseline"
     stored = len(teacher.maps)
     if aligned:  # fill the store before fit, so no step waits on a U-Net pass
         for s in train_samples:
@@ -492,14 +486,13 @@ def train_student(train_samples, teacher: TeacherEncoder,
 
     def align(fmap, s):
         return bev_alignment_loss(fmap, teacher_forward(teacher, s.overhead, grid),
-                                  adapter, cfg)
+                                  adapter, sup)
 
     breakdowns = fit(
-        {"student": student, "decoder": decoder, "adapter": adapter},
+        cfg, {"student": student, "decoder": decoder, "adapter": adapter},
         lambda s: student_forward(student, s.cams, rig, grid), train_samples,
-        grid, batch_stream(rng, len(train_samples), batch), steps, base_lr,
-        weight_decay, min_lr, reg_weight, log_path,
-        align=align if aligned else None, lambda_bev=cfg.lambda_bev)
+        batch_stream(rng, len(train_samples), cfg.batch), cfg.steps, log_path,
+        align=align if aligned else None, lambda_bev=sup.lambda_bev)
     if counts is not None:
         counts["teacher_calls"] = len(teacher.maps) - stored
     return student, decoder, adapter, breakdowns

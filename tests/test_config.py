@@ -176,7 +176,7 @@ def test_derived_objects_match_fields():
     params = cfg.scene_params(seed=5)
     assert isinstance(params, SceneParams)
     assert params.seed == 5
-    sup = cfg.supervision("raw", 0.5)
+    sup = cfg.with_overrides(variant="raw", lambda_bev=0.5).supervision()
     assert sup.variant == "raw" and sup.lambda_bev == 0.5
     # baseline gates the weight off no matter what the config says
-    assert cfg.supervision("baseline").lambda_bev == 0.0
+    assert cfg.with_overrides(variant="baseline").supervision().lambda_bev == 0.0

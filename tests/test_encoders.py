@@ -6,12 +6,13 @@ import pytest
 import oracles
 from bevlab import encoders as E
 from bevlab import geometry as G
-from bevlab import mapeval as ME
 from bevlab import scenegen as S
 from bevlab import supervision as SV
 from bevlab import tensors as T
+from bevlab.config import RunConfig
 
 RNG = np.random.default_rng
+STANDARD = RunConfig({"roi": "standard"})  # the default sizes on the standard RoI
 
 
 def make_sample(seed, grid, rig=None, **kw):
@@ -235,7 +236,7 @@ def test_lift_invariant_under_rig_permutation():
 def test_teacher_output_covers_grid():
     grid = G.extended_grid()
     raster = RNG(0).random((3, grid.rows, grid.cols))
-    teacher = E.TeacherEncoder(RNG(1))
+    teacher = RunConfig().teacher(RNG(1))
     assert teacher.forward(raster).data.shape == (teacher.c_feat, grid.rows, grid.cols)
     fmap = E.teacher_forward(teacher, raster, grid)
     assert fmap.shape == (16, 24, 48)
@@ -244,27 +245,27 @@ def test_teacher_output_covers_grid():
 
 def test_teacher_deterministic_in_seed():
     raster = RNG(2).random((3, 24, 48))
-    a = E.TeacherEncoder(RNG(9)).forward(raster)
-    b = E.TeacherEncoder(RNG(9)).forward(raster)
+    a = RunConfig().teacher(RNG(9)).forward(raster)
+    b = RunConfig().teacher(RNG(9)).forward(raster)
     assert np.array_equal(a.data, b.data)
-    c = E.TeacherEncoder(RNG(10)).forward(raster)
+    c = RunConfig().teacher(RNG(10)).forward(raster)
     assert not np.array_equal(a.data, c.data)
 
 
 def test_teacher_zero_raster_finite():
-    teacher = E.TeacherEncoder(RNG(3))
+    teacher = RunConfig().teacher(RNG(3))
     out = teacher.forward(np.zeros((3, 24, 48)))
     assert np.isfinite(out.data).all()
 
 
 def test_teacher_forward_rejects_wrong_raster_shape():
-    teacher = E.TeacherEncoder(RNG(4))
+    teacher = RunConfig().teacher(RNG(4))
     with pytest.raises(E.EncoderError):
         E.teacher_forward(teacher, np.zeros((3, 24, 47)), G.standard_grid())
 
 
 def test_teacher_freeze_marks_all_params():
-    teacher = E.TeacherEncoder(RNG(5))
+    teacher = RunConfig().teacher(RNG(5))
     assert not teacher.frozen
     assert all(p.requires_grad for p in teacher.params.values())
     teacher.freeze()
@@ -292,9 +293,9 @@ def test_frozen_teacher_runs_the_unet_once_per_raster(unet_passes):
     # the same bytes under another shape are another raster
     tall = G.BevGrid(-15.0, 15.0, -30.0, 30.0, grid.cols, grid.rows)
     turned = raster.reshape(3, grid.cols, grid.rows)
-    want = [E.TeacherEncoder(RNG(31)).forward(r).data for r in (raster, turned)]
+    want = [RunConfig().teacher(RNG(31)).forward(r).data for r in (raster, turned)]
     unet_passes.clear()
-    teacher = E.TeacherEncoder(RNG(31))
+    teacher = RunConfig().teacher(RNG(31))
     teacher.freeze()
     first = E.teacher_forward(teacher, raster, grid)
     second = E.teacher_forward(teacher, raster.copy(), grid)
@@ -311,7 +312,7 @@ def test_frozen_teacher_runs_the_unet_once_per_raster(unet_passes):
 def test_teacher_that_is_not_frozen_stores_nothing(unet_passes):
     grid = G.standard_grid()
     raster = RNG(32).random((3, grid.rows, grid.cols))
-    teacher = E.TeacherEncoder(RNG(33))
+    teacher = RunConfig().teacher(RNG(33))
     a = E.teacher_forward(teacher, raster, grid)
     b = E.teacher_forward(teacher, raster, grid)
     assert len(unet_passes) == 2 and teacher.maps == {}
@@ -321,12 +322,12 @@ def test_teacher_that_is_not_frozen_stores_nothing(unet_passes):
 def test_adopting_new_weights_empties_the_teacher_store(unet_passes):
     grid = G.standard_grid()
     raster = RNG(34).random((3, grid.rows, grid.cols))
-    want = E.TeacherEncoder(RNG(36)).forward(raster).data
+    want = RunConfig().teacher(RNG(36)).forward(raster).data
     unet_passes.clear()
-    teacher = E.TeacherEncoder(RNG(35))
+    teacher = RunConfig().teacher(RNG(35))
     teacher.freeze()
     old = E.teacher_forward(teacher, raster, grid).tensor.data
-    other = E.TeacherEncoder(RNG(36))
+    other = RunConfig().teacher(RNG(36))
     other.freeze()
     # adopting sets frozen without calling freeze()
     E.adopt_params(teacher, {"teacher." + k: v for k, v in other.params.items()},
@@ -344,7 +345,7 @@ def test_adopting_new_weights_empties_the_teacher_store(unet_passes):
 def test_stored_teacher_map_refuses_in_place_writes():
     grid = G.standard_grid()
     raster = RNG(37).random((3, grid.rows, grid.cols))
-    teacher = E.TeacherEncoder(RNG(38))
+    teacher = RunConfig().teacher(RNG(38))
     teacher.freeze()
     fmap = E.teacher_forward(teacher, raster, grid)
     before = fmap.tensor.data.copy()
@@ -372,7 +373,7 @@ def zero_images(rig):
 def test_student_matches_teacher_feature_shape():
     grid = G.extended_grid()
     rig = G.default_rig()
-    student = E.StudentEncoder(RNG(6))
+    student = RunConfig().student(RNG(6))
     fmap = E.student_forward(student, zero_images(rig), rig, grid)
     assert fmap.shape == (student.c_feat, grid.rows, grid.cols)
     assert np.isfinite(fmap.tensor.data).all()
@@ -386,7 +387,7 @@ def test_student_invariant_under_camera_permutation():
     grid = G.standard_grid()
     rig = G.default_rig()
     images = [rng.random((3, c.height, c.width)) for c in rig]
-    student = E.StudentEncoder(RNG(8))
+    student = RunConfig().student(RNG(8))
     base = student.forward(images, rig, grid)
     perm = [3, 1, 0, 2]
     swapped = student.forward([images[p] for p in perm],
@@ -439,7 +440,7 @@ def test_student_forward_with_reads_matches_dense_extract():
     rig = G.default_rig()
     images = [rng.random((3, c.height, c.width)) for c in rig]
     for downsample in (2, 4):
-        student = E.StudentEncoder(RNG(13), downsample=downsample)
+        student = RunConfig({"downsample": downsample}).student(RNG(13))
         student.params["default"].data[:] = rng.normal(size=student.c_feat)
         for grid in (G.standard_grid(), G.extended_grid()):
             w = T.tensor(rng.normal(size=(student.c_feat, grid.rows, grid.cols)))
@@ -460,14 +461,15 @@ def test_student_step_gradients_equal_the_dense_layout_bitwise():
     # one norm_adapter sample step: the compact camera branch and the full
     # map layout (dense cam2 at the reads, dense lift) give the same bits
     rig = G.default_rig()
-    cfg = SV.SupervisionConfig("norm_adapter")
-    for downsample, grid in ((2, G.extended_grid()), (4, G.standard_grid())):
-        student = E.StudentEncoder(RNG(14), downsample=downsample)
-        decoder = E.MapDecoder(RNG(15), grid)
+    for downsample, roi in ((2, "extended"), (4, "standard")):
+        cfg = RunConfig({"downsample": downsample, "roi": roi})
+        grid = cfg.grid()
+        student = cfg.student(RNG(14))
+        decoder = cfg.decoder(RNG(15))
         sample = make_sample(3, grid, rig)
         gts = SV.clipped_targets([sample], grid, decoder.n_queries)[sample.scene_id]
         teacher_map = random_fmap(RNG(4), grid)
-        adapter = SV.AffineAdapter(student.c_feat)
+        adapter = cfg.adapter()
         params = E.named_params({"student": student, "decoder": decoder, "adapter": adapter})
         runs = []
         for forward in (lambda: E.student_forward(student, sample.cams, rig, grid),
@@ -477,7 +479,7 @@ def test_student_step_gradients_equal_the_dense_layout_bitwise():
             fmap = forward()
             l_cls, l_reg = SV.detection_loss(*decoder.forward(fmap), gts)
             loss = T.add(T.add(l_cls, l_reg),
-                         SV.bev_alignment_loss(fmap, teacher_map, adapter, cfg))
+                         SV.bev_alignment_loss(fmap, teacher_map, adapter, cfg.supervision()))
             T.backward(loss)
             runs.append((fmap.tensor.data, float(loss.data),
                          {n: q.grad for n, q in params.items()}))
@@ -491,7 +493,7 @@ def test_student_step_gradients_equal_the_dense_layout_bitwise():
 
 def test_student_rejects_missing_image():
     rig = G.default_rig()
-    student = E.StudentEncoder(RNG(10))
+    student = RunConfig().student(RNG(10))
     with pytest.raises(E.EncoderError):
         student.forward(zero_images(rig)[:3], rig, G.standard_grid())
 
@@ -499,7 +501,7 @@ def test_student_rejects_missing_image():
 def test_student_lift_table_cache_reused():
     grid = G.standard_grid()
     rig = G.default_rig()
-    student = E.StudentEncoder(RNG(11))
+    student = RunConfig().student(RNG(11))
     t1 = student._lift_plan(rig, grid)[0]
     t2 = student._lift_plan(list(rig), grid)[0]
     assert t1 is t2
@@ -518,7 +520,7 @@ def random_fmap(rng, grid, c=16, producer="teacher"):
 
 def test_decoder_points_lie_inside_grid():
     grid = G.extended_grid()
-    dec = E.MapDecoder(RNG(12), grid)
+    dec = RunConfig().decoder(RNG(12))
     for seed in range(5):
         _, points = dec.forward(random_fmap(RNG(seed), grid))
         assert points.data[..., 0].min() >= grid.x_min
@@ -529,7 +531,7 @@ def test_decoder_points_lie_inside_grid():
 
 def test_decoder_output_shapes():
     grid = G.standard_grid()
-    dec = E.MapDecoder(RNG(13), grid, n_queries=5, n_points=4)
+    dec = STANDARD.with_overrides(n_queries=5, n_points=4).decoder(RNG(13))
     logits, points = dec.forward(random_fmap(RNG(1), grid))
     assert logits.data.shape == (5, G.N_CLASSES + 1)
     assert points.data.shape == (5, 4, 2)
@@ -537,7 +539,7 @@ def test_decoder_output_shapes():
 
 def test_decode_map_emits_at_most_q_scored_elements():
     grid = G.standard_grid()
-    dec = E.MapDecoder(RNG(14), grid)
+    dec = STANDARD.decoder(RNG(14))
     preds = E.decode_map(dec, random_fmap(RNG(2), grid))
     assert len(preds) <= dec.n_queries
     for cid, score, pts in preds:
@@ -548,7 +550,7 @@ def test_decode_map_emits_at_most_q_scored_elements():
 
 def test_decode_map_forced_background_is_empty():
     grid = G.standard_grid()
-    dec = E.MapDecoder(RNG(15), grid)
+    dec = STANDARD.decoder(RNG(15))
     dec.params["cls.w"].data[:] = 0.0
     dec.params["cls.b"].data[:] = 0.0
     dec.params["cls.b"].data[G.N_CLASSES] = 50.0
@@ -556,7 +558,7 @@ def test_decode_map_forced_background_is_empty():
 
 
 def test_decoder_rejects_mismatched_grid_or_channels():
-    dec = E.MapDecoder(RNG(16), G.standard_grid())
+    dec = STANDARD.decoder(RNG(16))
     with pytest.raises(E.EncoderError):
         dec.forward(random_fmap(RNG(4), G.extended_grid()))
     with pytest.raises(E.EncoderError):
@@ -568,9 +570,9 @@ def test_decoder_rejects_mismatched_grid_or_channels():
 # ---------------------------------------------------------------------------
 
 def test_checkpoint_round_trip(tmp_path):
-    teacher = E.TeacherEncoder(RNG(17))
+    teacher = RunConfig().teacher(RNG(17))
     teacher.freeze()
-    student = E.StudentEncoder(RNG(18))
+    student = RunConfig().student(RNG(18))
     params = {"teacher." + k: v for k, v in teacher.params.items()}
     params.update(("student." + k, v) for k, v in student.params.items())
     E.save_checkpoint(tmp_path / "ck", params, {"val_map": "0.5", "note": "a b"})
@@ -581,14 +583,14 @@ def test_checkpoint_round_trip(tmp_path):
         assert back[name].requires_grad == p.requires_grad
     assert meta == {"val_map": "0.5", "note": "a b"}
 
-    fresh = E.TeacherEncoder(RNG(19))
+    fresh = RunConfig().teacher(RNG(19))
     E.adopt_params(fresh, back, prefix="teacher.")
     assert fresh.frozen
     assert E.params_checksum(fresh.params) == E.params_checksum(teacher.params)
 
 
 def test_checkpoint_detects_corruption(tmp_path):
-    dec = E.MapDecoder(RNG(20), G.standard_grid())
+    dec = STANDARD.decoder(RNG(20))
     E.save_checkpoint(tmp_path / "ck", dec.params)
     victim = tmp_path / "ck" / "cls.w.ten"
     raw = bytearray(victim.read_bytes())
@@ -601,23 +603,23 @@ def test_checkpoint_detects_corruption(tmp_path):
 def test_checkpoint_missing_manifest_and_params(tmp_path):
     with pytest.raises(E.EncoderError):
         E.load_checkpoint(tmp_path / "nope")
-    dec = E.MapDecoder(RNG(21), G.standard_grid())
+    dec = STANDARD.decoder(RNG(21))
     E.save_checkpoint(tmp_path / "ck", dec.params)
     back, _ = E.load_checkpoint(tmp_path / "ck")
-    other = E.StudentEncoder(RNG(22))
+    other = RunConfig().student(RNG(22))
     with pytest.raises(E.EncoderError, match="missing parameter"):
         E.adopt_params(other, back)
 
 
 def test_adopt_params_rejects_shape_mismatch():
-    a = E.MapDecoder(RNG(23), G.standard_grid(), hidden=8)
-    b = E.MapDecoder(RNG(24), G.standard_grid(), hidden=4)
+    a = STANDARD.with_overrides(decoder_hidden=8).decoder(RNG(23))
+    b = STANDARD.with_overrides(decoder_hidden=4).decoder(RNG(24))
     with pytest.raises(E.EncoderError, match="shape"):
         E.adopt_params(a, dict(b.params))
 
 
 def test_params_checksum_order_independent_value_sensitive():
-    dec = E.MapDecoder(RNG(25), G.standard_grid())
+    dec = STANDARD.decoder(RNG(25))
     before = E.params_checksum(dec.params)
     rev = dict(reversed(list(dec.params.items())))
     assert E.params_checksum(rev) == before
@@ -633,9 +635,8 @@ def test_pretrain_teacher_smoke_freezes_and_scores(tmp_path):
     grid = G.standard_grid()
     samples = [make_sample(seed, grid) for seed in (31, 32)]
     log_path = tmp_path / "log.txt"
-    teacher, dec, val_map = E.pretrain_teacher(
-        samples, samples[:1], grid, ME.EvalConfig("standard", grid=grid),
-        seed=0, steps=12, log_path=str(log_path))
+    cfg = STANDARD.with_overrides(teacher_seed=0, teacher_steps=12)
+    teacher, dec, val_map = E.pretrain_teacher(cfg, samples, samples[:1], str(log_path))
     assert teacher.frozen
     assert 0.0 <= val_map <= 1.0
     log = log_path.read_text().splitlines()
@@ -652,11 +653,10 @@ def test_pretrain_teacher_aborts_on_poisoned_input():
     samples[0].overhead = samples[0].overhead.copy()
     samples[0].overhead[0, 0, 0] = np.nan
     with pytest.raises(E.EncoderError, match="step 0"):
-        E.pretrain_teacher(samples, samples, grid,
-                           ME.EvalConfig("standard", grid=grid), seed=0, steps=5)
+        E.pretrain_teacher(STANDARD.with_overrides(teacher_seed=0, teacher_steps=5),
+                           samples, samples)
 
 
 def test_pretrain_teacher_rejects_empty_split():
-    grid = G.standard_grid()
     with pytest.raises(E.EncoderError):
-        E.pretrain_teacher([], [], grid, ME.EvalConfig("standard", grid=grid))
+        E.pretrain_teacher(STANDARD, [], [])

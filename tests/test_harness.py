@@ -20,7 +20,7 @@ from bevlab import scenegen as S
 from bevlab import supervision as SV
 from bevlab import tensors as T
 from bevlab.analysis import write_similarity_file
-from bevlab.config import RunConfig
+from bevlab.config import ConfigError, RunConfig
 from bevlab.encoders import evaluate_model, student_forward
 from bevlab.mapeval import EvalConfig, write_eval_file
 
@@ -153,6 +153,9 @@ def test_diverging_teacher_leaves_its_loss_log(tmp_path):
 def test_train_run_counts_teacher_maps_and_scores_each_roi(tmp_path):
     cfg = tiny_config().with_overrides(steps=2)
     out = str(tmp_path)
+    with pytest.raises(ConfigError, match="unknown variant 'normadapter'"):
+        H.train_run(cfg, out, "normadapter", 0)
+    assert os.listdir(out) == []  # refused before any work
     recs = {v: H.train_run(cfg, out, v, 0) for v in ("baseline", "raw")}
     assert "teacher_calls" not in recs["baseline"]
     assert recs["raw"]["teacher_calls"] == str(cfg.n_train)
@@ -169,6 +172,38 @@ def test_train_run_counts_teacher_maps_and_scores_each_roi(tmp_path):
         with open(os.path.join(out, "want.txt")) as f, \
                 open(os.path.join(rdir, f"eval_{roi}.txt")) as g:
             assert f.read() == g.read(), roi
+
+
+def test_non_default_sizes_reach_every_construction_path(tmp_path):
+    cfg = tiny_config().with_overrides(
+        c_feat=8, teacher_widths=(4, 6, 8), student_width=5, downsample=4, n_queries=6,
+        n_points=4, decoder_hidden=4, teacher_steps=1, steps=2)
+    out = str(tmp_path)
+
+    def shapes(model):
+        return {name: p.data.shape for name, p in model.params.items()}
+
+    rng = np.random.default_rng(0)
+    want = {role: shapes(build(rng)) for role, build in (
+        ("teacher", cfg.teacher), ("student", cfg.student), ("decoder", cfg.decoder))}
+    want["adapter"] = shapes(cfg.adapter())
+    default = RunConfig()
+    for role, build in (("teacher", default.teacher), ("student", default.student),
+                        ("decoder", default.decoder)):
+        assert shapes(build(rng)) != want[role], role
+    assert shapes(default.adapter()) != want["adapter"]
+
+    cold, _ = H.ensure_teacher(cfg, out)
+    rec = H.train_run(cfg, out, "norm_adapter", 0)
+    cached, _ = H.ensure_teacher(cfg, out)
+    assert shapes(cold) == shapes(cached) == want["teacher"]
+    assert cold.frozen and cached.frozen
+    student, decoder, adapter = H.load_student(cfg, rec["run_dir"], cached)
+    assert shapes(student) == want["student"]
+    assert shapes(decoder) == want["decoder"]
+    assert shapes(adapter) == want["adapter"]
+    with pytest.raises(H.HarnessError, match="8-channel student"):
+        H.load_student(cfg, rec["run_dir"], default.teacher(rng))
 
 
 def failing_writes(marker):
@@ -588,10 +623,11 @@ def test_run_many_splits_the_cpus_between_its_processes(tmp_path, monkeypatch, c
     assert SV.fit_threads() == cpus  # the parent keeps every CPU
 
 
-# the fixed short run: its eval files, log and checksum, pinned. A change
-# that moves results on purpose updates these values and says so.
+# the fixed short run: its config, eval files, log and checksum, pinned. A
+# change that moves results on purpose updates these values and says so.
 FIXED_SHORT_RUN = "n_train 8\nn_val 4\nsteps 20\nteacher_steps 20\n"
 PINNED = {
+    "config.txt": "5f0c848f33f1fd01da686b45fb1262be92862c8f15f7842202a13e34af3b7592",
     "eval_extended.txt": "eaf7a38030a7db2bd848fc22b72658576d31b09dd8a94bf942d98b4415baed70",
     "eval_standard.txt": "470b6e2ba89e474f434f4a1e884a9dd025ee29e73cf0117c74ad0789b0362858",
     "log.txt": "63d85df5414b875590c8b52cb5966bc0fb835e879fc39d4386eab8858b21d60a",

@@ -1,5 +1,6 @@
-"""The source tree itself: every definition in src is used, src runs on
-numpy alone, and every name the benchmark's tracer wraps exists."""
+"""The source tree itself: every definition in src is used, each model is
+constructed in one RunConfig builder, src runs on numpy alone, and every
+name the benchmark's tracer wraps exists."""
 
 import ast
 import glob
@@ -43,6 +44,30 @@ def test_every_definition_in_src_is_referenced_by_name():
     dead = [f"{path}: {name}" for path, name in defined
             if name.rsplit(".", 1)[-1] not in used | STRING_ONLY]
     assert not dead, "defined but referenced nowhere in src or perfbench:\n" + "\n".join(dead)
+
+
+def test_models_are_constructed_only_in_run_config_builders():
+    # one construction site per role, so no path can build a model of
+    # another size than the config says
+    roles = {"TeacherEncoder": "teacher", "StudentEncoder": "student",
+             "MapDecoder": "decoder", "AffineAdapter": "adapter"}
+    builders = {}  # id of a call node inside a RunConfig builder -> builder name
+    calls = []  # (path, line, class, enclosing builder or None)
+    for path, tree in parsed("src/bevlab").items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "RunConfig":
+                builders.update((id(call), m.name) for m in node.body
+                                if isinstance(m, ast.FunctionDef) and m.name in roles.values()
+                                for call in ast.walk(m))
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if isinstance(node, ast.Call) and name in roles:
+                calls.append((path, node.lineno, name, builders.get(id(node))))
+    stray = [f"{path}:{line} {name}" for path, line, name, builder in calls
+             if builder != roles[name]]
+    assert not stray, "a model built outside its RunConfig builder:\n" + "\n".join(stray)
+    assert sorted(name for _, _, name, _ in calls) == sorted(roles)
 
 
 def test_src_never_imports_scipy():

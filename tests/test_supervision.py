@@ -11,10 +11,10 @@ import pytest
 import oracles
 from bevlab import encoders as E
 from bevlab import geometry as G
-from bevlab import mapeval as ME
 from bevlab import scenegen as S
 from bevlab import supervision as SV
 from bevlab import tensors as T
+from bevlab.config import RunConfig
 
 RNG = np.random.default_rng
 
@@ -44,9 +44,15 @@ def corpus():
 
 
 def frozen_teacher(seed=0):
-    teacher = E.TeacherEncoder(RNG(seed))
+    teacher = RunConfig().teacher(RNG(seed))
     teacher.freeze()
     return teacher
+
+
+def run_config(variant, seed, steps, **kw):
+    """The config of a student run on the corpus fixture's standard grid."""
+    return RunConfig({"roi": "standard", "variant": variant, "seed": seed, "steps": steps,
+                      **kw})
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +488,12 @@ def student_decoder_checksum(student, decoder):
 
 
 def test_train_student_smoke_and_determinism(corpus, tmp_path, contracts):
-    grid, rig, samples = corpus
+    *_, samples = corpus
     teacher = frozen_teacher()
-    cfg = SV.SupervisionConfig("norm_adapter", lambda_bev=0.5)
+    cfg = run_config("norm_adapter", 5, 6, lambda_bev=0.5)
     log = tmp_path / "steps.log"
-    st1, dec1, ad1, bks = SV.train_student(samples, teacher, cfg, seed=5,
-                                           grid=grid, rig=rig, steps=6,
-                                           log_path=str(log))
-    assert contracts(bks, cfg, teacher) > 0
+    st1, dec1, ad1, bks = SV.train_student(cfg, samples, teacher, log_path=str(log))
+    assert contracts(bks, cfg.supervision(), teacher) > 0
     assert len(bks) == 6
     assert all(np.isfinite([b.l_cls, b.l_reg, b.l_bev, b.l_total]).all()
                for b in bks)
@@ -500,36 +504,31 @@ def test_train_student_smoke_and_determinism(corpus, tmp_path, contracts):
     assert float(total) == float(cls) + float(reg) + cfg.lambda_bev * float(bev)
     assert bks[-1].l_total == float(total)
 
-    st2, dec2, _, _ = SV.train_student(samples, teacher, cfg, seed=5,
-                                       grid=grid, rig=rig, steps=6)
+    st2, dec2, _, _ = SV.train_student(cfg, samples, teacher)
     assert student_decoder_checksum(st1, dec1) == student_decoder_checksum(st2, dec2)
-    st3, dec3, _, _ = SV.train_student(samples, teacher, cfg, seed=6,
-                                       grid=grid, rig=rig, steps=6)
+    st3, dec3, _, _ = SV.train_student(cfg.with_overrides(seed=6), samples, teacher)
     assert student_decoder_checksum(st1, dec1) != student_decoder_checksum(st3, dec3)
 
 
 def test_train_student_baseline_never_touches_teacher(corpus, contracts):
-    grid, rig, samples = corpus
+    *_, samples = corpus
     teacher = frozen_teacher()
     # a poisoned teacher would blow up on any forward pass
     for p in teacher.params.values():
         p.data[:] = np.nan
-    cfg = SV.SupervisionConfig("baseline")
-    _, _, _, bks = SV.train_student(samples, teacher, cfg, seed=1, grid=grid,
-                                    rig=rig, steps=3)
-    assert contracts(bks, cfg, teacher) == 0
+    cfg = run_config("baseline", 1, 3)
+    _, _, _, bks = SV.train_student(cfg, samples, teacher)
+    assert contracts(bks, cfg.supervision(), teacher) == 0
     assert all(b.l_bev == 0.0 for b in bks)
     assert all(np.isfinite(b.l_total) for b in bks)
 
 
 def test_train_student_lambda_zero_walks_the_baseline_trajectory(corpus):
-    grid, rig, samples = corpus
+    *_, samples = corpus
     teacher = frozen_teacher()
-    base = SV.train_student(samples, teacher, SV.SupervisionConfig("baseline"),
-                            seed=7, grid=grid, rig=rig, steps=5)
-    gated = SV.train_student(samples, teacher,
-                             SV.SupervisionConfig("norm_adapter", lambda_bev=0.0),
-                             seed=7, grid=grid, rig=rig, steps=5)
+    base = SV.train_student(run_config("baseline", 7, 5), samples, teacher)
+    gated = SV.train_student(run_config("norm_adapter", 7, 5, lambda_bev=0.0), samples,
+                             teacher)
     assert student_decoder_checksum(base[0], base[1]) == \
         student_decoder_checksum(gated[0], gated[1])
     for a, b in zip(base[3], gated[3]):
@@ -539,13 +538,12 @@ def test_train_student_lambda_zero_walks_the_baseline_trajectory(corpus):
 
 
 def test_train_student_teacher_stays_isolated(corpus, contracts):
-    grid, rig, samples = corpus
+    *_, samples = corpus
     teacher = frozen_teacher()
     before = E.params_checksum(teacher.params)
-    cfg = SV.SupervisionConfig("raw")
-    *_, bks = SV.train_student(samples, teacher, cfg, seed=2, grid=grid,
-                               rig=rig, steps=4)
-    assert contracts(bks, cfg, teacher) > 0
+    cfg = run_config("raw", 2, 4)
+    *_, bks = SV.train_student(cfg, samples, teacher)
+    assert contracts(bks, cfg.supervision(), teacher) > 0
     assert E.params_checksum(teacher.params) == before
     assert all(p.grad is None for p in teacher.params.values())
 
@@ -572,15 +570,15 @@ def test_training_and_evaluation_lift_the_same_student_features(monkeypatch):
         return fmap
 
     monkeypatch.setattr(SV, "student_forward", both_paths)
-    SV.train_student([sample], frozen_teacher(), SV.SupervisionConfig("raw"),
-                     seed=3, grid=grid, rig=rig, steps=1, batch=1)
+    cfg = RunConfig({"variant": "raw", "seed": 3, "steps": 1, "batch": 1})
+    SV.train_student(cfg, [sample], frozen_teacher())
     assert len(pairs) == 1
     assert np.array_equal(*pairs[0])
 
 
 def test_the_lift_index_arrays_are_built_with_the_table(corpus, monkeypatch):
     grid, rig, samples = corpus
-    student = E.StudentEncoder(RNG(3))
+    student = RunConfig().student(RNG(3))
     built = []
     plain = T.conv_sites
 
@@ -601,24 +599,21 @@ def test_the_lift_index_arrays_are_built_with_the_table(corpus, monkeypatch):
 
 
 def test_train_student_requires_frozen_teacher(corpus):
-    grid, rig, samples = corpus
-    teacher = E.TeacherEncoder(RNG(0))
+    *_, samples = corpus
+    teacher = RunConfig().teacher(RNG(0))
     with pytest.raises(SV.SupervisionError, match="frozen"):
-        SV.train_student(samples, teacher, SV.SupervisionConfig("raw"),
-                         seed=0, grid=grid, rig=rig, steps=1)
+        SV.train_student(run_config("raw", 0, 1), samples, teacher)
     with pytest.raises(SV.SupervisionError, match="empty"):
-        SV.train_student([], frozen_teacher(), SV.SupervisionConfig("raw"),
-                         seed=0, grid=grid, rig=rig, steps=1)
+        SV.train_student(run_config("raw", 0, 1), [], frozen_teacher())
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero", "ignore:invalid value",
                             "ignore:overflow")
 def test_train_student_divergence_names_the_step(corpus):
-    grid, rig, samples = corpus
+    *_, samples = corpus
     with pytest.raises(SV.SupervisionError, match="step"):
-        SV.train_student(samples, frozen_teacher(),
-                         SV.SupervisionConfig("norm_only"), seed=3, grid=grid,
-                         rig=rig, steps=30, base_lr=1e8)
+        SV.train_student(run_config("norm_only", 3, 30, base_lr=1e8), samples,
+                         frozen_teacher())
 
 
 # ---------------------------------------------------------------------------
@@ -653,14 +648,14 @@ def on_threads(monkeypatch, threads, run):
 
 
 def test_fit_gives_the_same_bits_on_one_thread_and_on_two(corpus, tmp_path, monkeypatch):
-    grid, rig, samples = corpus
+    *_, samples = corpus
     runs = {}
     for threads in (1, 2):
         def pretrain():
             log = tmp_path / f"teacher{threads}.log"
             teacher, decoder, val_map = E.pretrain_teacher(
-                samples, samples[:1], grid, ME.EvalConfig("standard", grid=grid), seed=2,
-                steps=3, log_path=str(log))
+                RunConfig({"roi": "standard", "teacher_seed": 2, "teacher_steps": 3}), samples,
+                samples[:1], str(log))
             params = E.named_params({"teacher": teacher, "decoder": decoder})
             return E.params_checksum(params), log.read_bytes(), val_map
 
@@ -670,9 +665,8 @@ def test_fit_gives_the_same_bits_on_one_thread_and_on_two(corpus, tmp_path, monk
         for variant in SV.VARIANTS:
             def student():
                 log = tmp_path / f"{variant}{threads}.log"
-                st, dec, ad, _ = SV.train_student(samples, teacher, SV.SupervisionConfig(variant),
-                                                  seed=4, grid=grid, rig=rig, steps=3,
-                                                  log_path=str(log))
+                st, dec, ad, _ = SV.train_student(run_config(variant, 4, 3), samples, teacher,
+                                                  str(log))
                 params = E.named_params({"student": st, "decoder": dec, "adapter": ad})
                 return E.params_checksum(params), log.read_bytes()
 
@@ -683,7 +677,7 @@ def test_fit_gives_the_same_bits_on_one_thread_and_on_two(corpus, tmp_path, monk
 
 
 def test_a_worker_error_leaves_as_divergence_at_its_step(corpus, tmp_path, monkeypatch):
-    grid, rig, samples = corpus
+    *_, samples = corpus
     monkeypatch.setattr(SV, "_cpu_share", 2)
     monkeypatch.setattr(SV, "PACE", SV.Pace())  # no earlier test's misses: step 1 uses the pool
     plain = SV.Crew.map
@@ -708,8 +702,7 @@ def test_a_worker_error_leaves_as_divergence_at_its_step(corpus, tmp_path, monke
     log = tmp_path / "log.txt"
     with pytest.raises(SV.SupervisionError, match=r"^diverged at step 1: non-finite values "
                                                   r"produced by op 'relu'$"):
-        SV.train_student(samples, frozen_teacher(), SV.SupervisionConfig("raw"), seed=3,
-                         grid=grid, rig=rig, steps=4, log_path=str(log))
+        SV.train_student(run_config("raw", 3, 4), samples, frozen_teacher(), str(log))
     assert failed.is_set() and len(log.read_text().splitlines()) == 1
     assert threading.active_count() == before  # the pool is shut down
 
