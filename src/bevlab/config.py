@@ -3,8 +3,10 @@
 One flat `key value` file drives every experiment. Parsing is typed off
 the defaults table, dumps always write the full table (so a run directory
 records exactly what it ran with, defaults included), and RunConfig is
-the one place its fields become objects: scene parameters, rig, grid,
-supervision settings, and every model, which nothing else constructs.
+the one place its fields become objects: rig, grid, and every model,
+which nothing else constructs. Each setting has one default, its row in
+DEFAULTS: scene generation and the trainers read the fields off the
+config they are handed.
 """
 
 import hashlib
@@ -12,8 +14,8 @@ import math
 
 from .encoders import MapDecoder, StudentEncoder, TeacherEncoder
 from .geometry import BevGrid, default_rig, extended_grid, standard_grid
-from .scenegen import LANE_WIDTH, SceneParams
-from .supervision import VARIANTS, AffineAdapter, SupervisionConfig
+from .scenegen import LANE_WIDTH
+from .supervision import VARIANTS, AffineAdapter
 
 
 class ConfigError(RuntimeError):
@@ -209,8 +211,12 @@ class RunConfig:
 
     @classmethod
     def load(cls, path):
-        with open(path) as f:
-            return cls.parse(f.read())
+        try:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text (byte {e.start})") from None
+        return cls.parse(text)
 
     def with_overrides(self, **kw):
         """New config with the given fields replaced."""
@@ -220,14 +226,6 @@ class RunConfig:
 
     # -- derived objects ----------------------------------------------------
 
-    def scene_params(self, seed=0) -> SceneParams:
-        return SceneParams(seed, road_count=self.road_count,
-                           lane_count=self.lane_count,
-                           curvature=self.curvature,
-                           crossing_probability=self.crossing_probability,
-                           occluder_count=self.occluder_count,
-                           occluder_size=self.occluder_size)
-
     def rig(self):
         return default_rig(self.cam_height, self.cam_pitch, self.cam_focal,
                            self.image_width, self.image_height, self.cameras)
@@ -235,9 +233,6 @@ class RunConfig:
     def grid(self) -> BevGrid:
         make = standard_grid if self.roi == "standard" else extended_grid
         return make(self.grid_rows, self.grid_cols)
-
-    def supervision(self) -> SupervisionConfig:
-        return SupervisionConfig(self.variant, self.lambda_bev)
 
     # -- models: each draws its initial weights from rng --------------------
 

@@ -174,7 +174,7 @@ class LiftTable:
             self.src[seen] = offsets[k] + np.searchsorted(r, pixel[seen])
 
 
-def build_lift_table(rig, grid: BevGrid, downsample=2) -> LiftTable:
+def build_lift_table(rig, grid: BevGrid, downsample) -> LiftTable:
     """Project every cell center into every camera and keep the best hit."""
     centers = grid.cell_centers().reshape(-1, 2)
     pts3 = np.concatenate([centers, np.zeros((len(centers), 1))], axis=1)

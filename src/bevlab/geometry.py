@@ -161,8 +161,7 @@ class Camera:
         return self._ground
 
 
-def default_rig(height=1.6, pitch=0.12, focal=48.0, width=96, img_height=64,
-                cameras=4):
+def default_rig(height, pitch, focal, width, img_height, cameras):
     """Cameras at the rig origin, evenly spaced in yaw (90 degrees for four).
 
     With four cameras and focal = width/2 each camera spans exactly 90

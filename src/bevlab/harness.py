@@ -64,9 +64,7 @@ def ensure_dataset(cfg: RunConfig, out):
                 return path
     if os.path.exists(path):
         shutil.rmtree(path)
-    export_dataset(path, n_train=cfg.n_train, n_val=cfg.n_val,
-                   base_params=cfg.scene_params(), rig=cfg.rig(),
-                   grid=cfg.grid())
+    export_dataset(path, cfg)
     with open(tag, "w") as f:
         f.write(want + "\n")
     return path
@@ -355,6 +353,9 @@ def cmd_sweep_lambda(cfg: RunConfig, out, factors=None, seeds=None, jobs=1):
     if cfg.variant == "baseline":
         raise HarnessError("the sweep varies the alignment weight, which the baseline "
                            "variant does not use; set variant to an aligned one")
+    if cfg.lambda_bev == 0.0:
+        raise HarnessError("the sweep scales lambda_bev, which is 0, so every run would be "
+                           "the baseline; set lambda_bev above 0")
     factors = list(cfg.lambda_factors if factors is None else factors)
     if 0.0 not in factors:
         raise HarnessError("the sweep needs the lambda = 0 reference point")

@@ -24,8 +24,8 @@ import math
 
 import numpy as np
 
-from .geometry import (BevGrid, cells_near_polyline, default_rig, extended_grid,
-                       rasterize_polyline, read_polylines, write_polylines)
+from .geometry import (BevGrid, cells_near_polyline, extended_grid, rasterize_polyline,
+                       read_polylines, write_polylines)
 from .tensors import read_ten, write_ten
 
 LANE_WIDTH = 3.2
@@ -41,28 +41,6 @@ MIN_ROAD_INSIDE = 25.0  # meters of centerline required inside the extended RoI
 
 class SceneGenError(RuntimeError):
     pass
-
-
-class SceneParams:
-    """Generation knobs; `seed` fully determines the scene."""
-
-    def __init__(self, seed, road_count=(1, 2), lane_count=(2, 4), curvature=0.025,
-                 curvature_band=(0.0, 1.0), crossing_probability=0.9,
-                 occluder_count=(2, 5), occluder_size=(1.0, 3.0)):
-        self.seed = int(seed)
-        self.road_count = (int(road_count[0]), int(road_count[1]))
-        self.lane_count = (int(lane_count[0]), int(lane_count[1]))
-        self.curvature = float(curvature)
-        self.curvature_band = (float(curvature_band[0]), float(curvature_band[1]))
-        self.crossing_probability = float(crossing_probability)
-        self.occluder_count = (int(occluder_count[0]), int(occluder_count[1]))
-        self.occluder_size = (float(occluder_size[0]), float(occluder_size[1]))
-        if self.road_count[0] > self.road_count[1] or self.road_count[0] < 1:
-            raise SceneGenError("empty road_count range")
-        if self.lane_count[0] > self.lane_count[1] or self.lane_count[0] < 1:
-            raise SceneGenError("empty lane_count range")
-        if self.curvature < 0 or not (0 <= self.crossing_probability <= 1):
-            raise SceneGenError("invalid curvature or crossing_probability")
 
 
 class Road:
@@ -130,23 +108,24 @@ def _inside_length(pts, grid: BevGrid):
     return float(lens[inside].sum())
 
 
-def generate_scene(params: SceneParams) -> Scene:
-    """Deterministic scene from params.seed; raises SceneGenError when the
-    layout constraints cannot be met within the retry budget."""
-    rng = np.random.default_rng(params.seed)
+def generate_scene(cfg, seed, band) -> Scene:
+    """Deterministic scene from ``seed`` and the corpus fields of ``cfg`` (a
+    RunConfig); each road's curvature is ``cfg.curvature`` times a uniform
+    draw from ``band`` (lo, hi). Raises SceneGenError when the layout
+    constraints cannot be met within the retry budget."""
+    rng = np.random.default_rng(seed)
     texture_seed = int(rng.integers(0, 2 ** 62))
     ext = extended_grid()
-    n_roads = int(rng.integers(params.road_count[0], params.road_count[1] + 1))
+    n_roads = int(rng.integers(cfg.road_count[0], cfg.road_count[1] + 1))
     roads = []
     gt = []
     for _ in range(n_roads):
         for attempt in range(60):
             anchor = rng.uniform([-30.0, -15.0], [30.0, 15.0])
             heading = rng.uniform(0.0, 2.0 * math.pi)
-            band_lo, band_hi = params.curvature_band
-            kappa = rng.uniform(band_lo, band_hi) * params.curvature
+            kappa = rng.uniform(band[0], band[1]) * cfg.curvature
             kappa *= -1.0 if rng.random() < 0.5 else 1.0
-            lanes = int(rng.integers(params.lane_count[0], params.lane_count[1] + 1))
+            lanes = int(rng.integers(cfg.lane_count[0], cfg.lane_count[1] + 1))
             half_width = lanes * LANE_WIDTH / 2.0
             if kappa != 0.0 and 1.0 / abs(kappa) <= half_width + LANE_WIDTH:
                 continue  # offsets would fold over the curvature radius
@@ -162,13 +141,13 @@ def generate_scene(params: SceneParams) -> Scene:
                 break
         else:
             raise SceneGenError(
-                f"seed {params.seed}: no valid road after 60 attempts (over-constrained)")
+                f"seed {seed}: no valid road after 60 attempts (over-constrained)")
         roads.append(Road(centerline, half_width))
         gt.append((2, 1.0, edges[0]))
         gt.append((2, 1.0, edges[1]))
         for divider in lanes_gt:
             gt.append((1, 1.0, divider))
-        if rng.random() < params.crossing_probability:
+        if rng.random() < cfg.crossing_probability:
             # perpendicular stripe across the road at an in-RoI interior vertex
             interior = np.flatnonzero(ext.cells_of(centerline[1:-1])[2]) + 1
             if interior.size:
@@ -178,19 +157,19 @@ def generate_scene(params: SceneParams) -> Scene:
                 reach = half_width + 0.5
                 gt.append((0, 1.0, np.array([c - reach * n, c + reach * n])))
     occluders = []
-    n_occ = int(rng.integers(params.occluder_count[0], params.occluder_count[1] + 1))
+    n_occ = int(rng.integers(cfg.occluder_count[0], cfg.occluder_count[1] + 1))
     for _ in range(n_occ):
         road = roads[int(rng.integers(0, len(roads)))]
         i = int(rng.integers(0, len(road.centerline)))
         n = _vertex_normals(road.centerline)[i]
         side = -1.0 if rng.random() < 0.5 else 1.0
-        size = rng.uniform(*params.occluder_size)
+        size = rng.uniform(*cfg.occluder_size)
         gap = rng.uniform(0.5, 2.0)
         center = road.centerline[i] + side * (road.half_width + gap + size / 2.0) * n
         height = rng.uniform(1.5, 2.5)
         occluders.append((center[0] - size / 2.0, center[0] + size / 2.0,
                           center[1] - size / 2.0, center[1] + size / 2.0, height))
-    return Scene(params.seed, texture_seed, roads, gt, occluders)
+    return Scene(seed, texture_seed, roads, gt, occluders)
 
 
 # ---------------------------------------------------------------------------
@@ -354,31 +333,28 @@ def cell_visibility(scene: Scene, rig, grid: BevGrid) -> np.ndarray:
 # dataset export / load
 # ---------------------------------------------------------------------------
 
-def export_dataset(path, n_train=256, n_val=64, base_params=None, rig=None,
-                   grid=None):
+def export_dataset(path, cfg):
     """Generate, render and write a dataset directory; returns manifest rows.
 
-    ``manifest.txt`` lists one ``scene_id split seed`` line per scene, and
-    each ``scene_<idx>/`` holds ``overhead.ten``, one ``cam_<k>.ten`` per
-    camera and ``gt.txt``, the one copy of the vector ground truth.
-    Train and validation draw disjoint seed ranges AND disjoint curvature
-    bands (validation roads curve more), so validation layouts form a
-    family never seen in training.
+    ``cfg`` (a RunConfig) gives the scene counts ``n_train`` and ``n_val``,
+    the corpus fields ``generate_scene`` reads, and the rig and grid the
+    scenes render on. ``manifest.txt`` lists one ``scene_id split seed``
+    line per scene, and each ``scene_<idx>/`` holds ``overhead.ten``, one
+    ``cam_<k>.ten`` per camera and ``gt.txt``, the one copy of the vector
+    ground truth. Train and validation draw disjoint seed ranges AND
+    disjoint curvature bands (validation roads curve more), so validation
+    layouts form a family never seen in training.
     """
     import os
 
-    if rig is None:
-        rig = default_rig()
-    if grid is None:
-        grid = extended_grid()
+    rig, grid = cfg.rig(), cfg.grid()
     os.makedirs(path, exist_ok=True)
     rows = []
-    for idx in range(n_train + n_val):
-        split = "train" if idx < n_train else "val"
+    for idx in range(cfg.n_train + cfg.n_val):
+        split = "train" if idx < cfg.n_train else "val"
         seed = idx
         band = (0.0, 0.75) if split == "train" else (0.78, 1.0)
-        params = _params_with(base_params, seed, band)
-        scene = generate_scene(params)
+        scene = generate_scene(cfg, seed, band)
         sid = f"scene_{idx:04d}"
         sdir = os.path.join(path, sid)
         os.makedirs(sdir, exist_ok=True)
@@ -392,16 +368,6 @@ def export_dataset(path, n_train=256, n_val=64, base_params=None, rig=None,
         for sid, split, seed in rows:
             f.write(f"{sid} {split} {seed}\n")
     return rows
-
-
-def _params_with(base: SceneParams, seed, band):
-    if base is None:
-        return SceneParams(seed, curvature_band=band)
-    return SceneParams(seed, road_count=base.road_count, lane_count=base.lane_count,
-                       curvature=base.curvature, curvature_band=band,
-                       crossing_probability=base.crossing_probability,
-                       occluder_count=base.occluder_count,
-                       occluder_size=base.occluder_size)
 
 
 class Sample:

@@ -56,24 +56,6 @@ class AffineAdapter:
         return channel_affine(t, self.params["gamma"], self.params["beta"])
 
 
-class SupervisionConfig:
-    """Alignment-loss settings for one training variant.
-
-    The variant pins the normalize/adapter flags; baseline forces the
-    weight to zero no matter what was configured.
-    """
-
-    def __init__(self, variant, lambda_bev=1.0):
-        if variant not in VARIANTS:
-            raise SupervisionError(f"unknown variant {variant!r}")
-        if lambda_bev < 0:
-            raise SupervisionError("lambda_bev must be nonnegative")
-        self.variant = variant
-        self.normalize = variant in ("norm_only", "norm_adapter")
-        self.use_adapter = variant == "norm_adapter"
-        self.lambda_bev = 0.0 if variant == "baseline" else float(lambda_bev)
-
-
 class LossBreakdown(NamedTuple):
     """One logged training step; the total reconstructs from the parts."""
 
@@ -93,10 +75,11 @@ class LossBreakdown(NamedTuple):
 # alignment loss
 # ---------------------------------------------------------------------------
 
-def bev_alignment_loss(f_cam, f_aerial, adapter: AffineAdapter,
-                       cfg: SupervisionConfig) -> Tensor:
-    """Mean squared difference between the (optionally adapted and
-    normalized) student map and the frozen teacher map."""
+def bev_alignment_loss(f_cam, f_aerial, adapter: AffineAdapter, variant) -> Tensor:
+    """Mean squared difference between the student map and the frozen
+    teacher map, compared as the ``variant`` name says: norm_only and
+    norm_adapter normalize both maps per channel, norm_adapter routes the
+    student map through ``adapter`` first, and raw compares them as they are."""
     if f_cam.shape != f_aerial.shape:
         raise SupervisionError(f"feature shapes differ: {f_cam.shape} vs "
                                f"{f_aerial.shape}")
@@ -106,9 +89,9 @@ def bev_alignment_loss(f_cam, f_aerial, adapter: AffineAdapter,
         raise SupervisionError("alignment target must come from a frozen teacher")
     s = f_cam.tensor
     t = f_aerial.tensor
-    if cfg.use_adapter:
+    if variant == "norm_adapter":
         s = adapter.apply(s)
-    if cfg.normalize:
+    if variant in ("norm_only", "norm_adapter"):
         s = channel_normalize(s)
         t = channel_normalize(t)
     return mse(s, t)
@@ -259,7 +242,7 @@ def target_points(targets, k):
             for sid, elems in targets.items() if elems}
 
 
-def detection_loss(logits, points, gts, reg_weight=0.05, focal_alpha=0.25,
+def detection_loss(logits, points, gts, reg_weight, focal_alpha=0.25,
                    focal_gamma=2.0, gt_pts=None):
     """Classification + point regression for one sample's decoder output."""
     targets, pairs = match_queries(logits, points, gts, gt_pts=gt_pts)
@@ -389,7 +372,7 @@ class Crew:
 
 
 def fit(cfg, models, features, samples, batches, steps, log_path, align=None,
-        lambda_bev=0.0, error=SupervisionError):
+        error=SupervisionError):
     """The step loop of both teacher pretraining and student training.
 
     The parameters of ``models`` ({name: model}, one named "decoder") train
@@ -397,7 +380,7 @@ def fit(cfg, models, features, samples, batches, steps, log_path, align=None,
     index batch from ``batches``, at the rates and weights of ``cfg`` (a
     RunConfig). A sample's loss is the detection loss of its decoded
     ``features(sample)`` against its targets clipped to the config's grid,
-    plus ``lambda_bev`` times ``align(fmap, sample)`` when ``align`` is
+    plus ``cfg.lambda_bev`` times ``align(fmap, sample)`` when ``align`` is
     given; the step backpropagates the batch means. Each step's
     LossBreakdown is a line of ``log_path`` (None: no log) once it is
     taken, and a non-finite value raises ``error`` naming the step. Returns
@@ -437,7 +420,7 @@ def fit(cfg, models, features, samples, batches, steps, log_path, align=None,
         l_bev = tensor(0.0)
         if bev_terms:
             l_bev = mean_of(bev_terms[0])
-            l_total = add(l_total, scale(l_bev, lambda_bev))
+            l_total = add(l_total, scale(l_bev, cfg.lambda_bev))
         backward(l_total, terms, crew.map)
         lr_now = adamw_step(opt)
         opt.zero_grad()
@@ -462,13 +445,14 @@ def train_student(cfg, train_samples, teacher: TeacherEncoder, log_path=None,
                   counts=None):
     """Train one student run against a frozen teacher with ``fit``.
 
-    Every setting comes from ``cfg`` (a RunConfig): ``variant`` and
-    ``lambda_bev`` pick the alignment term, and its builders draw the
-    student, then the decoder, from the ``seed`` rng. The alignment term
-    joins the detection loss unless the variant is baseline, whose teacher
-    is never even invoked. The frozen teacher's store gets every train map
-    up front; alignment reads them back from it. Returns (student, decoder,
-    adapter, breakdowns); deterministic in cfg. A ``counts`` dict gets
+    Every setting comes from ``cfg`` (a RunConfig): ``variant`` says how
+    ``bev_alignment_loss`` compares the maps, ``fit`` weighs that term by
+    ``lambda_bev``, and the builders draw the student, then the decoder,
+    from the ``seed`` rng. The alignment term joins the detection loss
+    unless the variant is baseline, whose teacher is never even invoked.
+    The frozen teacher's store gets every train map up front; alignment
+    reads them back from it. Returns (student, decoder, adapter,
+    breakdowns); deterministic in cfg. A ``counts`` dict gets
     "teacher_calls", the number of maps the store gained (U-Net passes).
     """
     if not train_samples:
@@ -477,8 +461,8 @@ def train_student(cfg, train_samples, teacher: TeacherEncoder, log_path=None,
         raise SupervisionError("student training requires a frozen teacher")
     rng = np.random.default_rng(cfg.seed)
     student, decoder, adapter = cfg.student(rng), cfg.decoder(rng), cfg.adapter()
-    sup, grid, rig = cfg.supervision(), cfg.grid(), cfg.rig()
-    aligned = sup.variant != "baseline"
+    grid, rig = cfg.grid(), cfg.rig()
+    aligned = cfg.variant != "baseline"
     stored = len(teacher.maps)
     if aligned:  # fill the store before fit, so no step waits on a U-Net pass
         for s in train_samples:
@@ -486,13 +470,13 @@ def train_student(cfg, train_samples, teacher: TeacherEncoder, log_path=None,
 
     def align(fmap, s):
         return bev_alignment_loss(fmap, teacher_forward(teacher, s.overhead, grid),
-                                  adapter, sup)
+                                  adapter, cfg.variant)
 
     breakdowns = fit(
         cfg, {"student": student, "decoder": decoder, "adapter": adapter},
         lambda s: student_forward(student, s.cams, rig, grid), train_samples,
         batch_stream(rng, len(train_samples), cfg.batch), cfg.steps, log_path,
-        align=align if aligned else None, lambda_bev=sup.lambda_bev)
+        align=align if aligned else None)
     if counts is not None:
         counts["teacher_calls"] = len(teacher.maps) - stored
     return student, decoder, adapter, breakdowns

@@ -658,9 +658,8 @@ class AdamW:
     clamps to the ``min_lr`` floor afterwards.
     """
 
-    def __init__(self, params: dict, lr: float, weight_decay: float = 0.01,
-                 horizon: int = 1000, min_lr: float = 0.0,
-                 betas=(0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float, weight_decay: float, horizon: int,
+                 min_lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
         self.params = dict(params)
         self.base_lr = float(lr)
         self.weight_decay = float(weight_decay)

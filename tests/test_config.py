@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from bevlab.config import DEFAULTS, ConfigError, RunConfig
-from bevlab.geometry import BevGrid, default_rig
-from bevlab.scenegen import SceneParams
+from bevlab.geometry import BevGrid
 
 
 def test_defaults_round_trip_through_dump_and_parse():
@@ -158,25 +157,12 @@ def test_default_cache_hashes_are_pinned():
 
 
 def test_derived_objects_match_fields():
-    # the default config builds the default rig, bit for bit
-    for mine, ref in zip(RunConfig().rig(), default_rig(), strict=True):
-        assert mine.yaw == ref.yaw
-        for key in ("position", "rot"):
-            assert getattr(mine, key).tobytes() == getattr(ref, key).tobytes()
-        assert (mine.pitch, mine.focal, mine.width, mine.height, mine.cx, mine.cy) == \
-            (ref.pitch, ref.focal, ref.width, ref.height, ref.cx, ref.cy)
     cfg = RunConfig({"roi": "standard", "cameras": 3, "cam_focal": 40.0})
     grid = cfg.grid()
     assert isinstance(grid, BevGrid)
     assert (grid.x_min, grid.x_max, grid.y_min, grid.y_max) == (-30.0, 30.0, -15.0, 15.0)
     rig = cfg.rig()
     assert len(rig) == 3
+    assert {cam.focal for cam in rig} == {40.0}
     yaws = sorted(cam.yaw for cam in rig)
     assert np.allclose(np.diff(yaws), 2.0 * np.pi / 3)
-    params = cfg.scene_params(seed=5)
-    assert isinstance(params, SceneParams)
-    assert params.seed == 5
-    sup = cfg.with_overrides(variant="raw", lambda_bev=0.5).supervision()
-    assert sup.variant == "raw" and sup.lambda_bev == 0.5
-    # baseline gates the weight off no matter what the config says
-    assert cfg.with_overrides(variant="baseline").supervision().lambda_bev == 0.0

@@ -15,8 +15,8 @@ RNG = np.random.default_rng
 STANDARD = RunConfig({"roi": "standard"})  # the default sizes on the standard RoI
 
 
-def make_sample(seed, grid, rig=None, **kw):
-    scene = S.generate_scene(S.SceneParams(seed, **kw))
+def make_sample(seed, grid, rig=None):
+    scene = S.generate_scene(RunConfig(), seed, (0.0, 1.0))
     overhead = S.render_overhead(scene, grid)
     cams = None
     if rig is not None:
@@ -69,7 +69,7 @@ def test_lift_backward_matches_add_at_oracle():
     # tiny_table's cells 1 and 6, and 3 and 7, share a source; so do both
     # unseen cells (the default)
     rng = RNG(9)
-    for table in (tiny_table(), E.build_lift_table(G.default_rig(), G.extended_grid())):
+    for table in (tiny_table(), E.build_lift_table(RunConfig().rig(), G.extended_grid(), 2)):
         c = 5
         feats = [oracles.parameter(rng.normal(size=(c, len(r)))) for r in table.reads]
         default = oracles.parameter(rng.normal(size=c))
@@ -130,7 +130,7 @@ def reads_oracle(table):
 
 
 def test_lift_table_reads_match_loop_oracle():
-    rig = G.default_rig()
+    rig = RunConfig().rig()
     tables = [tiny_table()] + [E.build_lift_table(rig, grid, downsample)
                                for grid in (G.standard_grid(), G.extended_grid())
                                for downsample in (2, 4)]
@@ -181,8 +181,8 @@ def candidate_oracle(rig, grid):
 
 def test_build_lift_table_matches_candidate_oracle():
     grid = G.standard_grid()
-    rig = G.default_rig()
-    table = E.build_lift_table(rig, grid)
+    rig = RunConfig().rig()
+    table = E.build_lift_table(rig, grid, 2)
     cands = candidate_oracle(rig, grid)
     assert table.cam.shape == (len(cands),)
     assert 0 < sum(not c for c in cands) < len(cands)
@@ -193,7 +193,7 @@ def test_build_lift_table_matches_candidate_oracle():
 
 def test_build_lift_table_indices_in_feature_range():
     grid = G.extended_grid()
-    rig = G.default_rig()
+    rig = RunConfig().rig()
     table = E.build_lift_table(rig, grid, downsample=4)
     assert table.cam.shape == table.fv.shape == table.fu.shape == (grid.rows * grid.cols,)
     assert table.cam.min() >= -1 and table.cam.max() < len(rig)
@@ -213,7 +213,7 @@ def test_build_lift_table_rejects_indivisible_images():
 def test_lift_invariant_under_rig_permutation():
     rng = RNG(11)
     grid = G.standard_grid()
-    rig = G.default_rig()
+    rig = RunConfig().rig()
     perm = [2, 0, 3, 1]
     default = rng.normal(size=5)
     # 64x96 images: features are 32x48 at the default downsample, 16x24 at 4
@@ -372,7 +372,7 @@ def zero_images(rig):
 
 def test_student_matches_teacher_feature_shape():
     grid = G.extended_grid()
-    rig = G.default_rig()
+    rig = RunConfig().rig()
     student = RunConfig().student(RNG(6))
     fmap = E.student_forward(student, zero_images(rig), rig, grid)
     assert fmap.shape == (student.c_feat, grid.rows, grid.cols)
@@ -385,7 +385,7 @@ def test_student_invariant_under_camera_permutation():
     # reorders nothing observable in the lifted BEV map
     rng = RNG(7)
     grid = G.standard_grid()
-    rig = G.default_rig()
+    rig = RunConfig().rig()
     images = [rng.random((3, c.height, c.width)) for c in rig]
     student = RunConfig().student(RNG(8))
     base = student.forward(images, rig, grid)
@@ -437,7 +437,7 @@ def dense_student_forward(student, images, rig, grid, extract=None):
 
 def test_student_forward_with_reads_matches_dense_extract():
     rng = RNG(12)
-    rig = G.default_rig()
+    rig = RunConfig().rig()
     images = [rng.random((3, c.height, c.width)) for c in rig]
     for downsample in (2, 4):
         student = RunConfig({"downsample": downsample}).student(RNG(13))
@@ -460,7 +460,7 @@ def test_student_forward_with_reads_matches_dense_extract():
 def test_student_step_gradients_equal_the_dense_layout_bitwise():
     # one norm_adapter sample step: the compact camera branch and the full
     # map layout (dense cam2 at the reads, dense lift) give the same bits
-    rig = G.default_rig()
+    rig = RunConfig().rig()
     for downsample, roi in ((2, "extended"), (4, "standard")):
         cfg = RunConfig({"downsample": downsample, "roi": roi})
         grid = cfg.grid()
@@ -477,9 +477,9 @@ def test_student_step_gradients_equal_the_dense_layout_bitwise():
                             student, sample.cams, rig, grid, dense_layout_extract),
                             grid, "student")):
             fmap = forward()
-            l_cls, l_reg = SV.detection_loss(*decoder.forward(fmap), gts)
+            l_cls, l_reg = SV.detection_loss(*decoder.forward(fmap), gts, cfg.reg_weight)
             loss = T.add(T.add(l_cls, l_reg),
-                         SV.bev_alignment_loss(fmap, teacher_map, adapter, cfg.supervision()))
+                         SV.bev_alignment_loss(fmap, teacher_map, adapter, cfg.variant))
             T.backward(loss)
             runs.append((fmap.tensor.data, float(loss.data),
                          {n: q.grad for n, q in params.items()}))
@@ -492,7 +492,7 @@ def test_student_step_gradients_equal_the_dense_layout_bitwise():
 
 
 def test_student_rejects_missing_image():
-    rig = G.default_rig()
+    rig = RunConfig().rig()
     student = RunConfig().student(RNG(10))
     with pytest.raises(E.EncoderError):
         student.forward(zero_images(rig)[:3], rig, G.standard_grid())
@@ -500,7 +500,7 @@ def test_student_rejects_missing_image():
 
 def test_student_lift_table_cache_reused():
     grid = G.standard_grid()
-    rig = G.default_rig()
+    rig = RunConfig().rig()
     student = RunConfig().student(RNG(11))
     t1 = student._lift_plan(rig, grid)[0]
     t2 = student._lift_plan(list(rig), grid)[0]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from bevlab import geometry as G
+from bevlab.config import RunConfig
 
 
 def test_origin_lands_in_expected_cell():
@@ -76,7 +77,7 @@ def test_project_ground_round_trip():
 
 def test_default_rig_covers_the_horizon():
     # nominal horizontal FOV union: 4 cameras x 90 degrees >= 300 degrees
-    rig = G.default_rig()
+    rig = RunConfig().rig()
     fov = sum(2 * math.atan((cam.width / 2) / cam.focal) for cam in rig)
     assert math.degrees(fov) >= 300.0
     # every mid-range ground direction is owned by at least one camera
@@ -91,7 +92,7 @@ def test_default_rig_covers_the_horizon():
 
 
 def test_rig_pitch_sees_ground_ahead():
-    rig = G.default_rig()
+    rig = RunConfig().rig()
     uv, z, valid = rig[0].project(np.array([[8.0, 0.0, 0.0]]))
     assert valid[0] and z[0] > 0
 
@@ -133,7 +134,7 @@ def scene_polylines():
     roads, lines = [], []
     for seed in range(24):
         band = (0.0, 0.75) if seed % 2 else (0.78, 1.0)
-        scene = S.generate_scene(S.SceneParams(seed, curvature_band=band))
+        scene = S.generate_scene(RunConfig(), seed, band)
         roads += [(road.centerline, road.half_width) for road in scene.roads]
         lines += [pts for _, _, pts in scene.ground_truth]
     return roads, lines

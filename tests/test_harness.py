@@ -2,8 +2,11 @@
 
 import contextlib
 import hashlib
+import importlib
+import inspect
 import io
 import os
+import pkgutil
 import re
 import shutil
 import subprocess
@@ -12,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 
+import bevlab
 from bevlab import analysis as A
 from bevlab import cli
 from bevlab import encoders as E
@@ -281,18 +285,22 @@ def test_retrain_killed_midway_leaves_the_run_unfinished(tmp_path, monkeypatch):
     assert H.train_run(longer, out, "raw", 0)["steps"] == "3"
 
 
+def package_error_classes():
+    """Every exception class a module of src/bevlab defines."""
+    found = []
+    for info in pkgutil.iter_modules(bevlab.__path__):
+        module = importlib.import_module(f"bevlab.{info.name}")
+        found += [obj for _, obj in inspect.getmembers(module, inspect.isclass)
+                  if issubclass(obj, Exception) and obj.__module__ == module.__name__]
+    return found
+
+
 def test_cli_maps_every_package_error_to_exit_1(tmp_path, monkeypatch, capsys):
-    from bevlab import cli
-    from bevlab.analysis import AnalysisError
-    from bevlab.encoders import EncoderError
-    from bevlab.geometry import GeometryError
-    from bevlab.mapeval import EvalError
-    from bevlab.plots import PlotError
-    from bevlab.scenegen import SceneGenError
-    from bevlab.supervision import SupervisionError
-    from bevlab.tensors import TensorError
-    for err in (TensorError, EncoderError, SupervisionError, SceneGenError,
-                EvalError, GeometryError, AnalysisError, PlotError):
+    errors = package_error_classes()
+    assert {"ConfigError", "HarnessError", "TensorError"} <= {e.__name__ for e in errors}
+    for err in errors:
+        assert err in cli.PACKAGE_ERRORS, f"{err.__name__} would leave the CLI as a traceback"
+
         def fail(cfg, out, err=err):
             raise err(f"{err.__name__} raised")
         monkeypatch.setattr(H, "cmd_gen", fail)
@@ -300,6 +308,16 @@ def test_cli_maps_every_package_error_to_exit_1(tmp_path, monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.err == f"error: {err.__name__} raised\n"
         assert captured.out == ""
+
+
+def test_cli_refuses_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_bytes(b"steps \xff\xfe 3\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg_path), "--out", str(out), "gen"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg_path}: not UTF-8 text (byte 6)\n"
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -582,6 +600,16 @@ def test_sweep_of_the_baseline_variant_fails_before_any_run(tmp_path, capsys):
     assert run_verb(out, "sweep-lambda", config=TINY_STUDY + "variant baseline\n") == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: the sweep varies the alignment weight")
+    assert captured.out == "" and not os.path.exists(out)
+
+
+def test_sweep_at_lambda_zero_fails_before_any_run(tmp_path, capsys):
+    # every factor of a zero weight is the baseline: one run would be queued
+    # once per factor, and parallel workers would train it at once
+    out = str(tmp_path / "out")
+    assert run_verb(out, "sweep-lambda", config=TINY_STUDY + "lambda_bev 0.0\n") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: the sweep scales lambda_bev, which is 0")
     assert captured.out == "" and not os.path.exists(out)
 
 

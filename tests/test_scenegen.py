@@ -8,6 +8,15 @@ import pytest
 import oracles
 from bevlab import geometry as G
 from bevlab import scenegen as S
+from bevlab.config import RunConfig
+
+CFG = RunConfig()
+
+
+def make_scene(seed, band=(0.0, 1.0), **fields):
+    """generate_scene at the default config with ``fields`` replaced, its
+    roads curving by up to the full configured curvature by default."""
+    return S.generate_scene(CFG.with_overrides(**fields), seed, band)
 
 
 def same_scene(a, b):
@@ -23,23 +32,23 @@ def same_scene(a, b):
 
 
 def test_same_seed_byte_identical_serialization():
-    a = S.generate_scene(S.SceneParams(7))
-    b = S.generate_scene(S.SceneParams(7))
+    a = make_scene(7)
+    b = make_scene(7)
     assert same_scene(a, b)
-    c = S.generate_scene(S.SceneParams(8))
+    c = make_scene(8)
     assert not same_scene(c, a)
 
 
 def test_zero_crossing_probability():
     for seed in range(10):
-        scene = S.generate_scene(S.SceneParams(seed, crossing_probability=0.0))
+        scene = make_scene(seed, crossing_probability=0.0)
         assert all(cid != 0 for cid, _, _ in scene.ground_truth)
 
 
 def test_all_classes_frequent_over_100_seeds():
     counts = {0: 0, 1: 0, 2: 0}
     for seed in range(100):
-        scene = S.generate_scene(S.SceneParams(seed))
+        scene = make_scene(seed)
         present = {cid for cid, _, _ in scene.ground_truth}
         for c in present:
             counts[c] += 1
@@ -50,7 +59,7 @@ def test_all_classes_frequent_over_100_seeds():
 def test_class_balance_over_corpus():
     totals = {0: 0, 1: 0, 2: 0}
     for seed in range(200):
-        scene = S.generate_scene(S.SceneParams(seed))
+        scene = make_scene(seed)
         for cid, _, _ in scene.ground_truth:
             totals[cid] += 1
     total = sum(totals.values())
@@ -61,7 +70,7 @@ def test_class_balance_over_corpus():
 def test_ground_truth_intersects_extended_roi():
     ext = G.extended_grid()
     for seed in range(20):
-        scene = S.generate_scene(S.SceneParams(seed))
+        scene = make_scene(seed)
         for cid, _, pts in scene.ground_truth:
             rows, cols, inside = ext.cells_of(pts)
             assert inside.any(), f"seed {seed} class {cid} entirely outside"
@@ -94,8 +103,7 @@ def test_overhead_single_boundary_diff_matches_rasterizer():
 
 
 def test_overhead_ignores_occluders():
-    params = S.SceneParams(11)
-    scene = S.generate_scene(params)
+    scene = make_scene(11)
     assert scene.occluders
     stripped = S.Scene(scene.seed, scene.texture_seed, scene.roads,
                        scene.ground_truth, [])
@@ -106,15 +114,15 @@ def test_overhead_ignores_occluders():
 
 def test_overhead_values_in_unit_range():
     grid = G.extended_grid()
-    img = S.render_overhead(S.generate_scene(S.SceneParams(2)), grid)
+    img = S.render_overhead(make_scene(2), grid)
     assert img.min() >= 0.0 and img.max() <= 1.0
 
 
 def test_camera_pixels_match_overhead_cells_without_occluders():
     # the cross-view color consistency oracle, checked per pixel
     grid = G.extended_grid()
-    rig = G.default_rig()
-    scene = S.generate_scene(S.SceneParams(4, occluder_count=(0, 0)))
+    rig = CFG.rig()
+    scene = make_scene(4, occluder_count=(0, 0))
     assert not scene.occluders
     overhead = S.render_overhead(scene, grid)
     images = S.render_cameras(scene, rig, grid, overhead)
@@ -136,8 +144,8 @@ def test_camera_pixels_match_overhead_cells_without_occluders():
 
 def test_camera_values_in_unit_range_and_deterministic():
     grid = G.extended_grid()
-    rig = G.default_rig()
-    scene = S.generate_scene(S.SceneParams(6))
+    rig = CFG.rig()
+    scene = make_scene(6)
     a = S.render_cameras(scene, rig, grid)
     b = S.render_cameras(scene, rig, grid)
     for x, y in zip(a, b):
@@ -147,7 +155,7 @@ def test_camera_values_in_unit_range_and_deterministic():
 
 def test_horizon_rows_are_sky():
     grid = G.extended_grid()
-    rig = G.default_rig()
+    rig = CFG.rig()
     img = S.render_cameras(empty_scene(), rig, grid)[0]
     # top image row looks above the horizon for every column
     assert np.all(img[:, 0, :] == np.array(S.SKY_COLOR)[:, None])
@@ -155,7 +163,7 @@ def test_horizon_rows_are_sky():
 
 def test_occluder_hides_crossing_from_camera_only():
     grid = G.standard_grid()
-    rig = G.default_rig()
+    rig = CFG.rig()
     center = np.array([[float(x), 0.0] for x in range(-24, 26, 2)])
     road = S.Road(center, 3.2)
     crossing = np.array([[10.0, -3.7], [10.0, 3.7]])
@@ -180,7 +188,7 @@ def test_occluder_hides_crossing_from_camera_only():
 
 def banded_scenes(n):
     """Seeded scenes from the train and the val curvature band."""
-    return [S.generate_scene(_params_for("train" if seed % 2 else "val", seed))
+    return [S.generate_scene(CFG, seed, band_of("train" if seed % 2 else "val"))
             for seed in range(n)]
 
 
@@ -204,7 +212,7 @@ def assert_cameras_match(scene, rig, grid):
 
 
 def test_render_cameras_match_the_full_image_occluder_loop():
-    grid, rig = G.extended_grid(), G.default_rig()
+    grid, rig = G.extended_grid(), CFG.rig()
     for scene in banded_scenes(12):
         assert_cameras_match(scene, rig, grid)
     # a box wholly behind camera 0, one straddling its plane, one with an
@@ -230,7 +238,7 @@ def test_box_windows_hold_every_pixel_a_corner_on_its_ray_can_hit():
     # foot, where the ray meets the ground, so it falls on every side of
     # the box's outline in the image
     rng = np.random.default_rng(3)
-    for cam in G.default_rig():
+    for cam in CFG.rig():
         dirs = oracles.pixel_dirs_oracle(cam)
         for i in (29, 31, 34, 38, 45, 55):
             for j in range(5, 96, 9):
@@ -252,7 +260,8 @@ def test_box_windows_hold_every_pixel_a_corner_on_its_ray_can_hit():
 
 def test_pixel_rays_are_kept_read_only_on_each_camera():
     # two rigs with the same yaws but other pitches must not share rays
-    for rig in (G.default_rig(), G.default_rig(pitch=0.3), G.default_rig(cameras=6)):
+    for rig in (CFG.rig(), CFG.with_overrides(cam_pitch=0.3).rig(),
+                CFG.with_overrides(cameras=6).rig()):
         for cam in rig:
             dirs = cam.pixel_dirs()
             assert dirs is cam.pixel_dirs() and not dirs.flags.writeable
@@ -274,7 +283,7 @@ def test_pixel_rays_are_kept_read_only_on_each_camera():
 
 def test_cell_visibility_blocks_shadowed_cells():
     grid = G.standard_grid()
-    rig = G.default_rig()
+    rig = CFG.rig()
     box = (5.0, 6.0, -4.0, 4.0, 2.2)
     scene = S.Scene(0, 13, roads=[], ground_truth=[], occluders=[box])
     vis = S.cell_visibility(scene, rig, grid)
@@ -297,10 +306,10 @@ def test_cell_visibility_blocks_shadowed_cells():
 
 def test_occlusion_asymmetry_over_random_scenes():
     grid = G.standard_grid()
-    rig = G.default_rig()
+    rig = CFG.rig()
     any_blocked = False
     for seed in range(30):
-        scene = S.generate_scene(S.SceneParams(seed))
+        scene = make_scene(seed)
         vis = S.cell_visibility(scene, rig, grid)
         open_vis = S.cell_visibility(
             S.Scene(scene.seed, scene.texture_seed, scene.roads, scene.ground_truth, []),
@@ -313,7 +322,7 @@ def test_occlusion_asymmetry_over_random_scenes():
 
 def test_export_load_round_trip(tmp_path):
     path = tmp_path / "ds"
-    rows = S.export_dataset(path, n_train=8, n_val=2)
+    rows = S.export_dataset(path, CFG.with_overrides(n_train=8, n_val=2))
     assert len(rows) == 10
     train_seeds = {s for _, sp, s in rows if sp == "train"}
     val_seeds = {s for _, sp, s in rows if sp == "val"}
@@ -321,9 +330,9 @@ def test_export_load_round_trip(tmp_path):
     samples = list(S.load_dataset(path))
     assert len(samples) == 10
     assert len(list(S.load_dataset(path, split="val"))) == 2
-    grid, rig = G.extended_grid(), G.default_rig()
+    grid, rig = G.extended_grid(), CFG.rig()
     for sample in samples:
-        regenerated = S.generate_scene(_params_for(sample.split, sample.seed))
+        regenerated = S.generate_scene(CFG, sample.seed, band_of(sample.split))
         overhead = S.render_overhead(regenerated, grid)
         assert np.array_equal(sample.overhead, overhead)
         cams = S.render_cameras(regenerated, rig, grid, overhead)
@@ -336,7 +345,7 @@ def test_export_load_round_trip(tmp_path):
 
 def test_exported_scene_holds_only_what_a_run_reads(tmp_path):
     path = tmp_path / "ds"
-    S.export_dataset(path, n_train=2, n_val=1)
+    S.export_dataset(path, CFG.with_overrides(n_train=2, n_val=1))
     assert sorted(p.name for p in path.iterdir()) == [
         "manifest.txt", "scene_0000", "scene_0001", "scene_0002"]
     for sid in ("scene_0000", "scene_0001", "scene_0002"):
@@ -344,16 +353,15 @@ def test_exported_scene_holds_only_what_a_run_reads(tmp_path):
             "cam_0.ten", "cam_1.ten", "cam_2.ten", "cam_3.ten", "gt.txt", "overhead.ten"]
 
 
-def _params_for(split, seed):
-    band = (0.0, 0.75) if split == "train" else (0.78, 1.0)
-    return S.SceneParams(seed, curvature_band=band)
+def band_of(split):
+    return (0.0, 0.75) if split == "train" else (0.78, 1.0)
 
 
 def test_export_deterministic(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
-    S.export_dataset(a, n_train=3, n_val=1)
-    S.export_dataset(b, n_train=3, n_val=1)
+    S.export_dataset(a, CFG.with_overrides(n_train=3, n_val=1))
+    S.export_dataset(b, CFG.with_overrides(n_train=3, n_val=1))
     assert (a / "manifest.txt").read_bytes() == (b / "manifest.txt").read_bytes()
     for sid in ("scene_0000", "scene_0003"):
         for fn in ("overhead.ten", "cam_2.ten", "gt.txt"):
@@ -361,7 +369,7 @@ def test_export_deterministic(tmp_path):
 
 
 # sha256 of every file export_dataset writes for 3 train and 2 val scenes
-# with the default scene parameters, rig and grid. Faster rendering must
+# with the default config's corpus fields, rig and grid. Faster rendering must
 # write the same bytes; only a change that means to draw other scenes
 # moves these, and says so.
 CORPUS_PINNED = {
@@ -400,7 +408,7 @@ CORPUS_PINNED = {
 
 
 def test_exported_corpus_keeps_its_pinned_bytes(tmp_path):
-    S.export_dataset(tmp_path, n_train=3, n_val=2)
+    S.export_dataset(tmp_path, CFG.with_overrides(n_train=3, n_val=2))
     got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
            for p in tmp_path.rglob("*") if p.is_file()}
     moved = [f"{name}: {got.get(name)} != pinned {want}"
@@ -411,7 +419,7 @@ def test_exported_corpus_keeps_its_pinned_bytes(tmp_path):
 
 def test_load_reports_scene_id_on_corruption(tmp_path):
     path = tmp_path / "ds"
-    S.export_dataset(path, n_train=2, n_val=1)
+    S.export_dataset(path, CFG.with_overrides(n_train=2, n_val=1))
     victim = path / "scene_0001" / "cam_1.ten"
     victim.write_bytes(victim.read_bytes()[:-9])
     with pytest.raises(S.SceneGenError) as ei:
@@ -423,4 +431,4 @@ def test_load_reports_scene_id_on_corruption(tmp_path):
 def test_over_constrained_params_raise():
     # a road can never keep 25 m inside the RoI if it must curve this hard
     with pytest.raises(S.SceneGenError):
-        S.generate_scene(S.SceneParams(0, curvature=50.0, curvature_band=(1.0, 1.0)))
+        make_scene(0, (1.0, 1.0), curvature=50.0)

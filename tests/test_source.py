@@ -1,6 +1,7 @@
 """The source tree itself: every definition in src is used, each model is
-constructed in one RunConfig builder, src runs on numpy alone, and every
-name the benchmark's tracer wraps exists."""
+constructed in one RunConfig builder, no parameter repeats a config
+default, src runs on numpy alone, and every name the benchmark's tracer
+wraps exists."""
 
 import ast
 import glob
@@ -68,6 +69,27 @@ def test_models_are_constructed_only_in_run_config_builders():
              if builder != roles[name]]
     assert not stray, "a model built outside its RunConfig builder:\n" + "\n".join(stray)
     assert sorted(name for _, _, name, _ in calls) == sorted(roles)
+
+
+def test_no_src_parameter_shadows_a_config_default():
+    # each setting has one default, its row in config.DEFAULTS; a parameter
+    # named like a field may default to None at most. The check goes by
+    # name, so it cannot catch a field held under another name, such as
+    # the camera height that default_rig takes as ``height``.
+    from bevlab.config import DEFAULTS
+    fields = {name for name, _, _ in DEFAULTS}
+    found = []
+    for path, tree in parsed("src/bevlab").items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found += [f"{path}:{node.lineno} {a.arg}={ast.unparse(d)}" for a, d in pairs
+                      if a.arg in fields and not (isinstance(d, ast.Constant) and d.value is None)]
+    assert not found, "a second default for a config field:\n" + "\n".join(found)
 
 
 def test_src_never_imports_scipy():

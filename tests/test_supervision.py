@@ -32,10 +32,10 @@ def fmap_pair(seed, grid=None, requires_grad=False):
 @pytest.fixture(scope="module")
 def corpus():
     grid = G.standard_grid()
-    rig = G.default_rig()
+    rig = RunConfig().rig()
     samples = []
     for seed in (50, 51, 52):
-        scene = S.generate_scene(S.SceneParams(seed))
+        scene = S.generate_scene(RunConfig(), seed, (0.0, 1.0))
         overhead = S.render_overhead(scene, grid)
         cams = S.render_cameras(scene, rig, grid, overhead)
         samples.append(S.Sample(f"s{seed}", "train", seed, overhead, cams,
@@ -58,25 +58,6 @@ def run_config(variant, seed, steps, **kw):
 # ---------------------------------------------------------------------------
 # config and adapter
 # ---------------------------------------------------------------------------
-
-def test_variant_flags():
-    assert SV.VARIANTS == ("baseline", "raw", "norm_only", "norm_adapter")
-    cfg = SV.SupervisionConfig("baseline", lambda_bev=3.0)
-    assert cfg.lambda_bev == 0.0 and not cfg.normalize and not cfg.use_adapter
-    cfg = SV.SupervisionConfig("raw", lambda_bev=2.0)
-    assert cfg.lambda_bev == 2.0 and not cfg.normalize and not cfg.use_adapter
-    cfg = SV.SupervisionConfig("norm_only")
-    assert cfg.normalize and not cfg.use_adapter
-    cfg = SV.SupervisionConfig("norm_adapter")
-    assert cfg.normalize and cfg.use_adapter
-
-
-def test_config_rejects_bad_inputs():
-    with pytest.raises(SV.SupervisionError):
-        SV.SupervisionConfig("normadapter")
-    with pytest.raises(SV.SupervisionError):
-        SV.SupervisionConfig("raw", lambda_bev=-0.1)
-
 
 def test_adapter_identity_at_init_bitwise():
     rng = RNG(1)
@@ -107,17 +88,34 @@ def test_alignment_zero_for_identical_maps():
     x = RNG(3).normal(size=(6, grid.rows, grid.cols))
     adapter = SV.AffineAdapter(6)
     for variant in ("raw", "norm_only", "norm_adapter"):
-        cfg = SV.SupervisionConfig(variant)
         a = E.FeatureMap(oracles.parameter(x.copy()), grid, "student")
         b = E.FeatureMap(T.tensor(x.copy()), grid, "teacher")
-        loss = SV.bev_alignment_loss(a, b, adapter, cfg)
+        loss = SV.bev_alignment_loss(a, b, adapter, variant)
         assert float(loss.data) == 0.0, variant
+
+
+def test_alignment_variant_picks_normalize_and_adapter():
+    # raw compares the maps as they are, norm_only normalizes both, and
+    # norm_adapter puts the student map through the adapter first
+    assert SV.VARIANTS == ("baseline", "raw", "norm_only", "norm_adapter")
+    f_cam, f_aer = fmap_pair(8)
+    adapter = SV.AffineAdapter(6)
+    adapter.params["gamma"].data[:] = np.linspace(0.01, 2.0, 6)
+    s, t = f_cam.tensor, f_aer.tensor
+    want = {"baseline": T.mse(s, t), "raw": T.mse(s, t),
+            "norm_only": T.mse(T.channel_normalize(s), T.channel_normalize(t)),
+            "norm_adapter": T.mse(T.channel_normalize(adapter.apply(s)),
+                                  T.channel_normalize(t))}
+    want = {variant: float(loss.data) for variant, loss in want.items()}
+    assert len({want["raw"], want["norm_only"], want["norm_adapter"]}) == 3
+    for variant in SV.VARIANTS:
+        got = SV.bev_alignment_loss(f_cam, f_aer, adapter, variant)
+        assert float(got.data) == want[variant], variant
 
 
 def test_alignment_raw_matches_hand_loop():
     f_cam, f_aer = fmap_pair(4)
-    loss = SV.bev_alignment_loss(f_cam, f_aer, SV.AffineAdapter(6),
-                                 SV.SupervisionConfig("raw"))
+    loss = SV.bev_alignment_loss(f_cam, f_aer, SV.AffineAdapter(6), "raw")
     diff = f_cam.tensor.data - f_aer.tensor.data
     want = float(np.sum(diff * diff) / diff.size)
     assert abs(float(loss.data) - want) < 1e-12
@@ -125,18 +123,15 @@ def test_alignment_raw_matches_hand_loop():
 
 def test_alignment_adapter_at_init_equals_norm_only():
     f_cam, f_aer = fmap_pair(5)
-    a = SV.bev_alignment_loss(f_cam, f_aer, SV.AffineAdapter(6),
-                              SV.SupervisionConfig("norm_adapter"))
-    b = SV.bev_alignment_loss(f_cam, f_aer, SV.AffineAdapter(6),
-                              SV.SupervisionConfig("norm_only"))
+    a = SV.bev_alignment_loss(f_cam, f_aer, SV.AffineAdapter(6), "norm_adapter")
+    b = SV.bev_alignment_loss(f_cam, f_aer, SV.AffineAdapter(6), "norm_only")
     assert float(a.data) == float(b.data)
 
 
 def test_alignment_gradient_reaches_student_only():
     f_cam, f_aer = fmap_pair(6)
     adapter = SV.AffineAdapter(6)
-    loss = SV.bev_alignment_loss(f_cam, f_aer, adapter,
-                                 SV.SupervisionConfig("norm_adapter"))
+    loss = SV.bev_alignment_loss(f_cam, f_aer, adapter, "norm_adapter")
     T.backward(loss)
     assert f_cam.tensor.grad is not None
     assert np.abs(f_cam.tensor.grad).max() > 0
@@ -147,22 +142,20 @@ def test_alignment_gradient_reaches_student_only():
 def test_alignment_rejects_trainable_target():
     f_cam, f_aer = fmap_pair(7, requires_grad=True)
     with pytest.raises(SV.SupervisionError, match="frozen"):
-        SV.bev_alignment_loss(f_cam, f_aer, SV.AffineAdapter(6),
-                              SV.SupervisionConfig("raw"))
+        SV.bev_alignment_loss(f_cam, f_aer, SV.AffineAdapter(6), "raw")
 
 
 def test_alignment_rejects_shape_and_grid_mismatch():
     grid = G.standard_grid()
     adapter = SV.AffineAdapter(6)
-    cfg = SV.SupervisionConfig("raw")
     a = E.FeatureMap(T.tensor(np.zeros((6, grid.rows, grid.cols))), grid, "s")
     b = E.FeatureMap(T.tensor(np.zeros((5, grid.rows, grid.cols))), grid, "t")
     with pytest.raises(SV.SupervisionError, match="shape"):
-        SV.bev_alignment_loss(a, b, adapter, cfg)
+        SV.bev_alignment_loss(a, b, adapter, "raw")
     ext = G.extended_grid()
     c = E.FeatureMap(T.tensor(np.zeros((6, ext.rows, ext.cols))), ext, "t")
     with pytest.raises(SV.SupervisionError, match="grid"):
-        SV.bev_alignment_loss(a, c, adapter, cfg)
+        SV.bev_alignment_loss(a, c, adapter, "raw")
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +400,7 @@ def test_detection_loss_no_elements_is_pure_classification():
     rng = RNG(13)
     logits = oracles.parameter(rng.normal(size=(4, G.N_CLASSES + 1)))
     points = oracles.parameter(rng.normal(size=(4, 3, 2)))
-    l_cls, l_reg = SV.detection_loss(logits, points, [])
+    l_cls, l_reg = SV.detection_loss(logits, points, [], reg_weight=0.05)
     assert float(l_reg.data) == 0.0
     bg = np.full(4, G.N_CLASSES)
     want = float(T.focal_loss(T.tensor(logits.data), bg, 0.25, 2.0).data)
@@ -448,13 +441,13 @@ def contracts(monkeypatch):
         for fmap, want in seen:
             assert digest(fmap) == want, "the loss path modified the decoder input"
 
-    def checked(f_cam, f_aerial, adapter, cfg):
+    def checked(f_cam, f_aerial, adapter, variant):
         unchanged()
         seen.append((f_cam, digest(f_cam)))
-        loss = plain(f_cam, f_aerial, adapter, cfg)
+        loss = plain(f_cam, f_aerial, adapter, variant)
         unchanged()
-        if cfg.normalize:
-            s = adapter.apply(f_cam.tensor) if cfg.use_adapter else f_cam.tensor
+        if variant in ("norm_only", "norm_adapter"):
+            s = adapter.apply(f_cam.tensor) if variant == "norm_adapter" else f_cam.tensor
             for m in (s, f_aerial.tensor):
                 mean = np.abs(T.channel_normalize(m).data.mean(axis=(1, 2))).max()
                 assert mean <= 1e-10, f"normalized channel mean {mean}"
@@ -493,7 +486,7 @@ def test_train_student_smoke_and_determinism(corpus, tmp_path, contracts):
     cfg = run_config("norm_adapter", 5, 6, lambda_bev=0.5)
     log = tmp_path / "steps.log"
     st1, dec1, ad1, bks = SV.train_student(cfg, samples, teacher, log_path=str(log))
-    assert contracts(bks, cfg.supervision(), teacher) > 0
+    assert contracts(bks, cfg, teacher) > 0
     assert len(bks) == 6
     assert all(np.isfinite([b.l_cls, b.l_reg, b.l_bev, b.l_total]).all()
                for b in bks)
@@ -518,7 +511,7 @@ def test_train_student_baseline_never_touches_teacher(corpus, contracts):
         p.data[:] = np.nan
     cfg = run_config("baseline", 1, 3)
     _, _, _, bks = SV.train_student(cfg, samples, teacher)
-    assert contracts(bks, cfg.supervision(), teacher) == 0
+    assert contracts(bks, cfg, teacher) == 0
     assert all(b.l_bev == 0.0 for b in bks)
     assert all(np.isfinite(b.l_total) for b in bks)
 
@@ -543,7 +536,7 @@ def test_train_student_teacher_stays_isolated(corpus, contracts):
     before = E.params_checksum(teacher.params)
     cfg = run_config("raw", 2, 4)
     *_, bks = SV.train_student(cfg, samples, teacher)
-    assert contracts(bks, cfg.supervision(), teacher) > 0
+    assert contracts(bks, cfg, teacher) > 0
     assert E.params_checksum(teacher.params) == before
     assert all(p.grad is None for p in teacher.params.values())
 
@@ -552,8 +545,8 @@ def test_training_and_evaluation_lift_the_same_student_features(monkeypatch):
     # scene seed 4 has occluders that hide cells from cameras that would
     # see them; the student must not be told so in training, since the
     # evaluation path cannot know it
-    grid, rig = G.extended_grid(), G.default_rig()
-    scene = S.generate_scene(S.SceneParams(4))
+    grid, rig = G.extended_grid(), RunConfig().rig()
+    scene = S.generate_scene(RunConfig(), 4, (0.0, 1.0))
     assert not S.cell_visibility(scene, rig, grid).all()
     overhead = S.render_overhead(scene, grid)
     sample = S.Sample("s4", "train", 4, overhead,

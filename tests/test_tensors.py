@@ -667,7 +667,7 @@ def test_split_backward_refuses_a_node_two_groups_share():
 
 def test_cosine_schedule_endpoints_and_monotone():
     p = {"w": oracles.parameter(np.zeros(1))}
-    opt = T.AdamW(p, lr=0.1, horizon=100)
+    opt = T.AdamW(p, lr=0.1, weight_decay=0.01, horizon=100, min_lr=0.0)
     assert T.cosine_lr(opt) == 0.1
     rates = []
     for _ in range(130):
@@ -680,7 +680,8 @@ def test_cosine_schedule_endpoints_and_monotone():
 
 
 def test_cosine_min_lr_floor():
-    opt = T.AdamW({"w": oracles.parameter(np.zeros(1))}, lr=0.1, horizon=10, min_lr=0.02)
+    opt = T.AdamW({"w": oracles.parameter(np.zeros(1))}, lr=0.1, weight_decay=0.01,
+                  horizon=10, min_lr=0.02)
     for _ in range(15):
         T.adamw_step(opt)
     assert T.cosine_lr(opt) == 0.02
@@ -691,7 +692,7 @@ def test_adamw_matches_hand_rolled_update():
     w0 = rng.normal(size=4)
     g = rng.normal(size=4)
     p = oracles.parameter(w0.copy())
-    opt = T.AdamW({"w": p}, lr=0.01, weight_decay=0.1, horizon=10 ** 9)
+    opt = T.AdamW({"w": p}, lr=0.01, weight_decay=0.1, horizon=10 ** 9, min_lr=0.0)
     p.grad = g.copy()
     T.adamw_step(opt)
     # closed form for the first Adam step: m_hat = g, v_hat = g^2
@@ -702,7 +703,8 @@ def test_adamw_matches_hand_rolled_update():
 def test_adamw_skips_frozen_and_handles_missing_grad():
     frozen = T.tensor(np.ones(3))
     live = oracles.parameter(np.ones(3))
-    opt = T.AdamW({"f": frozen, "l": live}, lr=0.1, weight_decay=0.0)
+    opt = T.AdamW({"f": frozen, "l": live}, lr=0.1, weight_decay=0.0, horizon=1000,
+                  min_lr=0.0)
     before = frozen.data.copy()
     T.adamw_step(opt)  # neither has a grad; frozen must stay bitwise identical
     assert np.array_equal(frozen.data, before)
@@ -713,7 +715,7 @@ def test_adamw_trajectory_deterministic():
     def run():
         rng = RNG(31)
         p = oracles.parameter(rng.normal(size=5))
-        opt = T.AdamW({"p": p}, lr=0.05, horizon=50)
+        opt = T.AdamW({"p": p}, lr=0.05, weight_decay=0.01, horizon=50, min_lr=0.0)
         for i in range(50):
             x = T.tensor(rng.normal(size=5))
             loss = T.mse(p, x)
