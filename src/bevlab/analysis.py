@@ -134,7 +134,7 @@ def read_similarity_file(path):
 # visualization
 # ---------------------------------------------------------------------------
 
-def channel_mean_viz(fmap, shared_scale=None) -> np.ndarray:
+def channel_mean_viz(fmap, shared_scale) -> np.ndarray:
     """Channel-wise mean activations mapped affinely to [0, 1].
 
     shared_scale = (lo, hi) pins the mapping so several maps are directly
@@ -144,10 +144,7 @@ def channel_mean_viz(fmap, shared_scale=None) -> np.ndarray:
     if fmap.ndim != 3:
         raise AnalysisError("feature map must be (C, H, W)")
     mean = fmap.mean(axis=0)
-    if shared_scale is None:
-        lo, hi = float(mean.min()), float(mean.max())
-    else:
-        lo, hi = float(shared_scale[0]), float(shared_scale[1])
+    lo, hi = float(shared_scale[0]), float(shared_scale[1])
     if hi <= lo:
         return np.full(mean.shape, 0.5)
     return np.clip((mean - lo) / (hi - lo), 0.0, 1.0)

@@ -196,27 +196,36 @@ class RunConfig:
 
     @classmethod
     def parse(cls, text):
+        """Config from `key value` lines; whitespace of any kind separates
+        the key from its value, and errors in a line name its number."""
         overrides = {}
         for ln, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            name, _, rest = line.partition(" ")
+            name, *rest = line.split(None, 1)
             if name not in _DEFAULTS:
                 raise ConfigError(f"line {ln}: unknown config key {name!r}")
             if name in overrides:
                 raise ConfigError(f"line {ln}: duplicate key {name!r}")
-            overrides[name] = _parse_one(name, _DEFAULTS[name], rest.strip())
+            try:
+                overrides[name] = _parse_one(name, _DEFAULTS[name], "".join(rest))
+            except ConfigError as e:
+                raise ConfigError(f"line {ln}: {e}") from None
         return cls(overrides)
 
     @classmethod
     def load(cls, path):
+        """``parse`` of a UTF-8 file; every error names the file."""
         try:
             with open(path, encoding="utf-8") as f:
                 text = f.read()
         except UnicodeDecodeError as e:
             raise ConfigError(f"{path}: not UTF-8 text (byte {e.start})") from None
-        return cls.parse(text)
+        try:
+            return cls.parse(text)
+        except ConfigError as e:
+            raise ConfigError(f"{path}: {e}") from None
 
     def with_overrides(self, **kw):
         """New config with the given fields replaced."""

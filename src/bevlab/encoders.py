@@ -18,7 +18,7 @@ from .geometry import N_CLASSES, BevGrid
 from .mapeval import EvalConfig, evaluate
 from .tensors import (Tensor, add, concat, conv2d, conv_sites, custom_op, linear,
                       maxpool2, mul, parse_ten, relu, reshape, soft_points,
-                      softmax_rows, spatial_mean, tensor, upsample2x, write_ten)
+                      softmax_rows, spatial_mean, upsample2x, write_ten)
 
 
 class EncoderError(RuntimeError):
@@ -32,7 +32,7 @@ class EncoderError(RuntimeError):
 class FeatureMap:
     """A (C, H, W) feature tensor tied to the BEV grid it lives on."""
 
-    def __init__(self, t: Tensor, grid: BevGrid, producer: str):
+    def __init__(self, t: Tensor, grid: BevGrid):
         if t.data.ndim != 3:
             raise EncoderError(f"feature map must be (C, H, W), got {t.data.shape}")
         if t.data.shape[1:] != (grid.rows, grid.cols):
@@ -40,7 +40,6 @@ class FeatureMap:
                                f"{grid.rows}x{grid.cols} grid")
         self.tensor = t
         self.grid = grid
-        self.producer = producer
 
     @property
     def shape(self):
@@ -49,19 +48,13 @@ class FeatureMap:
 
 def _conv_p(rng, cout, cin, k=3):
     std = np.sqrt(2.0 / (cin * k * k))
-    w = Tensor(rng.normal(0.0, std, (cout, cin, k, k)))
-    w.requires_grad = True
-    b = Tensor(np.zeros(cout))
-    b.requires_grad = True
-    return w, b
+    return (Tensor(rng.normal(0.0, std, (cout, cin, k, k)), requires_grad=True),
+            Tensor(np.zeros(cout), requires_grad=True))
 
 
 def _lin_p(rng, n, m):
-    w = Tensor(rng.normal(0.0, np.sqrt(1.0 / n), (n, m)))
-    w.requires_grad = True
-    b = Tensor(np.zeros(m))
-    b.requires_grad = True
-    return w, b
+    return (Tensor(rng.normal(0.0, np.sqrt(1.0 / n), (n, m)), requires_grad=True),
+            Tensor(np.zeros(m), requires_grad=True))
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +92,7 @@ class TeacherEncoder:
 
     def forward(self, raster):
         p = self.params
-        x = tensor(raster)
+        x = Tensor(raster)
         s0 = relu(conv2d(x, p["stem.w"], p["stem.b"], pad=1))
         s1 = relu(conv2d(maxpool2(s0), p["down1.w"], p["down1.b"], pad=1))
         s2 = relu(conv2d(maxpool2(s1), p["down2.w"], p["down2.b"], pad=1))
@@ -129,14 +122,14 @@ def teacher_forward(teacher: TeacherEncoder, raster, grid: BevGrid) -> FeatureMa
     if raster.shape != want:
         raise EncoderError(f"overhead raster is {raster.shape}, expected {want}")
     if not teacher.frozen:
-        return FeatureMap(teacher.forward(raster), grid, "teacher")
+        return FeatureMap(teacher.forward(raster), grid)
     key = (raster.shape, hashlib.sha256(raster.tobytes()).digest())
     data = teacher.maps.get(key)
     if data is None:
         data = teacher.forward(raster).data
         data.flags.writeable = False  # one caller's in-place write must not reach the next
         teacher.maps[key] = data
-    return FeatureMap(Tensor(data), grid, "teacher")
+    return FeatureMap(Tensor(data), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +253,8 @@ class StudentEncoder:
             w, b = _conv_p(rng, cout, cin)
             self.params[name + ".w"] = w
             self.params[name + ".b"] = b
-        default = Tensor(np.zeros(c_feat))  # "unseen cell" vector, learned
-        default.requires_grad = True
-        self.params["default"] = default
+        # the "unseen cell" vector, learned
+        self.params["default"] = Tensor(np.zeros(c_feat), requires_grad=True)
         self._tables = {}  # key -> (LiftTable, the cam2 conv's sites per camera)
 
     def extract(self, image, sites=None) -> Tensor:
@@ -270,7 +262,7 @@ class StudentEncoder:
         conv's ``conv_sites``, as ``_lift_plan`` builds them) only the
         feature pixels they hold, as (C, len(sites.at)) columns."""
         p = self.params
-        x = tensor(image)
+        x = Tensor(image)
         h = relu(conv2d(x, p["cam1.w"], p["cam1.b"], stride=2, pad=1))
         if self.downsample == 4:
             h = maxpool2(h)
@@ -305,7 +297,7 @@ class StudentEncoder:
 
 def student_forward(student: StudentEncoder, images, rig, grid: BevGrid) -> FeatureMap:
     """Encode the camera images into the shared BEV feature shape."""
-    return FeatureMap(student.forward(images, rig, grid), grid, "student")
+    return FeatureMap(student.forward(images, rig, grid), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +338,7 @@ class MapDecoder:
         h2, w2 = grid.rows // 2, grid.cols // 2
         yy, xx = np.meshgrid(np.linspace(-1.0, 1.0, h2),
                              np.linspace(-1.0, 1.0, w2), indexing="ij")
-        self._coords = tensor(np.stack([xx, yy]))
+        self._coords = Tensor(np.stack([xx, yy]))
         my, mx = np.meshgrid(np.linspace(grid.y_max, grid.y_min, h2),
                              np.linspace(grid.x_min, grid.x_max, w2),
                              indexing="ij")
@@ -363,8 +355,8 @@ class MapDecoder:
             logp[q] = -0.5 * (((mx - cx) / sx) ** 2 + ((my - cy) / sy) ** 2)
         mask = np.exp(logp)
         mask *= (h2 * w2) / mask.sum(axis=(1, 2), keepdims=True)
-        self._slot_mask = tensor(np.repeat(mask, hidden, axis=0))
-        self._att_bias = tensor(np.repeat(logp, n_points, axis=0))
+        self._slot_mask = Tensor(np.repeat(mask, hidden, axis=0))
+        self._att_bias = Tensor(np.repeat(logp, n_points, axis=0))
         self.params = {}
         w, b = _conv_p(rng, n_queries * hidden, c_in + 2)
         self.params["mix.w"] = w
@@ -488,9 +480,7 @@ def load_checkpoint(path):
             want = "x".join(str(d) for d in arr.shape) or "scalar"
             if want != shape:
                 raise EncoderError(f"{fn}: shape {want}, manifest says {shape}")
-            t = Tensor(arr)
-            t.requires_grad = frozen == "0"
-            params[name] = t
+            params[name] = Tensor(arr, requires_grad=frozen == "0")
     return params, meta
 
 

@@ -96,15 +96,16 @@ def extended_grid(rows=24, cols=48):
 class Camera:
     """Pinhole camera posed by position, yaw about world z, and downward pitch."""
 
-    def __init__(self, position, yaw, pitch, focal, width, height, cx=None, cy=None):
+    def __init__(self, position, yaw, pitch, focal, width, height):
         self.position = np.asarray(position, dtype=np.float64)
         self.yaw = float(yaw)
         self.pitch = float(pitch)
         self.focal = float(focal)
         self.width = int(width)
         self.height = int(height)
-        self.cx = float(width) / 2.0 if cx is None else float(cx)
-        self.cy = float(height) / 2.0 if cy is None else float(cy)
+        # the principal point is the image center
+        self.cx = float(width) / 2.0
+        self.cy = float(height) / 2.0
         cy_, sy_ = math.cos(self.yaw), math.sin(self.yaw)
         cp, sp = math.cos(self.pitch), math.sin(self.pitch)
         forward = np.array([cp * cy_, cp * sy_, -sp])
@@ -177,18 +178,16 @@ def default_rig(height, pitch, focal, width, img_height, cameras):
 # polyline rasterization (supercover traversal)
 # ---------------------------------------------------------------------------
 
-def rasterize_polyline(grid: BevGrid, pts, canvas=None, value=1):
-    """Mark every grid cell a polyline passes through.
+def rasterize_polyline(grid: BevGrid, pts, canvas, value):
+    """Set to ``value`` every cell of the (rows, cols) ``canvas`` that a
+    polyline passes through, and return the canvas.
 
     Uses exact cell-boundary traversal (Amanatides & Woo), so a segment
     never skips a crossed cell and never marks diagonal neighbours it does
-    not touch. Returns the canvas (created as zeros((rows, cols), int64)
-    when not supplied). The segments walk in lockstep, one array lane
-    each, and each lane repeats the scalar walk's float operations in its
-    order (``t_max += t_d``, the ``1 + 1e-12`` stop, the step guard), so
-    it marks the same cells; a single point is a zero-length segment."""
-    if canvas is None:
-        canvas = np.zeros((grid.rows, grid.cols), dtype=np.int64)
+    not touch. The segments walk in lockstep, one array lane each, and
+    each lane repeats the scalar walk's float operations in its order
+    (``t_max += t_d``, the ``1 + 1e-12`` stop, the step guard), so it
+    marks the same cells; a single point is a zero-length segment."""
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise GeometryError("polyline must be (K, 2)")

@@ -18,7 +18,9 @@ Layout under the output directory:
                                 per-scene teacher-student rows, exact floats),
                                 record.txt, and error.txt with the traceback
                                 if it failed
-    ablation.txt  similarity.txt  sweep_lambda.txt  report.md
+    ablation.txt  similarity.txt  sweep_lambda.txt  sweep_<roi>.svg  report.md
+    viz/                        channel-mean maps of the report's first val
+                                scene (teacher, baseline, configured variant)
 """
 
 import multiprocessing
@@ -342,8 +344,9 @@ def cmd_ablation(cfg: RunConfig, out, seeds=None, jobs=1):
     return rows, failures
 
 
-def cmd_sweep_lambda(cfg: RunConfig, out, factors=None, seeds=None, jobs=1):
-    """One run per (lambda, seed) over factors of the tuned weight.
+def cmd_sweep_lambda(cfg: RunConfig, out, jobs=1):
+    """One run per (lambda, seed) over the config's ``lambda_factors`` of
+    the tuned weight and its ``seeds``.
 
     lambda = 0 maps to the baseline variant (supervision off is exactly
     the baseline trajectory) and the tuned factor reuses the main runs.
@@ -356,15 +359,13 @@ def cmd_sweep_lambda(cfg: RunConfig, out, factors=None, seeds=None, jobs=1):
     if cfg.lambda_bev == 0.0:
         raise HarnessError("the sweep scales lambda_bev, which is 0, so every run would be "
                            "the baseline; set lambda_bev above 0")
-    factors = list(cfg.lambda_factors if factors is None else factors)
-    if 0.0 not in factors:
+    if 0.0 not in cfg.lambda_factors:
         raise HarnessError("the sweep needs the lambda = 0 reference point")
-    seeds = list(cfg.seeds if seeds is None else seeds)
-    values = [f * cfg.lambda_bev for f in factors]
+    values = [f * cfg.lambda_bev for f in cfg.lambda_factors]
     specs = []
     for lam in values:
         variant = "baseline" if lam == 0.0 else cfg.variant
-        specs.extend((variant, s, lam) for s in seeds)
+        specs.extend((variant, s, lam) for s in cfg.seeds)
     done, failures = _finished_runs(cfg, out, specs, jobs)
     rows = []
     for lam in values:
@@ -377,11 +378,9 @@ def cmd_sweep_lambda(cfg: RunConfig, out, factors=None, seeds=None, jobs=1):
                  [f"{lam!r} {n} {ms:.6f} {me:.6f}" for lam, n, ms, me in rows], failures)
     good = [r for r in rows if r[1]]
     for i, roi in enumerate(ROIS):
-        line_plot(os.path.join(out, f"sweep_{roi}.svg"),
-                  [(f"val mAP ({roi} RoI)", [r[0] for r in good],
-                    [r[2 + i] for r in good])],
-                  title="Alignment weight sweep",
-                  x_label="lambda", y_label="val mAP")
+        line_plot(os.path.join(out, f"sweep_{roi}.svg"), [r[0] for r in good],
+                  [r[2 + i] for r in good], title="Alignment weight sweep",
+                  x_label="lambda", y_label=f"val mAP ({roi} RoI)")
     return rows, failures
 
 
@@ -408,23 +407,17 @@ def _runs_for(cfg, out, variant, seeds):
 
 
 def _mean_eval(run_dirs, roi):
-    """Averages eval_<roi>.txt cells over runs; returns (cells, class_means,
-    map). Raises FileNotFoundError naming the first missing file."""
-    acc_cells, acc_cls, acc_map = None, None, []
+    """Averages eval_<roi>.txt over runs; returns (class_means, map).
+    Raises FileNotFoundError naming the first missing file."""
+    acc_cls, acc_map = None, []
     for rdir in run_dirs:
-        cells, class_means, map_value = read_eval_file(
-            os.path.join(rdir, f"eval_{roi}.txt"))
-        if acc_cells is None:
-            acc_cells = {k: [] for k in cells}
+        _, class_means, map_value = read_eval_file(os.path.join(rdir, f"eval_{roi}.txt"))
+        if acc_cls is None:
             acc_cls = {k: [] for k in class_means}
-        for k, v in cells.items():
-            acc_cells[k].append(v)
         for k, v in class_means.items():
             acc_cls[k].append(v)
         acc_map.append(map_value)
-    return ({k: float(np.mean(v)) for k, v in acc_cells.items()},
-            {k: float(np.mean(v)) for k, v in acc_cls.items()},
-            float(np.mean(acc_map)))
+    return {k: float(np.mean(v)) for k, v in acc_cls.items()}, float(np.mean(acc_map))
 
 
 def _table_section(lines, missing, path, what, verb, header):
@@ -471,14 +464,13 @@ def cmd_report(cfg: RunConfig, out):
         lines += [f"### {roi} RoI", ""]
         header = "| model | " + " | ".join(CLASS_NAMES) + " | mAP |"
         lines += [header, "|" + "---|" * (N_CLASSES + 2)]
-        for label, (cells, cls_means, map_value) in (("baseline", base),
-                                                     (cfg.variant, cvs)):
+        for label, (cls_means, map_value) in (("baseline", base), (cfg.variant, cvs)):
             row = [label] + [f"{cls_means[c]:.6f}" for c in CLASS_NAMES]
             row.append(f"{map_value:.6f}")
             lines.append("| " + " | ".join(row) + " |")
-        delta = [f"{cvs[1][c] - base[1][c]:+.6f}" for c in CLASS_NAMES]
+        delta = [f"{cvs[0][c] - base[0][c]:+.6f}" for c in CLASS_NAMES]
         lines.append("| delta | " + " | ".join(delta)
-                     + f" | {cvs[2] - base[2]:+.6f} |")
+                     + f" | {cvs[1] - base[1]:+.6f} |")
         lines.append("")
 
     # Table 2 shape: the normalization ablation

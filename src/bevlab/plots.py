@@ -1,7 +1,7 @@
 """Minimal self-contained SVG plots.
 
-Line plots with axes, ticks, labels and a legend, written as plain SVG
-text. Output is deterministic: same data, byte-identical file.
+A one-series line plot with axes, ticks, a title and axis labels, written
+as plain SVG text. Output is deterministic: same data, byte-identical file.
 """
 
 import math
@@ -11,7 +11,7 @@ class PlotError(ValueError):
     pass
 
 
-PALETTE = ("#1f6fb2", "#c23b22", "#2e8b57", "#8a2be2", "#b8860b", "#444444")
+COLOR = "#1f6fb2"
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 20, 36, 48
@@ -43,20 +43,17 @@ def _fmt(v):
     return f"{v:.4g}"
 
 
-def line_plot(path, series, title="", x_label="", y_label=""):
-    """series: list of (name, xs, ys); writes an SVG line chart.
+def line_plot(path, xs, ys, title, x_label, y_label):
+    """Writes the SVG line chart of one series, the points ``xs``, ``ys``.
 
-    Points are drawn as small circles on top of each polyline so single
-    point series remain visible.
+    Points are drawn as small circles on top of the polyline so a single
+    point remains visible.
     """
-    series = [(str(name), [float(x) for x in xs], [float(y) for y in ys])
-              for name, xs, ys in series]
-    if not series or any(len(xs) != len(ys) or not xs for _, xs, ys in series):
-        raise PlotError("each series needs equally many xs and ys, at least one")
-    all_x = [x for _, xs, _ in series for x in xs]
-    all_y = [y for _, _, ys in series for y in ys]
-    xt = _nice_ticks(min(all_x), max(all_x))
-    yt = _nice_ticks(min(all_y), max(all_y))
+    xs, ys = [float(x) for x in xs], [float(y) for y in ys]
+    if len(xs) != len(ys) or not xs:
+        raise PlotError("the series needs equally many xs and ys, at least one")
+    xt = _nice_ticks(min(xs), max(xs))
+    yt = _nice_ticks(min(ys), max(ys))
     x0, x1 = xt[0], xt[-1]
     y0, y1 = yt[0], yt[-1]
     iw = WIDTH - MARGIN_L - MARGIN_R
@@ -70,10 +67,9 @@ def line_plot(path, series, title="", x_label="", y_label=""):
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
-           f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>']
-    if title:
-        out.append(f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="14">{title}</text>')
+           f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+           f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
+           f'font-family="sans-serif" font-size="14">{title}</text>']
     # frame and ticks
     out.append(f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{iw}" height="{ih}" '
                f'fill="none" stroke="#333" stroke-width="1"/>')
@@ -94,30 +90,18 @@ def line_plot(path, series, title="", x_label="", y_label=""):
         out.append(f'<line x1="{MARGIN_L}" y1="{py:.1f}" '
                    f'x2="{MARGIN_L + iw}" y2="{py:.1f}" stroke="#ddd" '
                    f'stroke-width="0.5"/>')
-    if x_label:
-        out.append(f'<text x="{MARGIN_L + iw / 2:.1f}" y="{HEIGHT - 10}" '
-                   f'text-anchor="middle" font-family="sans-serif" '
-                   f'font-size="12">{x_label}</text>')
-    if y_label:
-        cy = MARGIN_T + ih / 2
-        out.append(f'<text x="16" y="{cy:.1f}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="12" '
-                   f'transform="rotate(-90 16 {cy:.1f})">{y_label}</text>')
-    # series
-    for i, (name, xs, ys) in enumerate(series):
-        color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                   f'stroke-width="1.5"/>')
-        for x, y in zip(xs, ys):
-            out.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" '
-                       f'fill="{color}"/>')
-        ly = MARGIN_T + 14 + 16 * i
-        lx = MARGIN_L + iw - 150
-        out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" '
-                   f'y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>')
-        out.append(f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-                   f'font-size="11">{name}</text>')
+    out.append(f'<text x="{MARGIN_L + iw / 2:.1f}" y="{HEIGHT - 10}" '
+               f'text-anchor="middle" font-family="sans-serif" '
+               f'font-size="12">{x_label}</text>')
+    cy = MARGIN_T + ih / 2
+    out.append(f'<text x="16" y="{cy:.1f}" text-anchor="middle" '
+               f'font-family="sans-serif" font-size="12" '
+               f'transform="rotate(-90 16 {cy:.1f})">{y_label}</text>')
+    pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+    out.append(f'<polyline points="{pts}" fill="none" stroke="{COLOR}" '
+               f'stroke-width="1.5"/>')
+    out += [f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="{COLOR}"/>'
+            for x, y in zip(xs, ys)]
     out.append("</svg>")
     with open(path, "w") as f:
         f.write("\n".join(out) + "\n")

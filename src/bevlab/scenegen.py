@@ -273,18 +273,17 @@ def _box_windows(cam, occluders):
             else np.s_[l[1]:h[1], l[0]:h[0]] for zb, l, h in zip(z.reshape(-1, 8), lo, hi)]
 
 
-def render_cameras(scene: Scene, rig, grid: BevGrid, overhead=None):
+def render_cameras(scene: Scene, rig, grid: BevGrid, overhead):
     """Perspective views of the quantized ground, with occluder shadowing.
 
     Where a camera ray reaches unoccluded ground inside the grid, the pixel
-    is bitwise equal to that cell's overhead color. A box is slab-tested
-    only on the pixels _box_windows gives it, boxes in scene order and the
-    first of the nearest winning, so every pixel keeps the bits of testing
-    every box on the whole image. Camera.pixel_dirs gives each camera's rays
-    and Camera.ground_rays where they meet the ground, both made once.
+    is bitwise equal to that cell's color in ``overhead``, the scene's
+    ``render_overhead`` on ``grid``. A box is slab-tested only on the
+    pixels _box_windows gives it, boxes in scene order and the first of the
+    nearest winning, so every pixel keeps the bits of testing every box on
+    the whole image. Camera.pixel_dirs gives each camera's rays and
+    Camera.ground_rays where they meet the ground, both made once.
     """
-    if overhead is None:
-        overhead = render_overhead(scene, grid)
     paint = np.array([occluder_color(scene.texture_seed, i) for i in range(len(scene.occluders))])
     images = []
     for cam in rig:

@@ -33,9 +33,12 @@ from .geometry import N_CLASSES
 from .mapeval import clip_to_roi
 from .tensors import (AdamW, Tensor, TensorError, adamw_step, add, backward,
                       channel_affine, channel_normalize, focal_loss,
-                      l1_rows_loss, mse, scale, softmax_rows, tensor)
+                      l1_rows_loss, mse, scale, softmax_rows)
 
 VARIANTS = ("baseline", "raw", "norm_only", "norm_adapter")
+CLASS_PENALTY = 5.0  # matching cost per unit of class posterior missing
+FOCAL_ALPHA = 0.25  # focal weight of the map classes; background gets 1 - alpha
+FOCAL_GAMMA = 2.0  # focal exponent of (1 - p_t)
 
 
 class SupervisionError(RuntimeError):
@@ -46,11 +49,8 @@ class AffineAdapter:
     """Learned per-channel scale and shift, identity at initialization."""
 
     def __init__(self, channels):
-        gamma = Tensor(np.ones(channels))
-        gamma.requires_grad = True
-        beta = Tensor(np.zeros(channels))
-        beta.requires_grad = True
-        self.params = {"gamma": gamma, "beta": beta}
+        self.params = {"gamma": Tensor(np.ones(channels), requires_grad=True),
+                       "beta": Tensor(np.zeros(channels), requires_grad=True)}
 
     def apply(self, t: Tensor) -> Tensor:
         return channel_affine(t, self.params["gamma"], self.params["beta"])
@@ -79,7 +79,11 @@ def bev_alignment_loss(f_cam, f_aerial, adapter: AffineAdapter, variant) -> Tens
     """Mean squared difference between the student map and the frozen
     teacher map, compared as the ``variant`` name says: norm_only and
     norm_adapter normalize both maps per channel, norm_adapter routes the
-    student map through ``adapter`` first, and raw compares them as they are."""
+    student map through ``adapter`` first, and raw and baseline compare
+    them as they are. Any other name raises SupervisionError."""
+    if variant not in VARIANTS:
+        raise SupervisionError(f"unknown variant {variant!r}; expected one of "
+                               f"{', '.join(VARIANTS)}")
     if f_cam.shape != f_aerial.shape:
         raise SupervisionError(f"feature shapes differ: {f_cam.shape} vs "
                                f"{f_aerial.shape}")
@@ -178,18 +182,19 @@ def _assign(cost):
     return np.arange(nr, dtype=np.int64), col4row
 
 
-def match_queries(logits, points, gts, class_penalty=5.0, gt_pts=None):
+def match_queries(logits, points, gts, gt_pts):
     """Minimum-cost one-to-one assignment of query slots to gt elements.
 
-    Cost per (query, element) is the orientation-free mean L1 distance
-    between the query's points and the element resampled to K points, plus
-    class_penalty * (1 - posterior of the element's class), built for all
+    ``gt_pts`` (E, K, 2) holds the elements resampled to the queries' K
+    points, as ``target_points`` gives them (None for a scene with no
+    elements). Cost per (query, element) is the orientation-free mean L1
+    distance between the query's points and the element's, plus
+    CLASS_PENALTY * (1 - posterior of the element's class), built for all
     pairs in one broadcast pass. ``_assign`` solves it by Crouse's shortest
     augmenting path as scipy 1.17.1 runs it; doing scipy's float operations
     in scipy's order, it breaks ties as scipy does. Returns (targets,
     pairs): per-query class targets with unmatched slots set to the
     background index, and (query, target points) pairs for regression.
-    ``gt_pts`` (E, K, 2) may supply the elements already resampled.
     """
     z = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
     pts = points.data if isinstance(points, Tensor) else np.asarray(points)
@@ -199,16 +204,14 @@ def match_queries(logits, points, gts, class_penalty=5.0, gt_pts=None):
     targets = np.full(n_q, N_CLASSES, dtype=np.int64)
     if not gts:
         return targets, []
-    p = softmax_rows(z)
-    if gt_pts is None:
-        gt_pts = np.stack([polyline_points(e[2], n_k) for e in gts])
-    elif gt_pts.shape != (len(gts), n_k, 2):
-        raise SupervisionError(f"resampled targets {gt_pts.shape} for {len(gts)} "
+    if np.shape(gt_pts) != (len(gts), n_k, 2):
+        raise SupervisionError(f"resampled targets {np.shape(gt_pts)} for {len(gts)} "
                                f"elements of {n_k} points")
+    p = softmax_rows(z)
     d_fwd = np.mean(np.abs(pts[:, None] - gt_pts[None]), axis=(2, 3))
     d_rev = np.mean(np.abs(pts[:, None] - gt_pts[None, :, ::-1]), axis=(2, 3))
     cids = [e[0] for e in gts]
-    cost = np.minimum(d_fwd, d_rev) + class_penalty * (1.0 - p[:, cids])
+    cost = np.minimum(d_fwd, d_rev) + CLASS_PENALTY * (1.0 - p[:, cids])
     rows, cols = _assign(cost)
     pairs = []
     for q, j in zip(rows, cols):
@@ -242,13 +245,13 @@ def target_points(targets, k):
             for sid, elems in targets.items() if elems}
 
 
-def detection_loss(logits, points, gts, reg_weight, focal_alpha=0.25,
-                   focal_gamma=2.0, gt_pts=None):
-    """Classification + point regression for one sample's decoder output."""
-    targets, pairs = match_queries(logits, points, gts, gt_pts=gt_pts)
-    l_cls = focal_loss(logits, targets, focal_alpha, focal_gamma)
+def detection_loss(logits, points, gts, reg_weight, gt_pts):
+    """Classification + point regression for one sample's decoder output;
+    ``gt_pts`` as ``match_queries`` takes it."""
+    targets, pairs = match_queries(logits, points, gts, gt_pts)
+    l_cls = focal_loss(logits, targets, FOCAL_ALPHA, FOCAL_GAMMA)
     if not pairs:
-        return l_cls, tensor(0.0)
+        return l_cls, Tensor(0.0)
     rows, lines = zip(*pairs)
     return l_cls, scale(l1_rows_loss(points, rows, lines), reg_weight / len(pairs))
 
@@ -417,7 +420,7 @@ def fit(cfg, models, features, samples, batches, steps, log_path, align=None,
         l_cls = mean_of(cls_terms)
         l_reg = mean_of(reg_terms)
         l_total = add(l_cls, l_reg)
-        l_bev = tensor(0.0)
+        l_bev = Tensor(0.0)
         if bev_terms:
             l_bev = mean_of(bev_terms[0])
             l_total = add(l_total, scale(l_bev, cfg.lambda_bev))

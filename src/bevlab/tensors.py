@@ -69,10 +69,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, op={self._op}, grad={self.requires_grad})"
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def custom_op(out_data, parents, bwd, name: str) -> Tensor:
     """Wire an externally computed forward result into the tape.
 
@@ -250,14 +246,14 @@ def reshape(x: Tensor, shape) -> Tensor:
     return custom_op(out_data, (x,), bwd, "reshape")
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
+def concat(tensors) -> Tensor:
+    """Join (C, H, W) maps along the channel axis."""
     tensors = list(tensors)
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    out_data = np.concatenate([t.data for t in tensors])
+    splits = np.cumsum([t.data.shape[0] for t in tensors])[:-1]
 
     def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(np.split(g, splits))
 
     return custom_op(out_data, tuple(tensors), bwd, "concat")
 
@@ -321,28 +317,16 @@ def spatial_mean(x: Tensor) -> Tensor:
     return custom_op(out_data, (x,), bwd, "spatial_mean")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
-    """x @ w (+ b). x is (n,) or (N, n); w is (n, m); b is (m,)."""
-    if x.data.shape[-1] != w.data.shape[0]:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b. x is (N, n); w is (n, m); b is (m,)."""
+    if x.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise TensorError(f"linear shape mismatch {x.data.shape} @ {w.data.shape}")
-    out_data = x.data @ w.data
-    if b is not None:
-        out_data = out_data + b.data
-    parents = (x, w) if b is None else (x, w, b)
+    out_data = x.data @ w.data + b.data
 
     def bwd(g):
-        dx = g @ w.data.T
-        if x.data.ndim == 1:
-            dw = np.outer(x.data, g)
-            db = g
-        else:
-            dw = x.data.T @ g
-            db = g.sum(axis=0)
-        if b is None:
-            return dx, dw
-        return dx, dw, db
+        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
 
-    return custom_op(out_data, parents, bwd, "linear")
+    return custom_op(out_data, (x, w, b), bwd, "linear")
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +460,10 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor = None, stride: int = 1, pad: int 
 # normalization / adapter
 # ---------------------------------------------------------------------------
 
-def channel_normalize(x: Tensor, eps: float = 1e-5) -> Tensor:
+NORM_EPS = 1e-5  # added to each channel's variance
+
+
+def channel_normalize(x: Tensor) -> Tensor:
     """Per-channel standardization over spatial positions of a (C, H, W) map."""
     if x.data.ndim != 3:
         raise TensorError("channel_normalize expects (C, H, W)")
@@ -486,7 +473,7 @@ def channel_normalize(x: Tensor, eps: float = 1e-5) -> Tensor:
     mu = x.data.mean(axis=(1, 2), keepdims=True)
     centered = x.data - mu
     var = np.mean(centered * centered, axis=(1, 2), keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     y = centered * inv
 
     def bwd(g):
@@ -567,13 +554,12 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     return custom_op(out_data, (a, b), bwd, "mse")
 
 
-def focal_loss(logits: Tensor, targets, alpha=0.25, gamma: float = 2.0) -> Tensor:
+def focal_loss(logits: Tensor, targets, alpha: float, gamma: float) -> Tensor:
     """Softmax focal loss, mean over rows of -alpha_t (1 - p_t)^gamma log p_t.
 
     ``targets`` is an integer array of class indices, one per logits row.
-    When ``alpha`` is a float the LAST class is treated as the negative
-    (background) class and weighted 1 - alpha; ``alpha=None`` weights all
-    classes uniformly (so gamma=0, alpha=None is plain cross-entropy).
+    The LAST class is the negative (background) class, weighted 1 - alpha;
+    every other class is weighted alpha.
     """
     z = logits.data
     if z.ndim != 2:
@@ -590,10 +576,7 @@ def focal_loss(logits: Tensor, targets, alpha=0.25, gamma: float = 2.0) -> Tenso
     rows = np.arange(n)
     pt = p[rows, t]
     logpt = logp[rows, t]
-    if alpha is None:
-        w = np.ones(n)
-    else:
-        w = np.where(t == k - 1, 1.0 - float(alpha), float(alpha))
+    w = np.where(t == k - 1, 1.0 - alpha, alpha)
     one_m = 1.0 - pt
     focal = one_m ** gamma
     out_data = np.float64(np.mean(-w * focal * logpt))
@@ -651,6 +634,10 @@ def l1_rows_loss(x: Tensor, rows, targets) -> Tensor:
 # optimizer: AdamW with cosine-annealed learning rate
 # ---------------------------------------------------------------------------
 
+ADAM_BETAS = (0.9, 0.999)  # decay rates of the first and second moments
+ADAM_EPS = 1e-8  # added to the root of the second moment
+
+
 class AdamW:
     """Decoupled weight decay Adam over a named parameter dict.
 
@@ -659,14 +646,12 @@ class AdamW:
     """
 
     def __init__(self, params: dict, lr: float, weight_decay: float, horizon: int,
-                 min_lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
+                 min_lr: float):
         self.params = dict(params)
         self.base_lr = float(lr)
         self.weight_decay = float(weight_decay)
         self.horizon = int(horizon)
         self.min_lr = float(min_lr)
-        self.betas = (float(betas[0]), float(betas[1]))
-        self.eps = float(eps)
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -685,7 +670,7 @@ def cosine_lr(state: AdamW) -> float:
 def adamw_step(state: AdamW) -> float:
     """Apply one AdamW update to every trainable parameter; returns the lr used."""
     lr = cosine_lr(state)
-    b1, b2 = state.betas
+    b1, b2 = ADAM_BETAS
     t = state.step_count + 1
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
@@ -699,7 +684,7 @@ def adamw_step(state: AdamW) -> float:
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * np.square(g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p.data = p.data - lr * (update + state.weight_decay * p.data)
     state.step_count = t
     return lr

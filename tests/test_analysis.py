@@ -147,8 +147,8 @@ def test_similarity_file_round_trip(tmp_path):
 
 def test_channel_mean_viz_constant_and_degenerate():
     fmap = np.full((3, 4, 5), 2.5)
-    img = A.channel_mean_viz(fmap)
-    assert np.all(img == 0.5)  # degenerate own-scale renders mid-gray
+    img = A.channel_mean_viz(fmap, (2.5, 2.5))
+    assert np.all(img == 0.5)  # a degenerate scale renders mid-gray
     img2 = A.channel_mean_viz(fmap, shared_scale=(0.0, 5.0))
     assert np.all(img2 == 0.5)
 
@@ -156,8 +156,8 @@ def test_channel_mean_viz_constant_and_degenerate():
 def test_channel_mean_viz_longhand_two_by_two():
     fmap = np.array([[[1.0, 3.0], [5.0, 7.0]],
                      [[2.0, 4.0], [6.0, 8.0]]])
-    # channel means: [[1.5, 3.5], [5.5, 7.5]]; lo=1.5, hi=7.5
-    img = A.channel_mean_viz(fmap)
+    # channel means: [[1.5, 3.5], [5.5, 7.5]], scaled by their own range
+    img = A.channel_mean_viz(fmap, (1.5, 7.5))
     want = np.array([[0.0, 2.0 / 6.0], [4.0 / 6.0, 1.0]])
     assert np.allclose(img, want, atol=1e-15)
 

@@ -52,6 +52,20 @@ def test_parse_rejects_unknown_duplicate_and_malformed_keys():
         RunConfig.parse("lambda_bev high\n")
 
 
+def test_parse_value_errors_name_their_line():
+    with pytest.raises(ConfigError, match=r"^line 3: steps: expected int, got 'x'$"):
+        RunConfig.parse("n_train 4\n# a comment\nsteps x\n")
+    with pytest.raises(ConfigError, match=r"^line 1: teacher_widths: expected 3 values, got 2$"):
+        RunConfig.parse("teacher_widths 12 16\n")
+
+
+def test_parse_splits_key_and_value_on_any_whitespace():
+    cfg = RunConfig.parse("steps\t10\nseeds \t 4\t5\nlambda_bev\t\t0.5  \n")
+    assert cfg.steps == 10 and cfg.seeds == (4, 5) and cfg.lambda_bev == 0.5
+    # dump writes single spaces whatever was read, so no cache hash moves
+    assert RunConfig.parse(cfg.dump().replace(" ", "\t")).dump() == cfg.dump()
+
+
 def test_validation_rejects_bad_fields():
     for overrides in ({"variant": "nope"}, {"roi": "huge"},
                       {"n_train": 0}, {"steps": 0}, {"lambda_bev": -1.0},

@@ -59,8 +59,8 @@ def test_lift_features_matches_loop_oracle():
     table = tiny_table()
     feats = [rng.normal(size=(4, 2, 3)), rng.normal(size=(4, 2, 3))]
     default = rng.normal(size=4)
-    got = E.lift_features([T.tensor(f) for f in read_columns(feats, table)], table,
-                          T.tensor(default))
+    got = E.lift_features([T.Tensor(f) for f in read_columns(feats, table)], table,
+                          T.Tensor(default))
     want = lift_oracle(feats, table, default)
     assert np.array_equal(got.data, want)
 
@@ -94,7 +94,7 @@ def test_lift_features_gradient_matches_fd():
 
     def loss(a0, a1, d):
         out = E.lift_features([a0, a1], table, d)
-        return T.mse(out, T.tensor(w))
+        return T.mse(out, T.Tensor(w))
 
     ts = [oracles.parameter(f0.copy()), oracles.parameter(f1.copy()),
           oracles.parameter(default.copy())]
@@ -102,7 +102,7 @@ def test_lift_features_gradient_matches_fd():
     arrays = [f0.copy(), f1.copy(), default.copy()]
     for i, t in enumerate(ts):
         fd = oracles.fd_gradient(
-            lambda a0, a1, d: float(loss(T.tensor(a0), T.tensor(a1), T.tensor(d)).data),
+            lambda a0, a1, d: float(loss(T.Tensor(a0), T.Tensor(a1), T.Tensor(d)).data),
             [a.copy() for a in arrays], i)
         assert t.grad is not None
         assert oracles.rel_error(t.grad, fd) < 1e-6, f"input {i}"
@@ -114,9 +114,9 @@ def test_lift_all_invisible_fills_with_default():
     table = E.LiftTable(np.full(8, -1), base.fv, base.fu, base.feat_shapes,
                         rows=2, cols=4)
     assert [len(r) for r in table.reads] == [0, 0]
-    feats = [T.tensor(np.zeros((4, 0))) for _ in range(2)]
+    feats = [T.Tensor(np.zeros((4, 0))) for _ in range(2)]
     default = rng.normal(size=4)
-    out = E.lift_features(feats, table, T.tensor(default))
+    out = E.lift_features(feats, table, T.Tensor(default))
     assert np.array_equal(out.data, np.tile(default[:, None, None], (1, 2, 4)))
 
 
@@ -144,15 +144,15 @@ def test_lift_table_reads_match_loop_oracle():
 def test_lift_features_shape_errors():
     rng = RNG(8)
     table = tiny_table()
-    good = [T.tensor(rng.normal(size=(4, 2))) for _ in range(2)]
-    E.lift_features(good, table, T.tensor(np.zeros(4)))
+    good = [T.Tensor(rng.normal(size=(4, 2))) for _ in range(2)]
+    E.lift_features(good, table, T.Tensor(np.zeros(4)))
     with pytest.raises(E.EncoderError):
-        E.lift_features(good[:1], table, T.tensor(np.zeros(4)))
+        E.lift_features(good[:1], table, T.Tensor(np.zeros(4)))
     # a full camera map, or columns for the wrong reads, is refused
     for wrong in ((4, 2, 3), (4, 3), (5, 2)):
-        bad = [good[0], T.tensor(rng.normal(size=wrong))]
+        bad = [good[0], T.Tensor(rng.normal(size=wrong))]
         with pytest.raises(E.EncoderError):
-            E.lift_features(bad, table, T.tensor(np.zeros(4)))
+            E.lift_features(bad, table, T.Tensor(np.zeros(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +220,12 @@ def test_lift_invariant_under_rig_permutation():
     for downsample, shape in ((2, (32, 48)), (4, (16, 24))):
         feats = [rng.normal(size=(5,) + shape) for _ in rig]
         table = E.build_lift_table(rig, grid, downsample=downsample)
-        base = E.lift_features([T.tensor(f) for f in read_columns(feats, table)],
-                               table, T.tensor(default))
+        base = E.lift_features([T.Tensor(f) for f in read_columns(feats, table)],
+                               table, T.Tensor(default))
         table = E.build_lift_table([rig[p] for p in perm], grid, downsample=downsample)
         swapped = E.lift_features(
-            [T.tensor(f) for f in read_columns([feats[p] for p in perm], table)],
-            table, T.tensor(default))
+            [T.Tensor(f) for f in read_columns([feats[p] for p in perm], table)],
+            table, T.Tensor(default))
         assert np.array_equal(base.data, swapped.data), downsample
 
 
@@ -239,8 +239,7 @@ def test_teacher_output_covers_grid():
     teacher = RunConfig().teacher(RNG(1))
     assert teacher.forward(raster).data.shape == (teacher.c_feat, grid.rows, grid.cols)
     fmap = E.teacher_forward(teacher, raster, grid)
-    assert fmap.shape == (16, 24, 48)
-    assert fmap.producer == "teacher"
+    assert fmap.shape == (16, 24, 48) and fmap.grid is grid
 
 
 def test_teacher_deterministic_in_seed():
@@ -301,7 +300,7 @@ def test_frozen_teacher_runs_the_unet_once_per_raster(unet_passes):
     second = E.teacher_forward(teacher, raster.copy(), grid)
     assert len(unet_passes) == 1
     assert second is not first and second.tensor is not first.tensor
-    assert second.grid is grid and second.producer == "teacher"
+    assert second.grid is grid
     assert not second.tensor.requires_grad
     assert np.array_equal(second.tensor.data, want[0])
     other = E.teacher_forward(teacher, turned, tall)
@@ -357,9 +356,9 @@ def test_stored_teacher_map_refuses_in_place_writes():
 
 def test_feature_map_rejects_wrong_cover():
     with pytest.raises(E.EncoderError):
-        E.FeatureMap(T.tensor(np.zeros((4, 10, 48))), G.standard_grid(), "x")
+        E.FeatureMap(T.Tensor(np.zeros((4, 10, 48))), G.standard_grid())
     with pytest.raises(E.EncoderError):
-        E.FeatureMap(T.tensor(np.zeros((24, 48))), G.standard_grid(), "x")
+        E.FeatureMap(T.Tensor(np.zeros((24, 48))), G.standard_grid())
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +375,7 @@ def test_student_matches_teacher_feature_shape():
     student = RunConfig().student(RNG(6))
     fmap = E.student_forward(student, zero_images(rig), rig, grid)
     assert fmap.shape == (student.c_feat, grid.rows, grid.cols)
-    assert np.isfinite(fmap.tensor.data).all()
-    assert fmap.producer == "student"
+    assert np.isfinite(fmap.tensor.data).all() and fmap.grid is grid
 
 
 def test_student_invariant_under_camera_permutation():
@@ -414,7 +412,7 @@ def dense_lift(feats, table, default):
 def dense_layout_extract(student, image, reads):
     """student.extract with the second conv's read pixels in a zero full map."""
     p = student.params
-    h = T.relu(T.conv2d(T.tensor(image), p["cam1.w"], p["cam1.b"], stride=2, pad=1))
+    h = T.relu(T.conv2d(T.Tensor(image), p["cam1.w"], p["cam1.b"], stride=2, pad=1))
     if student.downsample == 4:
         h = T.maxpool2(h)
     out, bwd = oracles.conv2d_at_dense(h.data, p["cam2.w"].data, p["cam2.b"].data, 1, 1, reads)
@@ -443,7 +441,7 @@ def test_student_forward_with_reads_matches_dense_extract():
         student = RunConfig({"downsample": downsample}).student(RNG(13))
         student.params["default"].data[:] = rng.normal(size=student.c_feat)
         for grid in (G.standard_grid(), G.extended_grid()):
-            w = T.tensor(rng.normal(size=(student.c_feat, grid.rows, grid.cols)))
+            w = T.Tensor(rng.normal(size=(student.c_feat, grid.rows, grid.cols)))
             outs, grads = [], []
             for run in (lambda: E.student_forward(student, images, rig, grid).tensor,
                         lambda: dense_student_forward(student, images, rig, grid)):
@@ -468,16 +466,17 @@ def test_student_step_gradients_equal_the_dense_layout_bitwise():
         decoder = cfg.decoder(RNG(15))
         sample = make_sample(3, grid, rig)
         gts = SV.clipped_targets([sample], grid, decoder.n_queries)[sample.scene_id]
+        gt_pts = SV.target_points({0: gts}, decoder.n_points).get(0)
         teacher_map = random_fmap(RNG(4), grid)
         adapter = cfg.adapter()
         params = E.named_params({"student": student, "decoder": decoder, "adapter": adapter})
         runs = []
         for forward in (lambda: E.student_forward(student, sample.cams, rig, grid),
                         lambda: E.FeatureMap(dense_student_forward(
-                            student, sample.cams, rig, grid, dense_layout_extract),
-                            grid, "student")):
+                            student, sample.cams, rig, grid, dense_layout_extract), grid)):
             fmap = forward()
-            l_cls, l_reg = SV.detection_loss(*decoder.forward(fmap), gts, cfg.reg_weight)
+            l_cls, l_reg = SV.detection_loss(*decoder.forward(fmap), gts, cfg.reg_weight,
+                                             gt_pts)
             loss = T.add(T.add(l_cls, l_reg),
                          SV.bev_alignment_loss(fmap, teacher_map, adapter, cfg.variant))
             T.backward(loss)
@@ -513,9 +512,8 @@ def test_student_lift_table_cache_reused():
 # decoder
 # ---------------------------------------------------------------------------
 
-def random_fmap(rng, grid, c=16, producer="teacher"):
-    return E.FeatureMap(T.tensor(rng.normal(size=(c, grid.rows, grid.cols))),
-                        grid, producer)
+def random_fmap(rng, grid, c=16):
+    return E.FeatureMap(T.Tensor(rng.normal(size=(c, grid.rows, grid.cols))), grid)
 
 
 def test_decoder_points_lie_inside_grid():

@@ -97,10 +97,15 @@ def test_rig_pitch_sees_ground_ahead():
     assert valid[0] and z[0] > 0
 
 
+def rasterize(grid, pts):
+    """rasterize_polyline's cells of pts, marked 1 on an empty canvas."""
+    return G.rasterize_polyline(grid, pts, np.zeros((grid.rows, grid.cols), dtype=np.int64), 1)
+
+
 def test_rasterize_horizontal_run_no_leaks():
     # odd row count so y = 0 runs through the interior of the middle row
     grid = G.BevGrid(-5, 5, -2.5, 2.5, 5, 10)
-    canvas = G.rasterize_polyline(grid, [(-4.9, 0.0), (4.9, 0.0)])
+    canvas = rasterize(grid, [(-4.9, 0.0), (4.9, 0.0)])
     marked = set(zip(*np.nonzero(canvas)))
     assert marked == {(2, c) for c in range(10)}
 
@@ -110,7 +115,7 @@ def test_rasterize_contains_dense_sampling():
     rng = np.random.default_rng(3)
     for _ in range(20):
         pts = rng.uniform([-29, -14], [29, 14], size=(4, 2))
-        canvas = G.rasterize_polyline(grid, pts)
+        canvas = rasterize(grid, pts)
         marked = set(zip(*np.nonzero(canvas)))
         # every cell found by dense sampling must be marked by the traversal
         for i in range(len(pts) - 1):
@@ -123,7 +128,7 @@ def test_rasterize_contains_dense_sampling():
 
 def test_rasterize_single_point():
     grid = G.standard_grid()
-    canvas = G.rasterize_polyline(grid, [(0.0, 0.0)])
+    canvas = rasterize(grid, [(0.0, 0.0)])
     assert canvas[12, 24] == 1 and canvas.sum() == 1
 
 
@@ -174,7 +179,7 @@ def test_rasterize_polyline_keeps_the_scalar_walk():
         m = rng.integers(-2, 26, size=len(k))
         cases.append((ext, np.stack([ext.x_min + k * ext.cell_x, ext.y_max - m * ext.cell_y], 1)))
     for grid, pts in cases:
-        assert np.array_equal(G.rasterize_polyline(grid, pts),
+        assert np.array_equal(rasterize(grid, pts),
                               oracles.rasterize_polyline_oracle(grid, pts)), pts.tolist()
     # onto a given canvas, with a given value
     canvas = np.full((small.rows, small.cols), 7, dtype=np.int64)

@@ -320,6 +320,16 @@ def test_cli_refuses_a_config_file_that_is_not_utf8(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+def test_cli_names_the_config_file_and_line_of_a_bad_value(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("steps x\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg_path), "--out", str(out), "gen"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg_path}: line 1: steps: expected int, got 'x'\n"
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--jobs", "0", "ablation"], "error: --jobs must be at least 1, got 0\n"),
     (["--jobs", "-2", "sweep-lambda"], "error: --jobs must be at least 1, got -2\n"),
@@ -355,7 +365,8 @@ def test_cli_rejects_a_lane_count_no_road_can_hold_before_any_work(tmp_path, cap
     out = tmp_path / "out"
     assert cli.main(["--config", str(cfg_path), "--out", str(out), "gen"]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: lane_count: 40 lanes") and captured.out == ""
+    assert captured.err.startswith(f"error: {cfg_path}: lane_count: 40 lanes")
+    assert captured.out == ""
     assert not out.exists()
 
 

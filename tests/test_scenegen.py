@@ -98,7 +98,7 @@ def test_overhead_single_boundary_diff_matches_rasterizer():
     img = S.render_overhead(scene, grid)
     base = S.render_overhead(empty_scene(), grid)
     diff = np.any(img != base, axis=0)
-    marked = S.rasterize_polyline(grid, pts).astype(bool)
+    marked = S.rasterize_polyline(grid, pts, np.zeros((grid.rows, grid.cols)), 1).astype(bool)
     assert np.array_equal(diff, marked)
 
 
@@ -146,8 +146,8 @@ def test_camera_values_in_unit_range_and_deterministic():
     grid = G.extended_grid()
     rig = CFG.rig()
     scene = make_scene(6)
-    a = S.render_cameras(scene, rig, grid)
-    b = S.render_cameras(scene, rig, grid)
+    a = S.render_cameras(scene, rig, grid, S.render_overhead(scene, grid))
+    b = S.render_cameras(scene, rig, grid, S.render_overhead(scene, grid))
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
         assert x.min() >= 0.0 and x.max() <= 1.0
@@ -156,7 +156,8 @@ def test_camera_values_in_unit_range_and_deterministic():
 def test_horizon_rows_are_sky():
     grid = G.extended_grid()
     rig = CFG.rig()
-    img = S.render_cameras(empty_scene(), rig, grid)[0]
+    scene = empty_scene()
+    img = S.render_cameras(scene, rig, grid, S.render_overhead(scene, grid))[0]
     # top image row looks above the horizon for every column
     assert np.all(img[:, 0, :] == np.array(S.SKY_COLOR)[:, None])
 
@@ -181,7 +182,7 @@ def test_occluder_hides_crossing_from_camera_only():
     assert not cam_hits.any()  # fully shadowed by the box
     # with the occluder removed the crossing is visible to the camera
     open_scene = S.Scene(0, 13, roads=[road], ground_truth=gt, occluders=[])
-    cam0_open = S.render_cameras(open_scene, rig, grid)[0]
+    cam0_open = S.render_cameras(open_scene, rig, grid, S.render_overhead(open_scene, grid))[0]
     open_hits = np.all(cam0_open == crossing_color[:, None, None], axis=0)
     assert open_hits.any()
 

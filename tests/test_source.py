@@ -1,7 +1,7 @@
 """The source tree itself: every definition in src is used, each model is
 constructed in one RunConfig builder, no parameter repeats a config
-default, src runs on numpy alone, and every name the benchmark's tracer
-wraps exists."""
+default, every other default is one some caller overrides, src runs on
+numpy alone, and every name the benchmark's tracer wraps exists."""
 
 import ast
 import glob
@@ -90,6 +90,69 @@ def test_no_src_parameter_shadows_a_config_default():
             found += [f"{path}:{node.lineno} {a.arg}={ast.unparse(d)}" for a, d in pairs
                       if a.arg in fields and not (isinstance(d, ast.Constant) and d.value is None)]
     assert not found, "a second default for a config field:\n" + "\n".join(found)
+
+
+# defaulted parameters no src or perfbench call sets, each kept for a reason
+UNSET_DEFAULTS = {
+    "EvalConfig.thresholds": "grid-cell thresholds will set it (ROADMAP item 2)",
+    "Crew.pace": "tests pass in a fake Pace",
+    "conv_sites.stride": "mirrors conv2d's geometry, which conv2d checks against",
+    "resample_polyline.step": "perfbench's tracer wraps it (ROADMAP item 10)",
+    "chamfer_distance.step": "perfbench's tracer wraps it (ROADMAP item 10)",
+    "standard_grid.rows": "RunConfig.grid calls it as `make`, which a name scan cannot see",
+    "standard_grid.cols": "RunConfig.grid calls it as `make`, which a name scan cannot see",
+    "extended_grid.rows": "RunConfig.grid calls it as `make`, which a name scan cannot see",
+    "extended_grid.cols": "RunConfig.grid calls it as `make`, which a name scan cannot see",
+    "main.argv": "tests run the CLI in process with argv",
+}
+
+
+def unset_defaults():
+    """``<function>.<param>`` of every defaulted parameter of a public src
+    function or method that no call in src or perfbench sets by keyword,
+    by position or through ``*``/``**``. Calls match by name, constructors
+    by class name; a method's call binds its first parameter."""
+    defs = []  # (called name, qualified name, function node, bound parameters)
+    for tree in parsed("src/bevlab").values():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((node.name, node.name, node, 0))
+            if isinstance(node, ast.ClassDef):
+                defs += [(node.name, node.name, m, 1) if m.name == "__init__"
+                         else (m.name, f"{node.name}.{m.name}", m, 1)
+                         for m in node.body if isinstance(m, ast.FunctionDef)]
+    calls = {}  # called name -> [(positional count or inf, keyword names or None for **)]
+    for tree in list(parsed("src/bevlab").values()) + list(parsed("perfbench").values()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                n_pos = (float("inf") if any(isinstance(x, ast.Starred) for x in node.args)
+                         else len(node.args))
+                kws = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append((n_pos, None if None in kws else kws))
+    unset = []
+    for called, qual, fn, bound in defs:
+        if called.startswith("_") or qual.startswith("_"):
+            continue
+        a = fn.args
+        positional = [p.arg for p in a.posonlyargs + a.args][bound:]
+        defaulted = positional[len(positional) - len(a.defaults):] if a.defaults else []
+        defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        for param in defaulted:
+            index = positional.index(param) if param in positional else float("inf")
+            if not any(kws is None or param in kws or n_pos > index
+                       for n_pos, kws in calls.get(called, ())):
+                unset.append(f"{qual}.{param}")
+    return unset
+
+
+def test_every_default_is_set_by_some_call_or_kept_for_a_reason():
+    # a default no caller overrides is a constant in disguise, and a branch
+    # that only tests reach
+    unset = unset_defaults()
+    assert sorted(set(unset) - set(UNSET_DEFAULTS)) == [], \
+        "defaulted parameters no src or perfbench call sets"
+    assert sorted(set(UNSET_DEFAULTS) - set(unset)) == [], "a listed default is set now; unlist it"
 
 
 def test_src_never_imports_scipy():

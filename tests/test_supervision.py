@@ -24,9 +24,8 @@ def fmap_pair(seed, grid=None, requires_grad=False):
     rng = RNG(seed)
     s = oracles.parameter(rng.normal(size=(6, grid.rows, grid.cols)))
     t = rng.normal(size=(6, grid.rows, grid.cols))
-    t = oracles.parameter(t) if requires_grad else T.tensor(t)
-    return (E.FeatureMap(s, grid, "student"),
-            E.FeatureMap(t, grid, "teacher"))
+    t = oracles.parameter(t) if requires_grad else T.Tensor(t)
+    return E.FeatureMap(s, grid), E.FeatureMap(t, grid)
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +62,7 @@ def test_adapter_identity_at_init_bitwise():
     rng = RNG(1)
     x = rng.normal(size=(5, 3, 4))
     adapter = SV.AffineAdapter(5)
-    assert np.array_equal(adapter.apply(T.tensor(x)).data, x)
+    assert np.array_equal(adapter.apply(T.Tensor(x)).data, x)
     assert all(p.requires_grad for p in adapter.params.values())
 
 
@@ -73,7 +72,7 @@ def test_adapter_applies_per_channel_affine():
     adapter = SV.AffineAdapter(3)
     adapter.params["gamma"].data[:] = [2.0, -1.0, 0.5]
     adapter.params["beta"].data[:] = [0.1, 0.0, -0.3]
-    got = adapter.apply(T.tensor(x)).data
+    got = adapter.apply(T.Tensor(x)).data
     want = x * np.array([2.0, -1.0, 0.5])[:, None, None] \
         + np.array([0.1, 0.0, -0.3])[:, None, None]
     assert np.allclose(got, want, atol=1e-15)
@@ -88,8 +87,8 @@ def test_alignment_zero_for_identical_maps():
     x = RNG(3).normal(size=(6, grid.rows, grid.cols))
     adapter = SV.AffineAdapter(6)
     for variant in ("raw", "norm_only", "norm_adapter"):
-        a = E.FeatureMap(oracles.parameter(x.copy()), grid, "student")
-        b = E.FeatureMap(T.tensor(x.copy()), grid, "teacher")
+        a = E.FeatureMap(oracles.parameter(x.copy()), grid)
+        b = E.FeatureMap(T.Tensor(x.copy()), grid)
         loss = SV.bev_alignment_loss(a, b, adapter, variant)
         assert float(loss.data) == 0.0, variant
 
@@ -111,6 +110,14 @@ def test_alignment_variant_picks_normalize_and_adapter():
     for variant in SV.VARIANTS:
         got = SV.bev_alignment_loss(f_cam, f_aer, adapter, variant)
         assert float(got.data) == want[variant], variant
+
+
+def test_alignment_refuses_a_variant_outside_variants():
+    # a misspelt name must not fall through to the raw comparison
+    f_cam, f_aer = fmap_pair(8)
+    for variant in ("normadapter", "Raw", "", None):
+        with pytest.raises(SV.SupervisionError, match="unknown variant"):
+            SV.bev_alignment_loss(f_cam, f_aer, SV.AffineAdapter(6), variant)
 
 
 def test_alignment_raw_matches_hand_loop():
@@ -148,12 +155,12 @@ def test_alignment_rejects_trainable_target():
 def test_alignment_rejects_shape_and_grid_mismatch():
     grid = G.standard_grid()
     adapter = SV.AffineAdapter(6)
-    a = E.FeatureMap(T.tensor(np.zeros((6, grid.rows, grid.cols))), grid, "s")
-    b = E.FeatureMap(T.tensor(np.zeros((5, grid.rows, grid.cols))), grid, "t")
+    a = E.FeatureMap(T.Tensor(np.zeros((6, grid.rows, grid.cols))), grid)
+    b = E.FeatureMap(T.Tensor(np.zeros((5, grid.rows, grid.cols))), grid)
     with pytest.raises(SV.SupervisionError, match="shape"):
         SV.bev_alignment_loss(a, b, adapter, "raw")
     ext = G.extended_grid()
-    c = E.FeatureMap(T.tensor(np.zeros((6, ext.rows, ext.cols))), ext, "t")
+    c = E.FeatureMap(T.Tensor(np.zeros((6, ext.rows, ext.cols))), ext)
     with pytest.raises(SV.SupervisionError, match="grid"):
         SV.bev_alignment_loss(a, c, adapter, "raw")
 
@@ -190,6 +197,12 @@ def confident_logits(classes, n_q):
     return z
 
 
+def match(logits, pts, gts):
+    """match_queries against gts resampled to the queries' points, as fit
+    resamples them."""
+    return SV.match_queries(logits, pts, gts, SV.target_points({0: gts}, pts.shape[1]).get(0))
+
+
 def test_match_queries_exact_overlap_is_identity():
     rng = RNG(9)
     gts = [(0, 1.0, np.array([[0.0, 0.0], [4.0, 0.0]])),
@@ -198,7 +211,7 @@ def test_match_queries_exact_overlap_is_identity():
     pts = np.stack([SV.polyline_points(e[2], 4) for e in gts]
                    + [rng.normal(size=(4, 2)) + 40.0])
     logits = confident_logits([0, 1, 2], 4)
-    targets, pairs = SV.match_queries(logits, pts, gts)
+    targets, pairs = match(logits, pts, gts)
     assert list(targets) == [0, 1, 2, G.N_CLASSES]
     assert sorted(q for q, _ in pairs) == [0, 1, 2]
     for q, gt_pts in pairs:
@@ -211,8 +224,8 @@ def test_match_queries_gt_reversal_changes_nothing():
     logits = rng.normal(size=(5, G.N_CLASSES + 1))
     gts = [(1, 1.0, rng.normal(size=(6, 2)) * 5.0) for _ in range(3)]
     flipped = [(c, s, p[::-1].copy()) for c, s, p in gts]
-    ta, pa = SV.match_queries(logits, pts, gts)
-    tb, pb = SV.match_queries(logits, pts, flipped)
+    ta, pa = match(logits, pts, gts)
+    tb, pb = match(logits, pts, flipped)
     assert np.array_equal(ta, tb)
     assert [q for q, _ in pa] == [q for q, _ in pb]
 
@@ -244,7 +257,7 @@ def test_match_queries_cost_matches_exhaustive_oracle():
         logits = rng.normal(size=(n_q, G.N_CLASSES + 1))
         gts = [(int(rng.integers(0, G.N_CLASSES)), 1.0,
                 rng.normal(size=(4, 2)) * 4.0) for _ in range(n_gt)]
-        targets, pairs = SV.match_queries(logits, pts, gts)
+        targets, pairs = match(logits, pts, gts)
         z = logits - logits.max(axis=1, keepdims=True)
         p = np.exp(z)
         p /= p.sum(axis=1, keepdims=True)
@@ -266,24 +279,27 @@ def test_match_queries_with_target_points_is_bitwise_identical():
     gts = [(c, 1.0, rng.normal(size=(6, 2)) * 4.0) for c in (0, 2, 1)]
     resampled = SV.target_points({"s": gts, "empty": []}, 4)
     assert list(resampled) == ["s"] and resampled["s"].shape == (3, 4, 2)
-    ta, pa = SV.match_queries(logits, pts, gts)
-    tb, pb = SV.match_queries(logits, pts, gts, gt_pts=resampled["s"])
+    each = np.stack([SV.polyline_points(e[2], 4) for e in gts])
+    assert np.array_equal(resampled["s"], each)
+    ta, pa = SV.match_queries(logits, pts, gts, each)
+    tb, pb = SV.match_queries(logits, pts, gts, resampled["s"])
     assert np.array_equal(ta, tb)
     assert [q for q, _ in pa] == [q for q, _ in pb]
     assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(pa, pb))
-    with pytest.raises(SV.SupervisionError, match="resampled"):
-        SV.match_queries(logits, pts, gts, gt_pts=SV.target_points({"s": gts}, 3)["s"])
+    for wrong in (SV.target_points({"s": gts}, 3)["s"], each[:2], None):
+        with pytest.raises(SV.SupervisionError, match="resampled"):
+            SV.match_queries(logits, pts, gts, wrong)
 
 
 def test_match_queries_empty_and_overfull():
     rng = RNG(12)
     pts = rng.normal(size=(3, 4, 2))
     logits = rng.normal(size=(3, G.N_CLASSES + 1))
-    targets, pairs = SV.match_queries(logits, pts, [])
+    targets, pairs = SV.match_queries(logits, pts, [], None)
     assert list(targets) == [G.N_CLASSES] * 3 and pairs == []
     gts = [(0, 1.0, rng.normal(size=(3, 2))) for _ in range(4)]
     with pytest.raises(SV.SupervisionError, match="exceed"):
-        SV.match_queries(logits, pts, gts)
+        match(logits, pts, gts)
 
 
 def seeded_cost_matrices(seed, n):
@@ -358,7 +374,7 @@ def test_match_queries_cost_is_the_per_element_loop_bit_for_bit(monkeypatch):
         gts = [(int(rng.integers(0, G.N_CLASSES)), 1.0, rng.normal(size=(5, 2)) * 10.0)
                for _ in range(int(rng.integers(1, n_q + 1)))]
         gt_pts = SV.target_points({"s": gts}, n_k)["s"]
-        SV.match_queries(logits, pts, gts, gt_pts=gt_pts)
+        SV.match_queries(logits, pts, gts, gt_pts)
         want = oracles.query_cost_oracle(T.softmax_rows(logits), pts, gt_pts,
                                          [e[0] for e in gts])
         assert costs[-1].tobytes() == want.tobytes(), trial
@@ -400,10 +416,10 @@ def test_detection_loss_no_elements_is_pure_classification():
     rng = RNG(13)
     logits = oracles.parameter(rng.normal(size=(4, G.N_CLASSES + 1)))
     points = oracles.parameter(rng.normal(size=(4, 3, 2)))
-    l_cls, l_reg = SV.detection_loss(logits, points, [], reg_weight=0.05)
+    l_cls, l_reg = SV.detection_loss(logits, points, [], 0.05, None)
     assert float(l_reg.data) == 0.0
     bg = np.full(4, G.N_CLASSES)
-    want = float(T.focal_loss(T.tensor(logits.data), bg, 0.25, 2.0).data)
+    want = float(T.focal_loss(T.Tensor(logits.data), bg, 0.25, 2.0).data)
     assert abs(float(l_cls.data) - want) < 1e-12
 
 
@@ -412,8 +428,9 @@ def test_detection_loss_reg_scales_with_weight():
     logits = oracles.parameter(rng.normal(size=(3, G.N_CLASSES + 1)))
     points = oracles.parameter(rng.normal(size=(3, 4, 2)))
     gts = [(0, 1.0, rng.normal(size=(5, 2))), (1, 1.0, rng.normal(size=(4, 2)))]
-    _, r1 = SV.detection_loss(logits, points, gts, reg_weight=0.1)
-    _, r2 = SV.detection_loss(logits, points, gts, reg_weight=0.4)
+    gt_pts = SV.target_points({0: gts}, 4)[0]
+    _, r1 = SV.detection_loss(logits, points, gts, 0.1, gt_pts)
+    _, r2 = SV.detection_loss(logits, points, gts, 0.4, gt_pts)
     assert abs(float(r2.data) - 4.0 * float(r1.data)) < 1e-12
 
 
@@ -470,7 +487,7 @@ def test_mean_of_keeps_its_pinned_bits_at_a_batch_of_three():
     # the pinned runs train at batch 4, where scaling a sum by 1/4 and
     # dividing it by 4 give the same bits, so they cannot tell the two
     # apart; at 3 they differ, and every loss and checksum follows mean_of
-    got = SV.mean_of([T.tensor(v) for v in (1.0, 2.0, 2.0)])
+    got = SV.mean_of([T.Tensor(v) for v in (1.0, 2.0, 2.0)])
     assert float(got.data).hex() == "0x1.aaaaaaaaaaaaap+0"  # 5 * (1/3); 5 / 3 ends in b
 
 
@@ -686,7 +703,7 @@ def test_a_worker_error_leaves_as_divergence_at_its_step(corpus, tmp_path, monke
                     failed.wait(timeout=30)
                 else:
                     failed.set()
-                    T.relu(T.tensor(np.full(3, np.nan)))  # raises: relu passes NaN on
+                    T.relu(T.Tensor(np.full(3, np.nan)))  # raises: relu passes NaN on
             return fn(*args)
         return plain(crew, walk, *iterables)
 

@@ -24,7 +24,7 @@ def test_conv2d_matches_loop_oracle():
         x = rng.normal(size=(3, 7, 8))
         k = rng.normal(size=(4, 3, 3, 3))
         b = rng.normal(size=4)
-        got = T.conv2d(T.tensor(x), T.tensor(k), T.tensor(b), stride=stride, pad=pad)
+        got = T.conv2d(T.Tensor(x), T.Tensor(k), T.Tensor(b), stride=stride, pad=pad)
         want = oracles.conv2d_oracle(x, k, b, stride=stride, pad=pad)
         assert oracles.rel_error(got.data, want) < 1e-12
 
@@ -35,17 +35,17 @@ def test_conv2d_identity_kernel():
     k = np.zeros((5, 5, 1, 1))
     for c in range(5):
         k[c, c, 0, 0] = 1.0
-    out = T.conv2d(T.tensor(x), T.tensor(k))
+    out = T.conv2d(T.Tensor(x), T.Tensor(k))
     assert np.array_equal(out.data, x)
 
 
 def test_conv2d_shape_errors():
-    x = T.tensor(np.zeros((2, 4, 4)))
+    x = T.Tensor(np.zeros((2, 4, 4)))
     with pytest.raises(T.TensorError):
-        T.conv2d(x, T.tensor(np.zeros((3, 5, 3, 3))))
+        T.conv2d(x, T.Tensor(np.zeros((3, 5, 3, 3))))
     with pytest.raises(T.TensorError):
-        T.conv2d(x, T.tensor(np.zeros((3, 2, 9, 9))))
-    k = T.tensor(np.zeros((3, 2, 3, 3)))
+        T.conv2d(x, T.Tensor(np.zeros((3, 2, 9, 9))))
+    k = T.Tensor(np.zeros((3, 2, 3, 3)))
     for bad in ({"stride": -1}, {"stride": 0}, {"stride": 1.5}, {"stride": True},
                 {"pad": -1}, {"pad": 0.5}):
         with pytest.raises(T.TensorError, match=next(iter(bad))):
@@ -56,7 +56,7 @@ def test_mse_matches_scalar_loop():
     rng = RNG(2)
     a = rng.normal(size=(4, 5))
     b = rng.normal(size=(4, 5))
-    got = float(T.mse(T.tensor(a), T.tensor(b)).data)
+    got = float(T.mse(T.Tensor(a), T.Tensor(b)).data)
     assert abs(got - oracles.mse_oracle(a, b)) < 1e-12
 
 
@@ -66,52 +66,53 @@ def test_mse_symmetric_bitwise(seed):
     rng = RNG(seed)
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(3, 4))
-    ab = float(T.mse(T.tensor(a), T.tensor(b)).data)
-    ba = float(T.mse(T.tensor(b), T.tensor(a)).data)
+    ab = float(T.mse(T.Tensor(a), T.Tensor(b)).data)
+    ba = float(T.mse(T.Tensor(b), T.Tensor(a)).data)
     assert ab == ba
 
 
 def test_mse_self_is_zero():
     a = RNG(3).normal(size=(6,))
-    assert float(T.mse(T.tensor(a), T.tensor(a)).data) == 0.0
+    assert float(T.mse(T.Tensor(a), T.Tensor(a)).data) == 0.0
 
 
 def test_focal_matches_per_row_formula():
     rng = RNG(4)
     z = rng.normal(size=(10, 4)) * 2.0
     t = rng.integers(0, 4, size=10)
-    got = float(T.focal_loss(T.tensor(z), t).data)
-    assert abs(got - oracles.focal_oracle(z, t)) < 1e-12
+    got = float(T.focal_loss(T.Tensor(z), t, 0.25, 2.0).data)
+    assert abs(got - oracles.focal_oracle(z, t, 0.25, 2.0)) < 1e-12
 
 
 def test_focal_reduces_to_cross_entropy():
     rng = RNG(5)
     z = rng.normal(size=(8, 3))
     t = rng.integers(0, 3, size=8)
-    got = float(T.focal_loss(T.tensor(z), t, alpha=None, gamma=0.0).data)
-    # plain cross-entropy
+    got = float(T.focal_loss(T.Tensor(z), t, 0.25, 0.0).data)
+    # cross-entropy, the background (last) class weighted 0.75 and the others 0.25
     zs = z - z.max(axis=1, keepdims=True)
     logp = zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
-    want = float(-logp[np.arange(8), t].mean())
+    want = float((-np.where(t == 2, 0.75, 0.25) * logp[np.arange(8), t]).mean())
     assert abs(got - want) < 1e-12
 
 
 def test_focal_two_class_zero_logits_gives_ln2():
     z = np.zeros((1, 2))
-    got = float(T.focal_loss(T.tensor(z), [0], alpha=None, gamma=0.0).data)
+    # a map-class row weighted alpha = 1: plain cross-entropy
+    got = float(T.focal_loss(T.Tensor(z), [0], 1.0, 0.0).data)
     assert abs(got - math.log(2.0)) < 1e-15
 
 
 def test_focal_rejects_bad_class_index():
     with pytest.raises(T.TensorError):
-        T.focal_loss(T.tensor(np.zeros((2, 3))), [0, 3])
+        T.focal_loss(T.Tensor(np.zeros((2, 3))), [0, 3], 0.25, 2.0)
 
 
 def test_l1_line_matches_two_ordering_oracle():
     rng = RNG(6)
     p = rng.normal(size=(5, 2))
     g = rng.normal(size=(5, 2))
-    got = float(oracles.l1_line_loss(T.tensor(p), T.tensor(g)).data)
+    got = float(oracles.l1_line_loss(T.Tensor(p), T.Tensor(g)).data)
     assert abs(got - oracles.l1_line_oracle(p, g)) < 1e-14
 
 
@@ -121,8 +122,8 @@ def test_l1_line_reversal_invariant(seed):
     rng = RNG(seed)
     p = rng.normal(size=(4, 2))
     g = rng.normal(size=(4, 2))
-    a = float(oracles.l1_line_loss(T.tensor(p), T.tensor(g)).data)
-    b = float(oracles.l1_line_loss(T.tensor(p), T.tensor(g[::-1].copy())).data)
+    a = float(oracles.l1_line_loss(T.Tensor(p), T.Tensor(g)).data)
+    b = float(oracles.l1_line_loss(T.Tensor(p), T.Tensor(g[::-1].copy())).data)
     assert a == b
 
 
@@ -140,13 +141,13 @@ def test_l1_rows_loss_equals_the_per_row_chain_bit_for_bit():
     terms, grad = [], np.zeros_like(x)
     for q, t in zip(rows, targets):
         row = oracles.parameter(x[q].copy())
-        terms.append(oracles.l1_line_loss(row, T.tensor(t)))
+        terms.append(oracles.l1_line_loss(row, T.Tensor(t)))
         T.backward(T.scale(terms[-1], c))
         grad[q] += row.grad
     want = terms[0].data
     for t in terms[1:]:
         want = want + t.data
-    assert float(T.l1_rows_loss(T.tensor(x), rows, targets).data) == float(want)
+    assert float(T.l1_rows_loss(T.Tensor(x), rows, targets).data) == float(want)
     assert float(loss.data) == float(want * c)
     assert np.array_equal(xt.grad, grad)
     assert np.all(xt.grad[[4, 7]] == 0.0)
@@ -164,7 +165,7 @@ def test_l1_rows_loss_rejects_bad_input():
 def test_channel_normalize_matches_oracle_and_moments():
     rng = RNG(7)
     x = rng.normal(2.0, 3.0, size=(4, 6, 8))
-    out = T.channel_normalize(T.tensor(x)).data
+    out = T.channel_normalize(T.Tensor(x)).data
     want = oracles.channel_normalize_oracle(x)
     assert oracles.rel_error(out, want) < 1e-12
     assert np.all(np.abs(out.mean(axis=(1, 2))) < 1e-12)
@@ -175,7 +176,7 @@ def test_channel_normalize_matches_oracle_and_moments():
 def test_channel_affine_identity_is_bitwise():
     rng = RNG(8)
     x = rng.normal(size=(3, 4, 5))
-    out = T.channel_affine(T.tensor(x), T.tensor(np.ones(3)), T.tensor(np.zeros(3)))
+    out = T.channel_affine(T.Tensor(x), T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)))
     assert np.array_equal(out.data, x)
 
 
@@ -185,7 +186,7 @@ def test_soft_points_matches_oracle_and_stays_in_hull():
     yy, xx = np.meshgrid(np.linspace(10.0, -10.0, 4),
                          np.linspace(-30.0, 30.0, 6), indexing="ij")
     coords = np.stack([xx, yy])
-    out = T.soft_points(T.tensor(x), coords).data
+    out = T.soft_points(T.Tensor(x), coords).data
     assert out.shape == (5, 2)
     assert oracles.rel_error(out, oracles.soft_points_oracle(x, coords)) < 1e-12
     assert out[:, 0].min() >= -30.0 and out[:, 0].max() <= 30.0
@@ -193,37 +194,37 @@ def test_soft_points_matches_oracle_and_stays_in_hull():
     # a sharp peak reads out that cell's coordinates
     x[0] = 0.0
     x[0, 2, 3] = 60.0
-    peaked = T.soft_points(T.tensor(x), coords).data
+    peaked = T.soft_points(T.Tensor(x), coords).data
     assert np.allclose(peaked[0], [coords[0, 2, 3], coords[1, 2, 3]], atol=1e-9)
     with pytest.raises(T.TensorError):
-        T.soft_points(T.tensor(x), coords[:1])
+        T.soft_points(T.Tensor(x), coords[:1])
     with pytest.raises(T.TensorError):
-        T.soft_points(T.tensor(x[0]), coords)
+        T.soft_points(T.Tensor(x[0]), coords)
 
 
 def test_maxpool_and_upsample_match_oracles():
     rng = RNG(9)
     x = rng.normal(size=(2, 6, 8))
-    assert np.array_equal(T.maxpool2(T.tensor(x)).data, oracles.maxpool2_oracle(x))
-    assert np.array_equal(T.upsample2x(T.tensor(x)).data, oracles.upsample2x_oracle(x))
+    assert np.array_equal(T.maxpool2(T.Tensor(x)).data, oracles.maxpool2_oracle(x))
+    assert np.array_equal(T.upsample2x(T.Tensor(x)).data, oracles.upsample2x_oracle(x))
     with pytest.raises(T.TensorError):
-        T.maxpool2(T.tensor(np.zeros((1, 5, 4))))
+        T.maxpool2(T.Tensor(np.zeros((1, 5, 4))))
 
 
 def test_relu_values():
-    x = T.tensor(np.array([-2.0, -0.5, 0.0, 0.5, 2.0]))
+    x = T.Tensor(np.array([-2.0, -0.5, 0.0, 0.5, 2.0]))
     assert np.array_equal(T.relu(x).data, [0.0, 0.0, 0.0, 0.5, 2.0])
 
 
 def test_relu_keeps_the_bits_of_the_select_form():
     tiny = np.nextafter(0.0, 1.0)
     x = np.array([-0.0, 0.0, -tiny, tiny, -1.5, 2.5, -1e300, 1e300, 1e-300] * 3)
-    got = T.relu(T.tensor(x)).data
+    got = T.relu(T.Tensor(x)).data
     assert np.array_equal(got.view(np.int64), np.where(x > 0.0, x, 0.0).view(np.int64))
     assert not np.any(np.signbit(got))
     # the select form zeroed NaN; max propagates it, and the finite guard refuses it
     with pytest.raises(T.TensorError, match="relu"):
-        T.relu(T.tensor(np.array([1.0, np.nan, -1.0])))
+        T.relu(T.Tensor(np.array([1.0, np.nan, -1.0])))
 
 
 def test_relu_backward_passes_gradient_only_where_input_is_positive():
@@ -256,13 +257,13 @@ def test_constant_operands_get_no_gradient():
     a, c = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
     g = rng.normal(size=(2, 3))
     for op in (T.mul, T.mse):
-        out = op(oracles.parameter(a), T.tensor(c))
+        out = op(oracles.parameter(a), T.Tensor(c))
         da, dc = out._bwd(g if op is T.mul else 1.0)
         assert dc is None and da is not None
-        out = op(T.tensor(c), oracles.parameter(a))
+        out = op(T.Tensor(c), oracles.parameter(a))
         dc, da = out._bwd(g if op is T.mul else 1.0)
         assert dc is None and da is not None
-    assert np.array_equal(T.mul(oracles.parameter(a), T.tensor(c))._bwd(g)[0], g * c)
+    assert np.array_equal(T.mul(oracles.parameter(a), T.Tensor(c))._bwd(g)[0], g * c)
 
 
 def test_linear_and_spatial_mean():
@@ -270,13 +271,13 @@ def test_linear_and_spatial_mean():
     x = rng.normal(size=(3, 4))
     w = rng.normal(size=(4, 2))
     b = rng.normal(size=2)
-    assert np.allclose(T.linear(T.tensor(x), T.tensor(w), T.tensor(b)).data, x @ w + b)
+    assert np.allclose(T.linear(T.Tensor(x), T.Tensor(w), T.Tensor(b)).data, x @ w + b)
     m = rng.normal(size=(5, 3, 4))
-    assert np.allclose(T.spatial_mean(T.tensor(m)).data, m.mean(axis=(1, 2)))
+    assert np.allclose(T.spatial_mean(T.Tensor(m)).data, m.mean(axis=(1, 2)))
 
 
 def test_nonfinite_forward_raises():
-    x = T.tensor(np.ones(3))
+    x = T.Tensor(np.ones(3))
     with pytest.raises(T.TensorError):
         T.scale(x, float("inf"))
 
@@ -293,7 +294,7 @@ def fd_check(build, arrays, n_inputs, tol=1e-4, h=1e-5):
 
     def f(*arrs):
         consts = arrs[n_inputs:]
-        return float(build(*[T.tensor(a) for a in arrs[:n_inputs]], *consts).data)
+        return float(build(*[T.Tensor(a) for a in arrs[:n_inputs]], *consts).data)
 
     for i, t in enumerate(ts):
         fd = oracles.fd_gradient(f, [a.copy() for a in arrays[:n_inputs]] + list(arrays[n_inputs:]), i, h=h)
@@ -319,9 +320,9 @@ def test_grad_conv2d():
         x = rng.normal(size=(2, h, w))
         k = rng.normal(size=(2, 2, kh, kw))
         b = rng.normal(size=2)
-        wts = rng.normal(size=T.conv2d(T.tensor(x), T.tensor(k), stride=stride, pad=pad).shape)
+        wts = rng.normal(size=T.conv2d(T.Tensor(x), T.Tensor(k), stride=stride, pad=pad).shape)
         fd_check(lambda xt, kt, bt, wt: oracles.tsum(T.mul(T.conv2d(xt, kt, bt, stride=stride, pad=pad),
-                                                     T.tensor(wt))),
+                                                     T.Tensor(wt))),
                  [x, k, b, wts], 3)
 
 
@@ -330,7 +331,7 @@ def test_conv2d_input_grad_matches_col2im_oracle():
     for stride, pad, (kh, kw), (h, w) in CONV_GRAD_CASES:
         x = oracles.parameter(rng.normal(size=(3, h, w)))
         k = rng.normal(size=(4, 3, kh, kw))
-        out = T.conv2d(x, T.tensor(k), stride=stride, pad=pad)
+        out = T.conv2d(x, T.Tensor(k), stride=stride, pad=pad)
         g = rng.normal(size=out.shape)
         dx = out._bwd(g)[0]
         want = oracles.conv2d_input_grad_oracle(g, k, x.shape, stride=stride, pad=pad)
@@ -345,7 +346,7 @@ def test_conv2d_input_grad_takes_col2im_when_cout_is_4x_cin():
         for stride, pad, (kh, kw), (h, w) in CONV_GRAD_CASES:
             x = oracles.parameter(rng.normal(size=(cin, h, w)))
             k = rng.normal(size=(cout, cin, kh, kw))
-            out = T.conv2d(x, T.tensor(k), stride=stride, pad=pad)
+            out = T.conv2d(x, T.Tensor(k), stride=stride, pad=pad)
             g = rng.normal(size=out.shape)
             want = oracles.conv2d_input_grad_oracle(g, k, x.shape, stride=stride, pad=pad)
             assert np.array_equal(out._bwd(g)[0], want), (cin, cout, stride, pad, kh, kw, h, w)
@@ -386,7 +387,7 @@ def sites(x, k, at, stride, pad):
 def test_conv2d_at_matches_dense_at_given_positions():
     rng = RNG(26)
     for stride, pad in ((1, 0), (1, 1), (2, 0), (2, 1)):
-        x, k, b = (T.tensor(rng.normal(size=s)) for s in ((3, 7, 8), (4, 3, 3, 3), (4,)))
+        x, k, b = (T.Tensor(rng.normal(size=s)) for s in ((3, 7, 8), (4, 3, 3, 3), (4,)))
         dense = T.conv2d(x, k, b, stride=stride, pad=pad).data
         cout, ho, wo = dense.shape
         at = sparse_positions(rng, ho * wo)
@@ -426,15 +427,15 @@ def test_grad_conv2d_at():
     for stride in (1, 2):
         for pad in (0, 1):
             x, k, b = rng.normal(size=(2, 6, 7)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)
-            _, ho, wo = T.conv2d(T.tensor(x), T.tensor(k), stride=stride, pad=pad).shape
+            _, ho, wo = T.conv2d(T.Tensor(x), T.Tensor(k), stride=stride, pad=pad).shape
             sparse = sparse_positions(rng, ho * wo)
             for at in (sparse, np.array([], dtype=np.int64)):
                 wts = rng.normal(size=(3, len(at)))
                 fd_check(lambda xt, kt, bt, wt: oracles.tsum(T.mul(
                     T.conv2d(xt, kt, bt, stride=stride, pad=pad,
-                             at=sites(xt, kt, at, stride, pad)), T.tensor(wt))),
+                             at=sites(xt, kt, at, stride, pad)), T.Tensor(wt))),
                     [x, k, b, wts], 3)
-            out = T.conv2d(T.tensor(x), oracles.parameter(k), stride=stride, pad=pad,
+            out = T.conv2d(T.Tensor(x), oracles.parameter(k), stride=stride, pad=pad,
                            at=sites(x, k, sparse, stride, pad))
             assert out._bwd(np.ones(out.shape))[0] is None
 
@@ -457,8 +458,8 @@ def test_conv2d_takes_prebuilt_sites_for_its_geometry_only():
 
 
 def test_conv2d_at_fails_fast_and_allows_empty():
-    x = T.tensor(np.ones((2, 4, 4)))
-    k = T.tensor(np.ones((3, 2, 3, 3)))
+    x = T.Tensor(np.ones((2, 4, 4)))
+    k = T.Tensor(np.ones((3, 2, 3, 3)))
     # pad 1 keeps the 4x4 size: positions 0..15
     for bad in (np.array([[0, 1]]), np.array([0.0, 1.0]), np.array([True, False]),
                 np.array([2, 1]), np.array([1, 1]), np.array([-1, 3]), np.array([0, 16])):
@@ -479,7 +480,7 @@ def test_grad_mse_and_affine_chain():
     g = rng.normal(size=3)
     bta = rng.normal(size=3)
     tgt = rng.normal(size=(3, 4, 4))
-    fd_check(lambda xt, gt, bt, tc: T.mse(T.channel_affine(xt, gt, bt), T.tensor(tc)),
+    fd_check(lambda xt, gt, bt, tc: T.mse(T.channel_affine(xt, gt, bt), T.Tensor(tc)),
              [x, g, bta, tgt], 3)
 
 
@@ -487,15 +488,15 @@ def test_grad_channel_normalize():
     rng = RNG(22)
     x = rng.normal(1.0, 2.0, size=(2, 4, 5))
     tgt = rng.normal(size=(2, 4, 5))
-    fd_check(lambda xt, tc: T.mse(T.channel_normalize(xt), T.tensor(tc)), [x, tgt], 1)
+    fd_check(lambda xt, tc: T.mse(T.channel_normalize(xt), T.Tensor(tc)), [x, tgt], 1)
 
 
 def test_grad_focal():
     rng = RNG(23)
     z = rng.normal(size=(6, 4))
     t = rng.integers(0, 4, size=6)
-    fd_check(lambda zt, tc: T.focal_loss(zt, tc), [z, t], 1)
-    fd_check(lambda zt, tc: T.focal_loss(zt, tc, alpha=None, gamma=0.0), [z, t], 1)
+    fd_check(lambda zt, tc: T.focal_loss(zt, tc, 0.25, 2.0), [z, t], 1)
+    fd_check(lambda zt, tc: T.focal_loss(zt, tc, 0.25, 0.0), [z, t], 1)
 
 
 def test_grad_l1_line():
@@ -513,8 +514,8 @@ def test_grad_pool_up_concat_linear():
     fd_check(lambda yt: oracles.tsum(T.upsample2x(yt)), [y], 1)
     a = rng.normal(size=(2, 3, 3))
     b = rng.normal(size=(4, 3, 3))
-    fd_check(lambda at, bt: oracles.tsum(oracles.tanh(T.concat([at, bt], axis=0))), [a, b], 2)
-    xv = oracles.away_from_zero(rng, (5,))
+    fd_check(lambda at, bt: oracles.tsum(oracles.tanh(T.concat([at, bt]))), [a, b], 2)
+    xv = oracles.away_from_zero(rng, (2, 5))
     w = rng.normal(size=(5, 3))
     bb = rng.normal(size=3)
     fd_check(lambda xt, wt, bt: oracles.tsum(T.relu(T.linear(xt, wt, bt))), [xv, w, bb], 3)
@@ -524,9 +525,9 @@ def test_mul_values_and_gradient():
     rng = RNG(32)
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(3, 4))
-    assert np.array_equal(T.mul(T.tensor(a), T.tensor(b)).data, a * b)
+    assert np.array_equal(T.mul(T.Tensor(a), T.Tensor(b)).data, a * b)
     with pytest.raises(T.TensorError):
-        T.mul(T.tensor(a), T.tensor(b[:2]))
+        T.mul(T.Tensor(a), T.Tensor(b[:2]))
     fd_check(lambda at, bt: oracles.tsum(T.mul(at, bt)), [a, b], 2)
 
 
@@ -537,7 +538,7 @@ def test_grad_soft_points():
                          np.linspace(-4.0, 4.0, 4), indexing="ij")
     coords = np.stack([xx, yy])
     tgt = rng.normal(size=(3, 2))
-    fd_check(lambda xt, cc, tc: T.mse(T.soft_points(xt, cc), T.tensor(tc)),
+    fd_check(lambda xt, cc, tc: T.mse(T.soft_points(xt, cc), T.Tensor(tc)),
              [x, coords, tgt], 1)
 
 
@@ -567,14 +568,14 @@ def test_backward_requires_scalar():
 
 
 def test_frozen_inputs_stay_out_of_tape():
-    x = T.tensor(np.ones((2, 2)))  # no grad
+    x = T.Tensor(np.ones((2, 2)))  # no grad
     w = oracles.parameter(np.full((2, 2), 2.0))
-    out = T.mse(T.add(x, w), T.tensor(np.zeros((2, 2))))
+    out = T.mse(T.add(x, w), T.Tensor(np.zeros((2, 2))))
     T.backward(out)
     assert x.grad is None
     assert w.grad is not None
     # a graph with no trainable inputs is not recorded at all
-    y = T.add(x, T.tensor(np.ones((2, 2))))
+    y = T.add(x, T.Tensor(np.ones((2, 2))))
     assert y._bwd is None and not y.requires_grad
 
 
@@ -607,8 +608,8 @@ def group_graph(rng):
     v = oracles.parameter(rng.normal(size=5))
     groups = []
     for k, mag in enumerate((1e16, 1.0, -1e16)):
-        c = T.tensor(mag * rng.normal(size=5) + rng.normal(size=5))
-        h = T.mul(T.add(T.mul(w, c), w), T.tensor(rng.normal(size=5)))
+        c = T.Tensor(mag * rng.normal(size=5) + rng.normal(size=5))
+        h = T.mul(T.add(T.mul(w, c), w), T.Tensor(rng.normal(size=5)))
         if k == 1:
             h = T.mul(h, v)
         groups.append((oracles.tsum(h), oracles.tsum(T.scale(h, 0.5))))
@@ -701,7 +702,7 @@ def test_adamw_matches_hand_rolled_update():
 
 
 def test_adamw_skips_frozen_and_handles_missing_grad():
-    frozen = T.tensor(np.ones(3))
+    frozen = T.Tensor(np.ones(3))
     live = oracles.parameter(np.ones(3))
     opt = T.AdamW({"f": frozen, "l": live}, lr=0.1, weight_decay=0.0, horizon=1000,
                   min_lr=0.0)
@@ -717,7 +718,7 @@ def test_adamw_trajectory_deterministic():
         p = oracles.parameter(rng.normal(size=5))
         opt = T.AdamW({"p": p}, lr=0.05, weight_decay=0.01, horizon=50, min_lr=0.0)
         for i in range(50):
-            x = T.tensor(rng.normal(size=5))
+            x = T.Tensor(rng.normal(size=5))
             loss = T.mse(p, x)
             opt.zero_grad()
             T.backward(loss)
