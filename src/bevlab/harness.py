@@ -73,7 +73,9 @@ def ensure_dataset(cfg: RunConfig, out):
 
 
 def load_splits(cfg: RunConfig, out):
-    """(train samples, val samples) from the cached dataset."""
+    """(train samples, val samples) from the cached dataset. Their camera
+    images are read from disk the first time a student uses them (see
+    ``scenegen.Sample``); the overhead rasters and gt are read here."""
     path = ensure_dataset(cfg, out)
     samples = list(load_dataset(path))
     train = [s for s in samples if s.split == "train"]
@@ -83,7 +85,8 @@ def load_splits(cfg: RunConfig, out):
 
 def ensure_teacher(cfg: RunConfig, out, train=None, val=None):
     """Load the cached frozen teacher for this config, training it once
-    if the cache is cold. Returns (teacher, val_map)."""
+    if the cache is cold. Returns (teacher, val_map). The teacher sees
+    only overhead rasters, so no camera image is read here."""
     tdir = os.path.join(out, "teacher", cfg.teacher_hash())
     if os.path.exists(os.path.join(tdir, "manifest.txt")):
         params, meta = load_checkpoint(tdir)

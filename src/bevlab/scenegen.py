@@ -21,12 +21,13 @@ value keeps the arithmetic of the dense render, so the bytes are its own.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
 from .geometry import (BevGrid, cells_near_polyline, extended_grid, rasterize_polyline,
                        read_polylines, write_polylines)
-from .tensors import read_ten, write_ten
+from .tensors import TensorError, check_ten, parse_ten, read_ten, write_ten
 
 LANE_WIDTH = 3.2
 ROAD_COLOR = (0.45, 0.45, 0.47)
@@ -344,8 +345,6 @@ def export_dataset(path, cfg):
     disjoint curvature bands (validation roads curve more), so validation
     layouts form a family never seen in training.
     """
-    import os
-
     rig, grid = cfg.rig(), cfg.grid()
     os.makedirs(path, exist_ok=True)
     rows = []
@@ -371,19 +370,58 @@ def export_dataset(path, cfg):
 
 class Sample:
     """One loaded scene: its directory's ``overhead.ten``, ``cam_<k>.ten``
-    files in camera order and ``gt.txt`` elements; other files are ignored."""
+    files in camera order and ``gt.txt`` elements; other files are ignored.
+
+    ``cams`` is the list of camera images, or the scene's camera files as
+    ``load_dataset`` checked them. Files are read the first time ``.cams``
+    is used, each once, and the images kept from then on: only the
+    student looks at them, so teacher pretraining and evaluation never
+    hold them in memory."""
 
     def __init__(self, scene_id, split, seed, overhead, cams, gt):
         self.scene_id = scene_id
         self.split = split
         self.seed = seed
         self.overhead = overhead
-        self.cams = cams
+        self._cams = cams
         self.gt = gt
+
+    @property
+    def cams(self):
+        if isinstance(self._cams, _CameraFiles):
+            self._cams = self._cams.read()
+        return self._cams
+
+
+def _stamp(stat):
+    return stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
+class _CameraFiles:
+    """One scene's camera files, each header checked against its size and
+    the file's (inode, size, mtime) noted when the scene is loaded."""
+
+    def __init__(self, scene_id, paths):
+        self.scene_id = scene_id
+        self.stamps = [(path, _stamp(check_ten(path))) for path in paths]
+
+    def read(self):
+        """The images; raises SceneGenError naming the scene and the file if
+        a file is gone or is not the one checked at load (``ensure_dataset``
+        re-exports the corpus in place when the config changes)."""
+        images = []
+        for path, stamp in self.stamps:
+            try:
+                with open(path, "rb") as f:
+                    if _stamp(os.fstat(f.fileno())) != stamp:
+                        raise SceneGenError(f"{path}: replaced since the scene was loaded")
+                    images.append(parse_ten(f.read(), path))
+            except (OSError, TensorError, SceneGenError) as e:
+                raise SceneGenError(f"{self.scene_id}: {e}") from e
+        return images
 
 
 def read_manifest(path):
-    import os
     rows = []
     with open(os.path.join(path, "manifest.txt")) as f:
         for line in f:
@@ -397,22 +435,23 @@ def read_manifest(path):
 
 
 def load_dataset(path, split=None):
-    """Yields Sample objects in manifest order; errors name the scene id."""
-    import os
+    """Yields Sample objects in manifest order; errors name the scene id.
 
+    The overhead raster and gt are read here. Each camera file is opened
+    and its header checked against its size, but its payload is read only
+    when the sample's ``.cams`` is first used."""
     for sid, sp, seed in read_manifest(path):
         if split is not None and sp != split:
             continue
         sdir = os.path.join(path, sid)
         try:
             overhead = read_ten(os.path.join(sdir, "overhead.ten"))
-            cams = []
-            k = 0
-            while os.path.exists(os.path.join(sdir, f"cam_{k}.ten")):
-                cams.append(read_ten(os.path.join(sdir, f"cam_{k}.ten")))
-                k += 1
-            if not cams:
+            paths = []
+            while os.path.exists(cam := os.path.join(sdir, f"cam_{len(paths)}.ten")):
+                paths.append(cam)
+            if not paths:
                 raise SceneGenError("no camera tensors found")
+            cams = _CameraFiles(sid, paths)
             gt = read_polylines(os.path.join(sdir, "gt.txt"))
         except Exception as e:
             raise SceneGenError(f"{sid}: {e}") from e

@@ -185,6 +185,7 @@ def _assign(cost):
 def match_queries(logits, points, gts, gt_pts):
     """Minimum-cost one-to-one assignment of query slots to gt elements.
 
+    ``logits`` and ``points`` are the decoder's Tensors for one scene, and
     ``gt_pts`` (E, K, 2) holds the elements resampled to the queries' K
     points, as ``target_points`` gives them (None for a scene with no
     elements). Cost per (query, element) is the orientation-free mean L1
@@ -196,8 +197,7 @@ def match_queries(logits, points, gts, gt_pts):
     pairs): per-query class targets with unmatched slots set to the
     background index, and (query, target points) pairs for regression.
     """
-    z = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    pts = points.data if isinstance(points, Tensor) else np.asarray(points)
+    z, pts = logits.data, points.data
     n_q, n_k = pts.shape[0], pts.shape[1]
     if len(gts) > n_q:
         raise SupervisionError(f"{len(gts)} elements exceed {n_q} query slots")

@@ -22,6 +22,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import os
 import struct
 from typing import NamedTuple
 
@@ -695,6 +696,7 @@ def adamw_step(state: AdamW) -> float:
 # ---------------------------------------------------------------------------
 
 _TEN_MAGIC = b"TEN1"
+_TEN_MAX_HEAD = 6 + 4 * 255  # magic, dtype code, ndim byte, up to 255 dims
 
 
 def write_ten(path, arr) -> bytes:
@@ -714,23 +716,42 @@ def read_ten(path) -> np.ndarray:
         return parse_ten(f.read(), path)
 
 
+def check_ten(path) -> os.stat_result:
+    """Check the header of the .ten file at ``path`` against the file's
+    size, as ``parse_ten`` checks it, without reading the payload. Returns
+    the stat of the file it checked, for a later read to tell whether the
+    file has changed since."""
+    with open(path, "rb") as f:
+        stat = os.fstat(f.fileno())
+        _ten_header(f.read(_TEN_MAX_HEAD), stat.st_size, path)
+    return stat
+
+
 def parse_ten(raw, path) -> np.ndarray:
     """The array held by the bytes of a .ten file; errors name `path`."""
+    head, dims = _ten_header(raw, len(raw), path)
+    return np.frombuffer(raw[head:], dtype="<f8").reshape(dims).copy()
+
+
+def _ten_header(raw, size, path):
+    """(header length, dims) of a .ten file of ``size`` bytes whose first
+    bytes, all of them or at least _TEN_MAX_HEAD, are ``raw``; raises
+    TensorError naming ``path`` unless the dims account for every byte."""
     if raw[:4] != _TEN_MAGIC:
         raise TensorError(f"{path}: bad magic, not a .ten file")
-    if len(raw) < 6:
+    if size < 6:
         raise TensorError(f"{path}: truncated header")
     dtype_code, ndim = struct.unpack("<BB", raw[4:6])
     if dtype_code != 0:
         raise TensorError(f"{path}: unsupported dtype code {dtype_code}")
     head = 6 + 4 * ndim
-    if len(raw) < head:
+    if size < head:
         raise TensorError(f"{path}: truncated dims, expected {head} header bytes")
     dims = struct.unpack(f"<{ndim}I", raw[6:head]) if ndim else ()
     count = 1
     for d in dims:
         count *= d
     expected = head + 8 * count
-    if len(raw) != expected:
-        raise TensorError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    return np.frombuffer(raw[head:], dtype="<f8").reshape(dims).copy()
+    if size != expected:
+        raise TensorError(f"{path}: expected {expected} bytes, found {size}")
+    return head, dims

@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -701,6 +702,29 @@ def test_fixed_short_run_keeps_its_pinned_digests(tmp_path):
     moved = [f"{name}: {got[name]} != pinned {want}" for name, want in PINNED.items()
              if got[name] != want]
     assert not moved, "\n".join(["moved:"] + moved + ["BLAS:"] + blas_lines())
+
+
+def test_teacher_reads_no_camera_file_and_the_student_each_once_on_fits_thread(
+        tmp_path, camera_reads):
+    cfg = RunConfig.parse(FIXED_SHORT_RUN)
+    out = str(tmp_path)
+    teacher, _ = H.ensure_teacher(cfg, out)  # cold: exports the corpus and trains
+    assert camera_reads == []
+    train, _ = H.load_splits(cfg, out)
+    SV.train_student(cfg.with_overrides(steps=3), train, teacher)
+    paths = [p for p, _ in camera_reads]
+    assert paths and len(paths) % 4 == 0 and len(set(paths)) == len(paths)
+    assert {thread for _, thread in camera_reads} == {threading.current_thread()}
+
+
+def test_a_corpus_exported_again_under_loaded_samples_is_not_read_as_theirs(tmp_path):
+    cfg = tiny_config()
+    out = str(tmp_path)
+    train, val = H.load_splits(cfg, out)
+    H.ensure_dataset(cfg.with_overrides(curvature=0.02), out)  # same scene ids
+    for sample in train + val:
+        with pytest.raises(S.SceneGenError, match=f"{sample.scene_id}: .*cam_0.ten"):
+            sample.cams
 
 
 # the fixed short corpus at 10 steps and one seed, through the CLI: the

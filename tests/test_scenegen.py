@@ -1,6 +1,7 @@
 """Scene generation determinism, rendering consistency, dataset round trips."""
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import oracles
 from bevlab import geometry as G
 from bevlab import scenegen as S
+from bevlab import tensors as T
 from bevlab.config import RunConfig
 
 CFG = RunConfig()
@@ -427,6 +429,41 @@ def test_load_reports_scene_id_on_corruption(tmp_path):
         list(S.load_dataset(path))
     assert "scene_0001" in str(ei.value)
     assert "cam_1.ten" in str(ei.value)
+
+
+def test_cams_are_read_on_first_use_once_each_as_read_ten_reads_them(tmp_path, camera_reads):
+    path = tmp_path / "ds"
+    S.export_dataset(path, CFG.with_overrides(n_train=2, n_val=1))
+    samples = list(S.load_dataset(path))
+    assert camera_reads == []
+    for sample in samples:
+        files = [str(path / sample.scene_id / f"cam_{k}.ten") for k in range(4)]
+        cams = sample.cams
+        assert [p for p, _ in camera_reads] == files
+        assert sample.cams is cams and len(camera_reads) == 4
+        for img, fn in zip(cams, files):
+            want = T.read_ten(fn)
+            assert img.dtype == want.dtype and img.shape == want.shape
+            assert img.tobytes() == want.tobytes()
+        camera_reads.clear()
+
+
+def test_cams_replaced_or_removed_after_load_are_not_read(tmp_path):
+    path = tmp_path / "ds"
+    S.export_dataset(path, CFG.with_overrides(n_train=3, n_val=1))
+    samples = list(S.load_dataset(path))
+    # another file moved in, the same file rewritten in place, a file removed
+    other = path / "scene_0000" / "cam_2.ten"
+    other.with_name("new.ten").write_bytes((path / "scene_0000" / "cam_1.ten").read_bytes())
+    os.replace(other.with_name("new.ten"), other)
+    rewritten = path / "scene_0001" / "cam_3.ten"
+    rewritten.write_bytes(rewritten.read_bytes())
+    (path / "scene_0002" / "cam_0.ten").unlink()
+    for sample, name in zip(samples, ("cam_2.ten", "cam_3.ten", "cam_0.ten")):
+        with pytest.raises(S.SceneGenError) as ei:
+            sample.cams
+        assert sample.scene_id in str(ei.value) and name in str(ei.value)
+    assert len(samples[3].cams) == 4
 
 
 def test_over_constrained_params_raise():

@@ -198,9 +198,10 @@ def confident_logits(classes, n_q):
 
 
 def match(logits, pts, gts):
-    """match_queries against gts resampled to the queries' points, as fit
-    resamples them."""
-    return SV.match_queries(logits, pts, gts, SV.target_points({0: gts}, pts.shape[1]).get(0))
+    """match_queries on the decoder's outputs as Tensors, against gts
+    resampled to the queries' points, as fit resamples them."""
+    return SV.match_queries(T.Tensor(logits), T.Tensor(pts), gts,
+                            SV.target_points({0: gts}, pts.shape[1]).get(0))
 
 
 def test_match_queries_exact_overlap_is_identity():
@@ -281,6 +282,7 @@ def test_match_queries_with_target_points_is_bitwise_identical():
     assert list(resampled) == ["s"] and resampled["s"].shape == (3, 4, 2)
     each = np.stack([SV.polyline_points(e[2], 4) for e in gts])
     assert np.array_equal(resampled["s"], each)
+    logits, pts = T.Tensor(logits), T.Tensor(pts)
     ta, pa = SV.match_queries(logits, pts, gts, each)
     tb, pb = SV.match_queries(logits, pts, gts, resampled["s"])
     assert np.array_equal(ta, tb)
@@ -295,7 +297,7 @@ def test_match_queries_empty_and_overfull():
     rng = RNG(12)
     pts = rng.normal(size=(3, 4, 2))
     logits = rng.normal(size=(3, G.N_CLASSES + 1))
-    targets, pairs = SV.match_queries(logits, pts, [], None)
+    targets, pairs = SV.match_queries(T.Tensor(logits), T.Tensor(pts), [], None)
     assert list(targets) == [G.N_CLASSES] * 3 and pairs == []
     gts = [(0, 1.0, rng.normal(size=(3, 2))) for _ in range(4)]
     with pytest.raises(SV.SupervisionError, match="exceed"):
@@ -374,7 +376,7 @@ def test_match_queries_cost_is_the_per_element_loop_bit_for_bit(monkeypatch):
         gts = [(int(rng.integers(0, G.N_CLASSES)), 1.0, rng.normal(size=(5, 2)) * 10.0)
                for _ in range(int(rng.integers(1, n_q + 1)))]
         gt_pts = SV.target_points({"s": gts}, n_k)["s"]
-        SV.match_queries(logits, pts, gts, gt_pts)
+        SV.match_queries(T.Tensor(logits), T.Tensor(pts), gts, gt_pts)
         want = oracles.query_cost_oracle(T.softmax_rows(logits), pts, gt_pts,
                                          [e[0] for e in gts])
         assert costs[-1].tobytes() == want.tobytes(), trial

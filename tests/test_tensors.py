@@ -763,3 +763,21 @@ def test_ten_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(T.TensorError):
         T.read_ten(path)
+
+
+def test_check_ten_refuses_what_read_ten_refuses_with_its_message(tmp_path):
+    path = tmp_path / "x.ten"
+    for arr in (np.float64(2.5), np.ones(3), np.ones((2, 3)), np.ones((1,) * 9)):
+        raw = T.write_ten(path, arr)
+        assert T.check_ten(path).st_size == len(raw)
+    raw = T.write_ten(path, np.ones((3, 4)))
+    broken = [raw[:3], b"NOPE" + raw[4:], raw[:5], raw[:4] + b"\x01" + raw[5:], raw[:9],
+              raw[:-5], raw + b"\x00", b""]
+    for bad in broken:
+        path.write_bytes(bad)
+        with pytest.raises(T.TensorError) as want:
+            T.read_ten(path)
+        with pytest.raises(T.TensorError) as got:
+            T.check_ten(path)
+        assert str(got.value) == str(want.value), bad
+
