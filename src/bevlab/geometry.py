@@ -178,33 +178,51 @@ def default_rig(height, pitch, focal, width, img_height, cameras):
 # polyline rasterization (supercover traversal)
 # ---------------------------------------------------------------------------
 
-def rasterize_polyline(grid: BevGrid, pts, canvas, value):
+def rasterize_polyline(grid: BevGrid, pts, canvas, value, first=(0,)):
     """Set to ``value`` every cell of the (rows, cols) ``canvas`` that a
     polyline passes through, and return the canvas.
 
+    ``pts`` may hold several polylines one after another, polyline i from
+    row ``first[i]`` up to the next one's first row, and ``value`` may
+    give each its own value: the canvas ends as if each were drawn in
+    turn, so a cell keeps the value of the last polyline through it.
+
     Uses exact cell-boundary traversal (Amanatides & Woo), so a segment
     never skips a crossed cell and never marks diagonal neighbours it does
-    not touch. The segments walk in lockstep, one array lane each, and
-    each lane repeats the scalar walk's float operations in its order
-    (``t_max += t_d``, the ``1 + 1e-12`` stop, the step guard), so it
-    marks the same cells; a single point is a zero-length segment."""
+    not touch. The segments of all polylines walk in lockstep, one array
+    lane each, and each lane repeats the scalar walk's float operations in
+    its order (``t_max += t_d``, the ``1 + 1e-12`` stop, the step guard),
+    so it marks the same cells; a single point is a zero-length segment."""
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise GeometryError("polyline must be (K, 2)")
-    if len(pts) == 1:
-        pts = pts.repeat(2, axis=0)
+    if not len(pts):
+        return canvas
+    first = np.asarray(first, dtype=np.int64).reshape(-1)
+    counts = np.diff(first, append=len(pts))
+    if not first.size or first[0] != 0 or (counts < 1).any():
+        raise GeometryError("first must rise strictly from 0 and stay below len(pts)")
+    # a lane runs from every vertex but a polyline's last to the next one,
+    # or from a single point to itself
+    starts = np.ones(len(pts), dtype=bool)
+    starts[first + counts - 1] = counts == 1
+    starts = np.flatnonzero(starts)
+    owner = np.searchsorted(first, starts, side="right") - 1
     # continuous cell coordinates: row 0 along columns, row 1 along rows
     g = np.stack([(pts[:, 0] - grid.x_min) / grid.cell_x, (grid.y_max - pts[:, 1]) / grid.cell_y])
-    d = g[:, 1:] - g[:, :-1]
-    cell, end = np.floor(g[:, :-1]).astype(np.int64), np.floor(g[:, 1:]).astype(np.int64)
+    g0, g1 = g[:, starts], g[:, starts + (counts > 1)[owner]]
+    d = g1 - g0
+    cell, end = np.floor(g0).astype(np.int64), np.floor(g1).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_max = np.where(d != 0, ((cell + (d > 0)) - g[:, :-1]) / d, np.inf)
+        t_max = np.where(d != 0, ((cell + (d > 0)) - g0) / d, np.inf)
         t_d = np.where(d != 0, np.abs(1.0 / d), np.inf)
     # one column per lane, rows: cell x, y; end x, y; step x, y; the
-    # guard's step limit; t_max x, y; t_d x, y (cells are exact as floats)
+    # guard's step limit; t_max x, y; t_d x, y; the lane's polyline
+    # (cells are exact as floats)
     lane = np.concatenate([cell, end, np.where(d > 0, 1, -1),
-                           4 * (np.abs(end - cell).sum(axis=0, keepdims=True) + 4), t_max, t_d])
-    visits, guard = [cell], 0
+                           4 * (np.abs(end - cell).sum(axis=0, keepdims=True) + 4), t_max, t_d,
+                           owner[None]])
+    visits, guard = [lane[[0, 1, 11]]], 0
     while True:  # each pass steps every live lane by one cell
         axis = (~(lane[7] <= lane[8])).astype(np.intp)  # 0 steps x, 1 steps y
         live = ((lane[0] != lane[2]) | (lane[1] != lane[3])) & (lane[6] >= guard)
@@ -215,11 +233,15 @@ def rasterize_polyline(grid: BevGrid, pts, canvas, value):
         k = np.arange(axis.size)
         lane[axis, k] += lane[4 + axis, k]
         lane[7 + axis, k] += lane[9 + axis, k]
-        visits.append(lane[:2])  # each pass's lanes are a fresh copy
+        visits.append(lane[[0, 1, 11]])
         guard += 1
-    cx, cy = np.concatenate(visits, axis=1).astype(np.int64)
+    cx, cy, owner = np.concatenate(visits, axis=1).astype(np.int64)
     inside = (cy >= 0) & (cy < grid.rows) & (cx >= 0) & (cx < grid.cols)
-    canvas[cy[inside], cx[inside]] = value
+    cx, cy, owner = cx[inside], cy[inside], owner[inside]
+    # each cell's visit by the last polyline through it
+    order = np.argsort(owner, kind="stable")[::-1]
+    last = order[np.unique(cy[order] * grid.cols + cx[order], return_index=True)[1]]
+    canvas[cy[last], cx[last]] = np.broadcast_to(value, first.shape)[owner[last]]
     return canvas
 
 
@@ -300,18 +322,52 @@ def resample_polyline(pts, step=0.1):
 
 def _tables(pts, first, counts, seg, sq):
     """Per-polyline segment tables of a _flatten table, as views of one
-    pass over all polylines: start x, start y, direction x, direction y
-    and the squared length with 0 replaced by 1, each a (segments, 1)
-    column, and the indices of the zero-length segments."""
-    ax, ay = pts.T.copy()[:, :, None]
-    abx, aby = seg.T.copy()[:, :, None]
-    proper = sq > 0
-    safe = np.where(proper, sq, 1.0)[:, None]
-    zero = np.flatnonzero(~proper)
+    pass over all polylines. A table holds, per segment:
+
+    - start x, start y, direction x, direction y and the squared length
+      with 0 replaced by 1, each a (segments, 1) column;
+    - the indices of the zero-length segments;
+    - the (13, segments) frame whose first five rows those columns are;
+      the other eight are the start x, y, both negated, the high corner
+      of the segment's box negated and its low corner, for _nearest_sq's
+      candidate test;
+    - the largest coordinate magnitude of all the polylines' vertices."""
+    end = pts + seg
+    frame = np.concatenate([pts.T, seg.T, np.where(sq > 0, sq, 1.0)[None], pts.T, -pts.T,
+                            -np.maximum(pts, end).T, np.minimum(pts, end).T])
+    scale = float(np.abs(pts).max())
+    zero = np.flatnonzero(sq == 0)
     ends = first + np.maximum(counts - 1, 1)
     lo, hi = np.searchsorted(zero, first), np.searchsorted(zero, ends)
-    return [(ax[o:e], ay[o:e], abx[o:e], aby[o:e], safe[o:e], zero[z0:z1] - o)
+    return [(*frame[:5, o:e, None], zero[z0:z1] - o, frame[:, o:e], scale)
             for o, e, z0, z1 in zip(first.tolist(), ends.tolist(), lo.tolist(), hi.tolist())]
+
+
+def _segment_sq(x, y, ax, ay, abx, aby, safe, zero_length):
+    """Squared euclidean distance from points (x, y) to segments, entry by
+    entry after broadcasting, with segments along axis 0. A segment starts
+    at (ax, ay) and runs along (abx, aby); safe is its squared length, 1
+    for a zero-length segment, and zero_length indexes the rows of those,
+    which are nearest at their start."""
+    dx = x - ax
+    dy = y - ay
+    t = dx * abx
+    t += dy * aby
+    t /= safe
+    if zero_length.size:
+        t[zero_length] = 0.0
+    np.clip(t, 0.0, 1.0, out=t)
+    dx -= t * abx
+    dy -= t * aby
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
+# below this many segments the pruning costs more than it saves
+PRUNE_SEGMENTS = 24
+RUN = 16  # consecutive points that share one set of candidate segments
 
 
 def _nearest_sq(points, table):
@@ -320,34 +376,65 @@ def _nearest_sq(points, table):
     it is monotone, so taking it after the min gives the same bits as
     taking it per segment.
 
-    The arrays are segment-major, (S segments, N points): a table has few
-    segments and a side many samples, so each pass runs along the long
-    axis. Every entry is the same arithmetic on the same operands as in
-    the point-major layout, and the min over segments is exact in any
-    order, so the layout does not move a bit."""
-    ax, ay, abx, aby, safe, zero_length = table
-    dx = points[:, 0] - ax
-    dy = points[:, 1] - ay
-    t = dx * abx
-    t += dy * aby
-    t /= safe
-    if zero_length.size:  # a zero-length segment is nearest at its start
-        t[zero_length] = 0.0
-    np.clip(t, 0.0, 1.0, out=t)
-    dx -= t * abx
-    dy -= t * aby
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return dx.min(axis=0)
+    A table of fewer than PRUNE_SEGMENTS segments, or no points, runs
+    dense, segment-major (S segments, N points): each pass runs along the
+    long point axis.
+
+    A larger table compares each point only with the segments that can be
+    nearest to it. The points are cut into runs of RUN consecutive points.
+    A run's bound is the smallest, over segments, of the distance from the
+    segment's start to the farthest corner of the run's box: every point
+    of the run is at most that far from that start, so from its nearest
+    segment too. A segment is a candidate of the run unless the distance
+    between its box and the run's box exceeds the bound plus a margin of
+    1e-9 relative to the bound and to the largest vertex coordinate of
+    the table's side, plus 1e-9. Rounding moves every distance here, and
+    every kernel entry, by about 1e-16 of those magnitudes, far below the
+    margin, so the segment with the smallest computed entry is a
+    candidate; the segment that sets the bound always is one, so no run
+    is left without. Each
+    candidate then meets the run's points as one row of a (candidates,
+    RUN) array, and np.minimum.reduceat takes each point's min over its
+    run's rows; the last run repeats the last point to fill its row, and
+    those entries are dropped.
+
+    Either way every entry is the same arithmetic on the same operands as
+    in the point-major layout, the min is exact in any order, and no
+    segment left out holds a point's smallest entry, so no bit moves. A
+    NaN or infinite point makes its run's bound NaN or infinite, which
+    keeps every segment."""
+    if len(table[0]) < PRUNE_SEGMENTS or not len(points):
+        return _segment_sq(points[:, 0], points[:, 1], *table[:6]).min(axis=0)
+    zero_length, frame, scale = table[5:]
+    n = len(points)
+    runs = -(-n // RUN)
+    xy = points.T
+    # each run's low x, low y and high x, high y negated, in one pass
+    low = np.minimum.reduceat(np.concatenate([xy, -xy]), np.arange(0, n, RUN), axis=1)
+    # (far or gap, either term, x or y, run, segment): start - low and
+    # high - start, whose max is the distance from the start to the far
+    # corner along x or y; then low - box high and box low - high, whose
+    # max clipped at 0 is the gap between the two boxes along x or y
+    d = (frame[5:, None] - np.concatenate([low, -low])[:, :, None]).reshape(2, 2, 2, runs, -1)
+    far_gap = np.maximum(d[:, 0], d[:, 1])
+    np.maximum(far_gap[1], 0.0, out=far_gap[1])
+    far_gap *= far_gap
+    far, gap = far_gap[:, 0] + far_gap[:, 1]  # squared, each (runs, segments)
+    cut = np.sqrt(far.min(axis=1)) * (1.0 + 1e-9) + 1e-9 * (1.0 + scale)
+    run, seg = np.nonzero(~(gap > (cut * cut)[:, None]))  # run-major
+    lengthless = np.zeros(frame.shape[1], dtype=bool)
+    lengthless[zero_length] = True
+    xy = xy.take(np.minimum(np.arange(runs * RUN), n - 1), axis=1).reshape(2, runs, RUN)
+    sq = _segment_sq(*xy[:, run], *frame[:5, seg, None], np.flatnonzero(lengthless[seg]))
+    return np.minimum.reduceat(sq, np.searchsorted(run, np.arange(runs))).ravel()[:n]
 
 
 def cells_near_polyline(grid: BevGrid, pts, radius):
     """(rows, cols) bools: the cells whose center lies within `radius` of
     the polyline pts. Each segment is measured only against the cells in
-    its box grown by `radius` plus one cell: _nearest_sq runs on a table
-    with one (cell, segment) pair per column, so each pair gets its bits
-    in the dense layout. The square root is monotone and the min exact,
+    its box grown by `radius` plus one cell: _segment_sq runs on flat
+    arrays of one (cell, segment) pair per entry, so each pair gets its
+    bits in the dense layout. The square root is monotone and the min exact,
     so the marks are those of the distance to the nearest segment."""
     table = _tables(*_flatten([pts]))[0]
     ax, ay, abx, aby = (column[:, 0] for column in table[:4])
@@ -365,8 +452,9 @@ def cells_near_polyline(grid: BevGrid, pts, radius):
     keep = (rows <= r1[seg]) & (cols <= c1[seg])
     seg, rows, cols = seg[keep], rows[keep], cols[keep]
     # cell centers are finite, so a zero-length segment's t is 0 unforced
-    pairs = [column[seg].T for column in table[:5]] + [np.zeros(0, dtype=np.int64)]
-    near = np.sqrt(_nearest_sq(np.stack(grid.cell_center(rows, cols), axis=1), pairs)) <= radius
+    sq = _segment_sq(*grid.cell_center(rows, cols), *(column[seg, 0] for column in table[:5]),
+                     np.zeros(0, dtype=np.int64))
+    near = np.sqrt(sq) <= radius
     mask = np.zeros((grid.rows, grid.cols), dtype=bool)
     mask[rows[near], cols[near]] = True
     return mask
@@ -420,6 +508,15 @@ def chamfer_matrix(a_list, b_list, step=0.1, limit=None):
     (segments x samples, boxes x samples). Each entry is the same
     arithmetic as in the sample-major layout, and mins and sums reduce in
     the same order, so the layout leaves every entry's bits as they were.
+
+    Against a polyline of PRUNE_SEGMENTS segments or more, the nearest-
+    segment kernel prunes (see _nearest_sq): each run of RUN consecutive
+    samples meets only the segments whose box lies within the run's bound,
+    the smallest distance from a segment start to the run's farthest box
+    corner, plus 1e-9 relative (to the bound and the largest vertex
+    coordinate) and 1e-9 absolute. The segment nearest to a sample is
+    always among them, and each (sample, segment) entry is the dense
+    arithmetic, so pruning moves no bit either.
 
     Without `limit` every entry is exact. With it, an entry whose chamfer
     provably exceeds `limit` is inf; every other entry is exact, the same

@@ -1,8 +1,11 @@
 """Instance-level map evaluation: chamfer-thresholded AP over two RoIs.
 
-Map elements are (class_id, score, points) triples. Both sides are first
-clipped to the RoI, one array pass over the segments of all of a side's
-elements per scene; an element with a non-finite vertex is an error.
+Map elements are (class_id, score, points) triples. Every element of both
+sides is checked first: its class an int (not a bool) in [0, N_CLASSES),
+its score finite, its points (K, 2); a bad one is an EvalError naming the
+scene, the side and the index. Both sides are then clipped to the RoI,
+one array pass over the segments of all of a side's elements per scene;
+an element with a non-finite vertex is an error.
 Evaluation is one pass: for each (scene, class) one chamfer matrix of
 every (prediction, ground truth) pair is built, bounded by the largest
 threshold, and reused at every threshold. A pair whose chamfer a cheap
@@ -12,9 +15,17 @@ other way; either entry is inf, which matching treats as any distance
 over the threshold, so every other entry is exact and results do not
 change. The chamfer kernels run segment-major, with each sample axis
 innermost; that changes only the array layout, never the arithmetic or
-its order, so every entry keeps its bits. Matching is greedy in score
-order: each prediction claims the nearest still-unmatched ground truth
-of its class within the chamfer threshold (one-to-one). Precision /
+its order, so every entry keeps its bits. Against a polyline of at least
+geometry.PRUNE_SEGMENTS segments, each run of geometry.RUN consecutive
+samples meets only its candidate segments: those whose box lies within
+the run's bound (the smallest distance from a segment start to the
+run's farthest box corner) plus a margin of 1e-9 relative and 1e-9
+absolute. The nearest segment is always a candidate and each (sample,
+candidate) entry is the dense arithmetic, so no bit moves either.
+Matching is greedy in score order: each prediction claims the nearest
+still-unmatched ground truth of its class within the chamfer threshold
+(one-to-one). Each (scene, class) and each class's pooled predictions
+are ranked once and the ranks reused at every threshold. Precision /
 recall integrate exactly (all-point), with predictions pooled across the
 whole evaluation split.
 Degenerate conventions, applied per (class, threshold) cell: no gts and
@@ -23,6 +34,8 @@ empty gt set give 0.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -165,20 +178,25 @@ def clip_to_roi(elements, grid: BevGrid):
 # matching and AP
 # ---------------------------------------------------------------------------
 
-def _greedy_match(scores, dist, threshold: float):
+def _rank(scores):
+    """Indices of scores by descending score, ties in input order."""
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+
+
+def _greedy_match(order, dist, threshold: float):
     """Greedy one-to-one matching against a (P, G) chamfer matrix; returns
     TP flags in original pred order.
 
-    Predictions are visited by descending score (ties keep input order);
-    each takes the nearest unmatched gt with chamfer <= threshold (distance
-    ties resolve to the lowest gt index).
+    Predictions are visited in ``order``, their _rank; each takes the
+    nearest unmatched gt with chamfer <= threshold (distance ties resolve
+    to the lowest gt index).
     """
-    flags = [False] * len(scores)
+    flags = [False] * len(order)
     if dist.shape[1] == 0:
         return flags
     free = np.ones(dist.shape[1], dtype=bool)
     within = dist <= threshold
-    for i in sorted(range(len(scores)), key=lambda i: (-scores[i], i)):
+    for i in order:
         row = np.where(free & within[i], dist[i], np.inf)
         j = int(row.argmin())
         if row[j] < np.inf:
@@ -191,14 +209,14 @@ def match_instances(preds, gts, threshold: float):
     """Greedy one-to-one matching of elements by chamfer distance; returns
     TP flags in original pred order (see _greedy_match)."""
     dist = chamfer_matrix([e[2] for e in preds], [e[2] for e in gts], limit=threshold)
-    return _greedy_match([e[1] for e in preds], dist, threshold)
+    return _greedy_match(_rank([e[1] for e in preds]), dist, threshold)
 
 
-def _integrate_ap(scores, flags, n_pos):
-    """All-point PR integration over score-ranked (score, tp) pairs."""
+def _integrate_ap(order, flags, n_pos):
+    """All-point PR integration over the predictions taken in ``order``,
+    their _rank."""
     if n_pos == 0:
-        return 1.0 if len(scores) == 0 else 0.0
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+        return 1.0 if len(order) == 0 else 0.0
     tp = 0
     fp = 0
     ap = 0.0
@@ -214,33 +232,58 @@ def _integrate_ap(scores, flags, n_pos):
     return ap
 
 
+def _check_elements(elements, scene, side):
+    """Raise EvalError, naming the scene, the side and the index, for the
+    first element whose class is not an int (a bool is not) in [0,
+    N_CLASSES), whose score is not finite, or whose points are not
+    (K, 2)."""
+    for k, (class_id, score, pts) in enumerate(elements):
+        if (not isinstance(class_id, (int, np.integer)) or isinstance(class_id, bool)
+                or not 0 <= class_id < N_CLASSES):
+            fault = f"class {class_id!r} is not an int in [0, {N_CLASSES})"
+        elif not (isinstance(score, (int, float, np.integer, np.floating))
+                  and math.isfinite(score)):
+            fault = f"score {score!r} is not finite"
+        elif np.ndim(pts) != 2 or np.shape(pts)[1] != 2:
+            fault = f"points of shape {np.shape(pts)} are not (K, 2)"
+        else:
+            continue
+        raise EvalError(f"scene {scene!r}, {side} {k}: {fault}")
+
+
 def evaluate(preds_by_scene: dict, gts_by_scene: dict, cfg: EvalConfig) -> EvalResult:
-    """Full protocol: clip both sides, build one chamfer matrix per (scene,
-    class) bounded by the largest threshold, match it at every threshold,
-    pool AP per cell."""
+    """Full protocol: check every element, clip both sides, build one
+    chamfer matrix per (scene, class) bounded by the largest threshold,
+    rank each (scene, class) and each class's pooled predictions once, and
+    match and integrate at every threshold, pooling AP per cell."""
     if sorted(preds_by_scene) != sorted(gts_by_scene):
         raise EvalError("prediction and ground-truth scene ids differ")
     scene_ids = sorted(gts_by_scene)
+    for s in scene_ids:
+        _check_elements(preds_by_scene[s], s, "prediction")
+        _check_elements(gts_by_scene[s], s, "ground truth")
     clipped_p = {s: clip_to_roi(preds_by_scene[s], cfg.grid) for s in scene_ids}
     clipped_g = {s: clip_to_roi(gts_by_scene[s], cfg.grid) for s in scene_ids}
     cells = {}
     for c in range(N_CLASSES):
         per_scene = []
+        scores = []
         n_pos = 0
         for s in scene_ids:
             p = [e for e in clipped_p[s] if e[0] == c]
             g = [e for e in clipped_g[s] if e[0] == c]
             n_pos += len(g)
-            per_scene.append(([e[1] for e in p],
+            sc = [e[1] for e in p]
+            scores.extend(sc)
+            per_scene.append((_rank(sc),
                               chamfer_matrix([e[2] for e in p], [e[2] for e in g],
                                              limit=cfg.thresholds[-1])))
+        order = _rank(scores)
         for t in cfg.thresholds:
-            scores = []
             flags = []
-            for sc, dist in per_scene:
-                scores.extend(sc)
-                flags.extend(_greedy_match(sc, dist, t))
-            cells[(c, t)] = _integrate_ap(scores, flags, n_pos)
+            for rank, dist in per_scene:
+                flags.extend(_greedy_match(rank, dist, t))
+            cells[(c, t)] = _integrate_ap(order, flags, n_pos)
     return EvalResult(cells, cfg.thresholds)
 
 

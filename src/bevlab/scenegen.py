@@ -218,8 +218,11 @@ def render_overhead(scene: Scene, grid: BevGrid) -> np.ndarray:
     # markings paint over the road; boundary > divider > crossing priority,
     # so each cell keeps 1 + the highest class id that passes through it
     canvas = np.zeros((grid.rows, grid.cols), dtype=np.int64)
-    for cid, _, pts in sorted(scene.ground_truth, key=lambda element: element[0]):
-        rasterize_polyline(grid, pts, canvas, value=cid + 1)
+    marks = sorted(scene.ground_truth, key=lambda element: element[0])
+    if marks:  # one walk over every marking, each painted 1 + its class id
+        counts = [len(pts) for _, _, pts in marks]
+        rasterize_polyline(grid, np.concatenate([pts for _, _, pts in marks]), canvas,
+                           [cid + 1 for cid, _, _ in marks], np.cumsum(counts) - counts)
     for cid, color in CLASS_COLORS.items():
         img[:, canvas == cid + 1] = np.array(color)[:, None]
     return img

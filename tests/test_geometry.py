@@ -188,6 +188,29 @@ def test_rasterize_polyline_keeps_the_scalar_walk():
     assert np.array_equal(canvas, want)
 
 
+def test_rasterize_several_polylines_draws_each_in_turn():
+    # one lockstep walk over several polylines, each with its own value,
+    # must leave the canvas that drawing them one after another leaves
+    small = G.BevGrid(-5, 5, -2.5, 2.5, 5, 10)
+    lines = edge_polylines()
+    rng = np.random.default_rng(8)
+    for _ in range(60):
+        pick = [lines[i] for i in rng.integers(len(lines), size=int(rng.integers(1, 7)))]
+        values = rng.integers(1, 4, size=len(pick))
+        want = np.full((small.rows, small.cols), -1, dtype=np.int64)
+        for pts, value in zip(pick, values.tolist()):
+            oracles.rasterize_polyline_oracle(small, pts, want, value=value)
+        counts = np.array([len(pts) for pts in pick])
+        canvas = np.full((small.rows, small.cols), -1, dtype=np.int64)
+        got = G.rasterize_polyline(small, np.concatenate(pick), canvas, values,
+                                   np.cumsum(counts) - counts)
+        assert got is canvas and np.array_equal(got, want), [p.tolist() for p in pick]
+    pts = np.zeros((3, 2))
+    for first in ([], [1], [0, 0], [0, 3], [0, 2, 1]):
+        with pytest.raises(G.GeometryError, match="first"):
+            G.rasterize_polyline(small, pts, np.zeros((small.rows, small.cols)), 1, first)
+
+
 def test_cells_near_polyline_matches_the_dense_distance():
     # the pruned (cell, segment) pairs must mark exactly the cells the
     # dense distance to every segment marks
@@ -326,6 +349,54 @@ def test_chamfer_kernels_keep_the_point_major_bits():
                             bits(got), bits(oracles.nearest_sq_point_major(view, table)))
                         checked += 1
     assert checked > 1000
+
+
+def test_pruned_kernel_keeps_the_point_major_bits(monkeypatch):
+    # tables of PRUNE_SEGMENTS segments or more compare each run of RUN
+    # points only with its candidate segments; every entry must keep the
+    # bits of the dense point-major kernel. The lanes hold parallel and
+    # coincident copies, a zero-length segment mid-polyline, folds back
+    # onto themselves and random walks; the points are samples (runs
+    # straddle vertices), vertices (ties between two segments), cut to
+    # counts that are and are not multiples of RUN, and scattered points
+    pruned = []
+    segment_sq = G._segment_sq
+    monkeypatch.setattr(G, "_segment_sq",
+                        lambda x, *rest: pruned.append(np.ndim(x) == 2) or segment_sq(x, *rest))
+    rng = np.random.default_rng(31)
+    u = np.linspace(0.0, 1.0, 61)
+    lane = np.stack([60.0 * u - 30.0, 2.0 * np.sin(3.0 * u)], axis=1)  # 60 segments
+    lanes = [lane[:k + 1] for k in (8, G.PRUNE_SEGMENTS - 1, G.PRUNE_SEGMENTS, 41, 60)]
+    zero_mid = np.insert(lane[:40], 20, lane[20], axis=0)
+    lanes += [lane + [0.0, 0.5], lane + [0.0, 3.75], lane.copy(), zero_mid,
+              np.concatenate([lane[:31], lane[29::-1]]),
+              np.concatenate([lane[:31], lane[29::-1] + [0.0, 1e-3]])]
+    for _ in range(6):
+        steps = rng.normal(0.0, 1.0, size=(int(rng.integers(8, 61)), 2))
+        lanes.append(np.concatenate([[rng.uniform(-20, 20, 2)], steps]).cumsum(axis=0))
+    cloud = rng.uniform(-35.0, 35.0, size=(203, 2))
+    checked = 0
+    for b in lanes:
+        table = G._tables(*G._flatten([b]))[0]
+        for a in lanes[::3] + [b]:
+            samples = G._Side([a], 0.1).samples
+            for points in (samples, samples[:G.RUN], samples[5:3 * G.RUN + 12], samples[:1],
+                           a, b, cloud):
+                pruned.clear()
+                got = G._nearest_sq(points, table)
+                assert np.array_equal(bits(got),
+                                      bits(oracles.nearest_sq_point_major(points, table)))
+                assert any(pruned) == (len(b) - 1 >= G.PRUNE_SEGMENTS)
+                checked += any(pruned)
+    assert checked > 300
+    # a non-finite point keeps every segment of its run
+    table = G._tables(*G._flatten([zero_mid]))[0]
+    points = np.concatenate([cloud, [[np.inf, 0.0], [0.0, -np.inf]]])
+    pruned.clear()
+    with np.errstate(invalid="ignore"):
+        got = G._nearest_sq(points, table)
+        want = oracles.nearest_sq_point_major(points, table)
+    assert any(pruned) and np.array_equal(got, want, equal_nan=True)
 
 
 def test_chamfer_matrix_entries_equal_chamfer_distance():

@@ -222,7 +222,7 @@ def test_ap_five_prediction_hand_table():
     # ranked TP,FP,TP,TP,FP with 4 positives: AP = (1 + 2/3 + 3/4)/4
     scores = [0.9, 0.8, 0.7, 0.6, 0.5]
     flags = [True, False, True, True, False]
-    got = ME._integrate_ap(scores, flags, 4)
+    got = ME._integrate_ap(ME._rank(scores), flags, 4)
     want = 0.25 * (1.0 + 2.0 / 3.0 + 3.0 / 4.0)
     assert abs(got - want) < 1e-15
     assert abs(got - oracles.average_precision_oracle(scores, flags, 4)) < 1e-15
@@ -237,7 +237,7 @@ def test_ap_integration_matches_oracle_random():
         n_pos = int(sum(flags) + rng.integers(0, 4))
         if n_pos == 0:
             continue
-        got = ME._integrate_ap(scores, flags, n_pos)
+        got = ME._integrate_ap(ME._rank(scores), flags, n_pos)
         want = oracles.average_precision_oracle(scores, flags, n_pos)
         assert abs(got - want) < 1e-12
 
@@ -277,6 +277,38 @@ def test_evaluate_scene_mismatch_raises():
     del preds["b"]
     with pytest.raises(ME.EvalError):
         ME.evaluate(preds, gts, ME.EvalConfig("standard"))
+
+
+BAD_ELEMENTS = {
+    "class_too_high": (5, 0.9, None),
+    "class_negative": (-1, 0.9, None),
+    "class_not_an_int": (0.5, 0.9, None),
+    "class_bool": (True, 0.9, None),
+    "score_nan": (1, np.nan, None),
+    "score_inf": (1, np.inf, None),
+    "points_1d": (1, 0.9, np.array([-10.0, 0.0, 10.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("side", ["prediction", "ground truth"])
+@pytest.mark.parametrize("case", sorted(BAD_ELEMENTS))
+def test_evaluate_refuses_a_malformed_element(case, side):
+    # one exact match next to the bad element: scoring it instead of
+    # refusing it would give some mAP rather than an error
+    good = (1, 1.0, line(-10, 0, 10, 0))
+    class_id, score, pts = BAD_ELEMENTS[case]
+    bad = (class_id, score, line(-10, 5, 10, 5) if pts is None else pts)
+    preds, gts = {"a": [good], "z": [good]}, {"a": [good], "z": [good]}
+    (preds if side == "prediction" else gts)["z"] = [good, bad]
+    with pytest.raises(ME.EvalError, match=f"scene 'z', {side} 1: "):
+        ME.evaluate(preds, gts, ME.EvalConfig("standard"))
+
+
+def test_evaluate_accepts_numpy_classes_and_scores():
+    good = (np.int64(1), np.float32(0.75), line(-10, 0, 10, 0).tolist())
+    res = ME.evaluate({"a": [good]}, {"a": [(1, 1.0, line(-10, 0, 10, 0))]},
+                      ME.EvalConfig("standard"))
+    assert res.map == 1.0
 
 
 def test_evaluate_matches_reordered_loop_oracle():
