@@ -15,7 +15,7 @@ import math
 from .encoders import MapDecoder, StudentEncoder, TeacherEncoder
 from .geometry import BevGrid, default_rig, extended_grid, standard_grid
 from .scenegen import LANE_WIDTH
-from .supervision import VARIANTS, AffineAdapter
+from .supervision import VARIANTS, MixAdapter
 
 
 class ConfigError(RuntimeError):
@@ -256,8 +256,9 @@ class RunConfig:
         return MapDecoder(rng, self.grid(), c_in=self.c_feat, n_queries=self.n_queries,
                           n_points=self.n_points, hidden=self.decoder_hidden)
 
-    def adapter(self) -> AffineAdapter:
-        return AffineAdapter(self.c_feat)
+    def adapter(self) -> MixAdapter:
+        """The identity channel mix that only the norm_adapter arm trains."""
+        return MixAdapter(self.c_feat)
 
     # -- cache keys ----------------------------------------------------------
 

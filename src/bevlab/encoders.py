@@ -326,7 +326,8 @@ class MapDecoder:
     come from soft-argmax of per-point attention maps (biased by the
     region's log-prior) over the metric coordinate grid. Every point is a
     differentiable position inside the grid, and queries bind to stable,
-    distinct regions instead of competing for the whole scene.
+    distinct regions instead of competing for the whole scene. The point
+    conv has no bias, which each attention map's softmax would cancel.
     """
 
     def __init__(self, rng, grid: BevGrid, c_in, n_queries, n_points, hidden):
@@ -364,9 +365,7 @@ class MapDecoder:
         w, b = _lin_p(rng, hidden, N_CLASSES + 1)
         self.params["cls.w"] = w
         self.params["cls.b"] = b
-        w, b = _conv_p(rng, n_queries * n_points, n_queries * hidden)
-        self.params["pts.w"] = w
-        self.params["pts.b"] = b
+        self.params["pts.w"], _ = _conv_p(rng, n_queries * n_points, n_queries * hidden)
 
     def forward(self, fmap: FeatureMap):
         """Returns (logits (Q, n_classes+1), points (Q, K, 2)) tensors."""
@@ -380,7 +379,7 @@ class MapDecoder:
         pooled = spatial_mean(mul(h, self._slot_mask))
         slots = reshape(pooled, (self.n_queries, self.hidden))
         logits = linear(slots, p["cls.w"], p["cls.b"])
-        att = add(conv2d(h, p["pts.w"], p["pts.b"], pad=1), self._att_bias)
+        att = add(conv2d(h, p["pts.w"], pad=1), self._att_bias)
         pts = soft_points(att, self._metric)
         return logits, reshape(pts, (self.n_queries, self.n_points, 2))
 

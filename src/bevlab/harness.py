@@ -191,26 +191,24 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None):
     grid, rig = cfg.grid(), cfg.rig()
     counts = {}
     t0 = time.time()
-    student, decoder, adapter, breakdowns = train_student(
-        run_cfg, train, teacher, os.path.join(rdir, "log.txt"), counts)
+    models, _ = train_student(run_cfg, train, teacher, os.path.join(rdir, "log.txt"), counts)
     wall = time.time() - t0
     calls = counts["teacher_calls"]
     rows = []
 
     def features(s):
         # the caller drops the map, and with it its tape, after decoding it
-        fmap = student_forward(student, s.cams, rig, grid)
+        fmap = student_forward(models["student"], s.cams, rig, grid)
         rows.append(_similarity_row(teacher, s, fmap, grid))
         return fmap
 
-    results = evaluate_model(features, decoder, val, [EvalConfig(roi) for roi in ROIS])
+    results = evaluate_model(features, models["decoder"], val, [EvalConfig(r) for r in ROIS])
     maps = {}
     for roi, result in zip(ROIS, results):
         write_eval_file(os.path.join(rdir, f"eval_{roi}.txt"), result)
         maps[roi] = result.map
     write_similarity_file(os.path.join(rdir, "similarity.txt"), rows)
-    params = named_params({"student": student, "decoder": decoder,
-                           "adapter": adapter})
+    params = named_params(models)
     save_checkpoint(os.path.join(rdir, "checkpoint"), params)
     if variant == "baseline" and calls:
         raise HarnessError(f"baseline run touched the teacher {calls} times")
@@ -388,17 +386,20 @@ def cmd_sweep_lambda(cfg: RunConfig, out, jobs=1):
 
 
 def load_student(cfg: RunConfig, rdir, teacher):
-    """Rebuild a trained (student, decoder, adapter) from a run checkpoint of
-    ``cfg``, refusing a ``teacher`` the student's features cannot match."""
+    """Rebuild a trained (student, decoder, adapter) from a run checkpoint at
+    ``cfg``'s sizes, refusing a ``teacher`` the student's features cannot match.
+    Any arm loads under any variant: the adapter is None unless the checkpoint
+    holds ``adapter.*``, as norm_adapter's does, and then needs ``adapter.w``."""
     if teacher.c_feat != cfg.c_feat:
         raise HarnessError(f"{cfg.c_feat}-channel student, {teacher.c_feat}-channel teacher")
     params, _ = load_checkpoint(os.path.join(rdir, "checkpoint"))
     rng = np.random.default_rng(0)
-    student, decoder, adapter = cfg.student(rng), cfg.decoder(rng), cfg.adapter()
-    adopt_params(student, params, prefix="student.")
-    adopt_params(decoder, params, prefix="decoder.")
-    adopt_params(adapter, params, prefix="adapter.")
-    return student, decoder, adapter
+    models = {"student": cfg.student(rng), "decoder": cfg.decoder(rng)}
+    if any(name.startswith("adapter.") for name in params):
+        models["adapter"] = cfg.adapter()
+    for name, model in models.items():
+        adopt_params(model, params, prefix=name + ".")
+    return models["student"], models["decoder"], models.get("adapter")
 
 
 # ---------------------------------------------------------------------------

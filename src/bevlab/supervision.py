@@ -12,9 +12,9 @@ assignment on every matrix while the package runs on numpy alone.
 Four named variants differ only in how the alignment term is computed:
 ``baseline`` drops it, ``raw`` compares the two feature maps directly,
 ``norm_only`` standardizes each channel of both maps first, and
-``norm_adapter`` additionally routes the student map through a learned
-per-channel affine before normalization. The adapter lives strictly inside
-the loss path; the decoder always consumes the raw student features.
+``norm_adapter`` also mixes the normalized student map's channels by a
+learned bias-free matrix that no other arm holds (FitNets, ICLR 2015), in
+the loss path only; the decoder always consumes the raw student features.
 """
 
 import math
@@ -32,7 +32,7 @@ from .encoders import (TeacherEncoder, batch_stream, named_params, student_forwa
 from .geometry import N_CLASSES
 from .mapeval import clip_to_roi
 from .tensors import (AdamW, Tensor, TensorError, adamw_step, add, backward,
-                      channel_affine, channel_normalize, focal_loss,
+                      channel_mix, channel_normalize, focal_loss,
                       l1_rows_loss, mse, scale, softmax_rows)
 
 VARIANTS = ("baseline", "raw", "norm_only", "norm_adapter")
@@ -45,15 +45,14 @@ class SupervisionError(RuntimeError):
     pass
 
 
-class AffineAdapter:
-    """Learned per-channel scale and shift, identity at initialization."""
+class MixAdapter:
+    """A learned C x C channel mix ``w``, the identity at initialization."""
 
     def __init__(self, channels):
-        self.params = {"gamma": Tensor(np.ones(channels), requires_grad=True),
-                       "beta": Tensor(np.zeros(channels), requires_grad=True)}
+        self.params = {"w": Tensor(np.eye(channels), requires_grad=True)}
 
     def apply(self, t: Tensor) -> Tensor:
-        return channel_affine(t, self.params["gamma"], self.params["beta"])
+        return channel_mix(t, self.params["w"])
 
 
 class LossBreakdown(NamedTuple):
@@ -75,12 +74,12 @@ class LossBreakdown(NamedTuple):
 # alignment loss
 # ---------------------------------------------------------------------------
 
-def bev_alignment_loss(f_cam, f_aerial, adapter: AffineAdapter, variant) -> Tensor:
-    """Mean squared difference between the student map and the frozen
-    teacher map, compared as the ``variant`` name says: norm_only and
-    norm_adapter normalize both maps per channel, norm_adapter routes the
-    student map through ``adapter`` first, and raw and baseline compare
-    them as they are. Any other name raises SupervisionError."""
+def bev_alignment_loss(f_cam, f_aerial, adapter: MixAdapter, variant) -> Tensor:
+    """Mean squared difference between the student map and the frozen teacher
+    map, compared as the ``variant`` name says: norm_only and norm_adapter
+    normalize both maps per channel, norm_adapter then mixes the student map's
+    channels by ``adapter``, which no other variant reads, and raw and baseline
+    compare the maps as they are. Any other name raises SupervisionError."""
     if variant not in VARIANTS:
         raise SupervisionError(f"unknown variant {variant!r}; expected one of "
                                f"{', '.join(VARIANTS)}")
@@ -93,11 +92,11 @@ def bev_alignment_loss(f_cam, f_aerial, adapter: AffineAdapter, variant) -> Tens
         raise SupervisionError("alignment target must come from a frozen teacher")
     s = f_cam.tensor
     t = f_aerial.tensor
-    if variant == "norm_adapter":
-        s = adapter.apply(s)
     if variant in ("norm_only", "norm_adapter"):
         s = channel_normalize(s)
         t = channel_normalize(t)
+    if variant == "norm_adapter":
+        s = adapter.apply(s)
     return mse(s, t)
 
 
@@ -454,16 +453,19 @@ def train_student(cfg, train_samples, teacher: TeacherEncoder, log_path=None,
     from the ``seed`` rng. The alignment term joins the detection loss
     unless the variant is baseline, whose teacher is never even invoked.
     The frozen teacher's store gets every train map up front; alignment
-    reads them back from it. Returns (student, decoder, adapter,
-    breakdowns); deterministic in cfg. A ``counts`` dict gets
-    "teacher_calls", the number of maps the store gained (U-Net passes).
+    reads them back from it. Returns (models, breakdowns), deterministic
+    in cfg: models is {"student", "decoder"} plus, for norm_adapter alone,
+    the "adapter" it trains. A ``counts`` dict gets "teacher_calls", the
+    number of maps the store gained (U-Net passes).
     """
     if not train_samples:
         raise SupervisionError("student training needs a non-empty train split")
     if not teacher.frozen:
         raise SupervisionError("student training requires a frozen teacher")
     rng = np.random.default_rng(cfg.seed)
-    student, decoder, adapter = cfg.student(rng), cfg.decoder(rng), cfg.adapter()
+    models = {"student": cfg.student(rng), "decoder": cfg.decoder(rng)}
+    if cfg.variant == "norm_adapter":
+        models["adapter"] = cfg.adapter()
     grid, rig = cfg.grid(), cfg.rig()
     aligned = cfg.variant != "baseline"
     stored = len(teacher.maps)
@@ -473,13 +475,12 @@ def train_student(cfg, train_samples, teacher: TeacherEncoder, log_path=None,
 
     def align(fmap, s):
         return bev_alignment_loss(fmap, teacher_forward(teacher, s.overhead, grid),
-                                  adapter, cfg.variant)
+                                  models.get("adapter"), cfg.variant)
 
     breakdowns = fit(
-        cfg, {"student": student, "decoder": decoder, "adapter": adapter},
-        lambda s: student_forward(student, s.cams, rig, grid), train_samples,
-        batch_stream(rng, len(train_samples), cfg.batch), cfg.steps, log_path,
+        cfg, models, lambda s: student_forward(models["student"], s.cams, rig, grid),
+        train_samples, batch_stream(rng, len(train_samples), cfg.batch), cfg.steps, log_path,
         align=align if aligned else None)
     if counts is not None:
         counts["teacher_calls"] = len(teacher.maps) - stored
-    return student, decoder, adapter, breakdowns
+    return models, breakdowns

@@ -458,7 +458,7 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor = None, stride: int = 1, pad: int 
 
 
 # ---------------------------------------------------------------------------
-# normalization / adapter
+# normalization and channel mixing
 # ---------------------------------------------------------------------------
 
 NORM_EPS = 1e-5  # added to each channel's variance
@@ -485,22 +485,20 @@ def channel_normalize(x: Tensor) -> Tensor:
     return custom_op(y, (x,), bwd, "channel_normalize")
 
 
-def channel_affine(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Per-channel scale and shift: out[i] = gamma[i] * x[i] + beta[i]."""
+def channel_mix(x: Tensor, w: Tensor) -> Tensor:
+    """A (C, H, W) map's channels mixed by a (C, C) matrix: out[i] = sum_j w[i, j] x[j]."""
     if x.data.ndim != 3:
-        raise TensorError("channel_affine expects (C, H, W)")
+        raise TensorError("channel_mix expects (C, H, W)")
     c = x.data.shape[0]
-    if gamma.data.shape != (c,) or beta.data.shape != (c,):
-        raise TensorError(f"channel_affine params must be ({c},)")
-    out_data = gamma.data[:, None, None] * x.data + beta.data[:, None, None]
+    if w.data.shape != (c, c):
+        raise TensorError(f"channel_mix weights must be ({c}, {c}), got {w.data.shape}")
+    flat = x.data.reshape(c, -1)
 
     def bwd(g):
-        dx = g * gamma.data[:, None, None]
-        dgamma = (g * x.data).sum(axis=(1, 2))
-        dbeta = g.sum(axis=(1, 2))
-        return dx, dgamma, dbeta
+        gm = g.reshape(c, -1)
+        return (w.data.T @ gm).reshape(x.data.shape), gm @ flat.T
 
-    return custom_op(out_data, (x, gamma, beta), bwd, "channel_affine")
+    return custom_op((w.data @ flat).reshape(x.data.shape), (x, w), bwd, "channel_mix")
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:

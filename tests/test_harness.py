@@ -210,6 +210,29 @@ def test_non_default_sizes_reach_every_construction_path(tmp_path):
     with pytest.raises(H.HarnessError, match="8-channel student"):
         H.load_student(cfg, rec["run_dir"], default.teacher(rng))
 
+    # any arm's checkpoint loads under any variant, as perfbench's infer
+    # pass and the report's maps load them: the checkpoint says whether
+    # there is an adapter, not the config
+    base = H.train_run(cfg, out, "baseline", 0)
+    assert cfg.variant == "norm_adapter"
+    *_, none = H.load_student(cfg, base["run_dir"], cached)
+    assert none is None
+    *_, back = H.load_student(cfg.with_overrides(variant="baseline"), rec["run_dir"], cached)
+    assert np.array_equal(back.params["w"].data, adapter.params["w"].data)
+    assert not np.array_equal(back.params["w"].data, np.eye(cfg.c_feat))  # it trained
+    # a norm_adapter checkpoint whose adapter is not the channel mix, as
+    # older code saved it, is refused rather than loaded without one
+    old = os.path.join(out, "old_run")
+    shutil.copytree(rec["run_dir"], old)
+    ckpt = os.path.join(old, "checkpoint")
+    os.rename(os.path.join(ckpt, "adapter.w.ten"), os.path.join(ckpt, "adapter.gamma.ten"))
+    with open(os.path.join(ckpt, "manifest.txt")) as f:
+        manifest = f.read()
+    with open(os.path.join(ckpt, "manifest.txt"), "w") as f:
+        f.write(manifest.replace("param adapter.w ", "param adapter.gamma "))
+    with pytest.raises(E.EncoderError, match="checkpoint missing parameter adapter.w"):
+        H.load_student(cfg, old, cached)
+
 
 def failing_writes(marker):
     """An open() that dies a few bytes into writing any file named after marker."""
@@ -669,9 +692,9 @@ FIXED_SHORT_RUN = "n_train 8\nn_val 4\nsteps 20\nteacher_steps 20\n"
 PINNED = {
     "config.txt": "5f0c848f33f1fd01da686b45fb1262be92862c8f15f7842202a13e34af3b7592",
     "eval_extended.txt": "eaf7a38030a7db2bd848fc22b72658576d31b09dd8a94bf942d98b4415baed70",
-    "eval_standard.txt": "470b6e2ba89e474f434f4a1e884a9dd025ee29e73cf0117c74ad0789b0362858",
-    "log.txt": "63d85df5414b875590c8b52cb5966bc0fb835e879fc39d4386eab8858b21d60a",
-    "checksum": "781f8d6ccdcfb28df84b092e6e9870baa3fc6f9bb46afa0e1a218e8b42a3c384",
+    "eval_standard.txt": "3becac828dc15c9340b3e2097891b3d7bc337ee982e4f7fd520351a8c27812ac",
+    "log.txt": "1f1853a6a5d7903e21fda073b14d6ff25d657037d025e50d4eabc2099beed136",
+    "checksum": "1eb050319c8cd6233002c3bfad61cb914ae095b67e23929b4c5c5892a2befe74",
 }
 
 
@@ -704,6 +727,32 @@ def test_fixed_short_run_keeps_its_pinned_digests(tmp_path):
     assert not moved, "\n".join(["moved:"] + moved + ["BLAS:"] + blas_lines())
 
 
+def test_every_parameter_each_arm_trains_gets_a_gradient(tmp_path, monkeypatch):
+    # one teacher step and one 2-sample student step per variant on the
+    # fixed short corpus: every parameter in the optimizer's dict must get
+    # a gradient, so no arm holds one its loss cannot reach (a bias that a
+    # softmax cancels, an adapter the arm never calls)
+    cfg = RunConfig.parse(FIXED_SHORT_RUN).with_overrides(teacher_steps=1, steps=1, batch=2)
+    train, val = H.load_splits(cfg, str(tmp_path))
+    plain = SV.adamw_step
+    steps = []
+
+    def recorded(opt):
+        steps.append({name: 0.0 if p.grad is None else float(np.abs(p.grad).max())
+                      for name, p in opt.params.items()})
+        return plain(opt)
+
+    monkeypatch.setattr(SV, "adamw_step", recorded)
+    teacher, _, _ = E.pretrain_teacher(cfg, train, val[:1])
+    for variant in SV.VARIANTS:
+        SV.train_student(cfg.with_overrides(variant=variant), train, teacher)
+    assert len(steps) == 1 + len(SV.VARIANTS)
+    assert "adapter.w" in steps[-1] and not any("adapter.w" in s for s in steps[:-1])
+    for arm, grads in zip(("teacher",) + SV.VARIANTS, steps):
+        dead = [f"{name}: {g:.3g}" for name, g in grads.items() if not g > 1e-10]
+        assert not dead, f"{arm}: parameters its loss does not reach: {dead}"
+
+
 def test_teacher_reads_no_camera_file_and_the_student_each_once_on_fits_thread(
         tmp_path, camera_reads):
     cfg = RunConfig.parse(FIXED_SHORT_RUN)
@@ -732,17 +781,17 @@ def test_a_corpus_exported_again_under_loaded_samples_is_not_read_as_theirs(tmp_
 SHORT_STUDY = "n_train 8\nn_val 4\nsteps 10\nteacher_steps 20\nseeds 1\n"
 STUDY_PINNED = {
     "ablation.txt": "80475dfe2b98301a1881665c1fcb1b3f4816e9b7b08bd1b70a2f26a8a84d4526",
-    "similarity.txt": "be25662714478147857a4be10c592f61e3d1562ce514447392ce3313d58bb792",
-    "report.md": "d28ddb4ed010ce22b6af65ae873d3b5af36ae1adbe782fbff89ba170acf71997",
+    "similarity.txt": "18e2177fb7f6bbcb2fd0099973055b3676c53326d4e7609bab376291bfdedb91",
+    "report.md": "4ff703d459843ba0721f4ce7b85c0782f3af485f28aafd0c199cd24b279d06ea",
 }
 # each run's checkpoint checksum from its record.txt: at 10 steps every
 # mAP prints as 0.000000, so the files above cannot see a change to the
 # trained bits, and these do
 STUDY_RUN_CHECKSUMS = {
-    "baseline_seed1": "fae77fc0957c701f80bf7c0ce749cf47903e493c598dc23e9ab1093730264b04",
-    "norm_adapter_seed1": "cc27ba79e8ef109be43326c874d9ee882c5f4c4e9d63e460d14a119c370aaea5",
-    "norm_only_seed1": "19ff3a0c78314b1f451b555b8aef5c8563775d319ef177cfd3f414dfef044d6a",
-    "raw_seed1": "ed61f9cda993e981875f1140d666dabada23dd73340adbf3f0b5f42c653a398d",
+    "baseline_seed1": "4d8e41809bfa2ba1b09925abf420cd4c4c05fc8236f222129d928b1460614f3a",
+    "norm_adapter_seed1": "ee0dba8f0bd296ab717e0400b18b8d38d64678e8e55a06e63d1a643b7ab37953",
+    "norm_only_seed1": "2da907ad370d666b48c225bf4fe3eb34ba463829cd8b4ed83645c1a17b7867b4",
+    "raw_seed1": "e18f7659ad5b0ca6663fe171368e0ce98cc2914fecbad61322ad63e07c95af24",
 }
 
 

@@ -51,7 +51,7 @@ def test_models_are_constructed_only_in_run_config_builders():
     # one construction site per role, so no path can build a model of
     # another size than the config says
     roles = {"TeacherEncoder": "teacher", "StudentEncoder": "student",
-             "MapDecoder": "decoder", "AffineAdapter": "adapter"}
+             "MapDecoder": "decoder", "MixAdapter": "adapter"}
     builders = {}  # id of a call node inside a RunConfig builder -> builder name
     calls = []  # (path, line, class, enclosing builder or None)
     for path, tree in parsed("src/bevlab").items():

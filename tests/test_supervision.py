@@ -61,21 +61,22 @@ def run_config(variant, seed, steps, **kw):
 def test_adapter_identity_at_init_bitwise():
     rng = RNG(1)
     x = rng.normal(size=(5, 3, 4))
-    adapter = SV.AffineAdapter(5)
+    adapter = SV.MixAdapter(5)
+    assert list(adapter.params) == ["w"]
+    assert np.array_equal(adapter.params["w"].data, np.eye(5))
     assert np.array_equal(adapter.apply(T.Tensor(x)).data, x)
     assert all(p.requires_grad for p in adapter.params.values())
 
 
-def test_adapter_applies_per_channel_affine():
+def test_adapter_mixes_channels_by_w():
     rng = RNG(2)
     x = rng.normal(size=(3, 2, 2))
-    adapter = SV.AffineAdapter(3)
-    adapter.params["gamma"].data[:] = [2.0, -1.0, 0.5]
-    adapter.params["beta"].data[:] = [0.1, 0.0, -0.3]
+    adapter = SV.MixAdapter(3)
+    w = np.array([[2.0, 0.1, 0.0], [-1.0, 0.5, 0.3], [0.0, -0.3, 1.5]])
+    adapter.params["w"].data[:] = w
     got = adapter.apply(T.Tensor(x)).data
-    want = x * np.array([2.0, -1.0, 0.5])[:, None, None] \
-        + np.array([0.1, 0.0, -0.3])[:, None, None]
-    assert np.allclose(got, want, atol=1e-15)
+    want = np.einsum("ij,jhw->ihw", w, x)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +86,7 @@ def test_adapter_applies_per_channel_affine():
 def test_alignment_zero_for_identical_maps():
     grid = G.standard_grid()
     x = RNG(3).normal(size=(6, grid.rows, grid.cols))
-    adapter = SV.AffineAdapter(6)
+    adapter = SV.MixAdapter(6)
     for variant in ("raw", "norm_only", "norm_adapter"):
         a = E.FeatureMap(oracles.parameter(x.copy()), grid)
         b = E.FeatureMap(T.Tensor(x.copy()), grid)
@@ -95,15 +96,15 @@ def test_alignment_zero_for_identical_maps():
 
 def test_alignment_variant_picks_normalize_and_adapter():
     # raw compares the maps as they are, norm_only normalizes both, and
-    # norm_adapter puts the student map through the adapter first
+    # norm_adapter then mixes the normalized student map's channels
     assert SV.VARIANTS == ("baseline", "raw", "norm_only", "norm_adapter")
     f_cam, f_aer = fmap_pair(8)
-    adapter = SV.AffineAdapter(6)
-    adapter.params["gamma"].data[:] = np.linspace(0.01, 2.0, 6)
+    adapter = SV.MixAdapter(6)
+    adapter.params["w"].data[:] = np.eye(6) + 0.2 * RNG(9).normal(size=(6, 6))
     s, t = f_cam.tensor, f_aer.tensor
     want = {"baseline": T.mse(s, t), "raw": T.mse(s, t),
             "norm_only": T.mse(T.channel_normalize(s), T.channel_normalize(t)),
-            "norm_adapter": T.mse(T.channel_normalize(adapter.apply(s)),
+            "norm_adapter": T.mse(adapter.apply(T.channel_normalize(s)),
                                   T.channel_normalize(t))}
     want = {variant: float(loss.data) for variant, loss in want.items()}
     assert len({want["raw"], want["norm_only"], want["norm_adapter"]}) == 3
@@ -117,12 +118,12 @@ def test_alignment_refuses_a_variant_outside_variants():
     f_cam, f_aer = fmap_pair(8)
     for variant in ("normadapter", "Raw", "", None):
         with pytest.raises(SV.SupervisionError, match="unknown variant"):
-            SV.bev_alignment_loss(f_cam, f_aer, SV.AffineAdapter(6), variant)
+            SV.bev_alignment_loss(f_cam, f_aer, SV.MixAdapter(6), variant)
 
 
 def test_alignment_raw_matches_hand_loop():
     f_cam, f_aer = fmap_pair(4)
-    loss = SV.bev_alignment_loss(f_cam, f_aer, SV.AffineAdapter(6), "raw")
+    loss = SV.bev_alignment_loss(f_cam, f_aer, None, "raw")
     diff = f_cam.tensor.data - f_aer.tensor.data
     want = float(np.sum(diff * diff) / diff.size)
     assert abs(float(loss.data) - want) < 1e-12
@@ -130,39 +131,58 @@ def test_alignment_raw_matches_hand_loop():
 
 def test_alignment_adapter_at_init_equals_norm_only():
     f_cam, f_aer = fmap_pair(5)
-    a = SV.bev_alignment_loss(f_cam, f_aer, SV.AffineAdapter(6), "norm_adapter")
-    b = SV.bev_alignment_loss(f_cam, f_aer, SV.AffineAdapter(6), "norm_only")
+    a = SV.bev_alignment_loss(f_cam, f_aer, SV.MixAdapter(6), "norm_adapter")
+    b = SV.bev_alignment_loss(f_cam, f_aer, SV.MixAdapter(6), "norm_only")
     assert float(a.data) == float(b.data)
 
 
 def test_alignment_gradient_reaches_student_only():
     f_cam, f_aer = fmap_pair(6)
-    adapter = SV.AffineAdapter(6)
+    adapter = SV.MixAdapter(6)
     loss = SV.bev_alignment_loss(f_cam, f_aer, adapter, "norm_adapter")
     T.backward(loss)
     assert f_cam.tensor.grad is not None
     assert np.abs(f_cam.tensor.grad).max() > 0
     assert f_aer.tensor.grad is None
-    assert adapter.params["gamma"].grad is not None
+    # the mix sees the normalized student map, so W's gradient is the one
+    # the loss takes through that map
+    s = T.channel_normalize(T.Tensor(f_cam.tensor.data)).data.reshape(6, -1)
+    t = T.channel_normalize(f_aer.tensor).data.reshape(6, -1)
+    want = (2.0 / s.size) * (s - t) @ s.T
+    assert oracles.rel_error(adapter.params["w"].grad, want) < 1e-12
+    # at the identity the student's gradient is norm_only's, bit for bit
+    student_grad = f_cam.tensor.grad
+    f_cam.tensor.grad = None
+    T.backward(SV.bev_alignment_loss(f_cam, f_aer, None, "norm_only"))
+    assert np.array_equal(f_cam.tensor.grad, student_grad)
+
+
+def test_adapter_scale_reaches_the_loss():
+    # doubling W doubles the mixed map, which normalization no longer undoes
+    f_cam, f_aer = fmap_pair(10)
+    adapter = SV.MixAdapter(6)
+    at_init = float(SV.bev_alignment_loss(f_cam, f_aer, adapter, "norm_adapter").data)
+    adapter.params["w"].data *= 2.0
+    doubled = float(SV.bev_alignment_loss(f_cam, f_aer, adapter, "norm_adapter").data)
+    assert abs(doubled - at_init) > 1e-3 * at_init
 
 
 def test_alignment_rejects_trainable_target():
     f_cam, f_aer = fmap_pair(7, requires_grad=True)
     with pytest.raises(SV.SupervisionError, match="frozen"):
-        SV.bev_alignment_loss(f_cam, f_aer, SV.AffineAdapter(6), "raw")
+        SV.bev_alignment_loss(f_cam, f_aer, None, "raw")
 
 
 def test_alignment_rejects_shape_and_grid_mismatch():
     grid = G.standard_grid()
-    adapter = SV.AffineAdapter(6)
     a = E.FeatureMap(T.Tensor(np.zeros((6, grid.rows, grid.cols))), grid)
     b = E.FeatureMap(T.Tensor(np.zeros((5, grid.rows, grid.cols))), grid)
     with pytest.raises(SV.SupervisionError, match="shape"):
-        SV.bev_alignment_loss(a, b, adapter, "raw")
+        SV.bev_alignment_loss(a, b, None, "raw")
     ext = G.extended_grid()
     c = E.FeatureMap(T.Tensor(np.zeros((6, ext.rows, ext.cols))), ext)
     with pytest.raises(SV.SupervisionError, match="grid"):
-        SV.bev_alignment_loss(a, c, adapter, "raw")
+        SV.bev_alignment_loss(a, c, None, "raw")
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +485,9 @@ def contracts(monkeypatch):
         seen.append((f_cam, digest(f_cam)))
         loss = plain(f_cam, f_aerial, adapter, variant)
         unchanged()
+        assert (adapter is None) == (variant != "norm_adapter"), variant
         if variant in ("norm_only", "norm_adapter"):
-            s = adapter.apply(f_cam.tensor) if variant == "norm_adapter" else f_cam.tensor
-            for m in (s, f_aerial.tensor):
+            for m in (f_cam.tensor, f_aerial.tensor):
                 mean = np.abs(T.channel_normalize(m).data.mean(axis=(1, 2))).max()
                 assert mean <= 1e-10, f"normalized channel mean {mean}"
         return loss
@@ -493,10 +513,8 @@ def test_mean_of_keeps_its_pinned_bits_at_a_batch_of_three():
     assert float(got.data).hex() == "0x1.aaaaaaaaaaaaap+0"  # 5 * (1/3); 5 / 3 ends in b
 
 
-def student_decoder_checksum(student, decoder):
-    params = {"student." + k: v for k, v in student.params.items()}
-    params.update(("decoder." + k, v) for k, v in decoder.params.items())
-    return E.params_checksum(params)
+def student_decoder_checksum(models):
+    return E.params_checksum(E.named_params({k: models[k] for k in ("student", "decoder")}))
 
 
 def test_train_student_smoke_and_determinism(corpus, tmp_path, contracts):
@@ -504,7 +522,8 @@ def test_train_student_smoke_and_determinism(corpus, tmp_path, contracts):
     teacher = frozen_teacher()
     cfg = run_config("norm_adapter", 5, 6, lambda_bev=0.5)
     log = tmp_path / "steps.log"
-    st1, dec1, ad1, bks = SV.train_student(cfg, samples, teacher, log_path=str(log))
+    models1, bks = SV.train_student(cfg, samples, teacher, log_path=str(log))
+    assert sorted(models1) == ["adapter", "decoder", "student"]
     assert contracts(bks, cfg, teacher) > 0
     assert len(bks) == 6
     assert all(np.isfinite([b.l_cls, b.l_reg, b.l_bev, b.l_total]).all()
@@ -516,10 +535,10 @@ def test_train_student_smoke_and_determinism(corpus, tmp_path, contracts):
     assert float(total) == float(cls) + float(reg) + cfg.lambda_bev * float(bev)
     assert bks[-1].l_total == float(total)
 
-    st2, dec2, _, _ = SV.train_student(cfg, samples, teacher)
-    assert student_decoder_checksum(st1, dec1) == student_decoder_checksum(st2, dec2)
-    st3, dec3, _, _ = SV.train_student(cfg.with_overrides(seed=6), samples, teacher)
-    assert student_decoder_checksum(st1, dec1) != student_decoder_checksum(st3, dec3)
+    models2, _ = SV.train_student(cfg, samples, teacher)
+    assert student_decoder_checksum(models1) == student_decoder_checksum(models2)
+    models3, _ = SV.train_student(cfg.with_overrides(seed=6), samples, teacher)
+    assert student_decoder_checksum(models1) != student_decoder_checksum(models3)
 
 
 def test_train_student_baseline_never_touches_teacher(corpus, contracts):
@@ -529,7 +548,8 @@ def test_train_student_baseline_never_touches_teacher(corpus, contracts):
     for p in teacher.params.values():
         p.data[:] = np.nan
     cfg = run_config("baseline", 1, 3)
-    _, _, _, bks = SV.train_student(cfg, samples, teacher)
+    models, bks = SV.train_student(cfg, samples, teacher)
+    assert sorted(models) == ["decoder", "student"]
     assert contracts(bks, cfg, teacher) == 0
     assert all(b.l_bev == 0.0 for b in bks)
     assert all(np.isfinite(b.l_total) for b in bks)
@@ -541,9 +561,8 @@ def test_train_student_lambda_zero_walks_the_baseline_trajectory(corpus):
     base = SV.train_student(run_config("baseline", 7, 5), samples, teacher)
     gated = SV.train_student(run_config("norm_adapter", 7, 5, lambda_bev=0.0), samples,
                              teacher)
-    assert student_decoder_checksum(base[0], base[1]) == \
-        student_decoder_checksum(gated[0], gated[1])
-    for a, b in zip(base[3], gated[3]):
+    assert student_decoder_checksum(base[0]) == student_decoder_checksum(gated[0])
+    for a, b in zip(base[1], gated[1]):
         assert a.l_cls == b.l_cls and a.l_reg == b.l_reg
         assert b.l_bev > 0.0 and a.l_bev == 0.0
         assert a.l_total == b.l_total
@@ -554,7 +573,7 @@ def test_train_student_teacher_stays_isolated(corpus, contracts):
     teacher = frozen_teacher()
     before = E.params_checksum(teacher.params)
     cfg = run_config("raw", 2, 4)
-    *_, bks = SV.train_student(cfg, samples, teacher)
+    _, bks = SV.train_student(cfg, samples, teacher)
     assert contracts(bks, cfg, teacher) > 0
     assert E.params_checksum(teacher.params) == before
     assert all(p.grad is None for p in teacher.params.values())
@@ -677,10 +696,9 @@ def test_fit_gives_the_same_bits_on_one_thread_and_on_two(corpus, tmp_path, monk
         for variant in SV.VARIANTS:
             def student():
                 log = tmp_path / f"{variant}{threads}.log"
-                st, dec, ad, _ = SV.train_student(run_config(variant, 4, 3), samples, teacher,
-                                                  str(log))
-                params = E.named_params({"student": st, "decoder": dec, "adapter": ad})
-                return E.params_checksum(params), log.read_bytes()
+                models, _ = SV.train_student(run_config(variant, 4, 3), samples, teacher,
+                                             str(log))
+                return E.params_checksum(E.named_params(models)), log.read_bytes()
 
             runs[(variant, threads)], names = on_threads(monkeypatch, threads, student)
             assert len(names) == threads, variant

@@ -173,11 +173,22 @@ def test_channel_normalize_matches_oracle_and_moments():
     assert np.all(np.abs(out.std(axis=(1, 2)) - 1.0) < 1e-4)
 
 
-def test_channel_affine_identity_is_bitwise():
+def test_channel_mix_identity_is_bitwise():
+    # forward and both gradients: the identity passes x and g through exactly
     rng = RNG(8)
     x = rng.normal(size=(3, 4, 5))
-    out = T.channel_affine(T.Tensor(x), T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)))
+    g = rng.normal(size=(3, 4, 5))
+    xt, wt = oracles.parameter(x), oracles.parameter(np.eye(3))
+    out = T.channel_mix(xt, wt)
     assert np.array_equal(out.data, x)
+    T.backward(oracles.tsum(T.mul(out, T.Tensor(g))))
+    assert np.array_equal(xt.grad, g)
+    assert np.array_equal(wt.grad, g.reshape(3, -1) @ x.reshape(3, -1).T)
+    for bad in (np.eye(4), np.ones(3), np.eye(3)[:, :2]):
+        with pytest.raises(T.TensorError, match="channel_mix weights"):
+            T.channel_mix(xt, T.Tensor(bad))
+    with pytest.raises(T.TensorError, match="channel_mix expects"):
+        T.channel_mix(T.Tensor(x[0]), wt)
 
 
 def test_soft_points_matches_oracle_and_stays_in_hull():
@@ -474,14 +485,15 @@ def test_conv2d_at_fails_fast_and_allows_empty():
         T.zero_grad([kt, bt])
 
 
-def test_grad_mse_and_affine_chain():
+def test_grad_mse_and_channel_mix_chain():
+    # through x and w, after a normalization as in the alignment loss
     rng = RNG(21)
     x = rng.normal(size=(3, 4, 4))
-    g = rng.normal(size=3)
-    bta = rng.normal(size=3)
+    w = rng.normal(size=(3, 3))
     tgt = rng.normal(size=(3, 4, 4))
-    fd_check(lambda xt, gt, bt, tc: T.mse(T.channel_affine(xt, gt, bt), T.Tensor(tc)),
-             [x, g, bta, tgt], 3)
+    fd_check(lambda xt, wt, tc: T.mse(T.channel_mix(xt, wt), T.Tensor(tc)), [x, w, tgt], 2)
+    fd_check(lambda xt, wt, tc: T.mse(T.channel_mix(T.channel_normalize(xt), wt),
+                                      T.Tensor(tc)), [x, w, tgt], 2)
 
 
 def test_grad_channel_normalize():
