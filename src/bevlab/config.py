@@ -13,7 +13,8 @@ import hashlib
 import math
 
 from .encoders import MapDecoder, StudentEncoder, TeacherEncoder
-from .geometry import BevGrid, default_rig, extended_grid, standard_grid
+from .geometry import BevGrid, default_rig, extended_grid
+from .mapeval import ROIS
 from .scenegen import LANE_WIDTH
 from .supervision import VARIANTS, MixAdapter
 
@@ -22,85 +23,72 @@ class ConfigError(RuntimeError):
     pass
 
 
-# (name, default, caches) rows; the default's python type pins the parser.
-# Tuples parse as space-separated lists: the ranges and teacher_widths
-# take exactly as many values as their default (see _FIXED_ARITY), while
-# seeds and lambda_factors take any number of values, with no repeats.
+# (name, default, caches, bound) rows; the default's python type pins the
+# parser. Tuples parse as space-separated lists: _LISTS take any number of
+# distinct values, every other tuple exactly as many as its default.
 # `caches` names the caches a field feeds: changing it re-renders the
 # corpus (_DATA), retrains the frozen teacher (_TEACH), both, or neither.
 # The cache hashes digest their fields in this order, so moving a field or
-# changing its scope orphans every cached corpus and teacher.
+# changing its scope orphans every cached corpus and teacher. `bound`
+# names the _BOUNDS rule each of the field's values must meet before any
+# work starts, or is None.
 _DATA, _TEACH, _BOTH = ("dataset",), ("teacher",), ("dataset", "teacher")
 DEFAULTS = (
     # corpus
-    ("n_train", 256, _BOTH),
-    ("n_val", 64, _BOTH),
-    ("road_count", (1, 2), _BOTH),
-    ("lane_count", (2, 4), _BOTH),
-    ("curvature", 0.025, _BOTH),
-    ("crossing_probability", 0.9, _BOTH),
-    ("occluder_count", (2, 5), _BOTH),
-    ("occluder_size", (1.0, 3.0), _BOTH),
+    ("n_train", 256, _BOTH, "positive"),
+    ("n_val", 64, _BOTH, "positive"),
+    ("road_count", (1, 2), _BOTH, "positive"),
+    ("lane_count", (2, 4), _BOTH, "positive"),
+    ("curvature", 0.025, _BOTH, "nonnegative"),
+    ("crossing_probability", 0.9, _BOTH, "within [0, 1]"),
+    ("occluder_count", (2, 5), _BOTH, "nonnegative"),
+    ("occluder_size", (1.0, 3.0), _BOTH, "nonnegative"),
     # rig
-    ("cameras", 4, _DATA),
-    ("cam_height", 1.6, _DATA),
-    ("cam_pitch", 0.12, _DATA),
-    ("cam_focal", 48.0, _DATA),
-    ("image_width", 96, _DATA),
-    ("image_height", 64, _DATA),
+    ("cameras", 4, _DATA, "positive"),
+    ("cam_height", 1.6, _DATA, "positive"),
+    ("cam_pitch", 0.12, _DATA, None),
+    ("cam_focal", 48.0, _DATA, "positive"),
+    ("image_width", 96, _DATA, "positive"),
+    ("image_height", 64, _DATA, "positive"),
     # BEV grid the models run on (evaluation always scores both RoIs)
-    ("roi", "extended", _BOTH),
-    ("grid_rows", 24, _BOTH),
-    ("grid_cols", 48, _BOTH),
+    ("roi", "extended", _BOTH, None),
+    ("grid_rows", 24, _BOTH, None),
+    ("grid_cols", 48, _BOTH, None),
     # encoder sizes
-    ("c_feat", 16, _TEACH),
-    ("teacher_widths", (12, 16, 24), _TEACH),
-    ("student_width", 12, ()),
-    ("downsample", 2, ()),
-    ("n_queries", 12, _TEACH),
-    ("n_points", 8, _TEACH),
-    ("decoder_hidden", 8, _TEACH),
+    ("c_feat", 16, _TEACH, "positive"),
+    ("teacher_widths", (12, 16, 24), _TEACH, "positive"),
+    ("student_width", 12, (), "positive"),
+    ("downsample", 2, (), "2 or 4"),
+    ("n_queries", 12, _TEACH, "positive"),
+    ("n_points", 8, _TEACH, "at least 2"),
+    ("decoder_hidden", 8, _TEACH, "positive"),
     # supervision
-    ("variant", "norm_adapter", ()),
-    ("lambda_bev", 1.0, ()),
+    ("variant", "norm_adapter", (), None),
+    ("lambda_bev", 1.0, (), "nonnegative"),
     # optimization
-    ("steps", 2000, ()),
-    ("batch", 4, _TEACH),
-    ("base_lr", 4e-3, _TEACH),
-    ("min_lr", 1e-5, _TEACH),
-    ("weight_decay", 1e-4, _TEACH),
-    ("reg_weight", 0.05, _TEACH),
-    ("teacher_steps", 2500, _TEACH),
-    ("teacher_seed", 0, _TEACH),
-    # study layout
-    ("seed", 1, ()),
-    ("seeds", (1, 2, 3), ()),
-    ("lambda_factors", (0.0, 0.25, 0.5, 1.0, 2.0, 4.0), ()),
+    ("steps", 2000, (), "positive"),
+    ("batch", 4, _TEACH, "positive"),
+    ("base_lr", 4e-3, _TEACH, "positive"),
+    ("min_lr", 1e-5, _TEACH, "nonnegative"),
+    ("weight_decay", 1e-4, _TEACH, "nonnegative"),
+    ("reg_weight", 0.05, _TEACH, "nonnegative"),
+    ("teacher_steps", 2500, _TEACH, "positive"),
+    ("teacher_seed", 0, _TEACH, "nonnegative"),
+    # study layout (numpy seeds its generators from nonnegative ints only)
+    ("seed", 1, (), "nonnegative"),
+    ("seeds", (1, 2, 3), (), "nonnegative"),
+    ("lambda_factors", (0.0, 0.25, 0.5, 1.0, 2.0, 4.0), (), "nonnegative"),
 )
 
-_DEFAULTS = {name: default for name, default, _ in DEFAULTS}
-
-
-# tuple keys where the element count is part of the meaning (ranges and
-# fixed pipeline depths); everything else (seeds, lambda_factors) is a list
-# of distinct values
-_FIXED_ARITY = ("road_count", "lane_count", "occluder_count", "occluder_size",
-                "teacher_widths")
-
-
-# the bound each numeric field must meet before any work starts; numpy
-# seeds its generators from non-negative integers only
-_BOUNDS = (
-    ("positive", lambda v: v > 0,
-     "n_train n_val cameras cam_height cam_focal image_width image_height c_feat "
-     "teacher_widths student_width n_queries decoder_hidden steps batch base_lr "
-     "teacher_steps"),
-    ("at least 2", lambda v: v >= 2, "n_points"),
-    ("nonnegative", lambda v: v >= 0,
-     "curvature lambda_bev min_lr weight_decay reg_weight seed teacher_seed seeds "
-     "lambda_factors"),
-    ("within [0, 1]", lambda v: 0 <= v <= 1, "crossing_probability"),
-)
+_DEFAULTS = {name: default for name, default, _, _ in DEFAULTS}
+_LISTS = ("seeds", "lambda_factors")
+_BOUNDS = {
+    "positive": lambda v: v > 0,
+    "nonnegative": lambda v: v >= 0,
+    "at least 2": lambda v: v >= 2,
+    "within [0, 1]": lambda v: 0 <= v <= 1,
+    "2 or 4": lambda v: v in (2, 4),
+}
 
 
 def _values(value):
@@ -112,7 +100,7 @@ def _parse_one(name, default, text):
         parts = text.split()
         if not parts:
             raise ConfigError(f"{name}: expected at least one value")
-        if name in _FIXED_ARITY and len(parts) != len(default):
+        if name not in _LISTS and len(parts) != len(default):
             raise ConfigError(f"{name}: expected {len(default)} values, "
                               f"got {len(parts)}")
         kind = type(default[0])
@@ -149,18 +137,17 @@ class RunConfig:
     def validate(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.roi not in ("standard", "extended"):
+        if self.roi not in ROIS:
             raise ConfigError(f"unknown roi {self.roi!r}")
         for name in _DEFAULTS:
             value = getattr(self, name)
             if any(isinstance(v, float) and not math.isfinite(v) for v in _values(value)):
                 raise ConfigError(f"{name} must be finite, got {_format_one(value)}")
-        for rule, holds, names in _BOUNDS:
-            for name in names.split():
-                value = getattr(self, name)
-                if not all(map(holds, _values(value))):
-                    raise ConfigError(f"{name} must be {rule}, got {_format_one(value)}")
-        for name in ("seeds", "lambda_factors"):
+        for name, _, _, bound in DEFAULTS:
+            value = getattr(self, name)
+            if bound and not all(map(_BOUNDS[bound], _values(value))):
+                raise ConfigError(f"{name} must be {bound}, got {_format_one(value)}")
+        for name in _LISTS:
             values = getattr(self, name)
             if not values:
                 raise ConfigError(f"{name}: expected at least one value")
@@ -168,19 +155,16 @@ class RunConfig:
             if repeated:
                 raise ConfigError(f"{name}: repeated values "
                                   f"{_format_one(tuple(repeated))}")
-        if self.downsample not in (2, 4):
-            raise ConfigError(f"downsample must be 2 or 4, got {self.downsample}")
         if self.image_width % self.downsample or self.image_height % self.downsample:
             raise ConfigError("image size must divide by the downsample")
         if self.grid_rows % 8 or self.grid_cols % 8 or self.grid_rows < 8 or self.grid_cols < 8:
             # the teacher U-Net pools three times
             raise ConfigError(f"grid {self.grid_rows}x{self.grid_cols}: rows and cols "
                               "must be positive multiples of 8")
-        for name, low in (("road_count", 1), ("lane_count", 1), ("occluder_count", 0),
-                          ("occluder_size", 0.0)):
+        for name in ("road_count", "lane_count", "occluder_count", "occluder_size"):
             lo, hi = getattr(self, name)
-            if lo < low or lo > hi:
-                raise ConfigError(f"{name}: range {lo} {hi} must be ordered and start at >= {low}")
+            if lo > hi:
+                raise ConfigError(f"{name}: range {lo} {hi} must be ordered")
         ext = extended_grid()  # both edges of every road run partly inside it
         diagonal = math.hypot(ext.x_max - ext.x_min, ext.y_max - ext.y_min)
         if self.lane_count[1] * LANE_WIDTH >= diagonal:
@@ -240,8 +224,8 @@ class RunConfig:
                            self.image_width, self.image_height, self.cameras)
 
     def grid(self) -> BevGrid:
-        make = standard_grid if self.roi == "standard" else extended_grid
-        return make(self.grid_rows, self.grid_cols)
+        make_grid, _ = ROIS[self.roi]
+        return make_grid(self.grid_rows, self.grid_cols)
 
     # -- models: each draws its initial weights from rng --------------------
 
@@ -265,7 +249,7 @@ class RunConfig:
     def _digest(self, cache=None) -> str:
         """Hash of the fields that feed ``cache``, or of every field."""
         h = hashlib.sha256()
-        for name, _, caches in DEFAULTS:
+        for name, _, caches, _ in DEFAULTS:
             if cache is None or cache in caches:
                 h.update(f"{name} {_format_one(getattr(self, name))}\n".encode())
         return h.hexdigest()[:16]

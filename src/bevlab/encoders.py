@@ -52,11 +52,6 @@ def _conv_p(rng, cout, cin, k=3):
             Tensor(np.zeros(cout), requires_grad=True))
 
 
-def _lin_p(rng, n, m):
-    return (Tensor(rng.normal(0.0, np.sqrt(1.0 / n), (n, m)), requires_grad=True),
-            Tensor(np.zeros(m), requires_grad=True))
-
-
 # ---------------------------------------------------------------------------
 # overhead teacher
 # ---------------------------------------------------------------------------
@@ -362,9 +357,9 @@ class MapDecoder:
         w, b = _conv_p(rng, n_queries * hidden, c_in + 2)
         self.params["mix.w"] = w
         self.params["mix.b"] = b
-        w, b = _lin_p(rng, hidden, N_CLASSES + 1)
-        self.params["cls.w"] = w
-        self.params["cls.b"] = b
+        self.params["cls.w"] = Tensor(rng.normal(0.0, np.sqrt(1.0 / hidden),
+                                                 (hidden, N_CLASSES + 1)), requires_grad=True)
+        self.params["cls.b"] = Tensor(np.zeros(N_CLASSES + 1), requires_grad=True)
         self.params["pts.w"], _ = _conv_p(rng, n_queries * n_points, n_queries * hidden)
 
     def forward(self, fmap: FeatureMap):
@@ -552,5 +547,5 @@ def pretrain_teacher(cfg, train_samples, val_samples, log_path=None):
         batch_stream(rng, len(train_samples), cfg.batch), cfg.teacher_steps, log_path,
         error=EncoderError)
     teacher.freeze()
-    result, = evaluate_model(features, decoder, val_samples, [EvalConfig(cfg.roi, grid=grid)])
+    result, = evaluate_model(features, decoder, val_samples, [EvalConfig(cfg.roi)])
     return teacher, decoder, float(result.map)

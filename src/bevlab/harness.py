@@ -6,7 +6,9 @@ and a consolidated report. Every command takes a RunConfig plus an output
 directory and leaves plain-text artifacts behind. The trainers take the
 config whole, and models are built and reloaded through its builders
 only; a run directory stores the exact config it ran with, so repeating a
-(config, seed) pair rewrites its eval files byte for byte.
+(config, seed) pair rewrites its eval files byte for byte. The caches
+key on config text, not on code, so a change that moves results needs a
+fresh --out.
 
 Layout under the output directory:
 
@@ -38,7 +40,7 @@ from .config import RunConfig
 from .encoders import (adopt_params, evaluate_model, load_checkpoint, named_params,
                        params_checksum, pretrain_teacher, save_checkpoint,
                        student_forward, teacher_forward)
-from .mapeval import CLASS_NAMES, N_CLASSES, EvalConfig, read_eval_file, write_eval_file
+from .mapeval import CLASS_NAMES, N_CLASSES, ROIS, EvalConfig, read_eval_file, write_eval_file
 from .plots import line_plot
 from .scenegen import export_dataset, load_dataset, read_manifest
 from .supervision import VARIANTS, fit_threads, share_cpus, train_student
@@ -46,9 +48,6 @@ from .supervision import VARIANTS, fit_threads, share_cpus, train_student
 
 class HarnessError(RuntimeError):
     pass
-
-
-ROIS = ("standard", "extended")
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +172,8 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None):
     run_cfg = cfg.with_overrides(variant=variant, seed=seed, lambda_bev=lam)  # validates them
     cfg_path = os.path.join(rdir, "config.txt")
     done = all(os.path.exists(os.path.join(rdir, fn))
-               for fn in ("config.txt", "record.txt", "eval_standard.txt",
-                          "eval_extended.txt", "similarity.txt"))
+               for fn in ("config.txt", "record.txt", "similarity.txt",
+                          *(f"eval_{roi}.txt" for roi in ROIS)))
     if done:
         with open(cfg_path) as f:
             if f.read() == run_cfg.dump():
@@ -188,12 +187,12 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None):
         os.remove(record)
     with open(cfg_path, "w") as f:
         f.write(run_cfg.dump())
-    grid, rig = cfg.grid(), cfg.rig()
-    counts = {}
+    grid, rig = run_cfg.grid(), run_cfg.rig()
+    stored = len(teacher.maps)
     t0 = time.time()
-    models, _ = train_student(run_cfg, train, teacher, os.path.join(rdir, "log.txt"), counts)
+    models, _ = train_student(run_cfg, train, teacher, os.path.join(rdir, "log.txt"))
     wall = time.time() - t0
-    calls = counts["teacher_calls"]
+    calls = len(teacher.maps) - stored  # U-Net passes the train split took
     rows = []
 
     def features(s):
@@ -216,10 +215,10 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None):
         ("variant", variant),
         ("seed", seed),
         ("lambda_bev", repr(lam)),
-        ("steps", cfg.steps),
+        ("steps", run_cfg.steps),
         ("config_hash", run_cfg.config_hash()),
-        ("teacher_hash", cfg.teacher_hash()),
-        ("dataset_hash", cfg.dataset_hash()),
+        ("teacher_hash", run_cfg.teacher_hash()),
+        ("dataset_hash", run_cfg.dataset_hash()),
         ("teacher_val_map", repr(teacher_map)),
     ]
     # the baseline never trains against the teacher, so its record carries
@@ -228,8 +227,7 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None):
         items.append(("teacher_calls", calls))
     items += [
         ("checksum", params_checksum(params)),
-        ("map_standard", f"{maps['standard']:.6f}"),
-        ("map_extended", f"{maps['extended']:.6f}"),
+        *((f"map_{roi}", f"{maps[roi]:.6f}") for roi in ROIS),
         ("wall_clock", f"{wall:.1f}"),
     ]
     _write_record(record, items)

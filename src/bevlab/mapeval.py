@@ -6,22 +6,10 @@ its score finite, its points (K, 2); a bad one is an EvalError naming the
 scene, the side and the index. Both sides are then clipped to the RoI,
 one array pass over the segments of all of a side's elements per scene;
 an element with a non-finite vertex is an error.
-Evaluation is one pass: for each (scene, class) one chamfer matrix of
-every (prediction, ground truth) pair is built, bounded by the largest
-threshold, and reused at every threshold. A pair whose chamfer a cheap
-lower bound proves to exceed that threshold is never measured, and a
-pair whose first kernel direction alone proves it is not measured the
-other way; either entry is inf, which matching treats as any distance
-over the threshold, so every other entry is exact and results do not
-change. The chamfer kernels run segment-major, with each sample axis
-innermost; that changes only the array layout, never the arithmetic or
-its order, so every entry keeps its bits. Against a polyline of at least
-geometry.PRUNE_SEGMENTS segments, each run of geometry.RUN consecutive
-samples meets only its candidate segments: those whose box lies within
-the run's bound (the smallest distance from a segment start to the
-run's farthest box corner) plus a margin of 1e-9 relative and 1e-9
-absolute. The nearest segment is always a candidate and each (sample,
-candidate) entry is the dense arithmetic, so no bit moves either.
+For each (scene, class) one chamfer matrix of every (prediction, ground
+truth) pair is built, bounded by the largest threshold, and reused at
+every threshold; geometry.chamfer_matrix says which entries it proves to
+be over that bound (inf) and why every other entry keeps its exact bits.
 Matching is greedy in score order: each prediction claims the nearest
 still-unmatched ground truth of its class within the chamfer threshold
 (one-to-one). Each (scene, class) and each class's pooled predictions
@@ -39,32 +27,31 @@ import math
 
 import numpy as np
 
-from .geometry import CLASS_NAMES, N_CLASSES, BevGrid, chamfer_matrix, standard_grid, extended_grid
+from .geometry import CLASS_NAMES, N_CLASSES, BevGrid, chamfer_matrix, extended_grid, standard_grid
 
 
 class EvalError(ValueError):
     pass
 
 
-STANDARD_THRESHOLDS = (0.5, 1.0, 1.5)
-EXTENDED_THRESHOLDS = (1.0, 1.5, 2.0)
+# each RoI's grid maker and its default chamfer thresholds in meters; the
+# run config, evaluation and the harness all go by this table, in this order
+ROIS = {"standard": (standard_grid, (0.5, 1.0, 1.5)),
+        "extended": (extended_grid, (1.0, 1.5, 2.0))}
 
 MIN_FRAGMENT_LEN = 0.5  # meters; clipped slivers below this are dropped
 
 
 class EvalConfig:
-    """RoI name, its grid rectangle, and the matching thresholds."""
+    """RoI name, its default-size grid (clipping reads only its extents),
+    and the matching thresholds."""
 
-    def __init__(self, roi: str, thresholds=None, grid: BevGrid = None):
-        if roi not in ("standard", "extended"):
+    def __init__(self, roi: str, thresholds=None):
+        if roi not in ROIS:
             raise EvalError(f"unknown roi {roi!r}")
-        self.roi = roi
-        if grid is None:
-            grid = standard_grid() if roi == "standard" else extended_grid()
-        self.grid = grid
-        if thresholds is None:
-            thresholds = STANDARD_THRESHOLDS if roi == "standard" else EXTENDED_THRESHOLDS
-        thresholds = tuple(float(t) for t in thresholds)
+        make_grid, default = ROIS[roi]
+        self.roi, self.grid = roi, make_grid()
+        thresholds = tuple(float(t) for t in (default if thresholds is None else thresholds))
         if not all(t > 0 for t in thresholds) or list(thresholds) != sorted(set(thresholds)):
             raise EvalError("thresholds must be positive and strictly increasing")
         self.thresholds = thresholds

@@ -97,10 +97,6 @@ def _vertex_normals(pts):
     return np.stack([-dirs[:, 1], dirs[:, 0]], axis=1)
 
 
-def _offset_polyline(pts, normals, d):
-    return pts + d * normals
-
-
 def _inside_length(pts, grid: BevGrid):
     seg = np.diff(pts, axis=0)
     lens = np.sqrt((seg ** 2).sum(axis=1))
@@ -134,9 +130,8 @@ def generate_scene(cfg, seed, band) -> Scene:
             if _inside_length(centerline, ext) < MIN_ROAD_INSIDE:
                 continue
             normals = _vertex_normals(centerline)
-            edges = [_offset_polyline(centerline, normals, half_width),
-                     _offset_polyline(centerline, normals, -half_width)]
-            lanes_gt = [_offset_polyline(centerline, normals, -half_width + k * LANE_WIDTH)
+            edges = [centerline + half_width * normals, centerline - half_width * normals]
+            lanes_gt = [centerline + (-half_width + k * LANE_WIDTH) * normals
                         for k in range(1, lanes)]
             if all(_inside_length(p, ext) >= 10.0 for p in edges + lanes_gt):
                 break

@@ -79,10 +79,13 @@ def bev_alignment_loss(f_cam, f_aerial, adapter: MixAdapter, variant) -> Tensor:
     map, compared as the ``variant`` name says: norm_only and norm_adapter
     normalize both maps per channel, norm_adapter then mixes the student map's
     channels by ``adapter``, which no other variant reads, and raw and baseline
-    compare the maps as they are. Any other name raises SupervisionError."""
+    compare the maps as they are. Any other name, or norm_adapter without an
+    adapter, raises SupervisionError."""
     if variant not in VARIANTS:
         raise SupervisionError(f"unknown variant {variant!r}; expected one of "
                                f"{', '.join(VARIANTS)}")
+    if variant == "norm_adapter" and adapter is None:
+        raise SupervisionError("variant 'norm_adapter' needs an adapter, got None")
     if f_cam.shape != f_aerial.shape:
         raise SupervisionError(f"feature shapes differ: {f_cam.shape} vs "
                                f"{f_aerial.shape}")
@@ -443,8 +446,7 @@ def fit(cfg, models, features, samples, batches, steps, log_path, align=None,
     return breakdowns
 
 
-def train_student(cfg, train_samples, teacher: TeacherEncoder, log_path=None,
-                  counts=None):
+def train_student(cfg, train_samples, teacher: TeacherEncoder, log_path=None):
     """Train one student run against a frozen teacher with ``fit``.
 
     Every setting comes from ``cfg`` (a RunConfig): ``variant`` says how
@@ -455,8 +457,7 @@ def train_student(cfg, train_samples, teacher: TeacherEncoder, log_path=None,
     The frozen teacher's store gets every train map up front; alignment
     reads them back from it. Returns (models, breakdowns), deterministic
     in cfg: models is {"student", "decoder"} plus, for norm_adapter alone,
-    the "adapter" it trains. A ``counts`` dict gets "teacher_calls", the
-    number of maps the store gained (U-Net passes).
+    the "adapter" it trains.
     """
     if not train_samples:
         raise SupervisionError("student training needs a non-empty train split")
@@ -468,7 +469,6 @@ def train_student(cfg, train_samples, teacher: TeacherEncoder, log_path=None,
         models["adapter"] = cfg.adapter()
     grid, rig = cfg.grid(), cfg.rig()
     aligned = cfg.variant != "baseline"
-    stored = len(teacher.maps)
     if aligned:  # fill the store before fit, so no step waits on a U-Net pass
         for s in train_samples:
             teacher_forward(teacher, s.overhead, grid)
@@ -481,6 +481,4 @@ def train_student(cfg, train_samples, teacher: TeacherEncoder, log_path=None,
         cfg, models, lambda s: student_forward(models["student"], s.cams, rig, grid),
         train_samples, batch_stream(rng, len(train_samples), cfg.batch), cfg.steps, log_path,
         align=align if aligned else None)
-    if counts is not None:
-        counts["teacher_calls"] = len(teacher.maps) - stored
     return models, breakdowns

@@ -34,11 +34,6 @@ class TensorError(ValueError):
     """Shape mismatch, non-finite values, or misuse of the tape."""
 
 
-def _as_f64(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    return arr
-
-
 def _guard_finite(arr: np.ndarray, op: str) -> None:
     # np.sum propagates NaN and +-inf in one pass, cheaper than isfinite().all()
     if not math.isfinite(float(np.sum(arr))):
@@ -55,7 +50,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_f64(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
@@ -518,7 +513,7 @@ def soft_points(x: Tensor, coords) -> Tensor:
     if x.data.ndim != 3:
         raise TensorError("soft_points expects (C, H, W) logits")
     c, h, w = x.data.shape
-    coords = _as_f64(coords)
+    coords = np.asarray(coords, dtype=np.float64)
     if coords.shape != (2, h, w):
         raise TensorError(f"coords must be (2, {h}, {w}), got {coords.shape}")
     p = softmax_rows(x.data.reshape(c, h * w))
@@ -700,7 +695,7 @@ _TEN_MAX_HEAD = 6 + 4 * 255  # magic, dtype code, ndim byte, up to 255 dims
 def write_ten(path, arr) -> bytes:
     """Write an array as a .ten file (magic, dtype code, dims, f64 payload)
     and return the bytes written."""
-    arr = _as_f64(arr)
+    arr = np.asarray(arr, dtype=np.float64)
     raw = b"".join([_TEN_MAGIC, struct.pack(f"<BB{arr.ndim}I", 0, arr.ndim, *arr.shape),
                     arr.tobytes(order="C")])
     with open(path, "wb") as f:

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from bevlab import harness
 from bevlab.config import DEFAULTS, ConfigError, RunConfig
 from bevlab.geometry import BevGrid
+from bevlab.mapeval import EvalConfig
 
 
 def test_defaults_round_trip_through_dump_and_parse():
     cfg = RunConfig()
     again = RunConfig.parse(cfg.dump())
-    for name, _, _ in DEFAULTS:
+    for name, _, _, _ in DEFAULTS:
         assert getattr(again, name) == getattr(cfg, name), name
     assert again.config_hash() == cfg.config_hash()
 
@@ -180,3 +182,17 @@ def test_derived_objects_match_fields():
     assert {cam.focal for cam in rig} == {40.0}
     yaws = sorted(cam.yaw for cam in rig)
     assert np.allclose(np.diff(yaws), 2.0 * np.pi / 3)
+
+
+def test_eval_and_run_grids_share_each_rois_extents():
+    # the teacher's val score clips with EvalConfig's default-size grid
+    # while the models run on cfg.grid(); clipping reads only the extents
+    def extents(g):
+        return g.x_min, g.x_max, g.y_min, g.y_max
+
+    for roi in ("standard", "extended"):
+        run_grid = RunConfig({"roi": roi, "grid_rows": 16, "grid_cols": 32}).grid()
+        assert (run_grid.rows, run_grid.cols) == (16, 32)
+        assert extents(EvalConfig(roi).grid) == extents(run_grid), roi
+    # perfbench and every eval file go by this order
+    assert tuple(harness.ROIS) == ("standard", "extended")

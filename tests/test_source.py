@@ -77,7 +77,7 @@ def test_no_src_parameter_shadows_a_config_default():
     # name, so it cannot catch a field held under another name, such as
     # the camera height that default_rig takes as ``height``.
     from bevlab.config import DEFAULTS
-    fields = {name for name, _, _ in DEFAULTS}
+    fields = {name for name, _, _, _ in DEFAULTS}
     found = []
     for path, tree in parsed("src/bevlab").items():
         for node in ast.walk(tree):
@@ -99,10 +99,10 @@ UNSET_DEFAULTS = {
     "conv_sites.stride": "mirrors conv2d's geometry, which conv2d checks against",
     "resample_polyline.step": "perfbench's tracer wraps it (ROADMAP item 10)",
     "chamfer_distance.step": "perfbench's tracer wraps it (ROADMAP item 10)",
-    "standard_grid.rows": "RunConfig.grid calls it as `make`, which a name scan cannot see",
-    "standard_grid.cols": "RunConfig.grid calls it as `make`, which a name scan cannot see",
-    "extended_grid.rows": "RunConfig.grid calls it as `make`, which a name scan cannot see",
-    "extended_grid.cols": "RunConfig.grid calls it as `make`, which a name scan cannot see",
+    "standard_grid.rows": "RunConfig.grid calls it out of mapeval.ROIS, unseen by a name scan",
+    "standard_grid.cols": "RunConfig.grid calls it out of mapeval.ROIS, unseen by a name scan",
+    "extended_grid.rows": "RunConfig.grid calls it out of mapeval.ROIS, unseen by a name scan",
+    "extended_grid.cols": "RunConfig.grid calls it out of mapeval.ROIS, unseen by a name scan",
     "main.argv": "tests run the CLI in process with argv",
 }
 

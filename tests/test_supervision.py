@@ -121,6 +121,17 @@ def test_alignment_refuses_a_variant_outside_variants():
             SV.bev_alignment_loss(f_cam, f_aer, SV.MixAdapter(6), variant)
 
 
+def test_alignment_refuses_norm_adapter_without_an_adapter():
+    f_cam, f_aer = fmap_pair(8)
+    with pytest.raises(SV.SupervisionError, match="'norm_adapter' needs an adapter"):
+        SV.bev_alignment_loss(f_cam, f_aer, None, "norm_adapter")
+    # the other variants read no adapter, whether one is passed or not
+    for variant in ("baseline", "raw", "norm_only"):
+        with_none = SV.bev_alignment_loss(f_cam, f_aer, None, variant)
+        with_one = SV.bev_alignment_loss(f_cam, f_aer, SV.MixAdapter(6), variant)
+        assert with_none.data.tobytes() == with_one.data.tobytes()
+
+
 def test_alignment_raw_matches_hand_loop():
     f_cam, f_aer = fmap_pair(4)
     loss = SV.bev_alignment_loss(f_cam, f_aer, None, "raw")
