@@ -11,9 +11,9 @@ says otherwise: the summation order, and with it every checksum, depends
 on the BLAS thread count. The default is set before numpy is first
 imported, so the forked --jobs workers inherit it. Training walks the
 backward passes of each step's samples on threads of its own instead,
-one per CPU the process may use; the --jobs processes split the CPUs
-between them.
-Results do not depend on that thread count or on --jobs.
+one per CPU the process may use, all of them in every step of two or
+more samples; the --jobs processes split the CPUs between them.
+Results do not depend on those threads or on --jobs.
 """
 
 import os

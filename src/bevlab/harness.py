@@ -260,7 +260,8 @@ def run_many(cfg: RunConfig, out, specs, jobs=1):
     teacher caches are warmed first so workers never race on them; a cold
     teacher thus trains here, on every CPU. With ``jobs`` > 1 each worker
     process trains on ``max(1, cpus // jobs)`` threads, so the processes
-    do not oversubscribe the CPUs; the records do not depend on it.
+    do not oversubscribe the CPUs. Those threads join every backward walk
+    of two or more samples, and the records do not depend on them.
     """
     ensure_dataset(cfg, out)
     ensure_teacher(cfg, out)

@@ -20,7 +20,6 @@ the loss path only; the decoder always consumes the raw student features.
 import math
 import os
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 from typing import NamedTuple
@@ -282,54 +281,15 @@ def fit_threads():
     return _cpu_share or len(os.sched_getaffinity(0))
 
 
-class Pace:
-    """Whether a pool thread has paid off lately in this process.
-
-    A map with helpers misses when it takes at least ``miss_share`` of its
-    calls' CPU time, what one thread would have taken. Such a map saves
-    little, while every hand-over of the interpreter lock wakes the other
-    CPU, which on a loaded machine costs steal time outside the map too.
-    After two misses with no hit between them the next ``solo_maps`` maps
-    run on the calling thread alone; the one after tries the helpers
-    again, and one more miss there starts another run alone. A spell of
-    load lasts seconds, about ``solo_maps`` training steps, and outlasts
-    a short ``fit``, so every ``Crew`` of the process shares one ``Pace``."""
-
-    miss_share = 0.8
-    solo_maps = 30
-
-    def __init__(self):
-        self.misses = 0  # maps with helpers since the last one that paid
-        self.solo = 0  # maps left to run on the calling thread alone
-
-    def alone(self):
-        """Whether the next map runs on the calling thread alone."""
-        if self.solo:
-            self.solo -= 1
-            return True
-        return False
-
-    def judge(self, wall, cpu):
-        """Record a map with helpers that took ``wall`` seconds and ``cpu``
-        seconds of its calls' CPU time."""
-        self.misses = self.misses + 1 if wall >= self.miss_share * cpu else 0
-        if self.misses >= 2:
-            self.solo = self.solo_maps
-
-
-PACE = Pace()
-
-
 class Crew:
     """The calling thread plus up to ``workers`` pool threads, mapping a
     function over items; the pool shuts down when the ``with`` block ends.
-    ``pace`` (default: the process's ``PACE``) says when to leave the pool
-    threads idle. The results never depend on who made the calls."""
+    The pool threads join every map of two or more items, and the results
+    never depend on who made the calls."""
 
-    def __init__(self, workers, pace=None):
+    def __init__(self, workers):
         self.workers = workers
         self.pool = ThreadPoolExecutor(workers) if workers > 0 else None
-        self.pace = pace or PACE
 
     def __enter__(self):
         return self
@@ -350,27 +310,22 @@ class Crew:
         lock = threading.Lock()
 
         def drain():
-            """Calls until none is left; returns this thread's CPU time."""
-            start = time.thread_time()
+            """Calls until none is left."""
             while True:
                 with lock:
                     i = None if errors else next(upcoming, None)
                 if i is None:
-                    return time.thread_time() - start
+                    return
                 try:
                     results[i] = fn(*items[i])
                 except BaseException as e:  # re-raised below, on the calling thread
                     with lock:
                         errors[i] = e
 
-        if self.workers == 0 or len(items) < 2 or self.pace.alone():
-            drain()
-        else:
-            start = time.perf_counter()
-            helpers = [self.pool.submit(drain)
-                       for _ in range(min(self.workers, len(items) - 1))]
-            cpu = drain() + sum(h.result() for h in helpers)
-            self.pace.judge(time.perf_counter() - start, cpu)
+        helpers = [self.pool.submit(drain) for _ in range(min(self.workers, len(items) - 1))]
+        drain()
+        for h in helpers:
+            h.result()
         if errors:
             raise errors[min(errors)]
         return results
@@ -392,13 +347,14 @@ def fit(cfg, models, features, samples, batches, steps, log_path, align=None,
     the breakdowns.
 
     The samples of a step run their forward passes and losses on the
-    calling thread, then their backward walks on ``fit_threads()`` threads
-    at most (the calling thread among them), and ``backward`` folds the
-    gradients in the serial order: the results do not depend on the thread
-    count. Forward passes stay on the calling thread: threaded, they
-    handed the interpreter lock back and forth several times as often per
-    millisecond saved as the backward walks, and each hand-over waits for
-    the other CPU, so on a loaded machine their step times swung widely.
+    calling thread, then their backward walks on the calling thread and up
+    to ``fit_threads() - 1`` pool threads, which join every step of two or
+    more samples. ``backward`` folds the gradients in the serial order, so
+    the results do not depend on the pool threads. Forward passes stay on
+    the calling thread: threaded, they handed the interpreter lock back
+    and forth several times as often per millisecond saved as the backward
+    walks, and each hand-over waits for the other CPU, so on a loaded
+    machine their step times swung widely.
     A step's tape is released once its breakdown is built.
     """
     decoder = models["decoder"]

@@ -95,7 +95,6 @@ def test_no_src_parameter_shadows_a_config_default():
 # defaulted parameters no src or perfbench call sets, each kept for a reason
 UNSET_DEFAULTS = {
     "EvalConfig.thresholds": "grid-cell thresholds will set it (ROADMAP item 2)",
-    "Crew.pace": "tests pass in a fake Pace",
     "conv_sites.stride": "mirrors conv2d's geometry, which conv2d checks against",
     "resample_polyline.step": "perfbench's tracer wraps it (ROADMAP item 10)",
     "chamfer_distance.step": "perfbench's tracer wraps it (ROADMAP item 10)",

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -666,8 +667,6 @@ def on_threads(monkeypatch, threads, run):
     """run() with fit on ``threads`` threads; returns (its result, the
     names of the threads that walked a sample's backward pass)."""
     monkeypatch.setattr(SV, "_cpu_share", threads)
-    monkeypatch.setattr(SV, "PACE", SV.Pace())
-    monkeypatch.setattr(SV.Pace, "solo_maps", 0)  # waiting below must not leave the pool idle
     plain = SV.Crew.map
     names = set()
     helped = threading.Event()
@@ -720,7 +719,6 @@ def test_fit_gives_the_same_bits_on_one_thread_and_on_two(corpus, tmp_path, monk
 def test_a_worker_error_leaves_as_divergence_at_its_step(corpus, tmp_path, monkeypatch):
     *_, samples = corpus
     monkeypatch.setattr(SV, "_cpu_share", 2)
-    monkeypatch.setattr(SV, "PACE", SV.Pace())  # no earlier test's misses: step 1 uses the pool
     plain = SV.Crew.map
     steps = []
     failed = threading.Event()
@@ -752,9 +750,7 @@ def test_crew_map_makes_each_call_once_under_contention():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can be
     try:
-        pace = SV.Pace()
-        pace.solo_maps = 0  # the pool threads take part in every map
-        with SV.Crew(4, pace) as crew:  # more threads than this machine's cores
+        with SV.Crew(4) as crew:  # more threads than this machine's cores
             for _ in range(20):
                 calls = []
 
@@ -781,51 +777,17 @@ def test_crew_map_makes_each_call_once_under_contention():
         sys.setswitchinterval(interval)
 
 
-def test_crew_runs_alone_after_two_helper_maps_in_a_row_that_did_not_pay(monkeypatch):
-    ticks = itertools.count()
-    wall = {"step": 0.0, "now": 0.0}
+def test_crew_helpers_take_part_in_every_map_of_two_or_more_calls():
+    met = threading.Event()
 
-    def perf_counter():
-        wall["now"] += wall["step"]
-        return wall["now"]
+    def call(_):
+        if threading.current_thread() is threading.main_thread():
+            return met.wait(timeout=5)  # True once a pool thread has made the other call
+        time.sleep(0.01)
+        met.set()
+        return True
 
-    # every thread_time reading is one CPU second after the last, so each
-    # map's calls take at least 2 s of CPU; a wall step of 0 is a hit, 1e9 a miss
-    monkeypatch.setattr(SV, "time", type(sys)("fake_time"))
-    SV.time.perf_counter = perf_counter
-    SV.time.thread_time = lambda: float(next(ticks))
-    pace = SV.Pace()
-    submits = []
-
-    def helped(crew, maps, step):
-        """How many of ``maps`` maps with a wall step of ``step`` used the helper."""
-        wall["step"] = step
-        before = len(submits)
-        for _ in range(maps):
-            assert crew.map(lambda i: i * i, range(4)) == [0, 1, 4, 9]
-        return len(submits) - before
-
-    with SV.Crew(1, pace) as crew:
-        submit = crew.pool.submit
-        crew.pool.submit = lambda *args: submits.append(1) or submit(*args)
-        assert helped(crew, 3, 0.0) == 3
-        assert helped(crew, 1, 1e9) == 1 and helped(crew, 1, 0.0) == 1  # a hit forgives a miss
-        assert helped(crew, 2, 1e9) == 2
-        assert helped(crew, 5, 0.0) == 0  # two misses in a row: alone ...
-    with SV.Crew(1, pace) as crew:  # ... in the next fit too, for solo_maps maps in all
-        submit = crew.pool.submit
-        crew.pool.submit = lambda *args: submits.append(1) or submit(*args)
-        assert helped(crew, SV.Pace.solo_maps - 5, 0.0) == 0
-        assert helped(crew, 1, 1e9) == 1  # tried again, and one miss there ...
-        assert helped(crew, SV.Pace.solo_maps, 1e9) == 0  # ... means alone once more
-        assert helped(crew, 2, 0.0) == 2 and helped(crew, 1, 1e9) == 1
-        assert helped(crew, 1, 0.0) == 1
-    with SV.Crew(0) as a, SV.Crew(0) as b:
-        assert a.pace is b.pace is SV.PACE  # every fit of the process shares one
-    pace = SV.Pace()
-    for _ in range(2):
-        pace.judge(0.79, 1.0)  # saved over a fifth of the CPU time: a hit
-    assert not pace.alone()
-    for _ in range(2):
-        pace.judge(0.8, 1.0)
-    assert pace.alone()
+    with SV.Crew(1) as crew:
+        for _ in range(6):
+            met.clear()
+            assert crew.map(call, range(2)) == [True, True]

@@ -636,11 +636,9 @@ def reversed_map(fn, *iterables):
 
 
 def test_split_backward_keeps_the_serial_walk_bits():
-    from bevlab.supervision import Crew, Pace
+    from bevlab.supervision import Crew
     want = None
-    pace = Pace()
-    pace.solo_maps = 0  # the pool threads take part in every map
-    with Crew(2, pace) as crew:
+    with Crew(2) as crew:
         for groups_of, run in ((lambda g: (), map), (lambda g: g, map),
                                (lambda g: g, reversed_map), (lambda g: g, crew.map),
                                (lambda g: g[::-1], crew.map)):
