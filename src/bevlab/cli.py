@@ -98,7 +98,7 @@ def main(argv=None):
             return 0
 
         if args.verb == "train":
-            rec = harness.cmd_train(cfg, out)
+            rec = harness.train_run(cfg, out, cfg.variant, cfg.seed)
             calls = rec.get("teacher_calls", "none (baseline)")
             print(f"{rec['run_dir']}: mAP standard {rec['map_standard']} "
                   f"extended {rec['map_extended']} "

@@ -514,14 +514,6 @@ def batch_stream(rng, n, batch):
             yield order[i:i + batch]
 
 
-def evaluate_model(features_fn, decoder, samples, cfgs):
-    """Decode every sample once and score the predictions against its gt
-    under each eval config; returns one result per config."""
-    preds = {s.scene_id: decode_map(decoder, features_fn(s)) for s in samples}
-    gts = {s.scene_id: s.gt for s in samples}
-    return [evaluate(preds, gts, cfg) for cfg in cfgs]
-
-
 def pretrain_teacher(cfg, train_samples, val_samples, log_path=None):
     """Train the overhead encoder plus a throwaway decoder head, then freeze.
 
@@ -530,8 +522,10 @@ def pretrain_teacher(cfg, train_samples, val_samples, log_path=None):
     loop is ``supervision.fit`` on the detection loss alone; its
     ``log_path`` gets one line per step as it trains, with 0.0 for l_bev.
     Returns (teacher, decoder, val_map), the teacher frozen and val_map its
-    score on val_samples in the config's RoI. A non-finite loss aborts with
-    an EncoderError naming the step.
+    score on val_samples in the config's RoI: each val scene's frozen map
+    decoded once by ``decode_map`` and scored by ``mapeval.evaluate``, the
+    calls a student run's val pass makes. A non-finite loss aborts with an
+    EncoderError naming the step.
     """
     if not train_samples:
         raise EncoderError("teacher pretraining needs a non-empty train split")
@@ -547,5 +541,6 @@ def pretrain_teacher(cfg, train_samples, val_samples, log_path=None):
         batch_stream(rng, len(train_samples), cfg.batch), cfg.teacher_steps, log_path,
         error=EncoderError)
     teacher.freeze()
-    result, = evaluate_model(features, decoder, val_samples, [EvalConfig(cfg.roi)])
+    preds = {s.scene_id: decode_map(decoder, features(s)) for s in val_samples}
+    result = evaluate(preds, {s.scene_id: s.gt for s in val_samples}, EvalConfig(cfg.roi))
     return teacher, decoder, float(result.map)

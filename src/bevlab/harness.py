@@ -3,12 +3,13 @@
 Datasets, cached frozen teachers, training runs, the normalization
 ablation with its feature-similarity study, the alignment-weight sweep,
 and a consolidated report. Every command takes a RunConfig plus an output
-directory and leaves plain-text artifacts behind. The trainers take the
-config whole, and models are built and reloaded through its builders
-only; a run directory stores the exact config it ran with, so repeating a
-(config, seed) pair rewrites its eval files byte for byte. The caches
-key on config text, not on code, so a change that moves results needs a
-fresh --out.
+directory and leaves plain-text artifacts behind. Samples come from
+``load_splits`` alone, and ``run_many`` splits runs into finished and
+failed. The trainers take the config whole, and models are built and
+reloaded through its builders only; a run directory stores the exact
+config it ran with, so repeating a (config, seed) pair rewrites its eval
+files byte for byte. The caches key on config text, not on code, so a
+change that moves results needs a fresh --out.
 
 Layout under the output directory:
 
@@ -37,10 +38,11 @@ from .analysis import (channel_mean_viz, feature_matrix, linear_cka,
                        r_squared, read_similarity_file, summarize, write_pgm,
                        write_similarity_file)
 from .config import RunConfig
-from .encoders import (adopt_params, evaluate_model, load_checkpoint, named_params,
+from .encoders import (adopt_params, decode_map, load_checkpoint, named_params,
                        params_checksum, pretrain_teacher, save_checkpoint,
                        student_forward, teacher_forward)
-from .mapeval import CLASS_NAMES, N_CLASSES, ROIS, EvalConfig, read_eval_file, write_eval_file
+from .mapeval import (CLASS_NAMES, N_CLASSES, ROIS, EvalConfig, evaluate, read_eval_file,
+                      write_eval_file)
 from .plots import line_plot
 from .scenegen import export_dataset, load_dataset, read_manifest
 from .supervision import VARIANTS, fit_threads, share_cpus, train_student
@@ -82,10 +84,10 @@ def load_splits(cfg: RunConfig, out):
     return train, val
 
 
-def ensure_teacher(cfg: RunConfig, out, train=None, val=None):
+def ensure_teacher(cfg: RunConfig, out):
     """Load the cached frozen teacher for this config, training it once
-    if the cache is cold. Returns (teacher, val_map). The teacher sees
-    only overhead rasters, so no camera image is read here."""
+    on ``load_splits`` if the cache is cold. Returns (teacher, val_map).
+    The teacher sees only overhead rasters, so no camera image is read here."""
     tdir = os.path.join(out, "teacher", cfg.teacher_hash())
     if os.path.exists(os.path.join(tdir, "manifest.txt")):
         params, meta = load_checkpoint(tdir)
@@ -93,8 +95,7 @@ def ensure_teacher(cfg: RunConfig, out, train=None, val=None):
         adopt_params(teacher, params, prefix="teacher.")
         teacher.freeze()
         return teacher, float(meta["val_map"])
-    if train is None:
-        train, val = load_splits(cfg, out)
+    train, val = load_splits(cfg, out)
     # log.txt fills in as the teacher trains; the manifest marks the cache done
     os.makedirs(tdir, exist_ok=True)
     teacher, _, val_map = pretrain_teacher(cfg, train, val, os.path.join(tdir, "log.txt"))
@@ -161,12 +162,13 @@ def similarity_rows(cfg: RunConfig, teacher, student, val, grid, rig):
 def train_run(cfg: RunConfig, out, variant, seed, lam=None):
     """Train one (variant, seed, lambda) student and evaluate both RoIs.
 
-    The val pass runs the student once per scene: its map is decoded for
-    the eval files and compared with the frozen teacher's map of the scene
-    for similarity.txt, whose (id, cka, centered cka, r2) rows hold exact
-    floats. Cached: if the run directory already holds this exact config
-    plus its record, eval and similarity files, it is returned as is.
-    Returns the record dict.
+    The val pass is one loop over the val scenes: the student runs once
+    per scene, and its map is decoded for the eval files and compared with
+    the frozen teacher's map of the scene for similarity.txt, whose (id,
+    cka, centered cka, r2) rows hold exact floats; ``evaluate`` then scores
+    the decoded maps once per RoI. Cached: if the run directory already
+    holds this exact config plus its record, eval and similarity files, it
+    is returned as is. Returns the record dict.
     """
     rdir, lam = run_dir(cfg, out, variant, seed, lam)
     run_cfg = cfg.with_overrides(variant=variant, seed=seed, lambda_bev=lam)  # validates them
@@ -178,8 +180,8 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None):
         with open(cfg_path) as f:
             if f.read() == run_cfg.dump():
                 return read_record(rdir)
+    teacher, teacher_map = ensure_teacher(cfg, out)
     train, val = load_splits(cfg, out)
-    teacher, teacher_map = ensure_teacher(cfg, out, train, val)
     os.makedirs(rdir, exist_ok=True)
     # a retrain killed midway must not leave the old record marking it done
     record = os.path.join(rdir, "record.txt")
@@ -193,17 +195,15 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None):
     models, _ = train_student(run_cfg, train, teacher, os.path.join(rdir, "log.txt"))
     wall = time.time() - t0
     calls = len(teacher.maps) - stored  # U-Net passes the train split took
-    rows = []
-
-    def features(s):
-        # the caller drops the map, and with it its tape, after decoding it
+    rows, preds = [], {}
+    for s in val:
         fmap = student_forward(models["student"], s.cams, rig, grid)
+        preds[s.scene_id] = decode_map(models["decoder"], fmap)
         rows.append(_similarity_row(teacher, s, fmap, grid))
-        return fmap
-
-    results = evaluate_model(features, models["decoder"], val, [EvalConfig(r) for r in ROIS])
+    gts = {s.scene_id: s.gt for s in val}
     maps = {}
-    for roi, result in zip(ROIS, results):
+    for roi in ROIS:
+        result = evaluate(preds, gts, EvalConfig(roi))
         write_eval_file(os.path.join(rdir, f"eval_{roi}.txt"), result)
         maps[roi] = result.map
     write_similarity_file(os.path.join(rdir, "similarity.txt"), rows)
@@ -256,22 +256,30 @@ def _job(payload):
 def run_many(cfg: RunConfig, out, specs, jobs=1):
     """Run (variant, seed, lam) specs, possibly in parallel processes.
 
-    Returns [(spec, ok, record-or-error)] in spec order. The dataset and
-    teacher caches are warmed first so workers never race on them; a cold
-    teacher thus trains here, on every CPU. With ``jobs`` > 1 each worker
-    process trains on ``max(1, cpus // jobs)`` threads, so the processes
-    do not oversubscribe the CPUs. Those threads join every backward walk
-    of two or more samples, and the records do not depend on them.
+    Returns (finished, failures) in spec order: [(spec, record)] and
+    [(run directory name, error line)]. The dataset and teacher caches
+    are warmed first so workers never race on them; a cold teacher thus
+    trains here, on every CPU. When ``min(jobs, len(specs))`` is above 1,
+    that many worker processes start and each trains on ``max(1, cpus //
+    workers)`` threads, so they share the CPUs without oversubscribing
+    them. Those threads join every backward walk of two or more samples,
+    and the records do not depend on them.
     """
     ensure_dataset(cfg, out)
     ensure_teacher(cfg, out)
-    if jobs <= 1:
-        return [_job((cfg.dump(), out, spec)) for spec in specs]
-    # fit's threads end with each fit, so none is running when the workers fork
-    ctx = multiprocessing.get_context("fork")
-    threads = max(1, fit_threads() // jobs)
-    with ctx.Pool(min(jobs, len(specs)), initializer=share_cpus, initargs=(threads,)) as pool:
-        return pool.map(_job, [(cfg.dump(), out, spec) for spec in specs])
+    payloads = [(cfg.dump(), out, spec) for spec in specs]
+    workers = min(jobs, len(specs))
+    if workers <= 1:
+        results = [_job(payload) for payload in payloads]
+    else:
+        # fit's threads end with each fit, so none is running when the workers fork
+        ctx = multiprocessing.get_context("fork")
+        threads = max(1, fit_threads() // workers)
+        with ctx.Pool(workers, initializer=share_cpus, initargs=(threads,)) as pool:
+            results = pool.map(_job, payloads)
+    return ([(spec, rec) for spec, ok, rec in results if ok],
+            [(os.path.basename(run_dir(cfg, out, *spec)[0]), err)
+             for spec, ok, err in results if not ok])
 
 
 # ---------------------------------------------------------------------------
@@ -283,19 +291,6 @@ def cmd_gen(cfg: RunConfig, out):
     path = ensure_dataset(cfg, out)
     splits = [split for _, split, _ in read_manifest(path)]
     return path, splits.count("train"), splits.count("val")
-
-
-def cmd_train(cfg: RunConfig, out):
-    return train_run(cfg, out, cfg.variant, cfg.seed)
-
-
-def _finished_runs(cfg: RunConfig, out, specs, jobs):
-    """run_many, split into [(spec, record)] of the finished runs and
-    [(run directory name, error)] of the failed ones, in spec order."""
-    results = run_many(cfg, out, specs, jobs)
-    return ([(spec, rec) for spec, ok, rec in results if ok],
-            [(os.path.basename(run_dir(cfg, out, *spec)[0]), err)
-             for spec, ok, err in results if not ok])
 
 
 def _write_table(path, header, rows, failures):
@@ -316,8 +311,7 @@ def cmd_ablation(cfg: RunConfig, out, seeds=None, jobs=1):
     failed runs are dropped from both tables and listed in failures.
     """
     seeds = list(cfg.seeds if seeds is None else seeds)
-    done, failures = _finished_runs(cfg, out, [(v, s, None) for v in VARIANTS for s in seeds],
-                                    jobs)
+    done, failures = run_many(cfg, out, [(v, s, None) for v in VARIANTS for s in seeds], jobs)
     by_variant = {v: [float(rec["map_extended"]) for (var, _, _), rec in done if var == v]
                   for v in VARIANTS}
     base_mean = np.mean(by_variant["baseline"]) if by_variant["baseline"] else float("nan")
@@ -366,7 +360,7 @@ def cmd_sweep_lambda(cfg: RunConfig, out, jobs=1):
     for lam in values:
         variant = "baseline" if lam == 0.0 else cfg.variant
         specs.extend((variant, s, lam) for s in cfg.seeds)
-    done, failures = _finished_runs(cfg, out, specs, jobs)
+    done, failures = run_many(cfg, out, specs, jobs)
     rows = []
     for lam in values:
         recs = [rec for (_, _, at), rec in done if at == lam]
@@ -404,10 +398,6 @@ def load_student(cfg: RunConfig, rdir, teacher):
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
-
-def _runs_for(cfg, out, variant, seeds):
-    return [run_dir(cfg, out, variant, seed)[0] for seed in seeds]
-
 
 def _mean_eval(run_dirs, roi):
     """Averages eval_<roi>.txt over runs; returns (class_means, map).
@@ -458,8 +448,8 @@ def cmd_report(cfg: RunConfig, out):
     lines += ["## Detection comparison", ""]
     for roi in ROIS:
         try:
-            base = _mean_eval(_runs_for(cfg, out, "baseline", seeds), roi)
-            cvs = _mean_eval(_runs_for(cfg, out, cfg.variant, seeds), roi)
+            base, cvs = (_mean_eval([run_dir(cfg, out, v, s)[0] for s in seeds], roi)
+                         for v in ("baseline", cfg.variant))
         except (FileNotFoundError, OSError) as e:
             missing.append(f"detection/{roi}: {e}")
             lines += [f"({roi} RoI table skipped: missing run artifacts)", ""]
@@ -528,7 +518,7 @@ def _write_viz(cfg, out, seed):
             return None
     teacher, _ = ensure_teacher(cfg, out)
     grid, rig = cfg.grid(), cfg.rig()
-    scene = next(load_dataset(ensure_dataset(cfg, out), split="val"))
+    scene = load_splits(cfg, out)[1][0]
     maps = {"teacher": teacher_forward(teacher, scene.overhead, grid).tensor.data}
     for variant, rdir in runs.items():
         student, _, _ = load_student(cfg, rdir, teacher)

@@ -432,15 +432,13 @@ def read_manifest(path):
     return rows
 
 
-def load_dataset(path, split=None):
-    """Yields Sample objects in manifest order; errors name the scene id.
+def load_dataset(path):
+    """Yields every Sample, train and val, in manifest order; errors name the scene id.
 
     The overhead raster and gt are read here. Each camera file is opened
     and its header checked against its size, but its payload is read only
     when the sample's ``.cams`` is first used."""
     for sid, sp, seed in read_manifest(path):
-        if split is not None and sp != split:
-            continue
         sdir = os.path.join(path, sid)
         try:
             overhead = read_ten(os.path.join(sdir, "overhead.ten"))

@@ -197,6 +197,9 @@ def match_queries(logits, points, gts, gt_pts):
     in scipy's order, it breaks ties as scipy does. Returns (targets,
     pairs): per-query class targets with unmatched slots set to the
     background index, and (query, target points) pairs for regression.
+    The matcher owns each target's point order (MapTR, ICLR 2023): a pair
+    holds the element's points reversed when that order is strictly nearer
+    its query, and forward otherwise, so the loss takes them as given.
     """
     z, pts = logits.data, points.data
     n_q, n_k = pts.shape[0], pts.shape[1]
@@ -217,7 +220,7 @@ def match_queries(logits, points, gts, gt_pts):
     pairs = []
     for q, j in zip(rows, cols):
         targets[q] = gts[j][0]
-        pairs.append((int(q), gt_pts[j]))
+        pairs.append((int(q), gt_pts[j][::-1] if d_rev[q, j] < d_fwd[q, j] else gt_pts[j]))
     return targets, pairs
 
 
@@ -351,11 +354,8 @@ def fit(cfg, models, features, samples, batches, steps, log_path, align=None,
     to ``fit_threads() - 1`` pool threads, which join every step of two or
     more samples. ``backward`` folds the gradients in the serial order, so
     the results do not depend on the pool threads. Forward passes stay on
-    the calling thread: threaded, they handed the interpreter lock back
-    and forth several times as often per millisecond saved as the backward
-    walks, and each hand-over waits for the other CPU, so on a loaded
-    machine their step times swung widely.
-    A step's tape is released once its breakdown is built.
+    the calling thread. A step's tape is released once its breakdown is
+    built.
     """
     decoder = models["decoder"]
     targets = clipped_targets(samples, cfg.grid(), decoder.n_queries)

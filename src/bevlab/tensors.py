@@ -589,20 +589,14 @@ def focal_loss(logits: Tensor, targets, alpha: float, gamma: float) -> Tensor:
     return custom_op(out_data, (logits,), bwd, "focal_loss")
 
 
-def _nearer_order(pred: np.ndarray, gt: np.ndarray):
-    """(mean |pred - gt|, gt) with gt in whichever order, forward or
-    reversed, gives the smaller mean; reversed only when strictly smaller."""
-    d_fwd = np.mean(np.abs(pred - gt))
-    d_rev = np.mean(np.abs(pred - gt[::-1]))
-    return (d_rev, gt[::-1]) if d_rev < d_fwd else (d_fwd, gt)
-
-
 def l1_rows_loss(x: Tensor, rows, targets) -> Tensor:
-    """Sum, in the given order, of the l1_line_loss of each row ``rows[i]``
-    of a (Q, K, 2) tensor against the constant (K, 2) line ``targets[i]``.
+    """Sum, in the given order, of the mean absolute error of each row
+    ``rows[i]`` of a (Q, K, 2) tensor against the constant (K, 2) line
+    ``targets[i]``, whose points are taken in the order given: the caller
+    (``supervision.match_queries``) decides which way a line runs.
 
-    One tape node where a gather, a reshape and an l1_line_loss per row
-    would be three; the values and gradients are those of that chain.
+    One tape node where a gather, a reshape and an l1 loss per row would
+    be three; the values and gradients are those of that chain.
     Backward scatters each row's gradient back into its row of x.
     """
     if (x.data.ndim != 3 or x.data.shape[2] != 2 or not rows or len(rows) != len(targets)
@@ -610,15 +604,15 @@ def l1_rows_loss(x: Tensor, rows, targets) -> Tensor:
         raise TensorError(f"l1_rows_loss expects (Q, K, 2) rows and one (K, 2) target "
                           f"per row, got {x.data.shape} with {len(rows)} rows and "
                           f"targets {[np.shape(t) for t in targets]}")
-    parts = [_nearer_order(x.data[q], np.asarray(t, dtype=np.float64))
-             for q, t in zip(rows, targets)]
-    total = sum(d for d, _ in parts)  # in pair order, as the chain of adds did
+    lines = [np.asarray(t, dtype=np.float64) for t in targets]
+    # in pair order, as the chain of adds did
+    total = sum(np.mean(np.abs(x.data[q] - t)) for q, t in zip(rows, lines))
     n = x.data[0].size
 
     def bwd(g):
         dx = np.zeros_like(x.data)
-        for q, (_, sel) in zip(rows, parts):
-            dx[q] += np.sign(x.data[q] - sel) * (float(g) / n)
+        for q, t in zip(rows, lines):
+            dx[q] += np.sign(x.data[q] - t) * (float(g) / n)
         return (dx,)
 
     return custom_op(np.float64(total), (x,), bwd, "l1_rows_loss")

@@ -26,8 +26,8 @@ from bevlab import supervision as SV
 from bevlab import tensors as T
 from bevlab.analysis import write_similarity_file
 from bevlab.config import ConfigError, RunConfig
-from bevlab.encoders import evaluate_model, student_forward
-from bevlab.mapeval import EvalConfig, write_eval_file
+from bevlab.encoders import decode_map, student_forward
+from bevlab.mapeval import EvalConfig, evaluate, write_eval_file
 
 
 def tiny_config():
@@ -169,10 +169,11 @@ def test_train_run_counts_teacher_maps_and_scores_each_roi(tmp_path):
     _, val = H.load_splits(cfg, out)
     rdir = recs["raw"]["run_dir"]
     student, decoder, _ = H.load_student(cfg, rdir, teacher)
+    preds = {s.scene_id: decode_map(decoder, student_forward(student, s.cams, cfg.rig(),
+                                                             cfg.grid()))
+             for s in val}
     for roi in H.ROIS:
-        result, = evaluate_model(
-            lambda s: student_forward(student, s.cams, cfg.rig(), cfg.grid()),
-            decoder, val, [EvalConfig(roi)])
+        result = evaluate(preds, {s.scene_id: s.gt for s in val}, EvalConfig(roi))
         write_eval_file(os.path.join(out, "want.txt"), result)
         with open(os.path.join(out, "want.txt")) as f, \
                 open(os.path.join(rdir, f"eval_{roi}.txt")) as g:
@@ -373,7 +374,7 @@ def test_cli_rejects_bad_jobs_and_seeds_before_any_work(tmp_path, monkeypatch, c
                                                         argv, message):
     def no_work(*args, **kwargs):
         raise AssertionError("the verb ran")
-    for verb in ("cmd_gen", "cmd_train", "cmd_ablation", "cmd_sweep_lambda", "cmd_report"):
+    for verb in ("cmd_gen", "train_run", "cmd_ablation", "cmd_sweep_lambda", "cmd_report"):
         monkeypatch.setattr(H, verb, no_work)
     out = str(tmp_path / "out")
     assert cli.main(["--out", out] + argv) == 1
@@ -669,7 +670,7 @@ def test_cli_pins_blas_threads_unless_set(preset, want):
 
 
 @pytest.mark.parametrize("cpus, jobs, want", [(2, 2, [1, 1]), (2, 1, [2, 2]), (4, 2, [2, 2]),
-                                              (2, 3, [1, 1])])
+                                              (2, 3, [1, 1]), (4, 4, [2, 2])])
 def test_run_many_splits_the_cpus_between_its_processes(tmp_path, monkeypatch, cpus, jobs,
                                                         want):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -678,11 +679,11 @@ def test_run_many_splits_the_cpus_between_its_processes(tmp_path, monkeypatch, c
     # forked workers inherit the fake; each reports the threads fit would take
     monkeypatch.setattr(H, "train_run", lambda cfg, out, *spec: {
         "threads": SV.fit_threads(), "pid": os.getpid()})
-    results = H.run_many(tiny_config(), str(tmp_path), [("raw", 1, None), ("baseline", 1, None)],
-                         jobs)
-    assert [rec["threads"] for _, ok, rec in results] == want
-    assert all(ok for _, ok, _ in results)
-    assert (os.getpid() in {rec["pid"] for _, _, rec in results}) == (jobs == 1)
+    specs = [("raw", 1, None), ("baseline", 1, None)]
+    finished, failures = H.run_many(tiny_config(), str(tmp_path), specs, jobs)
+    assert failures == [] and [spec for spec, _ in finished] == specs
+    assert [rec["threads"] for _, rec in finished] == want
+    assert (os.getpid() in {rec["pid"] for _, rec in finished}) == (jobs == 1)
     assert SV.fit_threads() == cpus  # the parent keeps every CPU
 
 

@@ -263,6 +263,20 @@ def test_match_queries_gt_reversal_changes_nothing():
     assert [q for q, _ in pa] == [q for q, _ in pb]
 
 
+def test_match_queries_hands_each_target_over_in_its_nearer_point_order():
+    # the matcher decides each line's point order; the loss takes it as given
+    line = np.array([[0.0, 0.0], [4.0, 0.0]])
+    gts = [(0, 1.0, line), (1, 1.0, line + [0.0, 20.0])]
+    # query 0 lies on the first element reversed; query 1 is as far from
+    # the second element's points in either order, to the last bit
+    pts = np.stack([line[::-1], np.array([[2.0, 25.0], [2.0, 25.0]])])
+    targets, pairs = match(confident_logits([0, 1], 2), pts, gts)
+    assert list(targets) == [0, 1]
+    got = dict(pairs)
+    assert np.array_equal(got[0], line[::-1])
+    assert np.array_equal(got[1], line + [0.0, 20.0])
+
+
 def match_cost_oracle(logits, pts, gts, penalty=5.0):
     """Cheapest total assignment cost by trying every permutation."""
     z = logits - logits.max(axis=1, keepdims=True)
@@ -607,7 +621,7 @@ def test_training_and_evaluation_lift_the_same_student_features(monkeypatch):
 
     def both_paths(student, images, *args, **kwargs):
         fmap = plain(student, images, *args, **kwargs)
-        # the call train_run's evaluate_model makes, at the same weights
+        # the call train_run's val loop makes, at the same weights
         evaluated = plain(student, images, rig, grid)
         pairs.append((fmap.tensor.data.copy(), evaluated.tensor.data))
         return fmap

@@ -133,9 +133,13 @@ def test_l1_rows_loss_equals_the_per_row_chain_bit_for_bit():
     rows = [3, 0, 8, 5, 1, 6, 2]
     targets = [rng.normal(size=(4, 2)) for _ in rows]
     targets[1] = x[0][::-1] + 0.01  # nearer reversed
+    # the op takes each line in the order given, so hand it the nearer one
+    # as the matcher does; the chain below picks it inside l1_line_loss
+    oriented = [t[::-1] if np.mean(np.abs(x[q] - t[::-1])) < np.mean(np.abs(x[q] - t)) else t
+                for q, t in zip(rows, targets)]
     c = 0.05 / len(rows)
     xt = oracles.parameter(x.copy())
-    loss = T.scale(T.l1_rows_loss(xt, rows, targets), c)
+    loss = T.scale(T.l1_rows_loss(xt, rows, oriented), c)
     T.backward(loss)
     # the chain it replaces: one l1_line_loss per row, summed in order, then scaled
     terms, grad = [], np.zeros_like(x)
@@ -147,11 +151,11 @@ def test_l1_rows_loss_equals_the_per_row_chain_bit_for_bit():
     want = terms[0].data
     for t in terms[1:]:
         want = want + t.data
-    assert float(T.l1_rows_loss(T.Tensor(x), rows, targets).data) == float(want)
+    assert float(T.l1_rows_loss(T.Tensor(x), rows, oriented).data) == float(want)
     assert float(loss.data) == float(want * c)
     assert np.array_equal(xt.grad, grad)
     assert np.all(xt.grad[[4, 7]] == 0.0)
-    fd_check(lambda t: T.l1_rows_loss(t, rows, targets), [x * 3.0], 1)
+    fd_check(lambda t: T.l1_rows_loss(t, rows, oriented), [x * 3.0], 1)
 
 
 def test_l1_rows_loss_rejects_bad_input():
