@@ -4,7 +4,7 @@ Verbs: gen, train, ablation (with the similarity study), sweep-lambda, report.
 Global flags: --config <path>, --seed <n> (train only), --out <dir>,
 --jobs <n> (ablation and sweep-lambda only). A flag given with a verb that
 would ignore it is an error.
-Exit codes: 0 success, 1 hard failure, 2 partial sweep/ablation failure.
+Exit codes: 0 success, 1 hard failure or failed train, 2 partial sweep/ablation failure.
 
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
 says otherwise: the summation order, and with it every checksum, depends
@@ -98,7 +98,11 @@ def main(argv=None):
             return 0
 
         if args.verb == "train":
-            rec = harness.train_run(cfg, out, cfg.variant, cfg.seed)
+            finished, failures = harness.run_many(cfg, out, [(cfg.variant, cfg.seed, None)])
+            _print_failures(failures)
+            if failures:
+                return 1
+            (_, rec), = finished
             calls = rec.get("teacher_calls", "none (baseline)")
             print(f"{rec['run_dir']}: mAP standard {rec['map_standard']} "
                   f"extended {rec['map_extended']} "
@@ -121,14 +125,12 @@ def main(argv=None):
             _print_failures(failures)
             return 2 if failures else 0
 
-        if args.verb == "report":
-            path, missing = harness.cmd_report(cfg, out)
-            print(path)
-            for item in missing:
-                print(f"missing: {item}", file=sys.stderr)
-            return 0
-
-        raise harness.HarnessError(f"unhandled verb {args.verb!r}")
+        # report, the last verb the parser admits
+        path, missing = harness.cmd_report(cfg, out)
+        print(path)
+        for item in missing:
+            print(f"missing: {item}", file=sys.stderr)
+        return 0
     except PACKAGE_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

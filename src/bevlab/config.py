@@ -23,15 +23,15 @@ class ConfigError(RuntimeError):
     pass
 
 
-# (name, default, caches, bound) rows; the default's python type pins the
+# (name, default, scope, bound) rows; the default's python type pins the
 # parser. Tuples parse as space-separated lists: _LISTS take any number of
 # distinct values, every other tuple exactly as many as its default.
-# `caches` names the caches a field feeds: changing it re-renders the
-# corpus (_DATA), retrains the frozen teacher (_TEACH), both, or neither.
-# The cache hashes digest their fields in this order, so moving a field or
-# changing its scope orphans every cached corpus and teacher. `bound`
-# names the _BOUNDS rule each of the field's values must meet before any
-# work starts, or is None.
+# `scope` names the caches a field feeds: the corpus (_DATA), the frozen
+# teacher (_TEACH), both, or neither; and the runs, unless it is ("study",):
+# such a field only picks which runs a study verb asks for. Each hash
+# digests its fields in this order, so moving a field or changing its scope
+# orphans every cached corpus, teacher and run. `bound` names the _BOUNDS
+# rule each of the field's values must meet before any work starts, or None.
 _DATA, _TEACH, _BOTH = ("dataset",), ("teacher",), ("dataset", "teacher")
 DEFAULTS = (
     # corpus
@@ -76,8 +76,8 @@ DEFAULTS = (
     ("teacher_seed", 0, _TEACH, "nonnegative"),
     # study layout (numpy seeds its generators from nonnegative ints only)
     ("seed", 1, (), "nonnegative"),
-    ("seeds", (1, 2, 3), (), "nonnegative"),
-    ("lambda_factors", (0.0, 0.25, 0.5, 1.0, 2.0, 4.0), (), "nonnegative"),
+    ("seeds", (1, 2, 3), ("study",), "nonnegative"),
+    ("lambda_factors", (0.0, 0.25, 0.5, 1.0, 2.0, 4.0), ("study",), "nonnegative"),
 )
 
 _DEFAULTS = {name: default for name, default, _, _ in DEFAULTS}
@@ -246,19 +246,22 @@ class RunConfig:
 
     # -- cache keys ----------------------------------------------------------
 
-    def _digest(self, cache=None) -> str:
-        """Hash of the fields that feed ``cache``, or of every field."""
+    def _digest(self, keep) -> str:
+        """Hash of the fields whose scope passes ``keep``, in row order."""
         h = hashlib.sha256()
-        for name, _, caches, _ in DEFAULTS:
-            if cache is None or cache in caches:
+        for name, _, scope, _ in DEFAULTS:
+            if keep(scope):
                 h.update(f"{name} {_format_one(getattr(self, name))}\n".encode())
         return h.hexdigest()[:16]
 
     def config_hash(self) -> str:
-        return self._digest()
+        return self._digest(lambda scope: True)
 
     def teacher_hash(self) -> str:
-        return self._digest("teacher")
+        return self._digest(lambda scope: "teacher" in scope)
 
     def dataset_hash(self) -> str:
-        return self._digest("dataset")
+        return self._digest(lambda scope: "dataset" in scope)
+
+    def run_hash(self) -> str:
+        return self._digest(lambda scope: "study" not in scope)

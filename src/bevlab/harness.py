@@ -8,8 +8,8 @@ directory and leaves plain-text artifacts behind. Samples come from
 failed. The trainers take the config whole, and models are built and
 reloaded through its builders only; a run directory stores the exact
 config it ran with, so repeating a (config, seed) pair rewrites its eval
-files byte for byte. The caches key on config text, not on code, so a
-change that moves results needs a fresh --out.
+files byte for byte. The caches key on the config fields they read, not
+on code, so a change that moves results needs a fresh --out.
 
 Layout under the output directory:
 
@@ -44,7 +44,7 @@ from .encoders import (adopt_params, decode_map, load_checkpoint, named_params,
 from .mapeval import (CLASS_NAMES, N_CLASSES, ROIS, EvalConfig, evaluate, read_eval_file,
                       write_eval_file)
 from .plots import line_plot
-from .scenegen import export_dataset, load_dataset, read_manifest
+from .scenegen import export_dataset, load_dataset
 from .supervision import VARIANTS, fit_threads, share_cpus, train_student
 
 
@@ -137,10 +137,18 @@ def read_record(rdir):
 
 
 def run_dir(cfg: RunConfig, out, variant, seed, lam=None):
-    """(directory, alignment weight) of one (variant, seed, lambda) run;
+    """(directory, validated config) of one (variant, seed, lambda) run;
     lam None means the tuned weight, and the baseline's weight is 0."""
     lam = 0.0 if variant == "baseline" else (cfg.lambda_bev if lam is None else float(lam))
-    return os.path.join(out, "runs", run_name(variant, seed, lam, cfg.lambda_bev)), lam
+    return (os.path.join(out, "runs", run_name(variant, seed, lam, cfg.lambda_bev)),
+            cfg.with_overrides(variant=variant, seed=seed, lambda_bev=lam))
+
+
+def finished_record(rdir, run_cfg: RunConfig):
+    """The record of the run in ``rdir`` if it finished under ``run_cfg``,
+    else None: ``train_run`` writes record.txt last, with its ``run_hash``."""
+    rec = read_record(rdir) if os.path.exists(os.path.join(rdir, "record.txt")) else {}
+    return rec if rec.get("run_hash") == run_cfg.run_hash() else None
 
 
 def _similarity_row(teacher, sample, fmap, grid):
@@ -166,28 +174,18 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None):
     per scene, and its map is decoded for the eval files and compared with
     the frozen teacher's map of the scene for similarity.txt, whose (id,
     cka, centered cka, r2) rows hold exact floats; ``evaluate`` then scores
-    the decoded maps once per RoI. Cached: if the run directory already
-    holds this exact config plus its record, eval and similarity files, it
-    is returned as is. Returns the record dict.
+    the decoded maps once per RoI. Returns the record dict: as it is, if
+    ``finished_record`` finds it, else from a run in an emptied directory.
     """
-    rdir, lam = run_dir(cfg, out, variant, seed, lam)
-    run_cfg = cfg.with_overrides(variant=variant, seed=seed, lambda_bev=lam)  # validates them
-    cfg_path = os.path.join(rdir, "config.txt")
-    done = all(os.path.exists(os.path.join(rdir, fn))
-               for fn in ("config.txt", "record.txt", "similarity.txt",
-                          *(f"eval_{roi}.txt" for roi in ROIS)))
-    if done:
-        with open(cfg_path) as f:
-            if f.read() == run_cfg.dump():
-                return read_record(rdir)
+    rdir, run_cfg = run_dir(cfg, out, variant, seed, lam)
+    if rec := finished_record(rdir, run_cfg):
+        return rec
     teacher, teacher_map = ensure_teacher(cfg, out)
     train, val = load_splits(cfg, out)
-    os.makedirs(rdir, exist_ok=True)
-    # a retrain killed midway must not leave the old record marking it done
-    record = os.path.join(rdir, "record.txt")
-    if os.path.exists(record):
-        os.remove(record)
-    with open(cfg_path, "w") as f:
+    if os.path.exists(rdir):
+        shutil.rmtree(rdir)
+    os.makedirs(rdir)
+    with open(os.path.join(rdir, "config.txt"), "w") as f:
         f.write(run_cfg.dump())
     grid, rig = run_cfg.grid(), run_cfg.rig()
     stored = len(teacher.maps)
@@ -214,9 +212,9 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None):
     items = [
         ("variant", variant),
         ("seed", seed),
-        ("lambda_bev", repr(lam)),
+        ("lambda_bev", repr(run_cfg.lambda_bev)),
         ("steps", run_cfg.steps),
-        ("config_hash", run_cfg.config_hash()),
+        ("run_hash", run_cfg.run_hash()),
         ("teacher_hash", run_cfg.teacher_hash()),
         ("dataset_hash", run_cfg.dataset_hash()),
         ("teacher_val_map", repr(teacher_map)),
@@ -230,7 +228,7 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None):
         *((f"map_{roi}", f"{maps[roi]:.6f}") for roi in ROIS),
         ("wall_clock", f"{wall:.1f}"),
     ]
-    _write_record(record, items)
+    _write_record(os.path.join(rdir, "record.txt"), items)
     return read_record(rdir)
 
 
@@ -287,10 +285,8 @@ def run_many(cfg: RunConfig, out, specs, jobs=1):
 # ---------------------------------------------------------------------------
 
 def cmd_gen(cfg: RunConfig, out):
-    """Render the corpus; returns (path, n_train, n_val)."""
-    path = ensure_dataset(cfg, out)
-    splits = [split for _, split, _ in read_manifest(path)]
-    return path, splits.count("train"), splits.count("val")
+    """Render the corpus; returns (path, cfg.n_train, cfg.n_val)."""
+    return ensure_dataset(cfg, out), cfg.n_train, cfg.n_val
 
 
 def _write_table(path, header, rows, failures):
@@ -399,18 +395,21 @@ def load_student(cfg: RunConfig, rdir, teacher):
 # report
 # ---------------------------------------------------------------------------
 
+def _finished_dirs(cfg: RunConfig, out, variants, seeds):
+    """Directories of the variants x seeds runs, each finished under ``cfg``;
+    raises HarnessError naming the first run that is not."""
+    runs = [run_dir(cfg, out, v, s) for v in variants for s in seeds]
+    for rdir, run_cfg in runs:
+        if not finished_record(rdir, run_cfg):
+            raise HarnessError(f"{os.path.basename(rdir)} did not finish under this config")
+    return [rdir for rdir, _ in runs]
+
+
 def _mean_eval(run_dirs, roi):
-    """Averages eval_<roi>.txt over runs; returns (class_means, map).
-    Raises FileNotFoundError naming the first missing file."""
-    acc_cls, acc_map = None, []
-    for rdir in run_dirs:
-        _, class_means, map_value = read_eval_file(os.path.join(rdir, f"eval_{roi}.txt"))
-        if acc_cls is None:
-            acc_cls = {k: [] for k in class_means}
-        for k, v in class_means.items():
-            acc_cls[k].append(v)
-        acc_map.append(map_value)
-    return {k: float(np.mean(v)) for k, v in acc_cls.items()}, float(np.mean(acc_map))
+    """Averages eval_<roi>.txt over runs; returns (class_means, map)."""
+    evals = [read_eval_file(os.path.join(rdir, f"eval_{roi}.txt"))[1:] for rdir in run_dirs]
+    return ({k: float(np.mean([cls[k] for cls, _ in evals])) for k in evals[0][0]},
+            float(np.mean([m for _, m in evals])))
 
 
 def _table_section(lines, missing, path, what, verb, header):
@@ -435,7 +434,8 @@ def cmd_report(cfg: RunConfig, out):
     in `missing` and the report marks the affected sections. Every table
     number is read back from the raw result files, never recomputed, so
     the report regenerates byte-identically and each cell has an on-disk
-    source.
+    source. The detection tables and the feature maps read only runs that
+    finished under ``cfg``, which left its teacher cached: nothing trains.
     """
     seeds = list(cfg.seeds)
     missing = []
@@ -448,9 +448,9 @@ def cmd_report(cfg: RunConfig, out):
     lines += ["## Detection comparison", ""]
     for roi in ROIS:
         try:
-            base, cvs = (_mean_eval([run_dir(cfg, out, v, s)[0] for s in seeds], roi)
+            base, cvs = (_mean_eval(_finished_dirs(cfg, out, [v], seeds), roi)
                          for v in ("baseline", cfg.variant))
-        except (FileNotFoundError, OSError) as e:
+        except (HarnessError, OSError) as e:
             missing.append(f"detection/{roi}: {e}")
             lines += [f"({roi} RoI table skipped: missing run artifacts)", ""]
             continue
@@ -491,16 +491,17 @@ def cmd_report(cfg: RunConfig, out):
 
     # feature visualizations, shared gray scale
     lines += ["## Channel-mean features, first validation scene", ""]
-    viz = _write_viz(cfg, out, seeds[0])
-    if viz:
+    try:
+        viz = _write_viz(cfg, out, seeds[0])
+    except HarnessError as e:
+        missing.append(f"viz: {e}")
+        lines += ["(feature maps missing; train baseline and adapter runs)", ""]
+    else:
         lines += ["Shared affine gray scale across all three maps.", ""]
         lines += ["| source | file |", "|---|---|"]
         for label, rel in viz:
             lines.append(f"| {label} | `{rel}` |")
         lines.append("")
-    else:
-        missing.append("viz (needs baseline and adapter runs)")
-        lines += ["(feature maps missing; train baseline and adapter runs)", ""]
 
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "report.md")
@@ -511,11 +512,13 @@ def cmd_report(cfg: RunConfig, out):
 
 def _write_viz(cfg, out, seed):
     """Teacher/baseline/adapter channel-mean maps for one val scene under
-    one shared scale; returns [(label, relative path)] or None."""
-    runs = {v: run_dir(cfg, out, v, seed)[0] for v in ("baseline", cfg.variant)}
+    one shared scale; returns [(label, relative path)]. Raises HarnessError
+    naming a run that did not finish under ``cfg`` or lacks its checkpoint."""
+    variants = ("baseline", cfg.variant)
+    runs = dict(zip(variants, _finished_dirs(cfg, out, variants, [seed])))
     for rdir in runs.values():
         if not os.path.exists(os.path.join(rdir, "checkpoint", "manifest.txt")):
-            return None
+            raise HarnessError(f"{os.path.basename(rdir)} has no checkpoint manifest")
     teacher, _ = ensure_teacher(cfg, out)
     grid, rig = cfg.grid(), cfg.rig()
     scene = load_splits(cfg, out)[1][0]

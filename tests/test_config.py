@@ -161,15 +161,22 @@ def test_hashes_scope_their_fields():
     assert deeper.dataset_hash() == cfg.dataset_hash()
     wider = cfg.with_overrides(image_width=48)
     assert wider.dataset_hash() != cfg.dataset_hash()
+    # a run reads every field but the study's, which only choose the runs
+    for study in (cfg.with_overrides(seeds=(1,)), cfg.with_overrides(lambda_factors=(0.0, 3.0))):
+        assert study.run_hash() == cfg.run_hash()
+        assert study.config_hash() != cfg.config_hash()
+    for run in (cfg.with_overrides(steps=3), cfg.with_overrides(seed=2), deeper, lam):
+        assert run.run_hash() != cfg.run_hash()
 
 
 def test_default_cache_hashes_are_pinned():
-    # cached corpora and teachers are found by these hashes: a field moved,
+    # cached corpora, teachers and runs are found by these hashes: a field moved,
     # added to or dropped from a cache scope would orphan all of them
     cfg = RunConfig()
     assert cfg.teacher_hash() == "a81dcdab843acf43"
     assert cfg.dataset_hash() == "58f8531bac3b6457"
     assert cfg.config_hash() == "1b82820f9ca5c40c"
+    assert cfg.run_hash() == "5697385281e5390a"
 
 
 def test_derived_objects_match_fields():

@@ -307,7 +307,15 @@ def test_retrain_killed_midway_leaves_the_run_unfinished(tmp_path, monkeypatch):
         with pytest.raises(KeyboardInterrupt):
             H.train_run(longer, out, "raw", 0)
     # the steps-2 record is not taken for the steps-3 run
-    assert H.train_run(longer, out, "raw", 0)["steps"] == "3"
+    rec = H.train_run(longer, out, "raw", 0)
+    assert rec["steps"] == "3"
+    # and a retrain starts from an empty directory: a parameter file that
+    # an older checkpoint held, and its manifest no longer lists, is gone
+    ckpt = os.path.join(rec["run_dir"], "checkpoint")
+    stray = os.path.join(ckpt, "adapter.gamma.ten")
+    shutil.copy(os.path.join(ckpt, "decoder.cls.w.ten"), stray)
+    H.train_run(cfg, out, "raw", 0)
+    assert not os.path.exists(stray)
 
 
 def package_error_classes():
@@ -472,6 +480,87 @@ def test_second_ablation_trains_nothing(study, tmp_path, monkeypatch):
     assert trained == []
     for name in ABLATION_TABLES:
         assert read_bytes(os.path.join(out, name)) == read_bytes(os.path.join(study[0], name))
+
+
+def trained_runs(monkeypatch):
+    """The names of the runs that train_student trains from now on."""
+    names = []
+    plain = H.train_student
+
+    def counted(cfg, *args, **kwargs):
+        names.append(f"{cfg.variant}_seed{cfg.seed}")
+        return plain(cfg, *args, **kwargs)
+    monkeypatch.setattr(H, "train_student", counted)
+    return names
+
+
+def test_a_study_extended_by_a_seed_or_a_factor_trains_only_new_runs(tmp_path, monkeypatch):
+    # seeds and lambda_factors only choose which runs a study asks for, so
+    # no run that finished under the other fields trains again
+    out = str(tmp_path / "out")
+    trained = trained_runs(monkeypatch)
+    one_seed = TINY_STUDY
+    two_seeds = one_seed.replace("\nseeds 1\n", "\nseeds 1 2\n")
+    other_factors = two_seeds.replace("lambda_factors 0.0 1.0", "lambda_factors 0.0 0.5 1.0")
+    assert one_seed != two_seeds != other_factors
+    counts = []
+    for config in (one_seed, two_seeds, other_factors):
+        assert run_verb(out, "ablation", config=config) == 0
+        counts.append(len(trained) - sum(counts))
+    assert counts == [4, 4, 0]
+    assert sorted(trained[4:]) == sorted(f"{v}_seed2" for v in SV.VARIANTS)
+
+
+@pytest.mark.parametrize("change", ["steps 3", "teacher_steps 3"])
+def test_report_under_another_config_skips_its_runs_and_trains_nothing(
+        study, tmp_path, monkeypatch, capsys, change):
+    # the study's runs finished under steps 2 and teacher_steps 2: under
+    # any other run config they are not this report's runs, and the report
+    # neither reads them nor trains a teacher or a student for its maps
+    out = copy_study(study, tmp_path)
+    for name in ("pretrain_teacher", "train_student"):
+        monkeypatch.setattr(H, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+    config = TINY_STUDY.replace(f"\n{change[:-1]}2\n", f"\n{change}\n")
+    assert config != TINY_STUDY
+    capsys.readouterr()
+    assert run_verb(out, "report", config=config) == 0
+    report = read_bytes(os.path.join(out, "report.md")).decode()
+    for note in ("(standard RoI table skipped", "(extended RoI table skipped",
+                 "(feature maps missing"):
+        assert note in report, note
+    err = capsys.readouterr().err
+    for item in ("detection/standard", "detection/extended", "viz"):
+        assert f"missing: {item}: baseline_seed1 did not finish under this config\n" in err
+    # under the study's own config the same files make the whole report again
+    assert run_verb(out, "report") == 0
+    assert read_bytes(os.path.join(out, "report.md")) == \
+        read_bytes(os.path.join(study[0], "report.md"))
+
+
+def test_a_failed_train_verb_leaves_its_traceback(study, tmp_path, monkeypatch, capsys):
+    out = copy_study(study, tmp_path)
+    cfg_path = os.path.join(tmp_path, "study.cfg")
+    with open(cfg_path, "w") as f:
+        f.write(TINY_STUDY)
+    argv = ["--config", cfg_path, "--out", out, "--seed", "2", "train", "--variant", "raw"]
+    plain = H.train_student
+
+    def fail(*args, **kwargs):
+        raise H.HarnessError("forced failure")
+    monkeypatch.setattr(H, "train_student", fail)
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "FAILED raw_seed2: HarnessError: forced failure\n"
+    error_path = os.path.join(out, "runs", "raw_seed2", "error.txt")
+    with open(error_path) as f:
+        trace = f.read()
+    assert trace.startswith("Traceback") and "HarnessError: forced failure" in trace
+    # a later success clears it and prints the record line
+    monkeypatch.setattr(H, "train_student", plain)
+    assert cli.main(argv) == 0
+    assert not os.path.exists(error_path)
+    assert capsys.readouterr().out.startswith(os.path.join(out, "runs", "raw_seed2") + ": mAP")
 
 
 def test_report_rerun_is_byte_identical(study, tmp_path):
