@@ -4,7 +4,7 @@ Verbs: gen, train, ablation (with the similarity study), sweep-lambda, report.
 Global flags: --config <path>, --seed <n> (train only), --out <dir>,
 --jobs <n> (ablation and sweep-lambda only). A flag given with a verb that
 would ignore it is an error.
-Exit codes: 0 success, 1 hard failure or failed train, 2 partial sweep/ablation failure.
+Exit codes: 0 success, 1 hard failure or failed train, 2 failed sweep/ablation runs.
 
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
 says otherwise: the summation order, and with it every checksum, depends

@@ -3,13 +3,14 @@
 Datasets, cached frozen teachers, training runs, the normalization
 ablation with its feature-similarity study, the alignment-weight sweep,
 and a consolidated report. Every command takes a RunConfig plus an output
-directory and leaves plain-text artifacts behind. Samples come from
-``load_splits`` alone, and ``run_many`` splits runs into finished and
-failed. The trainers take the config whole, and models are built and
-reloaded through its builders only; a run directory stores the exact
-config it ran with, so repeating a (config, seed) pair rewrites its eval
-files byte for byte. The caches key on the config fields they read, not
-on code, so a change that moves results needs a fresh --out.
+directory and leaves plain-text artifacts behind; ``run_many`` splits
+runs into finished and failed. The trainers take the config whole, and
+models are built and reloaded through its builders only; a run directory
+stores the exact config it ran with, so repeating a (config, seed) pair
+rewrites its eval files byte for byte. The caches key on the config
+fields they read, not on code, so a change that moves results needs a
+fresh --out. The .txt tables are views that the verbs write from
+``study_table``; the report recomputes every table from the run records.
 
 Layout under the output directory:
 
@@ -84,24 +85,33 @@ def load_splits(cfg: RunConfig, out):
     return train, val
 
 
-def ensure_teacher(cfg: RunConfig, out):
-    """Load the cached frozen teacher for this config, training it once
-    on ``load_splits`` if the cache is cold. Returns (teacher, val_map).
-    The teacher sees only overhead rasters, so no camera image is read here."""
+def load_teacher(cfg: RunConfig, out):
+    """(teacher, val_map) of the frozen teacher cached for this config.
+    Reads only; raises HarnessError naming the cache directory when it holds
+    no manifest, which the training path writes last."""
     tdir = os.path.join(out, "teacher", cfg.teacher_hash())
-    if os.path.exists(os.path.join(tdir, "manifest.txt")):
-        params, meta = load_checkpoint(tdir)
-        teacher = cfg.teacher(np.random.default_rng(0))
-        adopt_params(teacher, params, prefix="teacher.")
-        teacher.freeze()
-        return teacher, float(meta["val_map"])
-    train, val = load_splits(cfg, out)
-    # log.txt fills in as the teacher trains; the manifest marks the cache done
+    if not os.path.exists(os.path.join(tdir, "manifest.txt")):
+        raise HarnessError(f"no teacher cached in {tdir}")
+    params, meta = load_checkpoint(tdir)
+    teacher = cfg.teacher(np.random.default_rng(0))
+    adopt_params(teacher, params, prefix="teacher.")
+    teacher.freeze()
+    return teacher, float(meta["val_map"])
+
+
+def ensure_teacher(cfg: RunConfig, out):
+    """``load_teacher``, after training the teacher once on ``load_splits``
+    if the cache is cold. Returns (teacher, val_map). The teacher sees only
+    overhead rasters, so no camera image is read here."""
+    try:
+        return load_teacher(cfg, out)
+    except HarnessError:  # cold: log.txt fills in as it trains, the manifest comes last
+        train, val = load_splits(cfg, out)
+    tdir = os.path.join(out, "teacher", cfg.teacher_hash())
     os.makedirs(tdir, exist_ok=True)
     teacher, _, val_map = pretrain_teacher(cfg, train, val, os.path.join(tdir, "log.txt"))
     save_checkpoint(tdir, named_params({"teacher": teacher}),
-                    meta={"val_map": repr(val_map),
-                          "teacher_hash": cfg.teacher_hash()})
+                    meta={"val_map": repr(val_map), "teacher_hash": cfg.teacher_hash()})
     return teacher, val_map
 
 
@@ -289,60 +299,98 @@ def cmd_gen(cfg: RunConfig, out):
     return ensure_dataset(cfg, out), cfg.n_train, cfg.n_val
 
 
-def _write_table(path, header, rows, failures):
-    """A study table: the header, one line per row, one per failed run."""
-    lines = [header] + rows + [f"# failed {name}: {err}" for name, err in failures]
-    with open(path, "w") as f:
+# name: (cell formats, .txt header, report header); the verbs write the
+# first three to <name>.txt, and the report shows all of them
+TABLES = {
+    "ablation": (("{}", "{}", "{:.6f}", "{:.6f}", "{:+.6f}"),
+                 "variant n map_extended_mean spread delta_vs_baseline",
+                 ("variant", "n", "mAP mean", "spread", "delta")),
+    "sweep_lambda": (("{!r}", "{}", "{:.6f}", "{:.6f}"),
+                     "lambda n map_standard_mean map_extended_mean",
+                     ("lambda", "n", "mAP standard", "mAP extended")),
+    "similarity": (("{}", "{}") + ("{:.6f}",) * 6, "variant n cka_median cka_iqr "
+                   "cka_centered_median cka_centered_iqr r2_median r2_iqr",
+                   ("variant", "n", "CKA median", "IQR", "centered CKA median", "IQR",
+                    "R2 median", "IQR")),
+    **{f"detection/{roi}": (("{}",) + ("{:.6f}",) * (N_CLASSES + 1), None,
+                            ("model",) + CLASS_NAMES + ("mAP",)) for roi in ROIS},
+}
+
+
+def _mean(values):
+    return float(np.mean(values)) if values else float("nan")
+
+
+def study_table(cfg: RunConfig, out, name, specs):
+    """(rows, unfinished) of table ``name`` over the runs of ``specs``: rows
+    pool the runs ``finished_record`` accepts under ``cfg``, one per lambda
+    for the sweep and per variant otherwise, nan where none is; unfinished
+    names the first it rejects, or is None. Rows: ablation (variant, n,
+    mean, spread, delta vs baseline) of the extended mAP; similarity
+    (variant, n, median and IQR of cka, centered cka, r2) of the runs'
+    similarity.txt rows; sweep_lambda (lambda, n, mAP per RoI);
+    detection/<roi> (model, class means, mAP), then the delta row."""
+    key = 2 if name == "sweep_lambda" else 0
+    groups, unfinished = {spec[key]: [] for spec in specs}, None
+    for spec in dict.fromkeys(specs):  # a report of the baseline variant repeats its specs
+        rdir, run_cfg = run_dir(cfg, out, *spec)
+        if rec := finished_record(rdir, run_cfg):
+            groups[spec[key]].append(rec)
+        else:
+            unfinished = unfinished or os.path.basename(rdir)
+    if name == "sweep_lambda":
+        return [(lam, len(recs), *(_mean([float(r[f"map_{roi}"]) for r in recs]) for roi in ROIS))
+                for lam, recs in groups.items()], unfinished
+    if name == "ablation":
+        maps = {v: [float(r["map_extended"]) for r in recs] for v, recs in groups.items()}
+        base = _mean(maps["baseline"])
+        return [(v, len(m), _mean(m), float(max(m) - min(m)) if m else float("nan"),
+                 _mean(m) - base) for v, m in maps.items()], unfinished
+    if name == "similarity":
+        pooled = {v: [row for r in recs for row in read_similarity_file(
+                      os.path.join(r["run_dir"], "similarity.txt"))] for v, recs in groups.items()}
+        stats = {v: [x for col in (1, 2, 3) for x in summarize([s[col] for s in sims])]
+                 if sims else [float("nan")] * 6 for v, sims in pooled.items()}
+        return [(v, len(pooled[v]), *stats[v]) for v in pooled], unfinished
+    evals = {v: [read_eval_file(os.path.join(r["run_dir"], f"eval_{name.split('/')[1]}.txt"))[1:]
+                 for r in recs] for v, recs in groups.items()}
+    base, other = ((v, *(_mean([cls[c] for cls, _ in evals[v]]) for c in CLASS_NAMES),
+                    _mean([m for _, m in evals[v]])) for v in ("baseline", cfg.variant))
+    return [base, other, ("delta", *(o - b for o, b in zip(other[1:], base[1:])))], unfinished
+
+
+def _cells(name, row):
+    """One row of table ``name``, each cell formatted once; a delta row's are signed."""
+    fmts = TABLES[name][0]
+    if row[0] == "delta":
+        fmts = [f.replace("{:.", "{:+.") for f in fmts]
+    return [f.format(x) for f, x in zip(fmts, row)]
+
+
+def _write_table(cfg: RunConfig, out, name, specs, failures):
+    """<name>.txt: header, ``study_table`` rows, failed runs; returns the rows."""
+    rows, _ = study_table(cfg, out, name, specs)
+    lines = ([TABLES[name][1]] + [" ".join(_cells(name, row)) for row in rows]
+             + [f"# failed {run}: {err}" for run, err in failures])
+    with open(os.path.join(out, f"{name}.txt"), "w") as f:
         f.write("\n".join(lines) + "\n")
+    return rows
 
 
 def cmd_ablation(cfg: RunConfig, out, seeds=None, jobs=1):
-    """All four variants x seeds; writes the extended-RoI comparison table
-    ablation.txt and the teacher-student similarity table similarity.txt.
-
-    The similarity table pools, per variant, the rows each run's
-    similarity.txt holds as exact floats, and gives the median and IQR of
-    cka, centered cka and r2. Returns (rows, failures): rows are (variant,
-    n, mean, spread, delta) with delta relative to the baseline mean;
-    failed runs are dropped from both tables and listed in failures.
-    """
+    """All four variants x seeds; writes ablation.txt and similarity.txt.
+    Returns (ablation rows, failures), which both files list last."""
     seeds = list(cfg.seeds if seeds is None else seeds)
-    done, failures = run_many(cfg, out, [(v, s, None) for v in VARIANTS for s in seeds], jobs)
-    by_variant = {v: [float(rec["map_extended"]) for (var, _, _), rec in done if var == v]
-                  for v in VARIANTS}
-    base_mean = np.mean(by_variant["baseline"]) if by_variant["baseline"] else float("nan")
-    rows = []
-    for variant, vals in by_variant.items():
-        mean, spread = ((float(np.mean(vals)), float(max(vals) - min(vals))) if vals
-                        else (float("nan"), float("nan")))
-        rows.append((variant, len(vals), mean, spread, mean - base_mean))
-    _write_table(os.path.join(out, "ablation.txt"),
-                 "variant n map_extended_mean spread delta_vs_baseline",
-                 [f"{v} {n} {mean:.6f} {spread:.6f} {delta:+.6f}"
-                  for v, n, mean, spread, delta in rows], failures)
-    pooled = {v: [] for v in VARIANTS}
-    for (variant, _, _), rec in done:
-        pooled[variant] += read_similarity_file(os.path.join(rec["run_dir"], "similarity.txt"))
-    lines = []
-    for variant, sims in pooled.items():
-        stats = ([x for col in (1, 2, 3) for x in summarize([r[col] for r in sims])]
-                 if sims else [float("nan")] * 6)
-        lines.append(f"{variant} {len(sims)} " + " ".join(f"{x:.6f}" for x in stats))
-    _write_table(os.path.join(out, "similarity.txt"),
-                 "variant n cka_median cka_iqr cka_centered_median cka_centered_iqr "
-                 "r2_median r2_iqr", lines, failures)
-    return rows, failures
+    specs = [(v, s, None) for v in VARIANTS for s in seeds]
+    _, failures = run_many(cfg, out, specs, jobs)
+    _write_table(cfg, out, "similarity", specs, failures)
+    return _write_table(cfg, out, "ablation", specs, failures), failures
 
 
-def cmd_sweep_lambda(cfg: RunConfig, out, jobs=1):
-    """One run per (lambda, seed) over the config's ``lambda_factors`` of
-    the tuned weight and its ``seeds``.
-
-    lambda = 0 maps to the baseline variant (supervision off is exactly
-    the baseline trajectory) and the tuned factor reuses the main runs.
-    Writes sweep_lambda.txt plus one line plot per RoI. Returns (rows,
-    failures); rows are (lam, n, mean_standard, mean_extended).
-    """
+def sweep_specs(cfg: RunConfig):
+    """One spec per (lambda, seed) over ``lambda_factors`` of the tuned weight
+    and ``seeds``. lambda = 0 maps to the baseline variant (supervision off
+    is exactly the baseline trajectory); the tuned factor reuses main runs."""
     if cfg.variant == "baseline":
         raise HarnessError("the sweep varies the alignment weight, which the baseline "
                            "variant does not use; set variant to an aligned one")
@@ -351,23 +399,18 @@ def cmd_sweep_lambda(cfg: RunConfig, out, jobs=1):
                            "the baseline; set lambda_bev above 0")
     if 0.0 not in cfg.lambda_factors:
         raise HarnessError("the sweep needs the lambda = 0 reference point")
-    values = [f * cfg.lambda_bev for f in cfg.lambda_factors]
-    specs = []
-    for lam in values:
-        variant = "baseline" if lam == 0.0 else cfg.variant
-        specs.extend((variant, s, lam) for s in cfg.seeds)
-    done, failures = run_many(cfg, out, specs, jobs)
-    rows = []
-    for lam in values:
-        recs = [rec for (_, _, at), rec in done if at == lam]
-        rows.append((lam, len(recs)) + tuple(
-            float(np.mean([float(r[f"map_{roi}"]) for r in recs])) if recs else float("nan")
-            for roi in ROIS))
-    _write_table(os.path.join(out, "sweep_lambda.txt"),
-                 "lambda n map_standard_mean map_extended_mean",
-                 [f"{lam!r} {n} {ms:.6f} {me:.6f}" for lam, n, ms, me in rows], failures)
+    lams = [f * cfg.lambda_bev for f in cfg.lambda_factors]
+    return [("baseline" if lam == 0.0 else cfg.variant, s, lam) for lam in lams for s in cfg.seeds]
+
+
+def cmd_sweep_lambda(cfg: RunConfig, out, jobs=1):
+    """Trains the ``sweep_specs`` runs; writes sweep_lambda.txt, and one line
+    plot per RoI unless no lambda finished. Returns (rows, failures)."""
+    specs = sweep_specs(cfg)
+    _, failures = run_many(cfg, out, specs, jobs)
+    rows = _write_table(cfg, out, "sweep_lambda", specs, failures)
     good = [r for r in rows if r[1]]
-    for i, roi in enumerate(ROIS):
+    for i, roi in enumerate(ROIS if good else ()):
         line_plot(os.path.join(out, f"sweep_{roi}.svg"), [r[0] for r in good],
                   [r[2 + i] for r in good], title="Alignment weight sweep",
                   x_label="lambda", y_label=f"val mAP ({roi} RoI)")
@@ -395,99 +438,60 @@ def load_student(cfg: RunConfig, rdir, teacher):
 # report
 # ---------------------------------------------------------------------------
 
-def _finished_dirs(cfg: RunConfig, out, variants, seeds):
-    """Directories of the variants x seeds runs, each finished under ``cfg``;
-    raises HarnessError naming the first run that is not."""
-    runs = [run_dir(cfg, out, v, s) for v in variants for s in seeds]
-    for rdir, run_cfg in runs:
-        if not finished_record(rdir, run_cfg):
-            raise HarnessError(f"{os.path.basename(rdir)} did not finish under this config")
-    return [rdir for rdir, _ in runs]
-
-
-def _mean_eval(run_dirs, roi):
-    """Averages eval_<roi>.txt over runs; returns (class_means, map)."""
-    evals = [read_eval_file(os.path.join(rdir, f"eval_{roi}.txt"))[1:] for rdir in run_dirs]
-    return ({k: float(np.mean([cls[k] for cls, _ in evals])) for k in evals[0][0]},
-            float(np.mean([m for _, m in evals])))
-
-
-def _table_section(lines, missing, path, what, verb, header):
-    """Append a whitespace table file as a markdown table, or a note that it
-    is missing; returns whether the file was there."""
-    if not os.path.exists(path):
-        missing.append(os.path.basename(path))
-        lines += [f"({what} table missing; run the {verb} command)", ""]
-        return False
-    with open(path) as f:
-        rows = [l.split() for l in f if l.strip() and not l.startswith("#")]
-    lines += ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    lines += ["| " + " | ".join(row) + " |" for row in rows[1:]]
-    lines.append("")
-    return True
+def _report_table(cfg: RunConfig, out, name, specs, missing):
+    """Markdown lines of table ``name`` over ``specs()``, or [] and why in ``missing``."""
+    try:
+        rows, unfinished = study_table(cfg, out, name, specs())
+        if unfinished:
+            raise HarnessError(f"{unfinished} did not finish under this config")
+    except (HarnessError, OSError) as e:
+        missing.append(f"{name}: {e}")
+        return []
+    header = TABLES[name][2]
+    return (["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+            + ["| " + " | ".join(_cells(name, row)) + " |" for row in rows] + [""])
 
 
 def cmd_report(cfg: RunConfig, out):
-    """Consolidated markdown report from whatever artifacts exist.
-
-    Returns (path, missing): artifacts that could not be found are listed
-    in `missing` and the report marks the affected sections. Every table
-    number is read back from the raw result files, never recomputed, so
-    the report regenerates byte-identically and each cell has an on-disk
-    source. The detection tables and the feature maps read only runs that
-    finished under ``cfg``, which left its teacher cached: nothing trains.
-    """
+    """Consolidated markdown report of the runs that finished under ``cfg``;
+    returns (path, missing). Each table is ``study_table``'s rows over the
+    specs its verb trains, recomputed from the run records, never read from
+    a .txt table. A table with a run that did not finish under ``cfg``
+    gives way to a note, and ``missing`` names the run. Nothing trains."""
     seeds = list(cfg.seeds)
     missing = []
-    lines = ["# Cross-view supervision study", ""]
-    lines += [f"Config hash `{cfg.config_hash()}`, corpus "
+    lines = ["# Cross-view supervision study", "", f"Config hash `{cfg.config_hash()}`, corpus "
               f"{cfg.n_train}+{cfg.n_val} scenes, variants trained for "
               f"{cfg.steps} steps, seeds {', '.join(str(s) for s in seeds)}.", ""]
 
     # Table 1 shape: baseline vs the adapter variant, both RoIs
     lines += ["## Detection comparison", ""]
+    detection = [(v, s, None) for v in ("baseline", cfg.variant) for s in seeds]
     for roi in ROIS:
-        try:
-            base, cvs = (_mean_eval(_finished_dirs(cfg, out, [v], seeds), roi)
-                         for v in ("baseline", cfg.variant))
-        except (HarnessError, OSError) as e:
-            missing.append(f"detection/{roi}: {e}")
-            lines += [f"({roi} RoI table skipped: missing run artifacts)", ""]
-            continue
-        lines += [f"### {roi} RoI", ""]
-        header = "| model | " + " | ".join(CLASS_NAMES) + " | mAP |"
-        lines += [header, "|" + "---|" * (N_CLASSES + 2)]
-        for label, (cls_means, map_value) in (("baseline", base), (cfg.variant, cvs)):
-            row = [label] + [f"{cls_means[c]:.6f}" for c in CLASS_NAMES]
-            row.append(f"{map_value:.6f}")
-            lines.append("| " + " | ".join(row) + " |")
-        delta = [f"{cvs[0][c] - base[0][c]:+.6f}" for c in CLASS_NAMES]
-        lines.append("| delta | " + " | ".join(delta)
-                     + f" | {cvs[1] - base[1]:+.6f} |")
-        lines.append("")
+        table = _report_table(cfg, out, f"detection/{roi}", lambda: detection, missing)
+        lines += ([f"### {roi} RoI", ""] + table if table
+                  else [f"({roi} RoI table skipped: missing run artifacts)", ""])
 
     # Table 2 shape: the normalization ablation
+    ablation = [(v, s, None) for v in VARIANTS for s in seeds]
     lines += ["## Normalization ablation (extended RoI)", ""]
-    _table_section(lines, missing, os.path.join(out, "ablation.txt"), "ablation",
-                   "ablation", ("variant", "n", "mAP mean", "spread", "delta"))
+    lines += (_report_table(cfg, out, "ablation", lambda: ablation, missing)
+              or ["(ablation table missing; run the ablation command)", ""])
 
     # lambda sweep
     lines += ["## Alignment weight sensitivity", ""]
-    if _table_section(lines, missing, os.path.join(out, "sweep_lambda.txt"), "sweep",
-                      "sweep-lambda", ("lambda", "n", "mAP standard", "mAP extended")):
-        for roi in ROIS:
-            svg = f"sweep_{roi}.svg"
-            if os.path.exists(os.path.join(out, svg)):
-                lines.append(f"![lambda sweep, {roi} RoI]({svg})")
-            else:
-                missing.append(svg)
-        lines.append("")
+    sweep = _report_table(cfg, out, "sweep_lambda", lambda: sweep_specs(cfg), missing)
+    lines += sweep or ["(sweep table missing; run the sweep-lambda command)", ""]
+    if sweep:
+        svgs = {roi: f"sweep_{roi}.svg" for roi in ROIS}
+        missing += [svg for svg in svgs.values() if not os.path.exists(os.path.join(out, svg))]
+        lines += [f"![lambda sweep, {roi} RoI]({svg})" for roi, svg in svgs.items()
+                  if svg not in missing] + [""]
 
     # similarity study
     lines += ["## Feature similarity (validation split)", ""]
-    _table_section(lines, missing, os.path.join(out, "similarity.txt"), "similarity",
-                   "ablation", ("variant", "n", "CKA median", "IQR", "centered CKA median",
-                                "IQR", "R2 median", "IQR"))
+    lines += (_report_table(cfg, out, "similarity", lambda: ablation, missing)
+              or ["(similarity table missing; run the ablation command)", ""])
 
     # feature visualizations, shared gray scale
     lines += ["## Channel-mean features, first validation scene", ""]
@@ -497,11 +501,9 @@ def cmd_report(cfg: RunConfig, out):
         missing.append(f"viz: {e}")
         lines += ["(feature maps missing; train baseline and adapter runs)", ""]
     else:
-        lines += ["Shared affine gray scale across all three maps.", ""]
-        lines += ["| source | file |", "|---|---|"]
-        for label, rel in viz:
-            lines.append(f"| {label} | `{rel}` |")
-        lines.append("")
+        lines += ["Shared affine gray scale across all three maps.", "",
+                  "| source | file |", "|---|---|"]
+        lines += [f"| {label} | `{rel}` |" for label, rel in viz] + [""]
 
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "report.md")
@@ -511,29 +513,27 @@ def cmd_report(cfg: RunConfig, out):
 
 
 def _write_viz(cfg, out, seed):
-    """Teacher/baseline/adapter channel-mean maps for one val scene under
-    one shared scale; returns [(label, relative path)]. Raises HarnessError
-    naming a run that did not finish under ``cfg`` or lacks its checkpoint."""
-    variants = ("baseline", cfg.variant)
-    runs = dict(zip(variants, _finished_dirs(cfg, out, variants, [seed])))
-    for rdir in runs.values():
+    """Teacher/baseline/adapter channel-mean maps of the first val scene that
+    ``load_dataset`` yields, on one shared scale; returns [(label, relative
+    path)]. Reads only: raises HarnessError naming a run that did not finish
+    under ``cfg`` or lacks its checkpoint, or a teacher cache left cold."""
+    runs = {v: run_dir(cfg, out, v, seed) for v in ("baseline", cfg.variant)}
+    for rdir, run_cfg in runs.values():
+        if not finished_record(rdir, run_cfg):
+            raise HarnessError(f"{os.path.basename(rdir)} did not finish under this config")
         if not os.path.exists(os.path.join(rdir, "checkpoint", "manifest.txt")):
             raise HarnessError(f"{os.path.basename(rdir)} has no checkpoint manifest")
-    teacher, _ = ensure_teacher(cfg, out)
+    teacher, _ = load_teacher(cfg, out)
     grid, rig = cfg.grid(), cfg.rig()
-    scene = load_splits(cfg, out)[1][0]
+    scene = next(s for s in load_dataset(ensure_dataset(cfg, out)) if s.split == "val")
     maps = {"teacher": teacher_forward(teacher, scene.overhead, grid).tensor.data}
-    for variant, rdir in runs.items():
+    for variant, (rdir, _) in runs.items():
         student, _, _ = load_student(cfg, rdir, teacher)
         maps[variant] = student_forward(student, scene.cams, rig, grid).tensor.data
     means = [m.mean(axis=0) for m in maps.values()]
-    lo = min(float(m.min()) for m in means)
-    hi = max(float(m.max()) for m in means)
-    vdir = os.path.join(out, "viz")
-    os.makedirs(vdir, exist_ok=True)
-    entries = []
+    scale = (min(float(m.min()) for m in means), max(float(m.max()) for m in means))
+    os.makedirs(os.path.join(out, "viz"), exist_ok=True)
+    rels = {label: os.path.join("viz", f"{label}_{scene.scene_id}.pgm") for label in maps}
     for label, m in maps.items():
-        rel = os.path.join("viz", f"{label}_{scene.scene_id}.pgm")
-        write_pgm(os.path.join(out, rel), channel_mean_viz(m, (lo, hi)))
-        entries.append((label, rel))
-    return entries
+        write_pgm(os.path.join(out, rels[label]), channel_mean_viz(m, scale))
+    return list(rels.items())

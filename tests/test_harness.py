@@ -1,6 +1,7 @@
 """Harness caches, the frozen teacher and what its directory records, and the CLI."""
 
 import contextlib
+import functools
 import hashlib
 import importlib
 import inspect
@@ -516,9 +517,10 @@ def test_report_under_another_config_skips_its_runs_and_trains_nothing(
         study, tmp_path, monkeypatch, capsys, change):
     # the study's runs finished under steps 2 and teacher_steps 2: under
     # any other run config they are not this report's runs, and the report
-    # neither reads them nor trains a teacher or a student for its maps
+    # neither reads them, nor the .txt tables they made, nor trains a
+    # teacher or a student for its maps, nor loads the corpus
     out = copy_study(study, tmp_path)
-    for name in ("pretrain_teacher", "train_student"):
+    for name in ("pretrain_teacher", "train_student", "load_splits"):
         monkeypatch.setattr(H, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
     config = TINY_STUDY.replace(f"\n{change[:-1]}2\n", f"\n{change}\n")
     assert config != TINY_STUDY
@@ -526,10 +528,12 @@ def test_report_under_another_config_skips_its_runs_and_trains_nothing(
     assert run_verb(out, "report", config=config) == 0
     report = read_bytes(os.path.join(out, "report.md")).decode()
     for note in ("(standard RoI table skipped", "(extended RoI table skipped",
-                 "(feature maps missing"):
+                 "(ablation table missing", "(sweep table missing",
+                 "(similarity table missing", "(feature maps missing"):
         assert note in report, note
     err = capsys.readouterr().err
-    for item in ("detection/standard", "detection/extended", "viz"):
+    for item in ("detection/standard", "detection/extended", "ablation", "sweep_lambda",
+                 "similarity", "viz"):
         assert f"missing: {item}: baseline_seed1 did not finish under this config\n" in err
     # under the study's own config the same files make the whole report again
     assert run_verb(out, "report") == 0
@@ -564,10 +568,29 @@ def test_a_failed_train_verb_leaves_its_traceback(study, tmp_path, monkeypatch, 
 
 
 def test_report_rerun_is_byte_identical(study, tmp_path):
+    # also without the .txt tables the verbs write: the report recomputes
+    # its tables from the run records
     out = copy_study(study, tmp_path)
     first = read_bytes(os.path.join(out, "report.md"))
+    for removed in ((), STUDY_TABLES):
+        for name in removed:
+            os.remove(os.path.join(out, name))
+        assert run_verb(out, "report") == 0
+        assert read_bytes(os.path.join(out, "report.md")) == first, removed
+
+
+def test_report_without_its_teacher_cache_trains_nothing(study, tmp_path, monkeypatch, capsys):
+    # the runs finished under the study's config, but the teacher they
+    # trained against is gone: the report marks its maps missing instead
+    out = copy_study(study, tmp_path)
+    shutil.rmtree(os.path.join(out, "teacher"))
+    for name in ("pretrain_teacher", "train_student", "load_splits", "export_dataset"):
+        monkeypatch.setattr(H, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+    capsys.readouterr()
     assert run_verb(out, "report") == 0
-    assert read_bytes(os.path.join(out, "report.md")) == first
+    assert "(feature maps missing" in read_bytes(os.path.join(out, "report.md")).decode()
+    tdir = os.path.join(out, "teacher", RunConfig.parse(TINY_STUDY).teacher_hash())
+    assert capsys.readouterr().err == f"missing: viz: no teacher cached in {tdir}\n"
 
 
 def test_report_on_a_fresh_directory_notes_every_missing_artifact(tmp_path, capsys):
@@ -613,32 +636,41 @@ def test_a_checkpoint_write_cut_short_leaves_no_manifest_and_no_viz(study, tmp_p
 @pytest.mark.parametrize("verb, table, failing", [
     ("ablation", "ablation.txt", "raw_seed1"),
     ("sweep-lambda", "sweep_lambda.txt", "norm_adapter_seed1"),
-    ("ablation", "similarity.txt", "raw_seed1")])
+    ("ablation", "similarity.txt", "raw_seed1"),
+    # every run fails, so the sweep has no point to plot
+    ("sweep-lambda", "sweep_lambda.txt", "baseline_seed1 norm_adapter_seed1"),
+    ("ablation", "ablation.txt", " ".join(f"{v}_seed1" for v in SV.VARIANTS))])
 def test_failed_run_makes_the_verb_exit_2(study, tmp_path, monkeypatch, capsys,
                                           verb, table, failing):
     out = copy_study(study, tmp_path)
     plain_run = H.train_run
+    failing = failing.split()
+    for name in failing:  # a run that fails has no record
+        shutil.rmtree(os.path.join(out, "runs", name))
 
-    def fail_one(cfg, out, variant, seed, lam=None):
-        if f"{variant}_seed{seed}" == failing:
+    def fail_some(cfg, out, variant, seed, lam=None):
+        if f"{variant}_seed{seed}" in failing:
             raise H.HarnessError("forced failure")
         return plain_run(cfg, out, variant, seed, lam)
 
-    monkeypatch.setattr(H, "train_run", fail_one)
+    monkeypatch.setattr(H, "train_run", fail_some)
     capsys.readouterr()
     assert run_verb(out, verb) == 2
     with open(os.path.join(out, table)) as f:
         failed = [l for l in f if l.startswith("# failed")]
-    assert failed == [f"# failed {failing}: HarnessError: forced failure\n"]
-    assert f"FAILED {failing}: HarnessError: forced failure" in capsys.readouterr().err
-    error_path = os.path.join(out, "runs", failing, "error.txt")
-    with open(error_path) as f:
-        trace = f.read()
-    assert trace.startswith("Traceback") and "HarnessError: forced failure" in trace
-    # a later success of the same spec clears it
+    assert failed == [f"# failed {name}: HarnessError: forced failure\n" for name in failing]
+    err = capsys.readouterr().err.splitlines()
+    assert [l for l in err if l.startswith("FAILED ")] == \
+        [f"FAILED {name}: HarnessError: forced failure" for name in failing]
+    for name in failing:
+        with open(os.path.join(out, "runs", name, "error.txt")) as f:
+            trace = f.read()
+        assert trace.startswith("Traceback") and "HarnessError: forced failure" in trace
+    # a later success of the same specs clears them
     monkeypatch.setattr(H, "train_run", plain_run)
     assert run_verb(out, verb) == 0
-    assert not os.path.exists(error_path)
+    for name in failing:
+        assert not os.path.exists(os.path.join(out, "runs", name, "error.txt"))
 
 
 def test_jobs_2_writes_the_same_records_as_jobs_1(study, tmp_path):
@@ -776,16 +808,31 @@ def test_run_many_splits_the_cpus_between_its_processes(tmp_path, monkeypatch, c
     assert SV.fit_threads() == cpus  # the parent keeps every CPU
 
 
-# the fixed short run: its config, eval files, log and checksum, pinned. A
-# change that moves results on purpose updates these values and says so.
-FIXED_SHORT_RUN = "n_train 8\nn_val 4\nsteps 20\nteacher_steps 20\n"
-PINNED = {
-    "config.txt": "5f0c848f33f1fd01da686b45fb1262be92862c8f15f7842202a13e34af3b7592",
-    "eval_extended.txt": "eaf7a38030a7db2bd848fc22b72658576d31b09dd8a94bf942d98b4415baed70",
-    "eval_standard.txt": "3becac828dc15c9340b3e2097891b3d7bc337ee982e4f7fd520351a8c27812ac",
-    "log.txt": "1f1853a6a5d7903e21fda073b14d6ff25d657037d025e50d4eabc2099beed136",
-    "checksum": "1eb050319c8cd6233002c3bfad61cb914ae095b67e23929b4c5c5892a2befe74",
-}
+# Every pin below holds for one BLAS kernel only: each OpenBLAS kernel sums
+# a matmul in its own order, and training carries the difference into the
+# trained bits. The pins are therefore keyed by the fingerprint of the
+# kernel that runs, in a process with one BLAS thread as the CLI sets it:
+# sha256 of three seeded float64 matmuls at the shapes of the student's
+# convs as column products. One row is OpenBLAS's AVX-512 kernel
+# (SkylakeX), the other its AVX2 kernel (Haswell, which Zen matches),
+# recorded with OPENBLAS_CORETYPE=Haswell set for the test process.
+BLAS_FINGERPRINT = """
+import hashlib, numpy as np
+rng, h = np.random.default_rng(0), hashlib.sha256()
+for m, k, n in ((12, 27, 1152), (16, 108, 288), (96, 864, 288)):
+    h.update((rng.standard_normal((m, k)) @ rng.standard_normal((k, n))).tobytes())
+print(h.hexdigest())
+"""
+SKYLAKEX = "1c40a301b9f42e99002af3e1bb96fbfe06fde549cf44441e585a58950c0ac341"
+HASWELL = "b2d93c109d9f6808f1a09603376a610720ef67fb270c611fe8bf9b6db73a1b9f"
+
+
+@functools.lru_cache(maxsize=None)
+def blas_fingerprint():
+    env = {**os.environ, **{var: "1" for var in BLAS_VARS}}
+    done = subprocess.run([sys.executable, "-c", BLAS_FINGERPRINT], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return done.stdout.strip()
 
 
 def blas_lines():
@@ -795,10 +842,42 @@ def blas_lines():
     return [line for line in buf.getvalue().splitlines() if "blas" in line.lower()]
 
 
+def pinned_row(table):
+    """This kernel's row of a pin table; a kernel with no row fails the pin."""
+    fingerprint = blas_fingerprint()
+    assert fingerprint in table, "\n".join(
+        [f"no pinned row for BLAS fingerprint {fingerprint}; pin this kernel's values "
+         "under it", "BLAS:"] + blas_lines())
+    return table[fingerprint]
+
+
+# the fixed short run: its config, eval files, log and checksum, pinned. A
+# change that moves results on purpose updates both rows and says so.
+FIXED_SHORT_RUN = "n_train 8\nn_val 4\nsteps 20\nteacher_steps 20\n"
+FIXED_SHORT_RUN_FILES = {
+    "config.txt": "5f0c848f33f1fd01da686b45fb1262be92862c8f15f7842202a13e34af3b7592",
+    "eval_extended.txt": "eaf7a38030a7db2bd848fc22b72658576d31b09dd8a94bf942d98b4415baed70",
+    "eval_standard.txt": "3becac828dc15c9340b3e2097891b3d7bc337ee982e4f7fd520351a8c27812ac",
+}
+PINNED = {
+    SKYLAKEX: {
+        **FIXED_SHORT_RUN_FILES,
+        "log.txt": "1f1853a6a5d7903e21fda073b14d6ff25d657037d025e50d4eabc2099beed136",
+        "checksum": "1eb050319c8cd6233002c3bfad61cb914ae095b67e23929b4c5c5892a2befe74",
+    },
+    HASWELL: {
+        **FIXED_SHORT_RUN_FILES,
+        "log.txt": "a4dd28aa1d12cfebbda010be48b31829759c64833af52808cfae4505613f36bb",
+        "checksum": "946be3df47895b484f3074d10402ee4f12678ae131d817b13d84420f3760d36a",
+    },
+}
+
+
 def test_fixed_short_run_keeps_its_pinned_digests(tmp_path):
     # through the CLI, which pins BLAS to one thread before numpy loads;
     # in this process numpy has loaded already with whatever it found, and
     # the summation order, so every digest, depends on the thread count
+    pinned = pinned_row(PINNED)
     cfg_path = tmp_path / "short.cfg"
     cfg_path.write_text(FIXED_SHORT_RUN)
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
@@ -810,9 +889,9 @@ def test_fixed_short_run_keeps_its_pinned_digests(tmp_path):
     assert done.returncode == 0, done.stderr
     rdir = out / "runs" / "norm_adapter_seed1"
     got = {name: hashlib.sha256((rdir / name).read_bytes()).hexdigest()
-           for name in PINNED if name != "checksum"}
+           for name in pinned if name != "checksum"}
     got["checksum"] = H.read_record(str(rdir))["checksum"]
-    moved = [f"{name}: {got[name]} != pinned {want}" for name, want in PINNED.items()
+    moved = [f"{name}: {got[name]} != pinned {want}" for name, want in pinned.items()
              if got[name] != want]
     assert not moved, "\n".join(["moved:"] + moved + ["BLAS:"] + blas_lines())
 
@@ -869,23 +948,34 @@ def test_a_corpus_exported_again_under_loaded_samples_is_not_read_as_theirs(tmp_
 # the fixed short corpus at 10 steps and one seed, through the CLI: the
 # ablation with two worker processes, then the report
 SHORT_STUDY = "n_train 8\nn_val 4\nsteps 10\nteacher_steps 20\nseeds 1\n"
-STUDY_PINNED = {
+# both kernels print these files alike: the tables round to 6 decimals
+STUDY_FILES = {
     "ablation.txt": "80475dfe2b98301a1881665c1fcb1b3f4816e9b7b08bd1b70a2f26a8a84d4526",
     "similarity.txt": "18e2177fb7f6bbcb2fd0099973055b3676c53326d4e7609bab376291bfdedb91",
     "report.md": "4ff703d459843ba0721f4ce7b85c0782f3af485f28aafd0c199cd24b279d06ea",
 }
+STUDY_PINNED = {SKYLAKEX: STUDY_FILES, HASWELL: STUDY_FILES}
 # each run's checkpoint checksum from its record.txt: at 10 steps every
 # mAP prints as 0.000000, so the files above cannot see a change to the
 # trained bits, and these do
 STUDY_RUN_CHECKSUMS = {
-    "baseline_seed1": "4d8e41809bfa2ba1b09925abf420cd4c4c05fc8236f222129d928b1460614f3a",
-    "norm_adapter_seed1": "ee0dba8f0bd296ab717e0400b18b8d38d64678e8e55a06e63d1a643b7ab37953",
-    "norm_only_seed1": "2da907ad370d666b48c225bf4fe3eb34ba463829cd8b4ed83645c1a17b7867b4",
-    "raw_seed1": "e18f7659ad5b0ca6663fe171368e0ce98cc2914fecbad61322ad63e07c95af24",
+    SKYLAKEX: {
+        "baseline_seed1": "4d8e41809bfa2ba1b09925abf420cd4c4c05fc8236f222129d928b1460614f3a",
+        "norm_adapter_seed1": "ee0dba8f0bd296ab717e0400b18b8d38d64678e8e55a06e63d1a643b7ab37953",
+        "norm_only_seed1": "2da907ad370d666b48c225bf4fe3eb34ba463829cd8b4ed83645c1a17b7867b4",
+        "raw_seed1": "e18f7659ad5b0ca6663fe171368e0ce98cc2914fecbad61322ad63e07c95af24",
+    },
+    HASWELL: {
+        "baseline_seed1": "30690b967acbc1ec6f396f4b3c0a356a0fd5004f2ed26a05bdf176a2e7e122dc",
+        "norm_adapter_seed1": "90d368b6344ec6ff75ded015f0aba9431a4693a391dff8226bdeabbaf6bd107f",
+        "norm_only_seed1": "35673bc89b8b96edb511a5bc32f3ac6b30a2d825b223b34db971dc9b3ac0d117",
+        "raw_seed1": "21c965d5b5106c0008b4bb2fc71e636b17557af64b15b38933b54066adb0aa34",
+    },
 }
 
 
 def test_ablation_and_report_keep_their_pinned_digests(tmp_path):
+    files, checksums = pinned_row(STUDY_PINNED), pinned_row(STUDY_RUN_CHECKSUMS)
     cfg_path = tmp_path / "study.cfg"
     cfg_path.write_text(SHORT_STUDY)
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
@@ -896,10 +986,9 @@ def test_ablation_and_report_keep_their_pinned_digests(tmp_path):
                                "--out", str(out)] + verb,
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in STUDY_PINNED}
-    got.update({run: H.read_record(str(out / "runs" / run))["checksum"]
-                for run in STUDY_RUN_CHECKSUMS})
-    pinned = {**STUDY_PINNED, **STUDY_RUN_CHECKSUMS}
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in files}
+    got.update({run: H.read_record(str(out / "runs" / run))["checksum"] for run in checksums})
+    pinned = {**files, **checksums}
     moved = [f"{name}: {got[name]} != pinned {want}" for name, want in pinned.items()
              if got[name] != want]
     assert not moved, "\n".join(["moved:"] + moved + ["BLAS:"] + blas_lines())
