@@ -63,7 +63,7 @@ def build_parser():
                     help="override the config variant")
     sub.add_parser("ablation", help="all variants x seeds comparison and "
                                     "teacher-student similarity tables")
-    sub.add_parser("sweep-lambda", help="alignment-weight sweep with plots")
+    sub.add_parser("sweep-lambda", help="alignment-weight sweep")
     sub.add_parser("report", help="consolidated markdown report")
     return p
 
@@ -92,8 +92,8 @@ def main(argv=None):
         out = args.out
 
         if args.verb == "gen":
-            path, n_train, n_val = harness.cmd_gen(cfg, out)
-            print(f"{path}: {n_train} train + {n_val} val scenes "
+            path = harness.ensure_dataset(cfg, out)
+            print(f"{path}: {cfg.n_train} train + {cfg.n_val} val scenes "
                   f"(dataset hash {cfg.dataset_hash()})")
             return 0
 
@@ -109,19 +109,10 @@ def main(argv=None):
                   f"({rec['wall_clock']}s, teacher calls {calls})")
             return 0
 
-        if args.verb == "ablation":
-            rows, failures = harness.cmd_ablation(cfg, out, jobs=jobs)
-            for variant, n, mean, spread, delta in rows:
-                print(f"{variant:13s} n={n} mAP {mean:.4f} "
-                      f"spread {spread:.4f} delta {delta:+.4f}")
-            _print_failures(failures)
-            return 2 if failures else 0
-
-        if args.verb == "sweep-lambda":
-            rows, failures = harness.cmd_sweep_lambda(cfg, out, jobs=jobs)
-            for lam, n, ms, me in rows:
-                print(f"lambda {lam:<8g} n={n} mAP standard {ms:.4f} "
-                      f"extended {me:.4f}")
+        if args.verb in ("ablation", "sweep-lambda"):
+            lines, failures = (harness.cmd_ablation(cfg, out, jobs=jobs) if args.verb == "ablation"
+                               else harness.cmd_sweep_lambda(cfg, out, jobs=jobs))
+            print("\n".join(lines))
             _print_failures(failures)
             return 2 if failures else 0
 

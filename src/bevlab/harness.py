@@ -9,8 +9,9 @@ models are built and reloaded through its builders only; a run directory
 stores the exact config it ran with, so repeating a (config, seed) pair
 rewrites its eval files byte for byte. The caches key on the config
 fields they read, not on code, so a change that moves results needs a
-fresh --out. The .txt tables are views that the verbs write from
-``study_table``; the report recomputes every table from the run records.
+fresh --out. Each table pools the records of its ``study_specs`` runs in
+``study_table``: the verbs write the .txt tables from it, and the report
+its tables and sweep plots. The report trains nothing and writes no cache.
 
 Layout under the output directory:
 
@@ -22,7 +23,8 @@ Layout under the output directory:
                                 per-scene teacher-student rows, exact floats),
                                 record.txt, and error.txt with the traceback
                                 if it failed
-    ablation.txt  similarity.txt  sweep_lambda.txt  sweep_<roi>.svg  report.md
+    ablation.txt  similarity.txt  sweep_lambda.txt   written by the verbs
+    report.md  sweep_<roi>.svg  written by the report
     viz/                        channel-mean maps of the report's first val
                                 scene (teacher, baseline, configured variant)
 """
@@ -45,7 +47,7 @@ from .encoders import (adopt_params, decode_map, load_checkpoint, named_params,
 from .mapeval import (CLASS_NAMES, N_CLASSES, ROIS, EvalConfig, evaluate, read_eval_file,
                       write_eval_file)
 from .plots import line_plot
-from .scenegen import export_dataset, load_dataset
+from .scenegen import export_dataset, load_dataset, load_sample, read_manifest
 from .supervision import VARIANTS, fit_threads, share_cpus, train_student
 
 
@@ -57,8 +59,9 @@ class HarnessError(RuntimeError):
 # dataset and teacher caches
 # ---------------------------------------------------------------------------
 
-def ensure_dataset(cfg: RunConfig, out):
-    """Generate the corpus unless a matching one is already on disk."""
+def find_dataset(cfg: RunConfig, out):
+    """The corpus directory of this config. Reads only; raises HarnessError
+    naming the dataset hash unless it holds a manifest and the hash tag last."""
     path = os.path.join(out, "dataset")
     tag = os.path.join(path, "dataset_hash.txt")
     want = cfg.dataset_hash()
@@ -66,11 +69,20 @@ def ensure_dataset(cfg: RunConfig, out):
         with open(tag) as f:
             if f.read().strip() == want:
                 return path
+    raise HarnessError(f"no corpus of dataset hash {want} in {path}")
+
+
+def ensure_dataset(cfg: RunConfig, out):
+    """``find_dataset``, after generating the corpus in place of any other."""
+    try:
+        return find_dataset(cfg, out)
+    except HarnessError:
+        path = os.path.join(out, "dataset")
     if os.path.exists(path):
         shutil.rmtree(path)
     export_dataset(path, cfg)
-    with open(tag, "w") as f:
-        f.write(want + "\n")
+    with open(os.path.join(path, "dataset_hash.txt"), "w") as f:
+        f.write(cfg.dataset_hash() + "\n")
     return path
 
 
@@ -294,11 +306,6 @@ def run_many(cfg: RunConfig, out, specs, jobs=1):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_gen(cfg: RunConfig, out):
-    """Render the corpus; returns (path, cfg.n_train, cfg.n_val)."""
-    return ensure_dataset(cfg, out), cfg.n_train, cfg.n_val
-
-
 # name: (cell formats, .txt header, report header); the verbs write the
 # first three to <name>.txt, and the report shows all of them
 TABLES = {
@@ -321,8 +328,18 @@ def _mean(values):
     return float(np.mean(values)) if values else float("nan")
 
 
-def study_table(cfg: RunConfig, out, name, specs):
-    """(rows, unfinished) of table ``name`` over the runs of ``specs``: rows
+def study_specs(cfg: RunConfig, name):
+    """The (variant, seed, lam) runs of table ``name``, each once: ``sweep_specs``
+    for sweep_lambda, else the baseline and ``cfg.variant`` for detection/<roi>
+    and every variant for ablation and similarity, each x ``seeds``."""
+    if name == "sweep_lambda":
+        return sweep_specs(cfg)
+    variants = ("baseline", cfg.variant) if name.startswith("detection/") else VARIANTS
+    return list(dict.fromkeys((v, s, None) for v in variants for s in cfg.seeds))
+
+
+def study_table(cfg: RunConfig, out, name):
+    """(rows, unfinished) of table ``name`` over its ``study_specs``: rows
     pool the runs ``finished_record`` accepts under ``cfg``, one per lambda
     for the sweep and per variant otherwise, nan where none is; unfinished
     names the first it rejects, or is None. Rows: ablation (variant, n,
@@ -330,9 +347,10 @@ def study_table(cfg: RunConfig, out, name, specs):
     (variant, n, median and IQR of cka, centered cka, r2) of the runs'
     similarity.txt rows; sweep_lambda (lambda, n, mAP per RoI);
     detection/<roi> (model, class means, mAP), then the delta row."""
+    specs = study_specs(cfg, name)
     key = 2 if name == "sweep_lambda" else 0
     groups, unfinished = {spec[key]: [] for spec in specs}, None
-    for spec in dict.fromkeys(specs):  # a report of the baseline variant repeats its specs
+    for spec in specs:
         rdir, run_cfg = run_dir(cfg, out, *spec)
         if rec := finished_record(rdir, run_cfg):
             groups[spec[key]].append(rec)
@@ -367,24 +385,26 @@ def _cells(name, row):
     return [f.format(x) for f, x in zip(fmts, row)]
 
 
-def _write_table(cfg: RunConfig, out, name, specs, failures):
-    """<name>.txt: header, ``study_table`` rows, failed runs; returns the rows."""
-    rows, _ = study_table(cfg, out, name, specs)
-    lines = ([TABLES[name][1]] + [" ".join(_cells(name, row)) for row in rows]
-             + [f"# failed {run}: {err}" for run, err in failures])
-    with open(os.path.join(out, f"{name}.txt"), "w") as f:
-        f.write("\n".join(lines) + "\n")
-    return rows
+def _write_tables(cfg: RunConfig, out, names, jobs):
+    """Trains the runs of tables ``names``, which all share them, then writes
+    each <name>.txt: header, ``study_table`` rows, failed runs. Returns (the
+    lines of the last table but its failed runs, failures)."""
+    _, failures = run_many(cfg, out, study_specs(cfg, names[0]), jobs)
+    for name in names:
+        rows, _ = study_table(cfg, out, name)
+        lines = [TABLES[name][1]] + [" ".join(_cells(name, row)) for row in rows]
+        with open(os.path.join(out, f"{name}.txt"), "w") as f:
+            f.write("\n".join(lines + [f"# failed {run}: {err}" for run, err in failures])
+                    + "\n")
+    return lines, failures
 
 
 def cmd_ablation(cfg: RunConfig, out, seeds=None, jobs=1):
-    """All four variants x seeds; writes ablation.txt and similarity.txt.
-    Returns (ablation rows, failures), which both files list last."""
-    seeds = list(cfg.seeds if seeds is None else seeds)
-    specs = [(v, s, None) for v in VARIANTS for s in seeds]
-    _, failures = run_many(cfg, out, specs, jobs)
-    _write_table(cfg, out, "similarity", specs, failures)
-    return _write_table(cfg, out, "ablation", specs, failures), failures
+    """All four variants x ``seeds`` (the config's unless given); writes
+    similarity.txt, then ablation.txt, whose lines ``_write_tables`` returns."""
+    if seeds is not None:
+        cfg = cfg.with_overrides(seeds=tuple(seeds))
+    return _write_tables(cfg, out, ("similarity", "ablation"), jobs)
 
 
 def sweep_specs(cfg: RunConfig):
@@ -404,17 +424,8 @@ def sweep_specs(cfg: RunConfig):
 
 
 def cmd_sweep_lambda(cfg: RunConfig, out, jobs=1):
-    """Trains the ``sweep_specs`` runs; writes sweep_lambda.txt, and one line
-    plot per RoI unless no lambda finished. Returns (rows, failures)."""
-    specs = sweep_specs(cfg)
-    _, failures = run_many(cfg, out, specs, jobs)
-    rows = _write_table(cfg, out, "sweep_lambda", specs, failures)
-    good = [r for r in rows if r[1]]
-    for i, roi in enumerate(ROIS if good else ()):
-        line_plot(os.path.join(out, f"sweep_{roi}.svg"), [r[0] for r in good],
-                  [r[2 + i] for r in good], title="Alignment weight sweep",
-                  x_label="lambda", y_label=f"val mAP ({roi} RoI)")
-    return rows, failures
+    """Trains the ``sweep_specs`` runs and writes sweep_lambda.txt (``_write_tables``)."""
+    return _write_tables(cfg, out, ("sweep_lambda",), jobs)
 
 
 def load_student(cfg: RunConfig, rdir, teacher):
@@ -438,65 +449,64 @@ def load_student(cfg: RunConfig, rdir, teacher):
 # report
 # ---------------------------------------------------------------------------
 
-def _report_table(cfg: RunConfig, out, name, specs, missing):
-    """Markdown lines of table ``name`` over ``specs()``, or [] and why in ``missing``."""
+def _report_table(cfg: RunConfig, out, name, missing):
+    """(rows, markdown lines) of table ``name``, or ([], []) and why in ``missing``."""
     try:
-        rows, unfinished = study_table(cfg, out, name, specs())
+        rows, unfinished = study_table(cfg, out, name)
         if unfinished:
             raise HarnessError(f"{unfinished} did not finish under this config")
     except (HarnessError, OSError) as e:
         missing.append(f"{name}: {e}")
-        return []
+        return [], []
     header = TABLES[name][2]
-    return (["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-            + ["| " + " | ".join(_cells(name, row)) + " |" for row in rows] + [""])
+    return rows, (["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+                  + ["| " + " | ".join(_cells(name, row)) + " |" for row in rows] + [""])
 
 
 def cmd_report(cfg: RunConfig, out):
     """Consolidated markdown report of the runs that finished under ``cfg``;
-    returns (path, missing). Each table is ``study_table``'s rows over the
-    specs its verb trains, recomputed from the run records, never read from
-    a .txt table. A table with a run that did not finish under ``cfg``
-    gives way to a note, and ``missing`` names the run. Nothing trains."""
-    seeds = list(cfg.seeds)
+    returns (path, missing). Each table is ``study_table``'s rows, never read
+    from a .txt table, and the sweep plots draw the sweep rows it shows. A
+    table with a run that did not finish under ``cfg`` gives way to a note,
+    and ``missing`` names the run. Nothing trains, and no cache is written."""
     missing = []
     lines = ["# Cross-view supervision study", "", f"Config hash `{cfg.config_hash()}`, corpus "
               f"{cfg.n_train}+{cfg.n_val} scenes, variants trained for "
-              f"{cfg.steps} steps, seeds {', '.join(str(s) for s in seeds)}.", ""]
+              f"{cfg.steps} steps, seeds {', '.join(str(s) for s in cfg.seeds)}.", ""]
 
     # Table 1 shape: baseline vs the adapter variant, both RoIs
     lines += ["## Detection comparison", ""]
-    detection = [(v, s, None) for v in ("baseline", cfg.variant) for s in seeds]
     for roi in ROIS:
-        table = _report_table(cfg, out, f"detection/{roi}", lambda: detection, missing)
+        _, table = _report_table(cfg, out, f"detection/{roi}", missing)
         lines += ([f"### {roi} RoI", ""] + table if table
                   else [f"({roi} RoI table skipped: missing run artifacts)", ""])
 
     # Table 2 shape: the normalization ablation
-    ablation = [(v, s, None) for v in VARIANTS for s in seeds]
     lines += ["## Normalization ablation (extended RoI)", ""]
-    lines += (_report_table(cfg, out, "ablation", lambda: ablation, missing)
+    lines += (_report_table(cfg, out, "ablation", missing)[1]
               or ["(ablation table missing; run the ablation command)", ""])
 
-    # lambda sweep
+    # lambda sweep, one line plot per RoI
     lines += ["## Alignment weight sensitivity", ""]
-    sweep = _report_table(cfg, out, "sweep_lambda", lambda: sweep_specs(cfg), missing)
+    rows, sweep = _report_table(cfg, out, "sweep_lambda", missing)
     lines += sweep or ["(sweep table missing; run the sweep-lambda command)", ""]
-    if sweep:
-        svgs = {roi: f"sweep_{roi}.svg" for roi in ROIS}
-        missing += [svg for svg in svgs.values() if not os.path.exists(os.path.join(out, svg))]
-        lines += [f"![lambda sweep, {roi} RoI]({svg})" for roi, svg in svgs.items()
-                  if svg not in missing] + [""]
+    if rows:
+        for i, roi in enumerate(ROIS):
+            line_plot(os.path.join(out, f"sweep_{roi}.svg"), [r[0] for r in rows],
+                      [r[2 + i] for r in rows], title="Alignment weight sweep",
+                      x_label="lambda", y_label=f"val mAP ({roi} RoI)")
+            lines.append(f"![lambda sweep, {roi} RoI](sweep_{roi}.svg)")
+        lines.append("")
 
     # similarity study
     lines += ["## Feature similarity (validation split)", ""]
-    lines += (_report_table(cfg, out, "similarity", lambda: ablation, missing)
+    lines += (_report_table(cfg, out, "similarity", missing)[1]
               or ["(similarity table missing; run the ablation command)", ""])
 
     # feature visualizations, shared gray scale
     lines += ["## Channel-mean features, first validation scene", ""]
     try:
-        viz = _write_viz(cfg, out, seeds[0])
+        viz = _write_viz(cfg, out, cfg.seeds[0])
     except HarnessError as e:
         missing.append(f"viz: {e}")
         lines += ["(feature maps missing; train baseline and adapter runs)", ""]
@@ -513,10 +523,10 @@ def cmd_report(cfg: RunConfig, out):
 
 
 def _write_viz(cfg, out, seed):
-    """Teacher/baseline/adapter channel-mean maps of the first val scene that
-    ``load_dataset`` yields, on one shared scale; returns [(label, relative
-    path)]. Reads only: raises HarnessError naming a run that did not finish
-    under ``cfg`` or lacks its checkpoint, or a teacher cache left cold."""
+    """Teacher/baseline/adapter channel-mean maps of the manifest's first val
+    scene, on one shared scale; returns [(label, relative path)]. Reads only:
+    raises HarnessError naming a run that did not finish under ``cfg`` or
+    lacks its checkpoint, or a teacher or corpus cache this config lacks."""
     runs = {v: run_dir(cfg, out, v, seed) for v in ("baseline", cfg.variant)}
     for rdir, run_cfg in runs.values():
         if not finished_record(rdir, run_cfg):
@@ -525,7 +535,8 @@ def _write_viz(cfg, out, seed):
             raise HarnessError(f"{os.path.basename(rdir)} has no checkpoint manifest")
     teacher, _ = load_teacher(cfg, out)
     grid, rig = cfg.grid(), cfg.rig()
-    scene = next(s for s in load_dataset(ensure_dataset(cfg, out)) if s.split == "val")
+    path = find_dataset(cfg, out)
+    scene = load_sample(path, *next(row for row in read_manifest(path) if row[1] == "val"))
     maps = {"teacher": teacher_forward(teacher, scene.overhead, grid).tensor.data}
     for variant, (rdir, _) in runs.items():
         student, _, _ = load_student(cfg, rdir, teacher)

@@ -371,7 +371,7 @@ class Sample:
     files in camera order and ``gt.txt`` elements; other files are ignored.
 
     ``cams`` is the list of camera images, or the scene's camera files as
-    ``load_dataset`` checked them. Files are read the first time ``.cams``
+    ``load_sample`` checked them. Files are read the first time ``.cams``
     is used, each once, and the images kept from then on: only the
     student looks at them, so teacher pretraining and evaluation never
     hold them in memory."""
@@ -432,23 +432,27 @@ def read_manifest(path):
     return rows
 
 
-def load_dataset(path):
-    """Yields every Sample, train and val, in manifest order; errors name the scene id.
+def load_sample(path, sid, split, seed):
+    """The Sample of one manifest row of the corpus at ``path``, errors naming
+    the scene id: the overhead raster and gt are read here, and each camera
+    file's header is checked against its size, its payload read only when
+    the sample's ``.cams`` is first used."""
+    sdir = os.path.join(path, sid)
+    try:
+        overhead = read_ten(os.path.join(sdir, "overhead.ten"))
+        paths = []
+        while os.path.exists(cam := os.path.join(sdir, f"cam_{len(paths)}.ten")):
+            paths.append(cam)
+        if not paths:
+            raise SceneGenError("no camera tensors found")
+        cams = _CameraFiles(sid, paths)
+        gt = read_polylines(os.path.join(sdir, "gt.txt"))
+    except Exception as e:
+        raise SceneGenError(f"{sid}: {e}") from e
+    return Sample(sid, split, seed, overhead, cams, gt)
 
-    The overhead raster and gt are read here. Each camera file is opened
-    and its header checked against its size, but its payload is read only
-    when the sample's ``.cams`` is first used."""
-    for sid, sp, seed in read_manifest(path):
-        sdir = os.path.join(path, sid)
-        try:
-            overhead = read_ten(os.path.join(sdir, "overhead.ten"))
-            paths = []
-            while os.path.exists(cam := os.path.join(sdir, f"cam_{len(paths)}.ten")):
-                paths.append(cam)
-            if not paths:
-                raise SceneGenError("no camera tensors found")
-            cams = _CameraFiles(sid, paths)
-            gt = read_polylines(os.path.join(sdir, "gt.txt"))
-        except Exception as e:
-            raise SceneGenError(f"{sid}: {e}") from e
-        yield Sample(sid, sp, seed, overhead, cams, gt)
+
+def load_dataset(path):
+    """Yields every Sample, train and val, in manifest order (``load_sample``)."""
+    for row in read_manifest(path):
+        yield load_sample(path, *row)

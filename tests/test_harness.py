@@ -59,7 +59,6 @@ def test_corpus_cached_with_meta_txt_loads_and_is_reused(tmp_path, monkeypatch):
             assert len(a.gt) == len(b.gt)
             assert all((ca, sa) == (cb, sb) and np.array_equal(pa, pb)
                        for (ca, sa, pa), (cb, sb, pb) in zip(a.gt, b.gt))
-    assert H.cmd_gen(cfg, out) == (path, cfg.n_train, cfg.n_val)
 
 
 def test_ensure_teacher_writes_loss_log_before_manifest(tmp_path, monkeypatch):
@@ -337,11 +336,23 @@ def test_cli_maps_every_package_error_to_exit_1(tmp_path, monkeypatch, capsys):
 
         def fail(cfg, out, err=err):
             raise err(f"{err.__name__} raised")
-        monkeypatch.setattr(H, "cmd_gen", fail)
+        monkeypatch.setattr(H, "ensure_dataset", fail)
         assert cli.main(["--out", str(tmp_path), "gen"]) == 1, err.__name__
         captured = capsys.readouterr()
         assert captured.err == f"error: {err.__name__} raised\n"
         assert captured.out == ""
+
+
+def test_gen_prints_the_corpus_its_counts_and_its_hash(tmp_path, capsys):
+    cfg_path = tmp_path / "gen.cfg"
+    cfg_path.write_text("n_train 2\nn_val 1\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["--config", str(cfg_path), "--out", out, "gen"]) == 0
+    cfg = RunConfig.load(str(cfg_path))
+    path = os.path.join(out, "dataset")
+    assert capsys.readouterr().out == \
+        f"{path}: 2 train + 1 val scenes (dataset hash {cfg.dataset_hash()})\n"
+    assert H.find_dataset(cfg, out) == path
 
 
 def test_cli_refuses_a_config_file_that_is_not_utf8(tmp_path, capsys):
@@ -383,7 +394,8 @@ def test_cli_rejects_bad_jobs_and_seeds_before_any_work(tmp_path, monkeypatch, c
                                                         argv, message):
     def no_work(*args, **kwargs):
         raise AssertionError("the verb ran")
-    for verb in ("cmd_gen", "train_run", "cmd_ablation", "cmd_sweep_lambda", "cmd_report"):
+    for verb in ("ensure_dataset", "train_run", "cmd_ablation", "cmd_sweep_lambda",
+                 "cmd_report"):
         monkeypatch.setattr(H, verb, no_work)
     out = str(tmp_path / "out")
     assert cli.main(["--out", out] + argv) == 1
@@ -593,6 +605,47 @@ def test_report_without_its_teacher_cache_trains_nothing(study, tmp_path, monkey
     assert capsys.readouterr().err == f"missing: viz: no teacher cached in {tdir}\n"
 
 
+def test_report_over_another_corpus_writes_none(study, tmp_path, monkeypatch, capsys):
+    # out/dataset now holds another config's corpus: the report marks its
+    # maps missing instead of exporting the study's corpus again
+    out = copy_study(study, tmp_path)
+    cfg = RunConfig.parse(TINY_STUDY)
+    H.ensure_dataset(cfg.with_overrides(curvature=0.02), out)
+    monkeypatch.setattr(H, "export_dataset", lambda *a, **k: pytest.fail("export_dataset ran"))
+    capsys.readouterr()
+    assert run_verb(out, "report") == 0
+    assert "(feature maps missing" in read_bytes(os.path.join(out, "report.md")).decode()
+    assert capsys.readouterr().err == (f"missing: viz: no corpus of dataset hash "
+                                       f"{cfg.dataset_hash()} in {os.path.join(out, 'dataset')}\n")
+
+
+def test_report_reads_only_the_val_scene_it_maps(study, tmp_path, monkeypatch):
+    out = copy_study(study, tmp_path)
+    reads = []
+    plain = S.read_ten
+    monkeypatch.setattr(S, "read_ten", lambda path, *a: reads.append(path) or plain(path, *a))
+    assert run_verb(out, "report") == 0
+    assert [os.path.basename(p) for p in reads] == ["overhead.ten"]
+    assert read_bytes(os.path.join(out, "report.md")) == \
+        read_bytes(os.path.join(study[0], "report.md"))
+
+
+def test_report_plots_the_sweep_rows_it_shows(study, tmp_path, capsys):
+    # a sweep over three factors, then a report over two of them: the plots
+    # hold the report's two points, not the sweep's three
+    out = copy_study(study, tmp_path)
+    wider = TINY_STUDY.replace("lambda_factors 0.0 1.0", "lambda_factors 0.0 0.5 1.0")
+    assert wider != TINY_STUDY
+    assert run_verb(out, "sweep-lambda", config=wider) == 0
+    capsys.readouterr()
+    assert run_verb(out, "report") == 0
+    assert "missing: sweep_" not in capsys.readouterr().err
+    for name in ("report.md",) + tuple(f"sweep_{roi}.svg" for roi in H.ROIS):
+        got = read_bytes(os.path.join(out, name))
+        assert got == read_bytes(os.path.join(study[0], name)), name
+        assert name == "report.md" or got.decode().count("<circle") == 2, name
+
+
 def test_report_on_a_fresh_directory_notes_every_missing_artifact(tmp_path, capsys):
     out = str(tmp_path / "fresh")
     assert cli.main(["--out", out, "report"]) == 0
@@ -633,11 +686,17 @@ def test_a_checkpoint_write_cut_short_leaves_no_manifest_and_no_viz(study, tmp_p
     assert "(feature maps missing" in read_bytes(os.path.join(out, "report.md")).decode()
 
 
+def verb_table(out, verb):
+    """The table file a study verb is named after, without its failed runs."""
+    with open(os.path.join(out, verb.replace("-", "_") + ".txt")) as f:
+        return "".join(l for l in f if not l.startswith("# failed"))
+
+
 @pytest.mark.parametrize("verb, table, failing", [
     ("ablation", "ablation.txt", "raw_seed1"),
     ("sweep-lambda", "sweep_lambda.txt", "norm_adapter_seed1"),
     ("ablation", "similarity.txt", "raw_seed1"),
-    # every run fails, so the sweep has no point to plot
+    # every run fails, so no sweep row pools a run
     ("sweep-lambda", "sweep_lambda.txt", "baseline_seed1 norm_adapter_seed1"),
     ("ablation", "ablation.txt", " ".join(f"{v}_seed1" for v in SV.VARIANTS))])
 def test_failed_run_makes_the_verb_exit_2(study, tmp_path, monkeypatch, capsys,
@@ -659,7 +718,10 @@ def test_failed_run_makes_the_verb_exit_2(study, tmp_path, monkeypatch, capsys,
     with open(os.path.join(out, table)) as f:
         failed = [l for l in f if l.startswith("# failed")]
     assert failed == [f"# failed {name}: HarnessError: forced failure\n" for name in failing]
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    # the verb prints its own table, without the failed runs
+    assert captured.out == verb_table(out, verb)
+    err = captured.err.splitlines()
     assert [l for l in err if l.startswith("FAILED ")] == \
         [f"FAILED {name}: HarnessError: forced failure" for name in failing]
     for name in failing:
@@ -669,6 +731,7 @@ def test_failed_run_makes_the_verb_exit_2(study, tmp_path, monkeypatch, capsys,
     # a later success of the same specs clears them
     monkeypatch.setattr(H, "train_run", plain_run)
     assert run_verb(out, verb) == 0
+    assert capsys.readouterr().out == verb_table(out, verb)
     for name in failing:
         assert not os.path.exists(os.path.join(out, "runs", name, "error.txt"))
 
