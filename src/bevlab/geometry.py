@@ -388,15 +388,15 @@ def _nearest_sq(points, table):
     segment too. A segment is a candidate of the run unless the distance
     between its box and the run's box exceeds the bound plus a margin of
     1e-9 relative to the bound and to the largest vertex coordinate of
-    the table's side, plus 1e-9. Rounding moves every distance here, and
-    every kernel entry, by about 1e-16 of those magnitudes, far below the
-    margin, so the segment with the smallest computed entry is a
-    candidate; the segment that sets the bound always is one, so no run
-    is left without. Each
-    candidate then meets the run's points as one row of a (candidates,
-    RUN) array, and np.minimum.reduceat takes each point's min over its
-    run's rows; the last run repeats the last point to fill its row, and
-    those entries are dropped.
+    all polylines tabled with it (all of a chamfer_matrices call), plus
+    1e-9. Rounding moves every distance and kernel entry by about 1e-16
+    of those magnitudes, far below the margin, so the segment with the
+    smallest computed entry is a candidate, and the segment that sets the
+    bound always is one, so no run is left without. Each candidate then
+    meets the run's points as one row of a (candidates, RUN) array, and
+    np.minimum.reduceat takes each point's min over its run's rows; the
+    last run repeats the last point to fill its row, and those entries
+    are dropped.
 
     Either way every entry is the same arithmetic on the same operands as
     in the point-major layout, the min is exact in any order, and no
@@ -461,8 +461,8 @@ def cells_near_polyline(grid: BevGrid, pts, radius):
 
 
 class _Side:
-    """The polylines of one side of a chamfer matrix, resampled, tabled
-    and boxed in array passes over all of their vertices."""
+    """Polylines resampled, tabled and boxed in array passes over all of
+    their vertices; ``block`` cuts out one side of one chamfer matrix."""
 
     def __init__(self, polylines, step):
         flat = _flatten(polylines)
@@ -475,6 +475,15 @@ class _Side:
         self.n_segs = np.maximum(counts - 1, 1)
         self.lo = np.minimum.reduceat(pts, first, axis=0)
         self.hi = np.maximum.reduceat(pts, first, axis=0)
+
+    def block(self, lo, hi):
+        """Polylines lo to hi - 1 as a _Side of views of this one."""
+        part, at = object.__new__(_Side), self.starts[lo]
+        part.samples = self.samples[at:self.starts[hi - 1] + self.sizes[hi - 1]]
+        part.starts = self.starts[lo:hi] - at
+        for name in ("sizes", "views", "tables", "n_segs", "lo", "hi"):
+            setattr(part, name, getattr(self, name)[lo:hi])
+        return part
 
 
 def _box_gap_sums(side, other):
@@ -501,22 +510,15 @@ def _box_gap_sums(side, other):
 def chamfer_matrix(a_list, b_list, step=0.1, limit=None):
     """(len(a_list), len(b_list)) matrix of chamfer_distance(a, b).
 
-    Each side's polylines are resampled and tabled in array passes over
-    all of their vertices; each pair then runs the nearest-segment kernel,
-    one pair at a time so the working memory stays that of a single pair.
-    Both kernels lay their arrays out with the long sample axis innermost
-    (segments x samples, boxes x samples). Each entry is the same
-    arithmetic as in the sample-major layout, and mins and sums reduce in
-    the same order, so the layout leaves every entry's bits as they were.
-
-    Against a polyline of PRUNE_SEGMENTS segments or more, the nearest-
-    segment kernel prunes (see _nearest_sq): each run of RUN consecutive
-    samples meets only the segments whose box lies within the run's bound,
-    the smallest distance from a segment start to the run's farthest box
-    corner, plus 1e-9 relative (to the bound and the largest vertex
-    coordinate) and 1e-9 absolute. The segment nearest to a sample is
-    always among them, and each (sample, segment) entry is the dense
-    arithmetic, so pruning moves no bit either.
+    It is chamfer_matrices of one pair. That resamples, tables and boxes
+    the polylines of all its pairs in one pass; each entry then runs the
+    nearest-segment kernel, one at a time so the working memory stays that
+    of one entry. No bit moves against a pass per list: each polyline
+    resamples by its own reductions, and each entry's box sums and kernels
+    meet the same samples and tables in the same order, laid out with the
+    long sample axis innermost (see _box_gap_sums and _nearest_sq). The
+    pruning margin grows with the call's largest vertex coordinate, which
+    only adds candidates.
 
     Without `limit` every entry is exact. With it, an entry whose chamfer
     provably exceeds `limit` is inf; every other entry is exact, the same
@@ -533,28 +535,37 @@ def chamfer_matrix(a_list, b_list, step=0.1, limit=None):
       first sum alone over the pooled sample count exceeds the cut, the
       entry is inf and the other direction never runs.
     """
+    return chamfer_matrices([(a_list, b_list)], step, limit)[0]
+
+
+def chamfer_matrices(pairs, step=0.1, limit=None):
+    """chamfer_matrix(a_list, b_list, step, limit) of each pair, from one
+    _Side over the first sides of the pairs, then their second sides."""
     _check_step(step)
-    if not len(a_list) or not len(b_list):  # nothing to pair: skip resampling
-        return np.zeros((len(a_list), len(b_list)))
-    a, b = _Side(a_list, step), _Side(b_list, step)
-    pooled = np.add.outer(a.sizes, b.sizes)
+    out = [np.zeros((len(a), len(b))) for a, b in pairs]
+    live = [k for k, (a, b) in enumerate(pairs) if len(a) and len(b)]  # the rest resample nothing
+    side = _Side([p for s in (0, 1) for k in live for p in pairs[k][s]], step) if live else None
+    at = np.cumsum([0] + [len(pairs[k][s]) for s in (0, 1) for k in live]).tolist()
     cut = np.inf if limit is None else limit * (1.0 + 1e-9) + 1e-9
-    todo = np.ones(pooled.shape, dtype=bool)
-    if limit is not None:
-        bound = _box_gap_sums(a, b) + _box_gap_sums(b, a).T
-        bound /= pooled
-        todo = ~(bound > cut)
-    ab_first = np.multiply.outer(a.sizes, b.n_segs) <= np.multiply.outer(a.n_segs, b.sizes)
-    out = np.full(pooled.shape, np.inf)
-    for i, j in zip(*(k.tolist() for k in np.nonzero(todo))):
-        ab, ba = (a.views[i], b.tables[j]), (b.views[j], a.tables[i])
-        first, second = (ab, ba) if ab_first[i, j] else (ba, ab)
-        s = np.sqrt(_nearest_sq(*first)).sum()
-        if s / pooled[i, j] > cut:
-            continue
-        # float addition commutes, so this is d_ab.sum() + d_ba.sum() in
-        # either order
-        out[i, j] = (s + np.sqrt(_nearest_sq(*second)).sum()) / pooled[i, j]
+    for n, k in enumerate(live):
+        a, b = (side.block(at[x], at[x + 1]) for x in (n, len(live) + n))
+        pooled = np.add.outer(a.sizes, b.sizes)
+        todo = np.ones(pooled.shape, dtype=bool)
+        if limit is not None:
+            bound = _box_gap_sums(a, b) + _box_gap_sums(b, a).T
+            bound /= pooled
+            todo = ~(bound > cut)
+        ab_first = np.multiply.outer(a.sizes, b.n_segs) <= np.multiply.outer(a.n_segs, b.sizes)
+        out[k] = np.full(pooled.shape, np.inf)
+        for i, j in zip(*(x.tolist() for x in np.nonzero(todo))):
+            ab, ba = (a.views[i], b.tables[j]), (b.views[j], a.tables[i])
+            first, second = (ab, ba) if ab_first[i, j] else (ba, ab)
+            d = np.sqrt(_nearest_sq(*first)).sum()
+            if d / pooled[i, j] > cut:
+                continue
+            # float addition commutes, so this is d_ab.sum() + d_ba.sum() in
+            # either order
+            out[k][i, j] = (d + np.sqrt(_nearest_sq(*second)).sum()) / pooled[i, j]
     return out
 
 

@@ -31,6 +31,7 @@ Layout under the output directory:
 
 import multiprocessing
 import os
+import pathlib
 import shutil
 import time
 import traceback
@@ -468,7 +469,8 @@ def cmd_report(cfg: RunConfig, out):
     returns (path, missing). Each table is ``study_table``'s rows, never read
     from a .txt table, and the sweep plots draw the sweep rows it shows. A
     table with a run that did not finish under ``cfg`` gives way to a note,
-    and ``missing`` names the run. Nothing trains, and no cache is written."""
+    and ``missing`` names the run; a skipped plot or map leaves no older
+    file. Nothing trains, and no cache is written."""
     missing = []
     lines = ["# Cross-view supervision study", "", f"Config hash `{cfg.config_hash()}`, corpus "
               f"{cfg.n_train}+{cfg.n_val} scenes, variants trained for "
@@ -490,6 +492,8 @@ def cmd_report(cfg: RunConfig, out):
     lines += ["## Alignment weight sensitivity", ""]
     rows, sweep = _report_table(cfg, out, "sweep_lambda", missing)
     lines += sweep or ["(sweep table missing; run the sweep-lambda command)", ""]
+    for roi in ROIS:  # an older report's plots; drawn again below when there are rows
+        pathlib.Path(out, f"sweep_{roi}.svg").unlink(missing_ok=True)
     if rows:
         for i, roi in enumerate(ROIS):
             line_plot(os.path.join(out, f"sweep_{roi}.svg"), [r[0] for r in rows],
@@ -505,6 +509,7 @@ def cmd_report(cfg: RunConfig, out):
 
     # feature visualizations, shared gray scale
     lines += ["## Channel-mean features, first validation scene", ""]
+    shutil.rmtree(os.path.join(out, "viz"), ignore_errors=True)
     try:
         viz = _write_viz(cfg, out, cfg.seeds[0])
     except HarnessError as e:

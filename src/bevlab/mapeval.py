@@ -3,13 +3,15 @@
 Map elements are (class_id, score, points) triples. Every element of both
 sides is checked first: its class an int (not a bool) in [0, N_CLASSES),
 its score finite, its points (K, 2); a bad one is an EvalError naming the
-scene, the side and the index. Both sides are then clipped to the RoI,
-one array pass over the segments of all of a side's elements per scene;
-an element with a non-finite vertex is an error.
+scene, the side and the index. One array pass clips every element of
+the call, both sides of every scene, to the RoI; fragments never join
+across elements, and a non-finite vertex is an error.
 For each (scene, class) one chamfer matrix of every (prediction, ground
 truth) pair is built, bounded by the largest threshold, and reused at
-every threshold; geometry.chamfer_matrix says which entries it proves to
-be over that bound (inf) and why every other entry keeps its exact bits.
+every threshold. One geometry.chamfer_matrices call resamples all
+fragments in one pass and keeps each matrix's bits; chamfer_matrix says
+why, which entries it proves to be over that bound (inf), and why every
+other entry keeps its exact bits.
 Matching is greedy in score order: each prediction claims the nearest
 still-unmatched ground truth of its class within the chamfer threshold
 (one-to-one). Each (scene, class) and each class's pooled predictions
@@ -27,7 +29,8 @@ import math
 
 import numpy as np
 
-from .geometry import CLASS_NAMES, N_CLASSES, BevGrid, chamfer_matrix, extended_grid, standard_grid
+from .geometry import (CLASS_NAMES, N_CLASSES, BevGrid, chamfer_matrices, chamfer_matrix,
+                       extended_grid, standard_grid)
 
 
 class EvalError(ValueError):
@@ -52,8 +55,8 @@ class EvalConfig:
         make_grid, default = ROIS[roi]
         self.roi, self.grid = roi, make_grid()
         thresholds = tuple(float(t) for t in (default if thresholds is None else thresholds))
-        if not all(t > 0 for t in thresholds) or list(thresholds) != sorted(set(thresholds)):
-            raise EvalError("thresholds must be positive and strictly increasing")
+        if not thresholds or [*thresholds] != sorted({t for t in thresholds if 0 < t < math.inf}):
+            raise EvalError("thresholds must be finite, positive and strictly increasing")
         self.thresholds = thresholds
 
 
@@ -110,6 +113,13 @@ def clip_to_roi(elements, grid: BevGrid):
     segments of all elements, and fragments never join across elements.
     Raises EvalError for an element with a NaN or infinite vertex.
     """
+    return [(*elements[e][:2], frag)
+            for e, frag in _clip_fragments(elements, grid, "element {}".format)]
+
+
+def _clip_fragments(elements, grid: BevGrid, where):
+    """clip_to_roi's pass as [(element index, fragment)]; a NaN or infinite
+    vertex raises EvalError naming its element by ``where(index)``."""
     arrays = [np.asarray(pts, dtype=np.float64) for _, _, pts in elements]
     # one past each element's last vertex in the stacked vertices
     stops = np.cumsum([len(a) for a in arrays], dtype=np.int64)
@@ -119,7 +129,7 @@ def clip_to_roi(elements, grid: BevGrid):
     finite = np.isfinite(pts).all(axis=1)
     if not finite.all():
         bad = int(np.searchsorted(stops, np.argmin(finite), side="right"))
-        raise EvalError(f"element {bad} has a non-finite vertex")
+        raise EvalError(f"{where(bad)} has a non-finite vertex")
     # every vertex but an element's last starts a segment
     starts_segment = np.ones(len(pts), dtype=bool)
     starts_segment[stops[stops > 0] - 1] = False
@@ -156,9 +166,8 @@ def clip_to_roi(elements, grid: BevGrid):
         some = np.flatnonzero(widths == width)
         length[some] = seg_len[at[some, None] + np.arange(width)].sum(axis=1)
     owner = np.searchsorted(stops, sv[first], side="right")
-    return [(elements[e][0], elements[e][1], frags[s:s + n])
-            for e, s, n, keep in zip(owner.tolist(), at.tolist(), size.tolist(),
-                                     (length >= MIN_FRAGMENT_LEN).tolist()) if keep]
+    return [(e, frags[s:s + n]) for e, s, n, keep in zip(
+        owner.tolist(), at.tolist(), size.tolist(), (length >= MIN_FRAGMENT_LEN).tolist()) if keep]
 
 
 # ---------------------------------------------------------------------------
@@ -239,32 +248,37 @@ def _check_elements(elements, scene, side):
 
 
 def evaluate(preds_by_scene: dict, gts_by_scene: dict, cfg: EvalConfig) -> EvalResult:
-    """Full protocol: check every element, clip both sides, build one
-    chamfer matrix per (scene, class) bounded by the largest threshold,
-    rank each (scene, class) and each class's pooled predictions once, and
-    match and integrate at every threshold, pooling AP per cell."""
+    """Full protocol: check every element, clip them all in one pass, build
+    every (scene, class) chamfer matrix, bounded by the largest threshold,
+    in one call, rank each (scene, class) and each class's pooled
+    predictions once, and match and integrate at every threshold."""
     if sorted(preds_by_scene) != sorted(gts_by_scene):
         raise EvalError("prediction and ground-truth scene ids differ")
     scene_ids = sorted(gts_by_scene)
-    for s in scene_ids:
-        _check_elements(preds_by_scene[s], s, "prediction")
-        _check_elements(gts_by_scene[s], s, "ground truth")
-    clipped_p = {s: clip_to_roi(preds_by_scene[s], cfg.grid) for s in scene_ids}
-    clipped_g = {s: clip_to_roi(gts_by_scene[s], cfg.grid) for s in scene_ids}
+    elements, block, names = [], [], []  # by side, then scene; block: (side, scene, class)
+    for side, by_scene in enumerate((preds_by_scene, gts_by_scene)):
+        name = ("prediction", "ground truth")[side]
+        for k, s in enumerate(scene_ids):
+            _check_elements(by_scene[s], s, name)
+            elements += by_scene[s]
+            block += [(side * len(scene_ids) + k) * N_CLASSES + e[0] for e in by_scene[s]]
+            names += [f"scene {s!r}, {name} {i}" for i in range(len(by_scene[s]))]
+    half = len(scene_ids) * N_CLASSES
+    frags = [[] for _ in range(2 * half)]  # (score, fragment) of each block
+    for e, frag in _clip_fragments(elements, cfg.grid, names.__getitem__):
+        frags[block[e]].append((elements[e][1], frag))
+    dists = chamfer_matrices([([f for _, f in frags[k]], [f for _, f in frags[half + k]])
+                              for k in range(half)], limit=cfg.thresholds[-1])
     cells = {}
     for c in range(N_CLASSES):
         per_scene = []
         scores = []
         n_pos = 0
-        for s in scene_ids:
-            p = [e for e in clipped_p[s] if e[0] == c]
-            g = [e for e in clipped_g[s] if e[0] == c]
-            n_pos += len(g)
-            sc = [e[1] for e in p]
+        for k in range(c, half, N_CLASSES):  # scene by scene
+            n_pos += len(frags[half + k])
+            sc = [score for score, _ in frags[k]]
             scores.extend(sc)
-            per_scene.append((_rank(sc),
-                              chamfer_matrix([e[2] for e in p], [e[2] for e in g],
-                                             limit=cfg.thresholds[-1])))
+            per_scene.append((_rank(sc), dists[k]))
         order = _rank(scores)
         for t in cfg.thresholds:
             flags = []

@@ -2,19 +2,22 @@
 
 Everything here is deliberately naive: explicit Python loops and
 textbook formulas, no shared code with the implementations under test.
-Three kinds of exception: the point-major chamfer kernels keep the
+Four kinds of exception: the point-major chamfer kernels keep the
 package's former array layout as a bit-for-bit reference for the
 current one, the renderer references keep the former scalar traversal,
 dense road mask and full-image occluder loop as bit-for-bit references
-for the pruned array passes, and the tape ops at the end wire their own
-forward and backward into the package's tape, for the tests alone.
+for the pruned array passes, ``evaluate_per_block`` keeps evaluate's
+former per-(scene, class) loop as the bit-for-bit reference for its one
+clip pass and one chamfer pass per call, and the tape ops at the end
+wire their own forward and backward into the package's tape, for the
+tests alone.
 """
 
 import math
 
 import numpy as np
 
-from bevlab import geometry, scenegen
+from bevlab import geometry, mapeval, scenegen
 from bevlab.tensors import Tensor, TensorError, custom_op
 
 
@@ -711,6 +714,37 @@ def average_precision_oracle(scores, labels, n_pos):
         prev_recall = recall
     return ap
 
+
+
+def evaluate_per_block(preds_by_scene, gts_by_scene, cfg):
+    """mapeval.evaluate as it scored before one call made one clip pass and
+    one chamfer pass: each scene's predictions and ground truth clipped
+    apart, and one chamfer_matrix per (scene, class), each resampling its
+    own two sides. Every AP cell must keep its bits."""
+    scene_ids = sorted(gts_by_scene)
+    clipped_p = {s: mapeval.clip_to_roi(preds_by_scene[s], cfg.grid) for s in scene_ids}
+    clipped_g = {s: mapeval.clip_to_roi(gts_by_scene[s], cfg.grid) for s in scene_ids}
+    cells = {}
+    for c in range(geometry.N_CLASSES):
+        per_scene = []
+        scores = []
+        n_pos = 0
+        for s in scene_ids:
+            p = [e for e in clipped_p[s] if e[0] == c]
+            g = [e for e in clipped_g[s] if e[0] == c]
+            n_pos += len(g)
+            sc = [e[1] for e in p]
+            scores.extend(sc)
+            per_scene.append((mapeval._rank(sc),
+                              geometry.chamfer_matrix([e[2] for e in p], [e[2] for e in g],
+                                                      limit=cfg.thresholds[-1])))
+        order = mapeval._rank(scores)
+        for t in cfg.thresholds:
+            flags = []
+            for rank, dist in per_scene:
+                flags.extend(mapeval._greedy_match(rank, dist, t))
+            cells[(c, t)] = mapeval._integrate_ap(order, flags, n_pos)
+    return mapeval.EvalResult(cells, cfg.thresholds)
 
 # ---------------------------------------------------------------------------
 # tape leaves and ops only the tests use, and the undivided backward walk

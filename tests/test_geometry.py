@@ -411,6 +411,38 @@ def test_chamfer_matrix_entries_equal_chamfer_distance():
                 assert m[i, j] == G.chamfer_distance(pa, pb)
 
 
+def test_chamfer_matrices_equal_chamfer_matrix_pair_by_pair():
+    # one _Side over every pair's polylines gives each matrix the bits of
+    # chamfer_matrix on its own two lists, inf entries included. Pairs with
+    # an empty side, lanes the kernel prunes, and lanes 1 km off make the
+    # call's vertex scale differ from a pair's own
+    rng = np.random.default_rng(35)
+    u = np.linspace(0.0, 1.0, 41)
+    lane = np.stack([60.0 * u - 30.0, 2.0 * np.sin(3.0 * u)], axis=1)
+    infs = empties = 0
+    for _ in range(25):
+        pairs = []
+        for _ in range(int(rng.integers(1, 7))):
+            a, b = (random_polylines(rng, int(rng.integers(0, 5))) for _ in range(2))
+            for side in (a, b):
+                if rng.random() < 0.5:
+                    side.append(lane + rng.normal(0.0, 0.5, size=2))
+            if rng.random() < 0.2:
+                a, b = [p + 1000.0 for p in a], [p + 1000.0 for p in b]
+            pairs.append((a, b))
+        for limit in (None, 0.5, 2.0):
+            got = G.chamfer_matrices(pairs, limit=limit)
+            assert len(got) == len(pairs)
+            for (a, b), m in zip(pairs, got):
+                want = G.chamfer_matrix(a, b, limit=limit)
+                assert m.shape == want.shape == (len(a), len(b))
+                assert np.array_equal(bits(m), bits(want))
+                infs += int(np.isinf(m).sum())
+                empties += not m.size
+    assert infs > 100 and empties > 10
+    assert G.chamfer_matrices([]) == []
+
+
 def test_polyline_distance_zero_length_segment_projects_to_its_start():
     # with a zero-length segment the projection parameter is pinned to 0,
     # so a point at infinity is infinitely far rather than NaN

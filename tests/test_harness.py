@@ -553,6 +553,31 @@ def test_report_under_another_config_skips_its_runs_and_trains_nothing(
         read_bytes(os.path.join(study[0], "report.md"))
 
 
+def report_files(out):
+    """The plots and maps in ``out``, and the ones its report.md links."""
+    on_disk = sorted(n for n in os.listdir(out) if n.startswith("sweep_") and n.endswith(".svg"))
+    if os.path.isdir(os.path.join(out, "viz")):
+        on_disk += sorted(os.path.join("viz", n) for n in os.listdir(os.path.join(out, "viz")))
+    report = read_bytes(os.path.join(out, "report.md")).decode()
+    linked = re.findall(r"\]\((sweep_\w+\.svg)\)", report) + re.findall(r"`(viz/[^`]+)`", report)
+    return on_disk, sorted(linked)
+
+
+def test_report_leaves_no_file_of_a_section_it_skips(study, tmp_path):
+    # the study's report drew both sweep plots and three maps; a report
+    # under another config skips both sections and must take their files
+    # with it, and the study's own config brings them back
+    out = copy_study(study, tmp_path)
+    on_disk, linked = report_files(out)
+    assert len(on_disk) == 5 and on_disk == linked
+    assert run_verb(out, "report", config=TINY_STUDY.replace("\nsteps 2\n", "\nsteps 3\n")) == 0
+    assert report_files(out) == ([], [])
+    assert run_verb(out, "report") == 0
+    assert report_files(out) == (on_disk, linked)
+    for name in on_disk:
+        assert read_bytes(os.path.join(out, name)) == read_bytes(os.path.join(study[0], name))
+
+
 def test_a_failed_train_verb_leaves_its_traceback(study, tmp_path, monkeypatch, capsys):
     out = copy_study(study, tmp_path)
     cfg_path = os.path.join(tmp_path, "study.cfg")

@@ -146,6 +146,33 @@ def test_clip_many_elements_matches_oracle_element_by_element():
     assert ME.clip_to_roi([], G.standard_grid()) == []
 
 
+def test_clip_of_joined_lists_equals_clip_of_each_list():
+    # evaluate clips every scene's elements, both sides, as one list: each
+    # fragment must be the one its own list's clip gives, and its element
+    # index must point at its element in the joined list
+    rng = np.random.default_rng(34)
+    joined_frags = 0
+    for grid in (G.standard_grid(), G.extended_grid()):
+        for _ in range(60):
+            lists = [[(int(rng.integers(0, 3)), float(rng.random()),
+                       random_clip_polyline(rng, grid))
+                      for _ in range(int(rng.integers(0, 5)))]
+                     for _ in range(int(rng.integers(1, 5)))]
+            joined = [e for some in lists for e in some]
+            got = ME._clip_fragments(joined, grid, str)
+            want = []
+            for at, some in zip(np.cumsum([0] + [len(l) for l in lists]).tolist(), lists):
+                frags = ME._clip_fragments(some, grid, str)
+                assert [(c, s) for c, s, _ in ME.clip_to_roi(some, grid)] == \
+                    [some[e][:2] for e, _ in frags]
+                want += [(at + e, frag) for e, frag in frags]
+            assert [e for e, _ in got] == [e for e, _ in want]
+            for (_, f0), (_, f1) in zip(got, want):
+                assert f0.shape == f1.shape and f0.tobytes() == f1.tobytes()
+            joined_frags += len(lists) > 1 and len(got) > 1
+    assert joined_frags > 40
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_clip_rejects_non_finite_vertices(bad):
     grid = G.extended_grid()
@@ -246,6 +273,19 @@ def test_ap_integration_matches_oracle_random():
 # evaluate
 # ---------------------------------------------------------------------------
 
+def test_eval_config_takes_increasing_positive_finite_thresholds():
+    assert ME.EvalConfig("standard").thresholds == ME.ROIS["standard"][1]
+    assert ME.EvalConfig("extended", [0.25, 2]).thresholds == (0.25, 2.0)
+
+
+@pytest.mark.parametrize("roi, thresholds", [
+    ("wide", None), ("standard", ()), ("standard", (0.0, 1.0)), ("standard", (np.nan,)),
+    ("standard", (1.0, np.inf)), ("extended", (1.0, 0.5)), ("extended", (0.5, 0.5, 1.0))])
+def test_eval_config_refuses_a_bad_roi_or_threshold_set(roi, thresholds):
+    with pytest.raises(ME.EvalError):
+        ME.EvalConfig(roi, thresholds)
+
+
 def perfect_corpus():
     gts = {
         "a": [(0, 1.0, line(-10, 0, 10, 0)), (1, 1.0, line(-10, 5, 10, 5))],
@@ -301,6 +341,16 @@ def test_evaluate_refuses_a_malformed_element(case, side):
     preds, gts = {"a": [good], "z": [good]}, {"a": [good], "z": [good]}
     (preds if side == "prediction" else gts)["z"] = [good, bad]
     with pytest.raises(ME.EvalError, match=f"scene 'z', {side} 1: "):
+        ME.evaluate(preds, gts, ME.EvalConfig("standard"))
+
+
+@pytest.mark.parametrize("side", ["prediction", "ground truth"])
+def test_evaluate_names_the_element_with_a_non_finite_vertex(side):
+    good = (1, 1.0, line(-10, 0, 10, 0))
+    bad = (0, 0.5, np.array([[0.0, 0.0], [5.0, np.nan]]))
+    preds, gts = {"a": [good], "z": [good]}, {"a": [good], "z": [good]}
+    (preds if side == "prediction" else gts)["z"] = [good, bad]
+    with pytest.raises(ME.EvalError, match=f"^scene 'z', {side} 1 has a non-finite vertex$"):
         ME.evaluate(preds, gts, ME.EvalConfig("standard"))
 
 
@@ -377,6 +427,56 @@ def test_evaluate_ap_reprs_keep_their_golden_digest():
             lines += [f"{k} {roi} {c} {t!r} {ap!r}" for (c, t), ap in sorted(res.ap.items())]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "ff5f3d8ce7af745f8d9a49fd82eafbb8bb32cb2d2d969941d209bf65be8d1456"
+
+
+def odd_split(rng, n_scenes):
+    """A random split with the cases a scorer of all scenes at once must
+    keep apart: a scene without predictions, a class one side lacks,
+    elements clipped away in either RoI, single points, zero-length
+    elements, and lanes of 40 segments, which the chamfer kernel prunes."""
+    preds, gts = oracles.random_eval_corpus(rng, n_scenes)
+    grid = G.extended_grid()
+    u = np.linspace(0.0, 1.0, 41)
+    for s in sorted(gts):
+        for side in (preds[s], gts[s]):
+            x, y = rng.uniform(-20.0, 20.0, size=2)
+            odd = [np.array([[grid.x_max + 5.0, y], [grid.x_max + 9.0, y + 2.0]]),
+                   np.array([[x, y]]), np.array([[x, y], [x, y]]),
+                   np.stack([80.0 * u - 40.0, y + 2.0 * np.sin(3.0 * u + x)], axis=1)]
+            for pts in odd:
+                if rng.random() < 0.5:
+                    side.insert(int(rng.integers(0, len(side) + 1)),
+                                (int(rng.integers(0, 3)), float(rng.random()),
+                                 pts + rng.normal(0.0, 0.3, pts.shape) * (side is preds[s])))
+    preds[sorted(gts)[int(rng.integers(n_scenes))]] = []
+    for side in (preds, gts):  # now and then a class neither side has
+        if rng.random() < 0.4:
+            c = int(rng.integers(0, 3))
+            side.update({s: [e for e in els if e[0] != c] for s, els in side.items()})
+    return preds, gts
+
+
+def test_evaluate_keeps_the_bits_of_the_per_block_loop():
+    # one clip pass and one chamfer pass over every scene of the call give
+    # each AP cell the bits of the former loop: each scene clipped apart,
+    # one chamfer_matrix per (scene, class)
+    rng = np.random.default_rng(33)
+    missing = [0, 0]  # splits with a class of no prediction, of no gt
+    cells = 0
+    for _ in range(12):
+        preds, gts = odd_split(rng, int(rng.integers(1, 9)))
+        for roi in ("standard", "extended"):
+            cfg = ME.EvalConfig(roi)
+            got = ME.evaluate(preds, gts, cfg)
+            want = oracles.evaluate_per_block(preds, gts, cfg)
+            assert {k: repr(v) for k, v in got.ap.items()} == \
+                {k: repr(v) for k, v in want.ap.items()}
+            assert repr(got.map) == repr(want.map)
+            for k, side in enumerate((preds, gts)):
+                classes = {c for s in side for c, _, _ in ME.clip_to_roi(side[s], cfg.grid)}
+                missing[k] += len(classes) < 3
+            cells += len(got.ap)
+    assert min(missing) > 3 and cells == 12 * 2 * 9
 
 
 # ---------------------------------------------------------------------------
