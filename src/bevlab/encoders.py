@@ -15,7 +15,6 @@ import os
 import numpy as np
 
 from .geometry import N_CLASSES, BevGrid
-from .mapeval import EvalConfig, evaluate
 from .tensors import (Tensor, add, concat, conv2d, conv_sites, custom_op, linear,
                       maxpool2, mul, parse_ten, relu, reshape, soft_points,
                       softmax_rows, spatial_mean, upsample2x, write_ten)
@@ -514,17 +513,15 @@ def batch_stream(rng, n, batch):
             yield order[i:i + batch]
 
 
-def pretrain_teacher(cfg, train_samples, val_samples, log_path=None):
-    """Train the overhead encoder plus a throwaway decoder head, then freeze.
+def pretrain_teacher(cfg, train_samples, log_path=None):
+    """Train the overhead encoder plus a decoder head, then freeze the encoder.
 
     Every setting comes from ``cfg`` (a RunConfig), whose builders draw
     the teacher, then the decoder, from the ``teacher_seed`` rng. The step
     loop is ``supervision.fit`` on the detection loss alone; its
     ``log_path`` gets one line per step as it trains, with 0.0 for l_bev.
-    Returns (teacher, decoder, val_map), the teacher frozen and val_map its
-    score on val_samples in the config's RoI: each val scene's frozen map
-    decoded once by ``decode_map`` and scored by ``mapeval.evaluate``, the
-    calls a student run's val pass makes. A non-finite loss aborts with an
+    Returns (teacher, decoder), the teacher frozen; scoring them is the
+    caller's (``harness.ensure_teacher``). A non-finite loss aborts with an
     EncoderError naming the step.
     """
     if not train_samples:
@@ -533,14 +530,9 @@ def pretrain_teacher(cfg, train_samples, val_samples, log_path=None):
     from .supervision import fit
     rng = np.random.default_rng(cfg.teacher_seed)
     teacher, decoder, grid = cfg.teacher(rng), cfg.decoder(rng), cfg.grid()
-
-    def features(s):
-        return teacher_forward(teacher, s.overhead, grid)
-
-    fit(cfg, {"teacher": teacher, "decoder": decoder}, features, train_samples,
+    fit(cfg, {"teacher": teacher, "decoder": decoder},
+        lambda s: teacher_forward(teacher, s.overhead, grid), train_samples,
         batch_stream(rng, len(train_samples), cfg.batch), cfg.teacher_steps, log_path,
         error=EncoderError)
     teacher.freeze()
-    preds = {s.scene_id: decode_map(decoder, features(s)) for s in val_samples}
-    result = evaluate(preds, {s.scene_id: s.gt for s in val_samples}, EvalConfig(cfg.roi))
-    return teacher, decoder, float(result.map)
+    return teacher, decoder

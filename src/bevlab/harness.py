@@ -1,17 +1,17 @@
 """Experiment orchestration over the rest of the package.
 
-Datasets, cached frozen teachers, training runs, the normalization
-ablation with its feature-similarity study, the alignment-weight sweep,
-and a consolidated report. Every command takes a RunConfig plus an output
-directory and leaves plain-text artifacts behind; ``run_many`` splits
-runs into finished and failed. The trainers take the config whole, and
-models are built and reloaded through its builders only; a run directory
-stores the exact config it ran with, so repeating a (config, seed) pair
-rewrites its eval files byte for byte. The caches key on the config
-fields they read, not on code, so a change that moves results needs a
-fresh --out. Each table pools the records of its ``study_specs`` runs in
-``study_table``: the verbs write the .txt tables from it, and the report
-its tables and sweep plots. The report trains nothing and writes no cache.
+Datasets, cached frozen teachers, training runs, the normalization ablation
+with its feature-similarity study, the alignment-weight sweep, and a
+consolidated report. Every command takes a RunConfig plus an output directory
+and leaves plain-text artifacts behind; ``run_many`` splits runs into finished
+and failed. The trainers take the config whole and only train; the harness
+scores and saves their models, built and reloaded through the config's builders
+only. A run directory stores the exact config it ran with, so repeating a
+(config, seed) pair rewrites its eval files byte for byte. The caches key on
+the config fields they read, not on code, so a change that moves results needs
+a fresh --out. Each table pools the records of its ``study_specs`` runs in
+``study_table``: the verbs write the .txt tables from it, and the report its
+tables and sweep plots. The report trains nothing and writes no cache.
 
 Layout under the output directory:
 
@@ -35,6 +35,7 @@ import pathlib
 import shutil
 import time
 import traceback
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -113,16 +114,19 @@ def load_teacher(cfg: RunConfig, out):
 
 
 def ensure_teacher(cfg: RunConfig, out):
-    """``load_teacher``, after training the teacher once on ``load_splits``
-    if the cache is cold. Returns (teacher, val_map). The teacher sees only
-    overhead rasters, so no camera image is read here."""
+    """``load_teacher``, after ``pretrain_teacher`` fills a cold cache from ``load_splits``:
+    its frozen teacher's val maps, decoded by the decoder it returns, score val_map in
+    ``cfg.roi``. Returns (teacher, val_map); no camera image is read here."""
     try:
         return load_teacher(cfg, out)
     except HarnessError:  # cold: log.txt fills in as it trains, the manifest comes last
         train, val = load_splits(cfg, out)
     tdir = os.path.join(out, "teacher", cfg.teacher_hash())
     os.makedirs(tdir, exist_ok=True)
-    teacher, _, val_map = pretrain_teacher(cfg, train, val, os.path.join(tdir, "log.txt"))
+    teacher, decoder = pretrain_teacher(cfg, train, os.path.join(tdir, "log.txt"))
+    preds = {s.scene_id: decode_map(decoder, teacher_forward(teacher, s.overhead, cfg.grid()))
+             for s in val}
+    val_map = float(evaluate(preds, {s.scene_id: s.gt for s in val}, EvalConfig(cfg.roi)).map)
     save_checkpoint(tdir, named_params({"teacher": teacher}),
                     meta={"val_map": repr(val_map), "teacher_hash": cfg.teacher_hash()})
     return teacher, val_map
@@ -255,22 +259,27 @@ def train_run(cfg: RunConfig, out, variant, seed, lam=None):
     return read_record(rdir)
 
 
+def _failed(cfg, out, spec, e, detail=None):
+    """(spec, False, the error line of ``e``), with ``detail``, or else that
+    line, left in the run's error.txt; a later success of the spec removes it."""
+    line = f"{type(e).__name__}: {e}"
+    rdir = run_dir(cfg, out, *spec)[0]
+    os.makedirs(rdir, exist_ok=True)
+    with open(os.path.join(rdir, "error.txt"), "w") as f:
+        f.write(detail or line + "\n")
+    return spec, False, line
+
+
 def _job(payload):
-    """One run of a batch: (spec, True, record), or (spec, False, error
-    line) with the full traceback left in the run's error.txt, which a
-    later success of the same spec removes."""
+    """One run of a batch: (spec, True, record), or ``_failed`` with the
+    full traceback."""
     cfg_text, out, spec = payload
     cfg = RunConfig.parse(cfg_text)
-    error_path = os.path.join(run_dir(cfg, out, *spec)[0], "error.txt")
     try:
         rec = train_run(cfg, out, *spec)
     except Exception as e:  # partial failures are reported, not fatal
-        os.makedirs(os.path.dirname(error_path), exist_ok=True)
-        with open(error_path, "w") as f:
-            f.write(traceback.format_exc())
-        return spec, False, f"{type(e).__name__}: {e}"
-    if os.path.exists(error_path):
-        os.remove(error_path)
+        return _failed(cfg, out, spec, e, traceback.format_exc())
+    pathlib.Path(run_dir(cfg, out, *spec)[0], "error.txt").unlink(missing_ok=True)
     return spec, True, rec
 
 
@@ -278,16 +287,19 @@ def run_many(cfg: RunConfig, out, specs, jobs=1):
     """Run (variant, seed, lam) specs, possibly in parallel processes.
 
     Returns (finished, failures) in spec order: [(spec, record)] and
-    [(run directory name, error line)]. The dataset and teacher caches
-    are warmed first so workers never race on them; a cold teacher thus
-    trains here, on every CPU. When ``min(jobs, len(specs))`` is above 1,
-    that many worker processes start and each trains on ``max(1, cpus //
+    [(run directory name, error line)]. Unless every spec has its
+    ``finished_record``, the dataset and teacher caches are warmed first so
+    workers never race on them; a cold teacher thus trains and is scored
+    here, on every CPU. When ``min(jobs, len(specs))`` is above 1, that
+    many worker processes start and each trains on ``max(1, cpus //
     workers)`` threads, so they share the CPUs without oversubscribing
     them. Those threads join every backward walk of two or more samples,
-    and the records do not depend on them.
+    and the records do not depend on them. A worker that dies fails every
+    run the pool had not returned, as ``BrokenProcessPool``.
     """
-    ensure_dataset(cfg, out)
-    ensure_teacher(cfg, out)
+    if not all(finished_record(*run_dir(cfg, out, *spec)) for spec in specs):
+        ensure_dataset(cfg, out)
+        ensure_teacher(cfg, out)
     payloads = [(cfg.dump(), out, spec) for spec in specs]
     workers = min(jobs, len(specs))
     if workers <= 1:
@@ -296,8 +308,12 @@ def run_many(cfg: RunConfig, out, specs, jobs=1):
         # fit's threads end with each fit, so none is running when the workers fork
         ctx = multiprocessing.get_context("fork")
         threads = max(1, fit_threads() // workers)
-        with ctx.Pool(workers, initializer=share_cpus, initargs=(threads,)) as pool:
-            results = pool.map(_job, payloads)
+        with ProcessPoolExecutor(workers, ctx, initializer=share_cpus,
+                                 initargs=(threads,)) as pool:
+            futures = [pool.submit(_job, payload) for payload in payloads]
+        # a future whose worker died (say, by the OOM killer) holds BrokenProcessPool
+        results = [_failed(cfg, out, spec, f.exception()) if f.exception() else f.result()
+                   for spec, f in zip(specs, futures)]
     return ([(spec, rec) for spec, ok, rec in results if ok],
             [(os.path.basename(run_dir(cfg, out, *spec)[0]), err)
              for spec, ok, err in results if not ok])

@@ -629,14 +629,14 @@ def test_params_checksum_order_independent_value_sensitive():
 # teacher pretraining
 # ---------------------------------------------------------------------------
 
-def test_pretrain_teacher_smoke_freezes_and_scores(tmp_path):
+def test_pretrain_teacher_smoke_freezes_and_logs(tmp_path):
+    # it trains and returns its models; the harness scores them
     grid = G.standard_grid()
     samples = [make_sample(seed, grid) for seed in (31, 32)]
     log_path = tmp_path / "log.txt"
     cfg = STANDARD.with_overrides(teacher_seed=0, teacher_steps=12)
-    teacher, dec, val_map = E.pretrain_teacher(cfg, samples, samples[:1], str(log_path))
-    assert teacher.frozen
-    assert 0.0 <= val_map <= 1.0
+    teacher, dec = E.pretrain_teacher(cfg, samples, str(log_path))
+    assert teacher.frozen and isinstance(dec, E.MapDecoder)
     log = log_path.read_text().splitlines()
     assert len(log) == 12
     parts = log[0].split()
@@ -651,10 +651,9 @@ def test_pretrain_teacher_aborts_on_poisoned_input():
     samples[0].overhead = samples[0].overhead.copy()
     samples[0].overhead[0, 0, 0] = np.nan
     with pytest.raises(E.EncoderError, match="step 0"):
-        E.pretrain_teacher(STANDARD.with_overrides(teacher_seed=0, teacher_steps=5),
-                           samples, samples)
+        E.pretrain_teacher(STANDARD.with_overrides(teacher_seed=0, teacher_steps=5), samples)
 
 
 def test_pretrain_teacher_rejects_empty_split():
     with pytest.raises(E.EncoderError):
-        E.pretrain_teacher(STANDARD, [], [])
+        E.pretrain_teacher(STANDARD, [])

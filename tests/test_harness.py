@@ -10,6 +10,7 @@ import os
 import pkgutil
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -87,6 +88,32 @@ def test_ensure_teacher_writes_loss_log_before_manifest(tmp_path, monkeypatch):
     _, again = H.ensure_teacher(cfg, out)
     assert again == val_map and seen == [True]
     assert os.path.getmtime(os.path.join(tdir, "log.txt")) == before
+
+
+@pytest.mark.parametrize("roi", H.ROIS)
+def test_cold_teacher_cache_scores_the_decoder_pretraining_returns(tmp_path, monkeypatch, roi):
+    # pretraining only trains; the harness decodes the frozen teacher's val
+    # maps with the decoder it returns and scores them in the config's RoI
+    cfg = tiny_config().with_overrides(roi=roi, n_val=2, steps=2)
+    out = str(tmp_path)
+    decoders = []
+    plain = H.pretrain_teacher
+
+    def kept(*args, **kwargs):
+        teacher, decoder = plain(*args, **kwargs)
+        decoders.append(decoder)
+        return teacher, decoder
+
+    monkeypatch.setattr(H, "pretrain_teacher", kept)
+    rec = H.train_run(cfg, out, "raw", 0)
+    (decoder,) = decoders
+    teacher, _ = H.load_teacher(cfg, out)
+    _, val = H.load_splits(cfg, out)
+    preds = {s.scene_id: decode_map(decoder, E.teacher_forward(teacher, s.overhead, cfg.grid()))
+             for s in val}
+    want = evaluate(preds, {s.scene_id: s.gt for s in val}, EvalConfig(roi)).map
+    _, meta = E.load_checkpoint(os.path.join(out, "teacher", cfg.teacher_hash()))
+    assert meta["val_map"] == repr(float(want)) == rec["teacher_val_map"]
 
 
 def teacher_log(cfg, out):
@@ -495,6 +522,24 @@ def test_second_ablation_trains_nothing(study, tmp_path, monkeypatch):
         assert read_bytes(os.path.join(out, name)) == read_bytes(os.path.join(study[0], name))
 
 
+def test_ablation_over_finished_runs_rebuilds_no_cache(study, tmp_path, monkeypatch):
+    # no run trains, so neither the corpus nor the teacher is rebuilt
+    out = copy_study(study, tmp_path)
+    for cache in ("teacher", "dataset"):
+        shutil.rmtree(os.path.join(out, cache))
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a cache was rebuilt for finished runs")
+
+    for name in ("export_dataset", "pretrain_teacher"):
+        monkeypatch.setattr(H, name, must_not_run)
+    assert run_verb(out, "ablation") == 0
+    assert not os.path.exists(os.path.join(out, "teacher"))
+    assert not os.path.exists(os.path.join(out, "dataset"))
+    for name in ABLATION_TABLES:
+        assert read_bytes(os.path.join(out, name)) == read_bytes(os.path.join(study[0], name))
+
+
 def trained_runs(monkeypatch):
     """The names of the runs that train_student trains from now on."""
     names = []
@@ -896,6 +941,49 @@ def test_run_many_splits_the_cpus_between_its_processes(tmp_path, monkeypatch, c
     assert SV.fit_threads() == cpus  # the parent keeps every CPU
 
 
+# ablation at --jobs 2, where the worker of raw_seed1 dies by SIGKILL, as
+# by the OOM killer, and every other run returns a stub record at once
+KILLED_WORKER_PROBE = """
+import os, signal, sys
+from bevlab import cli, harness as H
+H.ensure_dataset = H.ensure_teacher = lambda *args: None
+
+def train_run(cfg, out, variant, seed, lam=None):
+    if variant == "raw":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return {}
+
+H.train_run = train_run
+sys.exit(cli.main(["--config", sys.argv[1], "--out", sys.argv[2], "--jobs", "2", "ablation"]))
+"""
+
+
+def test_a_killed_worker_fails_its_runs_instead_of_hanging_the_study(tmp_path):
+    cfg_path, out = tmp_path / "study.cfg", tmp_path / "out"
+    cfg_path.write_text(TINY_STUDY)
+    # its own process group, so a hung probe goes down with its workers
+    probe = subprocess.Popen([sys.executable, "-c", KILLED_WORKER_PROBE, str(cfg_path), str(out)],
+                             env={**os.environ, "PYTHONPATH": SRC}, start_new_session=True,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        _, err = probe.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(probe.pid, signal.SIGKILL)
+        probe.communicate()
+        pytest.fail("the study hung on a killed worker")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(probe.pid, 0)  # no worker is left running
+    assert probe.returncode == 2, err
+    line = ("BrokenProcessPool: A process in the process pool was terminated abruptly "
+            "while the future was running or pending.")
+    failed = [l for l in (out / "ablation.txt").read_text().splitlines() if l.startswith("# ")]
+    assert f"# failed raw_seed1: {line}" in failed
+    for entry in failed:  # a run the dying pool took down with it fails the same way
+        name, _, err_line = entry[len("# failed "):].partition(": ")
+        assert err_line == line
+        assert (out / "runs" / name / "error.txt").read_text() == line + "\n"
+
+
 # Every pin below holds for one BLAS kernel only: each OpenBLAS kernel sums
 # a matmul in its own order, and training carries the difference into the
 # trained bits. The pins are therefore keyed by the fingerprint of the
@@ -990,7 +1078,7 @@ def test_every_parameter_each_arm_trains_gets_a_gradient(tmp_path, monkeypatch):
     # a gradient, so no arm holds one its loss cannot reach (a bias that a
     # softmax cancels, an adapter the arm never calls)
     cfg = RunConfig.parse(FIXED_SHORT_RUN).with_overrides(teacher_steps=1, steps=1, batch=2)
-    train, val = H.load_splits(cfg, str(tmp_path))
+    train, _ = H.load_splits(cfg, str(tmp_path))
     plain = SV.adamw_step
     steps = []
 
@@ -1000,7 +1088,7 @@ def test_every_parameter_each_arm_trains_gets_a_gradient(tmp_path, monkeypatch):
         return plain(opt)
 
     monkeypatch.setattr(SV, "adamw_step", recorded)
-    teacher, _, _ = E.pretrain_teacher(cfg, train, val[:1])
+    teacher, _ = E.pretrain_teacher(cfg, train)
     for variant in SV.VARIANTS:
         SV.train_student(cfg.with_overrides(variant=variant), train, teacher)
     assert len(steps) == 1 + len(SV.VARIANTS)

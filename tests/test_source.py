@@ -1,7 +1,8 @@
 """The source tree itself: every definition in src is used, each model is
 constructed in one RunConfig builder, no parameter repeats a config
 default, every other default is one some caller overrides, src runs on
-numpy alone, and every name the benchmark's tracer wraps exists."""
+numpy alone, models do not score, and every name the benchmark's tracer
+wraps exists."""
 
 import ast
 import glob
@@ -154,20 +155,29 @@ def test_every_default_is_set_by_some_call_or_kept_for_a_reason():
     assert sorted(set(UNSET_DEFAULTS) - set(unset)) == [], "a listed default is set now; unlist it"
 
 
+def imports(tree):
+    """(line, name) of each module an import statement in ``tree`` names,
+    and of each name a ``from`` import takes from one."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+            yield from ((node.lineno, n) for n in names)
+
+
 def test_src_never_imports_scipy():
     # scipy is the tests' oracle only; its import cost the lab ~40 MB per process
-    found = []
-    for path, tree in parsed("src/bevlab").items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            found += [f"{path}:{node.lineno} {n}" for n in names
-                      if n == "scipy" or n.startswith("scipy.")]
+    found = [f"{path}:{line} {n}" for path, tree in parsed("src/bevlab").items()
+             for line, n in imports(tree) if n == "scipy" or n.startswith("scipy.")]
     assert not found, "src imports scipy:\n" + "\n".join(found)
+
+
+def test_encoders_import_nothing_from_mapeval():
+    # models do not score: the harness scores what the trainers return
+    tree = parsed("src/bevlab")[os.path.join("src", "bevlab", "encoders.py")]
+    found = [f"encoders.py:{line} {n}" for line, n in imports(tree) if "mapeval" in n.split(".")]
+    assert not found, "encoders imports mapeval:\n" + "\n".join(found)
 
 
 def test_importing_the_cli_loads_no_scipy_module():
