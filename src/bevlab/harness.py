@@ -449,7 +449,9 @@ def load_student(cfg: RunConfig, rdir, teacher):
     """Rebuild a trained (student, decoder, adapter) from a run checkpoint at
     ``cfg``'s sizes, refusing a ``teacher`` the student's features cannot match.
     Any arm loads under any variant: the adapter is None unless the checkpoint
-    holds ``adapter.*``, as norm_adapter's does, and then needs ``adapter.w``."""
+    holds ``adapter.*``, as norm_adapter's does, and then needs ``adapter.w``.
+    Every parameter comes back off the tape, as ``load_teacher``'s do: a loaded
+    model only runs forward, so it records no tape that nothing walks."""
     if teacher.c_feat != cfg.c_feat:
         raise HarnessError(f"{cfg.c_feat}-channel student, {teacher.c_feat}-channel teacher")
     params, _ = load_checkpoint(os.path.join(rdir, "checkpoint"))
@@ -459,6 +461,8 @@ def load_student(cfg: RunConfig, rdir, teacher):
         models["adapter"] = cfg.adapter()
     for name, model in models.items():
         adopt_params(model, params, prefix=name + ".")
+        for p in model.params.values():
+            p.requires_grad = False
     return models["student"], models["decoder"], models.get("adapter")
 
 

@@ -17,6 +17,9 @@ Conventions:
     ``requires_grad=False`` and never enter the tape.
   * every forward op validates that its output is finite and raises
     ``TensorError`` otherwise.
+  * a tape node keeps its parents and a backward closure over the arrays
+    that closure reads: for conv2d the input and the kernel, never the
+    im2col columns, which backward rebuilds from the input.
 """
 
 from __future__ import annotations
@@ -373,7 +376,8 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor = None, stride: int = 1, pad: int 
     """2-D cross-correlation of a (Cin, H, W) map with (Cout, Cin, kh, kw) filters.
 
     Forward is im2col of the zero-padded input times the kernel. Backward
-    takes dk from the saved columns with one matmul. dx is skipped for an
+    rebuilds the columns from the input it keeps, so the tape holds no copy,
+    and dk keeps its bits: one matmul with them. dx is skipped for an
     input off the tape; otherwise its layout follows the channel counts.
     With Cout < 4*Cin it is a transposed conv: im2col of the zero-dilated,
     padded gradient, Cout*kh*kw rows, times the flipped kernel. With
@@ -404,18 +408,20 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor = None, stride: int = 1, pad: int 
     if kh > hp or kw > wp:
         raise TensorError(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
     ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
-    xp = np.zeros((cin, hp, wp))
-    xp[:, pad:pad + h, pad:pad + w] = x.data
-    w2 = k.data.reshape(cout, cin * kh * kw)
-    if at is None:
-        cols = _im2col(xp, kh, kw, stride, ho, wo)
-    else:
+    if at is not None:
         geometry = (x.data.shape, (kh, kw), stride, pad)
         if not isinstance(at, ConvSites) or at.geometry != geometry:
             raise TensorError(f"conv2d at must be the conv_sites of {geometry}")
         targets = at.targets
-        cols = np.take(xp, targets)
-    out_data = w2 @ cols
+    xd = x.data  # the input as it is now, even if x.data is rebound before backward
+
+    def columns():
+        xp = np.zeros((cin, hp, wp))
+        xp[:, pad:pad + h, pad:pad + w] = xd
+        return _im2col(xp, kh, kw, stride, ho, wo) if at is None else np.take(xp, targets)
+
+    w2 = k.data.reshape(cout, cin * kh * kw)
+    out_data = w2 @ columns()
     if bias is not None:
         out_data += bias.data[:, None]
     if at is None:
@@ -426,7 +432,7 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor = None, stride: int = 1, pad: int 
         # column-major: db then adds each row's columns one by one, and db and
         # dk keep the bits of the full-map layout (tests/oracles.py::conv2d_at_dense)
         gm = g.reshape(cout, ho * wo) if at is None else np.asfortranarray(g)
-        dk = (gm @ cols.T).reshape(cout, cin, kh, kw)
+        dk = (gm @ columns().T).reshape(cout, cin, kh, kw)
         dx = None
         if x.requires_grad and at is None and cout < 4 * cin:
             # g dilated by the stride at offset (kh-1, kw-1); windows from (pad, pad) cover x

@@ -8,7 +8,9 @@ current one, the renderer references keep the former scalar traversal,
 dense road mask and full-image occluder loop as bit-for-bit references
 for the pruned array passes, ``evaluate_per_block`` keeps evaluate's
 former per-(scene, class) loop as the bit-for-bit reference for its one
-clip pass and one chamfer pass per call, and the tape ops at the end
+clip pass and one chamfer pass per call, ``conv2d_keep_columns`` keeps
+the conv that saved its im2col columns for backward as the bit-for-bit
+reference for the one that rebuilds them, and the tape ops at the end
 wire their own forward and backward into the package's tape, for the
 tests alone.
 """
@@ -16,6 +18,7 @@ tests alone.
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from bevlab import geometry, mapeval, scenegen
 from bevlab.tensors import Tensor, TensorError, custom_op
@@ -253,6 +256,61 @@ def conv2d_at_dense(x, k, bias, stride, pad, at):
         return dxp[:, pad:pad + h, pad:pad + w], dk, gm.sum(axis=1)
 
     return out, bwd
+
+
+def conv2d_keep_columns(x, k, bias=None, stride=1, pad=0, at=None):
+    """tensors.conv2d as it was when its backward closure held the im2col
+    columns of the forward pass (``at`` a ``conv_sites`` or None), wired
+    into the tape. The rebuilt columns must give out, dx, dk and db the
+    bits these saved ones do."""
+    cin, h, w = x.data.shape
+    cout, _, kh, kw = k.data.shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+
+    def im2col(buf, kh, kw, stride, ho, wo):
+        sc, sh, sw = buf.strides
+        win = as_strided(buf, (buf.shape[0], kh, kw, ho, wo), (sc, sh, sw, sh * stride, sw * stride))
+        return win.reshape(buf.shape[0] * kh * kw, ho * wo)
+
+    xp = np.zeros((cin, hp, wp))
+    xp[:, pad:pad + h, pad:pad + w] = x.data
+    w2 = k.data.reshape(cout, cin * kh * kw)
+    if at is None:
+        cols = im2col(xp, kh, kw, stride, ho, wo)
+    else:
+        targets = at.targets
+        cols = np.take(xp, targets)
+    out_data = w2 @ cols
+    if bias is not None:
+        out_data += bias.data[:, None]
+    if at is None:
+        out_data = out_data.reshape(cout, ho, wo)
+    parents = (x, k) if bias is None else (x, k, bias)
+
+    def bwd(g):
+        gm = g.reshape(cout, ho * wo) if at is None else np.asfortranarray(g)
+        dk = (gm @ cols.T).reshape(cout, cin, kh, kw)
+        dx = None
+        if x.requires_grad and at is None and cout < 4 * cin:
+            gp = np.zeros((cout, hp + kh - 1, wp + kw - 1))
+            gp[:, kh - 1:kh - 1 + stride * ho:stride, kw - 1:kw - 1 + stride * wo:stride] = g
+            kt = w2.reshape(cout, cin, kh, kw)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            gcols = im2col(gp[:, pad:, pad:], kh, kw, 1, h, w)
+            dx = (kt.reshape(cin, -1) @ gcols).reshape(cin, h, w)
+        elif x.requires_grad and at is None:
+            dcols = (w2.T @ gm).reshape(cin, kh * kw, ho, wo)
+            dxp = np.zeros((cin, hp, wp))
+            for t in range(kh * kw):
+                i, j = divmod(t, kw)
+                dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, t]
+            dx = dxp[:, pad:pad + h, pad:pad + w]
+        elif x.requires_grad:
+            dxp = np.bincount(targets.ravel(), (w2.T @ gm).ravel(), minlength=cin * hp * wp)
+            dx = dxp.reshape(cin, hp, wp)[:, pad:pad + h, pad:pad + w]
+        return (dx, dk) if bias is None else (dx, dk, gm.sum(axis=1))
+
+    return custom_op(out_data, parents, bwd, "conv2d")
 
 
 def dense_lift_src(table):

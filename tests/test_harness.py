@@ -823,6 +823,35 @@ def checkpoint_rows(cfg, out, rdir):
     return H.similarity_rows(cfg, teacher, student, val, cfg.grid(), cfg.rig())
 
 
+def test_load_student_returns_its_models_off_the_tape(study):
+    # forward-only use records no tape, and decodes the bits that the same
+    # checkpoint decodes with its parameters on the tape
+    cfg = RunConfig.parse(TINY_STUDY)
+    out = study[0]
+    teacher, _ = H.load_teacher(cfg, out)
+    _, val = H.load_splits(cfg, out)
+    rdir, _ = H.run_dir(cfg, out, "norm_adapter", 1)
+    loaded = H.load_student(cfg, rdir, teacher)
+    taped = H.load_student(cfg, rdir, teacher)
+    assert loaded[2] is not None
+    for model, on in zip(loaded, taped):
+        assert not any(p.requires_grad for p in model.params.values())
+        for p in on.params.values():
+            p.requires_grad = True
+    for s in val:
+        maps = [student_forward(student, s.cams, cfg.rig(), cfg.grid())
+                for student in (loaded[0], taped[0])]
+        assert [m.tensor.requires_grad for m in maps] == [False, True]
+        assert np.array_equal(maps[0].tensor.data, maps[1].tensor.data)
+        heads = [decoder.forward(m) for decoder, m in zip((loaded[1], taped[1]), maps)]
+        assert not any(t.requires_grad for t in heads[0])
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(*heads))
+        decoded = [decode_map(decoder, m) for decoder, m in zip((loaded[1], taped[1]), maps)]
+        assert len(decoded[0]) == len(decoded[1])
+        for (ca, sa, pa), (cb, sb, pb) in zip(*decoded):
+            assert (ca, sa) == (cb, sb) and np.array_equal(pa, pb)
+
+
 def test_similarity_runs_the_teacher_once_per_val_scene(study, tmp_path, monkeypatch):
     out = copy_study(study, tmp_path)
     cfg = RunConfig.parse(TINY_STUDY)

@@ -1,6 +1,7 @@
 """Autodiff engine: forward oracles, finite-difference gradients, optimizer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from bevlab import tensors as T
+from bevlab.config import RunConfig
 
 
 RNG = np.random.default_rng
@@ -487,6 +489,68 @@ def test_conv2d_at_fails_fast_and_allows_empty():
         T.backward(oracles.tsum(out))
         assert np.all(kt.grad == 0.0) and np.all(bt.grad == 0.0)
         T.zero_grad([kt, bt])
+
+
+def test_conv2d_keeps_the_bits_of_the_conv_that_saved_its_columns():
+    # out, dx, dk and db equal those of the conv that kept its im2col columns,
+    # in both dx layouts and with random and empty `at`; dk comes from the
+    # input as it was at forward time, even after x.data is rebound
+    rng = RNG(33)
+    for stride, pad, (kh, kw), (h, w) in CONV_GRAD_CASES:
+        for cin, cout in ((3, 4), (2, 8)):
+            x, k, b = rng.normal(size=(cin, h, w)), rng.normal(size=(cout, cin, kh, kw)), \
+                rng.normal(size=cout)
+            _, ho, wo = T.conv2d(T.Tensor(x), T.Tensor(k), stride=stride, pad=pad).shape
+            for at in (None, sparse_positions(rng, ho * wo), np.array([], dtype=np.int64)):
+                given = None if at is None else T.conv_sites(x.shape, (kh, kw), at, stride, pad)
+                xt = oracles.parameter(x)
+                got, want = (conv(xt, oracles.parameter(k), oracles.parameter(b), stride=stride,
+                                  pad=pad, at=given)
+                             for conv in (T.conv2d, oracles.conv2d_keep_columns))
+                case = (stride, pad, kh, kw, h, w, cin, cout, None if at is None else len(at))
+                assert np.array_equal(got.data, want.data), case
+                g = rng.normal(size=got.shape)
+                want_bwd = want._bwd(g)
+                for name, a, wb in zip(("dx", "dk", "db"), got._bwd(g), want_bwd):
+                    assert np.array_equal(a, wb), (case, name)
+                xt.data = rng.normal(size=x.shape)
+                assert np.array_equal(got._bwd(g)[1], want_bwd[1]), case
+
+
+def traced_held(build):
+    """(bytes still allocated, numpy buffers included, once ``build()``
+    has returned, and what it returned)."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return tracemalloc.get_traced_memory()[0], out
+    finally:
+        tracemalloc.stop()
+
+
+HELD_SLACK = 16 * 1024  # the tape node, its closure and their small arrays
+
+
+def test_conv2d_tape_holds_no_im2col_columns():
+    # the decoder's pts conv: a 1.99 MB column array against a 0.22 MB output
+    rng = RNG(34)
+    x = oracles.parameter(rng.normal(size=(96, 12, 24)))
+    k, b = oracles.parameter(rng.normal(size=(96, 96, 3, 3))), oracles.parameter(np.zeros(96))
+    held, out = traced_held(lambda: T.conv2d(x, k, b, pad=1))
+    limit = out.data.nbytes + HELD_SLACK
+    assert out.requires_grad and 96 * 9 * 12 * 24 * 8 > 8 * limit
+    assert held < limit, held
+    # the student's sparse cam2 conv at the default rig, one camera at a time
+    cfg = RunConfig()
+    student = cfg.student(rng)
+    _, sites = student._lift_plan(cfg.rig(), cfg.grid())
+    p = student.params
+    for s in sites:
+        h = oracles.parameter(rng.normal(size=s.geometry[0]))
+        held, out = traced_held(lambda: T.conv2d(h, p["cam2.w"], p["cam2.b"], pad=1, at=s))
+        limit = out.data.nbytes + HELD_SLACK
+        assert out.requires_grad and s.targets.size * 8 > limit
+        assert held < limit, (held, out.shape)
 
 
 def test_grad_mse_and_channel_mix_chain():
